@@ -20,8 +20,10 @@ pub use reldiv_service::proto::REPLICA_PREFIX;
 
 /// The catalog-name prefix of full divisor replicas (quotient
 /// partitioning); these live on every node under the same name and are
-/// exempt from replica-name rewriting.
-pub const FULL_COPY_PREFIX: &str = ".repl.";
+/// exempt from replica-name rewriting. Re-exported with
+/// [`PARTITION_PREFIX`] from `reldiv-service`, whose nodes drop the
+/// temporaries of a relation when a new version of it is installed.
+pub use reldiv_service::proto::{FULL_COPY_PREFIX, PARTITION_PREFIX};
 
 /// The nodes holding `fragment` under round-robin placement: the primary
 /// (node index = fragment index) first, then the next `k − 1` nodes,

@@ -80,8 +80,8 @@ use reldiv_parallel::strategy::CollectionSite;
 use reldiv_parallel::{route, Strategy};
 use reldiv_rel::{Relation, Schema, Tuple};
 use reldiv_service::proto::{
-    DivideRequest, EpochRequest, PartialQuotientReply, RepartitionRequest, ReplicaWriteRequest,
-    Reply, Request, ShardRequest, MAX_CLUSTER_NODES,
+    is_derived_from, DivideRequest, EpochRequest, PartialQuotientReply, RepartitionRequest,
+    ReplicaWriteRequest, Reply, Request, ShardRequest, MAX_CLUSTER_NODES,
 };
 use reldiv_service::MetricsSnapshot;
 
@@ -392,7 +392,11 @@ impl Coordinator {
                 "shard key {k} out of range for arity {arity}"
             )));
         }
-        for reserved in [catalog::REPLICA_PREFIX, catalog::FULL_COPY_PREFIX, ".part."] {
+        for reserved in [
+            catalog::REPLICA_PREFIX,
+            catalog::FULL_COPY_PREFIX,
+            catalog::PARTITION_PREFIX,
+        ] {
             if name.starts_with(reserved) {
                 return Err(ClusterError::BadRequest(format!(
                     "relation name {name:?} uses the reserved prefix {reserved:?}"
@@ -782,7 +786,10 @@ impl Coordinator {
         let mut names: Vec<String> = self
             .catalog
             .keys()
-            .filter(|k| !k.starts_with(".part.") && !k.starts_with(catalog::FULL_COPY_PREFIX))
+            .filter(|k| {
+                !k.starts_with(catalog::PARTITION_PREFIX)
+                    && !k.starts_with(catalog::FULL_COPY_PREFIX)
+            })
             .cloned()
             .collect();
         names.sort();
@@ -811,17 +818,18 @@ impl Coordinator {
     /// longer exists.
     fn forget_derived(&mut self) {
         self.installed.clear();
-        self.catalog.retain(|name, _| !name.starts_with(".part."));
+        self.catalog
+            .retain(|name, _| !name.starts_with(catalog::PARTITION_PREFIX));
     }
 
     /// Forgets the derived temporaries and cached divisor replicas of
     /// one relation: anything built from a version that is being (or
-    /// failed to be) replaced is stale.
+    /// failed to be) replaced is stale. Every node that installed a
+    /// fragment of the new version has dropped its copies by the same
+    /// rule ([`is_derived_from`]), so no message is spent on them.
     fn forget_derivations_of(&mut self, name: &str) {
-        let prefix_repl = format!(".repl.{name}.");
-        let prefix_part = format!(".part.{name}.");
-        self.installed.retain(|(_, t)| !t.starts_with(&prefix_repl));
-        self.catalog.retain(|t, _| !t.starts_with(&prefix_part));
+        self.installed.retain(|(_, t)| !is_derived_from(t, name));
+        self.catalog.retain(|t, _| !is_derived_from(t, name));
     }
 
     // -----------------------------------------------------------------

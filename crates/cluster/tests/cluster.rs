@@ -466,3 +466,50 @@ fn filtered_repartition_cache_is_keyed_by_divisor_identity() {
         "a cached temp reports the tuples dropped when it was built"
     );
 }
+
+#[test]
+fn re_registration_leaves_no_stale_temporaries_on_the_nodes() {
+    // Every registration stamps fresh names on the temporaries derived
+    // from it (`.part.`, `.repl.`), so the old ones can never be asked
+    // for again: a node that kept them would grow by a dividend per
+    // update. Node catalogs must hold the same names after the tenth
+    // update-and-query round as after the first.
+    let cluster = start_nodes(4);
+    let mut coord = cluster.coordinator(TIMEOUT).expect("connect");
+    coord.set_replication(2).expect("k = 2");
+    let names = |cluster: &LocalCluster| -> Vec<usize> {
+        (0..4)
+            .map(|n| cluster.service(n).expect("node").list_relations().len())
+            .collect()
+    };
+    let mut after_first = Vec::new();
+    for round in 0..10u64 {
+        let w = WorkloadSpec {
+            divisor_size: 8,
+            quotient_size: 40 - round,
+            noise_per_group: 3,
+            ..WorkloadSpec::default()
+        }
+        .generate(500 + round);
+        coord.register("r", &w.dividend, &[0]).expect("register r");
+        coord.register("s", &w.divisor, &[0]).expect("register s");
+        for (strategy, bits) in [
+            (Strategy::QuotientPartitioning, None),
+            (Strategy::DivisorPartitioning, None),
+            (Strategy::DivisorPartitioning, Some(4096)),
+        ] {
+            let response = coord
+                .divide("r", "s", &options(strategy, bits))
+                .unwrap_or_else(|e| panic!("round {round} {strategy:?}: {e}"));
+            assert_eq!(
+                canon(&response.tuples),
+                oracle(&w.dividend, &w.divisor),
+                "round {round} {strategy:?} bits={bits:?}"
+            );
+        }
+        if round == 0 {
+            after_first = names(&cluster);
+        }
+        assert_eq!(names(&cluster), after_first, "after round {round}");
+    }
+}

@@ -9,12 +9,12 @@
 use std::rc::Rc;
 
 use reldiv_exec::batch::profile::maybe_profile_batch;
-use reldiv_exec::batch::scan::BatchMemScan;
-use reldiv_exec::batch::{collect_batches, BoxedBatchOp, ExecMode, TupleToBatch};
+use reldiv_exec::batch::scan::{BatchFileScan, BatchMemScan};
+use reldiv_exec::batch::{collect_batches, BoxedBatchOp, ExecMode};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::BoxedOp;
 use reldiv_exec::profile::{maybe_profile, ProfileSink, QueryProfile, SpanKind, SpanScope};
-use reldiv_exec::scan::{FileScan, MemScan};
+use reldiv_exec::scan::{spool, FileScan, MemScan};
 use reldiv_exec::sort::SortConfig;
 use reldiv_rel::{Relation, Schema, Tuple};
 use reldiv_storage::manager::StorageConfig;
@@ -84,12 +84,14 @@ impl Source {
         }
     }
 
-    /// Opens a fresh batch scan over the relation: columnar for in-memory
-    /// sources, a bridged record-file scan (with its real I/O profile)
-    /// otherwise.
+    /// Opens a fresh batch scan over the relation. Both kinds are
+    /// batch-native: a record file is decoded page by page straight into
+    /// columns, with the page I/O of [`Source::scan`] on the same file.
     pub fn scan_batches(&self, storage: &StorageRef) -> BoxedBatchOp {
         match self {
-            Source::File { .. } => Box::new(TupleToBatch::new(self.scan(storage))),
+            Source::File { file, schema } => {
+                Box::new(BatchFileScan::new(storage.clone(), *file, schema.clone()))
+            }
             Source::Mem { schema, tuples } => {
                 Box::new(BatchMemScan::shared(schema.clone(), tuples.clone()))
             }
@@ -754,28 +756,18 @@ pub fn load_source(storage: &StorageRef, relation: &Relation) -> Result<Source> 
 pub fn materialize(storage: &StorageRef, mut op: BoxedOp) -> Result<(FileId, Schema)> {
     let schema = op.schema().clone();
     let codec = reldiv_rel::RecordCodec::new(schema.clone());
-    let file = storage.borrow_mut().create_file(StorageManager::DATA_DISK);
     // `close` runs on every exit — a mid-drain encode or append failure
-    // must not leak what the plan holds (pinned pages, run files).
-    fn drain(
-        storage: &StorageRef,
-        op: &mut BoxedOp,
-        codec: &reldiv_rel::RecordCodec,
-        file: FileId,
-    ) -> Result<()> {
-        op.open()?;
-        let mut buf = Vec::with_capacity(codec.record_width());
-        while let Some(t) = op.next()? {
-            buf.clear();
-            codec.encode_into(&t, &mut buf).map_err(ExecError::from)?;
-            storage.borrow_mut().append(file, &buf)?;
-        }
-        Ok(())
-    }
-    let result = drain(storage, &mut op, &codec, file);
+    // must not leak what the plan holds (pinned pages, run files) — and
+    // no failure leaves the file behind.
+    let spooled = op
+        .open()
+        .and_then(|()| spool(storage, StorageManager::DATA_DISK, &codec, || op.next()));
     let closed = op.close();
-    result?;
-    closed?;
+    let file = spooled?;
+    if let Err(e) = closed {
+        storage.borrow_mut().delete_file(file)?;
+        return Err(e);
+    }
     Ok((file, schema))
 }
 
@@ -1292,6 +1284,69 @@ mod tests {
         assert_eq!(spills, report.partitions_spilled as usize);
         assert_eq!(profile.root.spill_bytes, report.spill_bytes);
         assert_eq!(profile.root.phases.len(), report.phases.len());
+    }
+
+    #[test]
+    fn failed_hash_aggregation_with_join_leaves_no_file_or_pin_behind() {
+        // The semi-join output is materialized into a temporary file; a
+        // division that dies while that file is being written — deadline
+        // in the semi-join, unreadable dividend page mid-scan — must
+        // delete it and unfix everything.
+        let rows: Vec<[i64; 2]> = (0..1000).flat_map(|q| [[q, 1], [q, 2]]).collect();
+        let (dividend, divisor) = (transcript(&rows), courses(&[1, 2]));
+        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+        let algorithm = Algorithm::HashAggregation { join: true };
+        let storage = StorageManager::shared(StorageConfig::paper());
+        let r = load_source(&storage, &dividend).unwrap();
+        let s = load_source(&storage, &divisor).unwrap();
+        let Source::File { file, .. } = &r else {
+            unreachable!("load_source returns a file source");
+        };
+        let third_page = {
+            let mut sm = storage.borrow_mut();
+            let mut cursor = reldiv_storage::file::ScanCursor::new(*file);
+            let mut pages = Vec::new();
+            while let Some((rid, _)) = cursor.next(&mut sm).unwrap() {
+                if pages.last() != Some(&rid.page.page) {
+                    pages.push(rid.page.page);
+                }
+            }
+            sm.evict_all().unwrap();
+            pages[2]
+        };
+        let baseline = storage.borrow().file_count();
+
+        let config = DivisionConfig {
+            assume_unique: true,
+            ..Default::default()
+        };
+        let cancelled = DivisionConfig {
+            cancel: CancelToken::after(std::time::Duration::ZERO),
+            ..config.clone()
+        };
+        let err = divide(&storage, &r, &s, &spec, algorithm, &cancelled).unwrap_err();
+        assert!(err.is_cancelled(), "{err}");
+        assert_eq!(storage.borrow().file_count(), baseline);
+        assert_eq!(storage.borrow().pinned_frames(), 0);
+
+        let plan = reldiv_storage::FaultPlan::seeded(7).with_bad_page(third_page);
+        storage.borrow_mut().inject_faults(&plan);
+        let err = divide(&storage, &r, &s, &spec, algorithm, &config).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExecError::Storage(reldiv_storage::StorageError::Permanent { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(storage.borrow().file_count(), baseline);
+        assert_eq!(storage.borrow().pinned_frames(), 0);
+
+        // The storage manager is as good as new for the next query.
+        storage.borrow_mut().clear_faults();
+        let quotient = divide(&storage, &r, &s, &spec, algorithm, &config).unwrap();
+        assert_eq!(quotient.cardinality(), 1000);
+        assert_eq!(storage.borrow().file_count(), baseline);
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn hash_agg_division(
             JoinMode::LeftSemi,
         )?;
         let join = maybe_profile(
-            Box::new(join.with_pool(pool.clone())),
+            Box::new(join.with_cancel(config.cancel).with_pool(pool.clone())),
             p,
             "hash semi-join",
             SpanKind::HashJoin,

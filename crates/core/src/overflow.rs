@@ -90,7 +90,7 @@ pub(crate) fn for_each_record(
             cursor.next(&mut sm)?
         };
         match next {
-            Some((_, record)) => f(codec.decode(&record)?)?,
+            Some((_, record)) => f(codec.decode(record)?)?,
             None => return Ok(()),
         }
     }

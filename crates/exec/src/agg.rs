@@ -355,7 +355,7 @@ impl Operator for HashCountAggregate {
                             cursor.next(&mut sm)?
                         };
                         let Some((_, record)) = next else { break };
-                        let t = codec.decode(&record)?;
+                        let t = codec.decode(record)?;
                         let count_col = t.arity() - 1;
                         let count = t.value(count_col).as_int().unwrap_or(0);
                         let group = t.project(&out_keys);

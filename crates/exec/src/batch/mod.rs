@@ -13,6 +13,7 @@
 //!
 //! | tuple path                  | batch path                         |
 //! |-----------------------------|------------------------------------|
+//! | [`crate::scan::FileScan`]   | [`scan::BatchFileScan`]            |
 //! | [`crate::scan::MemScan`]    | [`scan::BatchMemScan`]             |
 //! | [`crate::filter::Filter`]   | [`filter::BatchFilter`]            |
 //! | [`crate::project::Project`] | [`project::BatchProject`]          |
@@ -21,9 +22,9 @@
 //! | [`crate::hash_join::HashJoin`] | [`join::BatchHashJoin`]         |
 //! | [`crate::profile::ProfiledOp`] | [`profile::ProfiledBatchOp`]    |
 //!
-//! Operators with no batch-native counterpart (file scans, the spilling
-//! group-count aggregate) are bridged with [`TupleToBatch`] /
-//! [`BatchToTuple`], preserving their tuple-path semantics — including
+//! The one plan operator with no batch-native counterpart yet, the
+//! spilling group-count aggregate, is bridged with [`TupleToBatch`] /
+//! [`BatchToTuple`], preserving its tuple-path semantics — including
 //! spill behavior — inside a batch plan.
 //!
 //! **Cancellation cadence.** Batch operators do not carry cancel tokens;
@@ -116,8 +117,8 @@ pub fn collect_batches(mut op: BoxedBatchOp, cancel: CancelToken) -> Result<Rela
 /// Bridges a tuple operator into a batch plan by draining up to one
 /// batch's worth of tuples per `next_batch` call.
 ///
-/// Used for operators whose semantics live on the tuple path (file scans
-/// with their real I/O profile, the spilling group-count aggregate).
+/// Used for operators whose semantics live on the tuple path (the
+/// spilling group-count aggregate).
 pub struct TupleToBatch {
     input: BoxedOp,
     batch_size: usize,

@@ -45,7 +45,7 @@ pub fn build_index(
     let mut index = BTree::create(&mut sm, disk)?;
     let mut cursor = reldiv_storage::file::ScanCursor::new(file);
     while let Some((rid, record)) = cursor.next(&mut sm)? {
-        let t = codec.decode(&record)?;
+        let t = codec.decode(record)?;
         index.insert(&mut sm, &index_key(&t, &key_columns), rid)?;
     }
     Ok(IndexedRelation {

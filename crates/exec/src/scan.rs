@@ -1,8 +1,8 @@
 //! Scan operators: file scans over record files, and in-memory scans.
 
 use reldiv_rel::{RecordCodec, Relation, Schema, Tuple};
-use reldiv_storage::file::ScanCursor;
-use reldiv_storage::{FileId, StorageRef};
+use reldiv_storage::file::{Appender, ScanCursor};
+use reldiv_storage::{DiskId, FileId, StorageManager, StorageRef};
 
 use crate::op::{OpState, Operator};
 use crate::Result;
@@ -45,7 +45,7 @@ impl Operator for FileScan {
         let cursor = self.cursor.as_mut().expect("open sets cursor");
         let mut sm = self.storage.borrow_mut();
         match cursor.next(&mut sm)? {
-            Some((_rid, record)) => Ok(Some(self.codec.decode(&record)?)),
+            Some((_rid, record)) => Ok(Some(self.codec.decode(record)?)),
             None => Ok(None),
         }
     }
@@ -117,19 +117,48 @@ impl Operator for MemScan {
     }
 }
 
+/// Spools the tuples `next` yields, in order, into a new record file on
+/// `disk` through storage's bulk [`Appender`], and returns the file.
+///
+/// Every operator that writes one file at a time goes through here
+/// (loaders, sort runs, materialized intermediates). On any failure — of
+/// `next`, of a tuple that does not fit `codec`'s schema, or of storage —
+/// the half-written file is deleted before the error is returned.
+pub fn spool<T: std::borrow::Borrow<Tuple>>(
+    storage: &StorageRef,
+    disk: DiskId,
+    codec: &RecordCodec,
+    mut next: impl FnMut() -> Result<Option<T>>,
+) -> Result<FileId> {
+    let file = storage.borrow_mut().create_file(disk);
+    let mut out = Appender::new(file);
+    let mut record = Vec::with_capacity(codec.record_width());
+    let mut write = || -> Result<()> {
+        while let Some(tuple) = next()? {
+            record.clear();
+            codec.encode_into(std::borrow::Borrow::borrow(&tuple), &mut record)?;
+            out.append(&mut storage.borrow_mut(), &record)?;
+        }
+        Ok(())
+    };
+    match write() {
+        Ok(()) => Ok(file),
+        Err(e) => {
+            // The write's error is the one worth reporting.
+            let _ = storage.borrow_mut().delete_file(file);
+            Err(e)
+        }
+    }
+}
+
 /// Loads a relation into a new record file on the data disk, returning the
 /// file id. The workload loaders and materializing operators use this.
 pub fn load_relation(storage: &StorageRef, relation: &Relation) -> Result<FileId> {
     let codec = RecordCodec::new(relation.schema().clone());
-    let mut sm = storage.borrow_mut();
-    let file = sm.create_file(reldiv_storage::StorageManager::DATA_DISK);
-    let mut buf = Vec::with_capacity(codec.record_width());
-    for t in relation.tuples() {
-        buf.clear();
-        codec.encode_into(t, &mut buf)?;
-        sm.append(file, &buf)?;
-    }
-    Ok(file)
+    let mut tuples = relation.tuples().iter();
+    spool(storage, StorageManager::DATA_DISK, &codec, || {
+        Ok(tuples.next())
+    })
 }
 
 #[cfg(test)]
@@ -139,7 +168,7 @@ mod tests {
     use crate::ExecError;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
-    use reldiv_storage::manager::{StorageConfig, StorageManager};
+    use reldiv_storage::manager::StorageConfig;
 
     fn two_col(rows: &[[i64; 2]]) -> Relation {
         let schema = Schema::new(vec![Field::int("a"), Field::int("b")]);
@@ -171,6 +200,22 @@ mod tests {
         let got = collect(Box::new(scan)).unwrap();
         assert_eq!(got.cardinality(), 5000);
         assert_eq!(got, rel);
+    }
+
+    #[test]
+    fn failed_load_deletes_the_half_written_file() {
+        use reldiv_rel::{Tuple, Value};
+        let storage = StorageManager::shared(StorageConfig::paper());
+        let schema = Schema::new(vec![Field::str("s", 4)]);
+        let mut tuples = vec![Tuple::new(vec![Value::from("ok")]); 5000];
+        tuples.push(Tuple::new(vec![Value::from("a\0b")]));
+        let rel = Relation::from_tuples(schema, tuples).unwrap();
+        assert!(matches!(
+            load_relation(&storage, &rel),
+            Err(ExecError::Rel(_))
+        ));
+        let sm = storage.borrow();
+        assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
     }
 
     #[test]

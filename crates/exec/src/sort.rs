@@ -26,6 +26,7 @@ use reldiv_storage::{FileId, StorageManager, StorageRef};
 
 use crate::cancel::CancelToken;
 use crate::op::{BoxedOp, OpState, Operator};
+use crate::scan::spool;
 use crate::{ExecError, Result};
 
 /// What the sort does with tuples whose sort keys are equal.
@@ -187,21 +188,31 @@ impl Sort {
         }
     }
 
-    /// Spools a sorted, collapsed buffer to a run file on the run disk.
-    fn write_run(&mut self, tuples: &[Tuple]) -> Result<FileId> {
-        let mut sm = self.storage.borrow_mut();
-        let disk = self.run_disk(&sm);
-        let file = sm.create_file(disk);
-        let mut buf = Vec::with_capacity(self.codec.record_width());
-        for t in tuples {
-            buf.clear();
-            self.codec.encode_into(t, &mut buf)?;
-            sm.append(file, &buf)?;
-        }
+    /// Spools sorted, collapsed tuples to a new run file on the run disk
+    /// and registers it for deletion at close.
+    fn write_run<T: std::borrow::Borrow<Tuple>>(
+        &mut self,
+        next: impl FnMut() -> Result<Option<T>>,
+    ) -> Result<FileId> {
+        let disk = self.run_disk(&self.storage.borrow());
+        let run = spool(&self.storage, disk, &self.codec, next)?;
+        self.live_runs.push(run);
         // One page-sized memory move per run page (assembling transfer
         // units), as priced by the analytical model's merge cost.
-        counters::count_moves(sm.page_count(file)?);
-        Ok(file)
+        counters::count_moves(self.storage.borrow().page_count(run)?);
+        Ok(run)
+    }
+
+    /// Sorts and collapses the run-generation buffer and spools it as a
+    /// run, leaving the buffer empty.
+    fn flush_run(&mut self, buffer: &mut Vec<Tuple>) -> Result<FileId> {
+        let keys = self.keys.clone();
+        buffer.sort_by(|a, b| a.cmp_keys(b, &keys));
+        self.collapse(buffer);
+        let mut tuples = buffer.iter();
+        let run = self.write_run(|| Ok(tuples.next()))?;
+        buffer.clear();
+        Ok(run)
     }
 
     fn delete_runs(&mut self, runs: &[FileId]) -> Result<()> {
@@ -232,13 +243,7 @@ impl Operator for Sort {
             self.cancel.checkpoint(&mut budget)?;
             buffer.push(t);
             if buffer.len() >= capacity {
-                let keys = self.keys.clone();
-                buffer.sort_by(|a, b| a.cmp_keys(b, &keys));
-                self.collapse(&mut buffer);
-                let run = self.write_run(&buffer)?;
-                runs.push(run);
-                self.live_runs.push(run);
-                buffer.clear();
+                runs.push(self.flush_run(&mut buffer)?);
             }
         }
         self.input.close()?;
@@ -253,13 +258,7 @@ impl Operator for Sort {
             return Ok(());
         }
         if !buffer.is_empty() {
-            let keys = self.keys.clone();
-            buffer.sort_by(|a, b| a.cmp_keys(b, &keys));
-            self.collapse(&mut buffer);
-            let run = self.write_run(&buffer)?;
-            runs.push(run);
-            self.live_runs.push(run);
-            buffer.clear();
+            runs.push(self.flush_run(&mut buffer)?);
         }
 
         // Phase 2: merge passes until one final merge remains. Each pass
@@ -273,21 +272,11 @@ impl Operator for Sort {
                 self.keys.clone(),
                 self.mode,
             )?;
-            let run = {
-                let mut sm = self.storage.borrow_mut();
-                let disk = self.run_disk(&sm);
-                sm.create_file(disk)
-            };
-            let mut buf = Vec::with_capacity(self.codec.record_width());
-            while let Some(t) = merge.next(&self.storage)? {
-                self.cancel.checkpoint(&mut budget)?;
-                buf.clear();
-                self.codec.encode_into(&t, &mut buf)?;
-                self.storage.borrow_mut().append(run, &buf)?;
-            }
-            counters::count_moves(self.storage.borrow().page_count(run)?);
-            runs.push(run);
-            self.live_runs.push(run);
+            let (storage, cancel) = (self.storage.clone(), self.cancel);
+            runs.push(self.write_run(|| {
+                cancel.checkpoint(&mut budget)?;
+                merge.next(&storage)
+            })?);
             self.delete_runs(&batch)?;
         }
 
@@ -398,7 +387,7 @@ impl MergeState {
     fn advance(&mut self, storage: &StorageRef, i: usize) -> Result<()> {
         let mut sm = storage.borrow_mut();
         if let Some((_, record)) = self.runs[i].cursor.next(&mut sm)? {
-            let tuple = self.codec.decode(&record)?;
+            let tuple = self.codec.decode(record)?;
             self.heap.push(HeapEntry {
                 tuple,
                 run: i,

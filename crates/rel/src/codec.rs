@@ -70,29 +70,37 @@ impl RecordCodec {
 
     /// Decodes one record from the front of `bytes`.
     pub fn decode(&self, mut bytes: &[u8]) -> Result<Tuple> {
-        if bytes.len() < self.record_width() {
-            return Err(RelError::Decode(format!(
-                "record truncated: need {} bytes, have {}",
-                self.record_width(),
-                bytes.len()
-            )));
-        }
+        check_width(&self.schema, bytes)?;
         let mut values = Vec::with_capacity(self.schema.arity());
         for field in self.schema.fields() {
             match field.ty {
                 ColumnType::Int => values.push(Value::Int(bytes.get_i64_le())),
                 ColumnType::Str(w) => {
-                    let raw = &bytes[..w];
-                    let end = raw.iter().position(|&b| b == 0).unwrap_or(w);
-                    let s = std::str::from_utf8(&raw[..end])
-                        .map_err(|e| RelError::Decode(format!("invalid UTF-8: {e}")))?;
-                    values.push(Value::Str(s.to_owned()));
+                    values.push(Value::Str(str_field(&bytes[..w])?.to_owned()));
                     bytes.advance(w);
                 }
             }
         }
         Ok(Tuple::new(values))
     }
+}
+
+/// Rejects a byte string too short to hold one record of `schema`.
+pub(crate) fn check_width(schema: &Schema, bytes: &[u8]) -> Result<()> {
+    let need = schema.record_width();
+    if bytes.len() < need {
+        return Err(RelError::Decode(format!(
+            "record truncated: need {need} bytes, have {}",
+            bytes.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The string a zero-padded fixed-width field holds.
+pub(crate) fn str_field(raw: &[u8]) -> Result<&str> {
+    let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
+    std::str::from_utf8(&raw[..end]).map_err(|e| RelError::Decode(format!("invalid UTF-8: {e}")))
 }
 
 /// Encodes the columns `cols` of `tuple` as an **order-preserving** byte

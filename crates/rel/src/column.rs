@@ -21,6 +21,7 @@
 
 use std::hash::{Hash, Hasher};
 
+use crate::codec;
 use crate::counters;
 use crate::schema::{ColumnType, Schema};
 use crate::tuple::{Fnv1a, Tuple};
@@ -79,6 +80,13 @@ impl ColumnVec {
                     ColumnVec::Str(_) => "Str",
                 }
             ),
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        match self {
+            ColumnVec::Int(v) => v.truncate(len),
+            ColumnVec::Str(v) => v.truncate(len),
         }
     }
 
@@ -153,6 +161,43 @@ impl Batch {
             col.push(value);
         }
         self.len += 1;
+    }
+
+    /// Appends one row decoded from a fixed-width record of the batch's
+    /// schema, straight into the columns — [`crate::RecordCodec::decode`]
+    /// without the intermediate tuple, and with its validation: a
+    /// truncated record or a string field that is not UTF-8 is an error
+    /// and leaves the batch unchanged.
+    pub fn push_record(&mut self, record: &[u8]) -> crate::Result<()> {
+        codec::check_width(&self.schema, record)?;
+        let mut at = 0;
+        let mut invalid = None;
+        for (col, field) in self.columns.iter_mut().zip(self.schema.fields()) {
+            let width = field.ty.width();
+            let raw = &record[at..at + width];
+            at += width;
+            match col {
+                ColumnVec::Int(v) => v.push(i64::from_le_bytes(
+                    raw.try_into().expect("an Int field is 8 bytes wide"),
+                )),
+                ColumnVec::Str(v) => match codec::str_field(raw) {
+                    Ok(s) => v.push(s.to_owned()),
+                    Err(e) => {
+                        invalid = Some(e);
+                        break;
+                    }
+                },
+            }
+        }
+        if let Some(e) = invalid {
+            // Drop what the earlier columns took of this row.
+            for col in &mut self.columns {
+                col.truncate(self.len);
+            }
+            return Err(e);
+        }
+        self.len += 1;
+        Ok(())
     }
 
     /// Appends row `row` of `other`; the schemas must have identical
@@ -371,6 +416,29 @@ mod tests {
             assert_eq!(&batch.tuple(row), t);
         }
         assert_eq!(batch.clone().into_tuples(), rows);
+    }
+
+    #[test]
+    fn push_record_decodes_like_the_codec_and_validates_like_it() {
+        let codec = crate::RecordCodec::new(mixed_schema());
+        let mut batch = Batch::with_capacity(mixed_schema(), 4);
+        for t in mixed_rows() {
+            batch.push_record(&codec.encode(&t).unwrap()).unwrap();
+        }
+        assert_eq!(batch.clone().into_tuples(), mixed_rows());
+
+        let good = codec.encode(&mixed_rows()[0]).unwrap();
+        let mut not_utf8 = good.clone();
+        not_utf8[8] = 0xFF; // first byte of the name field
+        for bad in [&good[..good.len() - 1], &not_utf8[..]] {
+            let theirs = codec.decode(bad).unwrap_err();
+            assert_eq!(batch.push_record(bad).unwrap_err(), theirs);
+        }
+        // A rejected record leaves no half-row behind.
+        assert_eq!(batch.len(), 3);
+        assert!(batch.columns().iter().all(|c| c.len() == 3));
+        batch.push_record(&good).unwrap();
+        assert_eq!(batch.tuple(3), mixed_rows()[0]);
     }
 
     #[test]

@@ -75,6 +75,17 @@ impl Catalog {
         }
     }
 
+    /// Removes every relation whose name satisfies `stale`; returns the
+    /// names removed. Pinned queries still complete.
+    pub fn drop_where(&self, stale: impl Fn(&str) -> bool) -> Vec<String> {
+        let mut relations = self.relations.write();
+        let names: Vec<String> = relations.keys().filter(|n| stale(n)).cloned().collect();
+        for name in &names {
+            relations.remove(name);
+        }
+        names
+    }
+
     /// Pins the current version of `name`.
     pub fn get(&self, name: &str) -> Result<Arc<RelationVersion>> {
         self.relations

@@ -41,6 +41,37 @@ pub fn replica_name(fragment: impl std::fmt::Display, base: &str) -> String {
     format!("{REPLICA_PREFIX}{fragment}.{base}")
 }
 
+/// The catalog-name prefix of a repartitioned copy a cluster coordinator
+/// derives from a base relation (`.part.{base}.{stamp}…`).
+pub const PARTITION_PREFIX: &str = ".part.";
+
+/// The catalog-name prefix of a full divisor copy a coordinator installs
+/// on every node for quotient partitioning (`.repl.{base}.{stamp}`).
+pub const FULL_COPY_PREFIX: &str = ".repl.";
+
+/// Whether `name` is a temporary derived from the relation `base` — a
+/// `.part.` or `.repl.` copy of it, or a replica of one. The single
+/// definition of what re-registering `base` makes stale: the coordinator
+/// forgets these names and every node that installs a fragment of the new
+/// version drops them, so neither side keeps a copy of a version that no
+/// query can name again.
+pub fn is_derived_from(name: &str, base: &str) -> bool {
+    let name = fragment_base(name);
+    [PARTITION_PREFIX, FULL_COPY_PREFIX].iter().any(|prefix| {
+        name.strip_prefix(prefix)
+            .and_then(|rest| rest.strip_prefix(base))
+            .is_some_and(|rest| rest.starts_with('.'))
+    })
+}
+
+/// The relation a node-level catalog name stores a fragment of: the name
+/// itself, or what follows `.replica.{fragment}.` in a replica's name.
+pub(crate) fn fragment_base(name: &str) -> &str {
+    name.strip_prefix(REPLICA_PREFIX)
+        .and_then(|rest| rest.split_once('.'))
+        .map_or(name, |(_, base)| base)
+}
+
 /// Largest bit-vector filter accepted on the wire (8 MiB of words).
 pub const MAX_FILTER_BITS: usize = 1 << 26;
 
@@ -1868,6 +1899,32 @@ mod tests {
 
     fn schema2() -> Schema {
         Schema::new(vec![Field::int("q"), Field::int("d")])
+    }
+
+    #[test]
+    fn derived_names_are_the_part_and_repl_copies_of_exactly_that_base() {
+        for name in [
+            ".part.r.3.4.1.0",
+            ".part.r.3.4.1.4096.s.7",
+            ".repl.r.9",
+            ".replica.2..part.r.3.4.1.0",
+        ] {
+            assert!(is_derived_from(name, "r"), "{name}");
+        }
+        // The base itself, its replicas, other relations' temporaries
+        // (also ones merely filtered by `r`) and longer names are not.
+        for name in [
+            "r",
+            ".replica.2.r",
+            ".part.rr.3.4.1.0",
+            ".part.s.3.4.1.4096.r.7",
+            ".repl.s.9",
+        ] {
+            assert!(!is_derived_from(name, "r"), "{name}");
+        }
+        assert_eq!(fragment_base(".replica.12.r"), "r");
+        assert_eq!(fragment_base(".replica.0..part.r.3"), ".part.r.3");
+        assert_eq!(fragment_base("r.x"), "r.x");
     }
 
     /// A small but fully populated span tree: `depth` levels, two

@@ -42,7 +42,7 @@ use crate::cache::{CacheKey, CachedPlan, CachedResult, PlanCache, PlanCacheKey, 
 use crate::catalog::{Catalog, RelationVersion};
 use crate::error::{Result, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::proto::algorithm_code;
+use crate::proto::{self, algorithm_code};
 use crate::worker::{worker_loop, Job, PlanJob, QueryJob};
 
 /// Sizing knobs for a [`Service`].
@@ -307,9 +307,7 @@ impl Service {
         let version = self.catalog.register(name, relation);
         // A plain register replaces whatever was there — including a
         // shard, whose coordinates no longer describe the new contents.
-        self.shards.lock().remove(name);
-        self.cache.invalidate_relation(name);
-        self.plan_cache.invalidate_relation(name);
+        self.forget(name);
         Ok(version)
     }
 
@@ -319,9 +317,7 @@ impl Service {
             return Err(ServiceError::ShuttingDown);
         }
         self.catalog.drop_relation(name)?;
-        self.shards.lock().remove(name);
-        self.cache.invalidate_relation(name);
-        self.plan_cache.invalidate_relation(name);
+        self.forget(name);
         Ok(())
     }
 
@@ -345,11 +341,27 @@ impl Service {
                 "shard key {k} out of range for arity {arity}"
             )));
         }
+        // Whatever a coordinator derived from the version being replaced
+        // is stale by its own rule (it forgets the same names), and their
+        // stamped names are never written again: drop them here, or every
+        // re-registration leaves its temporaries behind on this node.
+        let base = proto::fragment_base(name);
+        for stale in self.catalog.drop_where(|n| proto::is_derived_from(n, base)) {
+            self.forget(&stale);
+        }
         let version = self.catalog.register(name, relation);
         self.shards.lock().insert(name.to_owned(), info);
         self.cache.invalidate_relation(name);
         self.plan_cache.invalidate_relation(name);
         Ok(version)
+    }
+
+    /// Purges what the service keeps about a relation that left the
+    /// catalog: its shard coordinates and its cached results.
+    fn forget(&self, name: &str) {
+        self.shards.lock().remove(name);
+        self.cache.invalidate_relation(name);
+        self.plan_cache.invalidate_relation(name);
     }
 
     /// The shard coordinates of `name`, when it was installed via

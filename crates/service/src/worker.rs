@@ -3,10 +3,11 @@
 //! `reldiv-storage`'s `StorageRef` is single-threaded by design (the
 //! paper's system ran one process per disk), so the pool gives every
 //! worker its own [`StorageManager`] and materializes catalog relations
-//! into *worker-local* record files on demand. Files are keyed by
-//! `(name, version)`; when a worker sees a newer version of a relation it
-//! deletes its stale file, so a worker never holds more than one
-//! materialization per catalog name.
+//! into *worker-local* record files on demand. A file lives as long as
+//! the relation version it was written from: before materializing, a
+//! worker deletes the files of versions that were replaced or dropped and
+//! that no query pins any more, so it never holds more than one
+//! materialization per catalog name and none for a name that is gone.
 //!
 //! ## Robustness
 //!
@@ -29,13 +30,14 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
 use reldiv_core::api::{self, Source};
 use reldiv_core::{Algorithm, DivisionConfig, DivisionSpec};
-use reldiv_exec::CancelToken;
+use reldiv_exec::scan::spool;
+use reldiv_exec::{CancelToken, ExecError};
 use reldiv_parallel::{parallel_divide, ClusterConfig, Distribution};
 use reldiv_rel::counters::OpScope;
 use reldiv_rel::{RecordCodec, Relation};
@@ -82,10 +84,11 @@ pub(crate) struct PlanJob {
 }
 
 /// Worker-local state: a private storage manager plus the record files it
-/// has materialized, keyed by catalog name and version.
+/// has materialized, keyed by catalog name; each lives as long as the
+/// relation version it was written from.
 struct WorkerState {
     storage: StorageRef,
-    files: HashMap<String, (u64, FileId)>,
+    files: HashMap<String, (Weak<RelationVersion>, FileId)>,
     fail_point: Option<String>,
     /// The service-wide abort flag (`Service::abort`): every execution's
     /// cancel token carries it, so a hard kill cancels in-flight queries
@@ -115,37 +118,52 @@ impl WorkerState {
 
     /// Returns a file-backed [`Source`] for `relation`, materializing it
     /// into a local record file on first use of this version (and
-    /// deleting the file of any older version of the same name).
-    fn source_for(&mut self, relation: &RelationVersion) -> Result<Source> {
-        if let Some(&(version, file)) = self.files.get(&relation.name) {
-            if version == relation.version {
-                return Ok(Source::from_file(file, relation.schema.clone()));
+    /// deleting the file of any other version of the same name).
+    fn source_for(&mut self, relation: &Arc<RelationVersion>) -> Result<Source> {
+        self.sweep_files()?;
+        if let Some((held, file)) = self.files.get(&relation.name) {
+            if std::ptr::eq(held.as_ptr(), Arc::as_ptr(relation)) {
+                return Ok(Source::from_file(*file, relation.schema.clone()));
             }
+            // Another version, still pinned by a query elsewhere.
+            self.delete_file_of(&relation.name)?;
+        }
+        let codec = RecordCodec::new(relation.schema.clone());
+        let mut tuples = relation.tuples.iter();
+        let file = spool(&self.storage, StorageManager::DATA_DISK, &codec, || {
+            Ok(tuples.next())
+        })
+        .map_err(|e| match e {
+            ExecError::Rel(e) => ServiceError::BadRequest(format!("tuple violates schema: {e}")),
+            e => ServiceError::Internal(format!("writing record file: {e}")),
+        })?;
+        self.files
+            .insert(relation.name.clone(), (Arc::downgrade(relation), file));
+        Ok(Source::from_file(file, relation.schema.clone()))
+    }
+
+    /// Deletes the files of versions nobody holds any more: replaced or
+    /// dropped from the catalog and pinned by no query. Without it a name
+    /// that is never queried again — a dropped relation, a coordinator's
+    /// stamped temporary — would keep its file for the worker's lifetime.
+    fn sweep_files(&mut self) -> Result<()> {
+        let dead: Vec<String> = self
+            .files
+            .iter()
+            .filter(|(_, (held, _))| held.strong_count() == 0)
+            .map(|(name, _)| name.clone())
+            .collect();
+        dead.iter().try_for_each(|name| self.delete_file_of(name))
+    }
+
+    fn delete_file_of(&mut self, name: &str) -> Result<()> {
+        if let Some((_, file)) = self.files.remove(name) {
             self.storage
                 .borrow_mut()
                 .delete_file(file)
                 .map_err(|e| ServiceError::Internal(format!("dropping stale file: {e}")))?;
-            self.files.remove(&relation.name);
         }
-        let codec = RecordCodec::new(relation.schema.clone());
-        let file = self
-            .storage
-            .borrow_mut()
-            .create_file(StorageManager::DATA_DISK);
-        let mut buf = Vec::with_capacity(codec.record_width());
-        for tuple in relation.tuples.iter() {
-            buf.clear();
-            codec
-                .encode_into(tuple, &mut buf)
-                .map_err(|e| ServiceError::BadRequest(format!("tuple violates schema: {e}")))?;
-            self.storage
-                .borrow_mut()
-                .append(file, &buf)
-                .map_err(|e| ServiceError::Internal(format!("writing record file: {e}")))?;
-        }
-        self.files
-            .insert(relation.name.clone(), (relation.version, file));
-        Ok(Source::from_file(file, relation.schema.clone()))
+        Ok(())
     }
 
     fn execute(&mut self, job: &QueryJob, metrics: &ServiceMetrics) -> Result<QueryResponse> {
@@ -457,5 +475,72 @@ pub(crate) fn worker_loop(
                 let _ = job.reply.send(result);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reldiv_rel::schema::Field;
+    use reldiv_rel::{Schema, Tuple, Value};
+
+    #[test]
+    fn failed_materialization_leaves_no_file_behind() {
+        // A registered relation whose last tuple cannot be encoded (an
+        // embedded NUL in a fixed-width string) fails every query on it;
+        // each failure must give the half-written record file back.
+        static ABORT: AtomicBool = AtomicBool::new(false);
+        let mut worker = WorkerState::new(&ServiceConfig::default(), 0, &ABORT);
+        let mut tuples: Vec<Tuple> = (0..2000)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::from("ok")]))
+            .collect();
+        tuples.push(Tuple::new(vec![Value::Int(-1), Value::from("a\0b")]));
+        let bad = Arc::new(RelationVersion {
+            name: "r".to_owned(),
+            version: 1,
+            schema: Schema::new(vec![Field::int("id"), Field::str("name", 8)]),
+            tuples: Arc::new(tuples),
+        });
+        for _ in 0..3 {
+            let err = worker.source_for(&bad).err().expect("the load must fail");
+            assert!(matches!(err, ServiceError::BadRequest(_)), "{err}");
+            let sm = worker.storage.borrow();
+            assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn files_of_released_versions_are_deleted() {
+        // A worker that serves a stream of names it never sees again (a
+        // coordinator's stamped temporaries, dropped relations) must not
+        // keep one record file per name.
+        static ABORT: AtomicBool = AtomicBool::new(false);
+        let mut worker = WorkerState::new(&ServiceConfig::default(), 0, &ABORT);
+        let version = |name: &str, version: u64| {
+            Arc::new(RelationVersion {
+                name: name.to_owned(),
+                version,
+                schema: Schema::new(vec![Field::int("id")]),
+                tuples: Arc::new((0..500).map(|i| Tuple::new(vec![Value::Int(i)])).collect()),
+            })
+        };
+        let kept = version("kept", 1);
+        worker.source_for(&kept).unwrap();
+        for v in 2..20 {
+            // Each temporary is released before the next query arrives.
+            worker
+                .source_for(&version(&format!("temp.{v}"), v))
+                .unwrap();
+            assert!(worker.storage.borrow().file_count() <= 2);
+        }
+        // A live version keeps its file and is not written again; another
+        // version of the same name replaces it even while both are pinned.
+        let file = worker.files["kept"].1;
+        worker.source_for(&kept).unwrap();
+        assert_eq!(worker.files["kept"].1, file);
+        let newer = version("kept", 20);
+        worker.source_for(&newer).unwrap();
+        assert_eq!(worker.storage.borrow().file_count(), 1);
+        assert_eq!(worker.files.len(), 1);
     }
 }

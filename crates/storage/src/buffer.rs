@@ -299,6 +299,20 @@ impl BufferManager {
         self.install(disks, pid, data, false)
     }
 
+    /// Fixes again, by its handle, the page a frame held when `fid` was
+    /// issued: the pool hit of [`BufferManager::fix`] without the
+    /// page-table lookup. Returns `false`, counting nothing, when the
+    /// frame has since been evicted, discarded or recycled (the
+    /// generation check); the caller then falls back to `fix`.
+    pub(crate) fn refix(&mut self, fid: FrameId) -> bool {
+        let Ok(frame) = self.frame_mut(fid) else {
+            return false;
+        };
+        frame.pin_count += 1;
+        self.stats.hits += 1;
+        true
+    }
+
     /// Allocates a fresh zeroed page on `disk` and fixes it without a read
     /// transfer (its first contact with the disk is the eventual
     /// write-back, if any).

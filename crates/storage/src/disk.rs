@@ -13,16 +13,27 @@ use crate::error::StorageError;
 use crate::fault::{FaultPlan, FaultStats, ReadFault, WriteFault};
 use crate::Result;
 
-/// FNV-1a 64-bit hash of a page's bytes — the per-page checksum.
+/// The per-page checksum: FNV-1a's xor-then-multiply step applied to
+/// little-endian 64-bit words, with the byte-wise step for a tail shorter
+/// than a word.
 ///
 /// Not cryptographic: the goal is detecting torn writes and bit rot in
-/// the simulation, where FNV's single multiply-xor per byte keeps the
-/// fault-free overhead negligible.
+/// the simulation. Every step is a bijection of the running state (xor
+/// with the input, multiply by an odd constant), so two pages that differ
+/// within a single word — any single-bit flip in particular — never share
+/// a checksum. One multiply per eight bytes keeps the fault-free overhead
+/// of recording it on every write and verifying it on every read small.
 pub(crate) fn page_checksum(buf: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in buf {
+    let mut words = buf.chunks_exact(8);
+    for w in &mut words {
+        h ^= u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(PRIME);
     }
     h
 }
@@ -611,6 +622,34 @@ mod tests {
         d.set_checksums_enabled(false);
         d.read(p, &mut buf).unwrap();
         assert_eq!(buf[0], 4u8 ^ 0xFF, "without checksums the rot is served");
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        // Exhaustive at 128 B; every 61st bit (all bit positions of a
+        // word, words spread over the page) at 1 KB and 8 KB; 131 B puts
+        // three bytes in the byte-wise tail.
+        for (size, stride) in [(128usize, 1usize), (131, 1), (1024, 61), (8192, 61)] {
+            let mut page: Vec<u8> = (0..size).map(|i| (i * 31 + 7) as u8).collect();
+            let clean = page_checksum(&page);
+            for bit in (0..size * 8).step_by(stride) {
+                page[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(page_checksum(&page), clean, "{size} B page, bit {bit}");
+                page[bit / 8] ^= 1 << (bit % 8);
+            }
+            assert_eq!(page_checksum(&page), clean);
+        }
+    }
+
+    #[test]
+    fn checksum_covers_the_tail_of_an_odd_length_buffer() {
+        let words = [0xA5u8; 16];
+        let mut odd = [0xA5u8; 19];
+        assert_ne!(page_checksum(&words), page_checksum(&odd));
+        odd[18] = 0;
+        assert_ne!(page_checksum(&[0xA5u8; 19]), page_checksum(&odd));
+        // Trailing zero bytes still count: lengths are told apart.
+        assert_ne!(page_checksum(&[0u8; 16]), page_checksum(&[0u8; 17]));
     }
 
     #[test]

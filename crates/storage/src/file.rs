@@ -9,7 +9,7 @@
 //! Records are addressed by [`Rid`]s (page id + slot number), which remain
 //! stable across page compaction.
 
-use crate::buffer::Reuse;
+use crate::buffer::{FrameId, Reuse};
 use crate::disk::{DiskId, PageId};
 use crate::error::StorageError;
 use crate::manager::StorageManager;
@@ -40,6 +40,9 @@ pub struct FileMeta {
     pub(crate) extents: Vec<(u64, u64)>,
     /// Pages initialized for records so far.
     pub(crate) pages_used: u64,
+    /// Disk page number of the last of them, where appends go. Always in
+    /// the last extent, so an append never walks the extent list.
+    tail: Option<u64>,
     /// Live records.
     pub(crate) record_count: u64,
 }
@@ -57,8 +60,11 @@ impl FileMeta {
         unreachable!("page index {i} beyond allocated extents");
     }
 
-    fn allocated_pages(&self) -> u64 {
-        self.extents.iter().map(|&(_, len)| len).sum()
+    /// The page after the tail, if the last extent still has one.
+    fn next_in_extent(&self) -> Option<u64> {
+        let &(first, len) = self.extents.last()?;
+        let next = self.tail.map_or(first, |tail| tail + 1);
+        (next < first + len).then_some(next)
     }
 }
 
@@ -73,6 +79,7 @@ impl StorageManager {
                 disk,
                 extents: Vec::new(),
                 pages_used: 0,
+                tail: None,
                 record_count: 0,
             },
         );
@@ -113,58 +120,67 @@ impl StorageManager {
     /// Appends go to the file's last page while it has room, then move to
     /// the next page of the extent (allocating a new extent when
     /// exhausted) — the bulk-load pattern of the workload loader and of
-    /// every operator that spools an intermediate result.
+    /// every operator that spools an intermediate result. Writers that
+    /// fill one file at a time use an [`Appender`].
     pub fn append(&mut self, file: FileId, record: &[u8]) -> Result<Rid> {
-        let meta = self.meta(file)?;
+        self.append_at(file, &mut None, record)
+    }
+
+    /// [`StorageManager::append`], given the frame the file's tail page
+    /// was last seen in (`last`, updated on return) to re-fix it by.
+    fn append_at(
+        &mut self,
+        file: FileId,
+        last: &mut Option<(PageId, FrameId)>,
+        record: &[u8],
+    ) -> Result<Rid> {
+        let meta = self
+            .files
+            .get_mut(&file.0)
+            .ok_or(StorageError::NoSuchFile(file.0))?;
         let disk = meta.disk;
-        let page_size = self.page_size(disk);
-        if record.len() > SlottedPage::max_record(page_size) {
+        let max = SlottedPage::max_record(self.disks[disk.0].page_size());
+        if record.len() > max {
             return Err(StorageError::RecordTooLarge {
                 record: record.len(),
-                max: SlottedPage::max_record(page_size),
+                max,
             });
         }
         // Try the current last page first.
-        if meta.pages_used > 0 {
-            let page_no = meta.nth_page(meta.pages_used - 1);
+        if let Some(page_no) = meta.tail {
             let pid = PageId::new(disk, page_no);
-            let fid = self.fix(pid)?;
-            let fits = SlottedPage::fits(self.page(fid)?, record.len());
-            if fits {
-                let slot = SlottedPage::insert(self.page_mut(fid)?, record)?;
-                self.unfix(fid, Reuse::Lru)?;
-                self.files
-                    .get_mut(&file.0)
-                    .expect("meta checked")
-                    .record_count += 1;
+            let fid = match *last {
+                Some((seen, fid)) if seen == pid && self.buffer.refix(fid) => fid,
+                _ => self.buffer.fix(&mut self.disks, pid)?,
+            };
+            *last = Some((pid, fid));
+            if SlottedPage::fits(self.buffer.page(fid)?, record.len()) {
+                let slot = SlottedPage::insert(self.buffer.page_mut(fid)?, record)?;
+                self.buffer.unfix(fid, Reuse::Lru)?;
+                meta.record_count += 1;
                 return Ok(Rid { page: pid, slot });
             }
-            self.unfix(fid, Reuse::Lru)?;
+            self.buffer.unfix(fid, Reuse::Lru)?;
         }
         // Move to a fresh page, extending the file by an extent if needed.
-        let meta = self.files.get_mut(&file.0).expect("meta checked");
-        if meta.pages_used == meta.allocated_pages() {
+        let page_no = meta.next_in_extent().unwrap_or_else(|| {
             let first = self.disks[disk.0].allocate_extent(EXTENT_PAGES);
             meta.extents.push((first, EXTENT_PAGES));
-        }
-        let page_no = meta.nth_page(meta.pages_used);
+            first
+        });
+        let pid = PageId::new(disk, page_no);
+        // An allocated-but-never-written page is all zeroes on disk; a
+        // zeroed frame is equivalent and costs no read transfer.
+        let fid = self.buffer.install_zeroed(&mut self.disks, pid)?;
+        *last = Some((pid, fid));
+        meta.tail = Some(page_no);
         meta.pages_used += 1;
         meta.record_count += 1;
-        let pid = PageId::new(disk, page_no);
-        // The page is fresh from the allocator: initialize, no disk read.
-        let fid = self.fix_fresh(pid)?;
-        SlottedPage::init(self.page_mut(fid)?);
-        let slot = SlottedPage::insert(self.page_mut(fid)?, record)?;
-        self.unfix(fid, Reuse::Lru)?;
+        let page = self.buffer.page_mut(fid)?;
+        SlottedPage::init(page);
+        let slot = SlottedPage::insert(page, record)?;
+        self.buffer.unfix(fid, Reuse::Lru)?;
         Ok(Rid { page: pid, slot })
-    }
-
-    /// Fixes a page known to be freshly allocated (never written), without
-    /// a read transfer.
-    fn fix_fresh(&mut self, pid: PageId) -> Result<crate::buffer::FrameId> {
-        // An allocated-but-never-read page is all zeroes on disk; loading it
-        // as a zeroed frame is equivalent and costs no transfer.
-        self.buffer.install_zeroed(&mut self.disks, pid)
     }
 
     /// Reads the record at `rid`.
@@ -217,29 +233,80 @@ impl StorageManager {
         Ok(())
     }
 
-    /// Page id of the `i`-th page of the file (for scans).
-    pub fn file_page(&self, file: FileId, i: u64) -> Result<PageId> {
+    /// Visits the `i`-th page of the file: fixes it once, hands `each`
+    /// every live record in slot order as a slice borrowed from the
+    /// buffer pool, and unfixes it (`Reuse::Lru`) on every exit, so a scan
+    /// touches each page exactly once and nothing stays fixed between
+    /// visits. Returns `false`, visiting nothing, when the file has no
+    /// `i`-th page. An error from `each` ends the visit and is returned.
+    ///
+    /// This is the paper's "scans give memory addresses to records fixed
+    /// in the buffer pool": consumers decode in place instead of copying
+    /// records out.
+    pub fn visit_page<E: From<StorageError>>(
+        &mut self,
+        file: FileId,
+        i: u64,
+        mut each: impl FnMut(Rid, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<bool, E> {
         let meta = self.meta(file)?;
         if i >= meta.pages_used {
-            return Err(StorageError::PageOutOfRange {
-                page: i,
-                allocated: meta.pages_used,
-            });
+            return Ok(false);
         }
-        Ok(PageId::new(meta.disk, meta.nth_page(i)))
+        let pid = PageId::new(meta.disk, meta.nth_page(i));
+        let fid = self.fix(pid)?;
+        let visited = match self.page(fid) {
+            Ok(page) => SlottedPage::records(page)
+                .try_for_each(|(slot, record)| each(Rid { page: pid, slot }, record)),
+            Err(e) => Err(e.into()),
+        };
+        self.unfix(fid, Reuse::Lru)?;
+        visited.map(|()| true)
     }
 }
 
-/// A pull cursor over all records of a file, page at a time.
+/// Appends a run of records to one file: the bulk form of
+/// [`StorageManager::append`] for writers that fill one file at a time
+/// (loaders, sort runs, materialized intermediates).
 ///
-/// The cursor copies one page's records out while the page is fixed and
-/// then unfixes it (`Reuse::Lru`), so a scan touches each page exactly
-/// once and leaves the buffer pool free to recycle frames behind it.
+/// It remembers the buffer frame of the file's tail page and re-fixes it
+/// by that handle, so a run of appends pays no page-table lookup per
+/// record. The handle is not a pin: nothing stays fixed between calls (a
+/// producer that reads other files in between, or an abandoned appender,
+/// holds no frame), and page fill, extents, RIDs and every buffer and I/O
+/// statistic are those of the same records through `append`.
+pub struct Appender {
+    file: FileId,
+    last: Option<(PageId, FrameId)>,
+}
+
+impl Appender {
+    /// Starts appending to `file`.
+    pub fn new(file: FileId) -> Self {
+        Appender { file, last: None }
+    }
+
+    /// Appends one record, returning its RID.
+    pub fn append(&mut self, sm: &mut StorageManager, record: &[u8]) -> Result<Rid> {
+        sm.append_at(self.file, &mut self.last, record)
+    }
+}
+
+/// A pull cursor over all records of a file, page at a time, for callers
+/// that need records (with their RIDs) one by one.
+///
+/// The cursor copies one page's records into its own buffer during a
+/// single [`StorageManager::visit_page`], so a scan touches each page
+/// exactly once, leaves the buffer pool free to recycle frames behind it,
+/// and allocates nothing per record.
 pub struct ScanCursor {
     file: FileId,
     next_page: u64,
-    batch: std::vec::IntoIter<(Rid, Vec<u8>)>,
-    done: bool,
+    /// The current page's records, back to back.
+    bytes: Vec<u8>,
+    /// `(rid, end offset in bytes)` of each of them.
+    index: Vec<(Rid, usize)>,
+    pos: usize,
 }
 
 impl ScanCursor {
@@ -248,34 +315,34 @@ impl ScanCursor {
         ScanCursor {
             file,
             next_page: 0,
-            batch: Vec::new().into_iter(),
-            done: false,
+            bytes: Vec::new(),
+            index: Vec::new(),
+            pos: 0,
         }
     }
 
-    /// Returns the next `(rid, record)`, or `None` at end of file.
-    pub fn next(&mut self, sm: &mut StorageManager) -> Result<Option<(Rid, Vec<u8>)>> {
-        loop {
-            if let Some(item) = self.batch.next() {
-                return Ok(Some(item));
-            }
-            if self.done {
+    /// Returns the next `(rid, record)`, or `None` at end of file. The
+    /// record is borrowed from the cursor until the next call.
+    pub fn next(&mut self, sm: &mut StorageManager) -> Result<Option<(Rid, &[u8])>> {
+        while self.pos == self.index.len() {
+            let (bytes, index) = (&mut self.bytes, &mut self.index);
+            bytes.clear();
+            index.clear();
+            self.pos = 0;
+            let more = sm.visit_page(self.file, self.next_page, |rid, record| {
+                bytes.extend_from_slice(record);
+                index.push((rid, bytes.len()));
+                Ok::<(), StorageError>(())
+            })?;
+            if !more {
                 return Ok(None);
             }
-            let pages = sm.page_count(self.file)?;
-            if self.next_page >= pages {
-                self.done = true;
-                return Ok(None);
-            }
-            let pid = sm.file_page(self.file, self.next_page)?;
             self.next_page += 1;
-            let fid = sm.fix(pid)?;
-            let records: Vec<(Rid, Vec<u8>)> = SlottedPage::records(sm.page(fid)?)
-                .map(|(slot, rec)| (Rid { page: pid, slot }, rec.to_vec()))
-                .collect();
-            sm.unfix(fid, Reuse::Lru)?;
-            self.batch = records.into_iter();
         }
+        let start = self.pos.checked_sub(1).map_or(0, |prev| self.index[prev].1);
+        let (rid, end) = self.index[self.pos];
+        self.pos += 1;
+        Ok(Some((rid, &self.bytes[start..end])))
     }
 }
 
@@ -436,6 +503,153 @@ mod tests {
         assert!(
             stats.seeks * 4 <= stats.reads,
             "extent-based scan should be mostly sequential: {stats:?}"
+        );
+    }
+
+    /// First-fit-on-tail, computed without the storage manager: a record
+    /// goes on the file's last page if it fits beside the 6-byte header
+    /// and the 4-byte slot entries, else on a fresh page. Returns each
+    /// record's `(page index in the file, slot)`.
+    fn reference_layout(page_size: usize, sizes: &[usize]) -> Vec<(u64, u16)> {
+        let mut placed = Vec::new();
+        let (mut pages, mut used, mut slots) = (0u64, 0usize, 0u16);
+        for &len in sizes {
+            if pages == 0 || 6 + used + len + 4 * (usize::from(slots) + 1) > page_size {
+                pages += 1;
+                (used, slots) = (0, 0);
+            }
+            placed.push((pages - 1, slots));
+            used += len;
+            slots += 1;
+        }
+        placed
+    }
+
+    #[test]
+    fn append_and_appender_lay_records_out_first_fit_on_tail() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for (seed, page_size) in [(1u64, 128usize), (2, 256), (3, 1024), (4, 8192)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let max = SlottedPage::max_record(page_size).min(300);
+            let sizes: Vec<usize> = (0..2000).map(|_| rng.gen_range(0..=max)).collect();
+            let placed = reference_layout(page_size, &sizes);
+            let pages = placed.last().expect("records were placed").0 + 1;
+            // A fresh extent of the (otherwise unused) disk every eighth
+            // page, so a file page's index is its disk page number.
+            let extents: Vec<(u64, u64)> = (0..pages.div_ceil(EXTENT_PAGES))
+                .map(|e| (e * EXTENT_PAGES, EXTENT_PAGES))
+                .collect();
+
+            let fresh = || {
+                StorageManager::new(StorageConfig {
+                    data_page_size: page_size,
+                    run_page_size: 128,
+                    buffer_bytes: 4 * page_size,
+                    work_memory_bytes: 1 << 20,
+                })
+            };
+            let record = |i: usize| vec![i as u8; sizes[i]];
+            let mut single = fresh();
+            let f = single.create_file(StorageManager::DATA_DISK);
+            let by_append: Vec<Rid> = (0..sizes.len())
+                .map(|i| single.append(f, &record(i)).unwrap())
+                .collect();
+            let mut bulk = fresh();
+            let g = bulk.create_file(StorageManager::DATA_DISK);
+            let mut out = Appender::new(g);
+            let by_appender: Vec<Rid> = (0..sizes.len())
+                .map(|i| out.append(&mut bulk, &record(i)).unwrap())
+                .collect();
+
+            let expected: Vec<Rid> = placed
+                .iter()
+                .map(|&(page, slot)| Rid {
+                    page: PageId::new(StorageManager::DATA_DISK, page),
+                    slot,
+                })
+                .collect();
+            assert_eq!(by_append, expected, "append, {page_size} B pages");
+            assert_eq!(by_appender, expected, "appender, {page_size} B pages");
+            for (sm, file) in [(&mut single, f), (&mut bulk, g)] {
+                assert_eq!(sm.files[&file.0].extents, extents);
+                assert_eq!(sm.page_count(file).unwrap(), pages);
+                assert_eq!(sm.record_count(file).unwrap(), sizes.len() as u64);
+                assert_eq!(sm.pinned_frames(), 0);
+                let mut cursor = ScanCursor::new(file);
+                for (i, rid) in expected.iter().enumerate() {
+                    let (got, bytes) = cursor.next(sm).unwrap().unwrap();
+                    assert_eq!((got, bytes), (*rid, &record(i)[..]));
+                }
+                assert!(cursor.next(sm).unwrap().is_none());
+            }
+            // Same transfers and the same buffer-pool activity either way.
+            assert_eq!(single.io_stats(), bulk.io_stats());
+            assert_eq!(single.buffer_stats(), bulk.buffer_stats());
+        }
+    }
+
+    #[test]
+    fn appender_survives_eviction_and_interleaved_appends() {
+        // Two frames: reading another file between two appends evicts the
+        // tail page, and a plain append moves the tail under the
+        // appender; its stale frame handle must not be trusted either way.
+        let mut s = StorageManager::new(StorageConfig {
+            data_page_size: 128,
+            run_page_size: 128,
+            buffer_bytes: 2 * 128,
+            work_memory_bytes: 1 << 20,
+        });
+        let other = s.create_file(StorageManager::DATA_DISK);
+        for i in 0..40u8 {
+            s.append(other, &[i; 10]).unwrap();
+        }
+        let f = s.create_file(StorageManager::DATA_DISK);
+        let mut out = Appender::new(f);
+        let mut written = Vec::new();
+        for i in 0..60u8 {
+            if i % 3 == 0 {
+                let mut cursor = ScanCursor::new(other);
+                while cursor.next(&mut s).unwrap().is_some() {}
+            }
+            if i % 5 == 0 {
+                s.append(f, &[i, 0xEE]).unwrap();
+                written.push(vec![i, 0xEE]);
+            }
+            out.append(&mut s, &[i; 10]).unwrap();
+            written.push(vec![i; 10]);
+        }
+        let mut cursor = ScanCursor::new(f);
+        for want in &written {
+            assert_eq!(cursor.next(&mut s).unwrap().unwrap().1, &want[..]);
+        }
+        assert!(cursor.next(&mut s).unwrap().is_none());
+        assert_eq!(s.pinned_frames(), 0);
+    }
+
+    #[test]
+    fn visit_page_unfixes_when_the_visitor_fails() {
+        let mut s = sm();
+        let f = s.create_file(StorageManager::DATA_DISK);
+        for i in 0..30u8 {
+            s.append(f, &[i; 10]).unwrap();
+        }
+        let mut seen = 0;
+        let stopped: Result<bool> = s.visit_page(f, 0, |_, _| {
+            seen += 1;
+            if seen == 3 {
+                return Err(StorageError::InvalidFrame);
+            }
+            Ok(())
+        });
+        assert_eq!(stopped, Err(StorageError::InvalidFrame));
+        assert_eq!(seen, 3, "the visit ends at the first error");
+        assert_eq!(s.pinned_frames(), 0);
+        let pages = s.page_count(f).unwrap();
+        assert_eq!(
+            s.visit_page(f, pages, |_, _| Ok::<(), StorageError>(())),
+            Ok(false)
         );
     }
 

@@ -167,7 +167,7 @@ fn main() {
         let mut sm = storage.borrow_mut();
         let mut cursor = reldiv::storage::file::ScanCursor::new(transcript_file);
         while let Some((rid, record)) = cursor.next(&mut sm).expect("scan") {
-            let t = codec.decode(&record).expect("decode");
+            let t = codec.decode(record).expect("decode");
             let key = t.value(0).as_int().expect("sid").to_be_bytes();
             index.insert(&mut sm, &key, rid).expect("index insert");
         }
