@@ -802,7 +802,7 @@ fn run_plans(args: &Args) -> ExitCode {
         pct(0.99)
     );
     println!(
-        "cache:   {} plan-cache hits / {} queries ({:.1}%)",
+        "cache:   {} hits / {} queries ({:.1}%)",
         cached,
         completed,
         100.0 * cached as f64 / completed.max(1) as f64

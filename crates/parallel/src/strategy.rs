@@ -69,8 +69,8 @@ impl Strategy {
 }
 
 /// A request-level description of how to distribute a division. Carried
-/// by the service's `QueryOptions` (in-process parallel execution) and by
-/// the wire protocol's trailing distribution extension on Divide.
+/// by the service's `DivideRequest` (in-process parallel execution), on
+/// the wire as Divide's trailing distribution extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Distribution {
     /// Which Section 6 strategy to run.

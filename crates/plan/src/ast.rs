@@ -249,6 +249,24 @@ impl AlgorithmHint {
     }
 }
 
+impl From<Algorithm> for AlgorithmHint {
+    /// The hint that pins `algorithm` (the inverse of
+    /// [`AlgorithmHint::algorithm`]).
+    fn from(algorithm: Algorithm) -> AlgorithmHint {
+        use HashDivisionMode::*;
+        match algorithm {
+            Algorithm::Naive => AlgorithmHint::Naive,
+            Algorithm::SortAggregation { join: false } => AlgorithmHint::SortAgg,
+            Algorithm::SortAggregation { join: true } => AlgorithmHint::SortAggJoin,
+            Algorithm::HashAggregation { join: false } => AlgorithmHint::HashAgg,
+            Algorithm::HashAggregation { join: true } => AlgorithmHint::HashAggJoin,
+            Algorithm::HashDivision { mode: Standard } => AlgorithmHint::HashDiv,
+            Algorithm::HashDivision { mode: EarlyOut } => AlgorithmHint::HashDivEarly,
+            Algorithm::HashDivision { mode: CounterOnly } => AlgorithmHint::HashDivCounter,
+        }
+    }
+}
+
 /// A three-valued property hint: derive it, or assert it either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tri {

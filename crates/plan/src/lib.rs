@@ -13,9 +13,9 @@
 //!   against a catalog, type-checks, and annotates every node with the
 //!   cardinality and duplicate-freeness facts the cost model needs;
 //! * a **lowering executor** ([`execute`]) that turns the
-//!   bound tree into `reldiv-exec` operators, choosing each division's
-//!   algorithm with the Section 4 cost model (or a plan hint), and
-//!   reports every choice it made;
+//!   bound tree into `reldiv-exec` batch operators — the one engine plans
+//!   run on — choosing each division's algorithm with the Section 4 cost
+//!   model (or a plan hint), and reports every choice it made;
 //! * a brute-force **reference interpreter**
 //!   ([`evaluate`]) serving as the correctness
 //!   oracle for all of the above.
@@ -48,7 +48,6 @@ pub use error::{PlanError, Result};
 pub use lower::{execute, DivisionChoice, ExecOptions, PlanOutput, SourceProvider};
 pub use parse::parse;
 pub use reference::{canonical_bytes, evaluate, RelationSource};
-pub use reldiv_exec::ExecMode;
 pub use validate::{bind, Bound, BoundNode, CatalogSource};
 
 /// An in-memory catalog of named relations, usable as the

@@ -11,7 +11,7 @@
 
 use reldiv_core::api::Source;
 use reldiv_core::{divide_with_report, Algorithm, DivisionConfig, DivisionSpec};
-use reldiv_exec::agg::{HashCountAggregate, HashDistinct, HavingCount};
+use reldiv_exec::agg::HashCountAggregate;
 use reldiv_exec::batch::agg::BatchHavingCount;
 use reldiv_exec::batch::distinct::BatchDistinct;
 use reldiv_exec::batch::filter::{BatchCmp, BatchFilter, BatchPredicate};
@@ -20,18 +20,13 @@ use reldiv_exec::batch::profile::maybe_profile_batch;
 use reldiv_exec::batch::project::BatchProject;
 use reldiv_exec::batch::scan::BatchMemScan;
 use reldiv_exec::batch::{collect_batches, BatchToTuple, TupleToBatch};
-use reldiv_exec::filter::{self, Filter, Predicate};
-use reldiv_exec::hash_join::HashJoin;
-use reldiv_exec::merge_join::JoinMode;
-use reldiv_exec::profile::{maybe_profile, ProfileSink, SpanScope};
-use reldiv_exec::project::Project;
-use reldiv_exec::scan::MemScan;
-use reldiv_exec::{BoxedBatchOp, BoxedOp, CancelToken, ExecError, ExecMode, SpanKind};
+use reldiv_exec::profile::{ProfileSink, SpanScope};
+use reldiv_exec::{BoxedBatchOp, CancelToken, ExecMode, SpanKind};
 use reldiv_rel::Relation;
 use reldiv_storage::StorageRef;
 
 use crate::ast::{AlgorithmHint, Cmp, Lit, Tri};
-use crate::error::Result;
+use crate::error::{PlanError, Result};
 use crate::validate::{Bound, BoundDivide, BoundNode, BoundPred};
 
 /// Where the executor finds base relations. The service implements this
@@ -61,17 +56,11 @@ pub struct ExecOptions {
     /// (on top of the shared pool), so one query's hash tables degrade
     /// adaptively instead of starving the rest of the system.
     pub mem_budget: Option<usize>,
-    /// Which execution engine lowers the plan. [`ExecMode::Batch`] (the
-    /// default) runs the vectorized operators and hands divisions the
-    /// batch in-memory path; [`ExecMode::Tuple`] is the tuple-at-a-time
-    /// fallback. Both produce the same relation (bag-equal; row order may
-    /// differ where an operator's output order is unspecified).
-    pub exec: ExecMode,
 }
 
 impl ExecOptions {
     /// Plain options: no deadline, no profiling, hints honored, no
-    /// per-query memory budget, batch execution.
+    /// per-query memory budget.
     pub fn new(storage: StorageRef) -> ExecOptions {
         ExecOptions {
             storage,
@@ -79,7 +68,6 @@ impl ExecOptions {
             profile: None,
             honor_restricted_hint: true,
             mem_budget: None,
-            exec: ExecMode::Batch,
         }
     }
 }
@@ -118,63 +106,6 @@ pub struct PlanOutput {
     pub choices: Vec<DivisionChoice>,
 }
 
-/// Drains an operator into a relation, polling `cancel` between tuples.
-/// The operator is closed on every exit path — including mid-drain errors
-/// and cancellation — so profile spans finish and pinned pages unpin.
-/// (Mirrors the private helper in `reldiv-core`.)
-fn collect_cancel(mut op: BoxedOp, cancel: CancelToken) -> Result<Relation> {
-    fn drain(op: &mut BoxedOp, cancel: CancelToken) -> Result<Relation> {
-        op.open()?;
-        let mut rel = Relation::empty(op.schema().clone());
-        let mut budget = 0u32;
-        while let Some(t) = op.next()? {
-            cancel.checkpoint(&mut budget)?;
-            rel.push(t).map_err(ExecError::from)?;
-        }
-        Ok(rel)
-    }
-    let result = drain(&mut op, cancel);
-    let closed = op.close();
-    let rel = result?;
-    closed?;
-    Ok(rel)
-}
-
-/// Batch-path counterpart of [`collect_cancel`]: the engine's
-/// `collect_batches` already polls once per batch and closes on all
-/// exits; this just adapts the error type.
-fn collect_batches_plan(op: BoxedBatchOp, cancel: CancelToken) -> Result<Relation> {
-    Ok(collect_batches(op, cancel)?)
-}
-
-fn compare_predicate(col: usize, cmp: Cmp, value: &Lit) -> Predicate {
-    match value {
-        Lit::Int(target) => {
-            let target = *target;
-            Box::new(move |t| {
-                t.value(col)
-                    .as_int()
-                    .is_some_and(|v| cmp.eval(v.cmp(&target)))
-            })
-        }
-        Lit::Str(target) => {
-            let target = target.clone();
-            Box::new(move |t| {
-                t.value(col)
-                    .as_str()
-                    .is_some_and(|s| cmp.eval(s.cmp(target.as_str())))
-            })
-        }
-    }
-}
-
-fn predicate(pred: &BoundPred) -> Predicate {
-    match pred {
-        BoundPred::Compare { col, cmp, value } => compare_predicate(*col, *cmp, value),
-        BoundPred::Contains { col, needle } => filter::str_contains(*col, needle),
-    }
-}
-
 fn batch_cmp(cmp: Cmp) -> BatchCmp {
     match cmp {
         Cmp::Eq => BatchCmp::Eq,
@@ -211,16 +142,6 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn wrap(&self, op: BoxedOp, label: String, kind: SpanKind) -> BoxedOp {
-        maybe_profile(
-            op,
-            self.opts.profile.as_ref(),
-            label,
-            kind,
-            Some(&self.opts.storage),
-        )
-    }
-
     fn wrap_batch(&self, op: BoxedBatchOp, label: String, kind: SpanKind) -> BoxedBatchOp {
         maybe_profile_batch(
             op,
@@ -233,25 +154,14 @@ impl<'a> Lowerer<'a> {
 
     /// Materializes a division input: leaf scans pass their source straight
     /// through (file-backed scans keep their real I/O profile); anything
-    /// else runs to completion into a shared in-memory relation, on
-    /// whichever execution path the options select.
+    /// else runs to completion into a shared in-memory relation.
     fn division_input(&mut self, bound: &Bound, role: &str) -> Result<Source> {
         if let BoundNode::Scan { relation } = &bound.node {
             return self.provider.source(relation);
         }
-        let label = format!("materialize {role}");
-        let rel = match self.opts.exec {
-            ExecMode::Tuple => {
-                let op = self.lower(bound)?;
-                let op = self.wrap(op, label, SpanKind::Materialize);
-                collect_cancel(op, self.opts.cancel)?
-            }
-            ExecMode::Batch => {
-                let op = self.lower_batch(bound)?;
-                let op = self.wrap_batch(op, label, SpanKind::Materialize);
-                collect_batches_plan(op, self.opts.cancel)?
-            }
-        };
+        let op = self.lower_batch(bound)?;
+        let op = self.wrap_batch(op, format!("materialize {role}"), SpanKind::Materialize);
+        let rel = collect_batches(op, self.opts.cancel)?;
         Ok(Source::from_relation(&rel))
     }
 
@@ -283,13 +193,16 @@ impl<'a> Lowerer<'a> {
             ),
             hint => (hint.algorithm().expect("non-auto hint"), true),
         };
-        reldiv_core::api::validate_algorithm_for_inputs(algorithm, duplicate_free)?;
+        // A hint the inputs cannot satisfy is the plan's fault, not the
+        // engine's.
+        reldiv_core::api::validate_algorithm_for_inputs(algorithm, duplicate_free)
+            .map_err(|e| PlanError::Validate(e.to_string()))?;
         let config = DivisionConfig {
             assume_unique: duplicate_free,
             cancel: self.opts.cancel,
             profile: self.opts.profile.clone(),
             mem_budget: self.opts.mem_budget,
-            exec: self.opts.exec,
+            exec: ExecMode::Batch,
             ..DivisionConfig::default()
         };
         let (rel, report) = divide_with_report(
@@ -313,97 +226,9 @@ impl<'a> Lowerer<'a> {
         Ok(rel)
     }
 
-    fn lower(&mut self, bound: &Bound) -> Result<BoxedOp> {
-        let pool = self.opts.storage.borrow().memory();
-        Ok(match &bound.node {
-            BoundNode::Scan { relation } => {
-                let source = self.provider.source(relation)?;
-                self.wrap(
-                    source.scan(&self.opts.storage),
-                    format!("scan {relation}"),
-                    SpanKind::Scan,
-                )
-            }
-            BoundNode::Filter { pred, input } => {
-                let label = format!("filter {}", pred.describe(&input.schema));
-                let child = self.lower(input)?;
-                self.wrap(
-                    Box::new(Filter::new(child, predicate(pred))),
-                    label,
-                    SpanKind::Filter,
-                )
-            }
-            BoundNode::Project { columns, input } => {
-                let child = self.lower(input)?;
-                self.wrap(
-                    Box::new(Project::new(child, columns.clone())?),
-                    format!("project {columns:?}"),
-                    SpanKind::Project,
-                )
-            }
-            BoundNode::Distinct { input } => {
-                let child = self.lower(input)?;
-                self.wrap(
-                    Box::new(HashDistinct::new(child, pool)),
-                    "distinct".to_owned(),
-                    SpanKind::Distinct,
-                )
-            }
-            BoundNode::Join {
-                left_keys,
-                right_keys,
-                left,
-                right,
-            } => {
-                let l = self.lower(left)?;
-                let r = self.lower(right)?;
-                let join =
-                    HashJoin::new(l, r, left_keys.clone(), right_keys.clone(), JoinMode::Inner)?
-                        .with_pool(pool);
-                self.wrap(Box::new(join), "hash-join".to_owned(), SpanKind::HashJoin)
-            }
-            BoundNode::GroupCount { keys, input } => {
-                let child = self.lower(input)?;
-                let agg = HashCountAggregate::new(child, keys.clone(), pool)?
-                    .with_spill(self.opts.storage.clone());
-                self.wrap(
-                    Box::new(agg),
-                    format!("group-count {keys:?}"),
-                    SpanKind::Aggregation,
-                )
-            }
-            BoundNode::HavingCount { cmp, target, input } => {
-                let child = self.lower(input)?;
-                let label = format!("having count {} {target}", cmp.token());
-                let op: BoxedOp = if *cmp == Cmp::Eq {
-                    Box::new(HavingCount::new(child, *target)?)
-                } else {
-                    // The engine's HavingCount is equality-only (the
-                    // division-by-counting case); other comparisons lower
-                    // to a filter on the count column plus a projection
-                    // dropping it.
-                    let count_col = child.schema().arity() - 1;
-                    let keep: Vec<usize> = (0..count_col).collect();
-                    let filtered = Box::new(Filter::new(
-                        child,
-                        compare_predicate(count_col, *cmp, &Lit::Int(*target)),
-                    ));
-                    Box::new(Project::new(filtered, keep)?)
-                };
-                self.wrap(op, label, SpanKind::Having)
-            }
-            BoundNode::Divide(d) => {
-                let rel = self.divide(d, bound.rows)?;
-                let (schema, tuples) = (rel.schema().clone(), rel.into_tuples());
-                Box::new(MemScan::shared(schema, std::rc::Rc::new(tuples)))
-            }
-        })
-    }
-
-    /// The vectorized twin of [`Lowerer::lower`]: same tree shape, same
-    /// span labels, batch operators throughout. Group-count keeps the
-    /// tuple engine's spill-capable aggregate behind bridge adapters; the
-    /// rest of the pipeline stays batch-at-a-time.
+    /// Lowers a bound tree to batch operators, one span label per node.
+    /// Group-count keeps the tuple engine's spill-capable aggregate behind
+    /// bridge adapters; the rest of the pipeline stays batch-at-a-time.
     fn lower_batch(&mut self, bound: &Bound) -> Result<BoxedBatchOp> {
         let pool = self.opts.storage.borrow().memory();
         Ok(match &bound.node {
@@ -453,8 +278,7 @@ impl<'a> Lowerer<'a> {
             }
             BoundNode::GroupCount { keys, input } => {
                 // The spill-capable count aggregate is tuple-at-a-time;
-                // bridge into and out of it so overflow handling stays
-                // identical on both paths.
+                // bridge into and out of it.
                 let child = self.lower_batch(input)?;
                 let agg = HashCountAggregate::new(
                     Box::new(BatchToTuple::new(child)),
@@ -474,8 +298,10 @@ impl<'a> Lowerer<'a> {
                 let op: BoxedBatchOp = if *cmp == Cmp::Eq {
                     Box::new(BatchHavingCount::new(child, *target)?)
                 } else {
-                    // Same rewrite as the tuple path: filter on the count
-                    // column, then project it away.
+                    // The engine's HavingCount is equality-only (the
+                    // division-by-counting case); other comparisons lower
+                    // to a filter on the count column plus a projection
+                    // dropping it.
                     let count_col = child.schema().arity() - 1;
                     let keep: Vec<usize> = (0..count_col).collect();
                     let filtered = Box::new(BatchFilter::new(
@@ -520,13 +346,13 @@ pub fn execute(
         opts,
         choices: Vec::new(),
     };
-    let result = match opts.exec {
-        ExecMode::Tuple => lowerer
-            .lower(bound)
-            .and_then(|op| collect_cancel(op, opts.cancel)),
-        ExecMode::Batch => lowerer
+    let result = match &bound.node {
+        // A division at the root already holds the result relation: hand
+        // it over as is rather than re-scan it through batches.
+        BoundNode::Divide(d) => lowerer.divide(d, bound.rows),
+        _ => lowerer
             .lower_batch(bound)
-            .and_then(|op| collect_batches_plan(op, opts.cancel)),
+            .and_then(|op| Ok(collect_batches(op, opts.cancel)?)),
     };
     let choices = lowerer.choices;
     if let Some(root) = root {

@@ -12,20 +12,17 @@
 //! division algorithms, and every choice must agree with the cost
 //! model's own ranking (`recommend` and the cheapest `candidates` row).
 //!
-//! A third family pins the vectorized engine: every composed plan shape,
-//! run once on the tuple path and once on the batch path, must produce
-//! the same bag on every grid configuration — and division-free plans
-//! must match byte-for-byte in output *order*, because each batch
-//! operator is specified to mirror its tuple twin's emission order.
+//! A third family pins the batch operators one by one: every
+//! division-free plan shape must produce the oracle's bag, and a profiled
+//! run must report, span by span, the tuple flow the oracle computes for
+//! the same sub-plan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use reldiv_core::Algorithm;
 use reldiv_costmodel::planner::candidates;
 use reldiv_costmodel::{recommend, table2_configs, PlannerInput};
-use reldiv_plan::{
-    bind, canonical_bytes, evaluate, execute, parse, ExecMode, ExecOptions, MemCatalog, PlanOutput,
-};
+use reldiv_plan::{bind, canonical_bytes, evaluate, execute, parse, ExecOptions, MemCatalog};
 use reldiv_rel::Value;
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::{StorageManager, StorageRef};
@@ -69,86 +66,54 @@ fn grid_catalog(divisor_size: u64, quotient_size: u64, seed: u64) -> (MemCatalog
 #[test]
 fn composed_plans_match_the_oracle_on_every_table4_config() {
     let storage = StorageManager::shared(StorageConfig::large());
-    for (i, (s, q)) in table2_configs().iter().copied().enumerate() {
-        let (catalog, expected_quotient) = grid_catalog(s, q, 1989 + i as u64);
-        for text in COMPOSED_PLANS {
-            let bound = bind(&parse(text).unwrap(), &catalog).unwrap();
-            let oracle = evaluate(&bound, &catalog).unwrap();
-            let mut provider = catalog.clone();
-            let output = execute(&bound, &mut provider, &ExecOptions::new(storage.clone()))
-                .expect("engine executes every composed plan");
-            assert_eq!(
-                canonical_bytes(&output.relation),
-                canonical_bytes(&oracle),
-                "engine and oracle disagree at |S|={s} |Q|={q} on {text}"
-            );
+    // Two independent workloads per grid cell.
+    for base in [1989, 424] {
+        for (i, (s, q)) in table2_configs().iter().copied().enumerate() {
+            check_grid_cell(&storage, s, q, base + i as u64);
         }
+    }
+}
 
-        // The plain division also has an independent ground truth: the
-        // workload generator knows exactly which groups are complete.
-        let bound = bind(&parse(COMPOSED_PLANS[0]).unwrap(), &catalog).unwrap();
+fn check_grid_cell(storage: &StorageRef, s: u64, q: u64, seed: u64) {
+    let (catalog, expected_quotient) = grid_catalog(s, q, seed);
+    for text in COMPOSED_PLANS {
+        let bound = bind(&parse(text).unwrap(), &catalog).unwrap();
+        let oracle = evaluate(&bound, &catalog).unwrap();
         let mut provider = catalog.clone();
-        let output = execute(&bound, &mut provider, &ExecOptions::new(storage.clone())).unwrap();
-        let mut got: Vec<i64> = output
-            .relation
-            .tuples()
-            .iter()
-            .map(|t| match t.value(0) {
-                Value::Int(v) => *v,
-                Value::Str(_) => panic!("quotient-id is an int column"),
-            })
-            .collect();
-        got.sort_unstable();
+        let output = execute(&bound, &mut provider, &ExecOptions::new(storage.clone()))
+            .expect("engine executes every composed plan");
         assert_eq!(
-            got, expected_quotient,
-            "quotient ground truth at |S|={s} |Q|={q}"
+            canonical_bytes(&output.relation),
+            canonical_bytes(&oracle),
+            "engine and oracle disagree at |S|={s} |Q|={q} on {text}"
         );
     }
-}
 
-fn opts(storage: &StorageRef, exec: ExecMode) -> ExecOptions {
-    let mut o = ExecOptions::new(storage.clone());
-    o.exec = exec;
-    o
-}
-
-fn run(catalog: &MemCatalog, text: &str, storage: &StorageRef, exec: ExecMode) -> PlanOutput {
-    let bound = bind(&parse(text).unwrap(), catalog).unwrap();
+    // The plain division also has an independent ground truth: the
+    // workload generator knows exactly which groups are complete.
+    let bound = bind(&parse(COMPOSED_PLANS[0]).unwrap(), &catalog).unwrap();
     let mut provider = catalog.clone();
-    execute(&bound, &mut provider, &opts(storage, exec)).unwrap()
+    let output = execute(&bound, &mut provider, &ExecOptions::new(storage.clone())).unwrap();
+    let mut got: Vec<i64> = output
+        .relation
+        .tuples()
+        .iter()
+        .map(|t| match t.value(0) {
+            Value::Int(v) => *v,
+            Value::Str(_) => panic!("quotient-id is an int column"),
+        })
+        .collect();
+    got.sort_unstable();
+    assert_eq!(
+        got, expected_quotient,
+        "quotient ground truth at |S|={s} |Q|={q}"
+    );
 }
 
+/// Division-free plan shapes, one per batch operator: each must produce
+/// the oracle's bag.
 #[test]
-fn batch_and_tuple_paths_agree_on_every_table4_config() {
-    let storage = StorageManager::shared(StorageConfig::large());
-    for (i, (s, q)) in table2_configs().iter().copied().enumerate() {
-        let (catalog, _) = grid_catalog(s, q, 424 + i as u64);
-        for text in COMPOSED_PLANS {
-            let tuple = run(&catalog, text, &storage, ExecMode::Tuple);
-            let batch = run(&catalog, text, &storage, ExecMode::Batch);
-            assert_eq!(
-                canonical_bytes(&tuple.relation),
-                canonical_bytes(&batch.relation),
-                "exec modes disagree at |S|={s} |Q|={q} on {text}"
-            );
-            // The execution engine must not leak into planning: the same
-            // algorithms are chosen, in the same order, on both paths.
-            let algs = |out: &PlanOutput| {
-                out.choices
-                    .iter()
-                    .map(|c| (c.algorithm, c.pinned, c.restricted))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(algs(&tuple), algs(&batch), "planning drift on {text}");
-        }
-    }
-}
-
-/// Division-free plan shapes: each batch operator mirrors its tuple
-/// twin's emission order (same FNV hashing, same table insertion order),
-/// so the outputs must be byte-identical *including order*.
-#[test]
-fn division_free_plans_are_byte_identical_across_exec_modes() {
+fn division_free_plans_match_the_oracle() {
     const PLANS: [&str; 6] = [
         "(filter (>= quotient-id 5) (scan r))",
         "(project (quotient-id) (scan r))",
@@ -160,50 +125,64 @@ fn division_free_plans_are_byte_identical_across_exec_modes() {
     let storage = StorageManager::shared(StorageConfig::large());
     let (catalog, _) = grid_catalog(100, 100, 2026);
     for text in PLANS {
-        let tuple = run(&catalog, text, &storage, ExecMode::Tuple);
-        let batch = run(&catalog, text, &storage, ExecMode::Batch);
-        assert_eq!(tuple.relation, batch.relation, "ordered mismatch on {text}");
+        let bound = bind(&parse(text).unwrap(), &catalog).unwrap();
+        let mut provider = catalog.clone();
+        let output = execute(&bound, &mut provider, &ExecOptions::new(storage.clone())).unwrap();
+        assert_eq!(
+            canonical_bytes(&output.relation),
+            canonical_bytes(&evaluate(&bound, &catalog).unwrap()),
+            "engine and oracle disagree on {text}"
+        );
     }
 }
 
-/// Both execution paths report the same operator spans with the same
-/// tuple flow: per-batch profiling checkpoints must not change *what* is
-/// counted, only how often the counters are updated.
+/// A profiled run reports the oracle's tuple flow: every operator span
+/// emits exactly as many tuples as the reference interpreter computes for
+/// the same sub-plan — per-batch profiling checkpoints must not change
+/// *what* is counted.
 #[test]
-fn profiles_report_the_same_tuple_flow_on_both_exec_modes() {
-    let text = "(having-count >= 1 (group-count (quotient-id) \
-                  (filter (>= quotient-id 3) (scan r))))";
+fn profiles_report_the_oracles_tuple_flow() {
+    // Each span label with the sub-plan it covers, root first.
+    let spans = [
+        (
+            "having count >= 1",
+            "(having-count >= 1 (group-count (quotient-id) \
+               (filter (>= quotient-id 3) (scan r))))",
+        ),
+        (
+            "group-count [0]",
+            "(group-count (quotient-id) (filter (>= quotient-id 3) (scan r)))",
+        ),
+        (
+            "filter quotient-id >= 3",
+            "(filter (>= quotient-id 3) (scan r))",
+        ),
+        ("scan r", "(scan r)"),
+    ];
     let (catalog, _) = grid_catalog(25, 100, 77);
-    let mut flows: Vec<BTreeMap<String, (u64, u64)>> = Vec::new();
-    for exec in [ExecMode::Tuple, ExecMode::Batch] {
-        let storage = StorageManager::shared(StorageConfig::large());
-        let sink = reldiv_exec::ProfileSink::new();
-        let mut o = opts(&storage, exec);
-        o.profile = Some(sink.clone());
-        let bound = bind(&parse(text).unwrap(), &catalog).unwrap();
-        let mut provider = catalog.clone();
-        execute(&bound, &mut provider, &o).unwrap();
-        let profile = sink.finish();
-        fn walk(n: &reldiv_exec::profile::ProfileNode, out: &mut BTreeMap<String, (u64, u64)>) {
-            out.insert(n.label.clone(), (n.tuples_in, n.tuples_out));
-            for c in &n.children {
-                walk(c, out);
-            }
+    let storage = StorageManager::shared(StorageConfig::large());
+    let sink = reldiv_exec::ProfileSink::new();
+    let mut opts = ExecOptions::new(storage);
+    opts.profile = Some(sink.clone());
+    let bound = bind(&parse(spans[0].1).unwrap(), &catalog).unwrap();
+    let mut provider = catalog.clone();
+    execute(&bound, &mut provider, &opts).unwrap();
+    let profile = sink.finish();
+    fn walk(n: &reldiv_exec::profile::ProfileNode, out: &mut BTreeMap<String, u64>) {
+        out.insert(n.label.clone(), n.tuples_out);
+        for c in &n.children {
+            walk(c, out);
         }
-        let mut flow = BTreeMap::new();
-        walk(&profile.root, &mut flow);
-        flows.push(flow);
     }
-    let (tuple, batch) = (&flows[0], &flows[1]);
-    assert_eq!(
-        tuple.keys().collect::<Vec<_>>(),
-        batch.keys().collect::<Vec<_>>(),
-        "both paths must emit the same span labels"
-    );
-    for (label, t_flow) in tuple {
+    let mut flow = BTreeMap::new();
+    walk(&profile.root, &mut flow);
+    for (label, text) in spans {
+        let sub = bind(&parse(text).unwrap(), &catalog).unwrap();
+        let want = evaluate(&sub, &catalog).unwrap().cardinality() as u64;
         assert_eq!(
-            t_flow, &batch[label],
-            "tuple flow for span {label:?} differs between exec modes"
+            flow.get(label),
+            Some(&want),
+            "tuple flow of span {label:?} in {flow:?}"
         );
     }
 }

@@ -1,56 +1,23 @@
-//! The result caches (single divisions and whole plans).
+//! The result cache.
 //!
-//! Keys embed the exact catalog versions of every input, the column
-//! spec, and the (resolved) algorithm — or, for plans, the canonical
-//! plan text — so a cached result can never be served for data it was
-//! not computed from: an update installs a new version number and the
-//! new key simply misses. Entries referencing a replaced or dropped
-//! relation are additionally purged eagerly so dead results do not
-//! occupy capacity until eviction reaches them.
+//! Every query is a plan, so there is one cache: keys are the canonical
+//! plan text plus the exact catalog version of every relation the plan
+//! reads, so a cached result can never be served for data it was not
+//! computed from: an update installs a new version number and the new key
+//! simply misses. Entries referencing a replaced or dropped relation are
+//! additionally purged eagerly so dead results do not occupy capacity
+//! until eviction reaches them.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use reldiv_core::Algorithm;
-use reldiv_rel::counters::OpSnapshot;
-use reldiv_rel::{Schema, Tuple};
 
-/// Cache key: everything a division quotient depends on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Dividend name and the exact version the query resolved.
-    pub dividend: (String, u64),
-    /// Divisor name and the exact version the query resolved.
-    pub divisor: (String, u64),
-    /// Dividend columns matched against the divisor.
-    pub divisor_keys: Vec<usize>,
-    /// Dividend columns forming the quotient.
-    pub quotient_keys: Vec<usize>,
-    /// Resolved algorithm, as its wire code (auto choices are resolved
-    /// before keying, so `auto` and the explicit pick share entries).
-    pub algorithm: u8,
-    /// Whether the inputs were declared duplicate-free (changes the
-    /// plans the aggregate algorithms run).
-    pub assume_unique: bool,
-}
+use crate::proto::PlanReply;
 
-/// A cached quotient with the provenance the response reports.
-#[derive(Debug)]
-pub struct CachedResult {
-    /// Quotient schema.
-    pub schema: Schema,
-    /// Quotient tuples, shared with every response served from this
-    /// entry.
-    pub tuples: Arc<Vec<Tuple>>,
-    /// Abstract operations the original execution performed.
-    pub ops: OpSnapshot,
-}
-
-/// Cache key for a whole plan: the canonical plan text (so formatting
-/// variants of the same plan share an entry) plus the exact catalog
-/// version of every relation the plan reads.
+/// Cache key: the canonical plan text (so formatting variants of the same
+/// plan — and a `Divide` request and the plan it spells — share an entry)
+/// plus the exact catalog version of every relation the plan reads.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanCacheKey {
     /// Canonical plan text (the parser's round-trip print).
@@ -59,38 +26,27 @@ pub struct PlanCacheKey {
     pub pins: Vec<(String, u64)>,
 }
 
-/// A cached plan result.
-#[derive(Debug)]
-pub struct CachedPlan {
-    /// Result schema.
-    pub schema: Schema,
-    /// Result tuples, shared with every response served from this entry.
-    pub tuples: Arc<Vec<Tuple>>,
-    /// The algorithm each division ran with, in execution order.
-    pub algorithms: Vec<Algorithm>,
-    /// Abstract operations the original execution performed.
-    pub ops: OpSnapshot,
-}
-
-struct Entry<V> {
-    value: Arc<V>,
+struct Entry {
+    /// The reply a hit serves: `cached`, zero ops, no profile.
+    reply: Arc<PlanReply>,
     last_used: u64,
 }
 
-struct Inner<K, V> {
-    map: HashMap<K, Entry<V>>,
+struct Inner {
+    map: HashMap<PlanCacheKey, Entry>,
     clock: u64,
 }
 
-/// The shared LRU machinery both caches are built on.
-struct Lru<K, V> {
-    inner: Mutex<Inner<K, V>>,
+/// A bounded LRU cache of plan results.
+pub struct PlanCache {
+    inner: Mutex<Inner>,
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone, V> Lru<K, V> {
-    fn new(capacity: usize) -> Lru<K, V> {
-        Lru {
+impl PlanCache {
+    /// A cache holding at most `capacity` results (0 disables caching).
+    pub fn new(capacity: usize) -> PlanCache {
+        PlanCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 clock: 0,
@@ -99,17 +55,20 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         }
     }
 
-    fn get(&self, key: &K) -> Option<Arc<V>> {
+    /// Looks up a plan result, refreshing its recency.
+    pub fn get(&self, key: &PlanCacheKey) -> Option<Arc<PlanReply>> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
         inner.map.get_mut(key).map(|e| {
             e.last_used = clock;
-            e.value.clone()
+            e.reply.clone()
         })
     }
 
-    fn insert(&self, key: K, value: Arc<V>) {
+    /// Inserts a plan result, evicting the least-recently-used entry
+    /// when at capacity.
+    pub fn insert(&self, key: PlanCacheKey, reply: Arc<PlanReply>) {
         if self.capacity == 0 {
             return;
         }
@@ -129,214 +88,112 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         inner.map.insert(
             key,
             Entry {
-                value,
+                reply,
                 last_used: clock,
             },
         );
     }
 
-    fn retain(&self, keep: impl FnMut(&K) -> bool) {
-        let mut keep = keep;
-        self.inner.lock().map.retain(|k, _| keep(k));
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-}
-
-/// A bounded LRU cache of division results.
-pub struct ResultCache {
-    lru: Lru<CacheKey, CachedResult>,
-}
-
-impl ResultCache {
-    /// A cache holding at most `capacity` results (0 disables caching).
-    pub fn new(capacity: usize) -> ResultCache {
-        ResultCache {
-            lru: Lru::new(capacity),
-        }
-    }
-
-    /// Looks up a result, refreshing its recency.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedResult>> {
-        self.lru.get(key)
-    }
-
-    /// Inserts a result, evicting the least-recently-used entry when at
-    /// capacity.
-    pub fn insert(&self, key: CacheKey, value: Arc<CachedResult>) {
-        self.lru.insert(key, value);
-    }
-
-    /// Drops every entry that reads `relation` (as dividend or divisor),
-    /// whatever version. Called on catalog updates and drops.
+    /// Drops every entry whose plan reads `relation`, whatever version.
+    /// Called on catalog updates and drops.
     pub fn invalidate_relation(&self, relation: &str) {
-        self.lru
-            .retain(|k| k.dividend.0 != relation && k.divisor.0 != relation);
+        self.inner
+            .lock()
+            .map
+            .retain(|k, _| k.pins.iter().all(|(name, _)| name != relation));
     }
 
     /// Current number of cached results.
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.inner.lock().map.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the cache holds no results.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// A bounded LRU cache of whole-plan results.
-pub struct PlanCache {
-    lru: Lru<PlanCacheKey, CachedPlan>,
-}
-
-impl PlanCache {
-    /// A cache holding at most `capacity` results (0 disables caching).
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            lru: Lru::new(capacity),
-        }
-    }
-
-    /// Looks up a plan result, refreshing its recency.
-    pub fn get(&self, key: &PlanCacheKey) -> Option<Arc<CachedPlan>> {
-        self.lru.get(key)
-    }
-
-    /// Inserts a plan result, evicting the least-recently-used entry
-    /// when at capacity.
-    pub fn insert(&self, key: PlanCacheKey, value: Arc<CachedPlan>) {
-        self.lru.insert(key, value);
-    }
-
-    /// Drops every entry whose plan reads `relation`, whatever version.
-    pub fn invalidate_relation(&self, relation: &str) {
-        self.lru
-            .retain(|k| k.pins.iter().all(|(name, _)| name != relation));
-    }
-
-    /// Current number of cached plan results.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether the cache holds no plan results.
-    pub fn is_empty(&self) -> bool {
-        self.lru.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reldiv_rel::counters::OpSnapshot;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
+    use reldiv_rel::Schema;
 
-    fn key(r: &str, rv: u64, s: &str, sv: u64) -> CacheKey {
-        CacheKey {
-            dividend: (r.to_owned(), rv),
-            divisor: (s.to_owned(), sv),
-            divisor_keys: vec![1],
-            quotient_keys: vec![0],
-            algorithm: 5,
-            assume_unique: false,
-        }
-    }
-
-    fn result(v: i64) -> Arc<CachedResult> {
-        Arc::new(CachedResult {
-            schema: Schema::new(vec![Field::int("q")]),
-            tuples: Arc::new(vec![ints(&[v])]),
-            ops: OpSnapshot::default(),
-        })
-    }
-
-    #[test]
-    fn hit_returns_inserted_value() {
-        let c = ResultCache::new(4);
-        c.insert(key("r", 1, "s", 2), result(7));
-        let got = c.get(&key("r", 1, "s", 2)).unwrap();
-        assert_eq!(got.tuples[0], ints(&[7]));
-        assert!(c.get(&key("r", 2, "s", 2)).is_none(), "version mismatch");
-    }
-
-    #[test]
-    fn lru_evicts_the_coldest() {
-        let c = ResultCache::new(2);
-        c.insert(key("r", 1, "s", 1), result(1));
-        c.insert(key("r", 2, "s", 1), result(2));
-        c.get(&key("r", 1, "s", 1)); // refresh the first
-        c.insert(key("r", 3, "s", 1), result(3)); // evicts version 2
-        assert!(c.get(&key("r", 1, "s", 1)).is_some());
-        assert!(c.get(&key("r", 2, "s", 1)).is_none());
-        assert!(c.get(&key("r", 3, "s", 1)).is_some());
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn invalidate_purges_both_roles() {
-        let c = ResultCache::new(8);
-        c.insert(key("a", 1, "b", 1), result(1));
-        c.insert(key("b", 1, "c", 1), result(2));
-        c.insert(key("c", 1, "d", 1), result(3));
-        c.invalidate_relation("b");
-        assert_eq!(c.len(), 1);
-        assert!(c.get(&key("c", 1, "d", 1)).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let c = ResultCache::new(0);
-        c.insert(key("r", 1, "s", 1), result(1));
-        assert!(c.get(&key("r", 1, "s", 1)).is_none());
-        assert!(c.is_empty());
-    }
-
-    fn plan_key(text: &str, pins: &[(&str, u64)]) -> PlanCacheKey {
+    fn key(text: &str, pins: &[(&str, u64)]) -> PlanCacheKey {
         PlanCacheKey {
             text: text.to_owned(),
             pins: pins.iter().map(|(n, v)| ((*n).to_owned(), *v)).collect(),
         }
     }
 
-    fn plan_result(v: i64) -> Arc<CachedPlan> {
-        Arc::new(CachedPlan {
+    fn result(v: i64) -> Arc<PlanReply> {
+        Arc::new(PlanReply {
+            algorithms: vec![reldiv_core::Algorithm::Naive],
+            cached: true,
+            micros: 0,
+            ops: OpSnapshot::default(),
+            relations: Vec::new(),
             schema: Schema::new(vec![Field::int("q")]),
             tuples: Arc::new(vec![ints(&[v])]),
-            algorithms: vec![reldiv_core::Algorithm::Naive],
-            ops: OpSnapshot::default(),
+            profile: None,
         })
     }
 
     #[test]
-    fn plan_cache_keys_on_text_and_pins() {
+    fn keys_on_text_and_pins() {
         let c = PlanCache::new(4);
-        let k = plan_key("(scan r)", &[("r", 3)]);
-        c.insert(k.clone(), plan_result(1));
-        assert!(c.get(&k).is_some());
+        let k = key("(scan r)", &[("r", 3)]);
+        c.insert(k.clone(), result(7));
+        assert_eq!(c.get(&k).unwrap().tuples[0], ints(&[7]));
         assert!(
-            c.get(&plan_key("(scan r)", &[("r", 4)])).is_none(),
+            c.get(&key("(scan r)", &[("r", 4)])).is_none(),
             "a new relation version must miss"
         );
         assert!(
-            c.get(&plan_key("(distinct (scan r))", &[("r", 3)]))
-                .is_none(),
+            c.get(&key("(distinct (scan r))", &[("r", 3)])).is_none(),
             "a different plan must miss"
         );
     }
 
     #[test]
-    fn plan_cache_invalidates_any_pinned_relation() {
+    fn lru_evicts_the_coldest() {
+        let c = PlanCache::new(2);
+        let k = |v| key("(scan r)", &[("r", v)]);
+        c.insert(k(1), result(1));
+        c.insert(k(2), result(2));
+        c.get(&k(1)); // refresh the first
+        c.insert(k(3), result(3)); // evicts version 2
+        assert!(c.get(&k(1)).is_some());
+        assert!(c.get(&k(2)).is_none());
+        assert!(c.get(&k(3)).is_some());
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn invalidates_any_pinned_relation() {
         let c = PlanCache::new(8);
         c.insert(
-            plan_key("(join (on (a a)) (scan r) (scan s))", &[("r", 1), ("s", 1)]),
-            plan_result(1),
+            key("(join (on (a a)) (scan r) (scan s))", &[("r", 1), ("s", 1)]),
+            result(1),
         );
-        c.insert(plan_key("(scan t)", &[("t", 1)]), plan_result(2));
+        c.insert(
+            key("(divide (on #0) (scan s) (scan t))", &[("s", 1), ("t", 1)]),
+            result(2),
+        );
+        c.insert(key("(scan t)", &[("t", 1)]), result(3));
         c.invalidate_relation("s");
         assert_eq!(c.len(), 1);
-        assert!(c.get(&plan_key("(scan t)", &[("t", 1)])).is_some());
+        assert!(c.get(&key("(scan t)", &[("t", 1)])).is_some());
+    }
+
+    #[test]
+    fn zero_capacity_disables_caching() {
+        let c = PlanCache::new(0);
+        c.insert(key("(scan r)", &[("r", 1)]), result(1));
+        assert!(c.get(&key("(scan r)", &[("r", 1)])).is_none());
+        assert!(c.is_empty());
     }
 }

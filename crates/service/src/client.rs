@@ -16,7 +16,7 @@ use crate::proto::{
     self, DivideReply, DivideRequest, ExecPlanRequest, PartialQuotientReply, PlanReply,
     RepartitionRequest, Reply, Request, ShardRequest,
 };
-use crate::service::{PlanOptions, QueryOptions, Service};
+use crate::service::Service;
 
 /// The operations a service client offers, transport-independent.
 pub trait DivisionClient {
@@ -61,48 +61,11 @@ impl DivisionClient for InProcClient {
     }
 
     fn divide(&mut self, request: &DivideRequest) -> Result<DivideReply> {
-        let options = QueryOptions {
-            algorithm: request.algorithm,
-            assume_unique: request.assume_unique,
-            spec: request.spec.clone(),
-            deadline: request.deadline_ms.map(Duration::from_millis),
-            profile: request.profile,
-            distribute: request.distribute,
-            restricted_divisor: request.restricted,
-            mem_budget: request.mem_budget.map(|b| b as usize),
-        };
-        let r = self
-            .service
-            .divide(&request.dividend, &request.divisor, &options)?;
-        Ok(DivideReply {
-            algorithm: r.algorithm,
-            cached: r.cached,
-            dividend_version: r.dividend_version,
-            divisor_version: r.divisor_version,
-            micros: r.micros,
-            ops: r.ops,
-            schema: r.schema,
-            tuples: r.tuples,
-            profile: r.profile,
-        })
+        self.service.divide(request)
     }
 
     fn exec_plan(&mut self, request: &ExecPlanRequest) -> Result<PlanReply> {
-        let options = PlanOptions {
-            deadline: request.deadline_ms.map(Duration::from_millis),
-            profile: request.profile,
-        };
-        let r = self.service.exec_plan(&request.plan, &options)?;
-        Ok(PlanReply {
-            algorithms: r.algorithms,
-            cached: r.cached,
-            micros: r.micros,
-            ops: r.ops,
-            relations: r.relations,
-            schema: r.schema,
-            tuples: r.tuples,
-            profile: r.profile,
-        })
+        self.service.exec_plan(request)
     }
 
     fn stats(&mut self) -> Result<MetricsSnapshot> {

@@ -7,11 +7,12 @@
 //! control over a bounded submission queue, and per-query observability.
 //!
 //! * [`Service`] — the embeddable handle: `register` / `drop_relation` /
-//!   `divide` / `stats` / `shutdown`.
+//!   `divide` / `exec_plan` / `stats` / `shutdown`, speaking the wire
+//!   protocol's own request and reply types.
 //! * [`catalog`] — named relations; every update installs a new
 //!   immutable version, and queries pin the version they resolved.
-//! * [`cache`] — results keyed on exact input versions, the column spec,
-//!   and the resolved algorithm, so a stale quotient cannot be served.
+//! * [`cache`] — results keyed on the canonical plan text and the exact
+//!   input versions, so a stale quotient cannot be served.
 //! * Admission control — a full submission queue rejects with
 //!   [`ServiceError::Overloaded`] instead of queueing without bound.
 //! * [`metrics`] — latency histogram (p50/p95/p99), hit/miss/rejection
@@ -23,7 +24,8 @@
 //! * [`Service::exec_plan`] — composed query plans (`reldiv-plan`'s
 //!   s-expression language, documented in `docs/PLANS.md`): filters,
 //!   joins, projections, divisions, and HAVING COUNT run as one query,
-//!   with per-plan version pinning, caching, and profiling.
+//!   with per-plan version pinning, caching, and profiling. A `divide`
+//!   request is the one-operator case and takes the same path.
 //!
 //! The concurrency model respects the engine's single-threaded storage
 //! layer (the paper's system ran one process per disk): each worker
@@ -51,7 +53,4 @@ pub use proto::{
 };
 pub use reldiv_core::{ProfileNode, QueryProfile};
 pub use server::ServerHandle;
-pub use service::{
-    ClusterEpochState, PlanOptions, PlanResponse, QueryOptions, QueryResponse, Service,
-    ServiceConfig, ShardInfo,
-};
+pub use service::{ClusterEpochState, Service, ServiceConfig, ShardInfo};

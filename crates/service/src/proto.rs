@@ -1441,14 +1441,13 @@ const REPLY_PONG: u8 = 0x01;
 const REPLY_REGISTERED: u8 = 0x02;
 const REPLY_DROPPED: u8 = 0x03;
 const REPLY_DIVIDED: u8 = 0x04;
-const REPLY_STATS: u8 = 0x05;
+// 0x05 was the unversioned stats reply (exactly 13 counters); no server
+// has sent it since `REPLY_STATS_V2` and the code stays unassigned.
 const REPLY_SHUTTING_DOWN: u8 = 0x06;
 /// Versioned stats reply: a `u16` field count followed by that many
 /// `u64` counters in the canonical order, then the ops block. Decoders
 /// read the fields they know and skip unknown trailing fields, so the
-/// counter list can grow without another reply code. The unversioned
-/// [`REPLY_STATS`] (exactly 13 counters) is still decoded for replies
-/// from servers that predate the extension.
+/// counter list can grow without another reply code.
 const REPLY_STATS_V2: u8 = 0x07;
 const REPLY_SHARDED: u8 = 0x08;
 const REPLY_REPARTITIONED: u8 = 0x09;
@@ -1735,16 +1734,6 @@ pub fn decode_response(payload: &[u8]) -> PResult<Response> {
                         profile,
                     })
                 }
-                REPLY_STATS => {
-                    // Unversioned legacy frame: exactly 13 counters.
-                    // Counters the old peer has never heard of stay 0.
-                    let mut vals = [0u64; STATS_REQUIRED_FIELDS];
-                    for v in &mut vals {
-                        *v = r.u64()?;
-                    }
-                    let ops = get_ops(&mut r)?;
-                    Reply::Stats(stats_from_fields(&vals, ops))
-                }
                 REPLY_STATS_V2 => {
                     let n = r.u16()? as usize;
                     if n < STATS_REQUIRED_FIELDS {
@@ -2007,28 +1996,21 @@ mod tests {
         }
     }
 
-    /// A frame from a server that predates the versioned stats reply —
-    /// the unversioned tag and exactly 13 counters — still decodes; the
-    /// counters the old server has never heard of read as zero.
+    /// The unversioned stats reply (tag 0x05, exactly 13 counters) is
+    /// retired: it gets the typed unknown-reply error of any unassigned
+    /// code, not a best-effort decode.
     #[test]
-    fn legacy_stats_frame_decodes_with_new_counters_zero() {
-        let mut frame = vec![STATUS_OK, REPLY_STATS];
+    fn legacy_stats_frame_is_an_unknown_reply() {
+        let mut frame = vec![STATUS_OK, 0x05];
         for v in 1..=13u64 {
             frame.extend_from_slice(&v.to_le_bytes());
         }
         put_ops(&mut frame, &OpSnapshot::default());
-        match decode_response(&frame).unwrap().unwrap() {
-            Reply::Stats(s) => {
-                assert_eq!(s.queries, 1);
-                assert_eq!(s.latency_mean_us, 13);
-                assert_eq!(s.latency_count, 0, "unknown to the old server");
-                assert_eq!(s.profiled_queries, 0, "unknown to the old server");
-                assert_eq!(s.replica_retries, 0, "unknown to the old server");
-                assert_eq!(s.failovers, 0, "unknown to the old server");
-                assert_eq!(s.nodes_excluded, 0, "unknown to the old server");
-                assert_eq!(s.heartbeats_missed, 0, "unknown to the old server");
+        match decode_response(&frame) {
+            Err(ServiceError::Protocol(msg)) => {
+                assert!(msg.contains("unknown reply tag 0x05"), "{msg}")
             }
-            other => panic!("expected stats, got {other:?}"),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
     }
 

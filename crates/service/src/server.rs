@@ -18,10 +18,8 @@ use parking_lot::{Condvar, Mutex};
 use reldiv_rel::Relation;
 
 use crate::error::ServiceError;
-use crate::proto::{
-    self, DivideReply, EpochRequest, PartialQuotientReply, PlanReply, Reply, Request, Response,
-};
-use crate::service::{ClusterEpochState, PlanOptions, QueryOptions, Service, ShardInfo};
+use crate::proto::{self, EpochRequest, PartialQuotientReply, Reply, Request, Response};
+use crate::service::{ClusterEpochState, Service, ShardInfo};
 
 struct Shared {
     service: Arc<Service>,
@@ -199,31 +197,7 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
             .and_then(|relation| service.register(&name, relation))
             .map(|version| Reply::Registered { version }),
         Request::DropRelation { name } => service.drop_relation(&name).map(|()| Reply::Dropped),
-        Request::Divide(q) => {
-            let options = QueryOptions {
-                algorithm: q.algorithm,
-                assume_unique: q.assume_unique,
-                spec: q.spec,
-                deadline: q.deadline_ms.map(std::time::Duration::from_millis),
-                profile: q.profile,
-                distribute: q.distribute,
-                restricted_divisor: q.restricted,
-                mem_budget: q.mem_budget.map(|b| b as usize),
-            };
-            service.divide(&q.dividend, &q.divisor, &options).map(|r| {
-                Reply::Divided(DivideReply {
-                    algorithm: r.algorithm,
-                    cached: r.cached,
-                    dividend_version: r.dividend_version,
-                    divisor_version: r.divisor_version,
-                    micros: r.micros,
-                    ops: r.ops,
-                    schema: r.schema,
-                    tuples: r.tuples,
-                    profile: r.profile,
-                })
-            })
-        }
+        Request::Divide(q) => service.divide(&q).map(Reply::Divided),
         Request::Shard(s) => service
             .check_epoch(s.epoch)
             .and_then(|()| {
@@ -265,18 +239,10 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
             tag,
             query: q,
             epoch,
-        } => service.check_epoch(epoch).and_then(|()| {
-            let options = QueryOptions {
-                algorithm: q.algorithm,
-                assume_unique: q.assume_unique,
-                spec: q.spec,
-                deadline: q.deadline_ms.map(std::time::Duration::from_millis),
-                profile: q.profile,
-                distribute: q.distribute,
-                restricted_divisor: q.restricted,
-                mem_budget: q.mem_budget.map(|b| b as usize),
-            };
-            service.divide(&q.dividend, &q.divisor, &options).map(|r| {
+        } => service
+            .check_epoch(epoch)
+            .and_then(|()| service.divide(&q))
+            .map(|r| {
                 Reply::PartialQuotient(PartialQuotientReply {
                     tag,
                     algorithm: r.algorithm,
@@ -288,26 +254,8 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
                     tuples: r.tuples.as_ref().clone(),
                     profile: r.profile,
                 })
-            })
-        }),
-        Request::ExecPlan(p) => {
-            let options = PlanOptions {
-                deadline: p.deadline_ms.map(std::time::Duration::from_millis),
-                profile: p.profile,
-            };
-            service.exec_plan(&p.plan, &options).map(|r| {
-                Reply::Plan(PlanReply {
-                    algorithms: r.algorithms,
-                    cached: r.cached,
-                    micros: r.micros,
-                    ops: r.ops,
-                    relations: r.relations,
-                    schema: r.schema,
-                    tuples: r.tuples,
-                    profile: r.profile,
-                })
-            })
-        }
+            }),
+        Request::ExecPlan(p) => service.exec_plan(&p).map(Reply::Plan),
         Request::Stats => Ok(Reply::Stats(service.stats())),
         // Heartbeats bypass the worker queue entirely (this dispatch runs
         // on the connection thread), so a node with a wedged pool still

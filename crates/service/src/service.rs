@@ -1,19 +1,23 @@
 //! The query service: catalog + worker pool + admission control +
 //! result cache + metrics, behind one embeddable handle.
 //!
-//! Life of a query (`Service::divide`):
+//! Life of a query — there is one path, and every query is a plan:
+//! [`Service::exec_plan`] parses its text, [`Service::divide`] builds the
+//! one-operator `(divide ... (scan R) (scan S))` plan its request spells,
+//! and both continue identically:
 //!
-//! 1. pin the current catalog versions of both relations,
-//! 2. resolve the column spec and (if `auto`) the algorithm via the
-//!    cost model's [`Algorithm::recommend`],
-//! 3. look up the result cache — the key embeds the pinned versions, so
-//!    hits are exact by construction,
-//! 4. on a miss, `try_send` the job into the **bounded** submission
-//!    queue: a full queue means the request is rejected *now* with
-//!    [`ServiceError::Overloaded`] instead of queueing without bound
-//!    (admission control),
+//! 1. refuse a request that is dead on arrival (shutting down, deadline
+//!    already elapsed),
+//! 2. pin the current catalog version of every relation the plan reads,
+//! 3. look up the result cache — the key is the canonical plan text plus
+//!    the pinned versions, so hits are exact by construction,
+//! 4. on a miss, bind the plan against the pins and `try_send` the job
+//!    into the **bounded** submission queue: a full queue means the
+//!    request is rejected *now* with [`ServiceError::Overloaded`] instead
+//!    of queueing without bound (admission control),
 //! 5. block on the private reply channel; a worker thread executes the
-//!    division over its own storage manager and replies,
+//!    plan over its own storage manager — each division's algorithm
+//!    chosen by the cost model unless the plan pins one — and replies,
 //! 6. record latency and counters, install the result in the cache.
 //!
 //! [`Service::shutdown`] first flips the accept flag (new queries get
@@ -28,22 +32,21 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
-use reldiv_core::api::validate_algorithm_for_inputs;
-use reldiv_core::hash_division::HashDivisionMode;
-use reldiv_core::{Algorithm, DivisionSpec, QueryProfile};
+use reldiv_core::{QueryProfile, SpanKind};
 use reldiv_parallel::filter::BitVectorFilter;
 use reldiv_parallel::{route, Distribution};
+use reldiv_plan::{AlgorithmHint, ColRef, DivideHints, Plan, Tri};
 use reldiv_rel::counters::OpSnapshot;
 use reldiv_rel::{Relation, Schema, Tuple};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::FaultPlan;
 
-use crate::cache::{CacheKey, CachedPlan, CachedResult, PlanCache, PlanCacheKey, ResultCache};
+use crate::cache::{PlanCache, PlanCacheKey};
 use crate::catalog::{Catalog, RelationVersion};
 use crate::error::{Result, ServiceError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::proto::{self, algorithm_code};
-use crate::worker::{worker_loop, Job, PlanJob, QueryJob};
+use crate::proto::{self, DivideReply, DivideRequest, ExecPlanRequest, PlanReply};
+use crate::worker::{worker_loop, Job, MACHINE_ALGORITHM};
 
 /// Sizing knobs for a [`Service`].
 #[derive(Debug, Clone)]
@@ -65,9 +68,9 @@ pub struct ServiceConfig {
     /// simulated disks. `None` runs fault-free. Used by the chaos harness
     /// and soak tests.
     pub storage_faults: Option<FaultPlan>,
-    /// Chaos-testing hook: queries whose *dividend* has this catalog name
-    /// panic inside the worker, demonstrating panic isolation. `None`
-    /// (the default) disables the fail point.
+    /// Chaos-testing hook: queries that read this catalog name panic
+    /// inside the worker, demonstrating panic isolation. `None` (the
+    /// default) disables the fail point.
     pub fail_point_relation: Option<String>,
 }
 
@@ -83,52 +86,6 @@ impl Default for ServiceConfig {
             fail_point_relation: None,
         }
     }
-}
-
-/// How a query should run: the per-request options of
-/// [`Service::divide`].
-#[derive(Debug, Clone, Default)]
-pub struct QueryOptions {
-    /// Explicit algorithm; `None` asks the cost model to choose.
-    pub algorithm: Option<Algorithm>,
-    /// Declare both inputs duplicate-free (skips the duplicate
-    /// elimination the aggregate algorithms otherwise plan).
-    pub assume_unique: bool,
-    /// Explicit `(divisor_keys, quotient_keys)`; `None` uses the
-    /// trailing-divisor convention.
-    pub spec: Option<(Vec<usize>, Vec<usize>)>,
-    /// Per-query deadline, overriding the service's
-    /// [`default_deadline`](ServiceConfig::default_deadline). The division
-    /// is cancelled cooperatively once it elapses and the query fails
-    /// with [`ServiceError::DeadlineExceeded`].
-    pub deadline: Option<Duration>,
-    /// Profile the query (`EXPLAIN ANALYZE`): the worker attaches a
-    /// per-operator span tree to [`QueryResponse::profile`]. Cache hits
-    /// execute nothing and therefore carry no profile.
-    pub profile: bool,
-    /// Run the division over the in-process parallel machine (Section 6
-    /// strategy, node count, optional bit-vector filter) instead of a
-    /// single operator. Forces the algorithm to hash division — the
-    /// parallel machine implements nothing else — so an explicit
-    /// conflicting `algorithm` is a [`ServiceError::BadRequest`].
-    pub distribute: Option<Distribution>,
-    /// Client assertion about the restricted-divisor property. `None`
-    /// keeps the conservative default (`true`: dividend tuples may
-    /// reference values outside the divisor, so the aggregation plans
-    /// must join). `Some(false)` promises referential integrity,
-    /// unlocking the cheaper no-join aggregation plans — but the service
-    /// honors the promise only while no storage fault injection is
-    /// active: a fault-recovered relation may have dropped divisor
-    /// tuples, which would make the no-join plans silently wrong.
-    pub restricted_divisor: Option<bool>,
-    /// Per-query memory budget in bytes for the division's working
-    /// state. When set, the worker charges the query against a child
-    /// pool capped at this value on top of its shared pool, so a heavy
-    /// division degrades adaptively (spilling partitions to disk)
-    /// instead of starving concurrent queries. The quotient is identical
-    /// either way — only the execution strategy changes — which is why
-    /// budgeted and unbudgeted runs share cache entries.
-    pub mem_budget: Option<usize>,
 }
 
 /// The cluster membership view a coordinator pushes onto a node: the
@@ -158,76 +115,10 @@ pub struct ShardInfo {
     pub shard_keys: Vec<usize>,
 }
 
-/// A served quotient with its provenance.
-#[derive(Debug, Clone)]
-pub struct QueryResponse {
-    /// Quotient schema.
-    pub schema: Schema,
-    /// Quotient tuples (shared with the cache).
-    pub tuples: Arc<Vec<Tuple>>,
-    /// The algorithm that ran (the resolved choice under `auto`).
-    pub algorithm: Algorithm,
-    /// Whether the quotient came from the result cache.
-    pub cached: bool,
-    /// Dividend version the quotient was computed from.
-    pub dividend_version: u64,
-    /// Divisor version the quotient was computed from.
-    pub divisor_version: u64,
-    /// Abstract operations this execution performed (zero when cached).
-    pub ops: OpSnapshot,
-    /// End-to-end latency in microseconds: admission through reply,
-    /// queue wait included. Stamped exactly once by [`Service::divide`]
-    /// — the same value it records into the latency histogram, so the
-    /// histogram and the responses can never disagree.
-    pub micros: u64,
-    /// The per-operator span tree, when the query asked for one and the
-    /// quotient was actually computed (cache hits execute nothing).
-    pub profile: Option<QueryProfile>,
-}
-
-/// How a plan should run: the per-request options of
-/// [`Service::exec_plan`].
-#[derive(Debug, Clone, Default)]
-pub struct PlanOptions {
-    /// Per-query deadline, overriding the service's
-    /// [`default_deadline`](ServiceConfig::default_deadline).
-    pub deadline: Option<Duration>,
-    /// Profile the plan (`EXPLAIN ANALYZE`): the worker attaches a span
-    /// tree covering every operator to [`PlanResponse::profile`]. Cache
-    /// hits execute nothing and therefore carry no profile.
-    pub profile: bool,
-}
-
-/// A served plan result with its provenance.
-#[derive(Debug, Clone)]
-pub struct PlanResponse {
-    /// Result schema.
-    pub schema: Schema,
-    /// Result tuples (shared with the plan cache).
-    pub tuples: Arc<Vec<Tuple>>,
-    /// The algorithm each division in the plan ran with, in execution
-    /// order (empty for plans without a division).
-    pub algorithms: Vec<Algorithm>,
-    /// Whether the result came from the plan cache.
-    pub cached: bool,
-    /// The catalog relations the plan read and the versions it was
-    /// pinned to, sorted by name.
-    pub relations: Vec<(String, u64)>,
-    /// Abstract operations this execution performed (zero when cached).
-    pub ops: OpSnapshot,
-    /// End-to-end latency in microseconds, queue wait included; stamped
-    /// once by [`Service::exec_plan`], like [`QueryResponse::micros`].
-    pub micros: u64,
-    /// The whole-plan span tree, when the request asked for one and the
-    /// plan was actually executed (cache hits execute nothing).
-    pub profile: Option<QueryProfile>,
-}
-
 /// The embeddable division query service.
 pub struct Service {
     catalog: Catalog,
-    cache: ResultCache,
-    plan_cache: PlanCache,
+    cache: PlanCache,
     metrics: Arc<ServiceMetrics>,
     queue: Mutex<Option<Sender<Job>>>,
     accepting: AtomicBool,
@@ -239,9 +130,11 @@ pub struct Service {
     /// Leaked so [`CancelToken`](reldiv_exec::CancelToken) stays `Copy`;
     /// one `AtomicBool` per service lifetime.
     abort_flag: &'static AtomicBool,
-    /// Whether storage fault injection is active — if so, client
-    /// restricted-divisor assertions are ignored (see
-    /// [`QueryOptions::restricted_divisor`]).
+    /// Whether storage fault injection is active — if so,
+    /// restricted-divisor assertions ([`DivideRequest::restricted`], a
+    /// plan's `(restricted no)` hint) are ignored: a fault-recovered
+    /// relation may have dropped divisor tuples, which would make the
+    /// no-join aggregation plans they unlock silently wrong.
     faulty: bool,
 }
 
@@ -278,8 +171,7 @@ impl Service {
         }
         Ok(Arc::new(Service {
             catalog: Catalog::new(),
-            cache: ResultCache::new(config.cache_capacity),
-            plan_cache: PlanCache::new(config.cache_capacity),
+            cache: PlanCache::new(config.cache_capacity),
             metrics,
             queue: Mutex::new(Some(tx)),
             accepting: AtomicBool::new(true),
@@ -352,7 +244,6 @@ impl Service {
         let version = self.catalog.register(name, relation);
         self.shards.lock().insert(name.to_owned(), info);
         self.cache.invalidate_relation(name);
-        self.plan_cache.invalidate_relation(name);
         Ok(version)
     }
 
@@ -361,7 +252,6 @@ impl Service {
     fn forget(&self, name: &str) {
         self.shards.lock().remove(name);
         self.cache.invalidate_relation(name);
-        self.plan_cache.invalidate_relation(name);
     }
 
     /// The shard coordinates of `name`, when it was installed via
@@ -507,29 +397,99 @@ impl Service {
     }
 
     /// Runs `dividend ÷ divisor`, blocking until the quotient is ready,
-    /// the request is rejected, or the query fails.
-    pub fn divide(
-        &self,
-        dividend: &str,
-        divisor: &str,
-        options: &QueryOptions,
-    ) -> Result<QueryResponse> {
-        let start = Instant::now();
-        match self.divide_inner(dividend, divisor, options, start) {
-            Ok(mut response) => {
-                // End-to-end latency is defined *here*, once: admission
-                // through reply, queue wait included. The same value is
-                // stamped on the response and recorded in the histogram —
-                // workers and the cache path deliberately do not record
-                // latency, so each query contributes exactly one sample.
-                response.micros = self.record_success(start, response.profile.is_some());
-                Ok(response)
+    /// the request is rejected, or the query fails. A `Divide` request
+    /// *is* a one-operator plan — [`division_plan`](Self::division_plan)
+    /// spells it — and runs exactly as [`Service::exec_plan`] runs that
+    /// plan's text; only `mem_budget` and `distribute`, which plan text
+    /// cannot express, travel beside it.
+    pub fn divide(&self, request: &DivideRequest) -> Result<DivideReply> {
+        let reply = self.run(
+            request.deadline_ms,
+            request.profile,
+            request.mem_budget.map(|b| b as usize),
+            request.distribute,
+            || self.division_plan(request),
+        )?;
+        let version = |name: &str| {
+            let pin = reply.relations.iter().find(|(n, _)| n == name);
+            pin.expect("a division plan pins both its relations").1
+        };
+        let algorithm = reply.algorithms.first();
+        Ok(DivideReply {
+            algorithm: *algorithm.expect("a division plan runs one division"),
+            cached: reply.cached,
+            dividend_version: version(&request.dividend),
+            divisor_version: version(&request.divisor),
+            micros: reply.micros,
+            ops: reply.ops,
+            schema: reply.schema,
+            tuples: reply.tuples,
+            profile: reply.profile.map(division_span),
+        })
+    }
+
+    /// The plan a `Divide` request spells: `(divide (on #dk…) (quotient
+    /// #qk…) [(algorithm a)] [(restricted yes|no)] (unique yes|no) (scan R)
+    /// (scan S))`. Built as a syntax tree, never through text — catalog
+    /// names need not be plan identifiers.
+    fn division_plan(&self, request: &DivideRequest) -> Result<Plan> {
+        let algorithm = match request.distribute {
+            None => request.algorithm,
+            Some(dist) => {
+                if dist.nodes == 0 || dist.nodes > proto::MAX_CLUSTER_NODES {
+                    return Err(ServiceError::BadRequest(format!(
+                        "distributed node count {} out of range",
+                        dist.nodes
+                    )));
+                }
+                // The parallel machine runs hash division on every node;
+                // an explicit conflicting algorithm is unsatisfiable.
+                match request.algorithm {
+                    Some(alg) if alg != MACHINE_ALGORITHM => {
+                        return Err(ServiceError::BadRequest(format!(
+                            "distributed execution implements hash division only, not {alg:?}"
+                        )))
+                    }
+                    _ => Some(MACHINE_ALGORITHM),
+                }
             }
-            Err(e) => {
-                self.record_failure(&e);
-                Err(e)
+        };
+        let (on, quotient) = match &request.spec {
+            Some(spec) => spec.clone(),
+            None => {
+                // The trailing-divisor convention: the dividend's last
+                // |S| columns are the divisor attributes.
+                let n = self.catalog.get(&request.dividend)?.schema.arity();
+                let d = self.catalog.get(&request.divisor)?.schema.arity();
+                let q = n.saturating_sub(d);
+                ((q..n).collect(), (0..q).collect())
             }
-        }
+        };
+        let columns = |keys: Vec<usize>| keys.into_iter().map(ColRef::Index).collect();
+        let scan = |name: &str| {
+            Box::new(Plan::Scan {
+                relation: name.to_owned(),
+            })
+        };
+        Ok(Plan::Divide {
+            on: columns(on),
+            quotient: Some(columns(quotient)),
+            hints: DivideHints {
+                algorithm: algorithm.map_or(AlgorithmHint::Auto, AlgorithmHint::from),
+                restricted: match request.restricted {
+                    None => Tri::Auto,
+                    Some(true) => Tri::Yes,
+                    Some(false) => Tri::No,
+                },
+                unique: if request.assume_unique {
+                    Tri::Yes
+                } else {
+                    Tri::No
+                },
+            },
+            dividend: scan(&request.dividend),
+            divisor: scan(&request.divisor),
+        })
     }
 
     /// Counts a failed query into the metric its error class owns.
@@ -550,10 +510,8 @@ impl Service {
         }
     }
 
-    /// Stamps a successful query into the shared latency/throughput
-    /// metrics and onto the response — exactly once per query, queue wait
-    /// included, shared by [`Service::divide`] and
-    /// [`Service::exec_plan`].
+    /// Stamps a successful query into the latency/throughput metrics;
+    /// returns the latency to stamp on the reply.
     fn record_success(&self, start: Instant, profiled: bool) -> u64 {
         let micros = start.elapsed().as_micros() as u64;
         self.metrics.queries.fetch_add(1, Ordering::Relaxed);
@@ -566,134 +524,46 @@ impl Service {
         micros
     }
 
-    fn divide_inner(
-        &self,
-        dividend: &str,
-        divisor: &str,
-        options: &QueryOptions,
-        start: Instant,
-    ) -> Result<QueryResponse> {
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let deadline = options
-            .deadline
-            .or(self.default_deadline)
-            .map(|d| start + d);
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            // A dead-on-arrival deadline is refused before any work — a
-            // cache hit must not resurrect a query the client already
-            // considers failed.
-            return Err(ServiceError::DeadlineExceeded);
-        }
-        let dividend = self.catalog.get(dividend)?;
-        let divisor = self.catalog.get(divisor)?;
-        let spec = self.resolve_spec(&dividend, &divisor, options)?;
-        let algorithm = match options.distribute {
-            None => self.resolve_algorithm(&dividend, &divisor, &spec, options),
-            Some(dist) => {
-                // The parallel machine runs hash division on every node;
-                // an explicit conflicting algorithm is unsatisfiable.
-                if dist.nodes == 0 || dist.nodes > crate::proto::MAX_CLUSTER_NODES {
-                    return Err(ServiceError::BadRequest(format!(
-                        "distributed node count {} out of range",
-                        dist.nodes
-                    )));
-                }
-                let forced = Algorithm::HashDivision {
-                    mode: HashDivisionMode::Standard,
-                };
-                match options.algorithm {
-                    None => forced,
-                    Some(alg) if alg == forced => forced,
-                    Some(alg) => {
-                        return Err(ServiceError::BadRequest(format!(
-                            "distributed execution implements hash division only, not {alg:?}"
-                        )))
-                    }
-                }
-            }
-        };
-        validate_algorithm_for_inputs(algorithm, options.assume_unique)
-            .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-
-        let key = CacheKey {
-            dividend: (dividend.name.clone(), dividend.version),
-            divisor: (divisor.name.clone(), divisor.version),
-            divisor_keys: spec.divisor_keys.clone(),
-            quotient_keys: spec.quotient_keys.clone(),
-            algorithm: algorithm_code(algorithm),
-            assume_unique: options.assume_unique,
-        };
-        if let Some(hit) = self.cache.get(&key) {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(QueryResponse {
-                schema: hit.schema.clone(),
-                tuples: hit.tuples.clone(),
-                algorithm,
-                cached: true,
-                dividend_version: dividend.version,
-                divisor_version: divisor.version,
-                ops: OpSnapshot::default(),
-                // Placeholder: `divide` stamps the end-to-end latency.
-                micros: 0,
-                profile: None,
-            });
-        }
-        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-
-        let (reply_tx, reply_rx) = bounded(1);
-        let job = QueryJob {
-            dividend,
-            divisor,
-            spec,
-            algorithm,
-            assume_unique: options.assume_unique,
-            deadline,
-            profile: options.profile,
-            distribute: options.distribute,
-            mem_budget: options.mem_budget,
-            reply: reply_tx,
-        };
-        {
-            let queue = self.queue.lock();
-            let Some(tx) = queue.as_ref() else {
-                return Err(ServiceError::ShuttingDown);
-            };
-            match tx.try_send(Job::Divide(job)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => return Err(ServiceError::Overloaded),
-                Err(TrySendError::Disconnected(_)) => return Err(ServiceError::ShuttingDown),
-            }
-        }
-        let response = reply_rx
-            .recv()
-            .map_err(|_| ServiceError::Internal("worker exited before replying".into()))??;
-        self.cache.insert(
-            key,
-            Arc::new(CachedResult {
-                schema: response.schema.clone(),
-                tuples: response.tuples.clone(),
-                ops: response.ops,
-            }),
-        );
-        Ok(response)
-    }
-
     /// Parses, validates, and executes a composed query plan (the
     /// s-expression language of `reldiv-plan`), blocking until the
     /// result is ready, the request is rejected, or the plan fails.
+    pub fn exec_plan(&self, request: &ExecPlanRequest) -> Result<PlanReply> {
+        self.run(request.deadline_ms, request.profile, None, None, || {
+            let text = &request.plan;
+            if text.len() > proto::MAX_PLAN_WIRE {
+                return Err(ServiceError::BadRequest(format!(
+                    "plan text of {} bytes exceeds the {} byte limit",
+                    text.len(),
+                    proto::MAX_PLAN_WIRE
+                )));
+            }
+            reldiv_plan::parse(text).map_err(|e| ServiceError::BadRequest(e.to_string()))
+        })
+    }
+
+    /// The one query path; `plan` yields the admitted request's plan.
     ///
-    /// Every relation the plan reads is pinned at its current catalog
-    /// version before binding, so a plan and a concurrent update never
-    /// race; the plan cache keys on the canonical plan text plus those
-    /// exact pins.
-    pub fn exec_plan(&self, text: &str, options: &PlanOptions) -> Result<PlanResponse> {
+    /// End-to-end latency is defined *here*, once: admission through
+    /// reply, queue wait included. The same value is stamped on the reply
+    /// and recorded in the histogram — workers and the cache path
+    /// deliberately do not record latency, so each query contributes
+    /// exactly one sample.
+    fn run(
+        &self,
+        deadline_ms: Option<u64>,
+        profile: bool,
+        mem_budget: Option<usize>,
+        distribute: Option<Distribution>,
+        plan: impl FnOnce() -> Result<Plan>,
+    ) -> Result<PlanReply> {
         let start = Instant::now();
-        match self.exec_plan_inner(text, options, start) {
-            Ok(mut response) => {
-                response.micros = self.record_success(start, response.profile.is_some());
-                Ok(response)
+        let outcome = self.admit(start, deadline_ms).and_then(|deadline| {
+            self.run_admitted(&plan()?, deadline, profile, mem_budget, distribute)
+        });
+        match outcome {
+            Ok(mut reply) => {
+                reply.micros = self.record_success(start, reply.profile.is_some());
+                Ok(reply)
             }
             Err(e) => {
                 self.record_failure(&e);
@@ -702,68 +572,64 @@ impl Service {
         }
     }
 
-    fn exec_plan_inner(
-        &self,
-        text: &str,
-        options: &PlanOptions,
-        start: Instant,
-    ) -> Result<PlanResponse> {
+    /// Refuses a request that is dead on arrival; otherwise resolves its
+    /// deadline.
+    fn admit(&self, start: Instant, deadline_ms: Option<u64>) -> Result<Option<Instant>> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
-        let deadline = options
-            .deadline
+        let deadline = deadline_ms
+            .map(Duration::from_millis)
             .or(self.default_deadline)
             .map(|d| start + d);
         if deadline.is_some_and(|d| Instant::now() >= d) {
+            // Refused before any work — a cache hit must not resurrect a
+            // query the client already considers failed.
             return Err(ServiceError::DeadlineExceeded);
         }
-        if text.len() > crate::proto::MAX_PLAN_WIRE {
-            return Err(ServiceError::BadRequest(format!(
-                "plan text of {} bytes exceeds the {} byte limit",
-                text.len(),
-                crate::proto::MAX_PLAN_WIRE
-            )));
-        }
-        let plan = reldiv_plan::parse(text).map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-        // Pin every relation the plan reads at its current version
-        // (`Plan::relations` is sorted, so the pins — and the cache key
-        // built from them — are canonical).
-        let mut pinned = Vec::new();
-        for name in plan.relations() {
-            pinned.push(self.catalog.get(&name)?);
-        }
-        let bound = reldiv_plan::bind(&plan, &PinnedCatalog(&pinned))
-            .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
+        Ok(deadline)
+    }
+
+    fn run_admitted(
+        &self,
+        plan: &Plan,
+        deadline: Option<Instant>,
+        profile: bool,
+        mem_budget: Option<usize>,
+        distribute: Option<Distribution>,
+    ) -> Result<PlanReply> {
+        // Pin every relation the plan reads at its current version, so a
+        // plan and a concurrent update never race (`Plan::relations` is
+        // sorted, so the pins — and the cache key built from them — are
+        // canonical).
+        let pinned = plan
+            .relations()
+            .iter()
+            .map(|name| self.catalog.get(name))
+            .collect::<Result<Vec<_>>>()?;
         let key = PlanCacheKey {
             text: plan.print(),
             pins: pinned.iter().map(|r| (r.name.clone(), r.version)).collect(),
         };
-        if let Some(hit) = self.plan_cache.get(&key) {
+        // Looked up before binding: a hit proves this text was bound
+        // against exactly these versions.
+        if let Some(hit) = self.cache.get(&key) {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(PlanResponse {
-                schema: hit.schema.clone(),
-                tuples: hit.tuples.clone(),
-                algorithms: hit.algorithms.clone(),
-                cached: true,
-                relations: key.pins.clone(),
-                ops: OpSnapshot::default(),
-                // Placeholder: `exec_plan` stamps the end-to-end latency.
-                micros: 0,
-                profile: None,
-            });
+            return Ok((*hit).clone());
         }
         self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let bound = reldiv_plan::bind(plan, &PinnedCatalog(&pinned))
+            .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
 
         let (reply_tx, reply_rx) = bounded(1);
-        let job = PlanJob {
+        let job = Job {
             bound,
             pinned,
             deadline,
-            profile: options.profile,
-            // Under fault injection a `(restricted no)` plan hint is
-            // ignored, for the same reason client divide assertions are.
+            profile,
             honor_hints: !self.faulty,
+            mem_budget,
+            distribute,
             reply: reply_tx,
         };
         {
@@ -771,80 +637,26 @@ impl Service {
             let Some(tx) = queue.as_ref() else {
                 return Err(ServiceError::ShuttingDown);
             };
-            match tx.try_send(Job::Plan(job)) {
+            match tx.try_send(job) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => return Err(ServiceError::Overloaded),
                 Err(TrySendError::Disconnected(_)) => return Err(ServiceError::ShuttingDown),
             }
         }
-        let response = reply_rx
+        let reply = reply_rx
             .recv()
             .map_err(|_| ServiceError::Internal("worker exited before replying".into()))??;
-        self.plan_cache.insert(
+        // What a hit serves: the same result, nothing executed.
+        self.cache.insert(
             key,
-            Arc::new(CachedPlan {
-                schema: response.schema.clone(),
-                tuples: response.tuples.clone(),
-                algorithms: response.algorithms.clone(),
-                ops: response.ops,
+            Arc::new(PlanReply {
+                cached: true,
+                ops: OpSnapshot::default(),
+                profile: None,
+                ..reply.clone()
             }),
         );
-        Ok(response)
-    }
-
-    fn resolve_spec(
-        &self,
-        dividend: &RelationVersion,
-        divisor: &RelationVersion,
-        options: &QueryOptions,
-    ) -> Result<DivisionSpec> {
-        match &options.spec {
-            Some((divisor_keys, quotient_keys)) => DivisionSpec::new(
-                &dividend.schema,
-                &divisor.schema,
-                divisor_keys.clone(),
-                quotient_keys.clone(),
-            ),
-            None => DivisionSpec::trailing_divisor(&dividend.schema, &divisor.schema),
-        }
-        .map_err(|e| ServiceError::BadRequest(e.to_string()))
-    }
-
-    fn resolve_algorithm(
-        &self,
-        dividend: &RelationVersion,
-        divisor: &RelationVersion,
-        spec: &DivisionSpec,
-        options: &QueryOptions,
-    ) -> Algorithm {
-        if let Some(alg) = options.algorithm {
-            return alg;
-        }
-        // The paper's planner wants the quotient size; estimate it as the
-        // dividend's group count upper bound |R| / max(1, |S|).
-        let dividend_size = dividend.cardinality() as u64;
-        let divisor_size = divisor.cardinality() as u64;
-        let quotient_estimate = dividend_size / divisor_size.max(1);
-        let _ = spec;
-        // Default `restricted_divisor: true` — client relations carry no
-        // referential-integrity guarantee, and the no-join aggregation
-        // plans silently return a wrong quotient when dividend tuples
-        // reference values outside the divisor. Exactness beats the
-        // semi-join's cost. A client may assert integrity per query
-        // (`Some(false)`), but the assertion is ignored while fault
-        // injection is active: a fault-recovered relation may have lost
-        // divisor tuples the dividend still references.
-        let restricted = match options.restricted_divisor {
-            Some(claim) if !self.faulty => claim,
-            _ => true,
-        };
-        Algorithm::recommend(
-            divisor_size,
-            quotient_estimate.max(1),
-            Some(dividend_size),
-            restricted,
-            options.assume_unique,
-        )
+        Ok(reply)
     }
 
     /// Current counters.
@@ -852,14 +664,9 @@ impl Service {
         self.metrics.snapshot()
     }
 
-    /// Number of cached division results.
+    /// Number of cached results.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Number of cached plan results.
-    pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.len()
     }
 
     /// Whether the service still accepts work.
@@ -894,6 +701,23 @@ impl Service {
 impl Drop for Service {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The division's own span tree. A `Divide` reply's profile is rooted at
+/// `divide [<algorithm>]`, not at the one-operator plan wrapped around
+/// it; a distributed run's profile is the machine's and has no wrapper.
+fn division_span(profile: QueryProfile) -> QueryProfile {
+    let mut root = profile.root;
+    match root
+        .children
+        .iter()
+        .rposition(|c| c.kind == SpanKind::Query)
+    {
+        Some(divide) => QueryProfile {
+            root: root.children.swap_remove(divide),
+        },
+        None => QueryProfile { root },
     }
 }
 

@@ -34,53 +34,44 @@ use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
-use reldiv_core::api::{self, Source};
-use reldiv_core::{Algorithm, DivisionConfig, DivisionSpec};
+use reldiv_core::api::Source;
+use reldiv_core::hash_division::HashDivisionMode;
+use reldiv_core::{Algorithm, DivisionSpec};
 use reldiv_exec::scan::spool;
 use reldiv_exec::{CancelToken, ExecError};
-use reldiv_parallel::{parallel_divide, ClusterConfig, Distribution};
+use reldiv_parallel::{parallel_divide, ClusterConfig, Distribution, RunReport};
 use reldiv_rel::counters::OpScope;
-use reldiv_rel::{RecordCodec, Relation};
+use reldiv_rel::RecordCodec;
 use reldiv_storage::{FileId, StorageManager, StorageRef};
 
 use reldiv_exec::profile::ProfileSink;
-use reldiv_plan::{Bound, ExecOptions, PlanError, SourceProvider};
+use reldiv_plan::{Bound, BoundNode, ExecOptions, PlanError, PlanOutput, SourceProvider};
 
 use crate::catalog::RelationVersion;
 use crate::error::{Result, ServiceError};
 use crate::metrics::ServiceMetrics;
-use crate::service::{PlanResponse, QueryResponse, ServiceConfig};
+use crate::proto::PlanReply;
+use crate::service::ServiceConfig;
 
-/// Anything a worker can be asked to run.
-pub(crate) enum Job {
-    /// A single division (`Service::divide`).
-    Divide(QueryJob),
-    /// A composed plan (`Service::exec_plan`).
-    Plan(PlanJob),
-}
+/// The one algorithm the in-process parallel machine implements: every
+/// node runs hash division.
+pub(crate) const MACHINE_ALGORITHM: Algorithm = Algorithm::HashDivision {
+    mode: HashDivisionMode::Standard,
+};
 
-/// One admitted query, travelling from the front end to a worker.
-pub(crate) struct QueryJob {
-    pub dividend: Arc<RelationVersion>,
-    pub divisor: Arc<RelationVersion>,
-    pub spec: DivisionSpec,
-    pub algorithm: Algorithm,
-    pub assume_unique: bool,
-    pub deadline: Option<Instant>,
-    pub profile: bool,
-    pub distribute: Option<Distribution>,
-    pub mem_budget: Option<usize>,
-    pub reply: Sender<Result<QueryResponse>>,
-}
-
-/// One admitted plan, bound against the catalog versions it pinned.
-pub(crate) struct PlanJob {
+/// One admitted query — a plan bound against the catalog versions it
+/// pinned — travelling from the front end to a worker. `mem_budget` and
+/// `distribute` are the two `Divide` request fields plan text cannot
+/// spell.
+pub(crate) struct Job {
     pub bound: Bound,
     pub pinned: Vec<Arc<RelationVersion>>,
     pub deadline: Option<Instant>,
     pub profile: bool,
     pub honor_hints: bool,
-    pub reply: Sender<Result<PlanResponse>>,
+    pub mem_budget: Option<usize>,
+    pub distribute: Option<Distribution>,
+    pub reply: Sender<Result<PlanReply>>,
 }
 
 /// Worker-local state: a private storage manager plus the record files it
@@ -166,11 +157,11 @@ impl WorkerState {
         Ok(())
     }
 
-    fn execute(&mut self, job: &QueryJob, metrics: &ServiceMetrics) -> Result<QueryResponse> {
+    fn execute(&mut self, job: &Job, metrics: &ServiceMetrics) -> Result<PlanReply> {
         if let Some(fp) = &self.fail_point {
-            if *fp == job.dividend.name {
+            if job.pinned.iter().any(|r| r.name == *fp) {
                 // Chaos-testing hook: prove panic isolation end-to-end.
-                panic!("fail point hit: query on relation {fp:?}");
+                panic!("fail point hit: query reads relation {fp:?}");
             }
         }
         let cancel = match job.deadline {
@@ -189,16 +180,14 @@ impl WorkerState {
             // Killed while the job sat in the queue: refuse outright.
             return Err(ServiceError::ShuttingDown);
         }
-        if let Some(dist) = job.distribute {
-            return execute_distributed(job, dist, metrics);
-        }
-        let dividend = self.source_for(&job.dividend)?;
-        let divisor = self.source_for(&job.divisor)?;
-        let config = DivisionConfig {
-            assume_unique: job.assume_unique,
+        // A distributed run reports the machine's own profile instead.
+        let sink = (job.profile && job.distribute.is_none()).then(ProfileSink::new);
+        let opts = ExecOptions {
+            storage: self.storage.clone(),
             cancel,
+            profile: sink.clone(),
+            honor_restricted_hint: job.honor_hints,
             mem_budget: job.mem_budget,
-            ..DivisionConfig::default()
         };
         let retries_before = {
             let s = self.storage.borrow().buffer_stats();
@@ -209,105 +198,21 @@ impl WorkerState {
         // one request's counts never bleed into the next measurement. The
         // delta lands in the shared accumulator even on error.
         let scope = OpScope::with_sink(&metrics.ops);
-        let outcome = if job.profile {
-            api::divide_profiled(
-                &self.storage,
-                &dividend,
-                &divisor,
-                &job.spec,
-                job.algorithm,
-                &config,
-            )
-            .map(|(quotient, report, profile)| (quotient, report, Some(profile)))
-        } else {
-            api::divide_with_report(
-                &self.storage,
-                &dividend,
-                &divisor,
-                &job.spec,
-                job.algorithm,
-                &config,
-            )
-            .map(|(quotient, report)| (quotient, report, None))
-        };
-        let ops = scope.finish();
-        let retries_after = {
-            let s = self.storage.borrow().buffer_stats();
-            s.read_retries + s.write_retries
-        };
-        metrics.io_retries.fetch_add(
-            retries_after.saturating_sub(retries_before),
-            Ordering::Relaxed,
-        );
-        let (quotient, report, profile) = outcome?;
-        if report.degraded {
-            metrics.degraded_queries.fetch_add(1, Ordering::Relaxed);
-            metrics
-                .division_spill_bytes
-                .fetch_add(report.spill_bytes + report.respool_bytes, Ordering::Relaxed);
-        }
-        Ok(QueryResponse {
-            schema: quotient.schema().clone(),
-            tuples: Arc::new(quotient.into_tuples()),
-            algorithm: job.algorithm,
-            cached: false,
-            dividend_version: job.dividend.version,
-            divisor_version: job.divisor.version,
-            ops,
-            // Placeholder: the front end stamps the queue-inclusive
-            // end-to-end latency once, in `Service::divide` — a worker
-            // clock would stop before the reply-channel hop and disagree
-            // with the histogram.
-            micros: 0,
-            profile,
-        })
-    }
-
-    fn execute_plan(&mut self, job: &PlanJob, metrics: &ServiceMetrics) -> Result<PlanResponse> {
-        if let Some(fp) = &self.fail_point {
-            if job.pinned.iter().any(|r| r.name == *fp) {
-                panic!("fail point hit: plan reads relation {fp:?}");
-            }
-        }
-        let cancel = match job.deadline {
-            Some(deadline) => {
-                if Instant::now() >= deadline {
-                    return Err(ServiceError::DeadlineExceeded);
-                }
-                CancelToken::at(deadline)
-            }
-            None => CancelToken::none(),
-        }
-        .with_abort(self.abort);
-        if self.abort.load(Ordering::Relaxed) {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let sink = job.profile.then(ProfileSink::new);
-        let opts = ExecOptions {
-            storage: self.storage.clone(),
-            cancel,
-            profile: sink.clone(),
-            honor_restricted_hint: job.honor_hints,
-            // Plans run against the worker's shared pool; the per-query
-            // budget is a Divide-request feature for now.
-            mem_budget: None,
-            exec: reldiv_plan::ExecMode::Batch,
-        };
-        let retries_before = {
-            let s = self.storage.borrow().buffer_stats();
-            s.read_retries + s.write_retries
-        };
-        let scope = OpScope::with_sink(&metrics.ops);
         let (outcome, storage_failure) = {
             let mut provider = PinnedSources {
                 state: self,
                 pinned: &job.pinned,
                 failure: None,
             };
-            let outcome = reldiv_plan::execute(&job.bound, &mut provider, &opts);
+            let outcome = match job.distribute {
+                None => reldiv_plan::execute(&job.bound, &mut provider, &opts)
+                    .map(|output| (output, None)),
+                Some(dist) => execute_distributed(&job.bound, dist, &mut provider, &opts)
+                    .map(|(output, report)| (output, Some(report))),
+            };
             (outcome, provider.failure)
         };
-        let ops = scope.finish();
+        let mut ops = scope.finish();
         let retries_after = {
             let s = self.storage.borrow().buffer_stats();
             s.read_retries + s.write_retries
@@ -321,7 +226,7 @@ impl WorkerState {
             // error it returned in its place is just the unwinding vehicle.
             return Err(e);
         }
-        let output = outcome.map_err(plan_error)?;
+        let (output, machine) = outcome.map_err(plan_error)?;
         let degraded = output.choices.iter().filter(|c| c.report.degraded).count() as u64;
         if degraded > 0 {
             metrics
@@ -336,11 +241,22 @@ impl WorkerState {
                 Ordering::Relaxed,
             );
         }
+        let mut algorithms: Vec<Algorithm> = output.choices.iter().map(|c| c.algorithm).collect();
+        let mut profile = sink.map(|s| s.finish());
+        if let Some(report) = machine {
+            algorithms.push(MACHINE_ALGORITHM);
+            // Node work ran on the machine's own threads, outside this
+            // thread's scope: fold its totals in so distributed and
+            // single-operator queries aggregate identically.
+            metrics.ops.add(&report.total_ops);
+            ops = ops.merge(&report.total_ops);
+            profile = job.profile.then(|| report.to_profile());
+        }
         let schema = output.relation.schema().clone();
-        Ok(PlanResponse {
+        Ok(PlanReply {
             schema,
             tuples: Arc::new(output.relation.into_tuples()),
-            algorithms: output.choices.iter().map(|c| c.algorithm).collect(),
+            algorithms,
             cached: false,
             relations: job
                 .pinned
@@ -348,10 +264,11 @@ impl WorkerState {
                 .map(|r| (r.name.clone(), r.version))
                 .collect(),
             ops,
-            // Placeholder, as for divisions: `Service::exec_plan` stamps
-            // the queue-inclusive end-to-end latency.
+            // Placeholder: the front end stamps the queue-inclusive
+            // end-to-end latency once — a worker clock would stop before
+            // the reply-channel hop and disagree with the histogram.
             micros: 0,
-            profile: sink.map(|s| s.finish()),
+            profile,
         })
     }
 }
@@ -390,47 +307,41 @@ fn plan_error(e: PlanError) -> ServiceError {
     }
 }
 
-/// Runs a query over the in-process parallel machine (Section 6):
-/// distribution and collection happen on this worker thread, node work on
-/// the machine's own threads. The inputs are served straight from the
-/// pinned catalog tuples — no worker-local record files are involved —
-/// and the per-node operation totals land in the shared metrics sink so
-/// distributed and single-operator queries aggregate identically.
+/// Runs a division over the in-process parallel machine (Section 6):
+/// this worker evaluates the division's two inputs, distribution and
+/// collection happen on this worker thread, node work on the machine's
+/// own threads.
 fn execute_distributed(
-    job: &QueryJob,
+    bound: &Bound,
     dist: Distribution,
-    metrics: &ServiceMetrics,
-) -> Result<QueryResponse> {
-    let dividend = Relation::from_tuples(
-        job.dividend.schema.clone(),
-        job.dividend.tuples.as_ref().clone(),
-    )
-    .map_err(|e| ServiceError::BadRequest(format!("dividend violates schema: {e}")))?;
-    let divisor = Relation::from_tuples(
-        job.divisor.schema.clone(),
-        job.divisor.tuples.as_ref().clone(),
-    )
-    .map_err(|e| ServiceError::BadRequest(format!("divisor violates schema: {e}")))?;
+    provider: &mut PinnedSources<'_>,
+    opts: &ExecOptions,
+) -> reldiv_plan::Result<(PlanOutput, RunReport)> {
+    let BoundNode::Divide(d) = &bound.node else {
+        return Err(PlanError::Validate(
+            "distributed execution needs a division at the plan root".into(),
+        ));
+    };
+    let dividend = reldiv_plan::execute(&d.dividend, provider, opts)?.relation;
+    let divisor = reldiv_plan::execute(&d.divisor, provider, opts)?.relation;
+    let spec = DivisionSpec::new(
+        dividend.schema(),
+        divisor.schema(),
+        d.divisor_keys.clone(),
+        d.quotient_keys.clone(),
+    )?;
     let config = ClusterConfig {
         nodes: dist.nodes,
         strategy: dist.strategy,
         bit_vector_bits: dist.bit_vector_bits,
         ..ClusterConfig::default()
     };
-    let (quotient, report) = parallel_divide(&dividend, &divisor, &job.spec, &config)?;
-    metrics.ops.add(&report.total_ops);
-    let profile = job.profile.then(|| report.to_profile());
-    Ok(QueryResponse {
-        schema: quotient.schema().clone(),
-        tuples: Arc::new(quotient.into_tuples()),
-        algorithm: job.algorithm,
-        cached: false,
-        dividend_version: job.dividend.version,
-        divisor_version: job.divisor.version,
-        ops: report.total_ops,
-        micros: 0,
-        profile,
-    })
+    let (relation, report) = parallel_divide(&dividend, &divisor, &spec, &config)?;
+    let output = PlanOutput {
+        relation,
+        choices: Vec::new(),
+    };
+    Ok((output, report))
 }
 
 /// The worker main loop: drains the submission queue until every sender
@@ -457,24 +368,12 @@ pub(crate) fn worker_loop(
         )
     };
     for job in rx.iter() {
-        match job {
-            Job::Divide(job) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| state.execute(&job, &metrics)));
-                let result = match outcome {
-                    Ok(result) => result,
-                    Err(_) => Err(panicked(&mut state)),
-                };
-                let _ = job.reply.send(result);
-            }
-            Job::Plan(job) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| state.execute_plan(&job, &metrics)));
-                let result = match outcome {
-                    Ok(result) => result,
-                    Err(_) => Err(panicked(&mut state)),
-                };
-                let _ = job.reply.send(result);
-            }
-        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| state.execute(&job, &metrics)));
+        let result = match outcome {
+            Ok(result) => result,
+            Err(_) => Err(panicked(&mut state)),
+        };
+        let _ = job.reply.send(result);
     }
 }
 

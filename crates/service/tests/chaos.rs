@@ -7,6 +7,8 @@
 //! deadline-carrying queries racing the clock, **every completed reply is
 //! byte-identical to a brute-force oracle** and the process never dies.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -14,10 +16,12 @@ use std::time::Duration;
 
 use reldiv_core::{Algorithm, HashDivisionMode};
 use reldiv_rel::{RecordCodec, Relation, Tuple};
-use reldiv_service::{QueryOptions, Service, ServiceConfig, ServiceError};
+use reldiv_service::{DivideRequest, Service, ServiceConfig, ServiceError};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::FaultPlan;
 use reldiv_workload::{brute_force_divide, WorkloadSpec};
+
+use common::request;
 
 /// Algorithms exact for any input pair, including restricted divisors.
 const ALGORITHMS: [Algorithm; 4] = [
@@ -102,15 +106,14 @@ fn panicking_query_is_isolated_and_the_worker_is_replaced() {
     service.register("s", generate(1, false)).unwrap();
     service.register("bait", generate(2, true)).unwrap();
 
-    let options = QueryOptions::default();
     for round in 0..3 {
-        let err = service.divide("bait", "s", &options).unwrap_err();
+        let err = service.divide(&request("bait", "s")).unwrap_err();
         assert!(
             matches!(err, ServiceError::Internal(_)),
             "round {round}: {err}"
         );
         // The pool's only worker was rebuilt and still serves.
-        let ok = service.divide("r", "s", &options).unwrap();
+        let ok = service.divide(&request("r", "s")).unwrap();
         assert!(!ok.tuples.is_empty());
     }
     assert_eq!(service.stats().worker_panics, 3);
@@ -129,20 +132,20 @@ fn expired_deadlines_cancel_without_killing_the_service() {
     service.register("r", generate(3, true)).unwrap();
     service.register("s", generate(3, false)).unwrap();
 
-    let instant = QueryOptions {
-        deadline: Some(Duration::ZERO),
-        ..QueryOptions::default()
+    let instant = DivideRequest {
+        deadline_ms: Some(0),
+        ..request("r", "s")
     };
-    let err = service.divide("r", "s", &instant).unwrap_err();
+    let err = service.divide(&instant).unwrap_err();
     assert_eq!(err, ServiceError::DeadlineExceeded);
     assert_eq!(service.stats().timeouts, 1);
 
     // A sane deadline still completes.
-    let relaxed = QueryOptions {
-        deadline: Some(Duration::from_secs(30)),
-        ..QueryOptions::default()
+    let relaxed = DivideRequest {
+        deadline_ms: Some(30_000),
+        ..request("r", "s")
     };
-    assert!(service.divide("r", "s", &relaxed).is_ok());
+    assert!(service.divide(&relaxed).is_ok());
 }
 
 /// The soak: seeded transient disk faults on every worker, tiny buffer
@@ -219,7 +222,7 @@ fn chaos_soak_every_completed_reply_matches_the_oracle() {
                     let kind = draw(12);
                     // 1-in-12: poke the fail point.
                     if kind == 0 {
-                        match service.divide("bait", "s0", &QueryOptions::default()) {
+                        match service.divide(&request("bait", "s0")) {
                             Err(ServiceError::Internal(_)) => {
                                 panics_triggered.fetch_add(1, Ordering::Relaxed);
                             }
@@ -230,11 +233,11 @@ fn chaos_soak_every_completed_reply_matches_the_oracle() {
                     }
                     // 1-in-12: an already-expired deadline must cancel.
                     if kind == 1 {
-                        let opts = QueryOptions {
-                            deadline: Some(Duration::ZERO),
-                            ..QueryOptions::default()
+                        let expired = DivideRequest {
+                            deadline_ms: Some(0),
+                            ..request("r0", "s0")
                         };
-                        match service.divide("r0", "s0", &opts) {
+                        match service.divide(&expired) {
                             Err(ServiceError::DeadlineExceeded) => {}
                             Err(e) => panic!("expired deadline returned {e}"),
                             Ok(_) => panic!("expired deadline completed"),
@@ -243,11 +246,11 @@ fn chaos_soak_every_completed_reply_matches_the_oracle() {
                     }
                     let dividend = if draw(2) == 0 { "r0" } else { "r1" };
                     let divisor = if draw(2) == 0 { "s0" } else { "s1" };
-                    let options = QueryOptions {
+                    let query = DivideRequest {
                         algorithm: Some(ALGORITHMS[draw(ALGORITHMS.len() as u64) as usize]),
-                        ..QueryOptions::default()
+                        ..request(dividend, divisor)
                     };
-                    match service.divide(dividend, divisor, &options) {
+                    match service.divide(&query) {
                         Ok(reply) => {
                             let (dividend_rel, divisor_rel) = {
                                 let v = versions.lock().unwrap();
@@ -306,9 +309,13 @@ fn chaos_soak_every_completed_reply_matches_the_oracle() {
                 let names = ["r0", "r1", "s0", "s1"];
                 let name = names[(churn_seed >> 7) as usize % names.len()];
                 let rel = generate_big(churn_seed, name.starts_with('r'));
+                // Hold the oracle's lock across the register: a reply that
+                // pins the new version must find it recorded.
+                let mut versions = versions_u.lock().unwrap();
                 if let Ok(v) = service_ref.register(name, rel.clone()) {
-                    versions_u.lock().unwrap().insert(v, rel);
+                    versions.insert(v, rel);
                 }
+                drop(versions);
                 std::thread::sleep(Duration::from_millis(20));
             }
         });
@@ -339,7 +346,7 @@ fn chaos_soak_every_completed_reply_matches_the_oracle() {
     // The service survived all of it.
     assert!(service.is_accepting());
     let final_reply = service
-        .divide("r0", "s0", &QueryOptions::default())
+        .divide(&request("r0", "s0"))
         .expect("service still serves after the soak");
     assert!(!final_reply.schema.fields().is_empty());
 }

@@ -3,14 +3,17 @@
 //! drift), and `EXPLAIN ANALYZE` profiles travel from the worker through
 //! both transports.
 
+mod common;
+
 use reldiv_core::Algorithm;
 use reldiv_rel::Relation;
 use reldiv_service::{
-    DivideRequest, DivisionClient, InProcClient, QueryOptions, ServerHandle, Service,
-    ServiceConfig, TcpClient,
+    DivideRequest, DivisionClient, InProcClient, ServerHandle, Service, ServiceConfig, TcpClient,
 };
 use reldiv_workload::WorkloadSpec;
 use std::sync::Arc;
+
+use common::request;
 
 fn workload() -> (Relation, Relation) {
     let w = WorkloadSpec {
@@ -43,7 +46,6 @@ fn service_with_data() -> Arc<Service> {
 #[test]
 fn latency_is_recorded_exactly_once_per_answered_query() {
     let service = service_with_data();
-    let options = QueryOptions::default();
     // 3 distinct (dividend, divisor, algorithm) keys, each asked twice:
     // 3 executions + 3 cache hits.
     for _ in 0..2 {
@@ -52,15 +54,15 @@ fn latency_is_recorded_exactly_once_per_answered_query() {
             Algorithm::SortAggregation { join: true },
             Algorithm::HashAggregation { join: true },
         ] {
-            let opts = QueryOptions {
+            let query = DivideRequest {
                 algorithm: Some(algorithm),
-                ..options.clone()
+                ..request("r", "s")
             };
-            service.divide("r", "s", &opts).unwrap();
+            service.divide(&query).unwrap();
         }
     }
     // A refused query must not contribute a sample.
-    service.divide("r", "nonexistent", &options).unwrap_err();
+    service.divide(&request("r", "nonexistent")).unwrap_err();
 
     let stats = service.stats();
     assert_eq!(stats.queries, 6);
@@ -73,17 +75,16 @@ fn latency_is_recorded_exactly_once_per_answered_query() {
     );
 }
 
-/// `QueryResponse.micros` is the same quantity the histogram records:
+/// `DivideReply.micros` is the same quantity the histogram records:
 /// queue-inclusive end-to-end latency, stamped once by the front end.
 /// Every answer — executed or cached — carries a non-zero stamp bounded
 /// by the exact recorded extremes of the histogram.
 #[test]
 fn response_micros_agree_with_the_histogram() {
     let service = service_with_data();
-    let options = QueryOptions::default();
     let mut stamps = Vec::new();
     for _ in 0..4 {
-        stamps.push(service.divide("r", "s", &options).unwrap().micros);
+        stamps.push(service.divide(&request("r", "s")).unwrap().micros);
     }
     assert!(
         stamps.iter().all(|&m| m > 0),
@@ -102,15 +103,15 @@ fn response_micros_agree_with_the_histogram() {
 #[test]
 fn profiles_travel_through_the_in_process_client() {
     let service = service_with_data();
-    let profiled = QueryOptions {
+    let profiled = DivideRequest {
         algorithm: Some(Algorithm::HashDivision {
             mode: reldiv_core::HashDivisionMode::Standard,
         }),
         profile: true,
-        ..QueryOptions::default()
+        ..request("r", "s")
     };
 
-    let first = service.divide("r", "s", &profiled).unwrap();
+    let first = service.divide(&profiled).unwrap();
     assert!(!first.cached);
     let profile = first
         .profile
@@ -127,17 +128,17 @@ fn profiles_travel_through_the_in_process_client() {
     assert!(profile.root.wall_micros <= first.micros.max(1));
 
     // Same key again: served from cache, no execution, no profile.
-    let second = service.divide("r", "s", &profiled).unwrap();
+    let second = service.divide(&profiled).unwrap();
     assert!(second.cached);
     assert!(second.profile.is_none(), "cache hits execute nothing");
 
     // Unprofiled queries pay nothing and carry nothing.
-    let plain = QueryOptions {
+    let plain = DivideRequest {
         algorithm: profiled.algorithm,
-        ..QueryOptions::default()
+        ..request("r2", "s")
     };
     service.register("r2", workload().0).unwrap();
-    let unprofiled = service.divide("r2", "s", &plain).unwrap();
+    let unprofiled = service.divide(&plain).unwrap();
     assert!(unprofiled.profile.is_none());
 
     let stats = service.stats();
@@ -156,19 +157,12 @@ fn profiles_and_new_counters_travel_over_tcp() {
     let server = ServerHandle::start(service.clone(), "127.0.0.1:0").unwrap();
     let mut client = TcpClient::connect(server.local_addr()).unwrap();
 
-    let request = DivideRequest {
-        dividend: "r".into(),
-        divisor: "s".into(),
+    let profiled = DivideRequest {
         algorithm: Some(Algorithm::Naive),
-        assume_unique: false,
-        spec: None,
-        deadline_ms: None,
         profile: true,
-        distribute: None,
-        restricted: None,
-        mem_budget: None,
+        ..request("r", "s")
     };
-    let reply = client.divide(&request).unwrap();
+    let reply = client.divide(&profiled).unwrap();
     let profile = reply
         .profile
         .expect("profiled divide returns a tree over TCP");
@@ -179,20 +173,7 @@ fn profiles_and_new_counters_travel_over_tcp() {
 
     // In-process comparison: same shape from the same service.
     let mut inproc = InProcClient::new(service.clone());
-    let direct = inproc
-        .divide(&DivideRequest {
-            dividend: "r".into(),
-            divisor: "s".into(),
-            algorithm: Some(Algorithm::Naive),
-            assume_unique: false,
-            spec: None,
-            deadline_ms: None,
-            profile: true,
-            distribute: None,
-            restricted: None,
-            mem_budget: None,
-        })
-        .unwrap();
+    let direct = inproc.divide(&profiled).unwrap();
     // The second identical request hits the cache → no profile; compare
     // against the TCP tree only when it executed.
     if let Some(direct_profile) = direct.profile {
@@ -205,8 +186,8 @@ fn profiles_and_new_counters_travel_over_tcp() {
 }
 
 /// A per-query memory budget forces the division to degrade adaptively
-/// — visible in the new stats counters — while the quotient stays
-/// identical to the unbudgeted run, so both populate the same cache
+/// — visible in the new stats counters — while the quotient stays exact
+/// and identical to the unbudgeted run, so both populate the same cache
 /// entry.
 #[test]
 fn mem_budget_degrades_and_is_counted_in_stats() {
@@ -225,26 +206,33 @@ fn mem_budget_degrades_and_is_counted_in_stats() {
     service.register("r", w.dividend).unwrap();
     service.register("s", w.divisor).unwrap();
 
-    let budgeted = QueryOptions {
+    let budgeted = DivideRequest {
         algorithm: Some(Algorithm::HashDivision {
             mode: reldiv_core::HashDivisionMode::Standard,
         }),
         mem_budget: Some(48 * 1024),
-        ..QueryOptions::default()
+        ..request("r", "s")
     };
-    let reply = service.divide("r", "s", &budgeted).unwrap();
+    let reply = service.divide(&budgeted).unwrap();
     assert!(!reply.cached);
+    let mut quotient: Vec<i64> = reply
+        .tuples
+        .iter()
+        .map(|t| t.value(0).as_int().expect("quotient-id is an int column"))
+        .collect();
+    quotient.sort_unstable();
+    assert_eq!(quotient, w.expected_quotient, "spilling keeps the answer");
     let stats = service.stats();
     assert_eq!(stats.degraded_queries, 1, "the 48 KB budget must bite");
     assert!(stats.division_spill_bytes > 0);
 
     // The identical query without a budget is answered from the cache —
     // the quotient is the same relation either way.
-    let unbudgeted = QueryOptions {
-        algorithm: budgeted.algorithm,
-        ..QueryOptions::default()
+    let unbudgeted = DivideRequest {
+        mem_budget: None,
+        ..budgeted
     };
-    let cached = service.divide("r", "s", &unbudgeted).unwrap();
+    let cached = service.divide(&unbudgeted).unwrap();
     assert!(cached.cached, "budgets do not fragment the result cache");
     let stats = service.stats();
     assert_eq!(stats.degraded_queries, 1, "cache hits execute nothing");

