@@ -80,10 +80,10 @@ use reldiv_parallel::strategy::CollectionSite;
 use reldiv_parallel::{route, Strategy};
 use reldiv_rel::{Relation, Schema, Tuple};
 use reldiv_service::proto::{
-    is_derived_from, DivideRequest, EpochRequest, PartialQuotientReply, RepartitionRequest,
-    ReplicaWriteRequest, Reply, Request, ShardRequest, MAX_CLUSTER_NODES,
+    encode_write, is_derived_from, DivideRequest, EpochRequest, PartialQuotientReply,
+    RepartitionRequest, Reply, Request, WriteKind, MAX_CLUSTER_NODES,
 };
-use reldiv_service::MetricsSnapshot;
+use reldiv_service::{MetricsSnapshot, ShardInfo};
 
 use crate::catalog;
 use crate::health::{splitmix64, FailureKind, NodeHealth, RetryPolicy};
@@ -228,11 +228,46 @@ struct FragmentEvents {
     failovers: u64,
 }
 
-/// One write in a fan-out: `fragment`'s data to `node`.
+/// One write in a fan-out: `fragment`'s data to `node`, as the encoded
+/// frame.
 struct WriteItem {
     fragment: usize,
     node: usize,
-    request: Request,
+    payload: Vec<u8>,
+}
+
+impl WriteItem {
+    /// The writes that install fragment `at.shard` on `holders`: a `Shard`
+    /// frame for the fragment's own node, a `ReplicaWrite` frame for every
+    /// other holder, each encoded from the borrowed rows.
+    fn for_fragment<T: std::borrow::Borrow<Tuple>>(
+        name: &str,
+        at: ShardInfo,
+        holders: &[usize],
+        schema: &Schema,
+        epoch: u64,
+        tuples: &[T],
+    ) -> Result<Vec<WriteItem>> {
+        let fragment = at.shard as usize;
+        let item = |&node: &usize| {
+            let kind = if node == fragment {
+                WriteKind::Shard(at.clone())
+            } else {
+                WriteKind::Replica(at.clone())
+            };
+            let payload = encode_write(name, &kind, schema, tuples, Some(epoch));
+            Ok(WriteItem {
+                fragment,
+                node,
+                payload: payload.map_err(encoding)?,
+            })
+        };
+        holders.iter().map(item).collect()
+    }
+}
+
+fn encoding(e: reldiv_service::ServiceError) -> ClusterError {
+    ClusterError::BadRequest(format!("encoding request: {e}"))
 }
 
 /// A failed write settlement: the error to surface, plus whether any
@@ -405,43 +440,23 @@ impl Coordinator {
         }
         let n = self.links.len();
         let k = self.replication;
-        let mut shards: Vec<Vec<Tuple>> = vec![Vec::new(); n];
+        let mut shards: Vec<Vec<&Tuple>> = vec![Vec::new(); n];
         for tuple in relation.tuples() {
-            shards[route(tuple, shard_keys, n)].push(tuple.clone());
+            shards[route(tuple, shard_keys, n)].push(tuple);
         }
         let per_node: Vec<usize> = shards.iter().map(|s| s.len()).collect();
         let schema = relation.schema().clone();
-        let epoch = self.epoch;
         let mut items = Vec::with_capacity(n * k);
-        for (fragment, tuples) in shards.into_iter().enumerate() {
-            for &node in &catalog::placement(fragment, n, k) {
-                let request = if node == fragment {
-                    Request::Shard(ShardRequest {
-                        name: name.to_owned(),
-                        shard: fragment as u16,
-                        of: n as u16,
-                        shard_keys: shard_keys.to_vec(),
-                        schema: schema.clone(),
-                        tuples: tuples.clone(),
-                        epoch: Some(epoch),
-                    })
-                } else {
-                    Request::ReplicaWrite(ReplicaWriteRequest {
-                        name: name.to_owned(),
-                        fragment: fragment as u16,
-                        of: n as u16,
-                        shard_keys: shard_keys.to_vec(),
-                        schema: schema.clone(),
-                        tuples: tuples.clone(),
-                        epoch: Some(epoch),
-                    })
-                };
-                items.push(WriteItem {
-                    fragment,
-                    node,
-                    request,
-                });
-            }
+        for (fragment, tuples) in shards.iter().enumerate() {
+            let at = ShardInfo {
+                shard: fragment as u16,
+                of: n as u16,
+                shard_keys: shard_keys.to_vec(),
+            };
+            let holders = catalog::placement(fragment, n, k);
+            items.extend(WriteItem::for_fragment(
+                name, at, &holders, &schema, self.epoch, tuples,
+            )?);
         }
         let (holders, versions) = match self.settle_writes(items, n, k) {
             Ok(settled) => settled,
@@ -864,21 +879,22 @@ impl Coordinator {
         if !missing.is_empty() {
             let fragments = self.fetch_fragments(divisor, &divisor_rel)?;
             let all_cols: Vec<usize> = (0..divisor_rel.schema.arity()).collect();
-            let epoch = self.epoch;
+            // One frame serves every node: the whole divisor as shard 0
+            // of 1.
+            let whole = WriteKind::Shard(ShardInfo {
+                shard: 0,
+                of: 1,
+                shard_keys: all_cols,
+            });
+            let (schema, epoch) = (&divisor_rel.schema, Some(self.epoch));
+            let payload =
+                encode_write(&repl, &whole, schema, &fragments, epoch).map_err(encoding)?;
             let items: Vec<WriteItem> = missing
                 .iter()
                 .map(|&node| WriteItem {
                     fragment: node,
                     node,
-                    request: Request::Shard(ShardRequest {
-                        name: repl.clone(),
-                        shard: 0,
-                        of: 1,
-                        shard_keys: all_cols.clone(),
-                        schema: divisor_rel.schema.clone(),
-                        tuples: fragments.clone(),
-                        epoch: Some(epoch),
-                    }),
+                    payload: payload.clone(),
                 })
                 .collect();
             for (_, node, result) in self.fan_out_writes(items) {
@@ -984,7 +1000,7 @@ impl Coordinator {
         let mut site = CollectionSite::new(&quotient_schema, &participating, empty_divisor)
             .map_err(|e| ClusterError::Exec(e.to_string()))?;
         for p in &partials {
-            for t in &p.reply.tuples {
+            for t in p.reply.tuples.iter() {
                 site.absorb(p.fragment, t)
                     .map_err(|e| ClusterError::Exec(e.to_string()))?;
             }
@@ -1089,9 +1105,9 @@ impl Coordinator {
     /// accounting is the caller's.
     fn fan_out_writes(&mut self, items: Vec<WriteItem>) -> Vec<(usize, usize, Result<Reply>)> {
         let n = self.links.len();
-        let mut per_node: Vec<Vec<(usize, Request)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut per_node: Vec<Vec<(usize, Vec<u8>)>> = (0..n).map(|_| Vec::new()).collect();
         for item in items {
-            per_node[item.node].push((item.fragment, item.request));
+            per_node[item.node].push((item.fragment, item.payload));
         }
         let results: Vec<Vec<(usize, usize, Result<Reply>)>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
@@ -1105,7 +1121,9 @@ impl Coordinator {
                     } else {
                         Some(s.spawn(move || {
                             list.into_iter()
-                                .map(|(fragment, request)| (fragment, node, link.call(&request)))
+                                .map(|(fragment, payload)| {
+                                    (fragment, node, link.call_encoded(&payload))
+                                })
                                 .collect::<Vec<_>>()
                         }))
                     }
@@ -1406,34 +1424,20 @@ impl Coordinator {
                 continue;
             }
             per_node[j] = bucket.len();
-            for &node in &catalog::placement(j, nodes, k) {
-                let request = if node == j {
-                    Request::Shard(ShardRequest {
-                        name: temp.clone(),
-                        shard: j as u16,
-                        of: nodes as u16,
-                        shard_keys: keys.to_vec(),
-                        schema: rel.schema.clone(),
-                        tuples: bucket.clone(),
-                        epoch: Some(epoch),
-                    })
-                } else {
-                    Request::ReplicaWrite(ReplicaWriteRequest {
-                        name: temp.clone(),
-                        fragment: j as u16,
-                        of: nodes as u16,
-                        shard_keys: keys.to_vec(),
-                        schema: rel.schema.clone(),
-                        tuples: bucket.clone(),
-                        epoch: Some(epoch),
-                    })
-                };
-                items.push(WriteItem {
-                    fragment: j,
-                    node,
-                    request,
-                });
-            }
+            let at = ShardInfo {
+                shard: j as u16,
+                of: nodes as u16,
+                shard_keys: keys.to_vec(),
+            };
+            let holders = catalog::placement(j, nodes, k);
+            items.extend(WriteItem::for_fragment(
+                &temp,
+                at,
+                &holders,
+                &rel.schema,
+                epoch,
+                &bucket,
+            )?);
         }
         // A partial failure needs no catalog cleanup here: the temp is
         // only recorded on success, and a retry rewrites every fragment

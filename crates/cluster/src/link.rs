@@ -169,19 +169,25 @@ impl NodeLink {
     /// well-formed error reply becomes [`ClusterError::Node`] with the
     /// node's typed error.
     pub fn call(&mut self, request: &Request) -> Result<Reply> {
-        let node = self.node;
-        let fail =
-            |kind: FailureKind, detail: String| ClusterError::NodeFailed { node, kind, detail };
         let payload = request
             .encode()
             .map_err(|e| ClusterError::BadRequest(format!("encoding request: {e}")))?;
+        self.call_encoded(&payload)
+    }
+
+    /// [`call`](NodeLink::call) for a request already encoded (a bulk
+    /// write encoded once from borrowed rows).
+    pub fn call_encoded(&mut self, payload: &[u8]) -> Result<Reply> {
+        let node = self.node;
+        let fail =
+            |kind: FailureKind, detail: String| ClusterError::NodeFailed { node, kind, detail };
         // A previous transport failure may have left a late reply in
         // flight on this socket; reading it would answer *this* request
         // with a stale frame. Replace the socket first.
         if self.dirty {
             self.reconnect()?;
         }
-        if let Err(e) = proto::write_frame(&mut self.stream, &payload) {
+        if let Err(e) = proto::write_frame(&mut self.stream, payload) {
             self.dirty = true;
             return Err(fail(classify_io(&e), format!("send: {e}")));
         }

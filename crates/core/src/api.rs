@@ -9,14 +9,14 @@
 use std::rc::Rc;
 
 use reldiv_exec::batch::profile::maybe_profile_batch;
-use reldiv_exec::batch::scan::{BatchFileScan, BatchMemScan};
-use reldiv_exec::batch::{collect_batches, BoxedBatchOp, ExecMode};
+use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan, BatchMemScan};
+use reldiv_exec::batch::{collect_batches, BatchToTuple, BoxedBatchOp, ExecMode};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::BoxedOp;
 use reldiv_exec::profile::{maybe_profile, ProfileSink, QueryProfile, SpanKind, SpanScope};
 use reldiv_exec::scan::{spool, FileScan, MemScan};
 use reldiv_exec::sort::SortConfig;
-use reldiv_rel::{Relation, Schema, Tuple};
+use reldiv_rel::{Columns, Relation, Schema, Tuple};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::{FileId, StorageManager, StorageRef};
 
@@ -49,6 +49,10 @@ pub enum Source {
         /// The tuples, shared among scans.
         tuples: Rc<Vec<Tuple>>,
     },
+    /// A relation held as shared columns — the service catalog's form and
+    /// what a plan's materialized intermediates become. The payload is
+    /// `Send + Sync`: one copy serves every worker thread.
+    Columns(Columns),
 }
 
 impl Source {
@@ -69,12 +73,15 @@ impl Source {
     pub fn schema(&self) -> &Schema {
         match self {
             Source::File { schema, .. } | Source::Mem { schema, .. } => schema,
+            Source::Columns(columns) => columns.schema(),
         }
     }
 
-    /// Opens a fresh scan over the relation.
+    /// Opens a fresh scan over the relation. Shared columns have no
+    /// tuple-at-a-time scan of their own: the batch scan is bridged.
     pub fn scan(&self, storage: &StorageRef) -> BoxedOp {
         match self {
+            Source::Columns(_) => Box::new(BatchToTuple::new(self.scan_batches(storage))),
             Source::File { file, schema } => {
                 Box::new(FileScan::new(storage.clone(), *file, schema.clone()))
             }
@@ -84,11 +91,13 @@ impl Source {
         }
     }
 
-    /// Opens a fresh batch scan over the relation. Both kinds are
+    /// Opens a fresh batch scan over the relation. Every kind is
     /// batch-native: a record file is decoded page by page straight into
-    /// columns, with the page I/O of [`Source::scan`] on the same file.
+    /// columns, with the page I/O of [`Source::scan`] on the same file;
+    /// shared columns are handed out batch by batch, with none.
     pub fn scan_batches(&self, storage: &StorageRef) -> BoxedBatchOp {
         match self {
+            Source::Columns(columns) => Box::new(BatchColumnsScan::new(columns.clone())),
             Source::File { file, schema } => {
                 Box::new(BatchFileScan::new(storage.clone(), *file, schema.clone()))
             }

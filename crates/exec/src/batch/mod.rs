@@ -15,6 +15,7 @@
 //! |-----------------------------|------------------------------------|
 //! | [`crate::scan::FileScan`]   | [`scan::BatchFileScan`]            |
 //! | [`crate::scan::MemScan`]    | [`scan::BatchMemScan`]             |
+//! | ([`BatchToTuple`] over it)  | [`scan::BatchColumnsScan`]         |
 //! | [`crate::filter::Filter`]   | [`filter::BatchFilter`]            |
 //! | [`crate::project::Project`] | [`project::BatchProject`]          |
 //! | [`crate::agg::HashDistinct`]| [`distinct::BatchDistinct`]        |
@@ -48,10 +49,9 @@ use crate::cancel::CancelToken;
 use crate::op::{BoxedOp, Operator};
 use crate::{ExecError, Result};
 
-/// Rows per batch. The paper prices per-tuple hash/compare work; 1024
-/// rows amortize the per-call overheads to noise while a batch of the
-/// paper's 8–16 byte records stays comfortably inside L1.
-pub const DEFAULT_BATCH_SIZE: usize = 1024;
+/// Rows per batch: the batch size of a stored [`reldiv_rel::Columns`]
+/// relation, so a scan of one hands its batches out as they are.
+pub const DEFAULT_BATCH_SIZE: usize = reldiv_rel::column::BATCH_ROWS;
 
 /// Which execution path a query runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,29 +89,42 @@ pub trait BatchOperator {
 /// A boxed batch operator — the edge type of batch plan trees.
 pub type BoxedBatchOp = Box<dyn BatchOperator>;
 
-/// Runs a batch operator to completion: open, drain, close; polls
-/// `cancel` once per batch (the batch path's cancellation checkpoint).
+/// Runs a batch operator to completion, handing every batch to `sink`:
+/// open, drain, close; polls `cancel` once per batch (the batch path's
+/// cancellation checkpoint).
 ///
 /// `close` runs on **every** exit, including mid-drain errors, so
 /// operator resources (run files, spill clusters, pinned pages) are never
 /// leaked; the drain's error takes precedence over any close error.
-pub fn collect_batches(mut op: BoxedBatchOp, cancel: CancelToken) -> Result<Relation> {
-    fn drain(op: &mut BoxedBatchOp, cancel: CancelToken) -> Result<Relation> {
+pub fn drain_batches(
+    mut op: BoxedBatchOp,
+    cancel: CancelToken,
+    mut sink: impl FnMut(Batch) -> Result<()>,
+) -> Result<()> {
+    let mut drain = || -> Result<()> {
         op.open()?;
-        let mut out = Relation::empty(op.schema().clone());
         while let Some(batch) = op.next_batch()? {
             cancel.check()?;
-            for t in batch.into_tuples() {
-                out.push(t).map_err(ExecError::from)?;
-            }
+            sink(batch)?;
         }
-        Ok(out)
-    }
-    let result = drain(&mut op, cancel);
+        Ok(())
+    };
+    let result = drain();
     let closed = op.close();
-    let rel = result?;
-    closed?;
-    Ok(rel)
+    result?;
+    closed
+}
+
+/// [`drain_batches`] into a relation of tuples.
+pub fn collect_batches(op: BoxedBatchOp, cancel: CancelToken) -> Result<Relation> {
+    let mut out = Relation::empty(op.schema().clone());
+    drain_batches(op, cancel, |batch| {
+        for t in batch.into_tuples() {
+            out.push(t).map_err(ExecError::from)?;
+        }
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Bridges a tuple operator into a batch plan by draining up to one

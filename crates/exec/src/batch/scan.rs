@@ -1,4 +1,5 @@
-//! Batch-native scans: record files and in-memory relations.
+//! Batch-native scans: record files, in-memory relations and shared
+//! columns.
 //!
 //! [`BatchFileScan`] is the page-granular producer of the batch engine:
 //! storage hands it each page's records as slices borrowed from the
@@ -6,11 +7,12 @@
 //! plan pays neither a per-record copy nor a per-tuple allocation and
 //! keeps the exact page-I/O profile of the tuple
 //! [`crate::scan::FileScan`]. [`BatchMemScan`] avoids the per-tuple clone
-//! of [`crate::scan::MemScan`].
+//! of [`crate::scan::MemScan`]. [`BatchColumnsScan`] does no per-row work
+//! at all: the relation is already batches.
 
 use std::rc::Rc;
 
-use reldiv_rel::{Batch, Relation, Schema, Tuple};
+use reldiv_rel::{Batch, Columns, Relation, Schema, Tuple};
 use reldiv_storage::{FileId, StorageRef};
 
 use super::{BatchOperator, DEFAULT_BATCH_SIZE};
@@ -149,6 +151,50 @@ impl BatchOperator for BatchMemScan {
         }
         self.pos = end;
         Ok(Some(batch))
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.state = OpState::Closed;
+        Ok(())
+    }
+}
+
+/// Scans a [`Columns`] relation: each `next_batch` hands out the next
+/// stored batch (one copy per column, nothing per row), touching no
+/// storage. Any number of scans, on any thread, share the columns.
+pub struct BatchColumnsScan {
+    columns: Columns,
+    next: usize,
+    state: OpState,
+}
+
+impl BatchColumnsScan {
+    /// Creates a scan over `columns`.
+    pub fn new(columns: Columns) -> BatchColumnsScan {
+        BatchColumnsScan {
+            columns,
+            next: 0,
+            state: OpState::Created,
+        }
+    }
+}
+
+impl BatchOperator for BatchColumnsScan {
+    fn schema(&self) -> &Schema {
+        self.columns.schema()
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.next = 0;
+        self.state = OpState::Open;
+        Ok(())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.state.require_open()?;
+        let batch = self.columns.batches().get(self.next).cloned();
+        self.next += usize::from(batch.is_some());
+        Ok(batch)
     }
 
     fn close(&mut self) -> Result<()> {

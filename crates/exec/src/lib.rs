@@ -54,7 +54,7 @@ pub mod project;
 pub mod scan;
 pub mod sort;
 
-pub use batch::{collect_batches, BatchOperator, BoxedBatchOp, ExecMode};
+pub use batch::{collect_batches, drain_batches, BatchOperator, BoxedBatchOp, ExecMode};
 pub use cancel::CancelToken;
 pub use error::ExecError;
 pub use op::{collect, BoxedOp, Operator};

@@ -6,12 +6,17 @@
 //! produce the same outcome — the same rows in file order, or the same
 //! typed error — with the same disk transfers and buffer-pool activity,
 //! and leave no frame fixed.
+//!
+//! A second test puts the storage-free scans beside them: the
+//! shared-columns [`BatchColumnsScan`] (and its tuple bridge) and the two
+//! in-memory scans must produce the rows the file scans produce.
 
-use reldiv_exec::batch::scan::BatchFileScan;
-use reldiv_exec::scan::{load_relation, FileScan};
+use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan, BatchMemScan};
+use reldiv_exec::batch::{BatchOperator, BatchToTuple, DEFAULT_BATCH_SIZE};
+use reldiv_exec::scan::{load_relation, FileScan, MemScan};
 use reldiv_exec::{collect, collect_batches, CancelToken, ExecError};
 use reldiv_rel::schema::Field;
-use reldiv_rel::{Relation, Schema, Tuple, Value};
+use reldiv_rel::{Columns, Relation, Schema, Tuple, Value};
 use reldiv_storage::file::{ScanCursor, EXTENT_PAGES};
 use reldiv_storage::manager::{StorageConfig, StorageManager};
 use reldiv_storage::{BufferStats, FaultPlan, FileId, IoStats, Rid, StorageError, StorageRef};
@@ -253,6 +258,67 @@ fn batch_and_tuple_file_scans_agree() {
                 collect_batches(Box::new(scan), CancelToken::none())
             });
             assert_eq!(by_batch, by_tuple, "{label}, batches of {batch_size}");
+        }
+    }
+}
+
+#[test]
+fn shared_columns_scan_agrees_with_the_file_and_memory_scans() {
+    // The empty relation, a partial batch, exact multiples of the batch
+    // size, and a tail.
+    let sizes = [0, 5, DEFAULT_BATCH_SIZE, 2 * DEFAULT_BATCH_SIZE, 3000];
+    for shape in [Shape::Ints, Shape::Strs, Shape::Mixed] {
+        for rows in sizes {
+            let label = format!("{shape:?} x{rows}");
+            let loaded = relation(shape, rows);
+            let schema = loaded.schema().clone();
+            let storage = StorageManager::shared(StorageConfig::large());
+            let file = load_relation(&storage, &loaded).unwrap();
+            let columns = Columns::from_tuples(schema.clone(), loaded.tuples()).unwrap();
+            let none = CancelToken::none();
+
+            let by_file = FileScan::new(storage.clone(), file, schema.clone());
+            assert_eq!(collect(Box::new(by_file)).unwrap(), loaded, "{label}");
+            let by_batch_file = BatchFileScan::new(storage.clone(), file, schema.clone());
+            let by_batch_file = collect_batches(Box::new(by_batch_file), none).unwrap();
+            assert_eq!(by_batch_file, loaded, "{label}");
+            let by_mem = collect(Box::new(MemScan::new(loaded.clone()))).unwrap();
+            assert_eq!(by_mem, loaded, "{label}");
+            let by_batch_mem = Box::new(BatchMemScan::new(loaded.clone()));
+            assert_eq!(
+                collect_batches(by_batch_mem, none).unwrap(),
+                loaded,
+                "{label}"
+            );
+
+            // The shared columns: same rows, same order, no storage.
+            storage.borrow_mut().reset_stats();
+            let scan = Box::new(BatchColumnsScan::new(columns.clone()));
+            assert_eq!(collect_batches(scan, none).unwrap(), loaded, "{label}");
+            let bridged = BatchToTuple::new(Box::new(BatchColumnsScan::new(columns.clone())));
+            assert_eq!(collect(Box::new(bridged)).unwrap(), loaded, "{label}");
+            assert_eq!(storage.borrow().io_stats(), IoStats::default(), "{label}");
+
+            // Re-openable, and two scans of one relation do not disturb
+            // each other; each hands out the stored batches as they are.
+            let mut a = BatchColumnsScan::new(columns.clone());
+            let mut b = BatchColumnsScan::new(columns.clone());
+            assert!(matches!(a.next_batch(), Err(ExecError::Protocol(_))));
+            for _ in 0..2 {
+                a.open().unwrap();
+                b.open().unwrap();
+                for stored in columns.batches() {
+                    for scan in [&mut a, &mut b] {
+                        let batch = scan.next_batch().unwrap().expect("one per stored batch");
+                        assert_eq!(batch.len(), stored.len(), "{label}");
+                        assert_eq!(batch.tuple(0), stored.tuple(0), "{label}");
+                    }
+                }
+                assert!(a.next_batch().unwrap().is_none(), "{label}");
+                assert!(b.next_batch().unwrap().is_none(), "{label}");
+            }
+            a.close().unwrap();
+            assert!(matches!(a.next_batch(), Err(ExecError::Protocol(_))));
         }
     }
 }

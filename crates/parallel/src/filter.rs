@@ -40,7 +40,13 @@ impl BitVectorFilter {
     /// `BuildFilter` handler inserts divisor fragments on the same
     /// columns [`may_match`](Self::may_match) later tests.
     pub fn insert_on(&mut self, tuple: &Tuple, keys: &[usize]) {
-        let h = tuple.hash_on(keys) as usize % self.bits;
+        self.insert_hash(tuple.hash_on(keys));
+    }
+
+    /// Inserts a key by its hash — [`Tuple::hash_on`]'s value, or the
+    /// bit-identical `Batch::hash_rows` one for a row held in columns.
+    pub fn insert_hash(&mut self, hash: u64) {
+        let h = hash as usize % self.bits;
         self.words[h / 64] |= 1 << (h % 64);
     }
 
@@ -48,7 +54,12 @@ impl BitVectorFilter {
     /// means *definitely* no matching divisor tuple (safe to drop);
     /// `true` may be a false positive.
     pub fn may_match(&self, dividend_tuple: &Tuple, divisor_keys: &[usize]) -> bool {
-        let h = dividend_tuple.hash_on(divisor_keys) as usize % self.bits;
+        self.may_match_hash(dividend_tuple.hash_on(divisor_keys))
+    }
+
+    /// [`may_match`](Self::may_match) for a key already hashed.
+    pub fn may_match_hash(&self, hash: u64) -> bool {
+        let h = hash as usize % self.bits;
         self.words[h / 64] & (1 << (h % 64)) != 0
     }
 

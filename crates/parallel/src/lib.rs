@@ -45,7 +45,7 @@ use reldiv_storage::{MemoryPool, StorageManager};
 use network::{build_links, build_result_link, Message, NetworkCounters, NetworkStats, Port};
 use strategy::{distribute, CollectionSite, Transport};
 
-pub use partition::route;
+pub use partition::{route, route_hash};
 pub use strategy::{Distribution, Strategy};
 
 /// Result alias shared with the core crate.

@@ -28,8 +28,14 @@ use reldiv_rel::Tuple;
 /// Debug-asserts `nodes > 0`; in release a zero node count would divide
 /// by zero, so callers validate node counts at configuration time.
 pub fn route(tuple: &Tuple, keys: &[usize], nodes: usize) -> usize {
+    route_hash(tuple.hash_on(keys), nodes)
+}
+
+/// [`route`] for a key already hashed — by [`Tuple::hash_on`], or by the
+/// bit-identical `Batch::hash_rows` for a row held in columns.
+pub fn route_hash(hash: u64, nodes: usize) -> usize {
     debug_assert!(nodes > 0, "route requires at least one node");
-    (tuple.hash_on(keys) as usize) % nodes
+    (hash as usize) % nodes
 }
 
 #[cfg(test)]

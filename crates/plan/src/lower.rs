@@ -19,10 +19,10 @@ use reldiv_exec::batch::join::BatchHashJoin;
 use reldiv_exec::batch::profile::maybe_profile_batch;
 use reldiv_exec::batch::project::BatchProject;
 use reldiv_exec::batch::scan::BatchMemScan;
-use reldiv_exec::batch::{collect_batches, BatchToTuple, TupleToBatch};
+use reldiv_exec::batch::{collect_batches, drain_batches, BatchToTuple, TupleToBatch};
 use reldiv_exec::profile::{ProfileSink, SpanScope};
 use reldiv_exec::{BoxedBatchOp, CancelToken, ExecMode, SpanKind};
-use reldiv_rel::Relation;
+use reldiv_rel::{Columns, Relation};
 use reldiv_storage::StorageRef;
 
 use crate::ast::{AlgorithmHint, Cmp, Lit, Tri};
@@ -154,15 +154,20 @@ impl<'a> Lowerer<'a> {
 
     /// Materializes a division input: leaf scans pass their source straight
     /// through (file-backed scans keep their real I/O profile); anything
-    /// else runs to completion into a shared in-memory relation.
+    /// else runs to completion into shared columns — the batches the
+    /// operator produced, kept as they are.
     fn division_input(&mut self, bound: &Bound, role: &str) -> Result<Source> {
         if let BoundNode::Scan { relation } = &bound.node {
             return self.provider.source(relation);
         }
         let op = self.lower_batch(bound)?;
         let op = self.wrap_batch(op, format!("materialize {role}"), SpanKind::Materialize);
-        let rel = collect_batches(op, self.opts.cancel)?;
-        Ok(Source::from_relation(&rel))
+        let (schema, mut batches) = (op.schema().clone(), Vec::new());
+        drain_batches(op, self.opts.cancel, |batch| {
+            batches.push(batch);
+            Ok(())
+        })?;
+        Ok(Source::Columns(Columns::from_batches(schema, batches)))
     }
 
     fn divide(&mut self, d: &BoundDivide, quotient_est: u64) -> Result<Relation> {

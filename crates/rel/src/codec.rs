@@ -54,9 +54,7 @@ impl RecordCodec {
                 (ColumnType::Int, Value::Int(v)) => out.put_i64_le(*v),
                 (ColumnType::Str(w), Value::Str(s)) => {
                     if s.as_bytes().contains(&0) {
-                        return Err(RelError::Decode(format!(
-                            "column {i}: embedded NUL not representable in fixed-width string"
-                        )));
+                        return Err(embedded_nul(i));
                     }
                     out.put_slice(s.as_bytes());
                     out.put_bytes(0, w - s.len());
@@ -83,6 +81,26 @@ impl RecordCodec {
         }
         Ok(Tuple::new(values))
     }
+}
+
+#[cold]
+fn embedded_nul(column: usize) -> RelError {
+    RelError::Decode(format!(
+        "column {column}: embedded NUL not representable in fixed-width string"
+    ))
+}
+
+/// Checks that `tuple` has a record of `schema` — what
+/// [`RecordCodec::encode_into`] checks (inline, in its one pass over the
+/// values), without writing the record.
+pub(crate) fn check_tuple(schema: &Schema, tuple: &Tuple) -> Result<()> {
+    schema.validate(tuple.values())?;
+    for (i, value) in tuple.values().iter().enumerate() {
+        if matches!(value, Value::Str(s) if s.as_bytes().contains(&0)) {
+            return Err(embedded_nul(i));
+        }
+    }
+    Ok(())
 }
 
 /// Rejects a byte string too short to hold one record of `schema`.

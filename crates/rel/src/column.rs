@@ -18,8 +18,14 @@
 //! Abstract-operation accounting is bulk but equal in total: hashing a
 //! batch of `n` rows counts `n` `Hash` operations, the same as `n` calls
 //! to `hash_on`; each row-vs-tuple equality counts one `Comp`.
+//!
+//! [`Columns`] is a whole relation in this form: `Arc`-shared batches a
+//! catalog can hold once and every scan on every thread can read in
+//! place.
 
+use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::codec;
 use crate::counters;
@@ -331,6 +337,90 @@ impl Batch {
     }
 }
 
+/// Rows per batch of a [`Columns`] relation, and of the batches the
+/// vectorized scans produce. The paper prices per-tuple hash/compare
+/// work; 1024 rows amortize the per-call overheads to noise while a
+/// batch of the paper's 8–16 byte records stays comfortably inside L1.
+pub const BATCH_ROWS: usize = 1024;
+
+/// A relation held as columns: a schema plus its rows as shared,
+/// immutable, non-empty [`Batch`]es in row order.
+///
+/// `Send + Sync` and cheap to clone, so one copy serves a catalog and
+/// every query on every thread. [`Columns::from_tuples`] and
+/// [`Columns::from_records`] validate: each of their rows has a
+/// fixed-width record, so the relation can be written to a file later.
+#[derive(Debug, Clone)]
+pub struct Columns {
+    schema: Schema,
+    batches: Arc<[Batch]>,
+}
+
+impl Columns {
+    /// Wraps batches an operator produced, as they are (empty ones are
+    /// dropped); their column types must be `schema`'s.
+    pub fn from_batches(schema: Schema, mut batches: Vec<Batch>) -> Columns {
+        batches.retain(|b| !b.is_empty());
+        Columns {
+            schema,
+            batches: batches.into(),
+        }
+    }
+
+    /// Converts tuples, [`BATCH_ROWS`] to a batch, checking each as
+    /// [`crate::RecordCodec::encode`] would: arity, types, string widths,
+    /// no embedded NUL.
+    pub fn from_tuples<T: Borrow<Tuple>>(schema: Schema, tuples: &[T]) -> crate::Result<Columns> {
+        let mut batches = Vec::with_capacity(tuples.len().div_ceil(BATCH_ROWS));
+        for chunk in tuples.chunks(BATCH_ROWS) {
+            let mut batch = Batch::with_capacity(schema.clone(), chunk.len());
+            for t in chunk {
+                codec::check_tuple(&schema, t.borrow())?;
+                batch.push_tuple(t.borrow());
+            }
+            batches.push(batch);
+        }
+        Ok(Columns::from_batches(schema, batches))
+    }
+
+    /// Decodes back-to-back fixed-width records, [`BATCH_ROWS`] to a
+    /// batch, each through the validating [`Batch::push_record`].
+    pub fn from_records(schema: Schema, records: &[u8]) -> crate::Result<Columns> {
+        let width = schema.record_width().max(1);
+        let mut batches = Vec::with_capacity(records.len().div_ceil(width * BATCH_ROWS));
+        for chunk in records.chunks(width * BATCH_ROWS) {
+            let mut batch = Batch::with_capacity(schema.clone(), chunk.len() / width);
+            for record in chunk.chunks(width) {
+                batch.push_record(record)?;
+            }
+            batches.push(batch);
+        }
+        Ok(Columns::from_batches(schema, batches))
+    }
+
+    /// The relation's schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Tuple cardinality.
+    pub fn cardinality(&self) -> usize {
+        self.batches.iter().map(Batch::len).sum()
+    }
+
+    /// The batches holding the rows, in row order.
+    pub fn batches(&self) -> &[Batch] {
+        &self.batches
+    }
+
+    /// The rows as tuples, in row order.
+    pub fn tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.batches
+            .iter()
+            .flat_map(|b| (0..b.len()).map(move |row| b.tuple(row)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,5 +551,74 @@ mod tests {
         for (row, t) in rows.iter().enumerate() {
             assert_eq!(batch.tuple_projected(&[2, 1], row), t.project(&[2, 1]));
         }
+    }
+    fn numbered(n: usize) -> Vec<Tuple> {
+        let name = |i: usize| Value::Str("é".repeat(i % 7));
+        (0..n)
+            .map(|i| Tuple::new(vec![Value::Int(i as i64), name(i), Value::Int(-1)]))
+            .collect()
+    }
+
+    #[test]
+    fn columns_hold_rows_in_batch_rows_chunks_from_tuples_and_from_records() {
+        fn shared_across_threads<T: Send + Sync>() {}
+        shared_across_threads::<Columns>();
+        let codec = crate::RecordCodec::new(mixed_schema());
+        // The empty relation, a partial batch, exact multiples, a tail.
+        for n in [0, 5, BATCH_ROWS, 2 * BATCH_ROWS, 2 * BATCH_ROWS + 452] {
+            let rows = numbered(n);
+            let mut records = Vec::new();
+            for t in &rows {
+                codec.encode_into(t, &mut records).unwrap();
+            }
+            let from_tuples = Columns::from_tuples(mixed_schema(), &rows).unwrap();
+            let from_records = Columns::from_records(mixed_schema(), &records).unwrap();
+            for columns in [from_tuples, from_records] {
+                assert_eq!(columns.cardinality(), n);
+                assert_eq!(columns.tuples().collect::<Vec<_>>(), rows);
+                let sizes: Vec<usize> = columns.batches().iter().map(Batch::len).collect();
+                assert_eq!(sizes.len(), n.div_ceil(BATCH_ROWS));
+                let full = |&len: &usize| len == BATCH_ROWS;
+                assert!(sizes.iter().rev().skip(1).all(full), "{sizes:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn columns_refuse_what_the_record_codec_refuses() {
+        let codec = crate::RecordCodec::new(mixed_schema());
+        let row = |name: &str| Tuple::new(vec![Value::Int(1), Value::from(name), Value::Int(2)]);
+        for bad in [
+            row("a\0b"),
+            row("thirteen chars"),
+            ints(&[1, 2, 3]),
+            ints(&[1]),
+        ] {
+            let rows = [row("fine"), bad.clone()];
+            let ours = Columns::from_tuples(mixed_schema(), &rows).unwrap_err();
+            assert_eq!(ours, codec.encode(&bad).unwrap_err());
+        }
+        let mut records = codec.encode(&row("fine")).unwrap();
+        records.extend_from_slice(&codec.encode(&row("fine")).unwrap()[..20]);
+        assert!(Columns::from_records(mixed_schema(), &records).is_err());
+        records.truncate(28);
+        records[8] = 0xFF;
+        assert!(Columns::from_records(mixed_schema(), &records).is_err());
+    }
+
+    #[test]
+    fn columns_keep_an_operators_batches_as_they_are() {
+        let rows = numbered(10);
+        let empty = Batch::with_capacity(mixed_schema(), 0);
+        let batches = vec![
+            batch_of(mixed_schema(), &rows[..3]),
+            empty.clone(),
+            batch_of(mixed_schema(), &rows[3..]),
+            empty,
+        ];
+        let columns = Columns::from_batches(mixed_schema(), batches);
+        let sizes: Vec<usize> = columns.batches().iter().map(Batch::len).collect();
+        assert_eq!(sizes, [3, 7]);
+        assert_eq!(columns.tuples().collect::<Vec<_>>(), rows);
     }
 }

@@ -15,7 +15,8 @@
 //!   8-byte divisor/quotient records and 16-byte dividend records),
 //! * [`column`](mod@column) — columnar [`Batch`]es and the packed-key hash/compare
 //!   kernels behind the vectorized execution path, bit-identical to the
-//!   tuple-at-a-time entry points,
+//!   tuple-at-a-time entry points, and [`Columns`], a whole relation as
+//!   shared batches,
 //! * [`Relation`] — an in-memory relation used by workload generators,
 //!   tests, and the in-memory division API,
 //! * [`counters`] — thread-local counters for the abstract operations the
@@ -40,7 +41,7 @@ pub mod tuple;
 pub mod value;
 
 pub use codec::RecordCodec;
-pub use column::{Batch, ColumnVec};
+pub use column::{Batch, ColumnVec, Columns};
 pub use error::RelError;
 pub use relation::Relation;
 pub use schema::{ColumnType, Field, Schema};

@@ -1,5 +1,7 @@
 //! Relation schemas.
 
+use std::sync::Arc;
+
 use crate::error::RelError;
 use crate::value::Value;
 use crate::Result;
@@ -62,16 +64,19 @@ impl Field {
     }
 }
 
-/// An ordered list of fields describing a relation.
+/// An ordered list of fields describing a relation; the fields are
+/// shared, so a clone (one per batch, scan and reply) allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    fields: Vec<Field>,
+    fields: Arc<[Field]>,
 }
 
 impl Schema {
     /// Creates a schema from fields.
     pub fn new(fields: Vec<Field>) -> Self {
-        Schema { fields }
+        Schema {
+            fields: fields.into(),
+        }
     }
 
     /// Number of columns.

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use reldiv_rel::{Relation, Schema, Tuple};
+use reldiv_rel::{Columns, Schema};
 
 use crate::error::{Result, ServiceError};
 
@@ -24,16 +24,20 @@ pub struct RelationVersion {
     /// Globally monotonic version number (no two versions of any
     /// relation share one).
     pub version: u64,
-    /// The relation's schema.
-    pub schema: Schema,
-    /// The tuples, shared with every pinned query.
-    pub tuples: Arc<Vec<Tuple>>,
+    /// The rows, as the columns every pinned query on every worker
+    /// scans in place.
+    pub rows: Columns,
 }
 
 impl RelationVersion {
+    /// The relation's schema.
+    pub fn schema(&self) -> &Schema {
+        self.rows.schema()
+    }
+
     /// Cardinality of this version.
     pub fn cardinality(&self) -> usize {
-        self.tuples.len()
+        self.rows.cardinality()
     }
 }
 
@@ -50,17 +54,14 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Installs `relation` under `name`, replacing any current version;
+    /// Installs `rows` under `name`, replacing any current version;
     /// returns the new version number.
-    pub fn register(&self, name: &str, relation: Relation) -> u64 {
+    pub fn register(&self, name: &str, rows: Columns) -> u64 {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
-        let schema = relation.schema().clone();
-        let tuples = Arc::new(relation.into_tuples());
         let entry = Arc::new(RelationVersion {
             name: name.to_owned(),
             version,
-            schema,
-            tuples,
+            rows,
         });
         self.relations.write().insert(name.to_owned(), entry);
         version
@@ -113,10 +114,16 @@ mod tests {
     use super::*;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
+    use reldiv_rel::Tuple;
 
-    fn rel(rows: &[[i64; 2]]) -> Relation {
+    fn rel(rows: &[[i64; 2]]) -> Columns {
         let schema = Schema::new(vec![Field::int("a"), Field::int("b")]);
-        Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap()
+        let tuples: Vec<Tuple> = rows.iter().map(|r| ints(r)).collect();
+        Columns::from_tuples(schema, &tuples).unwrap()
+    }
+
+    fn first(version: &RelationVersion) -> Tuple {
+        version.rows.tuples().next().unwrap()
     }
 
     #[test]
@@ -127,7 +134,7 @@ mod tests {
         let v3 = c.register("r", rel(&[[5, 6]]));
         assert!(v1 < v2 && v2 < v3);
         assert_eq!(c.get("r").unwrap().version, v3);
-        assert_eq!(c.get("r").unwrap().tuples[0], ints(&[5, 6]));
+        assert_eq!(first(&c.get("r").unwrap()), ints(&[5, 6]));
     }
 
     #[test]
@@ -137,7 +144,7 @@ mod tests {
         let pinned = c.get("r").unwrap();
         c.register("r", rel(&[[9, 9]]));
         c.drop_relation("r").unwrap();
-        assert_eq!(pinned.tuples[0], ints(&[1, 2]));
+        assert_eq!(first(&pinned), ints(&[1, 2]));
         assert!(matches!(c.get("r"), Err(ServiceError::UnknownRelation(_))));
     }
 

@@ -14,7 +14,7 @@ use crate::error::{Result, ServiceError};
 use crate::metrics::MetricsSnapshot;
 use crate::proto::{
     self, DivideReply, DivideRequest, ExecPlanRequest, PartialQuotientReply, PlanReply,
-    RepartitionRequest, Reply, Request, ShardRequest,
+    RepartitionRequest, Reply, Request, ShardRequest, WriteKind,
 };
 use crate::service::Service;
 
@@ -53,7 +53,8 @@ impl DivisionClient for InProcClient {
     }
 
     fn register(&mut self, name: &str, relation: &Relation) -> Result<u64> {
-        self.service.register(name, relation.clone())
+        self.service
+            .register_tuples(name, relation.schema(), relation.tuples())
     }
 
     fn drop_relation(&mut self, name: &str) -> Result<()> {
@@ -87,8 +88,11 @@ impl TcpClient {
     }
 
     fn call(&mut self, request: &Request) -> Result<Reply> {
-        let payload = request.encode()?;
-        proto::write_frame(&mut self.stream, &payload).map_err(io_err)?;
+        self.call_encoded(&request.encode()?)
+    }
+
+    fn call_encoded(&mut self, payload: &[u8]) -> Result<Reply> {
+        proto::write_frame(&mut self.stream, payload).map_err(io_err)?;
         let frame = proto::read_frame(&mut self.stream)
             .map_err(io_err)?
             .ok_or_else(|| ServiceError::Protocol("server closed the connection".into()))?;
@@ -185,12 +189,9 @@ impl DivisionClient for TcpClient {
     }
 
     fn register(&mut self, name: &str, relation: &Relation) -> Result<u64> {
-        let request = Request::Register {
-            name: name.to_owned(),
-            schema: relation.schema().clone(),
-            tuples: relation.tuples().to_vec(),
-        };
-        match self.call(&request)? {
+        let (schema, tuples) = (relation.schema(), relation.tuples());
+        let frame = proto::encode_write(name, &WriteKind::Register, schema, tuples, None)?;
+        match self.call_encoded(&frame)? {
             Reply::Registered { version } => Ok(version),
             other => Err(unexpected(&other)),
         }

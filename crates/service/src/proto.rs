@@ -8,6 +8,7 @@
 //! bytes in a record file. The full grammar is documented in
 //! `docs/PROTOCOL.md`.
 
+use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -15,10 +16,11 @@ use reldiv_core::{Algorithm, HashDivisionMode, ProfileNode, QueryProfile, SpanKi
 use reldiv_parallel::filter::BitVectorFilter;
 use reldiv_parallel::{Distribution, Strategy};
 use reldiv_rel::counters::OpSnapshot;
-use reldiv_rel::{ColumnType, Field, RecordCodec, Schema, Tuple};
+use reldiv_rel::{ColumnType, Columns, Field, RecordCodec, Schema, Tuple};
 
 use crate::error::ServiceError;
 use crate::metrics::MetricsSnapshot;
+use crate::service::ShardInfo;
 
 /// Frames larger than this are refused (a corrupt length prefix would
 /// otherwise ask for an absurd allocation).
@@ -316,6 +318,34 @@ pub struct ShardRequest {
     pub epoch: Option<u64>,
 }
 
+/// Which of the three bulk write frames a [`WriteFrame`] is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WriteKind {
+    /// [`Request::Register`].
+    Register,
+    /// [`Request::Shard`], with the shard's coordinates.
+    Shard(ShardInfo),
+    /// [`Request::ReplicaWrite`], with the fragment's coordinates.
+    Replica(ShardInfo),
+}
+
+/// A decoded `Register`, `Shard` or `ReplicaWrite` frame with its rows in
+/// `R`: tuples on the way to a [`Request`], columns out of
+/// [`decode_write`], which is what the server installs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WriteFrame<R> {
+    /// Catalog name (for a replica, the base name).
+    pub name: String,
+    /// Which frame, and where the rows sit in a sharded relation.
+    pub kind: WriteKind,
+    /// Schema of the rows.
+    pub schema: Schema,
+    /// The rows.
+    pub rows: R,
+    /// Coordinator catalog epoch (never present on a `Register`).
+    pub epoch: Option<u64>,
+}
+
 /// The repartition payload of a [`Request::Repartition`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepartitionRequest {
@@ -493,8 +523,8 @@ pub struct PartialQuotientReply {
     pub ops: OpSnapshot,
     /// Quotient schema.
     pub schema: Schema,
-    /// This node's quotient cluster.
-    pub tuples: Vec<Tuple>,
+    /// This node's quotient cluster, shared with the node's result cache.
+    pub tuples: Arc<Vec<Tuple>>,
     /// The node-local span tree, when the request asked for one. The
     /// coordinator grafts these under its network root to form the merged
     /// cluster profile.
@@ -686,35 +716,46 @@ fn get_schema(r: &mut Reader<'_>) -> PResult<Schema> {
     Ok(Schema::new(fields))
 }
 
-fn put_tuples(out: &mut Vec<u8>, schema: &Schema, tuples: &[Tuple]) -> PResult<()> {
+fn put_tuples<T: Borrow<Tuple>>(out: &mut Vec<u8>, schema: &Schema, tuples: &[T]) -> PResult<()> {
     let codec = RecordCodec::new(schema.clone());
     let n = u32::try_from(tuples.len()).map_err(|_| perr("too many tuples for one frame"))?;
     out.extend_from_slice(&n.to_le_bytes());
     for t in tuples {
         codec
-            .encode_into(t, out)
+            .encode_into(t.borrow(), out)
             .map_err(|e| perr(format!("tuple does not fit the schema: {e}")))?;
     }
     Ok(())
 }
 
+/// Reads a frame's record section — a `u32` count, then that many
+/// `width`-byte records — and hands the records to `land`. The only
+/// reader of record sections: clients land the rows in tuples, the
+/// server lands a write's rows in columns.
+fn get_rows<R>(
+    r: &mut Reader<'_>,
+    width: usize,
+    land: impl FnOnce(&[u8]) -> reldiv_rel::Result<R>,
+) -> PResult<R> {
+    let n = r.u32()? as usize;
+    if width == 0 && n > 0 {
+        return Err(perr("records of a schema without columns"));
+    }
+    let bytes = n.checked_mul(width).map(|len| r.take(len));
+    land(bytes.ok_or_else(|| perr("tuple count overflow"))??)
+        .map_err(|e| perr(format!("bad record: {e}")))
+}
+
 fn get_tuples(r: &mut Reader<'_>, schema: &Schema) -> PResult<Vec<Tuple>> {
     let codec = RecordCodec::new(schema.clone());
-    let n = r.u32()? as usize;
     let width = codec.record_width();
-    let bytes = r.take(
-        n.checked_mul(width)
-            .ok_or_else(|| perr("tuple count overflow"))?,
-    )?;
-    let mut tuples = Vec::with_capacity(n);
-    for record in bytes.chunks_exact(width) {
-        tuples.push(
-            codec
-                .decode(record)
-                .map_err(|e| perr(format!("bad record: {e}")))?,
-        );
-    }
-    Ok(tuples)
+    get_rows(r, width, |records| {
+        let mut tuples = Vec::with_capacity(records.len() / width.max(1));
+        for record in records.chunks_exact(width.max(1)) {
+            tuples.push(codec.decode(record)?);
+        }
+        Ok(tuples)
+    })
 }
 
 fn put_keys(out: &mut Vec<u8>, keys: &[usize]) -> PResult<()> {
@@ -947,6 +988,107 @@ fn get_epoch_ext(r: &mut Reader<'_>) -> PResult<Option<u64>> {
     }
 }
 
+/// Encodes a `Register`, `Shard` or `ReplicaWrite` frame from borrowed
+/// rows, so a client need not clone a relation into a [`Request`] first;
+/// the bytes are those of the matching `Request`'s `encode`.
+pub fn encode_write<T: Borrow<Tuple>>(
+    name: &str,
+    kind: &WriteKind,
+    schema: &Schema,
+    tuples: &[T],
+    epoch: Option<u64>,
+) -> PResult<Vec<u8>> {
+    let (op, at) = match kind {
+        WriteKind::Register => (OP_REGISTER, None),
+        WriteKind::Shard(at) => (OP_SHARD, Some(at)),
+        WriteKind::Replica(at) => (OP_REPLICA_WRITE, Some(at)),
+    };
+    let mut out = Vec::with_capacity(tuples.len() * schema.record_width() + 256);
+    out.push(op);
+    put_str(&mut out, name)?;
+    if let Some(at) = at {
+        check_placement(op, at.shard, at.of)?;
+        out.extend_from_slice(&at.shard.to_le_bytes());
+        out.extend_from_slice(&at.of.to_le_bytes());
+        put_keys(&mut out, &at.shard_keys)?;
+    }
+    put_schema(&mut out, schema)?;
+    put_tuples(&mut out, schema, tuples)?;
+    if at.is_some() {
+        put_epoch_ext(&mut out, epoch);
+    }
+    Ok(out)
+}
+
+fn check_placement(op: u8, index: u16, of: u16) -> PResult<()> {
+    if of > 0 && of as usize <= MAX_CLUSTER_NODES && index < of {
+        return Ok(());
+    }
+    Err(perr(if op == OP_SHARD {
+        format!("shard {index}/{of} is not a valid placement")
+    } else {
+        format!("replica of fragment {index}/{of} is not a valid placement")
+    }))
+}
+
+/// Parses the body of a bulk write frame whose opcode `op` was already
+/// read, landing the record section wherever `rows` puts it.
+fn get_write<R>(
+    op: u8,
+    r: &mut Reader<'_>,
+    rows: impl FnOnce(&mut Reader<'_>, &Schema) -> PResult<R>,
+) -> PResult<WriteFrame<R>> {
+    let name = r.str()?;
+    let kind = if op == OP_REGISTER {
+        WriteKind::Register
+    } else {
+        let (shard, of) = (r.u16()?, r.u16()?);
+        check_placement(op, shard, of)?;
+        let shard_keys = get_keys(r)?;
+        let at = ShardInfo {
+            shard,
+            of,
+            shard_keys,
+        };
+        if op == OP_SHARD {
+            WriteKind::Shard(at)
+        } else {
+            WriteKind::Replica(at)
+        }
+    };
+    let schema = get_schema(r)?;
+    let rows = rows(r, &schema)?;
+    let epoch = match kind {
+        WriteKind::Register => None,
+        _ => get_epoch_ext(r)?,
+    };
+    Ok(WriteFrame {
+        name,
+        kind,
+        schema,
+        rows,
+        epoch,
+    })
+}
+
+/// Decodes a frame payload that is a `Register`, `Shard` or
+/// `ReplicaWrite`, its record section read straight into columns (each
+/// record checked for width and UTF-8, as [`Request::decode`] checks
+/// it); `None` for any other opcode.
+pub fn decode_write(payload: &[u8]) -> Option<PResult<WriteFrame<Columns>>> {
+    let op = *payload.first()?;
+    if !matches!(op, OP_REGISTER | OP_SHARD | OP_REPLICA_WRITE) {
+        return None;
+    }
+    let mut r = Reader::new(&payload[1..]);
+    let columns = |r: &mut Reader<'_>, schema: &Schema| {
+        get_rows(r, schema.record_width(), |records| {
+            Columns::from_records(schema.clone(), records)
+        })
+    };
+    Some(get_write(op, &mut r, columns).and_then(|write| r.finish().map(|()| write)))
+}
+
 /// Encodes a membership view (epoch, member addresses, replication
 /// factor), shared by the `ClusterEpoch` request and the `Epoch` reply.
 fn put_membership(
@@ -1159,12 +1301,7 @@ impl Request {
                 name,
                 schema,
                 tuples,
-            } => {
-                out.push(OP_REGISTER);
-                put_str(&mut out, name)?;
-                put_schema(&mut out, schema)?;
-                put_tuples(&mut out, schema, tuples)?;
-            }
+            } => return encode_write(name, &WriteKind::Register, schema, tuples, None),
             Request::DropRelation { name } => {
                 out.push(OP_DROP);
                 put_str(&mut out, name)?;
@@ -1176,20 +1313,13 @@ impl Request {
             Request::Stats => out.push(OP_STATS),
             Request::Shutdown => out.push(OP_SHUTDOWN),
             Request::Shard(s) => {
-                out.push(OP_SHARD);
-                if s.of == 0 || s.of as usize > MAX_CLUSTER_NODES || s.shard >= s.of {
-                    return Err(perr(format!(
-                        "shard {}/{} is not a valid placement",
-                        s.shard, s.of
-                    )));
-                }
-                put_str(&mut out, &s.name)?;
-                out.extend_from_slice(&s.shard.to_le_bytes());
-                out.extend_from_slice(&s.of.to_le_bytes());
-                put_keys(&mut out, &s.shard_keys)?;
-                put_schema(&mut out, &s.schema)?;
-                put_tuples(&mut out, &s.schema, &s.tuples)?;
-                put_epoch_ext(&mut out, s.epoch);
+                let at = ShardInfo {
+                    shard: s.shard,
+                    of: s.of,
+                    shard_keys: s.shard_keys.clone(),
+                };
+                let kind = WriteKind::Shard(at);
+                return encode_write(&s.name, &kind, &s.schema, &s.tuples, s.epoch);
             }
             Request::Repartition(p) => {
                 out.push(OP_REPARTITION);
@@ -1263,20 +1393,13 @@ impl Request {
                 }
             }
             Request::ReplicaWrite(w) => {
-                out.push(OP_REPLICA_WRITE);
-                if w.of == 0 || w.of as usize > MAX_CLUSTER_NODES || w.fragment >= w.of {
-                    return Err(perr(format!(
-                        "replica of fragment {}/{} is not a valid placement",
-                        w.fragment, w.of
-                    )));
-                }
-                put_str(&mut out, &w.name)?;
-                out.extend_from_slice(&w.fragment.to_le_bytes());
-                out.extend_from_slice(&w.of.to_le_bytes());
-                put_keys(&mut out, &w.shard_keys)?;
-                put_schema(&mut out, &w.schema)?;
-                put_tuples(&mut out, &w.schema, &w.tuples)?;
-                put_epoch_ext(&mut out, w.epoch);
+                let at = ShardInfo {
+                    shard: w.fragment,
+                    of: w.of,
+                    shard_keys: w.shard_keys.clone(),
+                };
+                let kind = WriteKind::Replica(at);
+                return encode_write(&w.name, &kind, &w.schema, &w.tuples, w.epoch);
             }
         }
         Ok(out)
@@ -1287,41 +1410,44 @@ impl Request {
         let mut r = Reader::new(payload);
         let req = match r.u8()? {
             OP_PING => Request::Ping,
-            OP_REGISTER => {
-                let name = r.str()?;
-                let schema = get_schema(&mut r)?;
-                let tuples = get_tuples(&mut r, &schema)?;
-                Request::Register {
+            op @ (OP_REGISTER | OP_SHARD | OP_REPLICA_WRITE) => {
+                let WriteFrame {
                     name,
+                    kind,
                     schema,
-                    tuples,
+                    rows: tuples,
+                    epoch,
+                } = get_write(op, &mut r, get_tuples)?;
+                match kind {
+                    WriteKind::Register => Request::Register {
+                        name,
+                        schema,
+                        tuples,
+                    },
+                    WriteKind::Shard(at) => Request::Shard(ShardRequest {
+                        name,
+                        shard: at.shard,
+                        of: at.of,
+                        shard_keys: at.shard_keys,
+                        schema,
+                        tuples,
+                        epoch,
+                    }),
+                    WriteKind::Replica(at) => Request::ReplicaWrite(ReplicaWriteRequest {
+                        name,
+                        fragment: at.shard,
+                        of: at.of,
+                        shard_keys: at.shard_keys,
+                        schema,
+                        tuples,
+                        epoch,
+                    }),
                 }
             }
             OP_DROP => Request::DropRelation { name: r.str()? },
             OP_DIVIDE => Request::Divide(get_divide_body(&mut r)?),
             OP_STATS => Request::Stats,
             OP_SHUTDOWN => Request::Shutdown,
-            OP_SHARD => {
-                let name = r.str()?;
-                let shard = r.u16()?;
-                let of = r.u16()?;
-                if of == 0 || of as usize > MAX_CLUSTER_NODES || shard >= of {
-                    return Err(perr(format!("shard {shard}/{of} is not a valid placement")));
-                }
-                let shard_keys = get_keys(&mut r)?;
-                let schema = get_schema(&mut r)?;
-                let tuples = get_tuples(&mut r, &schema)?;
-                let epoch = get_epoch_ext(&mut r)?;
-                Request::Shard(ShardRequest {
-                    name,
-                    shard,
-                    of,
-                    shard_keys,
-                    schema,
-                    tuples,
-                    epoch,
-                })
-            }
             OP_REPARTITION => {
                 let name = r.str()?;
                 let keys = get_keys(&mut r)?;
@@ -1401,29 +1527,6 @@ impl Request {
                 }
                 t => return Err(perr(format!("unknown epoch request tag {t}"))),
             },
-            OP_REPLICA_WRITE => {
-                let name = r.str()?;
-                let fragment = r.u16()?;
-                let of = r.u16()?;
-                if of == 0 || of as usize > MAX_CLUSTER_NODES || fragment >= of {
-                    return Err(perr(format!(
-                        "replica of fragment {fragment}/{of} is not a valid placement"
-                    )));
-                }
-                let shard_keys = get_keys(&mut r)?;
-                let schema = get_schema(&mut r)?;
-                let tuples = get_tuples(&mut r, &schema)?;
-                let epoch = get_epoch_ext(&mut r)?;
-                Request::ReplicaWrite(ReplicaWriteRequest {
-                    name,
-                    fragment,
-                    of,
-                    shard_keys,
-                    schema,
-                    tuples,
-                    epoch,
-                })
-            }
             op => return Err(perr(format!("unknown request opcode {op:#04x}"))),
         };
         r.finish()?;
@@ -1850,7 +1953,7 @@ pub fn decode_response(payload: &[u8]) -> PResult<Response> {
                         micros,
                         ops,
                         schema,
-                        tuples,
+                        tuples: Arc::new(tuples),
                         profile,
                     })
                 }
@@ -2551,7 +2654,7 @@ mod tests {
                     bitops: 8,
                 },
                 schema: Schema::new(vec![Field::int("q")]),
-                tuples: vec![ints(&[4]), ints(&[5])],
+                tuples: Arc::new(vec![ints(&[4]), ints(&[5])]),
                 profile: Some(QueryProfile {
                     root: sample_profile_node(1),
                 }),
@@ -2564,7 +2667,7 @@ mod tests {
                 micros: 1,
                 ops: OpSnapshot::default(),
                 schema: Schema::new(vec![Field::int("q")]),
-                tuples: vec![],
+                tuples: Arc::new(vec![]),
                 profile: None,
             })),
             Ok(Reply::Plan(PlanReply {
@@ -3110,7 +3213,7 @@ mod tests {
                 micros: 3,
                 ops: OpSnapshot::default(),
                 schema: schema2(),
-                tuples: vec![ints(&[5, 6])],
+                tuples: Arc::new(vec![ints(&[5, 6])]),
                 profile: Some(QueryProfile {
                     root: sample_profile_node(1),
                 }),
@@ -3162,5 +3265,191 @@ mod tests {
                 let _ = decode_response(&mutated);
             }
         }
+    }
+    /// A seeded relation: one to four columns of either type, strings of
+    /// one- and two-byte characters up to their width.
+    fn random_relation(rng: &mut u64, rows: usize) -> (Schema, Vec<Tuple>) {
+        use reldiv_rel::Value;
+        let fields: Vec<Field> = (0..1 + splitmix64(rng) % 4)
+            .map(|i| match splitmix64(rng) % 2 {
+                0 => Field::int(format!("c{i}")),
+                _ => Field::str(format!("c{i}"), 1 + (splitmix64(rng) % 6) as usize),
+            })
+            .collect();
+        let mut value = |ty: ColumnType| match ty {
+            ColumnType::Int => Value::Int(splitmix64(rng) as i64),
+            ColumnType::Str(width) => {
+                let mut s = String::new();
+                for _ in 0..splitmix64(rng) % 7 {
+                    let c = if splitmix64(rng) % 3 == 0 { 'é' } else { 'x' };
+                    if s.len() + c.len_utf8() <= width {
+                        s.push(c);
+                    }
+                }
+                Value::Str(s)
+            }
+        };
+        let tuples = (0..rows)
+            .map(|_| Tuple::new(fields.iter().map(|f| value(f.ty)).collect()))
+            .collect();
+        (Schema::new(fields), tuples)
+    }
+
+    /// The three bulk write requests over one relation.
+    fn write_requests(schema: &Schema, tuples: &[Tuple]) -> [Request; 3] {
+        [
+            Request::Register {
+                name: "r".into(),
+                schema: schema.clone(),
+                tuples: tuples.to_vec(),
+            },
+            Request::Shard(ShardRequest {
+                name: "r".into(),
+                shard: 1,
+                of: 3,
+                shard_keys: vec![0],
+                schema: schema.clone(),
+                tuples: tuples.to_vec(),
+                epoch: Some(9),
+            }),
+            Request::ReplicaWrite(ReplicaWriteRequest {
+                name: "r".into(),
+                fragment: 2,
+                of: 3,
+                shard_keys: vec![0],
+                schema: schema.clone(),
+                tuples: tuples.to_vec(),
+                epoch: None,
+            }),
+        ]
+    }
+
+    /// What `Request::decode` makes of a bulk write frame, in
+    /// `decode_write`'s terms.
+    fn as_write(request: Request) -> WriteFrame<Vec<Tuple>> {
+        let at = |shard, of, shard_keys| ShardInfo {
+            shard,
+            of,
+            shard_keys,
+        };
+        let (name, kind, schema, rows, epoch) = match request {
+            Request::Register {
+                name,
+                schema,
+                tuples,
+            } => (name, WriteKind::Register, schema, tuples, None),
+            Request::Shard(s) => {
+                let kind = WriteKind::Shard(at(s.shard, s.of, s.shard_keys));
+                (s.name, kind, s.schema, s.tuples, s.epoch)
+            }
+            Request::ReplicaWrite(w) => {
+                let kind = WriteKind::Replica(at(w.fragment, w.of, w.shard_keys));
+                (w.name, kind, w.schema, w.tuples, w.epoch)
+            }
+            other => panic!("not a bulk write: {other:?}"),
+        };
+        WriteFrame {
+            name,
+            kind,
+            schema,
+            rows,
+            epoch,
+        }
+    }
+
+    /// `decode_write`'s answer with the columns read back as tuples.
+    fn columnar(frame: &[u8]) -> Option<PResult<WriteFrame<Vec<Tuple>>>> {
+        decode_write(frame).map(|write| {
+            write.map(|w| WriteFrame {
+                rows: w.rows.tuples().collect(),
+                name: w.name,
+                kind: w.kind,
+                schema: w.schema,
+                epoch: w.epoch,
+            })
+        })
+    }
+
+    #[test]
+    fn write_frames_read_into_columns_equal_their_decoded_requests() {
+        let mut rng = 0xC01_u64;
+        // Cardinalities around the batch boundaries, the empty relation.
+        for rows in [0, 1, 7, 1023, 1024, 1025, 2048, 2500] {
+            let (schema, tuples) = random_relation(&mut rng, rows);
+            for request in write_requests(&schema, &tuples) {
+                let frame = request.encode().unwrap();
+                let want = as_write(Request::decode(&frame).unwrap());
+                assert_eq!(want.rows, tuples);
+                assert_eq!(columnar(&frame).unwrap().unwrap(), want, "{rows} rows");
+                // The borrowed-row encoder writes the same bytes.
+                let borrowed: Vec<&Tuple> = tuples.iter().collect();
+                let again = encode_write(&want.name, &want.kind, &schema, &borrowed, want.epoch);
+                assert_eq!(again.unwrap(), frame);
+            }
+        }
+        assert!(decode_write(&Request::Stats.encode().unwrap()).is_none());
+        assert!(decode_write(&[]).is_none());
+    }
+
+    #[test]
+    fn damaged_write_frames_fail_both_decoders_alike() {
+        let mut rng = 0xBAD_u64;
+        let (schema, tuples) = random_relation(&mut rng, 40);
+        let protocol_error = |frame: &[u8], what: &str| {
+            let theirs = Request::decode(frame).unwrap_err();
+            let ours = columnar(frame).unwrap().unwrap_err();
+            assert!(matches!(ours, ServiceError::Protocol(_)), "{what}: {ours}");
+            assert_eq!(ours.to_string(), theirs.to_string(), "{what}");
+        };
+        for request in write_requests(&schema, &tuples) {
+            let frame = request.encode().unwrap();
+            // Every truncation — the record section's among them.
+            for cut in 1..frame.len() {
+                match Request::decode(&frame[..cut]) {
+                    Err(_) => protocol_error(&frame[..cut], "truncated"),
+                    // (A cut that only drops the optional epoch.)
+                    Ok(shorter) => {
+                        assert_eq!(columnar(&frame[..cut]).unwrap().unwrap(), as_write(shorter))
+                    }
+                }
+            }
+            // Random damage: the decoders agree on every frame, whether
+            // it still decodes or not.
+            for _ in 0..400 {
+                let mut bent = frame.clone();
+                let at = 1 + splitmix64(&mut rng) as usize % (bent.len() - 1);
+                bent[at] ^= 1 << (splitmix64(&mut rng) % 8);
+                match Request::decode(&bent) {
+                    Err(_) => protocol_error(&bent, "bit flip"),
+                    Ok(request) => {
+                        assert_eq!(columnar(&bent).unwrap().unwrap(), as_write(request))
+                    }
+                }
+            }
+        }
+
+        // A record count whose byte length cannot fit the frame.
+        let name_and_schema = {
+            let empty = Request::Register {
+                name: "r".into(),
+                schema: schema2(),
+                tuples: vec![],
+            };
+            let mut frame = empty.encode().unwrap();
+            frame.truncate(frame.len() - 4);
+            frame
+        };
+        let mut huge = name_and_schema.clone();
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        protocol_error(&huge, "count overflow");
+
+        // A string field that is not UTF-8.
+        let strings = Schema::new(vec![Field::str("s", 4)]);
+        let row = Tuple::new(vec![reldiv_rel::Value::from("ab")]);
+        let [register, ..] = write_requests(&strings, &[row]);
+        let mut frame = register.encode().unwrap();
+        let at = frame.len() - 4;
+        frame[at] = 0xFF;
+        protocol_error(&frame, "invalid UTF-8");
     }
 }

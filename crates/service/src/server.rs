@@ -15,11 +15,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
-use reldiv_rel::Relation;
+use reldiv_rel::Columns;
 
 use crate::error::ServiceError;
-use crate::proto::{self, EpochRequest, PartialQuotientReply, Reply, Request, Response};
-use crate::service::{ClusterEpochState, Service, ShardInfo};
+use crate::proto::{
+    self, EpochRequest, PartialQuotientReply, Reply, Request, Response, WriteFrame, WriteKind,
+};
+use crate::service::{ClusterEpochState, Service};
 
 struct Shared {
     service: Arc<Service>,
@@ -164,9 +166,14 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             }
             Err(_) => return,
         };
-        let (response, shutdown) = match Request::decode(&payload) {
-            Ok(request) => dispatch(&shared, request),
-            Err(e) => (Err(e), false),
+        // The three bulk write frames never become a `Request`: their
+        // rows go from the wire into the columns the catalog keeps.
+        let (response, shutdown) = match proto::decode_write(&payload) {
+            Some(write) => (write.and_then(|w| install(&shared.service, w)), false),
+            None => match Request::decode(&payload) {
+                Ok(request) => dispatch(&shared, request),
+                Err(e) => (Err(e), false),
+            },
         };
         let Ok(bytes) = proto::encode_response(&response) else {
             return;
@@ -182,40 +189,43 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
+/// Installs the rows of a `Register`, `Shard` or `ReplicaWrite` frame.
+fn install(service: &Service, write: WriteFrame<Columns>) -> Response {
+    match write.kind {
+        WriteKind::Register => service
+            .register_columns(&write.name, write.rows)
+            .map(|version| Reply::Registered { version }),
+        WriteKind::Shard(at) => service
+            .check_epoch(write.epoch)
+            .and_then(|()| service.install_shard(&write.name, write.rows, at))
+            .map(|version| Reply::Sharded { version }),
+        WriteKind::Replica(at) => {
+            let fragment = at.shard;
+            // Replicas live under a reserved name keyed by fragment
+            // index, so one node can hold replicas of many fragments
+            // of the same relation without collisions.
+            let name = proto::replica_name(fragment, &write.name);
+            service
+                .check_epoch(write.epoch)
+                .and_then(|()| service.install_shard(&name, write.rows, at))
+                .map(|version| Reply::ReplicaAck { version, fragment })
+        }
+    }
+}
+
 /// Runs one request against the service; the boolean asks the server to
 /// begin shutting down after the response is sent.
 fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
     let service = &shared.service;
     let response = match request {
         Request::Ping => Ok(Reply::Pong),
-        Request::Register {
-            name,
-            schema,
-            tuples,
-        } => Relation::from_tuples(schema, tuples)
-            .map_err(|e| ServiceError::BadRequest(e.to_string()))
-            .and_then(|relation| service.register(&name, relation))
-            .map(|version| Reply::Registered { version }),
+        Request::Register { .. } | Request::Shard(_) | Request::ReplicaWrite(_) => {
+            Err(ServiceError::Internal(
+                "a bulk write frame is decoded into columns, never dispatched".into(),
+            ))
+        }
         Request::DropRelation { name } => service.drop_relation(&name).map(|()| Reply::Dropped),
         Request::Divide(q) => service.divide(&q).map(Reply::Divided),
-        Request::Shard(s) => service
-            .check_epoch(s.epoch)
-            .and_then(|()| {
-                Relation::from_tuples(s.schema, s.tuples)
-                    .map_err(|e| ServiceError::BadRequest(e.to_string()))
-            })
-            .and_then(|relation| {
-                service.install_shard(
-                    &s.name,
-                    relation,
-                    ShardInfo {
-                        shard: s.shard,
-                        of: s.of,
-                        shard_keys: s.shard_keys,
-                    },
-                )
-            })
-            .map(|version| Reply::Sharded { version }),
         Request::Repartition(r) => service
             .check_epoch(r.epoch)
             .and_then(|()| {
@@ -251,7 +261,7 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
                     micros: r.micros,
                     ops: r.ops,
                     schema: r.schema,
-                    tuples: r.tuples.as_ref().clone(),
+                    tuples: r.tuples,
                     profile: r.profile,
                 })
             }),
@@ -288,30 +298,6 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
                 epoch: s.epoch,
                 members: s.members,
                 replication: s.replication,
-            }),
-        Request::ReplicaWrite(w) => service
-            .check_epoch(w.epoch)
-            .and_then(|()| {
-                Relation::from_tuples(w.schema, w.tuples)
-                    .map_err(|e| ServiceError::BadRequest(e.to_string()))
-            })
-            .and_then(|relation| {
-                // Replicas live under a reserved name keyed by fragment
-                // index, so one node can hold replicas of many fragments
-                // of the same relation without collisions.
-                service.install_shard(
-                    &proto::replica_name(w.fragment, &w.name),
-                    relation,
-                    ShardInfo {
-                        shard: w.fragment,
-                        of: w.of,
-                        shard_keys: w.shard_keys,
-                    },
-                )
-            })
-            .map(|version| Reply::ReplicaAck {
-                version,
-                fragment: w.fragment,
             }),
         Request::Shutdown => return (Ok(Reply::ShuttingDown), true),
     };

@@ -34,10 +34,10 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 use reldiv_core::{QueryProfile, SpanKind};
 use reldiv_parallel::filter::BitVectorFilter;
-use reldiv_parallel::{route, Distribution};
+use reldiv_parallel::{route_hash, Distribution};
 use reldiv_plan::{AlgorithmHint, ColRef, DivideHints, Plan, Tri};
 use reldiv_rel::counters::OpSnapshot;
-use reldiv_rel::{Relation, Schema, Tuple};
+use reldiv_rel::{Columns, Relation, Schema, Tuple};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::FaultPlan;
 
@@ -191,12 +191,27 @@ impl Service {
 
     /// Installs (or replaces) a relation under `name`; returns its new
     /// catalog version. Cached results reading the old version are
-    /// purged.
+    /// purged. A relation the record codec cannot represent (an embedded
+    /// NUL, an over-width string) is refused here with
+    /// [`ServiceError::BadRequest`] and changes nothing.
     pub fn register(&self, name: &str, relation: Relation) -> Result<u64> {
+        self.register_tuples(name, relation.schema(), relation.tuples())
+    }
+
+    /// [`Service::register`] from borrowed rows.
+    pub fn register_tuples(&self, name: &str, schema: &Schema, tuples: &[Tuple]) -> Result<u64> {
+        let rows = Columns::from_tuples(schema.clone(), tuples)
+            .map_err(|e| ServiceError::BadRequest(format!("tuple violates schema: {e}")))?;
+        self.register_columns(name, rows)
+    }
+
+    /// [`Service::register`] of rows already held as columns — the form
+    /// the catalog keeps and the server decodes a `Register` frame into.
+    pub fn register_columns(&self, name: &str, rows: Columns) -> Result<u64> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
-        let version = self.catalog.register(name, relation);
+        let version = self.catalog.register(name, rows);
         // A plain register replaces whatever was there — including a
         // shard, whose coordinates no longer describe the new contents.
         self.forget(name);
@@ -214,10 +229,10 @@ impl Service {
     }
 
     /// Installs one shard of a hash-partitioned relation (the cluster
-    /// node role): the tuples become an ordinary catalog relation under
+    /// node role): the rows become an ordinary catalog relation under
     /// `name`, and the shard coordinates are recorded for
     /// [`Service::shard_info`]. Returns the catalog version.
-    pub fn install_shard(&self, name: &str, relation: Relation, info: ShardInfo) -> Result<u64> {
+    pub fn install_shard(&self, name: &str, rows: Columns, info: ShardInfo) -> Result<u64> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
@@ -227,7 +242,7 @@ impl Service {
                 info.shard, info.of
             )));
         }
-        let arity = relation.schema().arity();
+        let arity = rows.schema().arity();
         if let Some(&k) = info.shard_keys.iter().find(|&&k| k >= arity) {
             return Err(ServiceError::BadRequest(format!(
                 "shard key {k} out of range for arity {arity}"
@@ -241,7 +256,7 @@ impl Service {
         for stale in self.catalog.drop_where(|n| proto::is_derived_from(n, base)) {
             self.forget(&stale);
         }
-        let version = self.catalog.register(name, relation);
+        let version = self.catalog.register(name, rows);
         self.shards.lock().insert(name.to_owned(), info);
         self.cache.invalidate_relation(name);
         Ok(version)
@@ -336,7 +351,7 @@ impl Service {
             return Err(ServiceError::BadRequest("empty key set".into()));
         }
         let relation = self.catalog.get(name)?;
-        let arity = relation.schema.arity();
+        let arity = relation.schema().arity();
         if let Some(&k) = keys.iter().find(|&&k| k >= arity) {
             return Err(ServiceError::BadRequest(format!(
                 "partition key {k} out of range for arity {arity}"
@@ -344,16 +359,18 @@ impl Service {
         }
         let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); parts];
         let mut filtered = 0u64;
-        for tuple in relation.tuples.iter() {
-            if let Some(f) = filter {
-                if !f.may_match(tuple, keys) {
+        for batch in relation.rows.batches() {
+            // One hash per row (`Tuple::hash_on`'s value) serves the
+            // filter test and the routing.
+            for (row, hash) in batch.hash_rows(keys).into_iter().enumerate() {
+                if filter.is_some_and(|f| !f.may_match_hash(hash)) {
                     filtered += 1;
-                    continue;
+                } else {
+                    buckets[route_hash(hash, parts)].push(batch.tuple(row));
                 }
             }
-            buckets[route(tuple, keys, parts)].push(tuple.clone());
         }
-        Ok((relation.schema.clone(), buckets, filtered))
+        Ok((relation.schema().clone(), buckets, filtered))
     }
 
     /// Builds a bit-vector filter over the stored relation's local tuples
@@ -378,17 +395,19 @@ impl Service {
             return Err(ServiceError::BadRequest("empty key set".into()));
         }
         let relation = self.catalog.get(name)?;
-        let arity = relation.schema.arity();
+        let arity = relation.schema().arity();
         if let Some(&k) = keys.iter().find(|&&k| k >= arity) {
             return Err(ServiceError::BadRequest(format!(
                 "filter key {k} out of range for arity {arity}"
             )));
         }
         let mut filter = BitVectorFilter::new(bits);
-        for tuple in relation.tuples.iter() {
-            filter.insert_on(tuple, keys);
+        for batch in relation.rows.batches() {
+            for hash in batch.hash_rows(keys) {
+                filter.insert_hash(hash);
+            }
         }
-        Ok((filter, relation.tuples.len() as u64))
+        Ok((filter, relation.cardinality() as u64))
     }
 
     /// `(name, version, cardinality)` of every registered relation.
@@ -459,8 +478,8 @@ impl Service {
             None => {
                 // The trailing-divisor convention: the dividend's last
                 // |S| columns are the divisor attributes.
-                let n = self.catalog.get(&request.dividend)?.schema.arity();
-                let d = self.catalog.get(&request.divisor)?.schema.arity();
+                let n = self.catalog.get(&request.dividend)?.schema().arity();
+                let d = self.catalog.get(&request.divisor)?.schema().arity();
                 let q = n.saturating_sub(d);
                 ((q..n).collect(), (0..q).collect())
             }
@@ -730,6 +749,6 @@ impl reldiv_plan::CatalogSource for PinnedCatalog<'_> {
         self.0
             .iter()
             .find(|r| r.name == name)
-            .map(|r| (r.schema.clone(), r.cardinality() as u64))
+            .map(|r| (r.schema().clone(), r.cardinality() as u64))
     }
 }

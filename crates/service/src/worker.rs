@@ -2,12 +2,27 @@
 //!
 //! `reldiv-storage`'s `StorageRef` is single-threaded by design (the
 //! paper's system ran one process per disk), so the pool gives every
-//! worker its own [`StorageManager`] and materializes catalog relations
-//! into *worker-local* record files on demand. A file lives as long as
-//! the relation version it was written from: before materializing, a
-//! worker deletes the files of versions that were replaced or dropped and
-//! that no query pins any more, so it never holds more than one
-//! materialization per catalog name and none for a name that is gone.
+//! worker its own [`StorageManager`] — for spills, sort runs and the base
+//! relations that do not fit in memory.
+//!
+//! ## When a worker materializes
+//!
+//! The catalog holds a relation as shared columns, and a worker scans
+//! them in place whenever the relation's records (`cardinality ×
+//! record_width`) fit its buffer pool (`StorageConfig::buffer_bytes`):
+//! no file is written, no page is transferred, and every worker reads
+//! the same copy. The paper goes to disk *when the tables overflow*
+//! (Section 3.4); so does a worker. A relation larger than the pool —
+//! the paper's 256 KB configuration, the chaos soak's 24 KB one — is
+//! spooled from the columns into a *worker-local* record file on the
+//! first miss that reads it, so page I/O, eviction and the fault plan
+//! reach exactly the base relations the configuration says live on disk.
+//! This is a property of the input against the existing configuration,
+//! not a setting. Such a file lives as long as the relation version it
+//! was written from: before serving a source, a worker deletes the files
+//! of versions that were replaced or dropped and that no query pins any
+//! more, so it never holds more than one file per catalog name and none
+//! for a name that is gone.
 //!
 //! ## Robustness
 //!
@@ -75,8 +90,8 @@ pub(crate) struct Job {
 }
 
 /// Worker-local state: a private storage manager plus the record files it
-/// has materialized, keyed by catalog name; each lives as long as the
-/// relation version it was written from.
+/// has materialized for relations larger than its pool, keyed by catalog
+/// name; each lives as long as the relation version it was written from.
 struct WorkerState {
     storage: StorageRef,
     files: HashMap<String, (Weak<RelationVersion>, FileId)>,
@@ -107,20 +122,26 @@ impl WorkerState {
         }
     }
 
-    /// Returns a file-backed [`Source`] for `relation`, materializing it
-    /// into a local record file on first use of this version (and
-    /// deleting the file of any other version of the same name).
+    /// Returns a [`Source`] for `relation`: the catalog's columns when
+    /// its records fit this worker's buffer pool, otherwise a local record
+    /// file, materialized on first use of this version (deleting the file
+    /// of any other version of the same name).
     fn source_for(&mut self, relation: &Arc<RelationVersion>) -> Result<Source> {
         self.sweep_files()?;
+        let schema = relation.schema();
+        let bytes = relation.cardinality().saturating_mul(schema.record_width());
+        if bytes <= self.storage.borrow().config().buffer_bytes {
+            return Ok(Source::Columns(relation.rows.clone()));
+        }
         if let Some((held, file)) = self.files.get(&relation.name) {
             if std::ptr::eq(held.as_ptr(), Arc::as_ptr(relation)) {
-                return Ok(Source::from_file(*file, relation.schema.clone()));
+                return Ok(Source::from_file(*file, schema.clone()));
             }
             // Another version, still pinned by a query elsewhere.
             self.delete_file_of(&relation.name)?;
         }
-        let codec = RecordCodec::new(relation.schema.clone());
-        let mut tuples = relation.tuples.iter();
+        let codec = RecordCodec::new(schema.clone());
+        let mut tuples = relation.rows.tuples();
         let file = spool(&self.storage, StorageManager::DATA_DISK, &codec, || {
             Ok(tuples.next())
         })
@@ -130,7 +151,7 @@ impl WorkerState {
         })?;
         self.files
             .insert(relation.name.clone(), (Arc::downgrade(relation), file));
-        Ok(Source::from_file(file, relation.schema.clone()))
+        Ok(Source::from_file(file, schema.clone()))
     }
 
     /// Deletes the files of versions nobody holds any more: replaced or
@@ -273,8 +294,9 @@ impl WorkerState {
     }
 }
 
-/// Serves a plan's base relations from the worker's materialized record
-/// files, restricted to the versions the front end pinned at admission.
+/// Serves a plan's base relations — the catalog's columns, or the
+/// worker's record file for one too large for its pool — restricted to
+/// the versions the front end pinned at admission.
 /// A storage failure is stashed (`failure`) so the service error survives
 /// the trip through the plan crate's error type.
 struct PinnedSources<'a> {
@@ -381,25 +403,48 @@ pub(crate) fn worker_loop(
 mod tests {
     use super::*;
     use reldiv_rel::schema::Field;
-    use reldiv_rel::{Schema, Tuple, Value};
+    use reldiv_rel::{Batch, Columns, Schema, Tuple, Value};
+    use reldiv_storage::manager::StorageConfig;
+
+    /// A worker whose pool (4 KB) is smaller than the relations below, so
+    /// each is served from a record file.
+    fn small_pool_worker(abort: &'static AtomicBool) -> WorkerState {
+        let config = ServiceConfig {
+            storage: StorageConfig {
+                data_page_size: 1024,
+                buffer_bytes: 4 * 1024,
+                ..StorageConfig::paper()
+            },
+            ..ServiceConfig::default()
+        };
+        WorkerState::new(&config, 0, abort)
+    }
+
+    /// A version holding `tuples` as they are, unchecked.
+    fn version(name: &str, version: u64, schema: Schema, tuples: &[Tuple]) -> Arc<RelationVersion> {
+        let mut batch = Batch::with_capacity(schema.clone(), tuples.len());
+        tuples.iter().for_each(|t| batch.push_tuple(t));
+        Arc::new(RelationVersion {
+            name: name.to_owned(),
+            version,
+            rows: Columns::from_batches(schema, vec![batch]),
+        })
+    }
 
     #[test]
     fn failed_materialization_leaves_no_file_behind() {
-        // A registered relation whose last tuple cannot be encoded (an
-        // embedded NUL in a fixed-width string) fails every query on it;
-        // each failure must give the half-written record file back.
+        // `register` refuses a relation the codec cannot encode, so only
+        // a version built around it can hold one (an embedded NUL in the
+        // last tuple); should one ever reach a worker, every failed load
+        // must give the half-written record file back.
         static ABORT: AtomicBool = AtomicBool::new(false);
-        let mut worker = WorkerState::new(&ServiceConfig::default(), 0, &ABORT);
+        let mut worker = small_pool_worker(&ABORT);
         let mut tuples: Vec<Tuple> = (0..2000)
             .map(|i| Tuple::new(vec![Value::Int(i), Value::from("ok")]))
             .collect();
         tuples.push(Tuple::new(vec![Value::Int(-1), Value::from("a\0b")]));
-        let bad = Arc::new(RelationVersion {
-            name: "r".to_owned(),
-            version: 1,
-            schema: Schema::new(vec![Field::int("id"), Field::str("name", 8)]),
-            tuples: Arc::new(tuples),
-        });
+        let schema = Schema::new(vec![Field::int("id"), Field::str("name", 8)]);
+        let bad = version("r", 1, schema, &tuples);
         for _ in 0..3 {
             let err = worker.source_for(&bad).err().expect("the load must fail");
             assert!(matches!(err, ServiceError::BadRequest(_)), "{err}");
@@ -414,22 +459,16 @@ mod tests {
         // coordinator's stamped temporaries, dropped relations) must not
         // keep one record file per name.
         static ABORT: AtomicBool = AtomicBool::new(false);
-        let mut worker = WorkerState::new(&ServiceConfig::default(), 0, &ABORT);
-        let version = |name: &str, version: u64| {
-            Arc::new(RelationVersion {
-                name: name.to_owned(),
-                version,
-                schema: Schema::new(vec![Field::int("id")]),
-                tuples: Arc::new((0..500).map(|i| Tuple::new(vec![Value::Int(i)])).collect()),
-            })
+        let mut worker = small_pool_worker(&ABORT);
+        let ids = |name: &str, v: u64| {
+            let tuples: Vec<Tuple> = (0..1000).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
+            version(name, v, Schema::new(vec![Field::int("id")]), &tuples)
         };
-        let kept = version("kept", 1);
+        let kept = ids("kept", 1);
         worker.source_for(&kept).unwrap();
         for v in 2..20 {
             // Each temporary is released before the next query arrives.
-            worker
-                .source_for(&version(&format!("temp.{v}"), v))
-                .unwrap();
+            worker.source_for(&ids(&format!("temp.{v}"), v)).unwrap();
             assert!(worker.storage.borrow().file_count() <= 2);
         }
         // A live version keeps its file and is not written again; another
@@ -437,9 +476,31 @@ mod tests {
         let file = worker.files["kept"].1;
         worker.source_for(&kept).unwrap();
         assert_eq!(worker.files["kept"].1, file);
-        let newer = version("kept", 20);
+        let newer = ids("kept", 20);
         worker.source_for(&newer).unwrap();
         assert_eq!(worker.storage.borrow().file_count(), 1);
         assert_eq!(worker.files.len(), 1);
+    }
+
+    #[test]
+    fn a_relation_that_fits_the_pool_is_scanned_in_place() {
+        static ABORT: AtomicBool = AtomicBool::new(false);
+        let mut worker = small_pool_worker(&ABORT);
+        let schema = Schema::new(vec![Field::int("id")]);
+        // 512 records of 8 bytes fill the 4 KB pool exactly; one more
+        // record does not fit.
+        let rows =
+            |n: i64| -> Vec<Tuple> { (0..n).map(|i| Tuple::new(vec![Value::Int(i)])).collect() };
+        let fits = version("r", 1, schema.clone(), &rows(512));
+        assert!(matches!(worker.source_for(&fits), Ok(Source::Columns(_))));
+        assert_eq!(worker.storage.borrow().file_count(), 0);
+        let over = version("r", 2, schema, &rows(513));
+        assert!(matches!(worker.source_for(&over), Ok(Source::File { .. })));
+        assert_eq!(worker.storage.borrow().file_count(), 1);
+        // Once the large version is released, its file goes even though
+        // the next source served needs no file at all.
+        drop(over);
+        worker.source_for(&fits).unwrap();
+        assert_eq!(worker.storage.borrow().file_count(), 0);
     }
 }
