@@ -8,24 +8,25 @@
 
 use std::rc::Rc;
 
-use reldiv_exec::batch::profile::maybe_profile_batch;
 use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan, BatchMemScan};
-use reldiv_exec::batch::{collect_batches, BatchToTuple, BoxedBatchOp, ExecMode};
+use reldiv_exec::batch::{BatchToTuple, BoxedBatchOp, ExecMode};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::BoxedOp;
 use reldiv_exec::profile::{maybe_profile, ProfileSink, QueryProfile, SpanKind, SpanScope};
-use reldiv_exec::scan::{spool, FileScan, MemScan};
+use reldiv_exec::scan::{FileScan, MemScan};
 use reldiv_exec::sort::SortConfig;
 use reldiv_rel::{Columns, Relation, Schema, Tuple};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::{FileId, StorageManager, StorageRef};
 
-use crate::batch_div::BatchHashDivision;
-use crate::hash_division::{HashDivision, HashDivisionMode};
+use crate::engine::{Engine, SCAN_DIVIDEND, SCAN_DIVISOR};
+use crate::hash_agg::hash_agg_division;
+use crate::hash_division::HashDivisionMode;
 use crate::hybrid;
-use crate::naive::naive_division_plan_profiled;
+use crate::naive::naive_division;
 use crate::overflow;
 use crate::report::DegradationReport;
+use crate::sort_agg::sort_agg_division;
 use crate::spec::DivisionSpec;
 use crate::{ExecError, Result};
 
@@ -280,12 +281,12 @@ pub struct DivisionConfig {
     /// for the global budget while each respects its own. `None` uses the
     /// shared pool directly.
     pub mem_budget: Option<usize>,
-    /// Execution path for hash-division's in-memory case.
-    /// [`ExecMode::Batch`] runs the vectorized operator
-    /// ([`crate::batch_div::BatchHashDivision`]) — byte-identical
-    /// quotients and memory accounting, amortized per-tuple overheads.
-    /// The spilling overflow rungs always run tuple-at-a-time. The
-    /// default is [`ExecMode::Tuple`], the classic path.
+    /// The engine the plan is built from, for every algorithm:
+    /// [`ExecMode::Batch`] instantiates the same plan from batch
+    /// operators — byte-identical quotients and memory accounting,
+    /// amortized per-tuple overheads. Hash-division's spilling overflow
+    /// rungs always run tuple-at-a-time. The default is
+    /// [`ExecMode::Tuple`], the classic path and the paper's counts.
     pub exec: ExecMode,
 }
 
@@ -309,7 +310,7 @@ impl Default for DivisionConfig {
 /// cancellation, so operator resources (pinned pages, run files, pool
 /// reservations) are never leaked; the drain's error takes precedence
 /// over any close error.
-fn collect_cancel(mut op: BoxedOp, cancel: CancelToken) -> Result<Relation> {
+pub(crate) fn collect_cancel(mut op: BoxedOp, cancel: CancelToken) -> Result<Relation> {
     fn drain(op: &mut BoxedOp, cancel: CancelToken) -> Result<Relation> {
         op.open()?;
         let mut rel = Relation::empty(op.schema().clone());
@@ -366,33 +367,20 @@ pub fn divide_with_report(
             Some(storage.clone()),
         )
     });
+    // Each family's plan is written once and runs on the engine
+    // `config.exec` names.
+    let engine = Engine { storage, config };
     let rel = match algorithm {
-        Algorithm::Naive => {
-            let plan = naive_division_plan_profiled(
-                storage.clone(),
-                dividend.scan(storage),
-                divisor.scan(storage),
-                spec.clone(),
-                config.sort,
-                config.profile.as_ref(),
-            )?;
-            collect_cancel(plan, config.cancel)?
-        }
+        Algorithm::Naive => naive_division(&engine, dividend, divisor, spec)?,
         Algorithm::SortAggregation { join } => {
-            crate::sort_agg::sort_agg_division(storage, dividend, divisor, spec, join, config)?
+            sort_agg_division(&engine, dividend, divisor, spec, join)?
         }
         Algorithm::HashAggregation { join } => {
-            crate::hash_agg::hash_agg_division(storage, dividend, divisor, spec, join, config)?
+            hash_agg_division(&engine, dividend, divisor, spec, join)?
         }
-        Algorithm::HashDivision { mode } => hash_division_with_overflow(
-            storage,
-            dividend,
-            divisor,
-            spec,
-            mode,
-            config,
-            &mut report,
-        )?,
+        Algorithm::HashDivision { mode } => {
+            hash_division_with_overflow(&engine, dividend, divisor, spec, mode, &mut report)?
+        }
     };
     if let (Some(root), Some(sink)) = (root, config.profile.as_ref()) {
         // Fold the degradation story into the root span: every ladder rung
@@ -455,14 +443,14 @@ fn mark_failed(report: &mut DegradationReport, e: &ExecError) {
 /// doubling 2 → 256, and finally combined partitioning 4 → 256. Every
 /// phase is recorded in `report`.
 fn hash_division_with_overflow(
-    storage: &StorageRef,
+    engine: &Engine,
     dividend: &Source,
     divisor: &Source,
     spec: &DivisionSpec,
     mode: HashDivisionMode,
-    config: &DivisionConfig,
     report: &mut DegradationReport,
 ) -> Result<Relation> {
+    let (storage, config) = (engine.storage, engine.config);
     let base_pool = storage.borrow().memory();
     // A per-query budget is a child pool: capped at the budget, still
     // charging the shared pool so concurrent queries contend.
@@ -472,72 +460,14 @@ fn hash_division_with_overflow(
     };
     let cancel = config.cancel;
     let profile = config.profile.clone();
+    // Either engine's operator: same layout, same accounting, same bytes.
     let in_memory = |report: &mut DegradationReport| -> Result<Relation> {
         report.note_phase("in-memory");
-        if config.exec == ExecMode::Batch {
-            // The vectorized path: same span labels, same hash-table
-            // layout, same memory accounting — byte-identical output.
-            let dividend_scan = maybe_profile_batch(
-                dividend.scan_batches(storage),
-                profile.as_ref(),
-                "scan dividend",
-                SpanKind::Scan,
-                Some(storage),
-            );
-            let divisor_scan = maybe_profile_batch(
-                divisor.scan_batches(storage),
-                profile.as_ref(),
-                "scan divisor",
-                SpanKind::Scan,
-                Some(storage),
-            );
-            let mut op = BatchHashDivision::new(
-                dividend_scan,
-                divisor_scan,
-                spec.clone(),
-                mode,
-                pool.clone(),
-            )?;
-            op.set_cancel(cancel);
-            let op = maybe_profile_batch(
-                Box::new(op),
-                profile.as_ref(),
-                "hash-division (in-memory)",
-                SpanKind::HashDivision,
-                Some(storage),
-            );
-            return collect_batches(op, cancel);
-        }
-        let dividend_scan = maybe_profile(
-            dividend.scan(storage),
-            profile.as_ref(),
-            "scan dividend",
-            SpanKind::Scan,
-            Some(storage),
+        let (r, s) = (
+            engine.scan_as(dividend, SCAN_DIVIDEND),
+            engine.scan_as(divisor, SCAN_DIVISOR),
         );
-        let divisor_scan = maybe_profile(
-            divisor.scan(storage),
-            profile.as_ref(),
-            "scan divisor",
-            SpanKind::Scan,
-            Some(storage),
-        );
-        let mut op = HashDivision::new(
-            dividend_scan,
-            divisor_scan,
-            spec.clone(),
-            mode,
-            pool.clone(),
-        )?;
-        op.set_cancel(cancel);
-        let op = maybe_profile(
-            Box::new(op),
-            profile.as_ref(),
-            "hash-division (in-memory)",
-            SpanKind::HashDivision,
-            Some(storage),
-        );
-        collect_cancel(op, cancel)
+        engine.collect(engine.hash_division(r, s, spec, mode, pool.clone())?)
     };
     // Each overflow rung gets its own Partition span: the partitioned
     // executions run entirely inside overflow.rs, so the span measures the
@@ -554,14 +484,14 @@ fn hash_division_with_overflow(
         let dividend_scan = maybe_profile(
             dividend.scan(storage),
             profile.as_ref(),
-            "scan dividend",
+            SCAN_DIVIDEND,
             SpanKind::Scan,
             Some(storage),
         );
         let divisor_scan = maybe_profile(
             divisor.scan(storage),
             profile.as_ref(),
-            "scan divisor",
+            SCAN_DIVISOR,
             SpanKind::Scan,
             Some(storage),
         );
@@ -752,34 +682,6 @@ pub fn load_source(storage: &StorageRef, relation: &Relation) -> Result<Source> 
     Ok(Source::from_file(file, relation.schema().clone()))
 }
 
-/// Materializes an operator's output into a temporary record file,
-/// returning its file id and schema.
-///
-/// The aggregate-with-join plans use this between the semi-join and the
-/// aggregation: the paper's cost model charges the dividend scan twice in
-/// those plans (`r·SIO` appears in both the semi-join and the aggregation
-/// terms), which corresponds to a materialized intermediate. Small
-/// intermediates stay in the buffer pool and cost no transfers.
-///
-/// The caller owns the file and must `delete_file` it when done.
-pub fn materialize(storage: &StorageRef, mut op: BoxedOp) -> Result<(FileId, Schema)> {
-    let schema = op.schema().clone();
-    let codec = reldiv_rel::RecordCodec::new(schema.clone());
-    // `close` runs on every exit — a mid-drain encode or append failure
-    // must not leak what the plan holds (pinned pages, run files) — and
-    // no failure leaves the file behind.
-    let spooled = op
-        .open()
-        .and_then(|()| spool(storage, StorageManager::DATA_DISK, &codec, || op.next()));
-    let closed = op.close();
-    let file = spooled?;
-    if let Err(e) = closed {
-        storage.borrow_mut().delete_file(file)?;
-        return Err(e);
-    }
-    Ok((file, schema))
-}
-
 /// Guard for misuse: algorithms that cannot run meaningfully.
 pub fn validate_algorithm_for_inputs(algorithm: Algorithm, assume_unique: bool) -> Result<()> {
     if let Algorithm::HashDivision {
@@ -802,6 +704,7 @@ mod tests {
     use super::*;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
+    use reldiv_rel::Value;
 
     fn transcript(rows: &[[i64; 2]]) -> Relation {
         let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);
@@ -945,8 +848,7 @@ mod tests {
     }
 
     /// A workload with duplicates, noise rows, and a mix of complete and
-    /// incomplete candidates — enough structure to notice any divergence
-    /// between the execution paths.
+    /// incomplete candidates.
     fn noisy_workload() -> (Relation, Relation) {
         let mut rows = Vec::new();
         for sid in 0..200 {
@@ -959,47 +861,289 @@ mod tests {
         (transcript(&rows), courses(&[0, 1, 2, 3]))
     }
 
+    /// `Transcript(sid, course) ÷ Courses(course)` over a string divisor
+    /// column: `students` of them take all `courses` courses, every fifth
+    /// further one misses some. The dirty form adds noise rows (courses
+    /// not in the divisor, sorting before, between and after its values)
+    /// and duplicates on both sides, in scrambled order.
+    fn string_workload(students: i64, courses: i64, dirty: bool) -> (Relation, Relation) {
+        let course = |c: i64| Value::Str(format!("c{c:03}"));
+        let mut rows = Vec::new();
+        for sid in 0..students + students / 5 {
+            let taken = if sid < students {
+                courses
+            } else {
+                sid % courses
+            };
+            for c in 0..taken {
+                rows.push(Tuple::new(vec![Value::Int(sid), course(c)]));
+            }
+            if dirty {
+                for noise in ["a-noise", "c0015x", "z-noise"] {
+                    rows.push(Tuple::new(vec![Value::Int(sid), Value::from(noise)]));
+                }
+                rows.push(Tuple::new(vec![Value::Int(sid), course(0)])); // duplicate
+            }
+        }
+        let n = rows.len();
+        let rows = (0..n).map(|i| rows[i * 7919 % n].clone()).collect();
+        let copies = if dirty { 2 } else { 1 };
+        let divisor = (0..courses * copies).map(|c| Tuple::new(vec![course(c % courses)]));
+        let transcript = Schema::new(vec![Field::int("sid"), Field::str("course", 8)]);
+        let offered = Schema::new(vec![Field::str("course", 8)]);
+        (
+            Relation::from_tuples(transcript, rows).unwrap(),
+            Relation::from_tuples(offered, divisor.collect()).unwrap(),
+        )
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Mem,
+        File,
+        Columns,
+    }
+
+    /// One division on a fresh storage manager, cold: the outcome, the
+    /// I/O it cost, and the temporary files and pins it left behind.
+    fn run_cold(
+        storage: &StorageConfig,
+        kind: Kind,
+        (dividend, divisor): &(Relation, Relation),
+        algorithm: Algorithm,
+        config: &DivisionConfig,
+    ) -> (
+        Result<Relation>,
+        reldiv_storage::disk::IoStats,
+        (usize, usize),
+    ) {
+        let storage = StorageManager::shared(storage.clone());
+        let source = |rel: &Relation| match kind {
+            Kind::Mem => Source::from_relation(rel),
+            Kind::File => load_source(&storage, rel).unwrap(),
+            Kind::Columns => {
+                Source::Columns(Columns::from_tuples(rel.schema().clone(), rel.tuples()).unwrap())
+            }
+        };
+        let (r, s) = (source(dividend), source(divisor));
+        storage.borrow_mut().evict_all().unwrap();
+        storage.borrow_mut().reset_stats();
+        let files = storage.borrow().file_count();
+        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+        let outcome = divide(&storage, &r, &s, &spec, algorithm, config);
+        let sm = storage.borrow();
+        let left = (sm.file_count() - files, sm.pinned_frames());
+        (outcome, sm.io_stats(), left)
+    }
+
+    /// Runs `algorithm` on both engines and holds the batch engine to the
+    /// tuple engine's outcome: the same rows in the same order, or the
+    /// same exhaustion. Returns both runs' I/O and the common quotient.
+    fn both_engines(
+        storage: &StorageConfig,
+        kind: Kind,
+        workload: &(Relation, Relation),
+        algorithm: Algorithm,
+        config: &DivisionConfig,
+        case: &str,
+    ) -> ([reldiv_storage::disk::IoStats; 2], Option<Relation>) {
+        let [(tuple, tuple_io, tuple_left), (batch, batch_io, batch_left)] =
+            [ExecMode::Tuple, ExecMode::Batch].map(|exec| {
+                // Hash-division without the ladder: under `Auto` the tuple
+                // engine's first rung is the hybrid, whose order differs.
+                let config = DivisionConfig {
+                    exec,
+                    overflow: OverflowPolicy::Fail,
+                    ..config.clone()
+                };
+                run_cold(storage, kind, workload, algorithm, &config)
+            });
+        assert_eq!((tuple_left, batch_left), ((0, 0), (0, 0)), "{case}");
+        let quotient = match (tuple, batch) {
+            (Ok(tuple), Ok(batch)) => {
+                assert_eq!(tuple, batch, "{case}");
+                Some(batch)
+            }
+            (Err(tuple), Err(batch)) => {
+                assert!(tuple.is_memory_exhausted(), "{case}: {tuple}");
+                assert!(batch.is_memory_exhausted(), "{case}: {batch}");
+                None
+            }
+            (tuple, batch) => panic!("{case}: tuple {tuple:?}, batch {batch:?}"),
+        };
+        ([tuple_io, batch_io], quotient)
+    }
+
+    fn small_sorts() -> SortConfig {
+        SortConfig {
+            memory_bytes: 4 * 1024,
+            fan_in: 4,
+        }
+    }
+
     #[test]
     fn batch_exec_matches_tuple_exec_byte_for_byte() {
-        let (dividend, divisor) = noisy_workload();
-        let storage = StorageManager::shared(StorageConfig::large());
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        for mode in [HashDivisionMode::Standard, HashDivisionMode::EarlyOut] {
-            for overflow in [OverflowPolicy::Fail, OverflowPolicy::Auto] {
-                let run = |exec| {
-                    divide(
-                        &storage,
-                        &Source::from_relation(&dividend),
-                        &Source::from_relation(&divisor),
-                        &spec,
-                        Algorithm::HashDivision { mode },
-                        &DivisionConfig {
-                            overflow,
-                            exec,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap()
-                };
-                let tuple = run(ExecMode::Tuple);
-                let batch = run(ExecMode::Batch);
-                if overflow == OverflowPolicy::Fail {
-                    // Both paths run the in-memory operator: identical
-                    // hash kernels give identical insertion order, so
-                    // ordered equality, not just bag equality.
-                    assert_eq!(tuple, batch, "{mode:?} {overflow:?}");
-                } else {
-                    // Under Auto the tuple path's first rung is the
-                    // adaptive hybrid, whose partitioned emission order
-                    // legitimately differs; `divide` documents quotient
-                    // order as algorithm-dependent.
-                    assert_eq!(
-                        tuple.bag_counts(),
-                        batch.bag_counts(),
-                        "{mode:?} {overflow:?}"
-                    );
+        let dirty = string_workload(120, 12, true);
+        let clean = string_workload(120, 12, false);
+        let empty_divisor = (dirty.0.clone(), Relation::empty(dirty.1.schema().clone()));
+        let all_students = |upto: i64| -> Vec<String> {
+            let mut ids: Vec<String> = (0..upto).map(|s| format!("({s})")).collect();
+            ids.sort();
+            ids
+        };
+        let mut exhausted = 0;
+        for algorithm in Algorithm::table_columns() {
+            let with_join = !matches!(
+                algorithm,
+                Algorithm::SortAggregation { join: false }
+                    | Algorithm::HashAggregation { join: false }
+            );
+            for (storage, storage_name) in [
+                (StorageConfig::large(), "large"),
+                (StorageConfig::paper(), "paper"),
+            ] {
+                for kind in [Kind::Mem, Kind::File, Kind::Columns] {
+                    for sort in [SortConfig::default(), small_sorts()] {
+                        for (workload, name, assume_unique, expected) in [
+                            (&dirty, "dirty", false, with_join.then(|| all_students(120))),
+                            (&clean, "clean", false, Some(all_students(120))),
+                            (&clean, "clean", true, Some(all_students(120))),
+                            (
+                                &empty_divisor,
+                                "empty divisor",
+                                false,
+                                Some(all_students(144)),
+                            ),
+                        ] {
+                            let case = format!(
+                                "{algorithm:?} {storage_name} {kind:?} {sort:?} {name} \
+                                 unique={assume_unique}"
+                            );
+                            let config = DivisionConfig {
+                                assume_unique,
+                                sort,
+                                ..Default::default()
+                            };
+                            let (_, quotient) =
+                                both_engines(&storage, kind, workload, algorithm, &config, &case);
+                            // The no-join plans on noisy inputs answer
+                            // something else, identically; the rest answer
+                            // the division.
+                            match (quotient, expected) {
+                                (Some(quotient), Some(expected)) => {
+                                    let got: Vec<String> =
+                                        quotient.bag_counts().into_keys().collect();
+                                    assert_eq!(got, expected, "{case}");
+                                }
+                                (None, _) => exhausted += 1,
+                                (Some(_), None) => {}
+                            }
+                        }
+                    }
                 }
             }
+        }
+        assert!(
+            exhausted > 0,
+            "the dirty dividend's duplicate elimination overflows 100 KB"
+        );
+
+        // Under `Auto` both engines still agree on the bag.
+        let spec = DivisionSpec::trailing_divisor(dirty.0.schema(), dirty.1.schema()).unwrap();
+        let storage = StorageManager::shared(StorageConfig::large());
+        for mode in [HashDivisionMode::Standard, HashDivisionMode::EarlyOut] {
+            let [tuple, batch] = [ExecMode::Tuple, ExecMode::Batch].map(|exec| {
+                let config = DivisionConfig {
+                    exec,
+                    ..Default::default()
+                };
+                let (r, s) = (
+                    Source::from_relation(&dirty.0),
+                    Source::from_relation(&dirty.1),
+                );
+                divide(
+                    &storage,
+                    &r,
+                    &s,
+                    &spec,
+                    Algorithm::HashDivision { mode },
+                    &config,
+                )
+                .unwrap()
+            });
+            assert_eq!(tuple.bag_counts(), batch.bag_counts(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn batch_exec_transfers_the_pages_tuple_exec_does_on_the_paper_configuration() {
+        // 27 000 16-byte records: a 430 KB dividend against the paper's
+        // 256 KB pool and 100 KB of work memory, from files, cold.
+        let workload = string_workload(1500, 18, false);
+        let paper = StorageConfig::paper();
+        for algorithm in Algorithm::table_columns() {
+            for sort in [SortConfig::default(), small_sorts()] {
+                let case = format!("{algorithm:?} {sort:?}");
+                let config = DivisionConfig {
+                    assume_unique: true,
+                    sort,
+                    ..Default::default()
+                };
+                let ([tuple, batch], quotient) =
+                    both_engines(&paper, Kind::File, &workload, algorithm, &config, &case);
+                assert_eq!(quotient.map(|q| q.cardinality()), Some(1500), "{case}");
+                assert!(tuple.reads > 70, "{case}: the dividend is read from disk");
+                if matches!(
+                    algorithm,
+                    Algorithm::HashAggregation { .. } | Algorithm::HashDivision { .. }
+                ) {
+                    // Scans, and one materialized file: the same transfers.
+                    // A batch plan alternates between scanning and
+                    // materializing per batch, not per tuple, so it may
+                    // seek less.
+                    assert_eq!(
+                        (tuple.reads, tuple.writes, tuple.bytes),
+                        (batch.reads, batch.writes, batch.bytes),
+                        "{case}"
+                    );
+                    assert!(batch.seeks <= tuple.seeks, "{case}");
+                    continue;
+                }
+                // Sorts: the sort itself moves the tuple sort's pages
+                // exactly (reldiv-exec tests that), but a batch file scan
+                // hands it up to two data pages at once, so a run can be
+                // cut one page read later than in the tuple plan — which
+                // shifts what the pool still holds when merging starts by
+                // a few run pages.
+                let near = |a: u64, b: u64| a.abs_diff(b) * 100 <= a.max(b);
+                for (t, b) in [
+                    (tuple.reads, batch.reads),
+                    (tuple.writes, batch.writes),
+                    (tuple.bytes, batch.bytes),
+                ] {
+                    assert!(near(t, b), "{case}: {tuple:?} vs {batch:?}");
+                }
+                assert!(
+                    near(tuple.seeks, batch.seeks) || batch.seeks < tuple.seeks,
+                    "{case}: {tuple:?} vs {batch:?}"
+                );
+            }
+        }
+
+        // Where duplicates must go first, hash-based elimination of this
+        // dividend exhausts 100 KB on either engine, at the same row.
+        let config = DivisionConfig::default();
+        for join in [false, true] {
+            let algorithm = Algorithm::HashAggregation { join };
+            let (_, quotient) = both_engines(
+                &paper,
+                Kind::File,
+                &workload,
+                algorithm,
+                &config,
+                "exhausted",
+            );
+            assert!(quotient.is_none());
         }
     }
 
@@ -1364,26 +1508,31 @@ mod tests {
         let divisor = courses(&[1, 2]);
         let storage = StorageManager::shared(StorageConfig::large());
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let config = DivisionConfig {
-            cancel: CancelToken::after(std::time::Duration::ZERO),
-            ..Default::default()
-        };
-        for algorithm in [
-            Algorithm::Naive,
-            Algorithm::HashDivision {
-                mode: HashDivisionMode::Standard,
-            },
-        ] {
-            let err = divide(
-                &storage,
-                &Source::from_relation(&dividend),
-                &Source::from_relation(&divisor),
-                &spec,
-                algorithm,
-                &config,
-            )
-            .unwrap_err();
-            assert!(err.is_cancelled(), "{algorithm:?}: {err}");
+        // Every plan's first blocking operator holds the token, on either
+        // engine, whether or not a duplicate elimination comes first.
+        for algorithm in Algorithm::table_columns() {
+            for exec in [ExecMode::Tuple, ExecMode::Batch] {
+                for assume_unique in [false, true] {
+                    let config = DivisionConfig {
+                        cancel: CancelToken::after(std::time::Duration::ZERO),
+                        exec,
+                        assume_unique,
+                        ..Default::default()
+                    };
+                    let err = divide(
+                        &storage,
+                        &Source::from_relation(&dividend),
+                        &Source::from_relation(&divisor),
+                        &spec,
+                        algorithm,
+                        &config,
+                    )
+                    .unwrap_err();
+                    assert!(err.is_cancelled(), "{algorithm:?} {exec:?}: {err}");
+                    let sm = storage.borrow();
+                    assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
+                }
+            }
         }
     }
 }

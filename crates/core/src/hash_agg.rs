@@ -24,173 +24,84 @@
 //! that must hold the whole dividend in memory — exactly the cost
 //! hash-division avoids.
 
-use reldiv_exec::agg::{HashCountAggregate, HashDistinct, HavingCount, ScalarCount};
-use reldiv_exec::hash_join::HashJoin;
-use reldiv_exec::merge_join::JoinMode;
-use reldiv_exec::op::{collect, BoxedOp};
-use reldiv_exec::profile::{maybe_profile, SpanKind, SpanScope};
+use reldiv_exec::profile::SpanKind;
 use reldiv_rel::Relation;
-use reldiv_storage::StorageRef;
 
-use crate::api::{DivisionConfig, Source};
+use crate::api::Source;
+use crate::engine::{Engine, SCAN_DIVIDEND, SCAN_DIVISOR};
 use crate::spec::DivisionSpec;
 use crate::Result;
 
 /// Counts the distinct divisor tuples (hash-flavored scalar aggregate).
-pub(crate) fn divisor_count_hashed(
-    storage: &StorageRef,
-    divisor: &Source,
-    config: &DivisionConfig,
-) -> Result<i64> {
-    let p = config.profile.as_ref();
-    let scan = maybe_profile(
-        divisor.scan(storage),
-        p,
-        "scan divisor",
-        SpanKind::Scan,
-        Some(storage),
-    );
-    let count: BoxedOp = Box::new(ScalarCount::new(scan, !config.assume_unique));
-    let count = maybe_profile(
-        count,
-        p,
+pub(crate) fn divisor_count_hashed(engine: &Engine, divisor: &Source) -> Result<i64> {
+    engine.count(
+        engine.scan_as(divisor, SCAN_DIVISOR),
+        !engine.config.assume_unique,
         "scalar count (divisor, hashed distinct)",
-        SpanKind::Aggregation,
-        Some(storage),
-    );
-    let counted = collect(count)?;
-    Ok(counted.tuples()[0].value(0).as_int().expect("count is Int"))
+    )
 }
 
 /// The vacuous empty-divisor case, hash-flavored: group the dividend on
 /// the quotient attributes and keep one tuple per group.
-pub(crate) fn distinct_quotient_projection_hashed(
-    storage: &StorageRef,
+fn distinct_quotient_projection_hashed(
+    engine: &Engine,
     dividend: &Source,
     spec: &DivisionSpec,
 ) -> Result<Relation> {
-    let pool = storage.borrow().memory();
-    let agg = HashCountAggregate::new(dividend.scan(storage), spec.quotient_keys.clone(), pool)?
-        .with_spill(storage.clone());
+    let agg = engine.hash_count(engine.scan(dividend), spec.quotient_keys.clone())?;
     // Keep the groups, drop the counts: HAVING count = anything is wrong
     // here; instead project the count column away on collection.
-    let rel = collect(Box::new(agg))?;
     let qcols: Vec<usize> = (0..spec.quotient_keys.len()).collect();
-    rel.project(&qcols).map_err(crate::ExecError::from)
+    Ok(engine.collect(agg)?.project(&qcols)?)
 }
 
 /// Runs division by hash-based aggregation.
-pub fn hash_agg_division(
-    storage: &StorageRef,
+pub(crate) fn hash_agg_division(
+    engine: &Engine,
     dividend: &Source,
     divisor: &Source,
     spec: &DivisionSpec,
     with_join: bool,
-    config: &DivisionConfig,
 ) -> Result<Relation> {
-    let pool = storage.borrow().memory();
-
     // Step 1: scalar aggregate — count the (distinct) divisor.
-    let target = divisor_count_hashed(storage, divisor, config)?;
+    let target = divisor_count_hashed(engine, divisor)?;
     if target == 0 {
-        return distinct_quotient_projection_hashed(storage, dividend, spec);
+        return distinct_quotient_projection_hashed(engine, dividend, spec);
     }
 
     // Optional duplicate elimination on the dividend (expensive: holds the
     // entire input in the memory pool — the paper's argument for
     // hash-division's built-in duplicate insensitivity).
-    let p = config.profile.as_ref();
-    let dividend_scan = maybe_profile(
-        dividend.scan(storage),
-        p,
-        "scan dividend",
-        SpanKind::Scan,
-        Some(storage),
-    );
-    let dividend_input: BoxedOp = if config.assume_unique {
-        dividend_scan
-    } else {
-        let distinct: BoxedOp = Box::new(HashDistinct::new(dividend_scan, pool.clone()));
-        maybe_profile(
-            distinct,
-            p,
-            "hash distinct (dividend)",
-            SpanKind::Aggregation,
-            Some(storage),
-        )
-    };
+    let mut agg_input = engine.scan_as(dividend, SCAN_DIVIDEND);
+    if !engine.config.assume_unique {
+        let distinct = engine.hash_distinct(agg_input);
+        agg_input = engine.span(distinct, "hash distinct (dividend)", SpanKind::Aggregation);
+    }
 
     // Step 2: count per group, optionally after a hash semi-join. The
     // semi-join builds its own hash table on the divisor — "a different
     // one than the one used for aggregation" — and its output is
     // materialized before aggregation: the paper's cost model charges the
     // dividend scan in both the semi-join and the aggregation terms.
-    let (agg_input, intermediate): (BoxedOp, Option<reldiv_storage::FileId>) = if with_join {
-        let join = HashJoin::new(
-            dividend_input,
-            divisor.scan(storage),
-            spec.divisor_keys.clone(),
-            spec.divisor_all_columns(),
-            JoinMode::LeftSemi,
+    let mut intermediate = None;
+    if with_join {
+        let join = engine.semi_join(
+            true,
+            (agg_input, spec.divisor_keys.clone()),
+            (engine.scan(divisor), spec.divisor_all_columns()),
         )?;
-        let join = maybe_profile(
-            Box::new(join.with_cancel(config.cancel).with_pool(pool.clone())),
-            p,
-            "hash semi-join",
-            SpanKind::HashJoin,
-            Some(storage),
-        );
-        let scope = p.map(|sink| {
-            SpanScope::enter(
-                sink,
-                "materialize semi-join output",
-                SpanKind::Materialize,
-                Some(storage.clone()),
-            )
-        });
-        let (file, schema) = crate::api::materialize(storage, join)?;
-        if let Some(scope) = scope {
-            scope.finish();
-        }
-        let scan: BoxedOp = Box::new(reldiv_exec::scan::FileScan::new(
-            storage.clone(),
-            file,
-            schema,
-        ));
-        let scan = maybe_profile(
-            scan,
-            p,
-            "scan materialized intermediate",
-            SpanKind::Scan,
-            Some(storage),
-        );
-        (scan, Some(file))
-    } else {
-        (dividend_input, None)
-    };
-    let agg: BoxedOp = Box::new(
-        HashCountAggregate::new(agg_input, spec.quotient_keys.clone(), pool)?
-            .with_spill(storage.clone()),
-    );
-    let agg = maybe_profile(
-        agg,
-        p,
-        "hash count aggregate",
-        SpanKind::Aggregation,
-        Some(storage),
-    );
+        let (file, scan) = engine.materialize(join, "materialize semi-join output")?;
+        intermediate = Some(file);
+        agg_input = engine.span(scan, "scan materialized intermediate", SpanKind::Scan);
+    }
 
     // Step 3: select the groups whose count equals the divisor count.
-    let having: BoxedOp = Box::new(HavingCount::new(agg, target)?);
-    let result = collect(maybe_profile(
-        having,
-        p,
-        "having count = |divisor|",
-        SpanKind::Other,
-        Some(storage),
-    ));
+    let result = (engine.hash_count(agg_input, spec.quotient_keys.clone())).and_then(|agg| {
+        let agg = engine.span(agg, "hash count aggregate", SpanKind::Aggregation);
+        engine.having(agg, target)
+    });
     if let Some(file) = intermediate {
-        storage.borrow_mut().delete_file(file)?;
+        engine.storage.borrow_mut().delete_file(file)?;
     }
     result
 }
@@ -198,6 +109,7 @@ pub fn hash_agg_division(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::DivisionConfig;
     use reldiv_rel::schema::{Field, Schema};
     use reldiv_rel::tuple::ints;
     use reldiv_storage::manager::{StorageConfig, StorageManager};
@@ -224,13 +136,16 @@ mod tests {
             assume_unique,
             ..DivisionConfig::default()
         };
+        let engine = Engine {
+            storage: &storage,
+            config: &config,
+        };
         let rel = hash_agg_division(
-            &storage,
+            &engine,
             &Source::from_relation(&dividend),
             &Source::from_relation(&divisor),
             &spec,
             with_join,
-            &config,
         )
         .unwrap();
         let mut out: Vec<i64> = rel
@@ -303,12 +218,12 @@ mod tests {
     fn divisor_count_hashed_distinct_counts() {
         let storage = StorageManager::shared(StorageConfig::large());
         let divisor = courses(&[1, 1, 2]);
-        let c = divisor_count_hashed(
-            &storage,
-            &Source::from_relation(&divisor),
-            &DivisionConfig::default(),
-        )
-        .unwrap();
+        let config = DivisionConfig::default();
+        let engine = Engine {
+            storage: &storage,
+            config: &config,
+        };
+        let c = divisor_count_hashed(&engine, &Source::from_relation(&divisor)).unwrap();
         assert_eq!(c, 2);
     }
 }

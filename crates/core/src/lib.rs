@@ -59,6 +59,7 @@ pub mod api;
 pub mod batch_div;
 pub mod bitmap;
 pub mod contains;
+mod engine;
 pub mod hash_agg;
 pub mod hash_division;
 pub mod hybrid;

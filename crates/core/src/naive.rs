@@ -13,19 +13,20 @@
 //! produced by the dividend input, and producing a quotient tuple each time
 //! the end of the divisor list is reached."
 //!
-//! [`NaiveDivision`] takes inputs that are *already sorted* (and
-//! duplicate-free); [`naive_division_plan`] wraps raw inputs in the
-//! required distinct sorts, which is where the naive algorithm's dominant
-//! cost lives.
+//! [`NaiveDivision`] (and [`BatchNaiveDivision`], its batch twin) takes
+//! inputs that are *already sorted* (and duplicate-free); the plan wraps
+//! raw inputs in the required distinct sorts, which is where the naive
+//! algorithm's dominant cost lives.
 
 use std::cmp::Ordering;
 
+use reldiv_exec::batch::{hold_all, BatchOperator, BoxedBatchOp};
 use reldiv_exec::op::{BoxedOp, OpState, Operator};
-use reldiv_exec::profile::{maybe_profile, ProfileSink, SpanKind};
-use reldiv_exec::sort::{Sort, SortConfig, SortMode};
-use reldiv_rel::{Schema, Tuple};
-use reldiv_storage::StorageRef;
+use reldiv_exec::sort::SortMode;
+use reldiv_rel::{Batch, Relation, Schema, Tuple};
 
+use crate::api::Source;
+use crate::engine::Engine;
 use crate::spec::DivisionSpec;
 use crate::Result;
 
@@ -176,6 +177,104 @@ impl Operator for NaiveDivision {
     }
 }
 
+/// The merge-scan step of the batch engine: [`NaiveDivision`] a batch of
+/// sorted dividend rows at a time, each row compared against the divisor
+/// list with one `Comp` per step, as the tuple operator compares.
+pub struct BatchNaiveDivision {
+    dividend: BoxedBatchOp,
+    divisor: BoxedBatchOp,
+    spec: DivisionSpec,
+    schema: Schema,
+    state: OpState,
+    /// The divisor, in sorted order.
+    divisor_list: Batch,
+    /// Quotient-attribute values of the group being scanned.
+    current_group: Option<Tuple>,
+    divisor_pos: usize,
+    group_alive: bool,
+}
+
+impl BatchNaiveDivision {
+    /// Creates the division step, of inputs as for [`NaiveDivision::new`].
+    pub fn new(dividend: BoxedBatchOp, divisor: BoxedBatchOp, spec: DivisionSpec) -> Result<Self> {
+        spec.validate(dividend.schema(), divisor.schema())?;
+        Ok(BatchNaiveDivision {
+            schema: spec.quotient_schema(dividend.schema())?,
+            divisor_list: Batch::with_capacity(divisor.schema().clone(), 0),
+            dividend,
+            divisor,
+            spec,
+            state: OpState::Created,
+            current_group: None,
+            divisor_pos: 0,
+            group_alive: false,
+        })
+    }
+}
+
+impl BatchOperator for BatchNaiveDivision {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.divisor_list = hold_all(&mut self.divisor)?;
+        self.dividend.open()?;
+        self.current_group = None;
+        self.state = OpState::Open;
+        Ok(())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.state.require_open()?;
+        let Some(batch) = self.dividend.next_batch()? else {
+            return Ok(None);
+        };
+        let all = self.spec.divisor_all_columns();
+        let qcols: Vec<usize> = (0..self.spec.quotient_keys.len()).collect();
+        let quotient = batch.project(&self.spec.quotient_keys)?;
+        let mut out = Batch::with_capacity(self.schema.clone(), 0);
+        for row in 0..batch.len() {
+            // Group boundary?
+            let same_group = (self.current_group.as_ref())
+                .is_some_and(|g| quotient.row_eq_tuple(&qcols, row, g, &qcols));
+            if !same_group {
+                self.current_group = Some(quotient.tuple(row));
+                self.divisor_pos = 0;
+                // An empty divisor qualifies every group immediately.
+                self.group_alive = !self.divisor_list.is_empty();
+                if !self.group_alive {
+                    out.push_row_from(&quotient, row);
+                }
+            }
+            if !self.group_alive {
+                continue; // group already emitted or already failed
+            }
+            let (list, at) = (&self.divisor_list, self.divisor_pos);
+            match batch.cmp_rows(&self.spec.divisor_keys, row, list, &all, at) {
+                // Not a divisor value: skip the row, the group is viable.
+                Ordering::Less => {}
+                Ordering::Equal => {
+                    self.divisor_pos += 1;
+                    if self.divisor_pos == self.divisor_list.len() {
+                        self.group_alive = false;
+                        out.push_row_from(&quotient, row);
+                    }
+                }
+                // The expected divisor row is missing from the group.
+                Ordering::Greater => self.group_alive = false,
+            }
+        }
+        Ok(Some(out))
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.state = OpState::Closed;
+        let closed = self.dividend.close();
+        self.divisor.close().and(closed)
+    }
+}
+
 /// The full naive-division plan: distinct sorts of both inputs (where the
 /// algorithm's dominant cost lies) feeding the merge-scan step.
 ///
@@ -183,75 +282,37 @@ impl Operator for NaiveDivision {
 /// regardless, and eliminating duplicates during a sort is free ("in the
 /// naive division algorithm ... duplicates can be conveniently eliminated
 /// during the initial sort phase").
-pub fn naive_division_plan(
-    storage: StorageRef,
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: DivisionSpec,
-    sort_config: SortConfig,
-) -> Result<BoxedOp> {
-    naive_division_plan_profiled(storage, dividend, divisor, spec, sort_config, None)
-}
-
-/// [`naive_division_plan`] with optional per-operator profiling: when
-/// `profile` is set, both sorts and the merge-scan step each get a span.
-pub fn naive_division_plan_profiled(
-    storage: StorageRef,
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: DivisionSpec,
-    sort_config: SortConfig,
-    profile: Option<&ProfileSink>,
-) -> Result<BoxedOp> {
+pub(crate) fn naive_division(
+    engine: &Engine,
+    dividend: &Source,
+    divisor: &Source,
+    spec: &DivisionSpec,
+) -> Result<Relation> {
     let mut dividend_keys = spec.quotient_keys.clone();
     dividend_keys.extend_from_slice(&spec.divisor_keys);
-    let sorted_dividend: BoxedOp = Box::new(Sort::new(
-        storage.clone(),
-        dividend,
+    let sorted_dividend = engine.sort(
+        engine.scan(dividend),
         dividend_keys,
         SortMode::Distinct,
-        sort_config,
-    )?);
-    let sorted_dividend = maybe_profile(
-        sorted_dividend,
-        profile,
         "sort dividend (distinct, quotient+divisor keys)",
-        SpanKind::Sort,
-        Some(&storage),
-    );
-    let divisor_keys = spec.divisor_all_columns();
-    let sorted_divisor: BoxedOp = Box::new(Sort::new(
-        storage.clone(),
-        divisor,
-        divisor_keys,
+    )?;
+    let sorted_divisor = engine.sort(
+        engine.scan(divisor),
+        spec.divisor_all_columns(),
         SortMode::Distinct,
-        sort_config,
-    )?);
-    let sorted_divisor = maybe_profile(
-        sorted_divisor,
-        profile,
         "sort divisor (distinct, all columns)",
-        SpanKind::Sort,
-        Some(&storage),
-    );
-    let division: BoxedOp = Box::new(NaiveDivision::new(sorted_dividend, sorted_divisor, spec)?);
-    Ok(maybe_profile(
-        division,
-        profile,
-        "naive merge-scan division",
-        SpanKind::NaiveDivision,
-        Some(&storage),
-    ))
+    )?;
+    engine.collect(engine.merge_scan(sorted_dividend, sorted_divisor, spec)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reldiv_exec::op::collect;
+    use crate::api::DivisionConfig;
+    use crate::ExecMode;
     use reldiv_exec::scan::MemScan;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
-    use reldiv_rel::Relation;
     use reldiv_storage::manager::{StorageConfig, StorageManager};
 
     fn transcript(rows: &[[i64; 2]]) -> Relation {
@@ -267,16 +328,23 @@ mod tests {
     fn divide(dividend: Relation, divisor: Relation) -> Vec<i64> {
         let storage = StorageManager::shared(StorageConfig::paper());
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let plan = naive_division_plan(
-            storage,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            spec,
-            SortConfig::default(),
-        )
-        .unwrap();
-        let mut out: Vec<i64> = collect(plan)
-            .unwrap()
+        let answers = [ExecMode::Tuple, ExecMode::Batch].map(|exec| {
+            let config = DivisionConfig {
+                exec,
+                ..DivisionConfig::default()
+            };
+            let engine = Engine {
+                storage: &storage,
+                config: &config,
+            };
+            let (r, s) = (
+                Source::from_relation(&dividend),
+                Source::from_relation(&divisor),
+            );
+            naive_division(&engine, &r, &s, &spec).unwrap()
+        });
+        assert_eq!(answers[0], answers[1], "both engines, row for row");
+        let mut out: Vec<i64> = answers[0]
             .tuples()
             .iter()
             .map(|t| t.value(0).as_int().unwrap())
@@ -352,6 +420,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     fn sorted_input_invariant_is_debug_checked() {
         // Feeding unsorted inputs directly into NaiveDivision (without the
         // plan's sorts) trips the debug assertion.

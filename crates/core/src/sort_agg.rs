@@ -18,17 +18,19 @@
 //!   attributes ("it must be sorted first on course-no's for the join and
 //!   then on student-id's for aggregation").
 
-use reldiv_exec::agg::{HavingCount, ScalarCount, SortCountAggregate};
-use reldiv_exec::merge_join::{JoinMode, MergeJoin};
-use reldiv_exec::op::{collect, BoxedOp};
-use reldiv_exec::profile::{maybe_profile, SpanKind};
-use reldiv_exec::sort::{Sort, SortMode};
+use reldiv_exec::sort::SortMode;
 use reldiv_rel::Relation;
-use reldiv_storage::StorageRef;
 
-use crate::api::{DivisionConfig, Source};
+use crate::api::Source;
+use crate::engine::{Engine, Op, SCAN_DIVIDEND, SCAN_DIVISOR};
 use crate::spec::DivisionSpec;
-use crate::{ExecError, Result};
+use crate::Result;
+
+/// The divisor sorted on all its columns, duplicates eliminated.
+fn sorted_divisor(engine: &Engine, divisor: Op) -> Result<Op> {
+    let all = (0..divisor.schema().arity()).collect();
+    engine.sort(divisor, all, SortMode::Distinct, "sort divisor (distinct)")
+}
 
 /// Counts the distinct divisor tuples with a scalar aggregate.
 ///
@@ -36,195 +38,84 @@ use crate::{ExecError, Result};
 /// distinct sort feeds it (the paper's footnote: "a duplicate elimination
 /// step is explicitly requested and inserted into the query evaluation
 /// plan").
-pub(crate) fn divisor_count_sorted(
-    storage: &StorageRef,
-    divisor: &Source,
-    config: &DivisionConfig,
-) -> Result<i64> {
-    let p = config.profile.as_ref();
-    let scan = maybe_profile(
-        divisor.scan(storage),
-        p,
-        "scan divisor",
-        SpanKind::Scan,
-        Some(storage),
-    );
-    let input: BoxedOp = if config.assume_unique {
-        scan
-    } else {
-        let all: Vec<usize> = (0..divisor.schema().arity()).collect();
-        let sort: BoxedOp = Box::new(Sort::new(
-            storage.clone(),
-            scan,
-            all,
-            SortMode::Distinct,
-            config.sort,
-        )?);
-        maybe_profile(
-            sort,
-            p,
-            "sort divisor (distinct)",
-            SpanKind::Sort,
-            Some(storage),
-        )
-    };
-    let count: BoxedOp = Box::new(ScalarCount::new(input, false));
-    let count = maybe_profile(
-        count,
-        p,
-        "scalar count (divisor)",
-        SpanKind::Aggregation,
-        Some(storage),
-    );
-    let counted = collect(count)?;
-    Ok(counted.tuples()[0].value(0).as_int().expect("count is Int"))
+pub(crate) fn divisor_count_sorted(engine: &Engine, divisor: &Source) -> Result<i64> {
+    let mut input = engine.scan_as(divisor, SCAN_DIVISOR);
+    if !engine.config.assume_unique {
+        input = sorted_divisor(engine, input)?;
+    }
+    engine.count(input, false, "scalar count (divisor)")
 }
 
 /// The vacuous case shared by the aggregate plans: an empty divisor means
 /// the quotient is the distinct quotient-attribute projection of the
 /// dividend. Aggregation alone cannot express this (no group ever counts
 /// to zero), so it is a separate plan.
-pub(crate) fn distinct_quotient_projection_sorted(
-    storage: &StorageRef,
+fn distinct_quotient_projection_sorted(
+    engine: &Engine,
     dividend: &Source,
     spec: &DivisionSpec,
-    config: &DivisionConfig,
 ) -> Result<Relation> {
-    let projected =
-        reldiv_exec::project::Project::new(dividend.scan(storage), spec.quotient_keys.clone())?;
-    let arity = spec.quotient_keys.len();
-    let sorted: BoxedOp = Box::new(Sort::new(
-        storage.clone(),
-        Box::new(projected),
-        (0..arity).collect(),
+    let projected = engine.project(engine.scan(dividend), spec.quotient_keys.clone())?;
+    engine.collect(engine.sort(
+        projected,
+        (0..spec.quotient_keys.len()).collect(),
         SortMode::Distinct,
-        config.sort,
-    )?);
-    collect(maybe_profile(
-        sorted,
-        config.profile.as_ref(),
         "sort distinct quotient projection",
-        SpanKind::Sort,
-        Some(storage),
-    ))
+    )?)
 }
 
 /// Runs division by sort-based aggregation.
-pub fn sort_agg_division(
-    storage: &StorageRef,
+pub(crate) fn sort_agg_division(
+    engine: &Engine,
     dividend: &Source,
     divisor: &Source,
     spec: &DivisionSpec,
     with_join: bool,
-    config: &DivisionConfig,
 ) -> Result<Relation> {
     // Step 1: scalar aggregate — count the (distinct) divisor.
-    let target = divisor_count_sorted(storage, divisor, config)?;
+    let target = divisor_count_sorted(engine, divisor)?;
     if target == 0 {
-        return distinct_quotient_projection_sorted(storage, dividend, spec, config);
+        return distinct_quotient_projection_sorted(engine, dividend, spec);
     }
 
     // Step 2: count per group, optionally after a merge semi-join.
-    let p = config.profile.as_ref();
-    let agg_input: BoxedOp = if with_join {
+    let assume_unique = engine.config.assume_unique;
+    let agg_input = if with_join {
         // Sort the dividend on the divisor attributes for the join (minor
         // keys: the quotient attributes, so Distinct mode deduplicates
         // whole tuples), and the divisor on all its attributes.
         let mut join_sort_keys = spec.divisor_keys.clone();
         join_sort_keys.extend_from_slice(&spec.quotient_keys);
-        let dividend_mode = if config.assume_unique {
-            SortMode::Plain
-        } else {
-            SortMode::Distinct
+        let mode = match assume_unique {
+            true => SortMode::Plain,
+            false => SortMode::Distinct,
         };
-        let sorted_dividend: BoxedOp = Box::new(Sort::new(
-            storage.clone(),
-            dividend.scan(storage),
-            join_sort_keys,
-            dividend_mode,
-            config.sort,
-        )?);
-        let sorted_dividend = maybe_profile(
-            sorted_dividend,
-            p,
-            "sort dividend (divisor+quotient keys)",
-            SpanKind::Sort,
-            Some(storage),
-        );
-        let sorted_divisor: BoxedOp = Box::new(Sort::new(
-            storage.clone(),
-            divisor.scan(storage),
-            spec.divisor_all_columns(),
-            SortMode::Distinct,
-            config.sort,
-        )?);
-        let sorted_divisor = maybe_profile(
-            sorted_divisor,
-            p,
-            "sort divisor (distinct)",
-            SpanKind::Sort,
-            Some(storage),
-        );
-        let join: BoxedOp = Box::new(MergeJoin::new(
-            sorted_dividend,
-            sorted_divisor,
-            spec.divisor_keys.clone(),
-            spec.divisor_all_columns(),
-            JoinMode::LeftSemi,
-        )?);
-        maybe_profile(
-            join,
-            p,
-            "merge semi-join",
-            SpanKind::MergeJoin,
-            Some(storage),
-        )
+        let label = "sort dividend (divisor+quotient keys)";
+        let sorted_dividend = engine.sort(engine.scan(dividend), join_sort_keys, mode, label)?;
+        let sorted_divisor = sorted_divisor(engine, engine.scan(divisor))?;
+        engine.semi_join(
+            false,
+            (sorted_dividend, spec.divisor_keys.clone()),
+            (sorted_divisor, spec.divisor_all_columns()),
+        )?
     } else {
-        maybe_profile(
-            dividend.scan(storage),
-            p,
-            "scan dividend",
-            SpanKind::Scan,
-            Some(storage),
-        )
+        engine.scan_as(dividend, SCAN_DIVIDEND)
     };
 
     // The aggregate function: count (distinct) dividend tuples per group.
     // After a semi-join over a deduplicated dividend the input is unique;
     // without the join, uniqueness must be requested explicitly.
-    let need_distinct = !config.assume_unique && !with_join;
-    let agg: BoxedOp = Box::new(SortCountAggregate::new(
-        storage.clone(),
-        agg_input,
-        spec.quotient_keys.clone(),
-        need_distinct,
-        config.sort,
-    )?);
-    let agg = maybe_profile(
-        agg,
-        p,
-        "sort-based count aggregate",
-        SpanKind::Aggregation,
-        Some(storage),
-    );
+    let need_distinct = !assume_unique && !with_join;
+    let agg = engine.sort_count(agg_input, spec.quotient_keys.clone(), need_distinct)?;
 
     // Step 3: select the groups whose count equals the divisor count.
-    let having: BoxedOp = Box::new(HavingCount::new(agg, target).map_err(|e| match e {
-        ExecError::Plan(m) => ExecError::Plan(format!("sort-agg division: {m}")),
-        other => other,
-    })?);
-    collect(maybe_profile(
-        having,
-        p,
-        "having count = |divisor|",
-        SpanKind::Other,
-        Some(storage),
-    ))
+    engine.having(agg, target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::DivisionConfig;
     use reldiv_rel::schema::{Field, Schema};
     use reldiv_rel::tuple::ints;
     use reldiv_storage::manager::{StorageConfig, StorageManager};
@@ -251,13 +142,16 @@ mod tests {
             assume_unique,
             ..DivisionConfig::default()
         };
+        let engine = Engine {
+            storage: &storage,
+            config: &config,
+        };
         let rel = sort_agg_division(
-            &storage,
+            &engine,
             &Source::from_relation(&dividend),
             &Source::from_relation(&divisor),
             &spec,
             with_join,
-            &config,
         )
         .unwrap();
         let mut out: Vec<i64> = rel
@@ -340,14 +234,22 @@ mod tests {
     fn divisor_count_sorted_counts_distinct() {
         let storage = StorageManager::shared(StorageConfig::large());
         let divisor = courses(&[10, 20, 10, 30, 20]);
-        let config = DivisionConfig::default();
-        let c = divisor_count_sorted(&storage, &Source::from_relation(&divisor), &config).unwrap();
-        assert_eq!(c, 3);
-        let config = DivisionConfig {
-            assume_unique: true,
-            ..config
+        let count = |assume_unique| {
+            let config = DivisionConfig {
+                assume_unique,
+                ..DivisionConfig::default()
+            };
+            let engine = Engine {
+                storage: &storage,
+                config: &config,
+            };
+            divisor_count_sorted(&engine, &Source::from_relation(&divisor)).unwrap()
         };
-        let c = divisor_count_sorted(&storage, &Source::from_relation(&divisor), &config).unwrap();
-        assert_eq!(c, 5, "assume_unique takes the input at face value");
+        assert_eq!(count(false), 3);
+        assert_eq!(
+            count(true),
+            5,
+            "assume_unique takes the input at face value"
+        );
     }
 }

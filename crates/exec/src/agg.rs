@@ -181,12 +181,25 @@ pub struct HashCountAggregate {
     /// When set, the aggregation table spills partial aggregates to
     /// temporary cluster files on exhaustion instead of failing — the
     /// GAMMA-style partitioned ("hybrid") aggregation.
-    spill: Option<reldiv_storage::StorageRef>,
-    /// Group-hash clusters for the spill path.
-    spill_partitions: usize,
+    spill: Option<StorageRef>,
     cancel: CancelToken,
     state: OpState,
     drain: Option<std::vec::IntoIter<Tuple>>,
+}
+
+/// The output schema of a group count: the group columns, then `count`.
+pub(crate) fn count_schema(input: &Schema, group_keys: &[usize]) -> Result<Schema> {
+    if group_keys.iter().any(|&k| k >= input.arity()) {
+        return Err(ExecError::Plan(
+            "hash aggregate: group key out of range".into(),
+        ));
+    }
+    let mut fields: Vec<Field> = group_keys
+        .iter()
+        .map(|&k| input.fields()[k].clone())
+        .collect();
+    fields.push(Field::new("count", ColumnType::Int));
+    Ok(Schema::new(fields))
 }
 
 impl HashCountAggregate {
@@ -194,23 +207,12 @@ impl HashCountAggregate {
     /// table draws from `pool`; exhaustion is an error (see
     /// [`HashCountAggregate::with_spill`]).
     pub fn new(input: BoxedOp, group_keys: Vec<usize>, pool: MemoryPool) -> Result<Self> {
-        if group_keys.iter().any(|&k| k >= input.schema().arity()) {
-            return Err(ExecError::Plan(
-                "hash aggregate: group key out of range".into(),
-            ));
-        }
-        let mut fields: Vec<Field> = group_keys
-            .iter()
-            .map(|&k| input.schema().fields()[k].clone())
-            .collect();
-        fields.push(Field::new("count", ColumnType::Int));
         Ok(HashCountAggregate {
+            schema: count_schema(input.schema(), &group_keys)?,
             input,
             group_keys,
-            schema: Schema::new(fields),
             pool,
             spill: None,
-            spill_partitions: 8,
             cancel: CancelToken::none(),
             state: OpState::Created,
             drain: None,
@@ -231,38 +233,143 @@ impl HashCountAggregate {
     /// group-hash cluster files on `storage`'s data disk and each cluster
     /// is aggregated in its own phase — the aggregation analogue of
     /// hash-division's quotient partitioning.
-    pub fn with_spill(mut self, storage: reldiv_storage::StorageRef) -> Self {
+    pub fn with_spill(mut self, storage: StorageRef) -> Self {
         self.spill = Some(storage);
         self
     }
+}
 
-    /// Output key list (group columns of the output schema).
-    fn out_keys(&self) -> Vec<usize> {
-        (0..self.group_keys.len()).collect()
+/// Group-hash clusters for the spill path.
+const SPILL_PARTITIONS: usize = 8;
+
+pub(crate) type GroupTable = ChainedTable<(Tuple, i64)>;
+
+/// Widens a group tuple with its count into an output-schema tuple.
+fn widen(group: Tuple, count: i64) -> Tuple {
+    let mut vals = group.into_values();
+    vals.push(Value::Int(count));
+    Tuple::new(vals)
+}
+
+/// The state of a group count, shared by both engines' operators: the
+/// table of `(group, count)` until the pool is exhausted, then
+/// [`SPILL_PARTITIONS`] cluster files of `(group..., count)` records, each
+/// re-aggregated in its own phase and all deleted with the state.
+pub(crate) struct GroupCounts {
+    pool: MemoryPool,
+    spill: Option<StorageRef>,
+    codec: reldiv_rel::RecordCodec,
+    /// `None` once spilling has begun (the table's memory is released
+    /// back to the pool before the phase tables need it).
+    table: Option<GroupTable>,
+    clusters: Vec<reldiv_storage::FileId>,
+}
+
+impl GroupCounts {
+    /// An empty state producing rows of `schema` (a [`count_schema`]).
+    pub(crate) fn new(
+        pool: &MemoryPool,
+        spill: Option<StorageRef>,
+        schema: Schema,
+    ) -> Result<Self> {
+        Ok(GroupCounts {
+            table: Some(ChainedTable::new(pool, 16)?),
+            pool: pool.clone(),
+            spill,
+            codec: reldiv_rel::RecordCodec::new(schema),
+            clusters: Vec::new(),
+        })
     }
 
-    /// Widens a group tuple with its count into an output-schema tuple.
-    fn widen(group: Tuple, count: i64) -> Tuple {
-        let mut vals = group.into_values();
-        vals.push(Value::Int(count));
-        Tuple::new(vals)
+    /// Spools one partial aggregate to the cluster its group hash names.
+    fn route(&self, hash: u64, group: Tuple, count: i64) -> Result<()> {
+        let storage = self.spill.as_ref().expect("clusters imply spill");
+        let record = self.codec.encode(&widen(group, count))?;
+        let cluster = self.clusters[(hash as usize) % SPILL_PARTITIONS];
+        storage.borrow_mut().append(cluster, &record)?;
+        Ok(())
     }
 
-    /// Aggregates `(group, count)` pairs into `table`; the caller handles
-    /// a `MemoryExhausted` error by spilling.
-    fn absorb(
-        table: &mut ChainedTable<(Tuple, i64)>,
-        out_keys: &[usize],
-        group: Tuple,
-        count: i64,
+    /// Counts one more row of the group hashing to `hash` that `find`
+    /// locates in the table, or of a new group `group()`; once spilling,
+    /// routes it. A table that exhausts the pool is drained into the
+    /// cluster files (if spilling is enabled: otherwise that is the error).
+    pub(crate) fn add(
+        &mut self,
+        hash: u64,
+        find: impl FnOnce(&GroupTable) -> Option<u32>,
+        group: impl Fn() -> Tuple,
     ) -> Result<()> {
-        let h = group.hash_on(out_keys);
-        match table.find(h, |(g, _)| group.eq_on(out_keys, g, out_keys)) {
-            Some(idx) => {
-                table.get_mut(idx).1 += count;
-                Ok(())
+        let Some(table) = &mut self.table else {
+            return self.route(hash, group(), 1);
+        };
+        if let Some(idx) = find(table) {
+            table.get_mut(idx).1 += 1;
+            return Ok(());
+        }
+        match table.insert(hash, (group(), 1)) {
+            Err(e) if e.is_memory_exhausted() && self.spill.is_some() => {
+                let storage = self.spill.as_ref().expect("checked");
+                self.clusters = {
+                    let mut sm = storage.borrow_mut();
+                    (0..SPILL_PARTITIONS)
+                        .map(|_| sm.create_file(reldiv_storage::StorageManager::DATA_DISK))
+                        .collect()
+                };
+                let out_keys: Vec<usize> = (0..self.codec.schema().arity() - 1).collect();
+                for (g, c) in self.table.take().expect("table present").into_items() {
+                    self.route(g.hash_on(&out_keys), g, c)?;
+                }
+                self.route(hash, group(), 1)
             }
-            None => table.insert(h, (group, count)).map(|_| ()),
+            other => other.map(|_| ()),
+        }
+    }
+
+    /// The counted groups as output tuples, in insertion order (cluster
+    /// by cluster, if spilled, polling `cancel` every checkpoint stride).
+    pub(crate) fn finish(mut self, cancel: CancelToken) -> Result<Vec<Tuple>> {
+        if let Some(table) = self.table.take() {
+            return Ok(table.into_items().map(|(g, c)| widen(g, c)).collect());
+        }
+        let storage = self.spill.clone().expect("clusters imply spill");
+        let out_keys: Vec<usize> = (0..self.codec.schema().arity() - 1).collect();
+        let (mut out, mut budget) = (Vec::new(), 0u32);
+        for &file in &self.clusters {
+            let mut phase: GroupTable = ChainedTable::new(&self.pool, 16)?;
+            let mut cursor = reldiv_storage::file::ScanCursor::new(file);
+            loop {
+                cancel.checkpoint(&mut budget)?;
+                let mut sm = storage.borrow_mut();
+                let Some((_, record)) = cursor.next(&mut sm)? else {
+                    break;
+                };
+                let t = self.codec.decode(record)?;
+                let count = t.value(t.arity() - 1).as_int().unwrap_or(0);
+                let group = t.project(&out_keys);
+                // A cluster that still exhausts memory means the group
+                // population defeats k-way partitioning; surface that
+                // honestly.
+                let h = group.hash_on(&out_keys);
+                match phase.find(h, |(g, _)| group.eq_on(&out_keys, g, &out_keys)) {
+                    Some(idx) => phase.get_mut(idx).1 += count,
+                    None => {
+                        phase.insert(h, (group, count))?;
+                    }
+                }
+            }
+            out.extend(phase.into_items().map(|(g, c)| widen(g, c)));
+        }
+        Ok(out)
+    }
+}
+
+impl Drop for GroupCounts {
+    fn drop(&mut self) {
+        if let Some(Ok(mut sm)) = self.spill.as_ref().map(|s| s.try_borrow_mut()) {
+            for file in self.clusters.drain(..) {
+                let _ = sm.delete_file(file);
+            }
         }
     }
 }
@@ -273,107 +380,20 @@ impl Operator for HashCountAggregate {
     }
 
     fn open(&mut self) -> Result<()> {
-        use reldiv_storage::file::ScanCursor;
-        use reldiv_storage::StorageManager;
-
         self.input.open()?;
-        let out_keys = self.out_keys();
-        let codec = reldiv_rel::RecordCodec::new(self.schema.clone());
-        // `None` once spilling has begun (the table's memory is released
-        // back to the pool before the phase tables need it).
-        let mut table: Option<ChainedTable<(Tuple, i64)>> =
-            Some(ChainedTable::new(&self.pool, 16)?);
-        // Spill state: cluster files of widened (group..., count) records.
-        let mut clusters: Option<Vec<reldiv_storage::FileId>> = None;
-        let k = self.spill_partitions;
-
-        let route = |storage: &reldiv_storage::StorageRef,
-                     clusters: &mut Vec<reldiv_storage::FileId>,
-                     group: Tuple,
-                     count: i64|
-         -> Result<()> {
-            let cluster = (group.hash_on(&out_keys) as usize) % k;
-            let record = codec.encode(&Self::widen(group, count))?;
-            storage.borrow_mut().append(clusters[cluster], &record)?;
-            Ok(())
-        };
-
+        let out_keys: Vec<usize> = (0..self.group_keys.len()).collect();
+        let mut counts = GroupCounts::new(&self.pool, self.spill.clone(), self.schema.clone())?;
         let mut budget = 0u32;
         while let Some(t) = self.input.next()? {
             self.cancel.checkpoint(&mut budget)?;
             let group = t.project(&self.group_keys);
-            if let Some(files) = &mut clusters {
-                // Already spilling: route directly to the clusters.
-                let storage = self.spill.as_ref().expect("clusters imply spill");
-                route(storage, files, group, 1)?;
-                continue;
-            }
-            let live = table.as_mut().expect("table present until spilling starts");
-            match Self::absorb(live, &out_keys, group.clone(), 1) {
-                Ok(()) => {}
-                Err(e) if e.is_memory_exhausted() && self.spill.is_some() => {
-                    // Overflow: open the cluster files, drain the partial
-                    // aggregates into them (releasing the table's pool
-                    // memory), and route from now on.
-                    let storage = self.spill.as_ref().expect("checked");
-                    let mut files: Vec<reldiv_storage::FileId> = {
-                        let mut sm = storage.borrow_mut();
-                        (0..k)
-                            .map(|_| sm.create_file(StorageManager::DATA_DISK))
-                            .collect()
-                    };
-                    let old = table.take().expect("table present");
-                    for (g, c) in old.into_items() {
-                        route(storage, &mut files, g, c)?;
-                    }
-                    route(storage, &mut files, group, 1)?;
-                    clusters = Some(files);
-                }
-                Err(e) => return Err(e),
-            }
+            let h = group.hash_on(&out_keys);
+            let find =
+                |table: &GroupTable| table.find(h, |(g, _)| group.eq_on(&out_keys, g, &out_keys));
+            counts.add(h, find, || group.clone())?;
         }
         self.input.close()?;
-
-        let out: Vec<Tuple> = match clusters {
-            None => table
-                .take()
-                .expect("no spill: table still present")
-                .into_items()
-                .map(|(g, c)| Self::widen(g, c))
-                .collect(),
-            Some(files) => {
-                debug_assert!(table.is_none(), "spilling released the table");
-                let storage = self.spill.as_ref().expect("clusters imply spill").clone();
-                let mut out = Vec::new();
-                for &file in &files {
-                    let mut phase: ChainedTable<(Tuple, i64)> = ChainedTable::new(&self.pool, 16)?;
-                    let mut cursor = ScanCursor::new(file);
-                    loop {
-                        self.cancel.checkpoint(&mut budget)?;
-                        let next = {
-                            let mut sm = storage.borrow_mut();
-                            cursor.next(&mut sm)?
-                        };
-                        let Some((_, record)) = next else { break };
-                        let t = codec.decode(record)?;
-                        let count_col = t.arity() - 1;
-                        let count = t.value(count_col).as_int().unwrap_or(0);
-                        let group = t.project(&out_keys);
-                        // A cluster that still exhausts memory means the
-                        // group population defeats k-way partitioning;
-                        // surface that honestly.
-                        Self::absorb(&mut phase, &out_keys, group, count)?;
-                    }
-                    out.extend(phase.into_items().map(|(g, c)| Self::widen(g, c)));
-                }
-                let mut sm = storage.borrow_mut();
-                for file in files {
-                    sm.delete_file(file)?;
-                }
-                out
-            }
-        };
-        self.drain = Some(out.into_iter());
+        self.drain = Some(counts.finish(self.cancel)?.into_iter());
         self.state = OpState::Open;
         Ok(())
     }

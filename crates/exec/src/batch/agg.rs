@@ -1,15 +1,125 @@
-//! Vectorized `HAVING count = N` — the final step of division by
-//! aggregation on the batch path.
-//!
-//! The group-count aggregate itself stays on the tuple path (its
-//! spill-to-cluster-files overflow handling is semantics worth keeping in
-//! one place) and is bridged with [`super::BatchToTuple`] /
-//! [`super::TupleToBatch`]; only the post-filter is batch-native.
+//! Vectorized aggregation: the spilling hash group count, the scalar
+//! count and `HAVING count = N` — division by aggregation on the batch
+//! path.
 
-use reldiv_rel::{counters, Batch, ColumnVec, Schema};
+use reldiv_rel::{counters, Batch, ColumnVec, Schema, Tuple};
+use reldiv_storage::{MemoryPool, StorageRef};
 
-use super::{BatchOperator, BoxedBatchOp};
+use super::{drain_batches, BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
+use crate::agg::{count_schema, GroupCounts};
+use crate::cancel::CancelToken;
+use crate::op::OpState;
 use crate::{ExecError, Result};
+
+/// Hash-based `COUNT(*) GROUP BY`, spilling like
+/// [`crate::agg::HashCountAggregate`] with `with_spill`: the same table,
+/// pool accounting, spill clusters and per-cluster re-aggregation
+/// ([`GroupCounts`]), probed with [`Batch::hash_rows`] and
+/// [`Batch::row_eq_tuple`] — a tuple is materialized only for a new
+/// group — so output order, the row at which memory is exhausted and the
+/// spilled records are those of the tuple operator.
+pub struct BatchHashCountAggregate {
+    input: BoxedBatchOp,
+    group_keys: Vec<usize>,
+    schema: Schema,
+    pool: MemoryPool,
+    storage: StorageRef,
+    cancel: CancelToken,
+    state: OpState,
+    drain: std::vec::IntoIter<Tuple>,
+}
+
+impl BatchHashCountAggregate {
+    /// Groups `input` on `group_keys`, counting rows per group; the table
+    /// draws from `pool` and spills to `storage`'s data disk.
+    pub fn new(
+        input: BoxedBatchOp,
+        group_keys: Vec<usize>,
+        pool: MemoryPool,
+        storage: StorageRef,
+    ) -> Result<Self> {
+        Ok(BatchHashCountAggregate {
+            schema: count_schema(input.schema(), &group_keys)?,
+            input,
+            group_keys,
+            pool,
+            storage,
+            cancel: CancelToken::none(),
+            state: OpState::Created,
+            drain: Vec::new().into_iter(),
+        })
+    }
+
+    /// Polls `cancel` once per input batch while `open` aggregates, and
+    /// every checkpoint stride of spilled records after.
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+        self.cancel = cancel;
+        self
+    }
+}
+
+impl BatchOperator for BatchHashCountAggregate {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.input.open()?;
+        let (keys, storage) = (&self.group_keys, Some(self.storage.clone()));
+        let out_keys: Vec<usize> = (0..keys.len()).collect();
+        let mut counts = GroupCounts::new(&self.pool, storage, self.schema.clone())?;
+        while let Some(batch) = self.input.next_batch()? {
+            self.cancel.check()?;
+            for (row, &h) in batch.hash_rows(keys).iter().enumerate() {
+                counts.add(
+                    h,
+                    |table| {
+                        table.find_hashed(h, |(g, _)| batch.row_eq_tuple(keys, row, g, &out_keys))
+                    },
+                    || batch.tuple_projected(keys, row),
+                )?;
+            }
+        }
+        self.input.close()?;
+        self.drain = counts.finish(self.cancel)?.into_iter();
+        self.state = OpState::Open;
+        Ok(())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.state.require_open()?;
+        let rows = self.drain.len().min(DEFAULT_BATCH_SIZE);
+        let mut batch = Batch::with_capacity(self.schema.clone(), rows);
+        for t in self.drain.by_ref().take(rows) {
+            batch.push_tuple(&t);
+        }
+        Ok((rows > 0).then_some(batch))
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.drain = Vec::new().into_iter();
+        self.state = OpState::Closed;
+        self.input.close()
+    }
+}
+
+/// Scalar `COUNT(*)`: drains `input` and returns its number of rows (of
+/// distinct rows under `distinct`, in [`crate::agg::ScalarCount`]'s
+/// in-memory set of whole rows). `cancel` is polled once per batch.
+pub fn count_rows(input: BoxedBatchOp, distinct: bool, cancel: CancelToken) -> Result<i64> {
+    let mut seen = std::collections::HashSet::new();
+    let mut count = 0;
+    drain_batches(input, cancel, |batch| {
+        count += match distinct {
+            true => (0..batch.len())
+                .filter(|&row| seen.insert(batch.tuple(row)))
+                .count(),
+            false => batch.len(),
+        };
+        Ok(())
+    })?;
+    Ok(count as i64)
+}
 
 /// Selects groups whose trailing count equals `target` and projects the
 /// count away — the batch analogue of [`crate::agg::HavingCount`].
@@ -83,7 +193,6 @@ mod tests {
     use super::*;
     use crate::batch::collect_batches;
     use crate::batch::scan::BatchMemScan;
-    use crate::CancelToken;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
@@ -115,5 +224,92 @@ mod tests {
             BatchHavingCount::new(Box::new(BatchMemScan::new(rel)), 1),
             Err(ExecError::Plan(_))
         ));
+    }
+
+    /// `groups` groups of `per_group` rows over a string and an int key.
+    fn groups(groups: i64, per_group: i64) -> Relation {
+        use reldiv_rel::{Tuple, Value};
+        let schema = Schema::new(vec![Field::str("g", 8), Field::int("h"), Field::int("x")]);
+        let rows = (0..groups * per_group).map(|i| {
+            let g = i % groups;
+            Tuple::new(vec![
+                Value::Str(format!("g{}", g % 97)),
+                Value::Int(g),
+                Value::Int(i),
+            ])
+        });
+        Relation::from_tuples(schema, rows.collect()).unwrap()
+    }
+
+    #[test]
+    fn group_count_spills_exactly_like_the_tuple_aggregate() {
+        use crate::agg::HashCountAggregate;
+        use crate::op::collect;
+        use crate::scan::MemScan;
+        use reldiv_storage::manager::{StorageConfig, StorageManager};
+        // (pool bytes, outcome): fits; spills and recovers; exhausted even
+        // per cluster.
+        for (pool_bytes, exhausted) in [(1 << 20, false), (48 * 1024, false), (6 * 1024, true)] {
+            let rel = groups(3000, 3);
+            let storages = [(); 2].map(|()| {
+                StorageManager::shared(StorageConfig {
+                    buffer_bytes: 16 * 1024,
+                    ..StorageConfig::paper()
+                })
+            });
+            let tuple = collect(Box::new(
+                HashCountAggregate::new(
+                    Box::new(MemScan::new(rel.clone())),
+                    vec![1, 0],
+                    MemoryPool::new(pool_bytes),
+                )
+                .unwrap()
+                .with_spill(storages[0].clone()),
+            ));
+            let batch = collect_batches(
+                Box::new(
+                    BatchHashCountAggregate::new(
+                        Box::new(BatchMemScan::new(rel).with_batch_size(500)),
+                        vec![1, 0],
+                        MemoryPool::new(pool_bytes),
+                        storages[1].clone(),
+                    )
+                    .unwrap(),
+                ),
+                CancelToken::none(),
+            );
+            match (tuple, batch) {
+                (Ok(tuple), Ok(batch)) => {
+                    assert!(!exhausted);
+                    assert_eq!(tuple, batch, "same groups, same order");
+                    assert_eq!(batch.cardinality(), 3000);
+                }
+                (Err(tuple), Err(batch)) => {
+                    assert!(exhausted && tuple.is_memory_exhausted());
+                    assert!(batch.is_memory_exhausted());
+                }
+                (tuple, batch) => panic!("{tuple:?} vs {batch:?}"),
+            }
+            // The same records went to the same clusters, page for page,
+            // and no cluster file outlives the operator.
+            let [t, b] = storages.map(|s| {
+                let sm = s.borrow();
+                (sm.io_stats(), sm.file_count(), sm.pinned_frames())
+            });
+            assert_eq!(t, b);
+            assert_eq!((b.1, b.2), (0, 0));
+            assert_eq!(b.0.transfers() > 0, pool_bytes < (1 << 20));
+        }
+    }
+
+    #[test]
+    fn scalar_count_counts_rows_or_distinct_rows() {
+        let schema = Schema::new(vec![Field::int("x")]);
+        let rel =
+            Relation::from_tuples(schema, (0..3000).map(|i| ints(&[i % 7])).collect()).unwrap();
+        for (distinct, want) in [(false, 3000), (true, 7)] {
+            let scan = Box::new(BatchMemScan::new(rel.clone()));
+            assert_eq!(count_rows(scan, distinct, CancelToken::none()), Ok(want));
+        }
     }
 }

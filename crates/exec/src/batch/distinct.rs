@@ -5,12 +5,17 @@
 //! kept row on top of the chain elements), same exhaustion signal, and —
 //! because the hash kernel is bit-identical to `Tuple::hash_on` — the
 //! same insertion order, so the output order matches the tuple path
-//! exactly.
+//! exactly. The kept rows live in the output batches themselves: a table
+//! entry is a row number, compared row against row ([`Batch::cmp_rows`]),
+//! and no tuple is ever built.
 
-use reldiv_rel::{Batch, Schema, Tuple};
+use std::cmp::Ordering;
+
+use reldiv_rel::{Batch, Schema};
 use reldiv_storage::MemoryPool;
 
 use super::{BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
+use crate::cancel::CancelToken;
 use crate::hash_table::ChainedTable;
 use crate::op::OpState;
 use crate::Result;
@@ -19,8 +24,9 @@ use crate::Result;
 pub struct BatchDistinct {
     input: BoxedBatchOp,
     pool: MemoryPool,
+    cancel: CancelToken,
     state: OpState,
-    drain: Option<std::vec::IntoIter<Tuple>>,
+    drain: std::vec::IntoIter<Batch>,
 }
 
 impl BatchDistinct {
@@ -29,9 +35,17 @@ impl BatchDistinct {
         BatchDistinct {
             input,
             pool,
+            cancel: CancelToken::none(),
             state: OpState::Created,
-            drain: None,
+            drain: Vec::new().into_iter(),
         }
+    }
+
+    /// Polls `cancel` once per input batch while `open` builds the
+    /// distinct table.
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+        self.cancel = cancel;
+        self
     }
 }
 
@@ -41,51 +55,46 @@ impl BatchOperator for BatchDistinct {
     }
 
     fn open(&mut self) -> Result<()> {
+        const ROWS: usize = DEFAULT_BATCH_SIZE;
         self.input.open()?;
-        let all: Vec<usize> = (0..self.input.schema().arity()).collect();
-        let width = self.input.schema().record_width();
-        let mut table: ChainedTable<Tuple> = ChainedTable::new(&self.pool, 16)?;
+        let schema = self.input.schema().clone();
+        let all: Vec<usize> = (0..schema.arity()).collect();
+        let width = schema.record_width();
+        // Entry `n` is row `n % ROWS` of kept batch `n / ROWS`.
+        let mut table: ChainedTable<u32> = ChainedTable::new(&self.pool, 16)?;
         let mut payload = self.pool.reserve(0)?;
+        let mut kept: Vec<Batch> = Vec::new();
         while let Some(batch) = self.input.next_batch()? {
-            let hashes = batch.hash_rows(&all);
-            for (row, &h) in hashes.iter().enumerate() {
-                if table
-                    .find(h, |cand| batch.row_eq_tuple(&all, row, cand, &all))
-                    .is_none()
-                {
+            self.cancel.check()?;
+            for (row, &h) in batch.hash_rows(&all).iter().enumerate() {
+                let same = |&n: &u32| {
+                    let (of, at) = (&kept[n as usize / ROWS], n as usize % ROWS);
+                    batch.cmp_rows(&all, row, of, &all, at) == Ordering::Equal
+                };
+                if table.find_hashed(h, same).is_none() {
                     payload.grow(width)?;
-                    table.insert(h, batch.tuple(row))?;
+                    if table.insert(h, table.len() as u32)? as usize % ROWS == 0 {
+                        kept.push(Batch::with_capacity(schema.clone(), ROWS));
+                    }
+                    kept.last_mut().expect("pushed").push_row_from(&batch, row);
                 }
             }
         }
         self.input.close()?;
-        let out: Vec<Tuple> = table.into_items().collect();
-        self.drain = Some(out.into_iter());
+        self.drain = kept.into_iter();
         self.state = OpState::Open;
         Ok(())
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         self.state.require_open()?;
-        let drain = self.drain.as_mut().expect("open sets drain");
-        let mut batch = Batch::with_capacity(self.input.schema().clone(), DEFAULT_BATCH_SIZE);
-        while batch.len() < DEFAULT_BATCH_SIZE {
-            match drain.next() {
-                Some(t) => batch.push_tuple(&t),
-                None => break,
-            }
-        }
-        if batch.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(batch))
-        }
+        Ok(self.drain.next())
     }
 
     fn close(&mut self) -> Result<()> {
-        self.drain = None;
+        self.drain = Vec::new().into_iter();
         self.state = OpState::Closed;
-        Ok(())
+        self.input.close()
     }
 }
 

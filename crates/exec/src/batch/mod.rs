@@ -16,24 +16,31 @@
 //! | [`crate::scan::FileScan`]   | [`scan::BatchFileScan`]            |
 //! | [`crate::scan::MemScan`]    | [`scan::BatchMemScan`]             |
 //! | ([`BatchToTuple`] over it)  | [`scan::BatchColumnsScan`]         |
+//! | [`crate::scan::spool`] of an operator | [`scan::materialize`]    |
 //! | [`crate::filter::Filter`]   | [`filter::BatchFilter`]            |
 //! | [`crate::project::Project`] | [`project::BatchProject`]          |
+//! | [`crate::sort::Sort`]       | [`sort::BatchSort`]                |
+//! | [`crate::agg::SortCountAggregate`] | [`sort::BatchSort::counting`] |
+//! | [`crate::agg::HashCountAggregate`] | [`agg::BatchHashCountAggregate`] |
+//! | [`crate::agg::ScalarCount`] | [`agg::count_rows`]                |
 //! | [`crate::agg::HashDistinct`]| [`distinct::BatchDistinct`]        |
 //! | [`crate::agg::HavingCount`] | [`agg::BatchHavingCount`]          |
-//! | [`crate::hash_join::HashJoin`] | [`join::BatchHashJoin`]         |
+//! | [`crate::hash_join::HashJoin`] | [`join::BatchHashJoin`] (both modes) |
+//! | [`crate::merge_join::MergeJoin`] (semi) | [`join::BatchMergeSemiJoin`] |
 //! | [`crate::profile::ProfiledOp`] | [`profile::ProfiledBatchOp`]    |
 //!
-//! The one plan operator with no batch-native counterpart yet, the
-//! spilling group-count aggregate, is bridged with [`TupleToBatch`] /
-//! [`BatchToTuple`], preserving its tuple-path semantics — including
-//! spill behavior — inside a batch plan.
+//! No plan bridges the paths; [`BatchToTuple`] only lets the tuple engine
+//! scan shared columns.
 //!
-//! **Cancellation cadence.** Batch operators do not carry cancel tokens;
-//! instead [`collect_batches`] polls the [`CancelToken`] once per batch it
-//! receives. An operator that is working without producing rows (a filter
-//! rejecting everything, say) returns `Some` of an *empty* batch rather
-//! than looping internally, so the poll cadence is bounded by the batch
-//! size even when the selectivity is zero.
+//! **Cancellation cadence.** A streaming batch operator carries no cancel
+//! token; instead [`drain_batches`] polls the [`CancelToken`] once per
+//! batch it receives. An operator that is working without producing rows
+//! (a filter rejecting everything, say) returns `Some` of an *empty*
+//! batch rather than looping internally, so the poll cadence is bounded
+//! by the batch size even when the selectivity is zero. A **blocking**
+//! operator — one whose `open` consumes a whole input: sort, group count,
+//! scalar count, distinct, a join's build side — takes the query's token
+//! (`with_cancel`) and polls it once per input batch.
 
 pub mod agg;
 pub mod distinct;
@@ -42,11 +49,12 @@ pub mod join;
 pub mod profile;
 pub mod project;
 pub mod scan;
+pub mod sort;
 
 use reldiv_rel::{Batch, Relation, Schema, Tuple};
 
 use crate::cancel::CancelToken;
-use crate::op::{BoxedOp, Operator};
+use crate::op::Operator;
 use crate::{ExecError, Result};
 
 /// Rows per batch: the batch size of a stored [`reldiv_rel::Columns`]
@@ -115,6 +123,18 @@ pub fn drain_batches(
     closed
 }
 
+/// Opens `op`, gathers all its rows into one batch and closes it: a
+/// (small) side of a merging scan, held whole.
+pub fn hold_all(op: &mut BoxedBatchOp) -> Result<Batch> {
+    op.open()?;
+    let mut all = Batch::with_capacity(op.schema().clone(), 0);
+    while let Some(batch) = op.next_batch()? {
+        (0..batch.len()).for_each(|row| all.push_row_from(&batch, row));
+    }
+    op.close()?;
+    Ok(all)
+}
+
 /// [`drain_batches`] into a relation of tuples.
 pub fn collect_batches(op: BoxedBatchOp, cancel: CancelToken) -> Result<Relation> {
     let mut out = Relation::empty(op.schema().clone());
@@ -127,66 +147,14 @@ pub fn collect_batches(op: BoxedBatchOp, cancel: CancelToken) -> Result<Relation
     Ok(out)
 }
 
-/// Bridges a tuple operator into a batch plan by draining up to one
-/// batch's worth of tuples per `next_batch` call.
-///
-/// Used for operators whose semantics live on the tuple path (the
-/// spilling group-count aggregate).
-pub struct TupleToBatch {
-    input: BoxedOp,
-    batch_size: usize,
-    done: bool,
-}
-
-impl TupleToBatch {
-    /// Wraps `input`, producing [`DEFAULT_BATCH_SIZE`]-row batches.
-    pub fn new(input: BoxedOp) -> TupleToBatch {
-        TupleToBatch::with_batch_size(input, DEFAULT_BATCH_SIZE)
-    }
-
-    /// Wraps `input` with an explicit batch size (tests).
-    pub fn with_batch_size(input: BoxedOp, batch_size: usize) -> TupleToBatch {
-        TupleToBatch {
-            input,
-            batch_size: batch_size.max(1),
-            done: false,
-        }
-    }
-}
-
-impl BatchOperator for TupleToBatch {
-    fn schema(&self) -> &Schema {
-        self.input.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.done = false;
-        self.input.open()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut batch = Batch::with_capacity(self.input.schema().clone(), self.batch_size);
-        while batch.len() < self.batch_size {
-            match self.input.next()? {
-                Some(t) => batch.push_tuple(&t),
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        if batch.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(batch))
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.input.close()
+/// The record width of `schema`, for operators that hold rows back to
+/// back: zero-width records cannot be told apart in a byte run.
+pub(crate) fn record_width(schema: &Schema) -> Result<usize> {
+    match schema.record_width() {
+        0 => Err(ExecError::Plan(
+            "the batch engine does not take zero-width records".into(),
+        )),
+        width => Ok(width),
     }
 }
 
@@ -248,7 +216,6 @@ impl Operator for BatchToTuple {
 mod tests {
     use super::scan::BatchMemScan;
     use super::*;
-    use crate::scan::MemScan;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
 
@@ -258,16 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn tuple_to_batch_chunks_the_stream() {
-        let bridge = TupleToBatch::with_batch_size(Box::new(MemScan::new(rel(10))), 4);
-        let out = collect_batches(Box::new(bridge), CancelToken::none()).unwrap();
-        assert_eq!(out, rel(10));
-    }
-
-    #[test]
     fn batch_to_tuple_round_trips() {
         let batched: BoxedBatchOp = Box::new(BatchMemScan::new(rel(2500)));
-        let bridged: BoxedOp = Box::new(BatchToTuple::new(batched));
+        let bridged: crate::op::BoxedOp = Box::new(BatchToTuple::new(batched));
         let out = crate::op::collect(bridged).unwrap();
         assert_eq!(out, rel(2500));
     }

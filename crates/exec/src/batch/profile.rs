@@ -104,6 +104,10 @@ impl BatchOperator for ProfiledBatchOp {
     }
 
     fn close(&mut self) -> Result<()> {
+        if self.id.is_none() {
+            // Never opened (a sibling failed first): nothing to measure.
+            return self.inner.close();
+        }
         self.measured(|op| op.close())
     }
 }

@@ -13,9 +13,11 @@
 use std::rc::Rc;
 
 use reldiv_rel::{Batch, Columns, Relation, Schema, Tuple};
-use reldiv_storage::{FileId, StorageRef};
+use reldiv_storage::file::Appender;
+use reldiv_storage::{FileId, StorageManager, StorageRef};
 
-use super::{BatchOperator, DEFAULT_BATCH_SIZE};
+use super::{drain_batches, BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
+use crate::cancel::CancelToken;
 use crate::op::OpState;
 use crate::{ExecError, Result};
 
@@ -203,6 +205,28 @@ impl BatchOperator for BatchColumnsScan {
     }
 }
 
+/// Drains `op` into a new record file on the data disk, a batch's
+/// records at a time ([`Appender::append_records`]): the batch engine's
+/// [`crate::scan::spool`]. `cancel` is polled once per batch, `op` is
+/// closed on every exit, and a failure leaves no file behind.
+pub fn materialize(storage: &StorageRef, op: BoxedBatchOp, cancel: CancelToken) -> Result<FileId> {
+    let width = super::record_width(op.schema())?;
+    let file = storage.borrow_mut().create_file(StorageManager::DATA_DISK);
+    let mut out = Appender::new(file);
+    let mut records = Vec::new();
+    let drained = drain_batches(op, cancel, |batch| {
+        records.clear();
+        batch.encode_records(&mut records)?;
+        Ok(out.append_records(&mut storage.borrow_mut(), &records, width)?)
+    });
+    if let Err(e) = drained {
+        // The drain's error is the one worth reporting.
+        let _ = storage.borrow_mut().delete_file(file);
+        return Err(e);
+    }
+    Ok(file)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,5 +269,44 @@ mod tests {
             scan.next_batch(),
             Err(crate::ExecError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn materialize_writes_the_pages_spool_writes_and_cleans_up_on_failure() {
+        use crate::scan::load_relation;
+        use reldiv_rel::{Tuple, Value};
+        use reldiv_storage::manager::StorageConfig;
+        let config = StorageConfig {
+            buffer_bytes: 32 * 1024,
+            ..StorageConfig::paper()
+        };
+        let (by_tuple, by_batch) = (
+            StorageManager::shared(config.clone()),
+            StorageManager::shared(config),
+        );
+        let spooled = load_relation(&by_tuple, &rel(5000)).unwrap();
+        let scan = Box::new(BatchMemScan::new(rel(5000)).with_batch_size(700));
+        let file = materialize(&by_batch, scan, CancelToken::none()).unwrap();
+        {
+            let (t, b) = (by_tuple.borrow(), by_batch.borrow());
+            assert_eq!(t.page_count(spooled).unwrap(), b.page_count(file).unwrap());
+            assert_eq!(t.io_stats(), b.io_stats());
+            assert!(b.io_stats().writes > 0);
+        }
+        let back = BatchFileScan::new(by_batch.clone(), file, rel(1).schema().clone());
+        let back = collect_batches(Box::new(back), CancelToken::none()).unwrap();
+        assert_eq!(back, rel(5000));
+
+        // A row with no record fails the drain; the file goes with it.
+        let schema = Schema::new(vec![Field::str("s", 4)]);
+        let mut tuples = vec![Tuple::new(vec![Value::from("ok")]); 3000];
+        tuples.push(Tuple::new(vec![Value::from("a\0b")]));
+        let bad = Relation::from_tuples(schema, tuples).unwrap();
+        let files = by_batch.borrow().file_count();
+        let scan = Box::new(BatchMemScan::new(bad));
+        let err = materialize(&by_batch, scan, CancelToken::none()).unwrap_err();
+        assert!(matches!(err, ExecError::Rel(_)), "{err}");
+        let sm = by_batch.borrow();
+        assert_eq!((sm.file_count(), sm.pinned_frames()), (files, 0));
     }
 }

@@ -14,9 +14,9 @@ use reldiv_rel::{Schema, Tuple};
 
 use crate::cancel::CancelToken;
 use crate::hash_table::ChainedTable;
-use crate::merge_join::JoinMode;
+use crate::merge_join::{join_schema, JoinMode};
 use crate::op::{BoxedOp, OpState, Operator};
-use crate::{ExecError, Result};
+use crate::Result;
 
 /// Hash (semi-)join: builds on the inner input, probes with the outer.
 pub struct HashJoin {
@@ -44,24 +44,8 @@ impl HashJoin {
         inner_keys: Vec<usize>,
         mode: JoinMode,
     ) -> Result<Self> {
-        if outer_keys.len() != inner_keys.len() {
-            return Err(ExecError::Plan(
-                "hash join: key lists differ in length".into(),
-            ));
-        }
-        if outer_keys.iter().any(|&k| k >= outer.schema().arity())
-            || inner_keys.iter().any(|&k| k >= inner.schema().arity())
-        {
-            return Err(ExecError::Plan("hash join: key out of range".into()));
-        }
-        let schema = match mode {
-            JoinMode::Inner => {
-                let mut fields = outer.schema().fields().to_vec();
-                fields.extend(inner.schema().fields().iter().cloned());
-                Schema::new(fields)
-            }
-            JoinMode::LeftSemi => outer.schema().clone(),
-        };
+        let (o, i) = (outer.schema(), inner.schema());
+        let schema = join_schema("hash", (o, &outer_keys), (i, &inner_keys), mode)?;
         Ok(HashJoin {
             outer,
             inner,
@@ -182,6 +166,7 @@ mod tests {
     use super::*;
     use crate::op::collect;
     use crate::scan::MemScan;
+    use crate::ExecError;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;

@@ -30,7 +30,9 @@
 //! * [`batch`] — the vectorized execution path: [`batch::BatchOperator`]
 //!   processes fixed-size columnar [`reldiv_rel::Batch`]es through the
 //!   packed-key hash and compare kernels, with per-batch cancellation and
-//!   profiling checkpoints, plus adapters bridging to the tuple path.
+//!   profiling checkpoints: a batch twin of every operator above that a
+//!   plan uses (the record-buffer sort [`batch::sort::BatchSort`] and the
+//!   spilling group count included), so no plan bridges the two paths.
 //!
 //! All operators draw scratch memory from the storage manager's
 //! [`reldiv_storage::MemoryPool`] and count abstract operations through

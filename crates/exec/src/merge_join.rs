@@ -25,6 +25,34 @@ pub enum JoinMode {
     LeftSemi,
 }
 
+/// Checks a join's key lists against its inputs and returns its output
+/// schema: `outer ++ inner` columns, or the outer's under `LeftSemi`.
+pub(crate) fn join_schema(
+    kind: &str,
+    (outer, outer_keys): (&Schema, &[usize]),
+    (inner, inner_keys): (&Schema, &[usize]),
+    mode: JoinMode,
+) -> Result<Schema> {
+    if outer_keys.len() != inner_keys.len() {
+        return Err(ExecError::Plan(format!(
+            "{kind} join: key lists differ in length"
+        )));
+    }
+    if outer_keys.iter().any(|&k| k >= outer.arity())
+        || inner_keys.iter().any(|&k| k >= inner.arity())
+    {
+        return Err(ExecError::Plan(format!("{kind} join: key out of range")));
+    }
+    Ok(match mode {
+        JoinMode::Inner => {
+            let mut fields = outer.fields().to_vec();
+            fields.extend(inner.fields().iter().cloned());
+            Schema::new(fields)
+        }
+        JoinMode::LeftSemi => outer.clone(),
+    })
+}
+
 /// Merge (semi-)join of two inputs sorted on their join keys.
 pub struct MergeJoin {
     outer: BoxedOp,
@@ -52,24 +80,8 @@ impl MergeJoin {
         inner_keys: Vec<usize>,
         mode: JoinMode,
     ) -> Result<Self> {
-        if outer_keys.len() != inner_keys.len() {
-            return Err(ExecError::Plan(
-                "merge join: key lists differ in length".into(),
-            ));
-        }
-        if outer_keys.iter().any(|&k| k >= outer.schema().arity())
-            || inner_keys.iter().any(|&k| k >= inner.schema().arity())
-        {
-            return Err(ExecError::Plan("merge join: key out of range".into()));
-        }
-        let schema = match mode {
-            JoinMode::Inner => {
-                let mut fields = outer.schema().fields().to_vec();
-                fields.extend(inner.schema().fields().iter().cloned());
-                Schema::new(fields)
-            }
-            JoinMode::LeftSemi => outer.schema().clone(),
-        };
+        let (o, i) = (outer.schema(), inner.schema());
+        let schema = join_schema("merge", (o, &outer_keys), (i, &inner_keys), mode)?;
         Ok(MergeJoin {
             outer,
             inner,

@@ -748,6 +748,10 @@ impl Operator for ProfiledOp {
     }
 
     fn close(&mut self) -> Result<()> {
+        if self.id.is_none() {
+            // Never opened (a sibling failed first): nothing to measure.
+            return self.inner.close();
+        }
         self.measured(|op| op.close()).map(|(v, _)| v)
     }
 }

@@ -63,6 +63,34 @@ impl Default for SortConfig {
     }
 }
 
+/// Checks a sort's key list against its input schema and mode.
+pub(crate) fn check_keys(schema: &Schema, keys: &[usize], mode: SortMode) -> Result<()> {
+    if let Some(k) = keys.iter().find(|&&k| k >= schema.arity()) {
+        return Err(ExecError::Plan(format!(
+            "sort key {k} out of range for arity {}",
+            schema.arity()
+        )));
+    }
+    if mode == SortMode::CountAggregate && keys.contains(&(schema.arity() - 1)) {
+        return Err(ExecError::Plan(
+            "CountAggregate: the trailing count column cannot be a sort key".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The disk run files of `width`-byte records go to: the 1 KB run disk
+/// for high fan-in, unless the records are too wide for its pages, in
+/// which case runs use the data disk's larger pages.
+pub(crate) fn run_disk(sm: &StorageManager, width: usize) -> reldiv_storage::DiskId {
+    let run_page = sm.page_size(StorageManager::RUN_DISK);
+    if width <= reldiv_storage::page::SlottedPage::max_record(run_page) {
+        StorageManager::RUN_DISK
+    } else {
+        StorageManager::DATA_DISK
+    }
+}
+
 /// The external merge sort operator.
 pub struct Sort {
     input: BoxedOp,
@@ -94,22 +122,7 @@ impl Sort {
         config: SortConfig,
     ) -> Result<Self> {
         let schema = input.schema().clone();
-        for &k in &keys {
-            if k >= schema.arity() {
-                return Err(ExecError::Plan(format!(
-                    "sort key {k} out of range for arity {}",
-                    schema.arity()
-                )));
-            }
-        }
-        if mode == SortMode::CountAggregate {
-            let count_col = schema.arity() - 1;
-            if keys.contains(&count_col) {
-                return Err(ExecError::Plan(
-                    "CountAggregate: the trailing count column cannot be a sort key".into(),
-                ));
-            }
-        }
+        check_keys(&schema, &keys, mode)?;
         Ok(Sort {
             codec: RecordCodec::new(schema),
             input,
@@ -175,26 +188,13 @@ impl Sort {
         }
     }
 
-    /// The disk run files go to: the 1 KB run disk for high fan-in, unless
-    /// the records are too wide for its pages, in which case runs use the
-    /// data disk's larger pages.
-    fn run_disk(&self, sm: &reldiv_storage::StorageManager) -> reldiv_storage::DiskId {
-        let run_capacity =
-            reldiv_storage::page::SlottedPage::max_record(sm.page_size(StorageManager::RUN_DISK));
-        if self.codec.record_width() <= run_capacity {
-            StorageManager::RUN_DISK
-        } else {
-            StorageManager::DATA_DISK
-        }
-    }
-
     /// Spools sorted, collapsed tuples to a new run file on the run disk
     /// and registers it for deletion at close.
     fn write_run<T: std::borrow::Borrow<Tuple>>(
         &mut self,
         next: impl FnMut() -> Result<Option<T>>,
     ) -> Result<FileId> {
-        let disk = self.run_disk(&self.storage.borrow());
+        let disk = run_disk(&self.storage.borrow(), self.codec.record_width());
         let run = spool(&self.storage, disk, &self.codec, next)?;
         self.live_runs.push(run);
         // One page-sized memory move per run page (assembling transfer

@@ -11,15 +11,15 @@
 
 use reldiv_core::api::Source;
 use reldiv_core::{divide_with_report, Algorithm, DivisionConfig, DivisionSpec};
-use reldiv_exec::agg::HashCountAggregate;
-use reldiv_exec::batch::agg::BatchHavingCount;
+use reldiv_exec::batch::agg::{BatchHashCountAggregate, BatchHavingCount};
 use reldiv_exec::batch::distinct::BatchDistinct;
 use reldiv_exec::batch::filter::{BatchCmp, BatchFilter, BatchPredicate};
 use reldiv_exec::batch::join::BatchHashJoin;
 use reldiv_exec::batch::profile::maybe_profile_batch;
 use reldiv_exec::batch::project::BatchProject;
 use reldiv_exec::batch::scan::BatchMemScan;
-use reldiv_exec::batch::{collect_batches, drain_batches, BatchToTuple, TupleToBatch};
+use reldiv_exec::batch::{collect_batches, drain_batches};
+use reldiv_exec::merge_join::JoinMode;
 use reldiv_exec::profile::{ProfileSink, SpanScope};
 use reldiv_exec::{BoxedBatchOp, CancelToken, ExecMode, SpanKind};
 use reldiv_rel::{Columns, Relation};
@@ -202,7 +202,7 @@ impl<'a> Lowerer<'a> {
         // engine's.
         reldiv_core::api::validate_algorithm_for_inputs(algorithm, duplicate_free)
             .map_err(|e| PlanError::Validate(e.to_string()))?;
-        let config = DivisionConfig {
+        let mut config = DivisionConfig {
             assume_unique: duplicate_free,
             cancel: self.opts.cancel,
             profile: self.opts.profile.clone(),
@@ -210,6 +210,9 @@ impl<'a> Lowerer<'a> {
             exec: ExecMode::Batch,
             ..DivisionConfig::default()
         };
+        // Sort space: the configured work memory, within the request's budget.
+        let work_memory = self.opts.storage.borrow().config().work_memory_bytes;
+        config.sort.memory_bytes = work_memory.min(self.opts.mem_budget.unwrap_or(usize::MAX));
         let (rel, report) = divide_with_report(
             &self.opts.storage,
             &dividend,
@@ -231,11 +234,10 @@ impl<'a> Lowerer<'a> {
         Ok(rel)
     }
 
-    /// Lowers a bound tree to batch operators, one span label per node.
-    /// Group-count keeps the tuple engine's spill-capable aggregate behind
-    /// bridge adapters; the rest of the pipeline stays batch-at-a-time.
+    /// Lowers a bound tree to batch operators, one span label per node;
+    /// blocking operators take the query's cancel token.
     fn lower_batch(&mut self, bound: &Bound) -> Result<BoxedBatchOp> {
-        let pool = self.opts.storage.borrow().memory();
+        let (pool, cancel) = (self.opts.storage.borrow().memory(), self.opts.cancel);
         Ok(match &bound.node {
             BoundNode::Scan { relation } => {
                 let source = self.provider.source(relation)?;
@@ -265,7 +267,7 @@ impl<'a> Lowerer<'a> {
             BoundNode::Distinct { input } => {
                 let child = self.lower_batch(input)?;
                 self.wrap_batch(
-                    Box::new(BatchDistinct::new(child, pool)),
+                    Box::new(BatchDistinct::new(child, pool).with_cancel(cancel)),
                     "distinct".to_owned(),
                     SpanKind::Distinct,
                 )
@@ -278,21 +280,16 @@ impl<'a> Lowerer<'a> {
             } => {
                 let l = self.lower_batch(left)?;
                 let r = self.lower_batch(right)?;
-                let join = BatchHashJoin::new(l, r, left_keys.clone(), right_keys.clone(), pool)?;
+                let (lk, rk, mode) = (left_keys.clone(), right_keys.clone(), JoinMode::Inner);
+                let join = BatchHashJoin::new(l, r, lk, rk, mode, pool)?.with_cancel(cancel);
                 self.wrap_batch(Box::new(join), "hash-join".to_owned(), SpanKind::HashJoin)
             }
             BoundNode::GroupCount { keys, input } => {
-                // The spill-capable count aggregate is tuple-at-a-time;
-                // bridge into and out of it.
                 let child = self.lower_batch(input)?;
-                let agg = HashCountAggregate::new(
-                    Box::new(BatchToTuple::new(child)),
-                    keys.clone(),
-                    pool,
-                )?
-                .with_spill(self.opts.storage.clone());
+                let storage = self.opts.storage.clone();
+                let agg = BatchHashCountAggregate::new(child, keys.clone(), pool, storage)?;
                 self.wrap_batch(
-                    Box::new(TupleToBatch::new(Box::new(agg))),
+                    Box::new(agg.with_cancel(cancel)),
                     format!("group-count {keys:?}"),
                     SpanKind::Aggregation,
                 )

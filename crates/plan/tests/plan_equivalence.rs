@@ -187,6 +187,75 @@ fn profiles_report_the_oracles_tuple_flow() {
     }
 }
 
+/// Every family's plan is written once and instantiated for either
+/// engine, so a profiled division reports the same span tree — labels,
+/// kinds, nesting — and the same tuple flow on both. The one span that
+/// may differ is the outer input of a merge semi-join that ends early
+/// (its inner rows used up): the batch join has pulled that input's
+/// current batch whole.
+#[test]
+fn profiles_report_the_same_tuple_flow_on_both_exec_modes() {
+    use reldiv_core::api::Source;
+    use reldiv_core::{divide_profiled, DivisionConfig, DivisionSpec, ExecMode, ProfileNode};
+
+    fn flatten(n: &ProfileNode, depth: usize, out: &mut Vec<(usize, String, String, u64)>) {
+        out.push((
+            depth,
+            n.label.clone(),
+            format!("{:?}", n.kind),
+            n.tuples_out,
+        ));
+        for c in &n.children {
+            flatten(c, depth + 1, out);
+        }
+    }
+    let w = WorkloadSpec {
+        divisor_size: 25,
+        quotient_size: 100,
+        incomplete_groups: 7,
+        incomplete_fill: 0.5,
+        noise_per_group: 2,
+        dividend_copies: 2,
+        divisor_copies: 2,
+    }
+    .generate(77);
+    let spec = DivisionSpec::trailing_divisor(w.dividend.schema(), w.divisor.schema()).unwrap();
+    let storage = StorageManager::shared(StorageConfig::large());
+    for algorithm in Algorithm::table_columns() {
+        for assume_unique in [false, true] {
+            let [tuple, batch] = [ExecMode::Tuple, ExecMode::Batch].map(|exec| {
+                let config = DivisionConfig {
+                    exec,
+                    assume_unique,
+                    overflow: reldiv_core::api::OverflowPolicy::Fail,
+                    ..DivisionConfig::default()
+                };
+                let (r, s) = (
+                    Source::from_relation(&w.dividend),
+                    Source::from_relation(&w.divisor),
+                );
+                let (quotient, _, profile) =
+                    divide_profiled(&storage, &r, &s, &spec, algorithm, &config).unwrap();
+                let mut flow = Vec::new();
+                flatten(&profile.root, 0, &mut flow);
+                (quotient, flow)
+            });
+            assert_eq!(tuple.0, batch.0, "{algorithm:?}");
+            assert!(tuple.1.len() >= 3, "{algorithm:?}: {:?}", tuple.1);
+            assert_eq!(tuple.1.len(), batch.1.len(), "{algorithm:?}");
+            for (t, b) in tuple.1.iter().zip(&batch.1) {
+                let case = format!("{algorithm:?} unique={assume_unique}: {t:?} vs {b:?}");
+                assert_eq!((t.0, &t.1, &t.2), (b.0, &b.1, &b.2), "{case}");
+                if t.1 == "sort dividend (divisor+quotient keys)" {
+                    assert!(t.3 <= b.3 && b.3 < t.3 + 1024, "{case}");
+                } else {
+                    assert_eq!(t.3, b.3, "{case}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn planner_diverges_across_the_grid_and_agrees_with_the_cost_model() {
     // The paper's assumed case R = Q × S, in the two divisor regimes the

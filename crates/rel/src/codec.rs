@@ -84,7 +84,7 @@ impl RecordCodec {
 }
 
 #[cold]
-fn embedded_nul(column: usize) -> RelError {
+pub(crate) fn embedded_nul(column: usize) -> RelError {
     RelError::Decode(format!(
         "column {column}: embedded NUL not representable in fixed-width string"
     ))
@@ -151,11 +151,118 @@ pub fn index_key(tuple: &Tuple, cols: &[usize]) -> Vec<u8> {
     out
 }
 
+/// The **normalized sort key** of one schema's fixed-width records on a
+/// key-column list: a byte string read straight off a record, whose
+/// byte-wise order is [`Tuple::cmp_keys`]'s on the same columns, so a sort
+/// never decodes a value. An `Int` is its sign-flipped big-endian bytes
+/// ([`index_key`]'s transformation; no tag, all keys share one layout); a
+/// string is its zero-padded field as stored (a record holds no embedded
+/// NUL, so the padding sorts a prefix first).
+#[derive(Debug, Clone)]
+pub struct RecordKey {
+    /// `(offset in the record, width, is an Int)` of each key column.
+    parts: Vec<(usize, usize, bool)>,
+    width: usize,
+}
+
+impl RecordKey {
+    /// The key of `schema`'s records on `keys` (major to minor).
+    pub fn new(schema: &Schema, keys: &[usize]) -> RecordKey {
+        let parts: Vec<_> = keys
+            .iter()
+            .map(|&k| {
+                let ty = schema.fields()[k].ty;
+                (schema.column_offset(k), ty.width(), ty == ColumnType::Int)
+            })
+            .collect();
+        let width = parts.iter().map(|p| p.1).sum();
+        RecordKey { parts, width }
+    }
+
+    /// Bytes per key.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Writes `record`'s key into `out`, [`RecordKey::width`] bytes long.
+    #[inline]
+    pub fn write(&self, record: &[u8], out: &mut [u8]) {
+        let mut at = 0;
+        for &(offset, width, int) in &self.parts {
+            let (field, slot) = (&record[offset..offset + width], &mut out[at..at + width]);
+            if int {
+                let v = u64::from_le_bytes(field.try_into().expect("an Int field is 8 bytes"));
+                slot.copy_from_slice(&(v ^ (1 << 63)).to_be_bytes());
+            } else {
+                slot.copy_from_slice(field);
+            }
+            at += width;
+        }
+    }
+
+    /// A key of at most 16 bytes as one integer that orders like its bytes.
+    #[inline]
+    pub fn packed(&self, record: &[u8]) -> u128 {
+        let mut bytes = [0u8; 16];
+        self.write(record, &mut bytes[..self.width]);
+        u128::from_be_bytes(bytes)
+    }
+
+    /// Whether two records agree on every key column.
+    #[inline]
+    pub fn same(&self, a: &[u8], b: &[u8]) -> bool {
+        self.parts
+            .iter()
+            .all(|&(offset, width, _)| a[offset..offset + width] == b[offset..offset + width])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Field;
     use crate::tuple::ints;
+
+    #[test]
+    fn record_keys_order_like_cmp_keys() {
+        let schema = Schema::new(vec![
+            Field::str("s", 4),
+            Field::int("i"),
+            Field::int("payload"),
+        ]);
+        let codec = RecordCodec::new(schema.clone());
+        let mut rows = Vec::new();
+        for s in ["", "a", "ab", "abc", "b", "é"] {
+            for i in [i64::MIN, -5, -1, 0, 1, i64::MAX] {
+                rows.push(Tuple::new(vec![
+                    Value::from(s),
+                    Value::Int(i),
+                    Value::Int(7),
+                ]));
+            }
+        }
+        for keys in [vec![0usize, 1], vec![1, 0], vec![1], vec![0]] {
+            let key = RecordKey::new(&schema, &keys);
+            assert_eq!(key.width(), keys.iter().map(|&k| [4, 8][k]).sum::<usize>());
+            let encoded: Vec<(Vec<u8>, Vec<u8>)> = rows
+                .iter()
+                .map(|t| {
+                    let record = codec.encode(t).unwrap();
+                    let mut k = vec![0; key.width()];
+                    key.write(&record, &mut k);
+                    (record, k)
+                })
+                .collect();
+            for (a, (ra, ka)) in rows.iter().zip(&encoded) {
+                for (b, (rb, kb)) in rows.iter().zip(&encoded) {
+                    let want = a.cmp_keys(b, &keys);
+                    assert_eq!(ka.cmp(kb), want, "{a} vs {b} on {keys:?}");
+                    assert_eq!(key.packed(ra).cmp(&key.packed(rb)), want);
+                    assert_eq!(key.same(ra, rb), want == std::cmp::Ordering::Equal);
+                }
+            }
+        }
+    }
 
     #[test]
     fn index_key_preserves_integer_order() {

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use crate::codec;
 use crate::counters;
+use crate::error::RelError;
 use crate::schema::{ColumnType, Schema};
 use crate::tuple::{Fnv1a, Tuple};
 use crate::value::Value;
@@ -206,6 +207,60 @@ impl Batch {
         Ok(())
     }
 
+    /// Appends every row as a fixed-width record of the batch's schema,
+    /// back to back — [`crate::RecordCodec::encode_into`] a column at a
+    /// time, with its checks (column type, declared string width, no
+    /// embedded NUL). On an error `out` is left as it was.
+    pub fn encode_records(&self, out: &mut Vec<u8>) -> crate::Result<()> {
+        let (base, width) = (out.len(), self.schema.record_width());
+        out.resize(base + self.len * width, 0);
+        let mut at = base;
+        let mut invalid = None;
+        for (i, (col, field)) in self.columns.iter().zip(self.schema.fields()).enumerate() {
+            match (col, field.ty) {
+                (ColumnVec::Int(vs), ColumnType::Int) => {
+                    for (row, v) in vs.iter().enumerate() {
+                        out[at + row * width..][..8].copy_from_slice(&v.to_le_bytes());
+                    }
+                }
+                (ColumnVec::Str(vs), ColumnType::Str(w)) => {
+                    for (row, s) in vs.iter().enumerate() {
+                        if s.len() > w {
+                            let (column, len) = (i, s.len());
+                            invalid = Some(RelError::StringTooLong {
+                                column,
+                                width: w,
+                                len,
+                            });
+                        } else if s.as_bytes().contains(&0) {
+                            invalid = Some(codec::embedded_nul(i));
+                        } else {
+                            out[at + row * width..][..s.len()].copy_from_slice(s.as_bytes());
+                        }
+                    }
+                }
+                _ => unreachable!("a batch's columns have its schema's types"),
+            }
+            at += field.ty.width();
+        }
+        invalid.map_or(Ok(()), |e| {
+            out.truncate(base);
+            Err(e)
+        })
+    }
+
+    /// The batch under `schema` — its own fields and one more — with
+    /// `column` appended.
+    pub fn widen(mut self, schema: Schema, column: ColumnVec) -> Batch {
+        assert_eq!(schema.arity(), self.columns.len() + 1);
+        let int = schema.fields()[self.columns.len()].ty == ColumnType::Int;
+        assert_eq!(matches!(column, ColumnVec::Int(_)), int);
+        assert_eq!(column.len(), self.len);
+        self.schema = schema;
+        self.columns.push(column);
+        self
+    }
+
     /// Appends row `row` of `other`; the schemas must have identical
     /// column types (checked per column in debug builds).
     #[inline]
@@ -334,6 +389,35 @@ impl Batch {
             }
         }
         true
+    }
+
+    /// Orders row `row` on `keys` against row `other_row` of `other` on
+    /// `other_keys`, as [`Tuple::cmp_on`] orders the same rows as tuples.
+    /// Counts one `Comp`.
+    #[inline]
+    pub fn cmp_rows(
+        &self,
+        keys: &[usize],
+        row: usize,
+        other: &Batch,
+        other_keys: &[usize],
+        other_row: usize,
+    ) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        counters::count_comparisons(1);
+        debug_assert_eq!(keys.len(), other_keys.len());
+        for (&a, &b) in keys.iter().zip(other_keys) {
+            let ord = match (&self.columns[a], &other.columns[b]) {
+                (ColumnVec::Int(x), ColumnVec::Int(y)) => x[row].cmp(&y[other_row]),
+                (ColumnVec::Str(x), ColumnVec::Str(y)) => x[row].cmp(&y[other_row]),
+                (ColumnVec::Int(_), ColumnVec::Str(_)) => Ordering::Less,
+                (ColumnVec::Str(_), ColumnVec::Int(_)) => Ordering::Greater,
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
     }
 }
 
@@ -529,6 +613,51 @@ mod tests {
         assert!(batch.columns().iter().all(|c| c.len() == 3));
         batch.push_record(&good).unwrap();
         assert_eq!(batch.tuple(3), mixed_rows()[0]);
+    }
+
+    #[test]
+    fn encode_records_writes_and_refuses_what_the_codec_does() {
+        let codec = crate::RecordCodec::new(mixed_schema());
+        let batch = batch_of(mixed_schema(), &mixed_rows());
+        let mut ours = vec![0xAA];
+        batch.encode_records(&mut ours).unwrap();
+        let mut theirs = vec![0xAA];
+        for t in mixed_rows() {
+            codec.encode_into(&t, &mut theirs).unwrap();
+        }
+        assert_eq!(ours, theirs);
+
+        let row = |name: &str| Tuple::new(vec![Value::Int(1), Value::from(name), Value::Int(2)]);
+        for bad in [row("a\0b"), row("thirteen chars")] {
+            let batch = batch_of(mixed_schema(), &[row("fine"), bad.clone()]);
+            let err = batch.encode_records(&mut ours).unwrap_err();
+            assert_eq!(err, codec.encode(&bad).unwrap_err());
+            assert_eq!(ours, theirs, "a refused batch leaves nothing behind");
+        }
+    }
+
+    #[test]
+    fn cmp_rows_orders_like_cmp_on_and_counts_one_comp() {
+        let rows = mixed_rows();
+        let (a, b) = (
+            batch_of(mixed_schema(), &rows),
+            batch_of(mixed_schema(), &rows[1..]),
+        );
+        for keys in [vec![0usize], vec![1], vec![1, 2], vec![2, 0]] {
+            for (i, x) in rows.iter().enumerate() {
+                for (j, y) in rows[1..].iter().enumerate() {
+                    counters::reset();
+                    let got = a.cmp_rows(&keys, i, &b, &keys, j);
+                    assert_eq!(counters::snapshot().comparisons, 1);
+                    assert_eq!(got, x.cmp_on(&keys, y, &keys), "{x} vs {y} on {keys:?}");
+                }
+            }
+        }
+        // Different key lists on the two sides, as a join compares.
+        assert_eq!(
+            a.cmp_rows(&[0], 0, &b, &[2], 0),
+            rows[0].cmp_on(&[0], &rows[1], &[2])
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use codec::RecordCodec;
+pub use codec::{RecordCodec, RecordKey};
 pub use column::{Batch, ColumnVec, Columns};
 pub use error::RelError;
 pub use relation::Relation;

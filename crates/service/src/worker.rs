@@ -52,11 +52,10 @@ use crossbeam::channel::{Receiver, Sender};
 use reldiv_core::api::Source;
 use reldiv_core::hash_division::HashDivisionMode;
 use reldiv_core::{Algorithm, DivisionSpec};
-use reldiv_exec::scan::spool;
+use reldiv_exec::batch::scan::{materialize, BatchColumnsScan};
 use reldiv_exec::{CancelToken, ExecError};
 use reldiv_parallel::{parallel_divide, ClusterConfig, Distribution, RunReport};
 use reldiv_rel::counters::OpScope;
-use reldiv_rel::RecordCodec;
 use reldiv_storage::{FileId, StorageManager, StorageRef};
 
 use reldiv_exec::profile::ProfileSink;
@@ -140,12 +139,8 @@ impl WorkerState {
             // Another version, still pinned by a query elsewhere.
             self.delete_file_of(&relation.name)?;
         }
-        let codec = RecordCodec::new(schema.clone());
-        let mut tuples = relation.rows.tuples();
-        let file = spool(&self.storage, StorageManager::DATA_DISK, &codec, || {
-            Ok(tuples.next())
-        })
-        .map_err(|e| match e {
+        let scan = Box::new(BatchColumnsScan::new(relation.rows.clone()));
+        let file = materialize(&self.storage, scan, CancelToken::none()).map_err(|e| match e {
             ExecError::Rel(e) => ServiceError::BadRequest(format!("tuple violates schema: {e}")),
             e => ServiceError::Internal(format!("writing record file: {e}")),
         })?;

@@ -202,7 +202,8 @@ fn every_algorithm_and_input_shape_answers_the_same_from_columns_and_from_files(
         let hints = format!("{hint} {unique}");
 
         // Leaf scans, as the `Divide` request that spells this plan —
-        // without a budget and with one hash-division must spill under.
+        // without a budget and with one under which hash-division must
+        // spill and every sort (97 rows of sort space) must go external.
         let text = format!("(divide (on #1) (quotient #0) {hints} (scan {r}) (scan {s}))");
         let want = oracle(&text);
         for mem_budget in [None, Some(4 * 1024)] {
@@ -286,6 +287,96 @@ fn a_relation_touches_the_disk_only_in_the_home_it_does_not_fit() {
     let second = profiled_miss(&small.service);
     assert!(second.pages_read > 0, "{second:?}");
     assert_eq!(second.pages_written, 0, "the file is written once");
+}
+
+/// Storage short of memory as well: four 1 KB frames and 4 KB of work
+/// memory — under 100 rows of sort space, and a group table of about as
+/// many groups.
+fn tight_memory() -> StorageConfig {
+    StorageConfig {
+        buffer_bytes: 4 * 1024,
+        work_memory_bytes: 4 * 1024,
+        ..small_pool()
+    }
+}
+
+/// Pages `(read, written)` under the spans of `kind` in a profile.
+fn pages_under(node: &reldiv_core::ProfileNode, kind: reldiv_core::SpanKind) -> (u64, u64) {
+    if node.kind == kind {
+        return (node.pages_read, node.pages_written);
+    }
+    node.children
+        .iter()
+        .map(|c| pages_under(c, kind))
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+}
+
+#[test]
+fn sorts_and_aggregates_go_to_disk_only_where_their_memory_is_short() {
+    use reldiv_core::SpanKind;
+    let [fits, small, tight] = [
+        Home::start(StorageConfig::large()),
+        Home::start(small_pool()),
+        Home::start(tight_memory()),
+    ];
+    let profiled = |home: &Home, request: &DivideRequest, want: &[Vec<u8>]| {
+        let reply = home.service.divide(request).unwrap();
+        assert_eq!(
+            reply_bytes(&reply.schema, &reply.tuples),
+            want,
+            "{request:?}"
+        );
+        reply.profile.expect("a profiled miss").root
+    };
+
+    // Naive division is two sorts. Its sort space is the configuration's
+    // work memory within the request's budget: where the dividend fits
+    // it, no run is written and no page moves; where it does not, the
+    // sorts spool runs through the pool.
+    let want = oracle("(divide (on #1) (quotient #0) (algorithm naive) (scan r) (scan s))");
+    let naive = |mem_budget| DivideRequest {
+        algorithm: Some(Algorithm::Naive),
+        profile: true,
+        mem_budget,
+        ..request("r", "s")
+    };
+    let root = profiled(&fits, &naive(None), &want);
+    assert_eq!(pages_under(&root, SpanKind::Sort), (0, 0), "{root:?}");
+    for (home, mem_budget) in [(&small, Some(4 * 1024)), (&tight, None)] {
+        let root = profiled(home, &naive(mem_budget), &want);
+        let (read, written) = pages_under(&root, SpanKind::Sort);
+        assert!(read > 0 && written > 0, "run pages: {root:?}");
+    }
+
+    // Hash aggregation's group table draws on the work memory itself:
+    // 200 groups do not fit 4 KB, so the count spills to cluster files
+    // (which four frames cannot hold) and still counts right.
+    let text = "(divide (on #1) (quotient #0) (algorithm hash-agg) (unique yes) \
+                  (scan rc) (scan sc))";
+    let hash_agg = DivideRequest {
+        algorithm: Some(Algorithm::HashAggregation { join: false }),
+        assume_unique: true,
+        profile: true,
+        ..request("rc", "sc")
+    };
+    let root = profiled(&fits, &hash_agg, &oracle(text));
+    assert_eq!(pages_under(&root, SpanKind::Aggregation), (0, 0));
+    let root = profiled(&tight, &hash_agg, &oracle(text));
+    assert!(pages_under(&root, SpanKind::Aggregation).1 > 0, "{root:?}");
+    // So does a plan's `group-count`, on the same operator.
+    let text = "(having-count >= 3 (group-count (quotient-id) (scan rc)))";
+    let plan = ExecPlanRequest {
+        plan: text.into(),
+        deadline_ms: None,
+        profile: true,
+    };
+    for (home, spills) in [(&fits, false), (&tight, true)] {
+        let reply = home.service.exec_plan(&plan).unwrap();
+        assert_eq!(reply_bytes(&reply.schema, &reply.tuples), oracle(text));
+        let root = reply.profile.unwrap().root;
+        let written = pages_under(&root, SpanKind::Aggregation).1;
+        assert_eq!(written > 0, spills, "{root:?}");
+    }
 }
 
 #[test]

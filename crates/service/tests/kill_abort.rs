@@ -5,166 +5,131 @@
 //! pages, and a kill() that blocks for the rest of the query.
 //!
 //! The observable: kill() joins the worker pool, so if the in-flight
-//! query is not cancelled at its next checkpoint, kill() takes about as
-//! long as the query's remaining runtime. With the abort flag wired
-//! through, kill() returns in checkpoint time.
+//! query is not cancelled at its next checkpoint, kill() takes as long
+//! as the query's remaining runtime. With the abort flag wired through,
+//! kill() returns in checkpoint time.
+//!
+//! The worker is held by a query that *cannot* complete before the kill
+//! lands, however fast the engine: a group count over six stacked
+//! self-joins of 32 equal keys — 32⁷ ≈ 3·10¹⁰ join rows, hours of work in
+//! bounded memory (a join's output batch is bounded), polled every batch.
+//! kill() runs under a watchdog, so a missing abort fails the test
+//! instead of hanging it.
 
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use reldiv_core::Algorithm;
+use reldiv_rel::schema::Field;
+use reldiv_rel::tuple::ints;
+use reldiv_rel::{Relation, Schema};
 use reldiv_service::{
-    DivideRequest, DivisionClient, ServerHandle, Service, ServiceConfig, TcpClient,
+    DivisionClient, ExecPlanRequest, PlanReply, ServerHandle, Service, ServiceConfig, ServiceError,
+    TcpClient,
 };
-use reldiv_workload::WorkloadSpec;
 
-fn request() -> DivideRequest {
-    DivideRequest {
-        dividend: "r".into(),
-        divisor: "s".into(),
-        // Naive division: the slowest algorithm in the repertoire, so a
-        // mid-flight kill has the most runtime left to cut short.
-        algorithm: Some(Algorithm::Naive),
-        assume_unique: false,
-        spec: None,
+/// How long kill() may take: a generous bound on "checkpoint time", and
+/// a vanishing fraction of what the query has left.
+const KILL_BOUND: Duration = Duration::from_secs(20);
+
+fn endless_plan() -> ExecPlanRequest {
+    let mut joins = "(scan r)".to_owned();
+    for _ in 0..6 {
+        joins = format!("(join (on (#0 #0)) {joins} (scan r))");
+    }
+    ExecPlanRequest {
+        plan: format!("(group-count (#0) {joins})"),
         deadline_ms: None,
         profile: false,
-        distribute: None,
-        restricted: None,
-        mem_budget: None,
     }
 }
 
-#[test]
-fn kill_aborts_in_flight_worker_executions() {
-    // Scale the workload until the baseline query is slow enough that
-    // "kill returned quickly" and "kill waited for the query" are
-    // unmistakably different, whatever machine runs this.
-    let mut baseline = Duration::ZERO;
-    let mut workload = None;
-    for quotient_size in [2_000u64, 8_000, 32_000] {
-        let w = WorkloadSpec {
-            divisor_size: 48,
-            quotient_size,
-            noise_per_group: 4,
-            ..WorkloadSpec::default()
-        }
-        .generate(113);
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
-        .expect("start service");
-        let mut server = ServerHandle::start(service, "127.0.0.1:0").expect("bind");
-        let mut client = TcpClient::connect(server.local_addr()).expect("connect");
-        client.register("r", &w.dividend).expect("register r");
-        client.register("s", &w.divisor).expect("register s");
-        let started = Instant::now();
-        client.divide(&request()).expect("healthy baseline query");
-        baseline = started.elapsed();
-        server.shutdown();
-        if baseline >= Duration::from_millis(400) {
-            workload = Some(w);
-            break;
-        }
-    }
-    let w = workload.unwrap_or_else(|| {
-        panic!("even the largest workload ran in {baseline:?}; cannot calibrate")
-    });
-
-    // Fresh server, same workload. Launch the same query and kill the
-    // server while it is mid-execution. The timing bound is retried: a
-    // loaded machine can deschedule the worker past its checkpoint, but
-    // an *un-aborted* execution blocks kill() for the residual ~3/4 of
-    // the baseline on every attempt, so three slow attempts in a row
-    // mean the regression, not the scheduler.
-    let mut last = Duration::ZERO;
-    for attempt in 1..=3 {
-        let service = Service::start(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
-        .expect("start service");
-        let mut server = ServerHandle::start(service, "127.0.0.1:0").expect("bind");
-        let addr = server.local_addr();
-        let mut client = TcpClient::connect(addr).expect("connect");
-        client.register("r", &w.dividend).expect("register r");
-        client.register("s", &w.divisor).expect("register s");
-
-        let query = std::thread::spawn(move || {
-            let mut client = TcpClient::connect(addr).expect("connect query client");
-            client.divide(&request())
-        });
-        // Let the query get well into execution, but nowhere near done.
-        std::thread::sleep(baseline / 4);
-
-        let killed_at = Instant::now();
-        server.kill();
-        let kill_took = killed_at.elapsed();
-
-        // The in-flight client saw the connection die, not a completed
-        // quotient — asserted on every attempt.
-        let outcome = query.join().expect("query thread");
-        assert!(
-            outcome.is_err(),
-            "a killed node must not deliver the quotient"
-        );
-        // The regression assertion: kill() returned in checkpoint time,
-        // not in remaining-query time.
-        if kill_took < baseline / 2 {
-            return;
-        }
-        eprintln!("attempt {attempt}: kill() took {kill_took:?} against a {baseline:?} query");
-        last = kill_took;
-    }
-    panic!(
-        "kill() took {last:?} against a {baseline:?} query on every attempt — \
-         the in-flight execution was not aborted"
-    );
-}
-
-#[test]
-fn kill_refuses_queued_but_unstarted_work() {
-    // A query still sitting in the admission queue when kill() lands
-    // must be refused at the checkpoint before execution starts — the
-    // abort flag is checked on dequeue, too.
-    let w = WorkloadSpec {
-        divisor_size: 32,
-        quotient_size: 4_000,
-        noise_per_group: 4,
-        ..WorkloadSpec::default()
-    }
-    .generate(127);
+/// A server with `r` registered: 32 rows of one key.
+fn start(workers: usize) -> ServerHandle {
     let service = Service::start(ServiceConfig {
-        workers: 1,
+        workers,
         queue_depth: 8,
         ..ServiceConfig::default()
     })
     .expect("start service");
-    let mut server = ServerHandle::start(service, "127.0.0.1:0").expect("bind");
-    let addr = server.local_addr();
-    let mut client = TcpClient::connect(addr).expect("connect");
-    client.register("r", &w.dividend).expect("register r");
-    client.register("s", &w.divisor).expect("register s");
+    let server = ServerHandle::start(service, "127.0.0.1:0").expect("bind");
+    let schema = Schema::new(vec![Field::int("k"), Field::int("x")]);
+    let r = Relation::from_tuples(schema, (0..32).map(|x| ints(&[0, x])).collect()).unwrap();
+    let mut client = TcpClient::connect(server.local_addr()).expect("connect");
+    client.register("r", &r).expect("register r");
+    server
+}
 
-    // One worker: the first query occupies it, the rest queue behind.
-    let clients: Vec<_> = (0..4)
+/// Sends `queries` endless plans from as many connections, waits until
+/// the service has admitted them all, kills the server under a watchdog
+/// and returns how long kill() took with every client's outcome.
+fn kill_with_in_flight(
+    server: ServerHandle,
+    queries: usize,
+) -> (Duration, Vec<Result<PlanReply, ServiceError>>) {
+    let addr = server.local_addr();
+    let service = server.service().clone();
+    let clients: Vec<_> = (0..queries)
         .map(|_| {
             std::thread::spawn(move || {
                 let mut client = TcpClient::connect(addr).expect("connect");
-                client.divide(&request())
+                client.exec_plan(&endless_plan())
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(50));
-    let killed_at = Instant::now();
-    server.kill();
-    let kill_took = killed_at.elapsed();
-    for handle in clients {
-        let outcome = handle.join().expect("client thread");
-        assert!(outcome.is_err(), "killed node must not answer");
+    while service.stats().cache_misses < queries as u64 {
+        std::thread::yield_now();
+    }
+    // Not a window to hit: every assertion holds whether or not a worker
+    // has picked the first query up yet. The pause only makes it all but
+    // certain that one has — the case the regression lives in.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let (done, killed) = mpsc::channel();
+    let killer = std::thread::spawn(move || {
+        let mut server = server;
+        let killed_at = Instant::now();
+        server.kill();
+        let _ = done.send(killed_at.elapsed());
+    });
+    let kill_took = killed.recv_timeout(KILL_BOUND).unwrap_or_else(|_| {
+        panic!(
+            "kill() has not returned after {KILL_BOUND:?}: the in-flight execution was not aborted"
+        )
+    });
+    killer.join().expect("killer thread");
+    let outcomes = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+    (kill_took, outcomes)
+}
+
+#[test]
+fn kill_aborts_in_flight_worker_executions() {
+    let (kill_took, outcomes) = kill_with_in_flight(start(2), 1);
+    // The in-flight client saw the connection die, not a completed
+    // quotient, and kill() returned in checkpoint time.
+    assert!(
+        matches!(outcomes[0], Err(ServiceError::Protocol(_))),
+        "a killed node must not deliver the quotient: {:?}",
+        outcomes[0]
+    );
+    assert!(kill_took < KILL_BOUND, "kill() took {kill_took:?}");
+}
+
+#[test]
+fn kill_refuses_queued_but_unstarted_work() {
+    // One worker: the first query occupies it, the rest queue behind. A
+    // query still sitting in the admission queue when kill() lands must
+    // be refused at the checkpoint before execution starts — the abort
+    // flag is checked on dequeue, too.
+    let (kill_took, outcomes) = kill_with_in_flight(start(1), 4);
+    for outcome in outcomes {
+        let severed = matches!(outcome, Err(ServiceError::Protocol(_)));
+        assert!(severed, "killed node must not answer: {outcome:?}");
     }
     assert!(
-        kill_took < Duration::from_secs(10),
+        kill_took < KILL_BOUND,
         "kill() with a full queue took {kill_took:?}; queued work must be refused, not run"
     );
 }

@@ -290,6 +290,40 @@ impl Appender {
     pub fn append(&mut self, sm: &mut StorageManager, record: &[u8]) -> Result<Rid> {
         sm.append_at(self.file, &mut self.last, record)
     }
+
+    /// Appends `records` — back-to-back records of `width` (> 0) bytes —
+    /// fixing each tail page once: the write-side twin of
+    /// [`StorageManager::visit_page`]. A page's first record goes through
+    /// [`Appender::append`] (which turns the page), the rest fill it under
+    /// one fix: all but the buffer's hit count is as if appended singly.
+    pub fn append_records(
+        &mut self,
+        sm: &mut StorageManager,
+        records: &[u8],
+        width: usize,
+    ) -> Result<()> {
+        let mut rest = records.chunks_exact(width);
+        while let Some(record) = rest.next() {
+            self.append(sm, record)?;
+            let (_, fid) = self.last.expect("append leaves the tail's frame");
+            if rest.len() == 0 || !sm.buffer.refix(fid) {
+                continue;
+            }
+            let page = sm.buffer.page_mut(fid)?;
+            let mut filled = 0;
+            while rest.len() > 0 && SlottedPage::fits(page, width) {
+                SlottedPage::insert(page, rest.next().expect("records remain"))
+                    .expect("the record fits");
+                filled += 1;
+            }
+            sm.buffer.unfix(fid, Reuse::Lru)?;
+            sm.files
+                .get_mut(&self.file.0)
+                .expect("appended to")
+                .record_count += filled;
+        }
+        Ok(())
+    }
 }
 
 /// A pull cursor over all records of a file, page at a time, for callers
@@ -321,6 +355,11 @@ impl ScanCursor {
         }
     }
 
+    /// Whether the next call to [`ScanCursor::next`] visits a page.
+    pub fn page_done(&self) -> bool {
+        self.pos == self.index.len()
+    }
+
     /// Returns the next `(rid, record)`, or `None` at end of file. The
     /// record is borrowed from the cursor until the next call.
     pub fn next(&mut self, sm: &mut StorageManager) -> Result<Option<(Rid, &[u8])>> {
@@ -349,6 +388,7 @@ impl ScanCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferStats;
     use crate::manager::StorageConfig;
 
     fn sm() -> StorageManager {
@@ -587,6 +627,56 @@ mod tests {
             // Same transfers and the same buffer-pool activity either way.
             assert_eq!(single.io_stats(), bulk.io_stats());
             assert_eq!(single.buffer_stats(), bulk.buffer_stats());
+        }
+    }
+
+    #[test]
+    fn append_records_lays_a_run_out_as_append_does_with_fewer_pool_hits() {
+        for (page_size, width) in [(128usize, 16usize), (256, 7), (1024, 16), (1024, 300)] {
+            let fresh = || {
+                StorageManager::new(StorageConfig {
+                    data_page_size: page_size,
+                    run_page_size: 128,
+                    buffer_bytes: 4 * page_size,
+                    work_memory_bytes: 1 << 20,
+                })
+            };
+            let records: Vec<u8> = (0..1000 * width).map(|i| (i / width) as u8).collect();
+            let mut single = fresh();
+            let f = single.create_file(StorageManager::DATA_DISK);
+            for record in records.chunks(width) {
+                single.append(f, record).unwrap();
+            }
+            // In uneven chunks, the empty one included.
+            let mut bulk = fresh();
+            let g = bulk.create_file(StorageManager::DATA_DISK);
+            let mut out = Appender::new(g);
+            let mut rest = &records[..];
+            for n in [0, 1, 2, 400, 3, 594] {
+                let (chunk, tail) = rest.split_at(n * width);
+                out.append_records(&mut bulk, chunk, width).unwrap();
+                rest = tail;
+            }
+            assert!(rest.is_empty());
+
+            assert_eq!(single.files[&f.0].extents, bulk.files[&g.0].extents);
+            assert_eq!(single.page_count(f).unwrap(), bulk.page_count(g).unwrap());
+            assert_eq!(bulk.record_count(g).unwrap(), 1000);
+            assert_eq!(bulk.pinned_frames(), 0);
+            let (mut a, mut b) = (ScanCursor::new(f), ScanCursor::new(g));
+            while let Some((rid, record)) = a.next(&mut single).unwrap() {
+                assert_eq!(b.next(&mut bulk).unwrap(), Some((rid, record)));
+            }
+            assert!(b.next(&mut bulk).unwrap().is_none());
+            // Same transfers, seeks and bytes; the pool saw each tail page
+            // a few times, not once per record.
+            assert_eq!(single.io_stats(), bulk.io_stats());
+            let (one, run) = (single.buffer_stats(), bulk.buffer_stats());
+            assert!(run.hits < one.hits, "{run:?} vs {one:?}");
+            assert_eq!(
+                BufferStats { hits: 0, ..one },
+                BufferStats { hits: 0, ..run }
+            );
         }
     }
 
