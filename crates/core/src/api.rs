@@ -8,11 +8,12 @@
 
 use std::rc::Rc;
 
+use reldiv_exec::batch::profile::maybe_profile_batch;
 use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan, BatchMemScan};
 use reldiv_exec::batch::{BatchToTuple, BoxedBatchOp, ExecMode};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::BoxedOp;
-use reldiv_exec::profile::{maybe_profile, ProfileSink, QueryProfile, SpanKind, SpanScope};
+use reldiv_exec::profile::{ProfileSink, QueryProfile, SpanKind, SpanScope};
 use reldiv_exec::scan::{FileScan, MemScan};
 use reldiv_exec::sort::SortConfig;
 use reldiv_rel::{Columns, Relation, Schema, Tuple};
@@ -284,8 +285,9 @@ pub struct DivisionConfig {
     /// The engine the plan is built from, for every algorithm:
     /// [`ExecMode::Batch`] instantiates the same plan from batch
     /// operators — byte-identical quotients and memory accounting,
-    /// amortized per-tuple overheads. Hash-division's spilling overflow
-    /// rungs always run tuple-at-a-time. The default is
+    /// amortized per-tuple overheads. Under hash-division's overflow
+    /// policies the adaptive hybrid reads batches on either engine, and
+    /// the static partitioning rungs tuples. The default is
     /// [`ExecMode::Tuple`], the classic path and the paper's counts.
     pub exec: ExecMode,
 }
@@ -478,28 +480,19 @@ fn hash_division_with_overflow(
             .as_ref()
             .map(|sink| SpanScope::enter(sink, label, SpanKind::Partition, Some(storage.clone())))
     };
-    // The adaptive hybrid: profiled scans feed `hybrid`, which opens its
-    // own "hash-division (adaptive)" span and records spills/revives.
+    // The adaptive hybrid: profiled batch scans feed `hybrid` on either
+    // engine; it opens its own "hash-division (adaptive)" span and records
+    // spills/revives.
     let adaptive = |fanout: usize, report: &mut DegradationReport| -> Result<Relation> {
-        let dividend_scan = maybe_profile(
-            dividend.scan(storage),
-            profile.as_ref(),
-            SCAN_DIVIDEND,
-            SpanKind::Scan,
-            Some(storage),
-        );
-        let divisor_scan = maybe_profile(
-            divisor.scan(storage),
-            profile.as_ref(),
-            SCAN_DIVISOR,
-            SpanKind::Scan,
-            Some(storage),
-        );
+        let scan = |source: &Source, label| {
+            let scan = source.scan_batches(storage);
+            maybe_profile_batch(scan, profile.as_ref(), label, SpanKind::Scan, Some(storage))
+        };
         hybrid::adaptive_hybrid_report(
             storage,
             &pool,
-            dividend_scan,
-            divisor_scan,
+            scan(dividend, SCAN_DIVIDEND),
+            scan(divisor, SCAN_DIVISOR),
             spec,
             mode,
             fanout,
@@ -1151,7 +1144,8 @@ mod tests {
     fn batch_auto_overflow_falls_down_the_ladder() {
         // Same undersized pool as the tuple-path test above: the batch
         // rung exhausts at the same tuple (shared memory accounting), and
-        // the unchanged tuple-path ladder finishes the job.
+        // the ladder below it — the adaptive hybrid first — finishes the
+        // job.
         let mut rows = Vec::new();
         for q in 0..2000 {
             rows.push([q, 1]);

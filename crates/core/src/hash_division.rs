@@ -79,9 +79,21 @@ pub struct HashDivisionStats {
     pub emitted: u64,
 }
 
+/// What draining an input came to, once the input is closed — which it
+/// is on every exit. The drain's error wins over the close's.
+fn close_after<T>(drained: Result<T>, closed: Result<()>) -> Result<T> {
+    let out = drained?;
+    closed?;
+    Ok(out)
+}
+
 /// Step 1's product: the divisor hash table with divisor numbers.
 pub struct DivisorTable {
     table: ChainedTable<(Tuple, u32)>,
+    /// Whether a batch probe compares only the chain elements of equal
+    /// hash ([`ChainedTable::find_hashed`]) or, as the tuple probes and the
+    /// cost model do, all of them.
+    prefilter: bool,
     count: u32,
     duplicates: u64,
     /// `0..arity` of the stored divisor tuples, precomputed so the batch
@@ -92,41 +104,45 @@ pub struct DivisorTable {
 }
 
 impl DivisorTable {
-    /// Builds the table by draining `divisor` (opened and closed here),
-    /// eliminating duplicates on the fly and numbering distinct tuples in
-    /// arrival order.
+    /// Builds the table by draining `divisor` (opened here, and closed on
+    /// every exit), eliminating duplicates on the fly and numbering
+    /// distinct tuples in arrival order.
     pub fn build(divisor: &mut BoxedOp, pool: &MemoryPool) -> Result<Self> {
-        divisor.open()?;
-        let width = divisor.schema().record_width();
-        let arity = divisor.schema().arity();
-        let mut table: ChainedTable<(Tuple, u32)> = ChainedTable::new(pool, 16)?;
-        let mut payload = pool.reserve(0)?;
-        let all: Vec<usize> = (0..arity).collect();
-        let mut count: u32 = 0;
-        let mut duplicates: u64 = 0;
-        while let Some(t) = divisor.next()? {
-            let h = t.hash_on(&all);
-            if table.find(h, |(s, _)| s.eq_on(&all, &t, &all)).is_some() {
-                duplicates += 1;
-                continue;
+        let mut drain = || -> Result<Self> {
+            divisor.open()?;
+            let width = divisor.schema().record_width();
+            let arity = divisor.schema().arity();
+            let mut table: ChainedTable<(Tuple, u32)> = ChainedTable::new(pool, 16)?;
+            let mut payload = pool.reserve(0)?;
+            let all: Vec<usize> = (0..arity).collect();
+            let mut count: u32 = 0;
+            let mut duplicates: u64 = 0;
+            while let Some(t) = divisor.next()? {
+                let h = t.hash_on(&all);
+                if table.find(h, |(s, _)| s.eq_on(&all, &t, &all)).is_some() {
+                    duplicates += 1;
+                    continue;
+                }
+                payload.grow(width)?;
+                table.insert(h, (t, count))?;
+                count += 1;
             }
-            payload.grow(width)?;
-            table.insert(h, (t, count))?;
-            count += 1;
-        }
-        divisor.close()?;
-        Ok(DivisorTable {
-            table,
-            count,
-            duplicates,
-            key_cols: all,
-            _payload: payload,
-        })
+            Ok(DivisorTable {
+                table,
+                prefilter: false,
+                count,
+                duplicates,
+                key_cols: all,
+                _payload: payload,
+            })
+        };
+        let built = drain();
+        close_after(built, divisor.close())
     }
 
     /// [`DivisorTable::build`] over a batch input: drains `divisor`
-    /// (opened and closed here) one batch at a time, hashing each batch
-    /// with the bulk kernel and polling `cancel` once per batch.
+    /// (opened here, and closed on every exit) one batch at a time, hashing
+    /// each batch with the bulk kernel and polling `cancel` once per batch.
     ///
     /// The hash kernel is bit-identical to [`Tuple::hash_on`], so the
     /// chain layout — and every divisor number — matches the tuple-path
@@ -137,38 +153,57 @@ impl DivisorTable {
         pool: &MemoryPool,
         cancel: CancelToken,
     ) -> Result<Self> {
-        divisor.open()?;
-        let width = divisor.schema().record_width();
-        let arity = divisor.schema().arity();
-        let key_cols: Vec<usize> = (0..arity).collect();
-        let mut table: ChainedTable<(Tuple, u32)> = ChainedTable::new(pool, 16)?;
-        let mut payload = pool.reserve(0)?;
-        let mut count: u32 = 0;
-        let mut duplicates: u64 = 0;
-        while let Some(batch) = divisor.next_batch()? {
-            cancel.check()?;
-            let hashes = batch.hash_rows(&key_cols);
-            for (row, &h) in hashes.iter().enumerate() {
-                if table
-                    .find_hashed(h, |(s, _)| batch.row_eq_tuple(&key_cols, row, s, &key_cols))
-                    .is_some()
-                {
-                    duplicates += 1;
-                    continue;
+        Self::build_rows(divisor, pool, cancel, true)
+    }
+
+    /// [`DivisorTable::build_batch`] for the adaptive hybrid, whose
+    /// operation counts are the cost model's: the build, and every
+    /// [`DivisorTable::lookup_row`] on the table, compares a row with all
+    /// elements of its chain, as [`DivisorTable::build`] and
+    /// [`DivisorTable::lookup`] do.
+    pub(crate) fn build_batch_comparing_all(
+        divisor: &mut BoxedBatchOp,
+        pool: &MemoryPool,
+        cancel: CancelToken,
+    ) -> Result<Self> {
+        Self::build_rows(divisor, pool, cancel, false)
+    }
+
+    fn build_rows(
+        divisor: &mut BoxedBatchOp,
+        pool: &MemoryPool,
+        cancel: CancelToken,
+        prefilter: bool,
+    ) -> Result<Self> {
+        let mut drain = || -> Result<Self> {
+            divisor.open()?;
+            let width = divisor.schema().record_width();
+            let arity = divisor.schema().arity();
+            let mut dt = DivisorTable {
+                table: ChainedTable::new(pool, 16)?,
+                prefilter,
+                count: 0,
+                duplicates: 0,
+                key_cols: (0..arity).collect(),
+                _payload: pool.reserve(0)?,
+            };
+            while let Some(batch) = divisor.next_batch()? {
+                cancel.check()?;
+                let hashes = batch.hash_rows(&dt.key_cols);
+                for (row, &h) in hashes.iter().enumerate() {
+                    if dt.lookup_row(h, &batch, row, &dt.key_cols).is_some() {
+                        dt.duplicates += 1;
+                        continue;
+                    }
+                    dt._payload.grow(width)?;
+                    dt.table.insert(h, (batch.tuple(row), dt.count))?;
+                    dt.count += 1;
                 }
-                payload.grow(width)?;
-                table.insert(h, (batch.tuple(row), count))?;
-                count += 1;
             }
-        }
-        divisor.close()?;
-        Ok(DivisorTable {
-            table,
-            count,
-            duplicates,
-            key_cols,
-            _payload: payload,
-        })
+            Ok(dt)
+        };
+        let built = drain();
+        close_after(built, divisor.close())
     }
 
     /// Number of distinct divisor tuples (the width of every bit map).
@@ -203,11 +238,12 @@ impl DivisorTable {
         row: usize,
         divisor_keys: &[usize],
     ) -> Option<u32> {
-        self.table
-            .find_hashed(h, |(s, _)| {
-                batch.row_eq_tuple(divisor_keys, row, s, &self.key_cols)
-            })
-            .map(|idx| self.table.get(idx).1)
+        let is = |(s, _): &(Tuple, u32)| batch.row_eq_tuple(divisor_keys, row, s, &self.key_cols);
+        let found = match self.prefilter {
+            true => self.table.find_hashed(h, is),
+            false => self.table.find(h, is),
+        };
+        found.map(|idx| self.table.get(idx).1)
     }
 
     /// Iterates the distinct divisor tuples with their numbers.

@@ -34,22 +34,36 @@
 //! bit maps and sets delta bits, so duplicate dividend tuples stay
 //! harmless in the bit-map modes exactly as in Figure 1.
 //!
+//! Both ends work on columns. The dividend arrives in batches: the
+//! divisor attributes are hashed a batch at a time, a row is compared
+//! against divisor and quotient tuples in place, and a tuple is built only
+//! for a new group. The decisions — routing, victims, revives, what a
+//! reservation is taken for and when — are still made row by row, so they
+//! are those of a tuple-at-a-time run. A row bound for a delta file is
+//! queued and written when its batch is done, a partition's rows in one
+//! append: no spill file is read before the input ends, so a file holds
+//! the records, in the order, it always did. Spill files are read back a
+//! page at a time, straight into columns. Outside the pool the operator
+//! holds one input batch with its queued row numbers, one spill page and
+//! at most a batch's worth of encoded records.
+//!
 //! Every decision is recorded: spills/revives/recursion in the
 //! [`DegradationReport`] and as [`SpanKind::Spill`]/[`SpanKind::Revive`]
 //! profile spans.
 
+use reldiv_exec::batch::{drain_batches, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::hash_table::ChainedTable;
-use reldiv_exec::op::BoxedOp;
 use reldiv_exec::profile::{ProfileSink, SpanKind, SpanScope};
+use reldiv_rel::column::ColumnVec;
 use reldiv_rel::schema::Field;
-use reldiv_rel::{RecordCodec, Relation, Schema, Tuple, Value};
+use reldiv_rel::{Batch, RecordCodec, Relation, Schema, Tuple};
+use reldiv_storage::file::Appender;
 use reldiv_storage::memory::Reservation;
 use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
 
 use crate::bitmap::Bitmap;
 use crate::hash_division::{DivisorTable, HashDivisionMode};
-use crate::overflow::for_each_record;
 use crate::report::DegradationReport;
 use crate::spec::DivisionSpec;
 use crate::{ExecError, Result};
@@ -90,11 +104,32 @@ struct HEntry {
 }
 
 impl HEntry {
+    /// A group nothing has matched yet; `bits` is 0 in counter mode.
+    fn new(tuple: Tuple, bits: usize) -> Self {
+        HEntry {
+            tuple,
+            bitmap: Bitmap::new(bits),
+            count: 0,
+        }
+    }
+
     fn complete(&self, counter: bool, divisor_count: u32) -> bool {
         if counter {
             self.count == divisor_count
         } else {
             self.bitmap.all_set()
+        }
+    }
+
+    /// Absorbs one matched dividend tuple. `None` means the divisor is
+    /// empty (vacuous).
+    fn absorb(&mut self, counter: bool, dno: Option<u32>) {
+        match dno {
+            Some(d) if !counter => {
+                self.bitmap.set(d as usize);
+            }
+            Some(_) => self.count += 1,
+            None => {}
         }
     }
 }
@@ -107,29 +142,13 @@ struct HybridTable {
     payload: Reservation,
     counter: bool,
     divisor_count: u32,
-    qcols: Vec<usize>,
-    entry_bytes: usize,
+    /// Bits of a group's bit map (0 in counter mode), and the bytes a
+    /// group is accounted at.
+    bits: usize,
+    group_bytes: usize,
 }
 
 impl HybridTable {
-    fn new(
-        pool: &MemoryPool,
-        counter: bool,
-        divisor_count: u32,
-        quotient_arity: usize,
-        quotient_width: usize,
-    ) -> Result<Self> {
-        let bits = if counter { 0 } else { divisor_count as usize };
-        Ok(HybridTable {
-            table: ChainedTable::new(pool, 16)?,
-            payload: pool.reserve(0)?,
-            counter,
-            divisor_count,
-            qcols: (0..quotient_arity).collect(),
-            entry_bytes: quotient_width + Bitmap::heap_bytes(bits),
-        })
-    }
-
     /// Accounted bytes: buckets, chain elements, tuples, bit maps.
     fn footprint(&self) -> usize {
         self.table.accounted_bytes() + self.payload.bytes()
@@ -139,76 +158,28 @@ impl HybridTable {
         self.table.len()
     }
 
-    fn entry(&self, idx: u32) -> &HEntry {
-        self.table.get(idx)
-    }
-
-    fn find_or_insert(&mut self, q: &Tuple, h: u64) -> Result<u32> {
-        if let Some(idx) = self
-            .table
-            .find(h, |e| q.eq_on(&self.qcols, &e.tuple, &self.qcols))
-        {
-            return Ok(idx);
-        }
-        self.payload.grow(self.entry_bytes)?;
-        let bits = if self.counter {
-            0
-        } else {
-            self.divisor_count as usize
-        };
-        self.table.insert(
-            h,
-            HEntry {
-                tuple: q.clone(),
-                bitmap: Bitmap::new(bits),
-                count: 0,
-            },
-        )
-    }
-
-    /// Absorbs one matched dividend tuple, already projected onto the
-    /// quotient columns. `None` means the divisor is empty (vacuous).
-    fn absorb(&mut self, q: &Tuple, h: u64, dno: Option<u32>) -> Result<()> {
-        let idx = self.find_or_insert(q, h)?;
-        let counter = self.counter;
-        let e = self.table.get_mut(idx);
-        match dno {
-            Some(d) if !counter => {
-                e.bitmap.set(d as usize);
+    /// The group with hash `h` whose quotient tuple `is` the wanted one —
+    /// every element of the chain is compared, as the cost model counts —
+    /// or a new one around `tuple()` that nothing has matched yet.
+    fn find_or_insert(
+        &mut self,
+        h: u64,
+        mut is: impl FnMut(&Tuple) -> bool,
+        tuple: impl FnOnce() -> Tuple,
+    ) -> Result<&mut HEntry> {
+        let idx = match self.table.find(h, |e| is(&e.tuple)) {
+            Some(idx) => idx,
+            None => {
+                self.payload.grow(self.group_bytes)?;
+                self.table.insert(h, HEntry::new(tuple(), self.bits))?
             }
-            Some(_) => e.count += 1,
-            None => {}
-        }
-        Ok(())
-    }
-
-    /// Merges a state record: whole bit-map words (or a count).
-    fn merge_state(&mut self, q: &Tuple, h: u64, words: &[u64], count: u32) -> Result<()> {
-        let idx = self.find_or_insert(q, h)?;
-        let counter = self.counter;
-        let e = self.table.get_mut(idx);
-        if counter {
-            e.count += count;
-        } else {
-            e.bitmap.or_words(words.iter().copied());
-        }
-        Ok(())
-    }
-
-    /// Merges a whole in-memory entry (a revived partition adopting its
-    /// hot group).
-    fn merge_entry(&mut self, entry: &HEntry, h: u64) -> Result<()> {
-        if self.counter {
-            self.merge_state(&entry.tuple, h, &[], entry.count)
-        } else {
-            self.merge_state(&entry.tuple, h, entry.bitmap.words(), 0)
-        }
+        };
+        Ok(self.table.get_mut(idx))
     }
 
     /// Step 3: emits every complete candidate into `out`.
     fn emit_complete(&self, out: &mut Relation) -> Result<()> {
-        for idx in 0..self.table.len() {
-            let e = self.table.get(idx as u32);
+        for e in self.table.items() {
             if e.complete(self.counter, self.divisor_count) {
                 out.push(e.tuple.clone()).map_err(ExecError::from)?;
             }
@@ -224,11 +195,13 @@ struct HotGroup {
     _mem: Reservation,
 }
 
-/// One append-only spill file with its byte/record accounting.
-struct SpillFile {
-    file: FileId,
-    bytes: u64,
-}
+/// A partition's spill files, by record layout: at [`STATE`] serialized
+/// table entries (quotient + bit-map words / count), at [`DELTA`] single
+/// matched tuples (quotient + divisor number). Each is created by its
+/// first record.
+type SpillFiles = [Option<FileId>; 2];
+const STATE: usize = 0;
+const DELTA: usize = 1;
 
 /// One quotient partition of the adaptive hybrid.
 #[derive(Default)]
@@ -238,73 +211,41 @@ struct Partition {
     /// Whether the partition has been evicted (distinguishes "spilled"
     /// from "never touched").
     spilled: bool,
-    /// Serialized table entries (quotient + bit-map words / count).
-    state: Option<SpillFile>,
-    /// Single matched tuples (quotient + divisor number).
-    delta: Option<SpillFile>,
+    files: SpillFiles,
     hot: Option<HotGroup>,
     hot_misses: u32,
+    /// The current input batch's delta rows, written when the batch is
+    /// done: their row numbers, and their divisor numbers (-1 for none).
+    delta_rows: Vec<usize>,
+    delta_dnos: Vec<i64>,
 }
 
-/// Spill-record codecs shared by every partition and recursion level.
-struct SpillCodecs {
-    state: RecordCodec,
-    delta: RecordCodec,
-    /// Bit-map word columns in the state schema (0 in counter mode).
-    words: usize,
-    /// Quotient arity — the leading columns of both record layouts.
-    qar: usize,
+/// One dividend row that found its divisor tuple (or an empty divisor).
+struct Matched<'b> {
+    batch: &'b Batch,
+    row: usize,
+    /// The dividend's quotient columns, and the row's hash on them.
+    keys: &'b [usize],
+    h: u64,
+    dno: Option<u32>,
 }
 
-impl SpillCodecs {
-    fn new(quotient_schema: &Schema, counter: bool, divisor_count: u32) -> Self {
-        let qar = quotient_schema.arity();
-        let words = if counter {
-            0
-        } else {
-            (divisor_count as usize).div_ceil(64)
-        };
-        let mut state_fields = quotient_schema.fields().to_vec();
-        if counter {
-            state_fields.push(Field::int("count"));
-        } else {
-            for w in 0..words {
-                state_fields.push(Field::int(format!("w{w}")));
-            }
-        }
-        let mut delta_fields = quotient_schema.fields().to_vec();
-        delta_fields.push(Field::int("dno"));
-        SpillCodecs {
-            state: RecordCodec::new(Schema::new(state_fields)),
-            delta: RecordCodec::new(Schema::new(delta_fields)),
-            words,
-            qar,
-        }
+impl Matched<'_> {
+    /// Whether the row belongs to `group`, a tuple over `qcols`.
+    fn is(&self, group: &Tuple, qcols: &[usize]) -> bool {
+        self.batch.row_eq_tuple(self.keys, self.row, group, qcols)
     }
 
-    /// `(quotient projection, bit-map words, count)` of a state record.
-    fn decode_state(&self, t: &Tuple) -> (Tuple, Vec<u64>, u32) {
-        let q = t.project(&(0..self.qar).collect::<Vec<_>>());
-        if self.words == 0 && self.state.schema().arity() > self.qar {
-            let count = t.value(self.qar).as_int().unwrap_or(0) as u32;
-            (q, Vec::new(), count)
-        } else {
-            let words = (0..self.words)
-                .map(|w| t.value(self.qar + w).as_int().unwrap_or(0) as u64)
-                .collect();
-            (q, words, 0)
-        }
+    fn tuple(&self) -> Tuple {
+        self.batch.tuple_projected(self.keys, self.row)
     }
+}
 
-    /// `(quotient projection, divisor number)` of a delta record; a
-    /// negative column means "no divisor number" (vacuous divisor).
-    fn decode_delta(&self, t: &Tuple) -> (Tuple, Option<u32>) {
-        let q = t.project(&(0..self.qar).collect::<Vec<_>>());
-        let dno = match t.value(self.qar).as_int() {
-            Some(d) if d >= 0 => Some(d as u32),
-            _ => None,
-        };
-        (q, dno)
+/// An `Int` column of a spill page: every one after the quotient's is.
+fn ints(page: &Batch, column: usize) -> &[i64] {
+    match page.column(column) {
+        ColumnVec::Int(values) => values,
+        ColumnVec::Str(_) => unreachable!("a spill record ends in Int columns"),
     }
 }
 
@@ -314,10 +255,13 @@ struct Hybrid<'a> {
     pool: MemoryPool,
     counter: bool,
     divisor_count: u32,
-    quotient_schema: Schema,
+    /// Encodes a group's tuple: the head of either spill record.
+    quotient: RecordCodec,
+    /// `0..quotient arity`: the quotient columns of a group's tuple and of
+    /// either spill record.
     qcols: Vec<usize>,
-    qwidth: usize,
-    codecs: SpillCodecs,
+    /// The spill-record layouts, at [`STATE`] and [`DELTA`].
+    layouts: [Schema; 2],
     fanout: usize,
     cancel: CancelToken,
     budget: u32,
@@ -328,17 +272,37 @@ struct Hybrid<'a> {
     /// an abandoned run (fallback to divisor partitioning) cannot leak
     /// temporary files.
     created: Vec<FileId>,
+    /// Records on their way to a spill file; empty between writes.
+    records: Vec<u8>,
+    /// Whether anything has spilled, and the dividend tuples matched so
+    /// far (the revive cadence).
+    spilled_yet: bool,
+    matched: u64,
 }
 
 impl<'a> Hybrid<'a> {
+    /// Bits of a group's bit map (0 in counter mode), and the bytes a
+    /// group is accounted at.
+    fn group(&self) -> (usize, usize) {
+        let bits = if self.counter {
+            0
+        } else {
+            self.divisor_count as usize
+        };
+        let bytes = self.quotient.record_width() + Bitmap::heap_bytes(bits);
+        (bits, bytes)
+    }
+
     fn new_table(&self) -> Result<HybridTable> {
-        HybridTable::new(
-            &self.pool,
-            self.counter,
-            self.divisor_count,
-            self.qcols.len(),
-            self.qwidth,
-        )
+        let (bits, group_bytes) = self.group();
+        Ok(HybridTable {
+            table: ChainedTable::new(&self.pool, 16)?,
+            payload: self.pool.reserve(0)?,
+            counter: self.counter,
+            divisor_count: self.divisor_count,
+            bits,
+            group_bytes,
+        })
     }
 
     fn span(&self, label: String, kind: SpanKind) -> Option<SpanScope> {
@@ -346,56 +310,52 @@ impl<'a> Hybrid<'a> {
             .map(|sink| SpanScope::enter(sink, label, kind, Some(self.storage.clone())))
     }
 
-    fn create_file(&mut self) -> FileId {
-        let f = self
-            .storage
-            .borrow_mut()
-            .create_file(StorageManager::DATA_DISK);
-        self.created.push(f);
-        f
+    /// Appends `self.records` — back-to-back records of layout `kind` —
+    /// to `files[kind]`, fixing each page once; returns their bytes.
+    fn write(&mut self, files: &mut SpillFiles, kind: usize) -> Result<u64> {
+        if self.records.is_empty() {
+            return Ok(0);
+        }
+        let mut sm = self.storage.borrow_mut();
+        let file = *files[kind].get_or_insert_with(|| {
+            let file = sm.create_file(StorageManager::DATA_DISK);
+            self.created.push(file);
+            file
+        });
+        let width = self.layouts[kind].record_width();
+        Appender::new(file).append_records(&mut sm, &self.records, width)?;
+        let bytes = self.records.len() as u64;
+        self.records.clear();
+        Ok(bytes)
     }
 
-    /// Appends a state record for `entry`, creating the file on first use.
-    /// Returns the bytes written (the caller decides spill vs respool).
-    fn append_state(&mut self, slot: &mut Option<SpillFile>, entry: &HEntry) -> Result<u64> {
-        let mut vals = entry.tuple.clone().into_values();
+    /// Queues `entry`'s state record: the group's tuple through the record
+    /// codec, with its checks, then the bit-map words or the count.
+    fn push_state(&mut self, entry: &HEntry) -> Result<()> {
+        self.quotient.encode_into(&entry.tuple, &mut self.records)?;
         if self.counter {
-            vals.push(Value::Int(i64::from(entry.count)));
-        } else {
-            for w in 0..self.codecs.words {
-                let word = entry.bitmap.words().get(w).copied().unwrap_or(0);
-                vals.push(Value::Int(word as i64));
+            let count = i64::from(entry.count);
+            self.records.extend_from_slice(&count.to_le_bytes());
+        }
+        for word in entry.bitmap.words() {
+            self.records.extend_from_slice(&word.to_le_bytes());
+        }
+        Ok(())
+    }
+
+    /// Writes every entry of `table` to the state file, a batch's worth of
+    /// records to an append. Returns the bytes written (the caller decides
+    /// spill vs respool).
+    fn write_table(&mut self, files: &mut SpillFiles, table: &HybridTable) -> Result<u64> {
+        let mut bytes = 0;
+        for (idx, entry) in table.table.items().enumerate() {
+            self.cancel.checkpoint(&mut self.budget)?;
+            self.push_state(entry)?;
+            if (idx + 1) % DEFAULT_BATCH_SIZE == 0 {
+                bytes += self.write(files, STATE)?;
             }
         }
-        let record = self.codecs.state.encode(&Tuple::new(vals))?;
-        if slot.is_none() {
-            let file = self.create_file();
-            *slot = Some(SpillFile { file, bytes: 0 });
-        }
-        let sf = slot.as_mut().expect("just created");
-        self.storage.borrow_mut().append(sf.file, &record)?;
-        sf.bytes += record.len() as u64;
-        Ok(record.len() as u64)
-    }
-
-    /// Appends a delta record for one matched tuple.
-    fn append_delta(
-        &mut self,
-        slot: &mut Option<SpillFile>,
-        q: &Tuple,
-        dno: Option<u32>,
-    ) -> Result<u64> {
-        let mut vals = q.clone().into_values();
-        vals.push(Value::Int(dno.map_or(-1, i64::from)));
-        let record = self.codecs.delta.encode(&Tuple::new(vals))?;
-        if slot.is_none() {
-            let file = self.create_file();
-            *slot = Some(SpillFile { file, bytes: 0 });
-        }
-        let sf = slot.as_mut().expect("just created");
-        self.storage.borrow_mut().append(sf.file, &record)?;
-        sf.bytes += record.len() as u64;
-        Ok(record.len() as u64)
+        Ok(bytes + self.write(files, STATE)?)
     }
 
     /// Evicts the largest resident partition. Returns `false` when no
@@ -420,60 +380,30 @@ impl<'a> Hybrid<'a> {
             format!("spill p{vi} ({} groups)", table.len()),
             SpanKind::Spill,
         );
-        let mut bytes = 0u64;
-        let mut state = parts[vi].state.take();
-        for idx in 0..table.len() {
-            self.cancel.checkpoint(&mut self.budget)?;
-            bytes += self.append_state(&mut state, table.entry(idx as u32))?;
-        }
-        parts[vi].state = state;
+        let bytes = self.write_table(&mut parts[vi].files, &table)?;
         drop(table); // releases the partition's reservations
         report.note_spill(bytes);
         Ok(true)
     }
 
-    /// Adopts `q` as the hot group of a spilled partition; falls back to a
-    /// delta record when even one entry does not fit.
-    fn adopt_hot(
-        &mut self,
-        part: &mut Partition,
-        q: Tuple,
-        dno: Option<u32>,
-        report: &mut DegradationReport,
-    ) -> Result<()> {
-        let bits = if self.counter {
-            0
-        } else {
-            self.divisor_count as usize
-        };
-        match self.pool.reserve(self.qwidth + Bitmap::heap_bytes(bits)) {
+    /// Queues a delta record for `m`; its bytes count as spilled now.
+    fn queue_delta(&self, part: &mut Partition, m: &Matched, report: &mut DegradationReport) {
+        part.delta_rows.push(m.row);
+        part.delta_dnos.push(m.dno.map_or(-1, i64::from));
+        report.spill_bytes += self.layouts[DELTA].record_width() as u64;
+    }
+
+    /// Adopts `m`'s group as the hot group of a spilled partition; falls
+    /// back to a delta record when even one entry does not fit.
+    fn adopt_hot(&self, part: &mut Partition, m: &Matched, report: &mut DegradationReport) {
+        let (bits, bytes) = self.group();
+        match self.pool.reserve(bytes) {
             Ok(mem) => {
-                let mut bitmap = Bitmap::new(bits);
-                let mut count = 0;
-                match dno {
-                    Some(d) if !self.counter => {
-                        bitmap.set(d as usize);
-                    }
-                    Some(_) => count = 1,
-                    None => {}
-                }
-                part.hot = Some(HotGroup {
-                    entry: HEntry {
-                        tuple: q,
-                        bitmap,
-                        count,
-                    },
-                    _mem: mem,
-                });
-                Ok(())
+                let mut entry = HEntry::new(m.tuple(), bits);
+                entry.absorb(self.counter, m.dno);
+                part.hot = Some(HotGroup { entry, _mem: mem });
             }
-            Err(_) => {
-                let mut delta = part.delta.take();
-                let bytes = self.append_delta(&mut delta, &q, dno)?;
-                part.delta = delta;
-                report.spill_bytes += bytes;
-                Ok(())
-            }
+            Err(_) => self.queue_delta(part, m, report),
         }
     }
 
@@ -481,89 +411,70 @@ impl<'a> Hybrid<'a> {
     /// accumulator when the key matches, a delta record otherwise.
     fn absorb_spilled(
         &mut self,
-        parts: &mut [Partition],
-        p: usize,
-        q: Tuple,
-        dno: Option<u32>,
+        part: &mut Partition,
+        m: &Matched,
         report: &mut DegradationReport,
     ) -> Result<()> {
-        let part = &mut parts[p];
         if let Some(hot) = &mut part.hot {
-            if hot.entry.tuple.eq_on(&self.qcols, &q, &self.qcols) {
-                match dno {
-                    Some(d) if !self.counter => {
-                        hot.entry.bitmap.set(d as usize);
-                    }
-                    Some(_) => hot.entry.count += 1,
-                    None => {}
-                }
+            if m.is(&hot.entry.tuple, &self.qcols) {
+                hot.entry.absorb(self.counter, m.dno);
                 part.hot_misses = 0;
                 return Ok(());
             }
             part.hot_misses += 1;
-            if part.hot_misses >= HOT_MISS_LIMIT {
-                // The adopted group went cold: flush it and re-adopt.
-                let hot = part.hot.take().expect("checked above");
-                let mut state = part.state.take();
-                let bytes = self.append_state(&mut state, &hot.entry)?;
-                let part = &mut parts[p];
-                part.state = state;
-                part.hot_misses = 0;
-                report.spill_bytes += bytes;
-                return self.adopt_hot(&mut parts[p], q, dno, report);
+            if part.hot_misses < HOT_MISS_LIMIT {
+                self.queue_delta(part, m, report);
+                return Ok(());
             }
-            let mut delta = part.delta.take();
-            let bytes = self.append_delta(&mut delta, &q, dno)?;
-            let part = &mut parts[p];
-            part.delta = delta;
-            report.spill_bytes += bytes;
-            return Ok(());
         }
-        self.adopt_hot(&mut parts[p], q, dno, report)
+        // No hot group yet, or the adopted one went cold: flush that and
+        // re-adopt. The cold group gives its reservation back only after
+        // the new one has taken its own, as it always has — a spill
+        // decision hangs on it.
+        let cold = part.hot.take();
+        if let Some(cold) = &cold {
+            self.push_state(&cold.entry)?;
+            report.spill_bytes += self.write(&mut part.files, STATE)?;
+            part.hot_misses = 0;
+        }
+        self.adopt_hot(part, m, report);
+        Ok(())
     }
 
     /// Routes one matched tuple, spilling victims until it lands.
-    #[allow(clippy::too_many_arguments)]
     fn absorb(
         &mut self,
         parts: &mut [Partition],
-        p: usize,
-        q: Tuple,
-        h: u64,
-        dno: Option<u32>,
-        spilled_yet: &mut bool,
+        m: &Matched,
         report: &mut DegradationReport,
     ) -> Result<()> {
+        let p = route(m.h, 0, self.fanout);
         loop {
             if parts[p].spilled {
-                return self.absorb_spilled(parts, p, q, dno, report);
+                return self.absorb_spilled(&mut parts[p], m, report);
             }
-            if parts[p].resident.is_none() {
-                match self.new_table() {
-                    Ok(t) => parts[p].resident = Some(t),
-                    Err(e) if e.is_memory_exhausted() => {
-                        self.note_first_spill(spilled_yet, report);
-                        if !self.spill_victim(parts, report)? {
-                            // Nothing to evict: even an empty table does
-                            // not fit. Run this partition spilled.
-                            parts[p].spilled = true;
-                        }
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            match parts[p]
-                .resident
-                .as_mut()
-                .expect("just ensured")
-                .absorb(&q, h, dno)
-            {
-                Ok(()) => return Ok(()),
+            let landed = if let Some(table) = &mut parts[p].resident {
+                table
+                    .find_or_insert(m.h, |group| m.is(group, &self.qcols), || m.tuple())
+                    .map(|entry| {
+                        entry.absorb(self.counter, m.dno);
+                        true
+                    })
+            } else {
+                self.new_table().map(|table| {
+                    parts[p].resident = Some(table);
+                    false
+                })
+            };
+            match landed {
+                Ok(true) => return Ok(()),
+                Ok(false) => {}
                 Err(e) if e.is_memory_exhausted() => {
-                    self.note_first_spill(spilled_yet, report);
+                    self.note_first_spill(report);
                     // The victim may be `p` itself (largest wins); the
-                    // next iteration lands on the spilled path then.
+                    // next iteration lands on the spilled path then. With
+                    // nothing to evict, even an empty table does not fit:
+                    // run this partition spilled.
                     if !self.spill_victim(parts, report)? {
                         parts[p].spilled = true;
                     }
@@ -573,11 +484,11 @@ impl<'a> Hybrid<'a> {
         }
     }
 
-    fn note_first_spill(&self, spilled_yet: &mut bool, report: &mut DegradationReport) {
-        if *spilled_yet {
+    fn note_first_spill(&mut self, report: &mut DegradationReport) {
+        if self.spilled_yet {
             return;
         }
-        *spilled_yet = true;
+        self.spilled_yet = true;
         if let Some(last) = report.phases.last_mut() {
             last.push_str(": memory exhausted");
         }
@@ -605,9 +516,16 @@ impl<'a> Hybrid<'a> {
         };
         let _span = self.span(format!("revive p{vi}"), SpanKind::Revive);
         if let Some(hot) = parts[vi].hot.take() {
-            let h = hot.entry.tuple.hash_on(&self.qcols);
-            match table.merge_entry(&hot.entry, h) {
-                Ok(()) => {}
+            // The table adopts the hot group, whole.
+            let (group, qcols) = (&hot.entry, &self.qcols);
+            let adopted = table.find_or_insert(
+                group.tuple.hash_on(qcols),
+                |other| group.tuple.eq_on(qcols, other, qcols),
+                || group.tuple.clone(),
+            );
+            match adopted {
+                Ok(entry) if self.counter => entry.count += group.count,
+                Ok(entry) => entry.bitmap.or_words(group.bitmap.words().iter().copied()),
                 Err(e) if e.is_memory_exhausted() => {
                     // Keep the hot group where it was and abort the revive.
                     parts[vi].hot = Some(hot);
@@ -623,109 +541,83 @@ impl<'a> Hybrid<'a> {
         Ok(())
     }
 
-    /// Streams the partition's spill files into a fresh table. On memory
-    /// exhaustion the partial table is discarded (the files still hold
-    /// every record) and the caller re-partitions.
-    fn try_merge(
-        &mut self,
-        state: &Option<SpillFile>,
-        delta: &Option<SpillFile>,
-    ) -> Result<HybridTable> {
+    /// The `i`-th page of a spill file of layout `kind`, as columns.
+    fn read_page(&self, file: Option<FileId>, kind: usize, i: u64) -> Result<Option<Batch>> {
+        let Some(file) = file else {
+            return Ok(None);
+        };
+        let mut page = Batch::with_capacity(self.layouts[kind].clone(), 0);
+        let mut sm = self.storage.borrow_mut();
+        let visited = sm.visit_page(file, i, |_, record| {
+            page.push_record(record).map_err(ExecError::from)
+        })?;
+        Ok(visited.then_some(page))
+    }
+
+    /// Streams the partition's spill files into a fresh table, a page at a
+    /// time. On memory exhaustion the partial table is discarded (the
+    /// files still hold every record) and the caller re-partitions.
+    fn try_merge(&mut self, files: &SpillFiles) -> Result<HybridTable> {
         let mut table = self.new_table()?;
-        let cancel = self.cancel;
-        let mut budget = self.budget;
-        if let Some(sf) = state {
-            let codecs = &self.codecs;
-            let qcols = &self.qcols;
-            for_each_record(self.storage, sf.file, &codecs.state, |t| {
-                cancel.checkpoint(&mut budget)?;
-                let (q, words, count) = codecs.decode_state(&t);
-                let h = q.hash_on(qcols);
-                table.merge_state(&q, h, &words, count)
-            })?;
+        let qcols = &self.qcols;
+        for (kind, &file) in files.iter().enumerate() {
+            for i in 0.. {
+                let Some(page) = self.read_page(file, kind, i)? else {
+                    break;
+                };
+                // What follows the quotient: words or a count, or a
+                // divisor number.
+                let tail: Vec<&[i64]> = (qcols.len()..page.schema().arity())
+                    .map(|column| ints(&page, column))
+                    .collect();
+                for row in 0..page.len() {
+                    self.cancel.checkpoint(&mut self.budget)?;
+                    let entry = table.find_or_insert(
+                        page.hash_row(qcols, row),
+                        |group| page.row_eq_tuple(qcols, row, group, qcols),
+                        || page.tuple_projected(qcols, row),
+                    )?;
+                    match kind {
+                        STATE if self.counter => entry.count += tail[0][row] as u32,
+                        STATE => entry.bitmap.or_words(tail.iter().map(|w| w[row] as u64)),
+                        // A negative number is none (vacuous divisor).
+                        _ => entry.absorb(self.counter, u32::try_from(tail[0][row]).ok()),
+                    }
+                }
+            }
         }
-        if let Some(df) = delta {
-            let codecs = &self.codecs;
-            let qcols = &self.qcols;
-            for_each_record(self.storage, df.file, &codecs.delta, |t| {
-                cancel.checkpoint(&mut budget)?;
-                let (q, dno) = codecs.decode_delta(&t);
-                let h = q.hash_on(qcols);
-                table.absorb(&q, h, dno)
-            })?;
-        }
-        self.budget = budget;
         Ok(table)
     }
 
     /// Splits a partition's spill files into `fanout` sub-partitions with
-    /// the next hash level. The bytes are *re-spooled* (already spilled
-    /// once), so they land in `respool_bytes`, never `spill_bytes`.
+    /// the next hash level, a page at a time. The bytes are *re-spooled*
+    /// (already spilled once), so they land in `respool_bytes`, never
+    /// `spill_bytes`.
     fn repartition(
         &mut self,
-        state: Option<SpillFile>,
-        delta: Option<SpillFile>,
+        files: SpillFiles,
         level: u32,
         report: &mut DegradationReport,
-    ) -> Result<Vec<(Option<SpillFile>, Option<SpillFile>)>> {
+    ) -> Result<Vec<SpillFiles>> {
         let _span = self.span(format!("repartition level={level}"), SpanKind::Spill);
-        let mut subs: Vec<(Option<SpillFile>, Option<SpillFile>)> =
-            (0..self.fanout).map(|_| (None, None)).collect();
-        let cancel = self.cancel;
-        let mut budget = self.budget;
-        let fanout = self.fanout;
-        if let Some(sf) = &state {
-            // Collect first: `for_each_record` holds the storage borrow.
-            let mut routed: Vec<(usize, Tuple)> = Vec::new();
-            {
-                let codecs = &self.codecs;
-                let qcols = &self.qcols;
-                for_each_record(self.storage, sf.file, &codecs.state, |t| {
-                    cancel.checkpoint(&mut budget)?;
-                    let (q, _, _) = codecs.decode_state(&t);
-                    let h = q.hash_on(qcols);
-                    routed.push((route(h, level, fanout), t));
-                    Ok(())
-                })?;
-            }
-            for (sub, t) in routed {
-                let record = self.codecs.state.encode(&t)?;
-                if subs[sub].0.is_none() {
-                    let file = self.create_file();
-                    subs[sub].0 = Some(SpillFile { file, bytes: 0 });
+        let mut subs = vec![SpillFiles::default(); self.fanout];
+        for (kind, file) in files.into_iter().enumerate() {
+            for i in 0.. {
+                let Some(page) = self.read_page(file, kind, i)? else {
+                    break;
+                };
+                let mut routed = vec![Vec::new(); self.fanout];
+                for (row, h) in page.hash_rows(&self.qcols).into_iter().enumerate() {
+                    self.cancel.checkpoint(&mut self.budget)?;
+                    routed[route(h, level, self.fanout)].push(row);
                 }
-                let slot = subs[sub].0.as_mut().expect("just created");
-                self.storage.borrow_mut().append(slot.file, &record)?;
-                slot.bytes += record.len() as u64;
-                report.respool_bytes += record.len() as u64;
+                let routed = subs.iter_mut().zip(&routed);
+                for (sub, rows) in routed.filter(|(_, rows)| !rows.is_empty()) {
+                    page.gather(rows).encode_records(&mut self.records)?;
+                    report.respool_bytes += self.write(sub, kind)?;
+                }
             }
         }
-        if let Some(df) = &delta {
-            let mut routed: Vec<(usize, Tuple)> = Vec::new();
-            {
-                let codecs = &self.codecs;
-                let qcols = &self.qcols;
-                for_each_record(self.storage, df.file, &codecs.delta, |t| {
-                    cancel.checkpoint(&mut budget)?;
-                    let (q, _) = codecs.decode_delta(&t);
-                    let h = q.hash_on(qcols);
-                    routed.push((route(h, level, fanout), t));
-                    Ok(())
-                })?;
-            }
-            for (sub, t) in routed {
-                let record = self.codecs.delta.encode(&t)?;
-                if subs[sub].1.is_none() {
-                    let file = self.create_file();
-                    subs[sub].1 = Some(SpillFile { file, bytes: 0 });
-                }
-                let slot = subs[sub].1.as_mut().expect("just created");
-                self.storage.borrow_mut().append(slot.file, &record)?;
-                slot.bytes += record.len() as u64;
-                report.respool_bytes += record.len() as u64;
-            }
-        }
-        self.budget = budget;
         Ok(subs)
     }
 
@@ -734,17 +626,16 @@ impl<'a> Hybrid<'a> {
     fn merge_files(
         &mut self,
         label: usize,
-        state: Option<SpillFile>,
-        delta: Option<SpillFile>,
+        files: SpillFiles,
         depth: u32,
         result: &mut Relation,
         report: &mut DegradationReport,
     ) -> Result<()> {
-        if state.is_none() && delta.is_none() {
+        if files == SpillFiles::default() {
             return Ok(());
         }
         let span = self.span(format!("merge p{label} depth={depth}"), SpanKind::Partition);
-        match self.try_merge(&state, &delta) {
+        match self.try_merge(&files) {
             Ok(table) => {
                 table.emit_complete(result)?;
                 drop(span);
@@ -756,9 +647,9 @@ impl<'a> Hybrid<'a> {
                     return Err(ExecError::RecursionLimit { depth });
                 }
                 report.note_recursion(depth + 1);
-                let subs = self.repartition(state, delta, depth + 1, report)?;
-                for (i, (s, d)) in subs.into_iter().enumerate() {
-                    self.merge_files(i, s, d, depth + 1, result, report)?;
+                let subs = self.repartition(files, depth + 1, report)?;
+                for (i, sub) in subs.into_iter().enumerate() {
+                    self.merge_files(i, sub, depth + 1, result, report)?;
                 }
                 Ok(())
             }
@@ -766,18 +657,17 @@ impl<'a> Hybrid<'a> {
         }
     }
 
-    /// Finishes one partition after the input is consumed.
+    /// Finishes partition `p` after the input is consumed.
     fn finish_partition(
         &mut self,
-        parts: &mut [Partition],
         p: usize,
+        part: &mut Partition,
         result: &mut Relation,
         report: &mut DegradationReport,
     ) -> Result<()> {
-        let resident = parts[p].resident.take();
-        let hot = parts[p].hot.take();
-        let has_file = parts[p].state.is_some() || parts[p].delta.is_some();
-        if !has_file {
+        let (resident, hot) = (part.resident.take(), part.hot.take());
+        let mut files = part.files;
+        if files == SpillFiles::default() {
             // Fully in-memory: emit straight from the table (and the hot
             // group of a partition that spilled before writing anything).
             if let Some(table) = resident {
@@ -785,9 +675,7 @@ impl<'a> Hybrid<'a> {
             }
             if let Some(hot) = hot {
                 if hot.entry.complete(self.counter, self.divisor_count) {
-                    result
-                        .push(hot.entry.tuple.clone())
-                        .map_err(ExecError::from)?;
+                    result.push(hot.entry.tuple).map_err(ExecError::from)?;
                 }
             }
             return Ok(());
@@ -795,57 +683,92 @@ impl<'a> Hybrid<'a> {
         // Flush the in-memory remains so the files hold every record, then
         // merge from disk (first-time spills: these bytes never hit a file
         // before).
-        let mut state = parts[p].state.take();
         if let Some(table) = resident {
-            let mut bytes = 0u64;
-            for idx in 0..table.len() {
-                self.cancel.checkpoint(&mut self.budget)?;
-                bytes += self.append_state(&mut state, table.entry(idx as u32))?;
-            }
-            report.spill_bytes += bytes;
+            report.spill_bytes += self.write_table(&mut files, &table)?;
         }
         if let Some(hot) = hot {
-            report.spill_bytes += self.append_state(&mut state, &hot.entry)?;
+            self.push_state(&hot.entry)?;
+            report.spill_bytes += self.write(&mut files, STATE)?;
         }
-        let delta = parts[p].delta.take();
-        self.merge_files(p, state, delta, 0, result, report)
+        self.merge_files(p, files, 0, result, report)
+    }
+
+    /// Writes the delta rows `batch` queued, a partition's in one append.
+    fn flush_deltas(
+        &mut self,
+        parts: &mut [Partition],
+        batch: &Batch,
+        quotient_keys: &[usize],
+    ) -> Result<()> {
+        if parts.iter().all(|part| part.delta_rows.is_empty()) {
+            return Ok(());
+        }
+        let quotient = batch.project(quotient_keys)?;
+        for part in parts.iter_mut().filter(|part| !part.delta_rows.is_empty()) {
+            let dnos = ColumnVec::Int(std::mem::take(&mut part.delta_dnos));
+            let deltas = quotient.gather(&part.delta_rows);
+            part.delta_rows.clear();
+            (deltas.widen(self.layouts[DELTA].clone(), dnos)).encode_records(&mut self.records)?;
+            self.write(&mut part.files, DELTA)?;
+        }
+        Ok(())
+    }
+
+    /// Steps 1 and 2 for one batch of the dividend.
+    fn ingest(
+        &mut self,
+        batch: &Batch,
+        parts: &mut [Partition],
+        dt: &DivisorTable,
+        spec: &DivisionSpec,
+        report: &mut DegradationReport,
+    ) -> Result<()> {
+        let keys = &spec.quotient_keys[..];
+        // An empty divisor matches every tuple, vacuously.
+        let dhashes = match dt.count() {
+            0 => Vec::new(),
+            _ => batch.hash_rows(&spec.divisor_keys),
+        };
+        for row in 0..batch.len() {
+            self.cancel.checkpoint(&mut self.budget)?;
+            let dno = match dhashes.get(row) {
+                None => None,
+                Some(&h) => match dt.lookup_row(h, batch, row, &spec.divisor_keys) {
+                    Some(d) => Some(d),
+                    None => continue, // no divisor match: discard
+                },
+            };
+            let m = Matched {
+                batch,
+                row,
+                keys,
+                h: batch.hash_row(keys, row),
+                dno,
+            };
+            self.absorb(parts, &m, report)?;
+            self.matched += 1;
+            if self.spilled_yet && self.matched % REVIVE_STRIDE == 0 {
+                self.maybe_revive(parts, report)?;
+            }
+        }
+        self.flush_deltas(parts, batch, keys)
     }
 
     fn run(
         &mut self,
-        mut dividend: BoxedOp,
+        dividend: BoxedBatchOp,
         dt: &DivisorTable,
-        divisor_keys: &[usize],
-        quotient_keys: &[usize],
+        spec: &DivisionSpec,
         report: &mut DegradationReport,
     ) -> Result<Relation> {
         let mut parts: Vec<Partition> = (0..self.fanout).map(|_| Partition::default()).collect();
-        let mut result = Relation::empty(self.quotient_schema.clone());
-        let mut spilled_yet = false;
-        let mut seen = 0u64;
-        dividend.open()?;
-        while let Some(t) = dividend.next()? {
-            self.cancel.checkpoint(&mut self.budget)?;
-            let dno = if dt.count() == 0 {
-                None // empty divisor: vacuously matched
-            } else {
-                match dt.lookup(&t, divisor_keys) {
-                    Some(d) => Some(d),
-                    None => continue, // no divisor match: discard
-                }
-            };
-            let q = t.project(quotient_keys);
-            let h = q.hash_on(&self.qcols);
-            let p = route(h, 0, self.fanout);
-            self.absorb(&mut parts, p, q, h, dno, &mut spilled_yet, report)?;
-            seen += 1;
-            if spilled_yet && seen % REVIVE_STRIDE == 0 {
-                self.maybe_revive(&mut parts, report)?;
-            }
-        }
-        dividend.close()?;
-        for p in 0..self.fanout {
-            self.finish_partition(&mut parts, p, &mut result, report)?;
+        // Closes the dividend on every exit.
+        drain_batches(dividend, self.cancel, |batch| {
+            self.ingest(&batch, &mut parts, dt, spec, report)
+        })?;
+        let mut result = Relation::empty(self.quotient.schema().clone());
+        for (p, part) in parts.iter_mut().enumerate() {
+            self.finish_partition(p, part, &mut result, report)?;
         }
         Ok(result)
     }
@@ -870,8 +793,8 @@ impl<'a> Hybrid<'a> {
 pub fn adaptive_hybrid_report(
     storage: &StorageRef,
     pool: &MemoryPool,
-    dividend: BoxedOp,
-    mut divisor: BoxedOp,
+    dividend: BoxedBatchOp,
+    mut divisor: BoxedBatchOp,
     spec: &DivisionSpec,
     mode: HashDivisionMode,
     fanout: usize,
@@ -894,22 +817,32 @@ pub fn adaptive_hybrid_report(
         )
     });
 
-    // Step 1 once: the divisor table stays resident for every phase.
-    let dt = DivisorTable::build(&mut divisor, pool)?;
+    // Step 1 once: the divisor table stays resident for every phase. Its
+    // chains are walked the way the cost model counts.
+    let dt = DivisorTable::build_batch_comparing_all(&mut divisor, pool, cancel)?;
 
     // EarlyOut's incremental emission cannot survive a spill (a completed
     // candidate would be re-emitted by the merge pass), so the adaptive
     // path runs it as Standard; the quotient set is identical.
     let counter = mode == HashDivisionMode::CounterOnly;
+    let tail: Vec<Field> = match counter {
+        true => vec![Field::int("count")],
+        false => (0..dt.count().div_ceil(64))
+            .map(|w| Field::int(format!("w{w}")))
+            .collect(),
+    };
+    let layout = |tail: Vec<Field>| {
+        let quotient = quotient_schema.fields().iter().cloned();
+        Schema::new(quotient.chain(tail).collect())
+    };
     let mut hybrid = Hybrid {
         storage,
         pool: pool.clone(),
         counter,
         divisor_count: dt.count(),
         qcols: (0..spec.quotient_keys.len()).collect(),
-        qwidth: quotient_schema.record_width(),
-        codecs: SpillCodecs::new(&quotient_schema, counter, dt.count()),
-        quotient_schema,
+        layouts: [layout(tail), layout(vec![Field::int("dno")])],
+        quotient: RecordCodec::new(quotient_schema),
         fanout,
         cancel,
         budget: 0,
@@ -920,14 +853,11 @@ pub fn adaptive_hybrid_report(
         // headroom (a neighbour query finishing) clears the bar.
         revive_threshold: (2 * (pool.capacity() / fanout)).max(8 * 1024),
         created: Vec::new(),
+        records: Vec::new(),
+        spilled_yet: false,
+        matched: 0,
     };
-    let result = hybrid.run(
-        dividend,
-        &dt,
-        &spec.divisor_keys,
-        &spec.quotient_keys,
-        report,
-    );
+    let result = hybrid.run(dividend, &dt, spec, report);
     hybrid.cleanup();
     drop(span);
     result
@@ -938,8 +868,8 @@ pub fn adaptive_hybrid_report(
 pub fn adaptive_hybrid(
     storage: &StorageRef,
     pool: &MemoryPool,
-    dividend: BoxedOp,
-    divisor: BoxedOp,
+    dividend: BoxedBatchOp,
+    divisor: BoxedBatchOp,
     spec: &DivisionSpec,
     mode: HashDivisionMode,
     fanout: usize,
@@ -963,10 +893,15 @@ pub fn adaptive_hybrid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reldiv_exec::op::Operator;
-    use reldiv_exec::scan::MemScan;
+    use reldiv_exec::batch::scan::BatchMemScan;
+    use reldiv_exec::batch::BatchOperator;
     use reldiv_rel::tuple::ints;
+    use reldiv_storage::buffer::RetryPolicy;
     use reldiv_storage::manager::StorageConfig;
+    use reldiv_storage::{FaultPlan, StorageError};
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn transcript(rows: &[[i64; 2]]) -> Relation {
         let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);
@@ -1003,8 +938,8 @@ mod tests {
         let (rel, report) = adaptive_hybrid(
             &st,
             &pool,
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
+            Box::new(BatchMemScan::new(dividend.clone())),
+            Box::new(BatchMemScan::new(divisor.clone())),
             &spec,
             mode,
             DEFAULT_FANOUT,
@@ -1224,34 +1159,6 @@ mod tests {
         );
     }
 
-    /// An operator that releases an external reservation after N tuples,
-    /// simulating a concurrent query finishing mid-stream.
-    struct Releasing {
-        inner: MemScan,
-        release_after: u64,
-        seen: u64,
-        held: Option<Reservation>,
-    }
-
-    impl Operator for Releasing {
-        fn schema(&self) -> &Schema {
-            self.inner.schema()
-        }
-        fn open(&mut self) -> Result<()> {
-            self.inner.open()
-        }
-        fn next(&mut self) -> Result<Option<Tuple>> {
-            self.seen += 1;
-            if self.seen == self.release_after {
-                self.held = None;
-            }
-            self.inner.next()
-        }
-        fn close(&mut self) -> Result<()> {
-            self.inner.close()
-        }
-    }
-
     #[test]
     fn freed_memory_revives_spilled_partitions() {
         let mut rows = Vec::new();
@@ -1264,21 +1171,20 @@ mod tests {
         let st = storage();
         let pool = MemoryPool::new(256 * 1024);
         // A neighbour hogs 90% of the pool for the first quarter of the
-        // stream, then finishes.
-        let held = pool.reserve(230 * 1024).unwrap();
+        // stream (four batches of 500), then finishes.
+        let mut held = Some(pool.reserve(230 * 1024).unwrap());
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let scan = Releasing {
-            inner: MemScan::new(dividend),
-            release_after: 2000,
-            seen: 0,
-            held: Some(held),
-        };
+        let (scan, _) = watched(&dividend, move |batch| {
+            if batch == Some(4) {
+                drop(held.take());
+            }
+        });
         let mut report = DegradationReport::new();
         let rel = adaptive_hybrid_report(
             &st,
             &pool,
-            Box::new(scan),
-            Box::new(MemScan::new(divisor)),
+            scan,
+            Box::new(BatchMemScan::new(divisor)),
             &spec,
             HashDivisionMode::Standard,
             DEFAULT_FANOUT,
@@ -1313,8 +1219,8 @@ mod tests {
         // for 3000 ints needs ~130 KB; give a pool that fits it with only
         // a sliver to spare.
         let dt_pool = MemoryPool::unbounded();
-        let mut probe: BoxedOp = Box::new(MemScan::new(divisor.clone()));
-        let dt = DivisorTable::build(&mut probe, &dt_pool).unwrap();
+        let mut probe: BoxedBatchOp = Box::new(BatchMemScan::new(divisor.clone()));
+        let dt = DivisorTable::build_batch(&mut probe, &dt_pool, CancelToken::none()).unwrap();
         assert_eq!(dt.count(), 3000);
         let needed = dt_pool.peak();
         // Headroom fits an empty partition table but never a 3000-bit
@@ -1324,8 +1230,8 @@ mod tests {
         let err = adaptive_hybrid(
             &st,
             &pool,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
+            Box::new(BatchMemScan::new(dividend)),
+            Box::new(BatchMemScan::new(divisor)),
             &spec,
             HashDivisionMode::Standard,
             4,
@@ -1347,8 +1253,8 @@ mod tests {
         let (rel, report) = adaptive_hybrid(
             &st,
             &pool,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
+            Box::new(BatchMemScan::new(dividend)),
+            Box::new(BatchMemScan::new(divisor)),
             &spec,
             HashDivisionMode::Standard,
             4,
@@ -1378,8 +1284,8 @@ mod tests {
         let (rel, report) = adaptive_hybrid(
             &st,
             &pool,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
+            Box::new(BatchMemScan::new(dividend)),
+            Box::new(BatchMemScan::new(divisor)),
             &spec,
             HashDivisionMode::Standard,
             DEFAULT_FANOUT,
@@ -1392,5 +1298,233 @@ mod tests {
             files_before,
             "all spill files must be deleted"
         );
+    }
+
+    /// A scan that counts its opens and closes and calls `hook` before it
+    /// hands out a batch (with the number handed out so far) and when it
+    /// is closed (with `None`).
+    struct Watched {
+        inner: BatchMemScan,
+        calls: Rc<Cell<(u32, u32)>>,
+        batches: usize,
+        hook: Box<dyn FnMut(Option<usize>)>,
+    }
+
+    impl BatchOperator for Watched {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn open(&mut self) -> Result<()> {
+            self.calls.set((self.calls.get().0 + 1, self.calls.get().1));
+            self.inner.open()
+        }
+        fn next_batch(&mut self) -> Result<Option<Batch>> {
+            (self.hook)(Some(self.batches));
+            self.batches += 1;
+            self.inner.next_batch()
+        }
+        fn close(&mut self) -> Result<()> {
+            (self.hook)(None);
+            self.calls.set((self.calls.get().0, self.calls.get().1 + 1));
+            self.inner.close()
+        }
+    }
+
+    /// `rel` under watch: the scan, and its `(opens, closes)`.
+    fn watched(
+        rel: &Relation,
+        hook: impl FnMut(Option<usize>) + 'static,
+    ) -> (BoxedBatchOp, Rc<Cell<(u32, u32)>>) {
+        let calls = Rc::new(Cell::new((0, 0)));
+        let scan = Watched {
+            inner: BatchMemScan::new(rel.clone()).with_batch_size(500),
+            calls: calls.clone(),
+            batches: 0,
+            hook: Box::new(hook),
+        };
+        (Box::new(scan), calls)
+    }
+
+    /// What `divisor`'s table takes of a pool.
+    fn divisor_table_bytes(divisor: &Relation) -> usize {
+        let pool = MemoryPool::unbounded();
+        let mut scan: BoxedBatchOp = Box::new(BatchMemScan::new(divisor.clone()));
+        DivisorTable::build_batch(&mut scan, &pool, CancelToken::none()).unwrap();
+        pool.peak()
+    }
+
+    /// 3000 complete groups over two courses.
+    fn pairs() -> (Relation, Relation) {
+        let rows: Vec<[i64; 2]> = (0..3000).flat_map(|q| [[q, 1], [q, 2]]).collect();
+        (transcript(&rows), courses(&[1, 2]))
+    }
+
+    #[test]
+    fn inputs_are_closed_on_every_error_exit() {
+        static TRIPPED: AtomicBool = AtomicBool::new(false);
+        // One failing run: the error, and the `(opens, closes)` of the
+        // dividend and the divisor scan. It leaves no file and no pin.
+        let fails = |(dividend, divisor): &(Relation, Relation), pool, cancel| {
+            let st = storage();
+            let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+            let (r, r_calls) = watched(dividend, |batch| {
+                TRIPPED.fetch_or(batch == Some(2), Ordering::Relaxed);
+            });
+            let (s, s_calls) = watched(divisor, |_| {});
+            let err = adaptive_hybrid_report(
+                &st,
+                &MemoryPool::new(pool),
+                r,
+                s,
+                &spec,
+                HashDivisionMode::Standard,
+                4,
+                cancel,
+                None,
+                &mut DegradationReport::new(),
+            )
+            .unwrap_err();
+            let sm = st.borrow();
+            assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0), "{err}");
+            (err, r_calls.get(), s_calls.get())
+        };
+
+        // The token trips as the third batch is pulled, spills under way.
+        let token = CancelToken::none().with_abort(&TRIPPED);
+        let (err, dividend, divisor) = fails(&pairs(), 24 * 1024, token);
+        assert!(err.is_cancelled(), "{err}");
+        assert_eq!((dividend, divisor), ((1, 1), (1, 1)));
+
+        // One group over 3000 courses. With half the divisor table's bytes
+        // the build runs out, and the dividend is never opened.
+        let one_group: Vec<[i64; 2]> = (0..3000).map(|d| [1, d]).collect();
+        let wide = (
+            transcript(&one_group),
+            courses(&(0..3000).collect::<Vec<_>>()),
+        );
+        let table = divisor_table_bytes(&wide.1);
+        let (err, dividend, divisor) = fails(&wide, table / 2, CancelToken::none());
+        assert!(err.is_memory_exhausted(), "{err}");
+        assert_eq!((dividend, divisor), ((0, 0), (1, 1)));
+
+        // With 300 bytes beside it no 3000-bit group ever fits, at any depth.
+        let (err, dividend, divisor) = fails(&wide, table + 300, CancelToken::none());
+        assert!(err.is_recursion_limit(), "{err}");
+        assert_eq!((dividend, divisor), ((1, 1), (1, 1)));
+    }
+
+    /// Two 512-byte frames: every third page a query touches costs a
+    /// transfer, so spill I/O reaches the disk at once.
+    fn two_frames() -> StorageRef {
+        let storage = StorageManager::shared(StorageConfig {
+            data_page_size: 512,
+            buffer_bytes: 1024,
+            ..StorageConfig::large()
+        });
+        storage.borrow_mut().set_retry_policy(RetryPolicy::none());
+        storage
+    }
+
+    #[test]
+    fn a_storage_fault_in_the_spill_path_comes_back_as_it_is_and_leaves_nothing() {
+        let (dividend, divisor) = pairs();
+        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+        // One run on `pool` bytes, `kept` of them out of the query's reach
+        // until its input ends, under `at_start`'s faults from the start
+        // and `at_end`'s once the input ends. It fails with the storage
+        // error, leaving no file and no pin: the report of how far it got.
+        let faulted = |pool, kept, at_start: Option<FaultPlan>, at_end: Option<FaultPlan>| {
+            let st = two_frames();
+            let pool = MemoryPool::new(pool);
+            let mut kept = Some(pool.reserve(kept).unwrap());
+            if let Some(plan) = at_start {
+                st.borrow_mut().inject_faults(&plan);
+            }
+            let hooked = st.clone();
+            let (r, _) = watched(&dividend, move |batch| {
+                if batch.is_none() {
+                    drop(kept.take());
+                    if let Some(plan) = &at_end {
+                        hooked.borrow_mut().inject_faults(plan);
+                    }
+                }
+            });
+            let mut report = DegradationReport::new();
+            let err = adaptive_hybrid_report(
+                &st,
+                &pool,
+                r,
+                Box::new(BatchMemScan::new(divisor.clone())),
+                &spec,
+                HashDivisionMode::Standard,
+                DEFAULT_FANOUT,
+                CancelToken::none(),
+                None,
+                &mut report,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ExecError::Storage(StorageError::Transient { .. })),
+                "{err}"
+            );
+            let sm = st.borrow();
+            assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
+            report
+        };
+        let every_write = || Some(FaultPlan::seeded(21).with_write_error_rate(1.0));
+        let every_read = || Some(FaultPlan::seeded(21).with_read_error_rate(1.0));
+
+        // A victim's state write: the first victim's table is the first
+        // thing to outgrow two frames.
+        let report = faulted(64 * 1024, 0, every_write(), None);
+        assert!(report.degraded, "{report:?}");
+        assert_eq!((report.partitions_spilled, report.spill_bytes), (0, 0));
+
+        // A pool of `table` bytes holds the divisor table and nothing
+        // else — no partition table, no hot group — so every row becomes a
+        // delta record and no merge fits. A delta flush: no victim was
+        // written, only deltas were.
+        let table = divisor_table_bytes(&divisor);
+        let report = faulted(table, 0, every_write(), None);
+        assert_eq!(report.partitions_spilled, 0, "{report:?}");
+        assert!(report.spill_bytes > 0, "{report:?}");
+
+        // A merge read: given room when the input ends, the first merge
+        // reads partition 0's deltas back.
+        let report = faulted(1 << 20, (1 << 20) - table, None, every_read());
+        assert_eq!(report.spill_bytes, 6000 * 16, "{report:?}");
+        assert_eq!((report.recursion_depth, report.respool_bytes), (0, 0));
+
+        // A re-partition write: no merge fits, so the first write after
+        // the input ends is a sub-partition's.
+        let report = faulted(table, 0, None, every_write());
+        assert_eq!(report.recursion_depth, 1, "{report:?}");
+
+        // `Auto` hands the fault up as it is: only the first write fails,
+        // so a ladder that took it for exhaustion would go on and succeed.
+        let st = two_frames();
+        let first_write = FaultPlan::seeded(21).with_write_failure_at(0);
+        st.borrow_mut().inject_faults(&first_write);
+        let config = crate::api::DivisionConfig {
+            mem_budget: Some(24 * 1024),
+            ..Default::default()
+        };
+        let err = crate::api::divide(
+            &st,
+            &crate::api::Source::from_relation(&dividend),
+            &crate::api::Source::from_relation(&divisor),
+            &spec,
+            crate::Algorithm::HashDivision {
+                mode: HashDivisionMode::Standard,
+            },
+            &config,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, ExecError::Storage(StorageError::Transient { .. })),
+            "{err}"
+        );
+        let sm = st.borrow();
+        assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
     }
 }

@@ -21,6 +21,7 @@
 //! Both strategies process clusters through temporary record files, whose
 //! pages often never leave the buffer pool.
 
+use reldiv_exec::batch::scan::{BatchFileScan, BatchMemScan};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::BoxedOp;
 use reldiv_rel::{RecordCodec, Relation, Schema, Tuple, Value};
@@ -74,10 +75,8 @@ impl ClusterWriter {
     }
 }
 
-/// Reads one cluster file back, tuple at a time. Shared with the
-/// adaptive-hybrid module, which streams its state/delta spill files the
-/// same way.
-pub(crate) fn for_each_record(
+/// Reads one cluster file back, tuple at a time.
+fn for_each_record(
     storage: &StorageRef,
     file: FileId,
     codec: &RecordCodec,
@@ -520,18 +519,13 @@ fn collection_division(
     )
     .map_err(ExecError::from)?;
     let spec = DivisionSpec::trailing_divisor(collection_schema, phases.schema())?;
-    let dividend: BoxedOp = Box::new(reldiv_exec::scan::FileScan::new(
-        storage.clone(),
-        collection_file,
-        collection_schema.clone(),
-    ));
-    let divisor: BoxedOp = Box::new(reldiv_exec::scan::MemScan::new(phases));
+    let dividend = BatchFileScan::new(storage.clone(), collection_file, collection_schema.clone());
     let mut local = DegradationReport::new();
     let result = adaptive_hybrid_report(
         storage,
         pool,
-        dividend,
-        divisor,
+        Box::new(dividend),
+        Box::new(BatchMemScan::new(phases)),
         &spec,
         HashDivisionMode::Standard,
         DEFAULT_FANOUT,
