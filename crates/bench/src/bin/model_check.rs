@@ -32,7 +32,8 @@
 //! configuration.
 
 use reldiv_bench::{paper_sizes, try_run_division_experiment_checked, Measurement};
-use reldiv_core::api::{divide_with_report, DivisionConfig, Source};
+use reldiv_core::api::{divide_with_report, DivisionConfig, OverflowPolicy, Source};
+use reldiv_core::hybrid;
 use reldiv_core::{Algorithm, DegradationReport, DivisionSpec, HashDivisionMode};
 use reldiv_costmodel::{
     compare, CostModel, CostUnits, HybridSizes, PlannedAlgorithm, SizeConfig, UnitComparison,
@@ -108,8 +109,17 @@ fn run_hybrid(
     let pool = storage.borrow().memory();
     let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema())
         .expect("workload schemas divide");
+    // The unbudgeted probes calibrate the hybrid itself, which `Auto`
+    // enters at once only under a budget.
+    let overflow = match budget {
+        None => OverflowPolicy::Adaptive {
+            fanout: hybrid::DEFAULT_FANOUT,
+        },
+        Some(_) => OverflowPolicy::Auto,
+    };
     let config = DivisionConfig {
         mem_budget: budget,
+        overflow,
         ..DivisionConfig::default()
     };
     let (rel, report) = divide_with_report(

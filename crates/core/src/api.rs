@@ -8,7 +8,6 @@
 
 use std::rc::Rc;
 
-use reldiv_exec::batch::profile::maybe_profile_batch;
 use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan, BatchMemScan};
 use reldiv_exec::batch::{BatchToTuple, BoxedBatchOp, ExecMode};
 use reldiv_exec::cancel::CancelToken;
@@ -248,11 +247,14 @@ pub enum OverflowPolicy {
         /// Number of quotient-hash partitions (at least 2).
         fanout: usize,
     },
-    /// Adaptive hybrid first (its optimistic phase *is* the in-memory
-    /// attempt); if the divisor table itself does not fit — the one
-    /// pressure quotient-side spilling cannot relieve — divisor
-    /// partitioning with the cluster count doubling 2 → 256, then combined
-    /// partitioning 4 → 256.
+    /// A ladder whose first rung the query's budget picks. A query with
+    /// no `mem_budget` tries the in-memory operator first and falls to
+    /// the adaptive hybrid only if the pool runs out; a budgeted query
+    /// starts in the adaptive hybrid, whose optimistic phase *is* the
+    /// in-memory attempt. If the divisor table itself does not fit — the
+    /// one pressure quotient-side spilling cannot relieve — divisor
+    /// partitioning follows with the cluster count doubling 2 → 256, then
+    /// combined partitioning 4 → 256.
     #[default]
     Auto,
 }
@@ -282,13 +284,8 @@ pub struct DivisionConfig {
     /// for the global budget while each respects its own. `None` uses the
     /// shared pool directly.
     pub mem_budget: Option<usize>,
-    /// The engine the plan is built from, for every algorithm:
-    /// [`ExecMode::Batch`] instantiates the same plan from batch
-    /// operators — byte-identical quotients and memory accounting,
-    /// amortized per-tuple overheads. Under hash-division's overflow
-    /// policies the adaptive hybrid reads batches on either engine, and
-    /// the static partitioning rungs tuples. The default is
-    /// [`ExecMode::Tuple`], the classic path and the paper's counts.
+    /// Selects nothing: every plan is built from batch operators. Kept
+    /// for the benchmark adapter, which still names it.
     pub exec: ExecMode,
 }
 
@@ -301,33 +298,9 @@ impl Default for DivisionConfig {
             cancel: CancelToken::none(),
             profile: None,
             mem_budget: None,
-            exec: ExecMode::Tuple,
+            exec: ExecMode::Batch,
         }
     }
-}
-
-/// Drains an operator into a relation, polling `cancel` between tuples.
-///
-/// `close` runs on **every** exit, including mid-drain errors and
-/// cancellation, so operator resources (pinned pages, run files, pool
-/// reservations) are never leaked; the drain's error takes precedence
-/// over any close error.
-pub(crate) fn collect_cancel(mut op: BoxedOp, cancel: CancelToken) -> Result<Relation> {
-    fn drain(op: &mut BoxedOp, cancel: CancelToken) -> Result<Relation> {
-        op.open()?;
-        let mut rel = Relation::empty(op.schema().clone());
-        let mut budget = 0u32;
-        while let Some(t) = op.next()? {
-            cancel.checkpoint(&mut budget)?;
-            rel.push(t).map_err(ExecError::from)?;
-        }
-        Ok(rel)
-    }
-    let result = drain(&mut op, cancel);
-    let closed = op.close();
-    let rel = result?;
-    closed?;
-    Ok(rel)
 }
 
 /// Runs `dividend ÷ divisor` with the chosen algorithm over the given
@@ -369,8 +342,6 @@ pub fn divide_with_report(
             Some(storage.clone()),
         )
     });
-    // Each family's plan is written once and runs on the engine
-    // `config.exec` names.
     let engine = Engine { storage, config };
     let rel = match algorithm {
         Algorithm::Naive => naive_division(&engine, dividend, divisor, spec)?,
@@ -437,13 +408,14 @@ fn mark_failed(report: &mut DegradationReport, e: &ExecError) {
 
 /// Hash-division with the configured overflow policy.
 ///
-/// Under `Auto` this degrades at runtime: the memory-adaptive hybrid
-/// first — its optimistic phase is the in-memory fast path, and quotient
-/// pressure is absorbed by incremental spilling — then, if the divisor
-/// table itself does not fit (or a quotient group defeats re-partitioning,
-/// the recursion limit), divisor partitioning with the cluster count
-/// doubling 2 → 256, and finally combined partitioning 4 → 256. Every
-/// phase is recorded in `report`.
+/// Under `Auto` this degrades at runtime: an unbudgeted query tries the
+/// in-memory operator first; then (a budgeted query starts here) the
+/// memory-adaptive hybrid — its optimistic phase is the in-memory attempt,
+/// and quotient pressure is absorbed by incremental spilling — then, if the
+/// divisor table itself does not fit (or a quotient group defeats
+/// re-partitioning, the recursion limit), divisor partitioning with the
+/// cluster count doubling 2 → 256, and finally combined partitioning
+/// 4 → 256. Every phase is recorded in `report`.
 fn hash_division_with_overflow(
     engine: &Engine,
     dividend: &Source,
@@ -461,8 +433,6 @@ fn hash_division_with_overflow(
         None => base_pool,
     };
     let cancel = config.cancel;
-    let profile = config.profile.clone();
-    // Either engine's operator: same layout, same accounting, same bytes.
     let in_memory = |report: &mut DegradationReport| -> Result<Relation> {
         report.note_phase("in-memory");
         let (r, s) = (
@@ -480,24 +450,19 @@ fn hash_division_with_overflow(
             .as_ref()
             .map(|sink| SpanScope::enter(sink, label, SpanKind::Partition, Some(storage.clone())))
     };
-    // The adaptive hybrid: profiled batch scans feed `hybrid` on either
-    // engine; it opens its own "hash-division (adaptive)" span and records
-    // spills/revives.
+    // The adaptive hybrid opens its own "hash-division (adaptive)" span
+    // and records spills/revives.
     let adaptive = |fanout: usize, report: &mut DegradationReport| -> Result<Relation> {
-        let scan = |source: &Source, label| {
-            let scan = source.scan_batches(storage);
-            maybe_profile_batch(scan, profile.as_ref(), label, SpanKind::Scan, Some(storage))
-        };
         hybrid::adaptive_hybrid_report(
             storage,
             &pool,
-            scan(dividend, SCAN_DIVIDEND),
-            scan(divisor, SCAN_DIVISOR),
+            engine.scan_as(dividend, SCAN_DIVIDEND),
+            engine.scan_as(divisor, SCAN_DIVISOR),
             spec,
             mode,
             fanout,
             cancel,
-            profile.as_ref(),
+            config.profile.as_ref(),
             report,
         )
     };
@@ -556,11 +521,10 @@ fn hash_division_with_overflow(
             )
         }
         OverflowPolicy::Auto => {
-            // Rung 0, batch mode only: the vectorized in-memory attempt.
-            // Its row-entry kernels share the tuple path's tables and
-            // memory accounting, so exhaustion fires at the same tuple
-            // and the ladder below is unchanged.
-            if config.exec == ExecMode::Batch {
+            // Rung 0, unbudgeted queries only: the in-memory operator. A
+            // budget says the tables may not fit, and the hybrid's
+            // optimistic phase is the same attempt with a way out.
+            if config.mem_budget.is_none() {
                 match in_memory(report) {
                     Ok(rel) => return Ok(rel),
                     Err(e) if e.is_memory_exhausted() => {
@@ -929,42 +893,31 @@ mod tests {
         (outcome, sm.io_stats(), left)
     }
 
-    /// Runs `algorithm` on both engines and holds the batch engine to the
-    /// tuple engine's outcome: the same rows in the same order, or the
-    /// same exhaustion. Returns both runs' I/O and the common quotient.
-    fn both_engines(
+    /// One division on a fresh storage manager, cold, under `Fail`
+    /// (hash-division without the ladder): it must leave no file and no
+    /// pin behind. Returns the quotient — `None` if the pool ran out, the
+    /// one failure these inputs may meet — and the I/O it cost.
+    fn run_clean(
         storage: &StorageConfig,
         kind: Kind,
         workload: &(Relation, Relation),
         algorithm: Algorithm,
         config: &DivisionConfig,
         case: &str,
-    ) -> ([reldiv_storage::disk::IoStats; 2], Option<Relation>) {
-        let [(tuple, tuple_io, tuple_left), (batch, batch_io, batch_left)] =
-            [ExecMode::Tuple, ExecMode::Batch].map(|exec| {
-                // Hash-division without the ladder: under `Auto` the tuple
-                // engine's first rung is the hybrid, whose order differs.
-                let config = DivisionConfig {
-                    exec,
-                    overflow: OverflowPolicy::Fail,
-                    ..config.clone()
-                };
-                run_cold(storage, kind, workload, algorithm, &config)
-            });
-        assert_eq!((tuple_left, batch_left), ((0, 0), (0, 0)), "{case}");
-        let quotient = match (tuple, batch) {
-            (Ok(tuple), Ok(batch)) => {
-                assert_eq!(tuple, batch, "{case}");
-                Some(batch)
-            }
-            (Err(tuple), Err(batch)) => {
-                assert!(tuple.is_memory_exhausted(), "{case}: {tuple}");
-                assert!(batch.is_memory_exhausted(), "{case}: {batch}");
-                None
-            }
-            (tuple, batch) => panic!("{case}: tuple {tuple:?}, batch {batch:?}"),
+    ) -> (Option<Relation>, reldiv_storage::disk::IoStats) {
+        let config = DivisionConfig {
+            overflow: OverflowPolicy::Fail,
+            ..config.clone()
         };
-        ([tuple_io, batch_io], quotient)
+        let (outcome, io, left) = run_cold(storage, kind, workload, algorithm, &config);
+        assert_eq!(left, (0, 0), "{case}");
+        match outcome {
+            Ok(quotient) => (Some(quotient), io),
+            Err(e) => {
+                assert!(e.is_memory_exhausted(), "{case}: {e}");
+                (None, io)
+            }
+        }
     }
 
     fn small_sorts() -> SortConfig {
@@ -975,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_exec_matches_tuple_exec_byte_for_byte() {
+    fn every_family_answers_alike_from_every_source_kind() {
         let dirty = string_workload(120, 12, true);
         let clean = string_workload(120, 12, false);
         let empty_divisor = (dirty.0.clone(), Relation::empty(dirty.1.schema().clone()));
@@ -995,42 +948,44 @@ mod tests {
                 (StorageConfig::large(), "large"),
                 (StorageConfig::paper(), "paper"),
             ] {
-                for kind in [Kind::Mem, Kind::File, Kind::Columns] {
-                    for sort in [SortConfig::default(), small_sorts()] {
-                        for (workload, name, assume_unique, expected) in [
-                            (&dirty, "dirty", false, with_join.then(|| all_students(120))),
-                            (&clean, "clean", false, Some(all_students(120))),
-                            (&clean, "clean", true, Some(all_students(120))),
-                            (
-                                &empty_divisor,
-                                "empty divisor",
-                                false,
-                                Some(all_students(144)),
-                            ),
-                        ] {
-                            let case = format!(
-                                "{algorithm:?} {storage_name} {kind:?} {sort:?} {name} \
-                                 unique={assume_unique}"
-                            );
-                            let config = DivisionConfig {
-                                assume_unique,
-                                sort,
-                                ..Default::default()
-                            };
-                            let (_, quotient) =
-                                both_engines(&storage, kind, workload, algorithm, &config, &case);
-                            // The no-join plans on noisy inputs answer
-                            // something else, identically; the rest answer
-                            // the division.
-                            match (quotient, expected) {
-                                (Some(quotient), Some(expected)) => {
-                                    let got: Vec<String> =
-                                        quotient.bag_counts().into_keys().collect();
-                                    assert_eq!(got, expected, "{case}");
-                                }
-                                (None, _) => exhausted += 1,
-                                (Some(_), None) => {}
+                for sort in [SortConfig::default(), small_sorts()] {
+                    for (workload, name, assume_unique, expected) in [
+                        (&dirty, "dirty", false, with_join.then(|| all_students(120))),
+                        (&clean, "clean", false, Some(all_students(120))),
+                        (&clean, "clean", true, Some(all_students(120))),
+                        (
+                            &empty_divisor,
+                            "empty divisor",
+                            false,
+                            Some(all_students(144)),
+                        ),
+                    ] {
+                        let case = format!(
+                            "{algorithm:?} {storage_name} {sort:?} {name} unique={assume_unique}"
+                        );
+                        let config = DivisionConfig {
+                            assume_unique,
+                            sort,
+                            ..Default::default()
+                        };
+                        // The same rows in the same order, or the same
+                        // exhaustion, whatever the inputs are stored as.
+                        let [mem, file, columns] =
+                            [Kind::Mem, Kind::File, Kind::Columns].map(|kind| {
+                                let case = format!("{case} {kind:?}");
+                                run_clean(&storage, kind, workload, algorithm, &config, &case).0
+                            });
+                        assert_eq!(mem, file, "{case}");
+                        assert_eq!(mem, columns, "{case}");
+                        // The no-join plans on noisy inputs answer
+                        // something else; the rest answer the division.
+                        match (mem, expected) {
+                            (Some(quotient), Some(expected)) => {
+                                let got: Vec<String> = quotient.bag_counts().into_keys().collect();
+                                assert_eq!(got, expected, "{case}");
                             }
+                            (None, _) => exhausted += 1,
+                            (Some(_), None) => {}
                         }
                     }
                 }
@@ -1041,111 +996,97 @@ mod tests {
             "the dirty dividend's duplicate elimination overflows 100 KB"
         );
 
-        // Under `Auto` both engines still agree on the bag.
+        // Under `Auto` too.
         let spec = DivisionSpec::trailing_divisor(dirty.0.schema(), dirty.1.schema()).unwrap();
         let storage = StorageManager::shared(StorageConfig::large());
         for mode in [HashDivisionMode::Standard, HashDivisionMode::EarlyOut] {
-            let [tuple, batch] = [ExecMode::Tuple, ExecMode::Batch].map(|exec| {
-                let config = DivisionConfig {
-                    exec,
-                    ..Default::default()
-                };
-                let (r, s) = (
-                    Source::from_relation(&dirty.0),
-                    Source::from_relation(&dirty.1),
-                );
-                divide(
-                    &storage,
-                    &r,
-                    &s,
-                    &spec,
-                    Algorithm::HashDivision { mode },
-                    &config,
-                )
-                .unwrap()
-            });
-            assert_eq!(tuple.bag_counts(), batch.bag_counts(), "{mode:?}");
+            let (r, s) = (
+                Source::from_relation(&dirty.0),
+                Source::from_relation(&dirty.1),
+            );
+            let algorithm = Algorithm::HashDivision { mode };
+            let config = DivisionConfig::default();
+            let quotient = divide(&storage, &r, &s, &spec, algorithm, &config).unwrap();
+            let got: Vec<String> = quotient.bag_counts().into_keys().collect();
+            assert_eq!(got, all_students(120), "{mode:?}");
         }
     }
 
     #[test]
     fn batch_exec_transfers_the_pages_tuple_exec_does_on_the_paper_configuration() {
         // 27 000 16-byte records: a 430 KB dividend against the paper's
-        // 256 KB pool and 100 KB of work memory, from files, cold.
+        // 256 KB pool and 100 KB of work memory, from files, cold. The
+        // transfers are those the tuple-at-a-time engine made, recorded
+        // before it was retired: `(reads, writes, seeks, bytes)` with the
+        // default sort space and with a 4 KB one.
+        let recorded = [
+            (
+                Algorithm::Naive,
+                [(639, 601, 707, 1_800_192), (3059, 2985, 4408, 6_719_488)],
+            ),
+            (
+                Algorithm::SortAggregation { join: false },
+                [(656, 616, 729, 1_832_960), (3013, 2939, 4409, 6_625_280)],
+            ),
+            (
+                Algorithm::SortAggregation { join: true },
+                [
+                    (1255, 1253, 1510, 3_105_792),
+                    (6008, 5933, 8785, 12_765_184),
+                ],
+            ),
+            (
+                Algorithm::HashAggregation { join: false },
+                [(74, 0, 2, 606_208); 2],
+            ),
+            (
+                Algorithm::HashAggregation { join: true },
+                [(147, 73, 148, 1_802_240); 2],
+            ),
+            (
+                Algorithm::HashDivision {
+                    mode: HashDivisionMode::Standard,
+                },
+                [(74, 0, 2, 606_208); 2],
+            ),
+        ];
         let workload = string_workload(1500, 18, false);
         let paper = StorageConfig::paper();
-        for algorithm in Algorithm::table_columns() {
-            for sort in [SortConfig::default(), small_sorts()] {
+        for (algorithm, per_sort) in recorded {
+            let sorts = [SortConfig::default(), small_sorts()];
+            for (sort, (reads, writes, seeks, bytes)) in sorts.into_iter().zip(per_sort) {
                 let case = format!("{algorithm:?} {sort:?}");
                 let config = DivisionConfig {
                     assume_unique: true,
                     sort,
                     ..Default::default()
                 };
-                let ([tuple, batch], quotient) =
-                    both_engines(&paper, Kind::File, &workload, algorithm, &config, &case);
+                let (quotient, io) =
+                    run_clean(&paper, Kind::File, &workload, algorithm, &config, &case);
                 assert_eq!(quotient.map(|q| q.cardinality()), Some(1500), "{case}");
-                assert!(tuple.reads > 70, "{case}: the dividend is read from disk");
-                if matches!(
-                    algorithm,
-                    Algorithm::HashAggregation { .. } | Algorithm::HashDivision { .. }
-                ) {
-                    // Scans, and one materialized file: the same transfers.
-                    // A batch plan alternates between scanning and
-                    // materializing per batch, not per tuple, so it may
-                    // seek less.
-                    assert_eq!(
-                        (tuple.reads, tuple.writes, tuple.bytes),
-                        (batch.reads, batch.writes, batch.bytes),
-                        "{case}"
-                    );
-                    assert!(batch.seeks <= tuple.seeks, "{case}");
-                    continue;
-                }
-                // Sorts: the sort itself moves the tuple sort's pages
-                // exactly (reldiv-exec tests that), but a batch file scan
-                // hands it up to two data pages at once, so a run can be
-                // cut one page read later than in the tuple plan — which
-                // shifts what the pool still holds when merging starts by
-                // a few run pages.
-                let near = |a: u64, b: u64| a.abs_diff(b) * 100 <= a.max(b);
-                for (t, b) in [
-                    (tuple.reads, batch.reads),
-                    (tuple.writes, batch.writes),
-                    (tuple.bytes, batch.bytes),
-                ] {
-                    assert!(near(t, b), "{case}: {tuple:?} vs {batch:?}");
-                }
-                assert!(
-                    near(tuple.seeks, batch.seeks) || batch.seeks < tuple.seeks,
-                    "{case}: {tuple:?} vs {batch:?}"
-                );
+                let got = (io.reads, io.writes, io.seeks, io.bytes);
+                assert_eq!(got, (reads, writes, seeks, bytes), "{case}");
             }
         }
 
         // Where duplicates must go first, hash-based elimination of this
-        // dividend exhausts 100 KB on either engine, at the same row.
+        // dividend exhausts 100 KB.
         let config = DivisionConfig::default();
         for join in [false, true] {
             let algorithm = Algorithm::HashAggregation { join };
-            let (_, quotient) = both_engines(
-                &paper,
-                Kind::File,
-                &workload,
-                algorithm,
-                &config,
-                "exhausted",
-            );
-            assert!(quotient.is_none());
+            let case = format!("{algorithm:?} exhausted");
+            let (quotient, _) = run_clean(&paper, Kind::File, &workload, algorithm, &config, &case);
+            assert!(quotient.is_none(), "{case}");
         }
     }
 
     #[test]
     fn batch_auto_overflow_falls_down_the_ladder() {
-        // Same undersized pool as the tuple-path test above: the batch
-        // rung exhausts at the same tuple (shared memory accounting), and
-        // the ladder below it — the adaptive hybrid first — finishes the
-        // job.
+        // Under `Auto` an unbudgeted query tries the in-memory operator
+        // first; on this undersized pool it runs out, and the adaptive
+        // hybrid — whose optimistic phase is the same attempt — finishes
+        // the job. A budgeted query starts in the hybrid: the same phases,
+        // less the first.
         let mut rows = Vec::new();
         for q in 0..2000 {
             rows.push([q, 1]);
@@ -1160,26 +1101,31 @@ mod tests {
             work_memory_bytes: 64 * 1024,
         });
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let (q, report) = divide_with_report(
-            &storage,
-            &Source::from_relation(&dividend),
-            &Source::from_relation(&divisor),
-            &spec,
-            Algorithm::HashDivision {
-                mode: HashDivisionMode::Standard,
-            },
-            &DivisionConfig {
-                exec: ExecMode::Batch,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(q.cardinality(), 2000);
-        assert!(report.degraded);
-        assert!(report.retries >= 1);
-        assert_eq!(report.phases[0], "in-memory: memory exhausted");
-        let winner = report.final_phase().unwrap();
+        let run = |mem_budget| {
+            let (q, report) = divide_with_report(
+                &storage,
+                &Source::from_relation(&dividend),
+                &Source::from_relation(&divisor),
+                &spec,
+                Algorithm::HashDivision {
+                    mode: HashDivisionMode::Standard,
+                },
+                &DivisionConfig {
+                    mem_budget,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(q.cardinality(), 2000);
+            report
+        };
+        let unbudgeted = run(None);
+        assert_eq!(unbudgeted.phases[0], "in-memory: memory exhausted");
+        let winner = unbudgeted.final_phase().unwrap();
         assert!(winner.starts_with("adaptive-hybrid"), "{winner}");
+        let budgeted = run(Some(1 << 22));
+        assert_eq!(budgeted.phases, unbudgeted.phases[1..]);
+        assert_eq!(budgeted.retries + 1, unbudgeted.retries);
     }
 
     #[test]
@@ -1195,10 +1141,7 @@ mod tests {
             Algorithm::HashDivision {
                 mode: HashDivisionMode::Standard,
             },
-            &DivisionConfig {
-                exec: ExecMode::Batch,
-                ..Default::default()
-            },
+            &DivisionConfig::default(),
         )
         .unwrap();
         assert!(!report.degraded);
@@ -1218,10 +1161,7 @@ mod tests {
             Algorithm::HashDivision {
                 mode: HashDivisionMode::Standard,
             },
-            &DivisionConfig {
-                exec: ExecMode::Batch,
-                ..Default::default()
-            },
+            &DivisionConfig::default(),
         )
         .unwrap();
         let root = &profile.root;
@@ -1502,30 +1442,27 @@ mod tests {
         let divisor = courses(&[1, 2]);
         let storage = StorageManager::shared(StorageConfig::large());
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        // Every plan's first blocking operator holds the token, on either
-        // engine, whether or not a duplicate elimination comes first.
+        // Every plan's first blocking operator holds the token, whether or
+        // not a duplicate elimination comes first.
         for algorithm in Algorithm::table_columns() {
-            for exec in [ExecMode::Tuple, ExecMode::Batch] {
-                for assume_unique in [false, true] {
-                    let config = DivisionConfig {
-                        cancel: CancelToken::after(std::time::Duration::ZERO),
-                        exec,
-                        assume_unique,
-                        ..Default::default()
-                    };
-                    let err = divide(
-                        &storage,
-                        &Source::from_relation(&dividend),
-                        &Source::from_relation(&divisor),
-                        &spec,
-                        algorithm,
-                        &config,
-                    )
-                    .unwrap_err();
-                    assert!(err.is_cancelled(), "{algorithm:?} {exec:?}: {err}");
-                    let sm = storage.borrow();
-                    assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
-                }
+            for assume_unique in [false, true] {
+                let config = DivisionConfig {
+                    cancel: CancelToken::after(std::time::Duration::ZERO),
+                    assume_unique,
+                    ..Default::default()
+                };
+                let err = divide(
+                    &storage,
+                    &Source::from_relation(&dividend),
+                    &Source::from_relation(&divisor),
+                    &spec,
+                    algorithm,
+                    &config,
+                )
+                .unwrap_err();
+                assert!(err.is_cancelled(), "{algorithm:?}: {err}");
+                let sm = storage.borrow();
+                assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
             }
         }
     }

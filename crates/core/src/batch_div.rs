@@ -1,5 +1,6 @@
 //! Vectorized hash-division: [`BatchHashDivision`], the batch-at-a-time
-//! counterpart of [`HashDivision`](crate::hash_division::HashDivision).
+//! form of [`HashDivision`](crate::hash_division::HashDivision), and the
+//! operator of every in-memory hash-division plan.
 //!
 //! The operator runs the same three steps over columnar
 //! [`Batch`]es instead of single tuples:
@@ -21,8 +22,8 @@
 //! methods share the tuple path's tables, chain layouts, divisor numbers,
 //! and memory accounting are *exactly* those of the tuple path: the
 //! quotient comes out byte-identical, and memory exhaustion fires at the
-//! same tuple — so the overflow ladder above this operator behaves the
-//! same in either execution mode.
+//! same tuple. The tuple operator stays as the reference this operator's
+//! tests compare against.
 //!
 //! What changes is the constant factor: per batch the operator pays two
 //! virtual calls and one cancellation poll instead of one-plus-one per

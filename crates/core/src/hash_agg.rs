@@ -20,9 +20,9 @@
 //! aggregation counts duplicates and "cannot include duplicate
 //! elimination, since only one tuple is kept in the hash table for each
 //! group". When the inputs are not declared unique, the plan inserts a
-//! hash-based duplicate elimination ([`reldiv_exec::agg::HashDistinct`])
-//! that must hold the whole dividend in memory — exactly the cost
-//! hash-division avoids.
+//! hash-based duplicate elimination
+//! ([`reldiv_exec::batch::distinct::BatchDistinct`]) that must hold the
+//! whole dividend in memory — exactly the cost hash-division avoids.
 
 use reldiv_exec::profile::SpanKind;
 use reldiv_rel::Relation;

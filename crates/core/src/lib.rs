@@ -28,9 +28,9 @@
 //! * [`overflow`] — hash-table overflow handling by quotient partitioning
 //!   and divisor partitioning, including the collection phase (Section
 //!   3.4),
-//! * [`batch_div`] — the vectorized (batch-at-a-time) hash-division
-//!   operator, byte-identical to the tuple path and selected with
-//!   [`DivisionConfig::exec`](api::DivisionConfig),
+//! * [`batch_div`] — the batch-at-a-time hash-division operator every
+//!   plan runs, byte-identical to the tuple-at-a-time
+//!   [`hash_division::HashDivision`] it is tested against,
 //! * [`contains`] — the "contains clause" the paper's conclusion calls
 //!   for: a declarative for-all query builder with cost-based algorithm
 //!   choice,

@@ -13,15 +13,14 @@
 //! produced by the dividend input, and producing a quotient tuple each time
 //! the end of the divisor list is reached."
 //!
-//! [`NaiveDivision`] (and [`BatchNaiveDivision`], its batch twin) takes
-//! inputs that are *already sorted* (and duplicate-free); the plan wraps
-//! raw inputs in the required distinct sorts, which is where the naive
-//! algorithm's dominant cost lives.
+//! [`BatchNaiveDivision`] takes inputs that are *already sorted* (and
+//! duplicate-free); the plan wraps raw inputs in the required distinct
+//! sorts, which is where the naive algorithm's dominant cost lives.
 
 use std::cmp::Ordering;
 
 use reldiv_exec::batch::{hold_all, BatchOperator, BoxedBatchOp};
-use reldiv_exec::op::{BoxedOp, OpState, Operator};
+use reldiv_exec::op::OpState;
 use reldiv_exec::sort::SortMode;
 use reldiv_rel::{Batch, Relation, Schema, Tuple};
 
@@ -30,172 +29,51 @@ use crate::engine::Engine;
 use crate::spec::DivisionSpec;
 use crate::Result;
 
-/// The merge-scan division step over sorted, duplicate-free inputs.
-pub struct NaiveDivision {
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: DivisionSpec,
-    schema: Schema,
-    state: OpState,
-    /// The divisor, materialized in sorted order ("a linked list of divisor
-    /// tuples fixed in the buffer pool").
-    divisor_list: Vec<Tuple>,
-    /// Quotient-attribute values of the group being scanned.
-    current_group: Option<Tuple>,
-    /// Position in the divisor list for the current group.
-    divisor_pos: usize,
-    /// Whether the current group can still qualify (or already emitted).
-    group_alive: bool,
-    #[cfg(debug_assertions)]
-    last_dividend: Option<Tuple>,
-}
-
-impl NaiveDivision {
-    /// Creates the division step. `dividend` must be sorted on
-    /// `spec.quotient_keys` (major) then `spec.divisor_keys` (minor);
-    /// `divisor` must be sorted on all its columns; both duplicate-free.
-    pub fn new(dividend: BoxedOp, divisor: BoxedOp, spec: DivisionSpec) -> Result<Self> {
-        spec.validate(dividend.schema(), divisor.schema())?;
-        let schema = spec.quotient_schema(dividend.schema())?;
-        Ok(NaiveDivision {
-            dividend,
-            divisor,
-            spec,
-            schema,
-            state: OpState::Created,
-            divisor_list: Vec::new(),
-            current_group: None,
-            divisor_pos: 0,
-            group_alive: false,
-            #[cfg(debug_assertions)]
-            last_dividend: None,
-        })
-    }
-}
-
-impl Operator for NaiveDivision {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.divisor.open()?;
-        self.divisor_list.clear();
-        while let Some(t) = self.divisor.next()? {
-            #[cfg(debug_assertions)]
-            if let Some(prev) = self.divisor_list.last() {
-                let all = self.spec.divisor_all_columns();
-                debug_assert_eq!(
-                    prev.cmp_keys(&t, &all),
-                    Ordering::Less,
-                    "divisor input must be sorted and duplicate-free"
-                );
-            }
-            self.divisor_list.push(t);
-        }
-        self.divisor.close()?;
-        self.dividend.open()?;
-        self.current_group = None;
-        self.divisor_pos = 0;
-        self.group_alive = false;
-        self.state = OpState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        let all = self.spec.divisor_all_columns();
-        loop {
-            let Some(t) = self.dividend.next()? else {
-                return Ok(None);
-            };
-            #[cfg(debug_assertions)]
-            {
-                let mut keys = self.spec.quotient_keys.clone();
-                keys.extend_from_slice(&self.spec.divisor_keys);
-                if let Some(prev) = &self.last_dividend {
-                    debug_assert_eq!(
-                        prev.cmp_keys(&t, &keys),
-                        Ordering::Less,
-                        "dividend input must be sorted and duplicate-free"
-                    );
-                }
-                self.last_dividend = Some(t.clone());
-            }
-
-            // Group boundary?
-            let same_group = self.current_group.as_ref().is_some_and(|g| {
-                let qcols: Vec<usize> = (0..self.spec.quotient_keys.len()).collect();
-                t.eq_on(&self.spec.quotient_keys, g, &qcols)
-            });
-            if !same_group {
-                self.current_group = Some(t.project(&self.spec.quotient_keys));
-                self.divisor_pos = 0;
-                self.group_alive = true;
-                // An empty divisor qualifies every group immediately.
-                if self.divisor_list.is_empty() {
-                    self.group_alive = false;
-                    return Ok(Some(self.current_group.clone().expect("just set")));
-                }
-            }
-            if !self.group_alive {
-                continue; // group already emitted or already failed
-            }
-
-            // Advance the divisor scan against this dividend tuple.
-            match t.cmp_on(
-                &self.spec.divisor_keys,
-                &self.divisor_list[self.divisor_pos],
-                &all,
-            ) {
-                Ordering::Less => {
-                    // Dividend value not in the divisor (e.g. a physics
-                    // course): skip the tuple, the group is still viable.
-                }
-                Ordering::Equal => {
-                    self.divisor_pos += 1;
-                    if self.divisor_pos == self.divisor_list.len() {
-                        // "producing a quotient tuple each time the end of
-                        // the divisor list is reached."
-                        self.group_alive = false;
-                        return Ok(Some(self.current_group.clone().expect("in a group")));
-                    }
-                }
-                Ordering::Greater => {
-                    // The expected divisor tuple is missing from the group.
-                    self.group_alive = false;
-                }
-            }
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.dividend.close()?;
-        self.divisor_list.clear();
-        self.state = OpState::Closed;
-        Ok(())
-    }
-}
-
-/// The merge-scan step of the batch engine: [`NaiveDivision`] a batch of
-/// sorted dividend rows at a time, each row compared against the divisor
-/// list with one `Comp` per step, as the tuple operator compares.
+/// The merge-scan division step over sorted, duplicate-free inputs, a
+/// batch of dividend rows at a time: each row is compared against the
+/// divisor list with one `Comp` per step.
 pub struct BatchNaiveDivision {
     dividend: BoxedBatchOp,
     divisor: BoxedBatchOp,
     spec: DivisionSpec,
     schema: Schema,
     state: OpState,
-    /// The divisor, in sorted order.
+    /// The divisor, materialized in sorted order ("a linked list of divisor
+    /// tuples fixed in the buffer pool").
     divisor_list: Batch,
     /// Quotient-attribute values of the group being scanned.
     current_group: Option<Tuple>,
+    /// Position in the divisor list for the current group.
     divisor_pos: usize,
+    /// Whether the current group can still qualify (or already emitted).
     group_alive: bool,
+    /// The sort keys of the last dividend row, to check the next against.
+    #[cfg(debug_assertions)]
+    last_dividend: Option<Tuple>,
+}
+
+/// Debug builds check the input contract: `row` sorts strictly after
+/// `last` — sorted and duplicate-free. Uncounted: the check is not part of
+/// the algorithm's work.
+#[cfg(debug_assertions)]
+fn assert_ascending(last: &mut Option<Tuple>, row: Tuple, input: &str) {
+    if let Some(last) = last {
+        let ord = (last.values().iter().zip(row.values()))
+            .map(|(a, b)| a.total_cmp(b))
+            .find(|o| o.is_ne());
+        assert_eq!(
+            ord,
+            Some(Ordering::Less),
+            "{input} input must be sorted and duplicate-free"
+        );
+    }
+    *last = Some(row);
 }
 
 impl BatchNaiveDivision {
-    /// Creates the division step, of inputs as for [`NaiveDivision::new`].
+    /// Creates the division step. `dividend` must be sorted on
+    /// `spec.quotient_keys` (major) then `spec.divisor_keys` (minor);
+    /// `divisor` must be sorted on all its columns; both duplicate-free.
     pub fn new(dividend: BoxedBatchOp, divisor: BoxedBatchOp, spec: DivisionSpec) -> Result<Self> {
         spec.validate(dividend.schema(), divisor.schema())?;
         Ok(BatchNaiveDivision {
@@ -208,6 +86,8 @@ impl BatchNaiveDivision {
             current_group: None,
             divisor_pos: 0,
             group_alive: false,
+            #[cfg(debug_assertions)]
+            last_dividend: None,
         })
     }
 }
@@ -219,6 +99,15 @@ impl BatchOperator for BatchNaiveDivision {
 
     fn open(&mut self) -> Result<()> {
         self.divisor_list = hold_all(&mut self.divisor)?;
+        #[cfg(debug_assertions)]
+        {
+            let (all, mut last) = (self.spec.divisor_all_columns(), None);
+            for row in 0..self.divisor_list.len() {
+                let t = self.divisor_list.tuple_projected(&all, row);
+                assert_ascending(&mut last, t, "divisor");
+            }
+            self.last_dividend = None;
+        }
         self.dividend.open()?;
         self.current_group = None;
         self.state = OpState::Open;
@@ -234,7 +123,17 @@ impl BatchOperator for BatchNaiveDivision {
         let qcols: Vec<usize> = (0..self.spec.quotient_keys.len()).collect();
         let quotient = batch.project(&self.spec.quotient_keys)?;
         let mut out = Batch::with_capacity(self.schema.clone(), 0);
+        #[cfg(debug_assertions)]
+        let sort_keys: Vec<usize> = (self.spec.quotient_keys.iter())
+            .chain(&self.spec.divisor_keys)
+            .copied()
+            .collect();
         for row in 0..batch.len() {
+            #[cfg(debug_assertions)]
+            {
+                let t = batch.tuple_projected(&sort_keys, row);
+                assert_ascending(&mut self.last_dividend, t, "dividend");
+            }
             // Group boundary?
             let same_group = (self.current_group.as_ref())
                 .is_some_and(|g| quotient.row_eq_tuple(&qcols, row, g, &qcols));
@@ -250,13 +149,17 @@ impl BatchOperator for BatchNaiveDivision {
             if !self.group_alive {
                 continue; // group already emitted or already failed
             }
+            // Advance the divisor scan against this dividend row.
             let (list, at) = (&self.divisor_list, self.divisor_pos);
             match batch.cmp_rows(&self.spec.divisor_keys, row, list, &all, at) {
-                // Not a divisor value: skip the row, the group is viable.
+                // Dividend value not in the divisor (e.g. a physics
+                // course): skip the row, the group is still viable.
                 Ordering::Less => {}
                 Ordering::Equal => {
                     self.divisor_pos += 1;
                     if self.divisor_pos == self.divisor_list.len() {
+                        // "producing a quotient tuple each time the end of
+                        // the divisor list is reached."
                         self.group_alive = false;
                         out.push_row_from(&quotient, row);
                     }
@@ -309,8 +212,7 @@ pub(crate) fn naive_division(
 mod tests {
     use super::*;
     use crate::api::DivisionConfig;
-    use crate::ExecMode;
-    use reldiv_exec::scan::MemScan;
+    use reldiv_exec::batch::scan::BatchMemScan;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_storage::manager::{StorageConfig, StorageManager};
@@ -328,23 +230,17 @@ mod tests {
     fn divide(dividend: Relation, divisor: Relation) -> Vec<i64> {
         let storage = StorageManager::shared(StorageConfig::paper());
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let answers = [ExecMode::Tuple, ExecMode::Batch].map(|exec| {
-            let config = DivisionConfig {
-                exec,
-                ..DivisionConfig::default()
-            };
-            let engine = Engine {
-                storage: &storage,
-                config: &config,
-            };
-            let (r, s) = (
-                Source::from_relation(&dividend),
-                Source::from_relation(&divisor),
-            );
-            naive_division(&engine, &r, &s, &spec).unwrap()
-        });
-        assert_eq!(answers[0], answers[1], "both engines, row for row");
-        let mut out: Vec<i64> = answers[0]
+        let config = DivisionConfig::default();
+        let engine = Engine {
+            storage: &storage,
+            config: &config,
+        };
+        let (r, s) = (
+            Source::from_relation(&dividend),
+            Source::from_relation(&divisor),
+        );
+        let quotient = naive_division(&engine, &r, &s, &spec).unwrap();
+        let mut out: Vec<i64> = quotient
             .tuples()
             .iter()
             .map(|t| t.value(0).as_int().unwrap())
@@ -422,20 +318,20 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn sorted_input_invariant_is_debug_checked() {
-        // Feeding unsorted inputs directly into NaiveDivision (without the
-        // plan's sorts) trips the debug assertion.
+        // Feeding unsorted inputs directly into BatchNaiveDivision (without
+        // the plan's sorts) trips the debug assertion.
         let dividend = transcript(&[[2, 10], [1, 10]]);
         let divisor = courses(&[10]);
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let mut op = NaiveDivision::new(
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
+        let mut op = BatchNaiveDivision::new(
+            Box::new(BatchMemScan::new(dividend)),
+            Box::new(BatchMemScan::new(divisor)),
             spec,
         )
         .unwrap();
         op.open().unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            while op.next().unwrap().is_some() {}
+            while op.next_batch().unwrap().is_some() {}
         }));
         assert!(
             result.is_err(),

@@ -18,16 +18,17 @@
 //!   attributes ("it must be sorted first on course-no's for the join and
 //!   then on student-id's for aggregation").
 
+use reldiv_exec::batch::BoxedBatchOp;
 use reldiv_exec::sort::SortMode;
 use reldiv_rel::Relation;
 
 use crate::api::Source;
-use crate::engine::{Engine, Op, SCAN_DIVIDEND, SCAN_DIVISOR};
+use crate::engine::{Engine, SCAN_DIVIDEND, SCAN_DIVISOR};
 use crate::spec::DivisionSpec;
 use crate::Result;
 
 /// The divisor sorted on all its columns, duplicates eliminated.
-fn sorted_divisor(engine: &Engine, divisor: Op) -> Result<Op> {
+fn sorted_divisor(engine: &Engine, divisor: BoxedBatchOp) -> Result<BoxedBatchOp> {
     let all = (0..divisor.schema().arity()).collect();
     engine.sort(divisor, all, SortMode::Distinct, "sort divisor (distinct)")
 }

@@ -3,9 +3,12 @@
 //! the kind of source the dividend comes from, nor on how the operator
 //! reads it. The reports and operation counts below were recorded on the
 //! tuple-at-a-time hybrid (the parent of the batch ingest) and must not
-//! move.
+//! move. Every division here runs the hybrid itself
+//! (`OverflowPolicy::Adaptive`): under `Auto` an unbudgeted query tries
+//! the in-memory operator first, whose counts are pinned beside them.
 
-use reldiv_core::api::{divide_with_report, load_source, DivisionConfig, Source};
+use reldiv_core::api::{divide_with_report, load_source, DivisionConfig, OverflowPolicy, Source};
+use reldiv_core::hybrid::DEFAULT_FANOUT;
 use reldiv_core::{Algorithm, DegradationReport, DivisionSpec, HashDivisionMode};
 use reldiv_rel::counters::OpScope;
 use reldiv_rel::schema::Field;
@@ -40,17 +43,22 @@ fn source(storage: &StorageRef, kind: Kind, rel: &Relation) -> Source {
     }
 }
 
-/// Hash-division under `Auto` on the tuple engine: every such division
-/// starts in the adaptive hybrid.
+/// The adaptive hybrid as `Auto` runs it.
+const HYBRID: OverflowPolicy = OverflowPolicy::Adaptive {
+    fanout: DEFAULT_FANOUT,
+};
+
+/// Hash-division under `overflow`.
 fn hash_divide(
     storage: &StorageRef,
     kind: Kind,
     inputs: (&Relation, &Relation),
     mode: HashDivisionMode,
-    mem_budget: Option<usize>,
+    (overflow, mem_budget): (OverflowPolicy, Option<usize>),
 ) -> (Relation, DegradationReport) {
     let config = DivisionConfig {
         mem_budget,
+        overflow,
         assume_unique: mode == HashDivisionMode::CounterOnly,
         ..DivisionConfig::default()
     };
@@ -111,7 +119,7 @@ fn reports_on_the_spill_geometry_are_the_recorded_ones() {
             Kind::Mem,
             (&w.dividend, &w.divisor),
             HashDivisionMode::Standard,
-            Some(budget),
+            (HYBRID, Some(budget)),
         );
         assert_eq!(decisions(&report), want, "budget {budget}: {report:?}");
         assert_eq!(rel.cardinality(), w.expected_quotient.len());
@@ -136,11 +144,26 @@ fn noisy() -> Workload {
 #[test]
 fn operation_counts_on_a_noisy_input_are_the_recorded_ones() {
     let w = noisy();
-    // The last budget re-partitions: merges that run out of memory midway.
-    for (budget, want, depth) in [
-        (None, (183_075, 285_865, 91_000), None),
-        (Some(64 << 10), (218_139, 320_863, 96_338), Some(0)),
-        (Some(6 << 10), (357_900, 328_362, 105_868), Some(1)),
+    // The 6 KB budget re-partitions: merges that run out of memory midway.
+    // The last row is `Auto`'s first rung for an unbudgeted query, the
+    // in-memory operator, whose tables compare only hash-equal entries.
+    for (run, want, depth) in [
+        ((HYBRID, None), (183_075, 285_865, 91_000), None),
+        (
+            (HYBRID, Some(64 << 10)),
+            (218_139, 320_863, 96_338),
+            Some(0),
+        ),
+        (
+            (HYBRID, Some(6 << 10)),
+            (357_900, 328_362, 105_868),
+            Some(1),
+        ),
+        (
+            (OverflowPolicy::Auto, None),
+            (192_075, 172_050, 91_000),
+            None,
+        ),
     ] {
         let storage = spill_geometry();
         let scope = OpScope::begin();
@@ -149,17 +172,13 @@ fn operation_counts_on_a_noisy_input_are_the_recorded_ones() {
             Kind::Mem,
             (&w.dividend, &w.divisor),
             HashDivisionMode::Standard,
-            budget,
+            run,
         );
         let ops = scope.finish();
         assert_eq!(rel.cardinality(), 1500);
         let got = report.degraded.then_some(report.recursion_depth);
         assert_eq!(got, depth, "{report:?}");
-        assert_eq!(
-            (ops.hashes, ops.comparisons, ops.bitops),
-            want,
-            "budget {budget:?}"
-        );
+        assert_eq!((ops.hashes, ops.comparisons, ops.bitops), want, "{run:?}");
     }
 }
 
@@ -271,7 +290,8 @@ fn decisions_and_quotient_order_do_not_depend_on_the_source_kind() {
                 for budget in [Some(64 << 10), Some(256 << 10), Some(1 << 20), None] {
                     let case = format!("{shape} {noise} {key:?} {mode:?} {budget:?}");
                     let [mem, file, columns] = [Kind::Mem, Kind::File, Kind::Columns].map(|kind| {
-                        hash_divide(&spill_geometry(), kind, (&dividend, &divisor), mode, budget)
+                        let run = (HYBRID, budget);
+                        hash_divide(&spill_geometry(), kind, (&dividend, &divisor), mode, run)
                     });
                     assert_eq!(mem.0, file.0, "{case}: quotient, order included");
                     assert_eq!(mem.0, columns.0, "{case}: quotient, order included");

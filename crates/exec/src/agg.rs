@@ -1,7 +1,10 @@
-//! Aggregation operators: sort-based, hash-based, scalar, and the
-//! `HAVING count = N` filter.
+//! Hash-based aggregation: the group count and the state it shares with
+//! the batch engine's [`crate::batch::agg::BatchHashCountAggregate`].
 //!
-//! Together these express division by aggregation, the paper's Section 2.2:
+//! With the sort-based count ([`crate::batch::sort::BatchSort::counting`]),
+//! the scalar count ([`crate::batch::agg::count_rows`]) and `HAVING count
+//! = N` ([`crate::batch::agg::BatchHavingCount`]) it expresses division
+//! by aggregation, the paper's Section 2.2:
 //! "First, the courses offered by the university are counted using a scalar
 //! aggregate operator. Second, for each student, the courses taken are
 //! counted using an aggregate function operator. Third, only those students
@@ -9,158 +12,13 @@
 //! are selected."
 
 use reldiv_rel::schema::Field;
-use reldiv_rel::{counters, ColumnType, Schema, Tuple, Value};
+use reldiv_rel::{ColumnType, Schema, Tuple, Value};
 use reldiv_storage::{MemoryPool, StorageRef};
 
 use crate::cancel::CancelToken;
 use crate::hash_table::ChainedTable;
 use crate::op::{BoxedOp, OpState, Operator};
-use crate::sort::{Sort, SortConfig, SortMode};
 use crate::{ExecError, Result};
-
-/// Appends a constant `count = 1` column; internal adapter feeding
-/// [`SortCountAggregate`]'s `CountAggregate` sort.
-struct AppendOne {
-    input: BoxedOp,
-    schema: Schema,
-}
-
-impl AppendOne {
-    fn new(input: BoxedOp) -> Self {
-        let mut fields = input.schema().fields().to_vec();
-        fields.push(Field::new("count", ColumnType::Int));
-        AppendOne {
-            input,
-            schema: Schema::new(fields),
-        }
-    }
-}
-
-impl Operator for AppendOne {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-    fn open(&mut self) -> Result<()> {
-        self.input.open()
-    }
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        Ok(self.input.next()?.map(|t| {
-            let mut vals = t.into_values();
-            vals.push(Value::Int(1));
-            Tuple::new(vals)
-        }))
-    }
-    fn close(&mut self) -> Result<()> {
-        self.input.close()
-    }
-}
-
-/// Sort-based `COUNT(*) GROUP BY` with the aggregation performed during
-/// sorting (run generation and merging), as the paper's sort does.
-///
-/// Output schema: the group columns followed by an `Int` count column.
-pub struct SortCountAggregate {
-    sort: Sort,
-    schema: Schema,
-}
-
-impl SortCountAggregate {
-    /// Groups `input` on `group_keys`, counting tuples per group.
-    ///
-    /// If `distinct_within_group` is set, duplicate tuples (same *full*
-    /// input tuple) count once — the "explicitly request uniqueness"
-    /// footnote of the paper. This is realized by a distinct sort on all
-    /// columns before the counting sort.
-    pub fn new(
-        storage: StorageRef,
-        input: BoxedOp,
-        group_keys: Vec<usize>,
-        distinct_within_group: bool,
-        config: SortConfig,
-    ) -> Result<Self> {
-        let source: BoxedOp = if distinct_within_group {
-            let all: Vec<usize> = (0..input.schema().arity()).collect();
-            Box::new(Sort::new(
-                storage.clone(),
-                input,
-                all,
-                SortMode::Distinct,
-                config,
-            )?)
-        } else {
-            input
-        };
-        let appended = AppendOne::new(source);
-        let schema = appended.schema.clone();
-        // The trailing count column is not a sort key.
-        let sort = Sort::new(
-            storage,
-            Box::new(appended),
-            group_keys.clone(),
-            SortMode::CountAggregate,
-            config,
-        )?;
-        // Output schema: group columns then count.
-        let mut fields: Vec<Field> = group_keys
-            .iter()
-            .map(|&k| schema.fields()[k].clone())
-            .collect();
-        fields.push(Field::new("count", ColumnType::Int));
-        Ok(SortCountAggregate {
-            sort,
-            schema: Schema::new(fields),
-        })
-    }
-
-    fn group_keys(&self) -> Vec<usize> {
-        // The sort's keys are the group keys.
-        (0..self.schema.arity() - 1).collect()
-    }
-
-    /// Polls `cancel` inside the counting sort's run-generation and merge
-    /// loops.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.sort.set_cancel(cancel);
-        self
-    }
-}
-
-impl Operator for SortCountAggregate {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.sort.open()
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        // Sorted tuples are (all input columns..., count); project to
-        // (group columns..., count). The sort's keys are the group keys in
-        // their original positions of the widened schema.
-        let Some(t) = self.sort.next()? else {
-            return Ok(None);
-        };
-        let n = self.group_keys().len();
-        let sort_keys = self.sort_keys();
-        let mut vals = Vec::with_capacity(n + 1);
-        for &k in &sort_keys {
-            vals.push(t.value(k).clone());
-        }
-        vals.push(t.value(t.arity() - 1).clone());
-        Ok(Some(Tuple::new(vals)))
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.sort.close()
-    }
-}
-
-impl SortCountAggregate {
-    fn sort_keys(&self) -> Vec<usize> {
-        self.sort.keys().to_vec()
-    }
-}
 
 /// Hash-based `COUNT(*) GROUP BY`.
 ///
@@ -251,8 +109,8 @@ fn widen(group: Tuple, count: i64) -> Tuple {
     Tuple::new(vals)
 }
 
-/// The state of a group count, shared by both engines' operators: the
-/// table of `(group, count)` until the pool is exhausted, then
+/// The state of a group count, shared by the tuple and the batch operator:
+/// the table of `(group, count)` until the pool is exhausted, then
 /// [`SPILL_PARTITIONS`] cluster files of `(group..., count)` records, each
 /// re-aggregated in its own phase and all deleted with the state.
 pub(crate) struct GroupCounts {
@@ -410,230 +268,18 @@ impl Operator for HashCountAggregate {
     }
 }
 
-/// Scalar `COUNT(*)`: consumes the input, emits one `(count)` tuple.
-///
-/// "The scalar aggregate operator can be implemented quite easily, e.g.,
-/// using a file scan." With `distinct`, duplicate input tuples count once
-/// (using a lightweight in-memory set — appropriate because the scalar
-/// aggregate of a division plan counts the small divisor).
-pub struct ScalarCount {
-    input: BoxedOp,
-    distinct: bool,
-    schema: Schema,
-    cancel: CancelToken,
-    state: OpState,
-    produced: bool,
-    count: i64,
-}
-
-impl ScalarCount {
-    /// Counts tuples of `input` (distinct tuples if `distinct`).
-    pub fn new(input: BoxedOp, distinct: bool) -> Self {
-        ScalarCount {
-            input,
-            distinct,
-            schema: Schema::new(vec![Field::new("count", ColumnType::Int)]),
-            cancel: CancelToken::none(),
-            state: OpState::Created,
-            produced: false,
-            count: 0,
-        }
-    }
-
-    /// Polls `cancel` every checkpoint stride while `open` counts.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-}
-
-impl Operator for ScalarCount {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.input.open()?;
-        self.count = 0;
-        self.produced = false;
-        let mut seen = std::collections::HashSet::new();
-        let mut budget = 0u32;
-        while let Some(t) = self.input.next()? {
-            self.cancel.checkpoint(&mut budget)?;
-            if self.distinct {
-                if seen.insert(t) {
-                    self.count += 1;
-                }
-            } else {
-                self.count += 1;
-            }
-        }
-        self.input.close()?;
-        self.state = OpState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        if self.produced {
-            return Ok(None);
-        }
-        self.produced = true;
-        Ok(Some(Tuple::new(vec![Value::Int(self.count)])))
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.state = OpState::Closed;
-        Ok(())
-    }
-}
-
-/// Hash-based duplicate elimination.
-///
-/// The paper notes that "efficient duplicate elimination schemes based on
-/// hashing exist \[Gerber1986a\], they require that the entire input must
-/// be kept in main memory hash tables or in overflow files. Thus,
-/// duplicate elimination based on hashing may be impractical for a very
-/// large dividend relation." This operator is that scheme: the whole input
-/// lives in the accounted hash table, so a large input exhausts the pool —
-/// which is the point the paper makes when motivating hash-division's
-/// built-in duplicate insensitivity.
-pub struct HashDistinct {
-    input: BoxedOp,
-    pool: MemoryPool,
-    cancel: CancelToken,
-    state: OpState,
-    drain: Option<std::vec::IntoIter<Tuple>>,
-}
-
-impl HashDistinct {
-    /// Creates a distinct over all columns of `input`.
-    pub fn new(input: BoxedOp, pool: MemoryPool) -> Self {
-        HashDistinct {
-            input,
-            pool,
-            cancel: CancelToken::none(),
-            state: OpState::Created,
-            drain: None,
-        }
-    }
-
-    /// Polls `cancel` every checkpoint stride while `open` builds the
-    /// distinct table.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-}
-
-impl Operator for HashDistinct {
-    fn schema(&self) -> &Schema {
-        self.input.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.input.open()?;
-        let all: Vec<usize> = (0..self.input.schema().arity()).collect();
-        let width = self.input.schema().record_width();
-        let mut table: ChainedTable<Tuple> = ChainedTable::new(&self.pool, 16)?;
-        let mut payload = self.pool.reserve(0)?;
-        let mut budget = 0u32;
-        while let Some(t) = self.input.next()? {
-            self.cancel.checkpoint(&mut budget)?;
-            let h = t.hash_on(&all);
-            if table.find(h, |cand| t.eq_on(&all, cand, &all)).is_none() {
-                payload.grow(width)?;
-                table.insert(h, t)?;
-            }
-        }
-        self.input.close()?;
-        let out: Vec<Tuple> = table.into_items().collect();
-        self.drain = Some(out.into_iter());
-        self.state = OpState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        Ok(self.drain.as_mut().expect("open sets drain").next())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.drain = None;
-        self.state = OpState::Closed;
-        Ok(())
-    }
-}
-
-/// Selects groups whose trailing count equals `target` and projects the
-/// count away — the final step of division by aggregation.
-pub struct HavingCount {
-    input: BoxedOp,
-    target: i64,
-    schema: Schema,
-    cancel: CancelToken,
-    budget: u32,
-}
-
-impl HavingCount {
-    /// Filters `(group..., count)` tuples to those with `count == target`.
-    pub fn new(input: BoxedOp, target: i64) -> Result<Self> {
-        let arity = input.schema().arity();
-        if arity < 2 {
-            return Err(ExecError::Plan(
-                "HavingCount: input needs group + count columns".into(),
-            ));
-        }
-        let cols: Vec<usize> = (0..arity - 1).collect();
-        let schema = input.schema().project(&cols).map_err(ExecError::from)?;
-        Ok(HavingCount {
-            input,
-            target,
-            schema,
-            cancel: CancelToken::none(),
-            budget: 0,
-        })
-    }
-
-    /// Polls `cancel` every checkpoint stride of rejected groups.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-}
-
-impl Operator for HavingCount {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.input.open()
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let count_col = self.input.schema().arity() - 1;
-        while let Some(t) = self.input.next()? {
-            counters::count_comparisons(1);
-            if t.value(count_col).as_int() == Some(self.target) {
-                let cols: Vec<usize> = (0..count_col).collect();
-                return Ok(Some(t.project(&cols)));
-            }
-            self.cancel.checkpoint(&mut self.budget)?;
-        }
-        Ok(None)
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.input.close()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::agg::{count_rows, BatchHavingCount};
+    use crate::batch::distinct::BatchDistinct;
+    use crate::batch::project::BatchProject;
+    use crate::batch::scan::BatchMemScan;
+    use crate::batch::sort::BatchSort;
+    use crate::batch::{collect_batches, BatchOperator, BoxedBatchOp};
     use crate::op::collect;
     use crate::scan::MemScan;
+    use crate::sort::{SortConfig, SortMode};
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
     use reldiv_storage::manager::{StorageConfig, StorageManager};
@@ -661,36 +307,37 @@ mod tests {
             .collect()
     }
 
+    /// The sort-based count of a division plan: `(sid, count)` rows, after
+    /// a distinct sort on all columns under `distinct`.
+    fn sort_counted(rel: Relation, distinct: bool) -> BoxedBatchOp {
+        let storage = StorageManager::shared(StorageConfig::paper());
+        let config = SortConfig::default();
+        let mut input: BoxedBatchOp = Box::new(BatchMemScan::new(rel));
+        if distinct {
+            let mode = SortMode::Distinct;
+            input =
+                Box::new(BatchSort::new(storage.clone(), input, vec![0, 1], mode, config).unwrap());
+        }
+        let counted = BatchSort::counting(storage, input, vec![0], config).unwrap();
+        Box::new(BatchProject::new(Box::new(counted), vec![0, 2]).unwrap())
+    }
+
+    fn drain(op: BoxedBatchOp) -> Relation {
+        collect_batches(op, CancelToken::none()).unwrap()
+    }
+
     #[test]
     fn sort_aggregate_counts_courses_per_student() {
-        let storage = StorageManager::shared(StorageConfig::paper());
-        let agg = SortCountAggregate::new(
-            storage,
-            Box::new(MemScan::new(transcript())),
-            vec![0],
-            false,
-            SortConfig::default(),
-        )
-        .unwrap();
-        let out = collect(Box::new(agg)).unwrap();
+        let out = drain(sort_counted(transcript(), false));
         assert_eq!(counts_of(out), [(1, 2), (2, 1), (3, 3)].into());
     }
 
     #[test]
     fn sort_aggregate_distinct_collapses_duplicates() {
-        let storage = StorageManager::shared(StorageConfig::paper());
         let mut rel = transcript();
         rel.push(ints(&[1, 10])).unwrap(); // duplicate transcript row
         rel.push(ints(&[1, 10])).unwrap();
-        let agg = SortCountAggregate::new(
-            storage,
-            Box::new(MemScan::new(rel)),
-            vec![0],
-            true,
-            SortConfig::default(),
-        )
-        .unwrap();
-        let out = collect(Box::new(agg)).unwrap();
+        let out = drain(sort_counted(rel, true));
         assert_eq!(counts_of(out)[&1], 2, "duplicates counted once");
     }
 
@@ -745,48 +392,26 @@ mod tests {
         let schema = Schema::new(vec![Field::int("cno")]);
         let rel =
             Relation::from_tuples(schema, vec![ints(&[10]), ints(&[20]), ints(&[10])]).unwrap();
-        let plain = collect(Box::new(ScalarCount::new(
-            Box::new(MemScan::new(rel.clone())),
-            false,
-        )))
-        .unwrap();
-        assert_eq!(plain.tuples()[0], ints(&[3]));
-        let distinct = collect(Box::new(ScalarCount::new(
-            Box::new(MemScan::new(rel)),
-            true,
-        )))
-        .unwrap();
-        assert_eq!(distinct.tuples()[0], ints(&[2]));
+        for (distinct, want) in [(false, 3), (true, 2)] {
+            let scan = Box::new(BatchMemScan::new(rel.clone()));
+            assert_eq!(count_rows(scan, distinct, CancelToken::none()), Ok(want));
+        }
     }
 
     #[test]
     fn scalar_count_of_empty_input_is_zero() {
-        let schema = Schema::new(vec![Field::int("x")]);
-        let rel = Relation::empty(schema);
-        let out = collect(Box::new(ScalarCount::new(
-            Box::new(MemScan::new(rel)),
-            false,
-        )))
-        .unwrap();
-        assert_eq!(out.tuples()[0], ints(&[0]));
+        let rel = Relation::empty(Schema::new(vec![Field::int("x")]));
+        let scan = Box::new(BatchMemScan::new(rel));
+        assert_eq!(count_rows(scan, false, CancelToken::none()), Ok(0));
     }
 
     #[test]
     fn having_count_selects_full_groups() {
-        // Students with count == 2 of 2 courses: division's final step.
-        let schema = Schema::new(vec![Field::int("sid"), Field::int("count")]);
-        let rel = Relation::from_tuples(schema, vec![ints(&[1, 2]), ints(&[2, 1]), ints(&[3, 2])])
-            .unwrap();
-        let out = collect(Box::new(
-            HavingCount::new(Box::new(MemScan::new(rel)), 2).unwrap(),
-        ))
-        .unwrap();
-        let sids: Vec<i64> = out
-            .tuples()
-            .iter()
-            .map(|t| t.value(0).as_int().unwrap())
-            .collect();
-        assert_eq!(sids, vec![1, 3]);
+        // Division's final step over the sort-based count: the students
+        // with count == 2, and the count column projected away.
+        let having = BatchHavingCount::new(sort_counted(transcript(), false), 2).unwrap();
+        let out = drain(Box::new(having));
+        assert_eq!(out.tuples(), &[ints(&[1])]);
         assert_eq!(out.schema().arity(), 1, "count column projected away");
     }
 
@@ -798,16 +423,21 @@ mod tests {
             vec![ints(&[1, 2]), ints(&[1, 2]), ints(&[1, 3]), ints(&[1, 2])],
         )
         .unwrap();
-        let d = HashDistinct::new(Box::new(MemScan::new(rel)), MemoryPool::unbounded());
-        let out = collect(Box::new(d)).unwrap();
-        assert_eq!(out.cardinality(), 2);
+        let d = BatchDistinct::new(Box::new(BatchMemScan::new(rel)), MemoryPool::unbounded());
+        assert_eq!(drain(Box::new(d)).cardinality(), 2);
     }
 
     #[test]
     fn hash_distinct_holds_whole_input_and_can_exhaust_memory() {
         let schema = Schema::new(vec![Field::int("a")]);
         let rel = Relation::from_tuples(schema, (0..10_000).map(|i| ints(&[i])).collect()).unwrap();
-        let mut d = HashDistinct::new(Box::new(MemScan::new(rel)), MemoryPool::new(2048));
+        // Every distinct row is held: at least one record width each.
+        let pool = MemoryPool::unbounded();
+        let scan = Box::new(BatchMemScan::new(rel.clone()));
+        assert_eq!(drain(Box::new(BatchDistinct::new(scan, pool.clone()))), rel);
+        assert!(pool.peak() >= 10_000 * 8, "peak {}", pool.peak());
+        let scan = Box::new(BatchMemScan::new(rel));
+        let mut d = BatchDistinct::new(scan, MemoryPool::new(2048));
         assert!(d.open().unwrap_err().is_memory_exhausted());
     }
 
@@ -817,11 +447,8 @@ mod tests {
         // difference from true division with an empty divisor.
         let schema = Schema::new(vec![Field::int("sid"), Field::int("count")]);
         let rel = Relation::from_tuples(schema, vec![ints(&[1, 1])]).unwrap();
-        let out = collect(Box::new(
-            HavingCount::new(Box::new(MemScan::new(rel)), 0).unwrap(),
-        ))
-        .unwrap();
-        assert!(out.is_empty());
+        let having = BatchHavingCount::new(Box::new(BatchMemScan::new(rel)), 0).unwrap();
+        assert!(drain(Box::new(having)).is_empty());
     }
 }
 

@@ -14,7 +14,7 @@ use crate::{ExecError, Result};
 /// Hash-based `COUNT(*) GROUP BY`, spilling like
 /// [`crate::agg::HashCountAggregate`] with `with_spill`: the same table,
 /// pool accounting, spill clusters and per-cluster re-aggregation
-/// ([`GroupCounts`]), probed with [`Batch::hash_rows`] and
+/// (one shared `GroupCounts` state), probed with [`Batch::hash_rows`] and
 /// [`Batch::row_eq_tuple`] — a tuple is materialized only for a new
 /// group — so output order, the row at which memory is exhausted and the
 /// spilled records are those of the tuple operator.
@@ -104,8 +104,9 @@ impl BatchOperator for BatchHashCountAggregate {
 }
 
 /// Scalar `COUNT(*)`: drains `input` and returns its number of rows (of
-/// distinct rows under `distinct`, in [`crate::agg::ScalarCount`]'s
-/// in-memory set of whole rows). `cancel` is polled once per batch.
+/// distinct rows under `distinct`, in an in-memory set of whole rows —
+/// the scalar aggregate of a division plan counts the small divisor).
+/// `cancel` is polled once per batch.
 pub fn count_rows(input: BoxedBatchOp, distinct: bool, cancel: CancelToken) -> Result<i64> {
     let mut seen = std::collections::HashSet::new();
     let mut count = 0;
@@ -122,7 +123,7 @@ pub fn count_rows(input: BoxedBatchOp, distinct: bool, cancel: CancelToken) -> R
 }
 
 /// Selects groups whose trailing count equals `target` and projects the
-/// count away — the batch analogue of [`crate::agg::HavingCount`].
+/// count away — the final step of division by aggregation.
 pub struct BatchHavingCount {
     input: BoxedBatchOp,
     target: i64,
@@ -165,7 +166,7 @@ impl BatchOperator for BatchHavingCount {
         let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        // One comparison per input row, like the tuple path.
+        // One comparison per input row.
         counters::count_comparisons(batch.len() as u64);
         self.selection.clear();
         let count_col = batch.schema().arity() - 1;

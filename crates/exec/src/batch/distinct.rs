@@ -1,13 +1,16 @@
 //! Vectorized hash-based duplicate elimination.
 //!
-//! The batch counterpart of [`crate::agg::HashDistinct`]: same
-//! bucket-chained table, same memory accounting (one record width per
-//! kept row on top of the chain elements), same exhaustion signal, and —
-//! because the hash kernel is bit-identical to `Tuple::hash_on` — the
-//! same insertion order, so the output order matches the tuple path
-//! exactly. The kept rows live in the output batches themselves: a table
-//! entry is a row number, compared row against row ([`Batch::cmp_rows`]),
-//! and no tuple is ever built.
+//! "Efficient duplicate elimination schemes based on hashing exist
+//! \[Gerber1986a\], they require that the entire input must be kept in
+//! main memory hash tables or in overflow files. Thus, duplicate
+//! elimination based on hashing may be impractical for a very large
+//! dividend relation." This operator is that scheme: every kept row is
+//! charged to the pool (one record width on top of its chain element), so
+//! a large input exhausts it — the point the paper makes when motivating
+//! hash-division's built-in duplicate insensitivity. Rows come out in the
+//! order of their first occurrence. The kept rows live in the output
+//! batches themselves: a table entry is a row number, compared row
+//! against row ([`Batch::cmp_rows`]), and no tuple is ever built.
 
 use std::cmp::Ordering;
 
@@ -101,11 +104,8 @@ impl BatchOperator for BatchDistinct {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::HashDistinct;
     use crate::batch::collect_batches;
     use crate::batch::scan::BatchMemScan;
-    use crate::op::collect;
-    use crate::scan::MemScan;
     use crate::CancelToken;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
@@ -122,11 +122,11 @@ mod tests {
 
     #[test]
     fn distinct_matches_tuple_path_byte_for_byte() {
-        let tuple_out = collect(Box::new(HashDistinct::new(
-            Box::new(MemScan::new(dup_rel())),
-            MemoryPool::unbounded(),
-        )))
-        .unwrap();
+        // The tuple-at-a-time reference: each row at its first occurrence.
+        let mut seen = std::collections::HashSet::new();
+        let tuple_out: Vec<_> = (dup_rel().into_tuples().into_iter())
+            .filter(|t| seen.insert(t.clone()))
+            .collect();
         let batch_out = collect_batches(
             Box::new(BatchDistinct::new(
                 Box::new(BatchMemScan::new(dup_rel()).with_batch_size(64)),
@@ -135,8 +135,7 @@ mod tests {
             CancelToken::none(),
         )
         .unwrap();
-        // Identical hash kernel + identical table => identical row order.
-        assert_eq!(tuple_out.tuples(), batch_out.tuples());
+        assert_eq!(tuple_out, batch_out.tuples());
         assert_eq!(batch_out.cardinality(), 40);
     }
 

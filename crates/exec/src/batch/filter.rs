@@ -1,157 +1,21 @@
 //! Vectorized selection.
 //!
-//! The tuple path's [`crate::filter::Predicate`] is an opaque closure; a
-//! batch filter instead evaluates a structured [`BatchPredicate`] with a
-//! per-column kernel over the whole batch, producing a selection vector
-//! that one [`Batch::gather`] turns into the output batch. Semantics
-//! match the tuple path's predicate builders exactly: comparisons against
-//! a mistyped column select nothing, and substring matching is
-//! case-insensitive on both sides.
+//! A filter evaluates a [`BatchPredicate`] with a per-column kernel over
+//! the whole batch, producing a selection vector that one
+//! [`Batch::gather`] turns into the output batch.
 
-use std::cmp::Ordering;
+use reldiv_rel::{Batch, Schema};
 
-use reldiv_rel::{Batch, ColumnVec, Schema};
-
-use super::{BatchOperator, BoxedBatchOp};
+use super::{select, BatchOperator, BoxedBatchOp};
+use crate::filter::BatchPredicate;
 use crate::Result;
-
-/// A comparison operator for [`BatchPredicate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchCmp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-    /// Greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
-}
-
-impl BatchCmp {
-    /// Whether an ordering outcome satisfies this comparison.
-    pub fn eval(self, ord: Ordering) -> bool {
-        matches!(
-            (self, ord),
-            (BatchCmp::Eq, Ordering::Equal)
-                | (BatchCmp::Ne, Ordering::Less | Ordering::Greater)
-                | (BatchCmp::Lt, Ordering::Less)
-                | (BatchCmp::Le, Ordering::Less | Ordering::Equal)
-                | (BatchCmp::Gt, Ordering::Greater)
-                | (BatchCmp::Ge, Ordering::Greater | Ordering::Equal)
-        )
-    }
-}
-
-/// A structured selection predicate with a vectorized evaluation kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchPredicate {
-    /// Compare an integer column against a literal; rows of a
-    /// non-integer column never match (mirroring the tuple path's
-    /// `as_int()` guard).
-    IntCompare {
-        /// Column index.
-        column: usize,
-        /// The comparison.
-        cmp: BatchCmp,
-        /// The literal.
-        target: i64,
-    },
-    /// Compare a string column against a literal; rows of a non-string
-    /// column never match.
-    StrCompare {
-        /// Column index.
-        column: usize,
-        /// The comparison.
-        cmp: BatchCmp,
-        /// The literal.
-        target: String,
-    },
-    /// Case-insensitive substring match on a string column; rows of a
-    /// non-string column never match. Construct with
-    /// [`BatchPredicate::str_contains`] so the needle is pre-lowercased.
-    StrContains {
-        /// Column index.
-        column: usize,
-        /// The needle, lowercased.
-        needle: String,
-    },
-}
-
-impl BatchPredicate {
-    /// Predicate: string column `column` contains `needle`
-    /// (case-insensitive) — the batch analogue of
-    /// [`crate::filter::str_contains`].
-    pub fn str_contains(column: usize, needle: &str) -> BatchPredicate {
-        BatchPredicate::StrContains {
-            column,
-            needle: needle.to_ascii_lowercase(),
-        }
-    }
-
-    /// Predicate: integer column `column` equals `target` — the batch
-    /// analogue of [`crate::filter::int_equals`].
-    pub fn int_equals(column: usize, target: i64) -> BatchPredicate {
-        BatchPredicate::IntCompare {
-            column,
-            cmp: BatchCmp::Eq,
-            target,
-        }
-    }
-
-    /// Appends the indices of matching rows to `rows`.
-    pub fn select(&self, batch: &Batch, rows: &mut Vec<usize>) {
-        match self {
-            BatchPredicate::IntCompare {
-                column,
-                cmp,
-                target,
-            } => {
-                if let ColumnVec::Int(vs) = batch.column(*column) {
-                    for (row, v) in vs.iter().enumerate() {
-                        if cmp.eval(v.cmp(target)) {
-                            rows.push(row);
-                        }
-                    }
-                }
-            }
-            BatchPredicate::StrCompare {
-                column,
-                cmp,
-                target,
-            } => {
-                if let ColumnVec::Str(vs) = batch.column(*column) {
-                    for (row, s) in vs.iter().enumerate() {
-                        if cmp.eval(s.as_str().cmp(target.as_str())) {
-                            rows.push(row);
-                        }
-                    }
-                }
-            }
-            BatchPredicate::StrContains { column, needle } => {
-                if let ColumnVec::Str(vs) = batch.column(*column) {
-                    for (row, s) in vs.iter().enumerate() {
-                        if s.to_ascii_lowercase().contains(needle.as_str()) {
-                            rows.push(row);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Filters batches by a [`BatchPredicate`].
 ///
 /// A batch in which no row matches yields an **empty** output batch
 /// rather than silently draining the input — that keeps the caller's
 /// per-batch cancellation poll firing even across long all-rejected
-/// stretches, the failure mode of the tuple path's
-/// [`crate::filter::Filter`] drain loop.
+/// stretches.
 pub struct BatchFilter {
     input: BoxedBatchOp,
     predicate: BatchPredicate,
@@ -184,10 +48,7 @@ impl BatchOperator for BatchFilter {
         };
         self.selection.clear();
         self.predicate.select(&batch, &mut self.selection);
-        if self.selection.len() == batch.len() {
-            return Ok(Some(batch));
-        }
-        Ok(Some(batch.gather(&self.selection)))
+        Ok(Some(select(batch, &self.selection)))
     }
 
     fn close(&mut self) -> Result<()> {
@@ -200,6 +61,7 @@ mod tests {
     use super::*;
     use crate::batch::collect_batches;
     use crate::batch::scan::BatchMemScan;
+    use crate::filter::BatchCmp;
     use crate::CancelToken;
     use reldiv_rel::schema::Field;
     use reldiv_rel::{Relation, Tuple, Value};
@@ -235,6 +97,7 @@ mod tests {
     #[test]
     fn str_contains_selects_database_courses() {
         let out = filtered(BatchPredicate::str_contains(1, "Database"));
+        assert_eq!(out.schema().arity(), 2, "a filter keeps its input's schema");
         let nos: Vec<i64> = out
             .tuples()
             .iter()

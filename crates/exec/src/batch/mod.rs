@@ -6,31 +6,28 @@
 //! batch instead of per tuple. The packed-key hash and compare kernels
 //! ([`Batch::hash_rows`], [`Batch::row_eq_tuple`]) are bit-identical to
 //! the tuple-at-a-time entry points, so hash-table layouts — and
-//! therefore output orders — match the classic path exactly; batch plans
-//! produce byte-identical results, not merely equivalent bags.
+//! therefore output orders — are those a tuple-at-a-time operator over the
+//! same table would produce.
 //!
-//! The module mirrors the tuple operators one-for-one:
+//! Every division plan is built from these operators. The tuple operators
+//! that remain serve hash-division's static overflow rungs and the
+//! benchmark, and each is the reference its batch form is tested against:
 //!
-//! | tuple path                  | batch path                         |
+//! | tuple operator              | batch operator                     |
 //! |-----------------------------|------------------------------------|
 //! | [`crate::scan::FileScan`]   | [`scan::BatchFileScan`]            |
 //! | [`crate::scan::MemScan`]    | [`scan::BatchMemScan`]             |
-//! | ([`BatchToTuple`] over it)  | [`scan::BatchColumnsScan`]         |
 //! | [`crate::scan::spool`] of an operator | [`scan::materialize`]    |
-//! | [`crate::filter::Filter`]   | [`filter::BatchFilter`]            |
-//! | [`crate::project::Project`] | [`project::BatchProject`]          |
 //! | [`crate::sort::Sort`]       | [`sort::BatchSort`]                |
-//! | [`crate::agg::SortCountAggregate`] | [`sort::BatchSort::counting`] |
 //! | [`crate::agg::HashCountAggregate`] | [`agg::BatchHashCountAggregate`] |
-//! | [`crate::agg::ScalarCount`] | [`agg::count_rows`]                |
-//! | [`crate::agg::HashDistinct`]| [`distinct::BatchDistinct`]        |
-//! | [`crate::agg::HavingCount`] | [`agg::BatchHavingCount`]          |
-//! | [`crate::hash_join::HashJoin`] | [`join::BatchHashJoin`] (both modes) |
-//! | [`crate::merge_join::MergeJoin`] (semi) | [`join::BatchMergeSemiJoin`] |
-//! | [`crate::profile::ProfiledOp`] | [`profile::ProfiledBatchOp`]    |
 //!
-//! No plan bridges the paths; [`BatchToTuple`] only lets the tuple engine
-//! scan shared columns.
+//! The rest have no tuple form: [`scan::BatchColumnsScan`],
+//! [`filter::BatchFilter`], [`project::BatchProject`],
+//! [`sort::BatchSort::counting`], [`agg::count_rows`],
+//! [`distinct::BatchDistinct`], [`agg::BatchHavingCount`],
+//! [`crate::hash_join::BatchHashJoin`], [`join::BatchMergeSemiJoin`] and
+//! [`profile::ProfiledBatchOp`]. [`BatchToTuple`] lets the tuple operators
+//! above, and hash-division's static overflow rungs, scan shared columns.
 //!
 //! **Cancellation cadence.** A streaming batch operator carries no cancel
 //! token; instead [`drain_batches`] polls the [`CancelToken`] once per
@@ -61,12 +58,13 @@ use crate::{ExecError, Result};
 /// relation, so a scan of one hands its batches out as they are.
 pub const DEFAULT_BATCH_SIZE: usize = reldiv_rel::column::BATCH_ROWS;
 
-/// Which execution path a query runs on.
+/// Selects nothing: every plan runs on the batch engine. Kept for the
+/// benchmark adapter, which still names both values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The classic tuple-at-a-time open-next-close path.
+    /// Formerly the tuple-at-a-time engine.
     Tuple,
-    /// The vectorized batch path (byte-identical results).
+    /// The batch engine.
     Batch,
 }
 
@@ -133,6 +131,15 @@ pub fn hold_all(op: &mut BoxedBatchOp) -> Result<Batch> {
     }
     op.close()?;
     Ok(all)
+}
+
+/// The rows of `batch` at `selection`: the batch itself if that is all.
+pub(crate) fn select(batch: Batch, selection: &[usize]) -> Batch {
+    if selection.len() == batch.len() {
+        batch
+    } else {
+        batch.gather(selection)
+    }
 }
 
 /// [`drain_batches`] into a relation of tuples.

@@ -1,12 +1,14 @@
 //! Profiling for the batch path.
 //!
-//! [`ProfiledBatchOp`] is the batch analogue of
-//! [`crate::profile::ProfiledOp`]: same span-per-operator shape, same
-//! inclusive metric semantics, same lazily created span. The one
-//! difference is cadence — tuple counts are accumulated **per batch**
-//! (`tuples_out += batch.len()` after each `next_batch`), so a profiled
-//! batch plan records the same tuple-flow totals as the tuple plan while
-//! touching the sink ~1000× less often.
+//! [`ProfiledBatchOp`] wraps an operator in a span of a
+//! [`ProfileSink`]: one span per operator, inclusive metrics, the span
+//! created lazily at the first `open`. The span's parent is whichever span
+//! is active when the operator is first opened, and the operator activates
+//! its own span around calls into its input — so a plan of wrapped
+//! operators reconstructs its tree shape at runtime, including children
+//! that are only opened lazily. Tuple counts are accumulated **per batch**
+//! (`tuples_out += batch.len()` after each `next_batch`), touching the sink
+//! ~1000× less often than per row.
 
 use std::time::Instant;
 
@@ -18,8 +20,7 @@ use crate::profile::{buffer_stats, io_delta, ProfileSink, SpanId, SpanKind, Span
 use crate::Result;
 
 /// Wraps a batch operator so every `open`/`next_batch`/`close` call is
-/// measured into a span of `sink`, exactly like
-/// [`crate::profile::ProfiledOp`] does for tuple operators.
+/// measured into a span of `sink`.
 pub struct ProfiledBatchOp {
     inner: BoxedBatchOp,
     sink: ProfileSink,
@@ -113,8 +114,9 @@ impl BatchOperator for ProfiledBatchOp {
 }
 
 /// Wraps `op` in a [`ProfiledBatchOp`] when profiling is on; returns it
-/// untouched when `sink` is `None` — the batch analogue of
-/// [`crate::profile::maybe_profile`].
+/// untouched (and allocation-free) when `sink` is `None`. Plan builders
+/// call this at every operator boundary — the disabled path is the
+/// identity function, which is what makes profiling zero-cost when off.
 pub fn maybe_profile_batch(
     op: BoxedBatchOp,
     sink: Option<&ProfileSink>,

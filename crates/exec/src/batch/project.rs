@@ -1,5 +1,10 @@
-//! Vectorized projection (bag semantics, like the tuple path's
-//! [`crate::project::Project`]).
+//! Vectorized projection (bag semantics — no duplicate elimination).
+//!
+//! Duplicate elimination is deliberately a separate concern: the paper
+//! stresses that it "can be quite expensive, making an algorithm very
+//! desirable that is insensitive to duplicates in its inputs". When a
+//! duplicate-free projection is required, compose [`BatchProject`] with a
+//! distinct sort or rely on hash-division's built-in insensitivity.
 //!
 //! Projecting a batch clones whole column vectors instead of building a
 //! fresh `Vec<Value>` per row — the column-major payoff for the most

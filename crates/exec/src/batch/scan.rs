@@ -21,21 +21,19 @@ use crate::cancel::CancelToken;
 use crate::op::OpState;
 use crate::{ExecError, Result};
 
-/// Scans a record file in batches of whole pages. The batch analogue of
+/// Scans a record file a page per batch. The batch analogue of
 /// [`crate::scan::FileScan`].
 ///
-/// Each `next_batch` visits consecutive pages — each fixed exactly once,
-/// none left fixed when the call returns — until one more page of the
-/// size seen so far could overflow the batch size, so batches hold whole
-/// pages and (for the fixed-width records of one schema) stay within it.
+/// Each `next_batch` visits the next page — fixed exactly once, not left
+/// fixed when the call returns — and hands its records on as one batch.
+/// A page is thus read when its first row is asked for, where the tuple
+/// scan reads it: a consumer that writes pages between two rows (a sort
+/// cutting a run) meets the buffer pool in the state the tuple plan would.
 pub struct BatchFileScan {
     storage: StorageRef,
     file: FileId,
     schema: Schema,
     next_page: u64,
-    /// Most records any visited page held.
-    page_rows: usize,
-    batch_size: usize,
     state: OpState,
 }
 
@@ -47,16 +45,8 @@ impl BatchFileScan {
             file,
             schema,
             next_page: 0,
-            page_rows: 0,
-            batch_size: DEFAULT_BATCH_SIZE,
             state: OpState::Created,
         }
-    }
-
-    /// Overrides the batch size (tests).
-    pub fn with_batch_size(mut self, batch_size: usize) -> BatchFileScan {
-        self.batch_size = batch_size.max(1);
-        self
     }
 }
 
@@ -73,20 +63,19 @@ impl BatchOperator for BatchFileScan {
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         self.state.require_open()?;
-        let mut batch = Batch::with_capacity(self.schema.clone(), self.batch_size);
+        let mut batch = Batch::with_capacity(self.schema.clone(), DEFAULT_BATCH_SIZE);
         let mut sm = self.storage.borrow_mut();
-        while batch.is_empty() || batch.len() + self.page_rows <= self.batch_size {
-            let before = batch.len();
+        // Empty pages are skipped.
+        while batch.is_empty() {
             let visited = sm.visit_page(self.file, self.next_page, |_, record| {
                 batch.push_record(record).map_err(ExecError::from)
             })?;
             if !visited {
-                break;
+                return Ok(None);
             }
             self.next_page += 1;
-            self.page_rows = self.page_rows.max(batch.len() - before);
         }
-        Ok((!batch.is_empty()).then_some(batch))
+        Ok(Some(batch))
     }
 
     fn close(&mut self) -> Result<()> {

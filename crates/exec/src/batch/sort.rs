@@ -23,34 +23,49 @@ use crate::op::OpState;
 use crate::sort::{check_keys, run_disk, SortConfig, SortMode};
 use crate::Result;
 
-/// Sorts `entries` — `(normalized key, row)` of every row of `records` —
-/// and collapses equal keys as `mode` says: the first arrival survives,
-/// taking the others' counts under `CountAggregate`. Returns the rows
-/// left, in order; the comparator calls are counted in one go.
-fn sort_collapse<K: Ord + Copy>(
-    mut entries: Vec<(K, u32)>,
+/// A row's packed key (at most 16 bytes) and its number, in 20 bytes where
+/// a `(u128, u32)` pads to 32. Like `Sort`'s tuples it is over 16 bytes,
+/// the size past which the standard library's stable sort takes the same
+/// steps, so the two sorts make the same comparisons.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct PackedEntry {
+    key: u128,
+    row: u32,
+}
+
+/// Sorts `entries` — a normalized key and a row number for every row of
+/// `records`, read by `key` and `row` — and collapses equal keys as `mode`
+/// says: the first arrival survives, taking the others' counts under
+/// `CountAggregate`. Returns the rows left, in order; the comparator calls
+/// are counted in one go.
+fn sort_collapse<E, K: Ord>(
+    mut entries: Vec<E>,
+    (key, row): (impl Fn(&E) -> K, impl Fn(&E) -> u32),
     mode: SortMode,
     records: &mut [u8],
     width: usize,
 ) -> Vec<u32> {
     let mut comps = 0u64;
-    // Ties break on the row number: the order of a stable sort.
-    entries.sort_unstable_by(|a, b| {
+    // A stable sort on the key alone: equal keys keep their row order, and
+    // the comparisons are those `Sort`'s stable sort of the same keys makes.
+    entries.sort_by(|a, b| {
         comps += 1;
-        a.cmp(b)
+        key(a).cmp(&key(b))
     });
     if mode != SortMode::Plain {
         entries.dedup_by(|dup, kept| {
             comps += 1;
-            if dup.0 == kept.0 && mode == SortMode::CountAggregate {
-                let count = read_count(&records[dup.1 as usize * width..][..width]);
-                add_count(&mut records[kept.1 as usize * width..][..width], count);
+            let same = key(dup) == key(kept);
+            if same && mode == SortMode::CountAggregate {
+                let count = read_count(&records[row(dup) as usize * width..][..width]);
+                add_count(&mut records[row(kept) as usize * width..][..width], count);
             }
-            dup.0 == kept.0
+            same
         });
     }
     counters::count_comparisons(comps);
-    entries.iter().map(|e| e.1).collect()
+    entries.iter().map(row).collect()
 }
 
 /// The trailing `Int` count column of a `CountAggregate` record.
@@ -122,7 +137,8 @@ impl BatchSort {
     /// The sort-based `COUNT(*) GROUP BY`: every input row is widened
     /// with `count = 1` and equal `group_keys` sum their counts in every
     /// run and merge step. Output rows are the input's columns and the
-    /// count, as [`crate::agg::SortCountAggregate`] sorts them.
+    /// count: a [`crate::sort::Sort`] in `CountAggregate` mode over the
+    /// input widened with the count.
     pub fn counting(
         storage: StorageRef,
         input: BoxedBatchOp,
@@ -151,8 +167,13 @@ impl BatchSort {
         let rows = 0..(records.len() / width) as u32;
         if key.width() <= 16 {
             let packed = |row| key.packed(&records[row as usize * width..][..width]);
-            let entries: Vec<(u128, u32)> = rows.map(|row| (packed(row), row)).collect();
-            return sort_collapse(entries, self.mode, records, width);
+            let entry = |row| PackedEntry {
+                key: packed(row),
+                row,
+            };
+            let entries: Vec<PackedEntry> = rows.map(entry).collect();
+            let fields = (|e: &PackedEntry| e.key, |e: &PackedEntry| e.row);
+            return sort_collapse(entries, fields, self.mode, records, width);
         }
         let mut keys = vec![0u8; rows.len() * key.width()];
         for (slot, record) in keys
@@ -162,7 +183,7 @@ impl BatchSort {
             key.write(record, slot);
         }
         let entries: Vec<(&[u8], u32)> = keys.chunks_exact(key.width()).zip(rows).collect();
-        sort_collapse(entries, self.mode, records, width)
+        sort_collapse(entries, (|e| e.0, |e| e.1), self.mode, records, width)
     }
 
     /// Creates the next run file and lets `fill` write it (a run that
@@ -302,7 +323,8 @@ impl BatchOperator for BatchSort {
                 }
             }
             Source::Merge(merge) => {
-                merge.fill(&self.storage, DEFAULT_BATCH_SIZE)?;
+                // A page boundary may end a fill before it emits a row.
+                while merge.fill(&self.storage, DEFAULT_BATCH_SIZE)? && merge.emitted.is_empty() {}
                 for record in merge.emitted.chunks_exact(self.width) {
                     batch.push_record(record)?;
                 }
@@ -328,7 +350,9 @@ impl BatchOperator for BatchSort {
 
 /// A multiway merge over sorted runs with mode-aware collapse: a binary
 /// heap of run numbers ordered by each run's current normalized key, ties
-/// by run number — the order [`crate::sort::Sort`]'s heap of tuples yields.
+/// by run number. The heap moves as the standard library's `BinaryHeap`
+/// of [`crate::sort::Sort`] moves — pop, advance the run, push — so the
+/// two merges make the same comparisons.
 struct Merge {
     runs: Vec<ScanCursor>,
     /// Every run's current record (`width` bytes) and its key.
@@ -359,20 +383,49 @@ impl Merge {
         (slot(a), a) < (slot(b), b)
     }
 
-    fn sift_down(&mut self, mut at: usize) {
-        loop {
-            let mut least = at;
-            for child in [2 * at + 1, 2 * at + 2] {
-                if child < self.heap.len() && self.before(self.heap[child], self.heap[least]) {
-                    least = child;
-                }
+    /// Moves the run at `at` up towards `top` while it comes before its
+    /// parent; returns where it stops.
+    fn sift_up(&mut self, top: usize, mut at: usize) -> usize {
+        let run = self.heap[at];
+        while at > top {
+            let parent = (at - 1) / 2;
+            if !self.before(run, self.heap[parent]) {
+                break;
             }
-            if least == at {
-                return;
-            }
-            self.heap.swap(at, least);
-            at = least;
+            self.heap[at] = self.heap[parent];
+            at = parent;
         }
+        self.heap[at] = run;
+        at
+    }
+
+    fn push(&mut self, run: u32) {
+        self.heap.push(run);
+        self.sift_up(0, self.heap.len() - 1);
+    }
+
+    /// Removes the least run: the last run takes the root's place, sinks
+    /// to the bottom along the lesser children, then rises.
+    fn pop_least(&mut self) {
+        let last = self.heap.pop().expect("a run to pop");
+        if self.heap.is_empty() {
+            return;
+        }
+        self.heap[0] = last;
+        let (end, mut at) = (self.heap.len(), 0);
+        let mut child = 1;
+        while child + 1 < end {
+            child += usize::from(!self.before(self.heap[child], self.heap[child + 1]));
+            self.heap[at] = self.heap[child];
+            at = child;
+            child = 2 * at + 1;
+        }
+        if child == end - 1 {
+            self.heap[at] = self.heap[child];
+            at = child;
+        }
+        self.heap[at] = last;
+        self.sift_up(0, at);
     }
 
     /// Advances `run` to its next record and key; `false` at its end.
@@ -397,11 +450,8 @@ impl Merge {
     fn start(&mut self, storage: &StorageRef) -> Result<()> {
         for run in 0..self.runs.len() as u32 {
             if self.advance(storage, run)? {
-                self.heap.push(run);
+                self.push(run);
             }
-        }
-        for at in (0..self.heap.len() / 2).rev() {
-            self.sift_down(at);
         }
         Ok(())
     }
@@ -413,17 +463,30 @@ impl Merge {
         };
         self.current
             .copy_from_slice(&self.records[run as usize * self.width..][..self.width]);
-        if !self.advance(storage, run)? {
-            self.heap.swap_remove(0);
+        self.pop_least();
+        if self.advance(storage, run)? {
+            self.push(run);
         }
-        self.sift_down(0);
         Ok(true)
     }
 
-    /// Emits up to `rows` more output records; `false` at the end.
+    /// Whether the next pop reads a run page.
+    fn next_pop_reads(&self) -> bool {
+        (self.heap.first()).is_some_and(|&run| self.runs[run as usize].page_done())
+    }
+
+    /// Emits up to `rows` more output records; `false` at the end. After
+    /// its first pop it stops short before a pop that would read a run
+    /// page, so that page is read when the next row is asked for — where
+    /// a tuple-at-a-time merge reads it.
     fn fill(&mut self, storage: &StorageRef, rows: usize) -> Result<bool> {
         let target = self.emitted.len() + rows * self.width;
+        let mut popped = false;
         while self.emitted.len() < target {
+            if popped && self.next_pop_reads() {
+                return Ok(true);
+            }
+            popped = true;
             if !self.pop(storage)? {
                 // The last group is still pending.
                 if self.mode == SortMode::CountAggregate {
@@ -542,6 +605,7 @@ mod tests {
                     ] {
                         let case = format!("{n} rows, {config:?}, keys {keys:?}, {mode:?}");
                         let (tuple_storage, batch_storage) = (small_storage(), small_storage());
+                        let scope = reldiv_rel::counters::OpScope::begin();
                         let tuple = collect(Box::new(
                             Sort::new(
                                 tuple_storage.clone(),
@@ -553,6 +617,8 @@ mod tests {
                             .unwrap(),
                         ))
                         .unwrap();
+                        let tuple_ops = scope.finish();
+                        let scope = reldiv_rel::counters::OpScope::begin();
                         let batch = collect_batches(
                             Box::new(
                                 BatchSort::new(
@@ -567,7 +633,9 @@ mod tests {
                             CancelToken::none(),
                         )
                         .unwrap();
+                        let batch_ops = scope.finish();
                         assert_eq!(tuple, batch, "{case}");
+                        assert_eq!(tuple_ops, batch_ops, "{case}");
                         let (t, b) = (tuple_storage.borrow(), batch_storage.borrow());
                         assert_eq!(t.io_stats(), b.io_stats(), "{case}");
                         assert_eq!((b.file_count(), b.pinned_frames()), (0, 0), "{case}");
@@ -588,23 +656,26 @@ mod tests {
 
     #[test]
     fn counting_sort_equals_the_sort_count_aggregate() {
-        use crate::agg::SortCountAggregate;
         use crate::batch::project::BatchProject;
+        // The sort count aggregate: the tuple sort in `CountAggregate`
+        // mode over the input widened with `count = 1`.
+        let input = rows(3000);
+        let mut fields = input.schema().fields().to_vec();
+        fields.push(Field::int("count"));
+        let widened = input.tuples().iter().map(|t| {
+            let mut values = t.values().to_vec();
+            values.push(Value::Int(1));
+            Tuple::new(values)
+        });
+        let widened = Relation::from_tuples(Schema::new(fields), widened.collect()).unwrap();
         for config in [SortConfig::default(), external(3)] {
-            let tuple = collect(Box::new(
-                SortCountAggregate::new(
-                    small_storage(),
-                    Box::new(MemScan::new(rows(3000))),
-                    vec![1],
-                    false,
-                    config,
-                )
-                .unwrap(),
-            ))
-            .unwrap();
+            let mode = SortMode::CountAggregate;
+            let scan = Box::new(MemScan::new(widened.clone()));
+            let sort = Sort::new(small_storage(), scan, vec![1], mode, config).unwrap();
+            let tuple = collect(Box::new(sort)).unwrap().project(&[1, 3]).unwrap();
             let counted = BatchSort::counting(
                 small_storage(),
-                Box::new(BatchMemScan::new(rows(3000))),
+                Box::new(BatchMemScan::new(input.clone())),
                 vec![1],
                 config,
             )

@@ -1,97 +1,155 @@
-//! Selection.
+//! Selection predicates.
+//!
+//! A [`BatchPredicate`] is a structured predicate with a per-column
+//! evaluation kernel: [`BatchPredicate::select`] scans one column of a
+//! batch and appends the matching row indices to a selection vector. The
+//! filter operator ([`crate::batch::filter::BatchFilter`]) gathers those
+//! rows. Comparisons against a mistyped column select nothing, and
+//! substring matching is case-insensitive on both sides.
+//!
+//! The paper's second example restricts the divisor by "a prior
+//! selection" (courses whose title contains `"database"`);
+//! [`BatchPredicate::str_contains`] builds that predicate.
 
-use reldiv_rel::{Schema, Tuple, Value};
+use std::cmp::Ordering;
 
-use crate::cancel::CancelToken;
-use crate::op::{BoxedOp, Operator};
-use crate::Result;
+use reldiv_rel::{Batch, ColumnVec};
 
-/// A selection predicate.
-pub type Predicate = Box<dyn Fn(&Tuple) -> bool>;
-
-/// Filters tuples by a predicate.
-///
-/// The paper's second example restricts the divisor by "a prior selection"
-/// (courses whose title contains `"database"`); [`str_contains`] builds
-/// that predicate.
-///
-/// The rejection loop in `next` checkpoints its [`CancelToken`] every
-/// stride of rejected tuples — without it, a highly selective predicate
-/// over a large input drains arbitrarily long between the caller's
-/// per-returned-tuple cancellation polls.
-pub struct Filter {
-    input: BoxedOp,
-    predicate: Predicate,
-    cancel: CancelToken,
-    budget: u32,
+/// A comparison operator for [`BatchPredicate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchCmp {
+    /// Equal.
+    Eq,
+    /// Not equal.
+    Ne,
+    /// Less than.
+    Lt,
+    /// Less than or equal.
+    Le,
+    /// Greater than.
+    Gt,
+    /// Greater than or equal.
+    Ge,
 }
 
-impl Filter {
-    /// Creates a filter over `input`.
-    pub fn new(input: BoxedOp, predicate: Predicate) -> Self {
-        Filter {
-            input,
-            predicate,
-            cancel: CancelToken::none(),
-            budget: 0,
+impl BatchCmp {
+    /// Whether an ordering outcome satisfies this comparison.
+    pub fn eval(self, ord: Ordering) -> bool {
+        matches!(
+            (self, ord),
+            (BatchCmp::Eq, Ordering::Equal)
+                | (BatchCmp::Ne, Ordering::Less | Ordering::Greater)
+                | (BatchCmp::Lt, Ordering::Less)
+                | (BatchCmp::Le, Ordering::Less | Ordering::Equal)
+                | (BatchCmp::Gt, Ordering::Greater)
+                | (BatchCmp::Ge, Ordering::Greater | Ordering::Equal)
+        )
+    }
+}
+
+/// A structured selection predicate with a vectorized evaluation kernel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BatchPredicate {
+    /// Compare an integer column against a literal; rows of a
+    /// non-integer column never match.
+    IntCompare {
+        /// Column index.
+        column: usize,
+        /// The comparison.
+        cmp: BatchCmp,
+        /// The literal.
+        target: i64,
+    },
+    /// Compare a string column against a literal; rows of a non-string
+    /// column never match.
+    StrCompare {
+        /// Column index.
+        column: usize,
+        /// The comparison.
+        cmp: BatchCmp,
+        /// The literal.
+        target: String,
+    },
+    /// Case-insensitive substring match on a string column; rows of a
+    /// non-string column never match. Construct with
+    /// [`BatchPredicate::str_contains`] so the needle is pre-lowercased.
+    StrContains {
+        /// Column index.
+        column: usize,
+        /// The needle, lowercased.
+        needle: String,
+    },
+}
+
+impl BatchPredicate {
+    /// Predicate: string column `column` contains `needle`
+    /// (case-insensitive).
+    pub fn str_contains(column: usize, needle: &str) -> BatchPredicate {
+        BatchPredicate::StrContains {
+            column,
+            needle: needle.to_ascii_lowercase(),
         }
     }
 
-    /// Polls `cancel` every checkpoint stride of rejected tuples.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-}
-
-impl Operator for Filter {
-    fn schema(&self) -> &Schema {
-        self.input.schema()
+    /// Predicate: integer column `column` equals `target`.
+    pub fn int_equals(column: usize, target: i64) -> BatchPredicate {
+        BatchPredicate::IntCompare {
+            column,
+            cmp: BatchCmp::Eq,
+            target,
+        }
     }
 
-    fn open(&mut self) -> Result<()> {
-        self.input.open()
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.input.next()? {
-            if (self.predicate)(&t) {
-                return Ok(Some(t));
+    /// Appends the indices of matching rows to `rows`.
+    pub fn select(&self, batch: &Batch, rows: &mut Vec<usize>) {
+        match self {
+            BatchPredicate::IntCompare {
+                column,
+                cmp,
+                target,
+            } => {
+                if let ColumnVec::Int(vs) = batch.column(*column) {
+                    for (row, v) in vs.iter().enumerate() {
+                        if cmp.eval(v.cmp(target)) {
+                            rows.push(row);
+                        }
+                    }
+                }
             }
-            self.cancel.checkpoint(&mut self.budget)?;
+            BatchPredicate::StrCompare {
+                column,
+                cmp,
+                target,
+            } => {
+                if let ColumnVec::Str(vs) = batch.column(*column) {
+                    for (row, s) in vs.iter().enumerate() {
+                        if cmp.eval(s.as_str().cmp(target.as_str())) {
+                            rows.push(row);
+                        }
+                    }
+                }
+            }
+            BatchPredicate::StrContains { column, needle } => {
+                if let ColumnVec::Str(vs) = batch.column(*column) {
+                    for (row, s) in vs.iter().enumerate() {
+                        if s.to_ascii_lowercase().contains(needle.as_str()) {
+                            rows.push(row);
+                        }
+                    }
+                }
+            }
         }
-        Ok(None)
     }
-
-    fn close(&mut self) -> Result<()> {
-        self.input.close()
-    }
-}
-
-/// Predicate: string column `column` contains `needle` (case-insensitive).
-///
-/// Mirrors the paper's "courses for which the title attribute contains the
-/// string 'database'".
-pub fn str_contains(column: usize, needle: &str) -> Predicate {
-    let needle = needle.to_ascii_lowercase();
-    Box::new(move |t: &Tuple| match t.value(column) {
-        Value::Str(s) => s.to_ascii_lowercase().contains(&needle),
-        Value::Int(_) => false,
-    })
-}
-
-/// Predicate: integer column `column` equals `target`.
-pub fn int_equals(column: usize, target: i64) -> Predicate {
-    Box::new(move |t: &Tuple| t.value(column).as_int() == Some(target))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::collect;
-    use crate::scan::MemScan;
+    use crate::batch::filter::BatchFilter;
+    use crate::batch::scan::BatchMemScan;
+    use crate::batch::BatchOperator;
     use reldiv_rel::schema::Field;
-    use reldiv_rel::Relation;
+    use reldiv_rel::{Relation, Schema, Tuple, Value};
 
     fn courses() -> Relation {
         let schema = Schema::new(vec![Field::int("course-no"), Field::str("title", 32)]);
@@ -110,44 +168,39 @@ mod tests {
         .unwrap()
     }
 
+    fn selected(pred: BatchPredicate) -> Vec<usize> {
+        let courses = courses();
+        let mut batch = Batch::with_capacity(courses.schema().clone(), courses.cardinality());
+        courses.tuples().iter().for_each(|t| batch.push_tuple(t));
+        let mut rows = Vec::new();
+        pred.select(&batch, &mut rows);
+        rows
+    }
+
     #[test]
     fn str_contains_selects_database_courses() {
-        let filtered = collect(Box::new(Filter::new(
-            Box::new(MemScan::new(courses())),
-            str_contains(1, "database"),
-        )))
-        .unwrap();
-        let nos: Vec<i64> = filtered
-            .tuples()
-            .iter()
-            .map(|t| t.value(0).as_int().unwrap())
-            .collect();
-        assert_eq!(nos, vec![1, 3]);
+        assert_eq!(
+            selected(BatchPredicate::str_contains(1, "database")),
+            [0, 2]
+        );
     }
 
     #[test]
     fn int_equals_selects_one_course() {
-        let filtered = collect(Box::new(Filter::new(
-            Box::new(MemScan::new(courses())),
-            int_equals(0, 2),
-        )))
-        .unwrap();
-        assert_eq!(filtered.cardinality(), 1);
+        assert_eq!(selected(BatchPredicate::int_equals(0, 2)), [1]);
     }
 
     #[test]
     fn str_contains_on_int_column_matches_nothing() {
-        let filtered = collect(Box::new(Filter::new(
-            Box::new(MemScan::new(courses())),
-            str_contains(0, "1"),
-        )))
-        .unwrap();
-        assert!(filtered.is_empty());
+        assert!(selected(BatchPredicate::str_contains(0, "1")).is_empty());
     }
 
     #[test]
     fn filter_preserves_schema() {
-        let f = Filter::new(Box::new(MemScan::new(courses())), int_equals(0, 1));
-        assert_eq!(f.schema().arity(), 2);
+        let f = BatchFilter::new(
+            Box::new(BatchMemScan::new(courses())),
+            BatchPredicate::int_equals(0, 1),
+        );
+        assert_eq!(f.schema(), courses().schema());
     }
 }

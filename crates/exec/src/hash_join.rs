@@ -6,201 +6,202 @@
 //! semi-join before hash-based aggregation: "The hash table in the
 //! semi-join is built by hashing on course-no's."
 //!
+//! Build and probe both run through the packed-key kernels: one
+//! [`Batch::hash_rows`] call per batch replaces a `hash_on` per tuple, and
+//! chain candidates are compared column-against-tuple without
+//! materializing the probe row. Matches leave each probe row in
+//! chain-walk order (the build rows of a key, last inserted first); a
+//! semi-join keeps the matching probe rows in order.
+//!
 //! If the build side exceeds the memory pool the operator reports
 //! `MemoryExhausted`; the division algorithms translate that into their
 //! partitioned overflow strategies.
 
-use reldiv_rel::{Schema, Tuple};
+use reldiv_rel::{Batch, Schema, Tuple};
+use reldiv_storage::MemoryPool;
 
+use crate::batch::{select, BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use crate::cancel::CancelToken;
 use crate::hash_table::ChainedTable;
 use crate::merge_join::{join_schema, JoinMode};
-use crate::op::{BoxedOp, OpState, Operator};
+use crate::op::OpState;
 use crate::Result;
 
-/// Hash (semi-)join: builds on the inner input, probes with the outer.
-pub struct HashJoin {
-    outer: BoxedOp,
-    inner: BoxedOp,
+/// Batch hash (semi-)join: builds on `inner`, probes with `outer` batches.
+pub struct BatchHashJoin {
+    outer: BoxedBatchOp,
+    inner: BoxedBatchOp,
     outer_keys: Vec<usize>,
     inner_keys: Vec<usize>,
     mode: JoinMode,
+    pool: MemoryPool,
     schema: Schema,
     state: OpState,
     table: Option<ChainedTable<Tuple>>,
-    /// Matches pending output for the current probe tuple (Inner mode).
-    pending: Vec<Tuple>,
+    /// The probe batch in hand, its hashes and its next row to probe.
+    probe: Option<(Batch, Vec<u64>, usize)>,
+    selection: Vec<usize>,
     cancel: CancelToken,
-    budget: u32,
 }
 
-impl HashJoin {
+impl BatchHashJoin {
     /// Creates a hash join. `inner` is the build side and should be the
-    /// smaller input (the divisor, in division plans).
+    /// smaller input.
     pub fn new(
-        outer: BoxedOp,
-        inner: BoxedOp,
+        outer: BoxedBatchOp,
+        inner: BoxedBatchOp,
         outer_keys: Vec<usize>,
         inner_keys: Vec<usize>,
         mode: JoinMode,
+        pool: MemoryPool,
     ) -> Result<Self> {
         let (o, i) = (outer.schema(), inner.schema());
         let schema = join_schema("hash", (o, &outer_keys), (i, &inner_keys), mode)?;
-        Ok(HashJoin {
+        Ok(BatchHashJoin {
             outer,
             inner,
             outer_keys,
             inner_keys,
             mode,
+            pool,
             schema,
             state: OpState::Created,
             table: None,
-            pending: Vec::new(),
+            probe: None,
+            selection: Vec::new(),
             cancel: CancelToken::none(),
-            budget: 0,
         })
     }
 
-    /// Polls `cancel` every checkpoint stride during the build loop and
-    /// across unmatched probe tuples — without it a long build side or a
-    /// selective probe drains arbitrarily long between the caller's polls.
+    /// Polls `cancel` once per build-side batch while `open` builds.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
 }
 
-impl HashJoin {
-    /// The memory pool backing the build table comes from thread state set
-    /// by the plan builder; operators receive it explicitly instead.
-    fn build(&mut self, pool: &reldiv_storage::MemoryPool) -> Result<()> {
-        self.inner.open()?;
-        let mut table = ChainedTable::new(pool, 16)?;
-        while let Some(t) = self.inner.next()? {
-            self.cancel.checkpoint(&mut self.budget)?;
-            let h = t.hash_on(&self.inner_keys);
-            table.insert(h, t)?;
-        }
-        self.inner.close()?;
-        self.table = Some(table);
-        Ok(())
-    }
-
-    /// Sets the memory pool before `open`. Required.
-    pub fn with_pool(self, pool: reldiv_storage::MemoryPool) -> PooledHashJoin {
-        PooledHashJoin { join: self, pool }
-    }
-}
-
-/// A [`HashJoin`] bound to the memory pool that funds its build table.
-pub struct PooledHashJoin {
-    join: HashJoin,
-    pool: reldiv_storage::MemoryPool,
-}
-
-impl Operator for PooledHashJoin {
+impl BatchOperator for BatchHashJoin {
     fn schema(&self) -> &Schema {
-        &self.join.schema
+        &self.schema
     }
 
     fn open(&mut self) -> Result<()> {
-        self.join.build(&self.pool)?;
-        self.join.outer.open()?;
-        self.join.state = OpState::Open;
+        self.inner.open()?;
+        let mut table = ChainedTable::new(&self.pool, 16)?;
+        while let Some(batch) = self.inner.next_batch()? {
+            self.cancel.check()?;
+            let hashes = batch.hash_rows(&self.inner_keys);
+            for (row, &h) in hashes.iter().enumerate() {
+                table.insert(h, batch.tuple(row))?;
+            }
+        }
+        self.inner.close()?;
+        self.table = Some(table);
+        self.outer.open()?;
+        self.state = OpState::Open;
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.join.state.require_open()?;
-        let table = self.join.table.as_ref().expect("open builds table");
-        loop {
-            if let Some(inner) = self.join.pending.pop() {
-                return Ok(Some(inner));
-            }
-            let Some(outer) = self.join.outer.next()? else {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        self.state.require_open()?;
+        let table = self.table.as_ref().expect("open builds table");
+        if self.probe.is_none() {
+            let Some(batch) = self.outer.next_batch()? else {
                 return Ok(None);
             };
-            self.join.cancel.checkpoint(&mut self.join.budget)?;
-            let h = outer.hash_on(&self.join.outer_keys);
-            match self.join.mode {
-                JoinMode::LeftSemi => {
-                    let hit = table
-                        .find(h, |cand| {
-                            outer.eq_on(&self.join.outer_keys, cand, &self.join.inner_keys)
-                        })
-                        .is_some();
-                    if hit {
-                        return Ok(Some(outer));
-                    }
-                }
-                JoinMode::Inner => {
-                    // Collect every matching build tuple (walking the whole
-                    // chain; comparisons counted inside eq_on).
-                    let mut matches = Vec::new();
-                    table.find(h, |cand| {
-                        if outer.eq_on(&self.join.outer_keys, cand, &self.join.inner_keys) {
-                            matches.push(cand.clone());
-                        }
-                        false // keep walking the chain
-                    });
-                    for inner in matches.into_iter().rev() {
-                        let mut vals = outer.clone().into_values();
-                        vals.extend(inner.into_values());
-                        self.join.pending.push(Tuple::new(vals));
-                    }
+            let hashes = batch.hash_rows(&self.outer_keys);
+            self.probe = Some((batch, hashes, 0));
+        }
+        let (batch, hashes, next_row) = self.probe.as_mut().expect("a probe batch");
+        let matches = |row: usize, cand: &Tuple| {
+            batch.row_eq_tuple(&self.outer_keys, row, cand, &self.inner_keys)
+        };
+        if self.mode == JoinMode::LeftSemi {
+            self.selection.clear();
+            for (row, &h) in hashes.iter().enumerate() {
+                if table.find_hashed(h, |cand| matches(row, cand)).is_some() {
+                    self.selection.push(row);
                 }
             }
+            let (batch, ..) = self.probe.take().expect("a probe batch");
+            return Ok(Some(select(batch, &self.selection)));
         }
+        // An output batch ends with the probe row that fills it: however
+        // a join multiplies, it does a batch of work between two polls.
+        let mut out = Batch::with_capacity(self.schema.clone(), batch.len());
+        let mut found: Vec<Tuple> = Vec::new();
+        while *next_row < batch.len() && out.len() < DEFAULT_BATCH_SIZE {
+            let row = *next_row;
+            *next_row += 1;
+            found.clear();
+            table.find(hashes[row], |cand| {
+                if matches(row, cand) {
+                    found.push(cand.clone());
+                }
+                false // keep walking the chain
+            });
+            for inner in &found {
+                let mut vals = batch.tuple(row).into_values();
+                vals.extend(inner.values().iter().cloned());
+                out.push_tuple(&Tuple::new(vals));
+            }
+        }
+        if *next_row == batch.len() {
+            self.probe = None;
+        }
+        Ok(Some(out))
     }
 
     fn close(&mut self) -> Result<()> {
-        self.join.outer.close()?;
-        self.join.table = None;
-        self.join.state = OpState::Closed;
-        Ok(())
+        (self.table, self.probe) = (None, None);
+        self.state = OpState::Closed;
+        let closed = self.outer.close();
+        self.inner.close().and(closed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::collect;
-    use crate::scan::MemScan;
+    use crate::batch::collect_batches;
+    use crate::batch::scan::BatchMemScan;
     use crate::ExecError;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
-    use reldiv_storage::MemoryPool;
 
     fn rel(names: &[&str], rows: &[&[i64]]) -> Relation {
         let schema = Schema::new(names.iter().map(|n| Field::int(*n)).collect());
         Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap()
     }
 
-    fn join(
-        outer: Relation,
-        inner: Relation,
-        ok: Vec<usize>,
-        ik: Vec<usize>,
-        mode: JoinMode,
-    ) -> Relation {
-        let j = HashJoin::new(
-            Box::new(MemScan::new(outer)),
-            Box::new(MemScan::new(inner)),
-            ok,
-            ik,
+    fn join(outer: Relation, inner: Relation, mode: JoinMode) -> Relation {
+        let j = BatchHashJoin::new(
+            Box::new(BatchMemScan::new(outer)),
+            Box::new(BatchMemScan::new(inner)),
+            vec![0],
+            vec![0],
             mode,
+            MemoryPool::unbounded(),
         )
-        .unwrap()
-        .with_pool(MemoryPool::unbounded());
-        collect(Box::new(j)).unwrap()
+        .unwrap();
+        collect_batches(Box::new(j), CancelToken::none()).unwrap()
     }
 
     #[test]
     fn semi_join_restricts_dividend_to_divisor_values() {
         let t = rel(&["sid", "cno"], &[&[1, 10], &[2, 10], &[1, 20], &[3, 30]]);
         let c = rel(&["cno"], &[&[10], &[20]]);
-        let out = join(t, c, vec![1], vec![0], JoinMode::LeftSemi);
+        let j = BatchHashJoin::new(
+            Box::new(BatchMemScan::new(t)),
+            Box::new(BatchMemScan::new(c)),
+            vec![1],
+            vec![0],
+            JoinMode::LeftSemi,
+            MemoryPool::unbounded(),
+        )
+        .unwrap();
+        let out = collect_batches(Box::new(j), CancelToken::none()).unwrap();
         assert_eq!(out.cardinality(), 3);
         assert!(out
             .tuples()
@@ -212,7 +213,7 @@ mod tests {
     fn inner_join_pairs_all_matches() {
         let l = rel(&["k", "x"], &[&[1, 100], &[1, 101], &[2, 200]]);
         let r = rel(&["k", "y"], &[&[1, 7], &[1, 8]]);
-        let out = join(l, r, vec![0], vec![0], JoinMode::Inner);
+        let out = join(l, r, JoinMode::Inner);
         assert_eq!(out.cardinality(), 4);
         assert_eq!(out.schema().arity(), 4);
     }
@@ -221,51 +222,47 @@ mod tests {
     fn unmatched_probe_tuples_are_dropped() {
         let l = rel(&["k"], &[&[1], &[2], &[3]]);
         let r = rel(&["k"], &[&[2]]);
-        let out = join(l, r, vec![0], vec![0], JoinMode::LeftSemi);
-        assert_eq!(out.cardinality(), 1);
-        assert_eq!(out.tuples()[0], ints(&[2]));
+        let out = join(l, r, JoinMode::LeftSemi);
+        assert_eq!(out.tuples(), &[ints(&[2])]);
     }
 
     #[test]
     fn empty_build_side_matches_nothing() {
-        let l = rel(&["k"], &[&[1]]);
-        let e = rel(&["k"], &[]);
-        assert!(join(l, e, vec![0], vec![0], JoinMode::LeftSemi).is_empty());
+        let (l, e) = (rel(&["k"], &[&[1]]), rel(&["k"], &[]));
+        for mode in [JoinMode::Inner, JoinMode::LeftSemi] {
+            assert!(join(l.clone(), e.clone(), mode).is_empty());
+        }
     }
 
     #[test]
     fn build_side_memory_exhaustion_surfaces() {
         let rows: Vec<Vec<i64>> = (0..10_000i64).map(|i| vec![i]).collect();
         let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let big = rel(&["k"], &refs);
-        let small_pool = MemoryPool::new(1024);
-        let mut j = HashJoin::new(
-            Box::new(MemScan::new(rel(&["k"], &[&[1]]))),
-            Box::new(MemScan::new(big)),
+        let mut j = BatchHashJoin::new(
+            Box::new(BatchMemScan::new(rel(&["k"], &[&[1]]))),
+            Box::new(BatchMemScan::new(rel(&["k"], &refs))),
             vec![0],
             vec![0],
             JoinMode::LeftSemi,
+            MemoryPool::new(1024),
         )
-        .unwrap()
-        .with_pool(small_pool);
-        let err = j.open().unwrap_err();
-        assert!(err.is_memory_exhausted());
+        .unwrap();
+        assert!(j.open().unwrap_err().is_memory_exhausted());
     }
 
     #[test]
     fn mismatched_keys_are_a_plan_error() {
-        let l = MemScan::new(rel(&["k"], &[&[1]]));
-        let r = MemScan::new(rel(&["k"], &[&[1]]));
-        assert!(matches!(
-            HashJoin::new(
-                Box::new(l),
-                Box::new(r),
-                vec![0],
-                vec![0, 0],
-                JoinMode::Inner
-            ),
-            Err(ExecError::Plan(_))
-        ));
+        for mode in [JoinMode::Inner, JoinMode::LeftSemi] {
+            for inner_keys in [vec![0, 0], vec![1]] {
+                let l = BatchMemScan::new(rel(&["k"], &[&[1]]));
+                let r = BatchMemScan::new(rel(&["k"], &[&[1]]));
+                let pool = MemoryPool::unbounded();
+                assert!(matches!(
+                    BatchHashJoin::new(Box::new(l), Box::new(r), vec![0], inner_keys, mode, pool),
+                    Err(ExecError::Plan(_))
+                ));
+            }
+        }
     }
 
     #[test]
@@ -273,7 +270,7 @@ mod tests {
         reldiv_rel::counters::reset();
         let l = rel(&["k"], &[&[1], &[2]]);
         let r = rel(&["k"], &[&[1], &[3], &[4]]);
-        let _ = join(l, r, vec![0], vec![0], JoinMode::LeftSemi);
+        let _ = join(l, r, JoinMode::LeftSemi);
         let snap = reldiv_rel::counters::snapshot();
         // 3 build hashes + 2 probe hashes.
         assert_eq!(snap.hashes, 5);

@@ -244,16 +244,18 @@ mod tests {
         .unwrap();
         let via_index = collect(Box::new(ij)).unwrap();
 
-        let hj = crate::hash_join::HashJoin::new(
-            Box::new(MemScan::new(outer_rel)),
-            Box::new(MemScan::new(inner_rel)),
+        use crate::batch::scan::BatchMemScan;
+        use crate::hash_join::BatchHashJoin;
+        let hj = BatchHashJoin::new(
+            Box::new(BatchMemScan::new(outer_rel)),
+            Box::new(BatchMemScan::new(inner_rel)),
             vec![0],
             vec![0],
             JoinMode::Inner,
+            reldiv_storage::MemoryPool::unbounded(),
         )
-        .unwrap()
-        .with_pool(reldiv_storage::MemoryPool::unbounded());
-        let via_hash = collect(Box::new(hj)).unwrap();
+        .unwrap();
+        let via_hash = crate::collect_batches(Box::new(hj), crate::CancelToken::none()).unwrap();
         assert_eq!(via_index.bag_counts(), via_hash.bag_counts());
     }
 

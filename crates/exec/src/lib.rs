@@ -5,34 +5,36 @@
 //! tree-structured query evaluation plan is used to execute queries by
 //! demand-driven dataflow."
 //!
-//! This crate provides that engine:
+//! This crate provides that engine. Division plans run on its batch
+//! form, [`batch::BatchOperator`]: the same protocol over fixed-size
+//! columnar [`reldiv_rel::Batch`]es, through the packed-key hash and
+//! compare kernels, with per-batch cancellation and profiling
+//! checkpoints.
 //!
-//! * [`op::Operator`] — the open-next-close iterator protocol,
-//! * [`scan`] — file scans over record files and in-memory scans,
-//! * [`filter`] / [`project`] — selection and projection,
-//! * [`sort`] — external merge sort with early aggregation and duplicate
-//!   elimination ("no intermediate run contains duplicate sort keys"), run
-//!   files on the 1 KB-page run disk for high fan-in, and an on-demand
-//!   final merge ("opening a sort operator prepares sorted runs and merges
-//!   them until only one merge step is left; the final merge is performed
-//!   on demand by the next function"),
-//! * [`merge_join`] — merge join and merge semi-join over sorted inputs,
-//! * [`hash_join`] — hash join and hash semi-join with bucket chaining,
-//! * [`index_join`] — index join and index semi-join over B+-trees (the
+//! * [`batch`] — scans of record files, in-memory relations and shared
+//!   columns; selection (by the predicates of [`filter`]) and projection;
+//!   the external merge sort with early aggregation and duplicate
+//!   elimination ("no intermediate run contains duplicate sort keys"),
+//!   run files on the 1 KB-page run disk for high fan-in, and an
+//!   on-demand final merge ("opening a sort operator prepares sorted runs
+//!   and merges them until only one merge step is left; the final merge
+//!   is performed on demand by the next function"); the spilling hash
+//!   group count, the scalar count and the
+//!   `HAVING count = N` filter that express division by aggregation;
+//!   hash-based duplicate elimination; the merge semi-join,
+//! * [`hash_join`] — the hash join and hash semi-join with bucket
+//!   chaining, on the same batch protocol,
+//! * [`op::Operator`] — the tuple-at-a-time protocol, kept for the
+//!   operators that still read tuples: the [`sort::Sort`] and
+//!   [`agg::HashCountAggregate`] the batch sort and group count are
+//!   measured against, the [`scan`]s that feed them and the overflow
+//!   rungs of hash-division, and the [`index_join`] over B+-trees (the
 //!   paper's third join option),
-//! * [`agg`] — sort-based aggregation, hash-based aggregation, scalar
-//!   aggregates, and the `HAVING count = N` filter used to express
-//!   division by aggregation,
+//! * [`merge_join`] — the join mode and key check every join shares,
 //! * [`hash_table`] — the bucket-chained hash table shared by the
 //!   hash-based operators and by hash-division in `reldiv-core`,
 //! * [`profile`] — per-operator `EXPLAIN ANALYZE` spans (wall time,
-//!   tuples, abstract ops, physical page I/O), zero-cost when disabled,
-//! * [`batch`] — the vectorized execution path: [`batch::BatchOperator`]
-//!   processes fixed-size columnar [`reldiv_rel::Batch`]es through the
-//!   packed-key hash and compare kernels, with per-batch cancellation and
-//!   profiling checkpoints: a batch twin of every operator above that a
-//!   plan uses (the record-buffer sort [`batch::sort::BatchSort`] and the
-//!   spilling group count included), so no plan bridges the two paths.
+//!   tuples, abstract ops, physical page I/O), zero-cost when disabled.
 //!
 //! All operators draw scratch memory from the storage manager's
 //! [`reldiv_storage::MemoryPool`] and count abstract operations through
@@ -52,7 +54,6 @@ pub mod index_join;
 pub mod merge_join;
 pub mod op;
 pub mod profile;
-pub mod project;
 pub mod scan;
 pub mod sort;
 

@@ -1,7 +1,9 @@
 //! Per-operator query profiling — the engine half of `EXPLAIN ANALYZE`.
 //!
 //! A [`ProfileSink`] collects a tree of spans while a plan executes. Every
-//! profiled operator (wrapped in [`ProfiledOp`]) and every profiled region
+//! profiled operator (wrapped in a
+//! [`ProfiledBatchOp`](crate::batch::profile::ProfiledBatchOp)) and every
+//! profiled region
 //! (a [`SpanScope`]) contributes one span recording wall time, tuples
 //! produced, the abstract-operation deltas of [`reldiv_rel::counters`]
 //! (comparisons, hashes, moves, bit operations), physical page reads and
@@ -32,12 +34,8 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use reldiv_rel::counters::{self, OpSnapshot};
-use reldiv_rel::{Schema, Tuple};
 use reldiv_storage::buffer::BufferStats;
 use reldiv_storage::StorageRef;
-
-use crate::op::{BoxedOp, Operator};
-use crate::Result;
 
 /// What kind of work a span measures; mirrors the operator taxonomy of the
 /// paper's plans plus the service-side bookkeeping spans.
@@ -659,134 +657,17 @@ impl Drop for SpanScope {
     }
 }
 
-/// Wraps an operator so that every `open`/`next`/`close` call is measured
-/// into a span of `sink`. The span's parent is whichever span is active
-/// when the operator is first opened, and the operator activates its own
-/// span around calls into its input — so a plan of wrapped operators
-/// reconstructs its tree shape at runtime, including children that are
-/// only opened lazily from `next()`.
-pub struct ProfiledOp {
-    inner: BoxedOp,
-    sink: ProfileSink,
-    storage: Option<StorageRef>,
-    label: String,
-    kind: SpanKind,
-    id: Option<SpanId>,
-}
-
-impl ProfiledOp {
-    /// Wraps `inner`.
-    pub fn new(
-        inner: BoxedOp,
-        sink: ProfileSink,
-        label: impl Into<String>,
-        kind: SpanKind,
-        storage: Option<StorageRef>,
-    ) -> ProfiledOp {
-        ProfiledOp {
-            inner,
-            sink,
-            storage,
-            label: label.into(),
-            kind,
-            id: None,
-        }
-    }
-
-    fn measured<T>(&mut self, f: impl FnOnce(&mut BoxedOp) -> Result<T>) -> Result<(T, u64)> {
-        let id = self.id.expect("span created in open");
-        let start = Instant::now();
-        let ops0 = counters::snapshot();
-        let io0 = buffer_stats(&self.storage);
-        self.sink.push(id);
-        let result = f(&mut self.inner);
-        self.sink.pop(id);
-        let (pages_read, pages_written) = io_delta(&io0, &buffer_stats(&self.storage));
-        let wall = start.elapsed().as_micros() as u64;
-        self.sink.add(
-            id,
-            &SpanMetrics {
-                wall_micros: wall,
-                tuples_out: 0,
-                ops: counters::snapshot().since(&ops0),
-                pages_read,
-                pages_written,
-                spill_bytes: 0,
-                network_bytes: 0,
-                phases: Vec::new(),
-            },
-        );
-        result.map(|v| (v, wall))
-    }
-}
-
-impl Operator for ProfiledOp {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        if self.id.is_none() {
-            self.id = Some(self.sink.create_span(self.label.clone(), self.kind));
-        }
-        self.measured(|op| op.open()).map(|(v, _)| v)
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let id = self.id.expect("span created in open");
-        let (tuple, _) = self.measured(|op| op.next())?;
-        if tuple.is_some() {
-            self.sink.add(
-                id,
-                &SpanMetrics {
-                    tuples_out: 1,
-                    ..SpanMetrics::default()
-                },
-            );
-        }
-        Ok(tuple)
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if self.id.is_none() {
-            // Never opened (a sibling failed first): nothing to measure.
-            return self.inner.close();
-        }
-        self.measured(|op| op.close()).map(|(v, _)| v)
-    }
-}
-
-/// Wraps `op` in a [`ProfiledOp`] when profiling is on; returns it
-/// untouched (and allocation-free) when `sink` is `None`. Plan builders
-/// call this at every operator boundary — the disabled path is the
-/// identity function, which is what makes profiling zero-cost when off.
-pub fn maybe_profile(
-    op: BoxedOp,
-    sink: Option<&ProfileSink>,
-    label: impl Into<String>,
-    kind: SpanKind,
-    storage: Option<&StorageRef>,
-) -> BoxedOp {
-    match sink {
-        None => op,
-        Some(sink) => Box::new(ProfiledOp::new(
-            op,
-            sink.clone(),
-            label,
-            kind,
-            storage.cloned(),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::collect;
-    use crate::scan::MemScan;
+    use crate::batch::profile::maybe_profile_batch;
+    use crate::batch::scan::BatchMemScan;
+    use crate::batch::{collect_batches, BatchOperator, BoxedBatchOp};
+    use crate::CancelToken;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
+    use reldiv_rel::Schema;
 
     fn rel(n: i64) -> Relation {
         let schema = Schema::new(vec![Field::int("x")]);
@@ -797,9 +678,9 @@ mod tests {
     fn profiled_scan_counts_tuples_and_nests() {
         let sink = ProfileSink::new();
         let root = SpanScope::enter(&sink, "query", SpanKind::Query, None);
-        let scan: BoxedOp = Box::new(MemScan::new(rel(5)));
-        let wrapped = maybe_profile(scan, Some(&sink), "memscan", SpanKind::Scan, None);
-        let out = collect(wrapped).unwrap();
+        let scan: BoxedBatchOp = Box::new(BatchMemScan::new(rel(5)).with_batch_size(2));
+        let wrapped = maybe_profile_batch(scan, Some(&sink), "memscan", SpanKind::Scan, None);
+        let out = collect_batches(wrapped, CancelToken::none()).unwrap();
         root.finish();
         assert_eq!(out.cardinality(), 5);
         let profile = sink.finish();
@@ -814,10 +695,12 @@ mod tests {
 
     #[test]
     fn disabled_profiling_is_the_identity() {
-        let scan: BoxedOp = Box::new(MemScan::new(rel(3)));
-        let wrapped = maybe_profile(scan, None, "memscan", SpanKind::Scan, None);
-        // No sink: the plan runs exactly as before, nothing is recorded.
-        assert_eq!(collect(wrapped).unwrap().cardinality(), 3);
+        // No sink: the very operator comes back, unwrapped.
+        let scan: BoxedBatchOp = Box::new(BatchMemScan::new(rel(3)));
+        let at = |op: &BoxedBatchOp| &**op as *const dyn BatchOperator as *const u8;
+        let before = at(&scan);
+        let wrapped = maybe_profile_batch(scan, None, "memscan", SpanKind::Scan, None);
+        assert_eq!(at(&wrapped), before);
     }
 
     #[test]

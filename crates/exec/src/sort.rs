@@ -141,19 +141,8 @@ impl Sort {
     /// intermediate merge passes — both happen inside `open`, before the
     /// caller sees a single tuple.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.set_cancel(cancel);
-        self
-    }
-
-    /// In-place variant of [`Sort::with_cancel`] for wrappers that own a
-    /// `Sort` directly (e.g. `SortCountAggregate`).
-    pub(crate) fn set_cancel(&mut self, cancel: CancelToken) {
         self.cancel = cancel;
-    }
-
-    /// The sort key columns (major to minor).
-    pub fn keys(&self) -> &[usize] {
-        &self.keys
+        self
     }
 
     /// Estimated in-memory bytes per buffered tuple.

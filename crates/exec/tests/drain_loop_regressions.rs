@@ -5,8 +5,8 @@
 //! 1. Inner drain loops that never polled their [`CancelToken`]: a filter
 //!    whose predicate rejects every tuple of a large input returns to its
 //!    caller only at exhaustion, so a deadline set before the query never
-//!    fires. Every operator with such a loop now checkpoints per stride
-//!    (tuple path) or per batch (batch path).
+//!    fires. Every operator with such a loop now polls per batch (or, in
+//!    the tuple operators that remain, per checkpoint stride).
 //!
 //! 2. `collect` returned early without `close()` when a push or `next`
 //!    failed mid-drain, leaking whatever the operator holds — pinned
@@ -14,12 +14,14 @@
 
 use std::time::{Duration, Instant};
 
-use reldiv_exec::agg::{HashCountAggregate, HashDistinct, ScalarCount};
-use reldiv_exec::batch::filter::{BatchFilter, BatchPredicate};
+use reldiv_exec::agg::HashCountAggregate;
+use reldiv_exec::batch::agg::count_rows;
+use reldiv_exec::batch::distinct::BatchDistinct;
+use reldiv_exec::batch::filter::BatchFilter;
 use reldiv_exec::batch::scan::BatchMemScan;
 use reldiv_exec::batch::BoxedBatchOp;
-use reldiv_exec::filter::{int_equals, Filter};
-use reldiv_exec::hash_join::HashJoin;
+use reldiv_exec::filter::BatchPredicate;
+use reldiv_exec::hash_join::BatchHashJoin;
 use reldiv_exec::merge_join::JoinMode;
 use reldiv_exec::scan::MemScan;
 use reldiv_exec::sort::{Sort, SortConfig, SortMode};
@@ -44,21 +46,11 @@ fn expired() -> CancelToken {
 }
 
 #[test]
-fn always_false_filter_cancels_on_the_tuple_path() {
-    // The original bug: Filter::next's rejection loop drained the whole
-    // scan without ever consulting the token.
-    let filter: BoxedOp = Box::new(
-        Filter::new(Box::new(MemScan::new(big_rel())), int_equals(0, -1)).with_cancel(expired()),
-    );
-    let err = collect(filter).unwrap_err();
-    assert!(err.is_cancelled(), "expected Cancelled, got {err:?}");
-}
-
-#[test]
 fn always_false_filter_cancels_on_the_batch_path() {
-    // On the batch path the fix is structural: an all-rejected batch
-    // flows through as an empty batch, and collect_batches polls the
-    // token once per batch.
+    // The original bug: a filter's rejection loop drained the whole scan
+    // without ever consulting the token. The fix is structural: an
+    // all-rejected batch flows through as an empty batch, and
+    // collect_batches polls the token once per batch.
     let filter: BoxedBatchOp = Box::new(BatchFilter::new(
         Box::new(BatchMemScan::new(big_rel())),
         BatchPredicate::int_equals(0, -1),
@@ -69,11 +61,16 @@ fn always_false_filter_cancels_on_the_batch_path() {
 
 #[test]
 fn aggregate_build_phases_cancel() {
-    let distinct: BoxedOp = Box::new(
-        HashDistinct::new(Box::new(MemScan::new(big_rel())), MemoryPool::unbounded())
-            .with_cancel(expired()),
+    // The distinct's own token fires inside `open`: the drain polls none.
+    let distinct: BoxedBatchOp = Box::new(
+        BatchDistinct::new(
+            Box::new(BatchMemScan::new(big_rel())),
+            MemoryPool::unbounded(),
+        )
+        .with_cancel(expired()),
     );
-    assert!(collect(distinct).unwrap_err().is_cancelled());
+    let err = collect_batches(distinct, CancelToken::none()).unwrap_err();
+    assert!(err.is_cancelled());
 
     let agg: BoxedOp = Box::new(
         HashCountAggregate::new(
@@ -86,26 +83,28 @@ fn aggregate_build_phases_cancel() {
     );
     assert!(collect(agg).unwrap_err().is_cancelled());
 
-    let count: BoxedOp =
-        Box::new(ScalarCount::new(Box::new(MemScan::new(big_rel())), false).with_cancel(expired()));
-    assert!(collect(count).unwrap_err().is_cancelled());
+    let scan = Box::new(BatchMemScan::new(big_rel()));
+    assert!(count_rows(scan, false, expired())
+        .unwrap_err()
+        .is_cancelled());
 }
 
 #[test]
 fn join_build_loop_cancels() {
-    let join: BoxedOp = Box::new(
-        HashJoin::new(
-            Box::new(MemScan::new(big_rel())),
-            Box::new(MemScan::new(big_rel())),
+    let join: BoxedBatchOp = Box::new(
+        BatchHashJoin::new(
+            Box::new(BatchMemScan::new(big_rel())),
+            Box::new(BatchMemScan::new(big_rel())),
             vec![0],
             vec![0],
             JoinMode::LeftSemi,
+            MemoryPool::unbounded(),
         )
         .unwrap()
-        .with_cancel(expired())
-        .with_pool(MemoryPool::unbounded()),
+        .with_cancel(expired()),
     );
-    assert!(collect(join).unwrap_err().is_cancelled());
+    let err = collect_batches(join, CancelToken::none()).unwrap_err();
+    assert!(err.is_cancelled());
 }
 
 #[test]

@@ -13,15 +13,16 @@ use reldiv_core::api::Source;
 use reldiv_core::{divide_with_report, Algorithm, DivisionConfig, DivisionSpec};
 use reldiv_exec::batch::agg::{BatchHashCountAggregate, BatchHavingCount};
 use reldiv_exec::batch::distinct::BatchDistinct;
-use reldiv_exec::batch::filter::{BatchCmp, BatchFilter, BatchPredicate};
-use reldiv_exec::batch::join::BatchHashJoin;
+use reldiv_exec::batch::filter::BatchFilter;
 use reldiv_exec::batch::profile::maybe_profile_batch;
 use reldiv_exec::batch::project::BatchProject;
 use reldiv_exec::batch::scan::BatchMemScan;
 use reldiv_exec::batch::{collect_batches, drain_batches};
+use reldiv_exec::filter::{BatchCmp, BatchPredicate};
+use reldiv_exec::hash_join::BatchHashJoin;
 use reldiv_exec::merge_join::JoinMode;
 use reldiv_exec::profile::{ProfileSink, SpanScope};
-use reldiv_exec::{BoxedBatchOp, CancelToken, ExecMode, SpanKind};
+use reldiv_exec::{BoxedBatchOp, CancelToken, SpanKind};
 use reldiv_rel::{Columns, Relation};
 use reldiv_storage::StorageRef;
 
@@ -207,7 +208,6 @@ impl<'a> Lowerer<'a> {
             cancel: self.opts.cancel,
             profile: self.opts.profile.clone(),
             mem_budget: self.opts.mem_budget,
-            exec: ExecMode::Batch,
             ..DivisionConfig::default()
         };
         // Sort space: the configured work memory, within the request's budget.

@@ -417,8 +417,7 @@ impl Service {
 
     /// Runs `dividend ÷ divisor`, blocking until the quotient is ready,
     /// the request is rejected, or the query fails. A `Divide` request
-    /// *is* a one-operator plan — [`division_plan`](Self::division_plan)
-    /// spells it — and runs exactly as [`Service::exec_plan`] runs that
+    /// *is* a one-operator plan — `division_plan` spells it — and runs exactly as [`Service::exec_plan`] runs that
     /// plan's text; only `mem_budget` and `distribute`, which plan text
     /// cannot express, travel beside it.
     pub fn divide(&self, request: &DivideRequest) -> Result<DivideReply> {

@@ -7,17 +7,19 @@
 //!    system" — here its dividend arrives through a selection plan, and
 //! 2. with the early-output modification "the algorithm can also be used
 //!    as a producer in a dataflow query processing system" — here its
-//!    quotient streams through a projection into a consumer that stops
-//!    after the first few results, never materializing the rest.
+//!    quotient streams, a dividend batch at a time, into a consumer that
+//!    stops after the first few results, never materializing the rest.
 //!
 //! ```text
 //! cargo run --example dataflow
 //! ```
 
-use reldiv::core::hash_division::HashDivision;
-use reldiv::exec::filter::{int_equals, Filter};
-use reldiv::exec::op::Operator;
-use reldiv::exec::scan::{load_relation, FileScan};
+use reldiv::core::BatchHashDivision;
+use reldiv::exec::batch::filter::BatchFilter;
+use reldiv::exec::batch::scan::{BatchFileScan, BatchMemScan};
+use reldiv::exec::batch::BatchOperator;
+use reldiv::exec::filter::BatchPredicate;
+use reldiv::exec::scan::load_relation;
 use reldiv::rel::schema::Field;
 use reldiv::rel::tuple::ints;
 use reldiv::rel::{Relation, Schema};
@@ -55,13 +57,13 @@ fn main() {
     // Upstream dataflow: scan -> select grade = 4 -> (sid, cno, grade).
     // Hash-division consumes this stream directly; no sort, no
     // materialization.
-    let graded = Filter::new(
-        Box::new(FileScan::new(
+    let graded = BatchFilter::new(
+        Box::new(BatchFileScan::new(
             storage.clone(),
             transcript_file,
             transcript.schema().clone(),
         )),
-        int_equals(2, 4),
+        BatchPredicate::int_equals(2, 4),
     );
     let spec = DivisionSpec::new(
         transcript.schema(),
@@ -74,27 +76,28 @@ fn main() {
     // work; keeping the grade demonstrates multi-column quotients.)
     let spec = spec.expect("spec validates");
 
-    let mut division = HashDivision::new(
+    let mut division = BatchHashDivision::new(
         Box::new(graded),
-        Box::new(reldiv::exec::scan::MemScan::new(courses)),
+        Box::new(BatchMemScan::new(courses)),
         spec,
         HashDivisionMode::EarlyOut,
         MemoryPool::unbounded(),
     )
     .expect("plan");
 
-    // Downstream consumer: pull just the first 5 quotient tuples, then
-    // stop — the rest of the dividend stream is never consumed.
+    // Downstream consumer: pull quotient batches until 5 students are
+    // out, then stop — the rest of the dividend stream is never consumed.
     division.open().expect("open");
-    let mut first_five = Vec::new();
-    while first_five.len() < 5 {
-        match division.next().expect("next") {
-            Some(t) => first_five.push(t.value(0).as_int().expect("sid")),
-            None => break,
-        }
+    let mut perfect = Vec::new();
+    while perfect.len() < 5 {
+        let Some(batch) = division.next_batch().expect("next") else {
+            break;
+        };
+        let sids = batch.into_tuples().into_iter();
+        perfect.extend(sids.map(|t| t.value(0).as_int().expect("sid")));
     }
     let stats_at_5 = division.stats();
-    println!("first 5 perfect students: {first_five:?}");
+    println!("first 5 perfect students: {:?}", &perfect[..5]);
     println!(
         "candidates tracked when the 5th was produced: {} (of 1000 students)",
         stats_at_5.candidates
@@ -105,9 +108,9 @@ fn main() {
     );
 
     // Drain the rest to check the full answer.
-    let mut total = first_five.len();
-    while division.next().expect("next").is_some() {
-        total += 1;
+    let mut total = perfect.len();
+    while let Some(batch) = division.next_batch().expect("next") {
+        total += batch.len();
     }
     division.close().expect("close");
     let expected = (0..1000).filter(|s| s % 7 != 0).count();

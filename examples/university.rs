@@ -17,11 +17,15 @@
 //! ```
 
 use reldiv::core::api::{divide, DivisionConfig, Source};
-use reldiv::exec::filter::{str_contains, Filter};
-use reldiv::exec::op::collect;
-use reldiv::exec::project::Project;
-use reldiv::exec::scan::{load_relation, FileScan};
+use reldiv::exec::batch::filter::BatchFilter;
+use reldiv::exec::batch::project::BatchProject;
+use reldiv::exec::batch::scan::BatchFileScan;
+use reldiv::exec::batch::BoxedBatchOp;
+use reldiv::exec::filter::BatchPredicate;
+use reldiv::exec::scan::load_relation;
+use reldiv::exec::{collect_batches, CancelToken};
 use reldiv::rel::RecordCodec;
+use reldiv::rel::Relation;
 use reldiv::storage::btree::BTree;
 use reldiv::storage::manager::StorageConfig;
 use reldiv::storage::StorageManager;
@@ -48,34 +52,27 @@ fn main() {
     let storage = StorageManager::shared(StorageConfig::large());
     let courses_file = load_relation(&storage, &u.courses).expect("load courses");
     let transcript_file = load_relation(&storage, &u.transcript).expect("load transcript");
+    let scan_courses = || -> BoxedBatchOp {
+        let schema = u.courses.schema().clone();
+        Box::new(BatchFileScan::new(storage.clone(), courses_file, schema))
+    };
+    let project = |input: BoxedBatchOp, columns: Vec<usize>| -> Relation {
+        let plan = BatchProject::new(input, columns).expect("projection plan");
+        collect_batches(Box::new(plan), CancelToken::none()).expect("projection")
+    };
 
     // Dividend for both queries: π(student-id, course-no)(Transcript).
-    let dividend = collect(Box::new(
-        Project::new(
-            Box::new(FileScan::new(
-                storage.clone(),
-                transcript_file,
-                u.transcript.schema().clone(),
-            )),
-            vec![0, 1],
-        )
-        .expect("projection plan"),
-    ))
-    .expect("project transcript");
+    let dividend = project(
+        Box::new(BatchFileScan::new(
+            storage.clone(),
+            transcript_file,
+            u.transcript.schema().clone(),
+        )),
+        vec![0, 1],
+    );
 
     // ---- Example 1: all courses ----------------------------------------
-    let all_courses = collect(Box::new(
-        Project::new(
-            Box::new(FileScan::new(
-                storage.clone(),
-                courses_file,
-                u.courses.schema().clone(),
-            )),
-            vec![0],
-        )
-        .expect("projection plan"),
-    ))
-    .expect("project courses");
+    let all_courses = project(scan_courses(), vec![0]);
     let dspec =
         DivisionSpec::trailing_divisor(dividend.schema(), all_courses.schema()).expect("spec");
     let q1 = divide(
@@ -106,21 +103,11 @@ fn main() {
 
     // ---- Example 2: all *database* courses ------------------------------
     // σ(title contains "database") then π(course-no) — a real plan.
-    let db_courses = collect(Box::new(
-        Project::new(
-            Box::new(Filter::new(
-                Box::new(FileScan::new(
-                    storage.clone(),
-                    courses_file,
-                    u.courses.schema().clone(),
-                )),
-                str_contains(1, "database"),
-            )),
-            vec![0],
-        )
-        .expect("projection plan"),
-    ))
-    .expect("select database courses");
+    let database = BatchPredicate::str_contains(1, "database");
+    let db_courses = project(
+        Box::new(BatchFilter::new(scan_courses(), database)),
+        vec![0],
+    );
     println!(
         "\nexample 2 — divisor after selection: {} database courses",
         db_courses.cardinality()

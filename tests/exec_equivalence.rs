@@ -4,8 +4,13 @@
 //! matches the engine.
 
 use proptest::prelude::*;
+use reldiv::exec::batch::join::BatchMergeSemiJoin;
+use reldiv::exec::batch::scan::BatchMemScan;
+use reldiv::exec::batch::{collect_batches, BoxedBatchOp};
+use reldiv::exec::cancel::CancelToken;
+use reldiv::exec::hash_join::BatchHashJoin;
 use reldiv::exec::index_join::{build_index, IndexJoin};
-use reldiv::exec::merge_join::{JoinMode, MergeJoin};
+use reldiv::exec::merge_join::JoinMode;
 use reldiv::exec::op::{collect, Operator};
 use reldiv::exec::scan::{load_relation, MemScan};
 use reldiv::exec::sort::{Sort, SortConfig, SortMode};
@@ -26,8 +31,9 @@ fn rel2(name_a: &str, name_b: &str, rows: &[(i64, i64)]) -> Relation {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Merge join, hash join, and index join produce the same bag of
-    /// results on arbitrary inputs (both Inner and LeftSemi).
+    /// Hash join and index join produce the same bag of results on
+    /// arbitrary inputs (both Inner and LeftSemi), and so does the merge
+    /// semi-join where it applies.
     #[test]
     fn three_join_implementations_agree(
         outer in prop::collection::vec((0i64..12, 0i64..100), 0..60),
@@ -35,35 +41,22 @@ proptest! {
     ) {
         let outer_rel = rel2("k", "x", &outer);
         let inner_rel = rel2("k", "y", &inner);
+        let scan = |rel: &Relation| -> BoxedBatchOp { Box::new(BatchMemScan::new(rel.clone())) };
         for mode in [JoinMode::Inner, JoinMode::LeftSemi] {
-            // Merge join needs sorted inputs.
-            let mut sorted_outer = outer_rel.clone();
-            sorted_outer.sort_by_keys(&[0, 1]);
-            let mut sorted_inner = inner_rel.clone();
-            sorted_inner.sort_by_keys(&[0, 1]);
-            let mj = collect(Box::new(
-                MergeJoin::new(
-                    Box::new(MemScan::new(sorted_outer)),
-                    Box::new(MemScan::new(sorted_inner)),
-                    vec![0],
-                    vec![0],
-                    mode,
-                )
-                .expect("merge join plan"),
-            ))
-            .expect("merge join run");
-
-            let hj = collect(Box::new(
-                reldiv::exec::hash_join::HashJoin::new(
-                    Box::new(MemScan::new(outer_rel.clone())),
-                    Box::new(MemScan::new(inner_rel.clone())),
-                    vec![0],
-                    vec![0],
-                    mode,
-                )
-                .expect("hash join plan")
-                .with_pool(MemoryPool::unbounded()),
-            ))
+            let hj = collect_batches(
+                Box::new(
+                    BatchHashJoin::new(
+                        scan(&outer_rel),
+                        scan(&inner_rel),
+                        vec![0],
+                        vec![0],
+                        mode,
+                        MemoryPool::unbounded(),
+                    )
+                    .expect("hash join plan"),
+                ),
+                CancelToken::none(),
+            )
             .expect("hash join run");
 
             let storage = StorageManager::shared(StorageConfig::large());
@@ -82,8 +75,22 @@ proptest! {
             ))
             .expect("index join run");
 
-            prop_assert_eq!(mj.bag_counts(), hj.bag_counts(), "merge vs hash, {:?}", mode);
             prop_assert_eq!(hj.bag_counts(), ij.bag_counts(), "hash vs index, {:?}", mode);
+            if mode == JoinMode::LeftSemi {
+                // The merge semi-join needs sorted inputs.
+                let (mut sorted_outer, mut sorted_inner) = (outer_rel.clone(), inner_rel.clone());
+                sorted_outer.sort_by_keys(&[0, 1]);
+                sorted_inner.sort_by_keys(&[0, 1]);
+                let mj = BatchMergeSemiJoin::new(
+                    scan(&sorted_outer),
+                    scan(&sorted_inner),
+                    vec![0],
+                    vec![0],
+                )
+                .expect("merge join plan");
+                let mj = collect_batches(Box::new(mj), CancelToken::none()).expect("merge join run");
+                prop_assert_eq!(mj.bag_counts(), hj.bag_counts(), "merge vs hash");
+            }
         }
     }
 
