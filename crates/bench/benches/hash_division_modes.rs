@@ -4,8 +4,8 @@
 //!   counter-only) — measuring what the bit maps cost,
 //! * the generic in-memory API against the engine operator — measuring
 //!   what the storage/operator machinery costs,
-//! * overflow partitioning against in-memory execution when memory is
-//!   ample — measuring the partitioning overhead itself.
+//! * the adaptive hybrid and divisor partitioning against in-memory
+//!   execution when memory is ample — measuring their overhead itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reldiv_core::api::{divide, DivisionConfig, OverflowPolicy, Source};
@@ -118,10 +118,7 @@ fn bench_partitioning_overhead(c: &mut Criterion) {
     .generate(31);
     let policies: Vec<(&str, OverflowPolicy)> = vec![
         ("in_memory", OverflowPolicy::Fail),
-        (
-            "quotient_k4",
-            OverflowPolicy::QuotientPartition { partitions: 4 },
-        ),
+        ("adaptive", OverflowPolicy::Adaptive),
         (
             "divisor_k4",
             OverflowPolicy::DivisorPartition { partitions: 4 },

@@ -33,7 +33,6 @@
 
 use reldiv_bench::{paper_sizes, try_run_division_experiment_checked, Measurement};
 use reldiv_core::api::{divide_with_report, DivisionConfig, OverflowPolicy, Source};
-use reldiv_core::hybrid;
 use reldiv_core::{Algorithm, DegradationReport, DivisionSpec, HashDivisionMode};
 use reldiv_costmodel::{
     compare, CostModel, CostUnits, HybridSizes, PlannedAlgorithm, SizeConfig, UnitComparison,
@@ -112,9 +111,7 @@ fn run_hybrid(
     // The unbudgeted probes calibrate the hybrid itself, which `Auto`
     // enters at once only under a budget.
     let overflow = match budget {
-        None => OverflowPolicy::Adaptive {
-            fanout: hybrid::DEFAULT_FANOUT,
-        },
+        None => OverflowPolicy::Adaptive,
         Some(_) => OverflowPolicy::Auto,
     };
     let config = DivisionConfig {
@@ -168,8 +165,8 @@ impl HybridCell {
 /// boundary at every budget, and — whenever the adaptive hybrid is the
 /// rung that actually produced the answer — on spill volume within a
 /// factor of 2. At starvation budgets the `Auto` ladder may abandon the
-/// hybrid for a static rung, whose abandoned spools dominate the measured
-/// bytes; only the boundary is checked there.
+/// hybrid for divisor partitioning, whose cluster files dominate the
+/// measured bytes; only the boundary is checked there.
 fn validate_hybrid(seed: u64, smoke: bool) -> Vec<HybridCell> {
     let (s, q) = if smoke {
         (25u64, 200u64)
@@ -410,8 +407,8 @@ fn main() {
     // The hybrid budget sweep: the spill formula against measured
     // degradation reports. Boundary mismatches fail the check everywhere;
     // spill volumes off by more than 2x fail it on runs the adaptive
-    // hybrid actually won (when a static ladder rung wins instead, its
-    // abandoned spools dominate the bytes and only the boundary holds).
+    // hybrid actually won (when divisor partitioning wins instead, its
+    // cluster files dominate the bytes and only the boundary holds).
     println!("\nhybrid spill-formula validation:");
     let hybrid_cells = validate_hybrid(seed, smoke);
     let mut hybrid_ok = true;
@@ -431,7 +428,7 @@ fn main() {
             c.measured.spill_bytes,
             c.spill_error() * 100.0,
             if c.measured.degraded && !adaptive_won {
-                "  (static rung won; volume not compared)"
+                "  (divisor partitioning won; volume not compared)"
             } else {
                 ""
             }

@@ -1,20 +1,27 @@
-//! Hash-table overflow behaviour (Section 3.4): cost of hash-division as
-//! the work-memory budget shrinks below the quotient-table size, for both
-//! partitioning strategies and a range of cluster counts.
+//! Hash-table overflow behaviour (Section 3.4): hash-division as the
+//! work-memory budget shrinks below the quotient-table size — in memory,
+//! through the adaptive hybrid (quotient partitioning done dynamically),
+//! and through divisor partitioning into 4 and 16 clusters, whose phases
+//! run the hybrid. Every cell that answers is checked against the
+//! workload's quotient; the process panics on a wrong one.
 //!
 //! ```text
 //! cargo run --release -p reldiv-bench --bin overflow_sweep
 //! ```
+//!
+//! Each cell prints two numbers: real wall time in ms, and the simulated
+//! disk's modeled I/O time in ms (Table 1's weights), kept apart.
 
 use std::time::Instant;
 
 use reldiv_core::api::{divide, DivisionConfig, OverflowPolicy};
 use reldiv_core::{Algorithm, DivisionSpec, HashDivisionMode};
-use reldiv_rel::counters;
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::{IoCostParams, StorageManager};
 use reldiv_workload::WorkloadSpec;
 
+/// One division from cold record files: `(wall ms, modeled I/O ms)`, or
+/// `None` when the policy's resident tables do not fit.
 fn run(
     w: &reldiv_workload::Workload,
     work_memory: usize,
@@ -30,7 +37,6 @@ fn run(
     let s = reldiv_core::api::load_source(&storage, &w.divisor).expect("load");
     storage.borrow_mut().evict_all().expect("cold start");
     storage.borrow_mut().reset_stats();
-    counters::reset();
     let start = Instant::now();
     let result = divide(
         &storage,
@@ -46,19 +52,20 @@ fn run(
             ..Default::default()
         },
     );
-    let cpu_ms = start.elapsed().as_secs_f64() * 1000.0;
+    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     match result {
         Ok(rel) => {
-            assert_eq!(
-                rel.cardinality(),
-                w.expected_quotient.len(),
-                "wrong quotient!"
-            );
-            let io_ms = storage.borrow().io_cost_ms(&IoCostParams::paper());
-            Some((cpu_ms + io_ms, io_ms))
+            let mut got: Vec<i64> = rel
+                .tuples()
+                .iter()
+                .map(|t| t.value(0).as_int().expect("int quotient"))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, w.expected_quotient, "{policy:?}: wrong quotient");
+            Some((wall_ms, storage.borrow().io_cost_ms(&IoCostParams::paper())))
         }
         Err(e) if e.is_memory_exhausted() => None,
-        Err(e) => panic!("unexpected error: {e}"),
+        Err(e) => panic!("{policy:?}: unexpected error: {e}"),
     }
 }
 
@@ -75,40 +82,40 @@ fn main() {
         "workload: |S|=25, |Q|=20000, |R|={} (quotient table needs ~1.5 MB)",
         w.dividend.cardinality()
     );
-    println!(
-        "{:>10} | {:>12} {:>14} {:>14} {:>14} {:>14}",
-        "memory KB", "in-memory", "quotient k=4", "quotient k=16", "divisor k=4", "divisor k=16"
-    );
-    println!("{}", "-".repeat(90));
+    let columns: [(&str, OverflowPolicy); 4] = [
+        ("in-memory", OverflowPolicy::Fail),
+        ("adaptive", OverflowPolicy::Adaptive),
+        (
+            "divisor k=4",
+            OverflowPolicy::DivisorPartition { partitions: 4 },
+        ),
+        (
+            "divisor k=16",
+            OverflowPolicy::DivisorPartition { partitions: 16 },
+        ),
+    ];
+    print!("{:>10} |", "memory KB");
+    for (name, _) in &columns {
+        print!(" {name:>21}");
+    }
+    print!("\n{:>10} |", "");
+    for _ in &columns {
+        print!(" {:>10} {:>10}", "wall ms", "io ms");
+    }
+    println!("\n{}", "-".repeat(12 + 22 * columns.len()));
     for kb in [4096usize, 1024, 512, 256, 128, 64] {
-        let mem = kb * 1024;
-        let cells: Vec<Option<(f64, f64)>> = vec![
-            run(&w, mem, OverflowPolicy::Fail),
-            run(&w, mem, OverflowPolicy::QuotientPartition { partitions: 4 }),
-            run(
-                &w,
-                mem,
-                OverflowPolicy::QuotientPartition { partitions: 16 },
-            ),
-            run(&w, mem, OverflowPolicy::DivisorPartition { partitions: 4 }),
-            run(&w, mem, OverflowPolicy::DivisorPartition { partitions: 16 }),
-        ];
         print!("{kb:>10} |");
-        for c in cells {
-            match c {
-                Some((total, _)) => print!(" {total:>14.0}"),
-                None => print!(" {:>14}", "overflow"),
+        for &(_, policy) in &columns {
+            match run(&w, kb * 1024, policy) {
+                Some((wall, io)) => print!(" {wall:>10.1} {io:>10.0}"),
+                None => print!(" {:>21}", "overflow"),
             }
         }
         println!();
     }
     println!(
-        "\n'overflow' = the strategy's resident tables do not fit the budget \
-         (in-memory needs the full quotient table; quotient partitioning needs \
-         the divisor table plus 1/k of the quotient table)."
-    );
-    println!(
-        "Auto policy picks in-memory when it fits and doubles quotient clusters \
-         otherwise; this sweep shows the costs it chooses between."
+        "\n'overflow' = the in-memory operator's tables do not fit the budget. \
+         wall ms is real time on this host; io ms is the simulated disk's \
+         modeled time for the same run's page transfers."
     );
 }

@@ -64,7 +64,7 @@ fn main() {
          quotient candidates, so hash-division's advantage is in skipping the \
          second dividend pass, not in table size. At 8000 tail groups both \
          hash-based plans outgrow the paper's 100 KB work memory and recover \
-         via their partitioned overflow paths (quotient partitioning for \
-         hash-division, group-hash spilling for the aggregation)."
+         via their overflow paths (the adaptive hybrid for hash-division, \
+         group-hash spilling for the aggregation)."
     );
 }

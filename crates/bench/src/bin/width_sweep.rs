@@ -68,7 +68,7 @@ fn main() {
          their totals grow with the I/O term. The sort-based plans re-write the \
          widened records in every run and merge pass, so they grow several times \
          faster. At width 1024 even 200 quotient keys outgrow the 100 KB pool: \
-         hash-division's Auto policy switches to quotient partitioning (spool + \
+         hash-division's Auto policy falls to the adaptive hybrid (spill + \
          re-read, visible in its I/O column) — and still finishes first."
     );
 }

@@ -7,7 +7,7 @@
 //! | Table 1 & Table 2 | `table2` | prints the cost units and the analytical table, cross-checked against the paper's printed values |
 //! | Table 3 & Table 4 | `table4` | runs all six algorithm columns over the nine size configurations on the simulated storage stack and prints measured-CPU + modeled-I/O and fully deterministic modeled-CPU variants |
 //! | §4.6 speculation | `selectivity_sweep` | non-matching tuples and incomplete groups: where hash-division wins outright |
-//! | §3.4 | `overflow_sweep` | memory-budget sweep across in-memory, quotient-partitioned, and divisor-partitioned hash-division |
+//! | §3.4 | `overflow_sweep` | memory-budget sweep across in-memory, adaptive-hybrid, and divisor-partitioned hash-division; wall time and modeled I/O apart |
 //! | §6 | `parallel_sweep` | shared-nothing scale-out and bit-vector-filter traffic reduction |
 //!
 //! Criterion micro-benchmarks live in `benches/`.

@@ -215,46 +215,29 @@ impl Algorithm {
 pub enum OverflowPolicy {
     /// Surface `MemoryExhausted` to the caller.
     Fail,
-    /// Partition the dividend on the quotient attributes into this many
-    /// clusters; the divisor table stays resident across all phases.
-    QuotientPartition {
-        /// Number of clusters.
-        partitions: usize,
-    },
-    /// Partition both inputs on the divisor attributes; a collection phase
-    /// divides the union of the quotient clusters by the phase numbers.
+    /// Memory-adaptive hybrid hash-division, quotient partitioning done
+    /// dynamically: all quotient partitions start memory-resident, victims
+    /// spill incrementally under pressure and revive when memory frees up,
+    /// skewed groups get a hot-group accumulator, and oversized partitions
+    /// re-partition recursively (see [`crate::hybrid`]). Nothing restarts:
+    /// one pass over the dividend, spilling only what the input needs.
+    Adaptive,
+    /// Partition both inputs on the divisor attributes; each phase runs
+    /// the adaptive hybrid, and a collection phase divides the union of
+    /// the quotient clusters by the phase numbers (see
+    /// [`crate::overflow`]).
     DivisorPartition {
         /// Number of clusters.
         partitions: usize,
-    },
-    /// Combined partitioning (Section 3.4's "combinations of the
-    /// techniques"): divisor partitioning whose phases are themselves
-    /// quotient-partitioned — for inputs where both the divisor and the
-    /// quotient exceed memory.
-    CombinedPartition {
-        /// Number of divisor-attribute clusters.
-        divisor_partitions: usize,
-        /// Number of quotient-attribute clusters per phase.
-        quotient_partitions: usize,
-    },
-    /// Memory-adaptive hybrid hash-division: all quotient partitions start
-    /// memory-resident, victims spill incrementally under pressure and
-    /// revive when memory frees up, skewed groups get a hot-group
-    /// accumulator, and oversized partitions re-partition recursively (see
-    /// [`crate::hybrid`]). Unlike the static rungs, nothing restarts: one
-    /// pass over the dividend, spilling only what the actual input needs.
-    Adaptive {
-        /// Number of quotient-hash partitions (at least 2).
-        fanout: usize,
     },
     /// A ladder whose first rung the query's budget picks. A query with
     /// no `mem_budget` tries the in-memory operator first and falls to
     /// the adaptive hybrid only if the pool runs out; a budgeted query
     /// starts in the adaptive hybrid, whose optimistic phase *is* the
     /// in-memory attempt. If the divisor table itself does not fit — the
-    /// one pressure quotient-side spilling cannot relieve — divisor
-    /// partitioning follows with the cluster count doubling 2 → 256, then
-    /// combined partitioning 4 → 256.
+    /// one pressure quotient-side spilling cannot relieve — or one group
+    /// defeats re-partitioning, divisor partitioning follows with the
+    /// cluster count doubling 2 → 256.
     #[default]
     Auto,
 }
@@ -388,14 +371,7 @@ pub fn divide_profiled(
     Ok((rel, report, sink.finish()))
 }
 
-/// Appends a failure marker to the most recent phase in `report`.
-fn mark_exhausted(report: &mut DegradationReport) {
-    if let Some(last) = report.phases.last_mut() {
-        last.push_str(": memory exhausted");
-    }
-}
-
-/// Appends the adaptive path's failure reason to its last phase.
+/// Appends a rung's failure reason to its last phase.
 fn mark_failed(report: &mut DegradationReport, e: &ExecError) {
     if let Some(last) = report.phases.last_mut() {
         if e.is_recursion_limit() {
@@ -414,8 +390,8 @@ fn mark_failed(report: &mut DegradationReport, e: &ExecError) {
 /// and quotient pressure is absorbed by incremental spilling — then, if the
 /// divisor table itself does not fit (or a quotient group defeats
 /// re-partitioning, the recursion limit), divisor partitioning with the
-/// cluster count doubling 2 → 256, and finally combined partitioning
-/// 4 → 256. Every phase is recorded in `report`.
+/// cluster count doubling 2 → 256, every phase run by the hybrid. Every
+/// rung is recorded in `report`.
 fn hash_division_with_overflow(
     engine: &Engine,
     dividend: &Source,
@@ -441,18 +417,9 @@ fn hash_division_with_overflow(
         );
         engine.collect(engine.hash_division(r, s, spec, mode, pool.clone())?)
     };
-    // Each overflow rung gets its own Partition span: the partitioned
-    // executions run entirely inside overflow.rs, so the span measures the
-    // whole rung (partitioning, phases, collection) as one region.
-    let rung = |label: &str| -> Option<SpanScope> {
-        config
-            .profile
-            .as_ref()
-            .map(|sink| SpanScope::enter(sink, label, SpanKind::Partition, Some(storage.clone())))
-    };
     // The adaptive hybrid opens its own "hash-division (adaptive)" span
     // and records spills/revives.
-    let adaptive = |fanout: usize, report: &mut DegradationReport| -> Result<Relation> {
+    let adaptive = |report: &mut DegradationReport| -> Result<Relation> {
         hybrid::adaptive_hybrid_report(
             storage,
             &pool,
@@ -460,66 +427,37 @@ fn hash_division_with_overflow(
             engine.scan_as(divisor, SCAN_DIVISOR),
             spec,
             mode,
-            fanout,
+            hybrid::DEFAULT_FANOUT,
             cancel,
             config.profile.as_ref(),
             report,
         )
     };
+    // Divisor partitioning gets a Partition span: it runs entirely inside
+    // overflow.rs, so the span measures the whole rung (partitioning,
+    // phases, collection) as one region.
+    let divisor_partitioned = |k: usize, report: &mut DegradationReport| -> Result<Relation> {
+        let label = format!("divisor-partitioned k={k}");
+        let _rung = config
+            .profile
+            .as_ref()
+            .map(|sink| SpanScope::enter(sink, &label, SpanKind::Partition, Some(storage.clone())));
+        report.note_phase(label);
+        overflow::divisor_partitioned_report(
+            storage,
+            &pool,
+            engine.scan_as(dividend, SCAN_DIVIDEND),
+            engine.scan_as(divisor, SCAN_DIVISOR),
+            spec,
+            k,
+            cancel,
+            report,
+        )
+    };
     match config.overflow {
         OverflowPolicy::Fail => in_memory(report),
-        OverflowPolicy::Adaptive { fanout } => adaptive(fanout, report),
-        OverflowPolicy::QuotientPartition { partitions } => {
-            report.note_phase(format!("quotient-partitioned k={partitions}"));
-            let _rung = rung(&format!("quotient-partitioned k={partitions}"));
-            overflow::quotient_partitioned_report(
-                storage,
-                &pool,
-                dividend.scan(storage),
-                divisor.scan(storage),
-                spec,
-                mode,
-                partitions,
-                cancel,
-                report,
-            )
-        }
-        OverflowPolicy::DivisorPartition { partitions } => {
-            report.note_phase(format!("divisor-partitioned k={partitions}"));
-            let _rung = rung(&format!("divisor-partitioned k={partitions}"));
-            overflow::divisor_partitioned_report(
-                storage,
-                &pool,
-                dividend.scan(storage),
-                divisor.scan(storage),
-                spec,
-                partitions,
-                cancel,
-                report,
-            )
-        }
-        OverflowPolicy::CombinedPartition {
-            divisor_partitions,
-            quotient_partitions,
-        } => {
-            report.note_phase(format!(
-                "combined-partitioned dk={divisor_partitions} qk={quotient_partitions}"
-            ));
-            let _rung = rung(&format!(
-                "combined-partitioned dk={divisor_partitions} qk={quotient_partitions}"
-            ));
-            overflow::combined_partitioned_report(
-                storage,
-                &pool,
-                dividend.scan(storage),
-                divisor.scan(storage),
-                spec,
-                divisor_partitions,
-                quotient_partitions,
-                cancel,
-                report,
-            )
-        }
+        OverflowPolicy::Adaptive => adaptive(report),
+        OverflowPolicy::DivisorPartition { partitions } => divisor_partitioned(partitions, report),
         OverflowPolicy::Auto => {
             // Rung 0, unbudgeted queries only: the in-memory operator. A
             // budget says the tables may not fit, and the hybrid's
@@ -528,7 +466,7 @@ fn hash_division_with_overflow(
                 match in_memory(report) {
                     Ok(rel) => return Ok(rel),
                     Err(e) if e.is_memory_exhausted() => {
-                        mark_exhausted(report);
+                        mark_failed(report, &e);
                         report.note_retry();
                     }
                     Err(e) => return Err(e),
@@ -538,73 +476,24 @@ fn hash_division_with_overflow(
             // in-memory attempt; quotient-table pressure is absorbed by
             // incremental spilling, so it only fails when the divisor
             // table itself does not fit or a single quotient group defeats
-            // re-partitioning (the recursion limit).
-            let mut last = match adaptive(hybrid::DEFAULT_FANOUT, report) {
-                Ok(rel) => return Ok(rel),
-                Err(e) if e.is_memory_exhausted() || e.is_recursion_limit() => {
-                    mark_failed(report, &e);
-                    e
-                }
-                Err(e) => return Err(e),
-            };
-            // Rung 2: the divisor table does not fit — partition it.
+            // re-partitioning (the recursion limit). Then the divisor is
+            // partitioned, into ever more clusters: each phase holds a
+            // smaller divisor table and narrower bit maps.
+            let mut attempt = adaptive(report);
             let mut k = 2usize;
-            while k <= 256 {
-                report.note_retry();
-                report.note_phase(format!("divisor-partitioned k={k}"));
-                let attempt = {
-                    let _rung = rung(&format!("divisor-partitioned k={k}"));
-                    overflow::divisor_partitioned_report(
-                        storage,
-                        &pool,
-                        dividend.scan(storage),
-                        divisor.scan(storage),
-                        spec,
-                        k,
-                        cancel,
-                        report,
-                    )
-                };
-                match attempt {
-                    Ok(rel) => return Ok(rel),
-                    Err(e) if e.is_memory_exhausted() => {
-                        mark_exhausted(report);
-                        last = e;
-                        k *= 2;
-                    }
-                    Err(e) => return Err(e),
+            while let Err(e) = &attempt {
+                if !(e.is_memory_exhausted() || e.is_recursion_limit()) {
+                    break;
                 }
-            }
-            // Rung 3: both tables are too large — combine the strategies.
-            let mut k = 4usize;
-            while k <= 256 {
-                report.note_retry();
-                report.note_phase(format!("combined-partitioned dk={k} qk={k}"));
-                let attempt = {
-                    let _rung = rung(&format!("combined-partitioned dk={k} qk={k}"));
-                    overflow::combined_partitioned_report(
-                        storage,
-                        &pool,
-                        dividend.scan(storage),
-                        divisor.scan(storage),
-                        spec,
-                        k,
-                        k,
-                        cancel,
-                        report,
-                    )
-                };
-                match attempt {
-                    Ok(rel) => return Ok(rel),
-                    Err(e) if e.is_memory_exhausted() => {
-                        mark_exhausted(report);
-                        last = e;
-                        k *= 2;
-                    }
-                    Err(e) => return Err(e),
+                mark_failed(report, e);
+                if k > 256 {
+                    break;
                 }
+                report.note_retry();
+                attempt = divisor_partitioned(k, report);
+                k *= 2;
             }
-            Err(last)
+            attempt
         }
     }
 }
@@ -1202,7 +1091,7 @@ mod tests {
                 mode: HashDivisionMode::Standard,
             },
             &DivisionConfig {
-                overflow: OverflowPolicy::Adaptive { fanout: 8 },
+                overflow: OverflowPolicy::Adaptive,
                 ..Default::default()
             },
         )
@@ -1512,41 +1401,5 @@ mod planner_tests {
         let alg = Algorithm::recommend(2, 2, Some(3), true, false);
         let q = divide_relations(&dividend, &divisor, alg).unwrap();
         assert_eq!(q.cardinality(), 1);
-    }
-
-    #[test]
-    fn combined_partition_policy_runs_through_divide() {
-        let dividend = Relation::from_tuples(
-            Schema::new(vec![Field::int("q"), Field::int("d")]),
-            (0..200)
-                .flat_map(|q| (0..4).map(move |d| ints(&[q, d])))
-                .collect(),
-        )
-        .unwrap();
-        let divisor = Relation::from_tuples(
-            Schema::new(vec![Field::int("d")]),
-            (0..4).map(|d| ints(&[d])).collect(),
-        )
-        .unwrap();
-        let storage = StorageManager::shared(StorageConfig::large());
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let q = divide(
-            &storage,
-            &Source::from_relation(&dividend),
-            &Source::from_relation(&divisor),
-            &spec,
-            Algorithm::HashDivision {
-                mode: HashDivisionMode::Standard,
-            },
-            &DivisionConfig {
-                overflow: OverflowPolicy::CombinedPartition {
-                    divisor_partitions: 3,
-                    quotient_partitions: 4,
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(q.cardinality(), 200);
     }
 }

@@ -3,8 +3,9 @@
 //! The paper's Section 3.4 overflow story is a *static* ladder: a
 //! partitioning mode and cluster count are chosen up front (from size
 //! estimates) and the whole division restarts on every rung. This module
-//! replaces the quotient-side rungs with a *dynamic* hybrid in the style
-//! of robust dynamic hybrid hash-join:
+//! is quotient partitioning done *dynamically*, in the style of robust
+//! dynamic hybrid hash-join — the one quotient-side overflow mechanism;
+//! [`crate::overflow`]'s divisor partitioning runs it for every phase:
 //!
 //! * **Optimistic start.** The dividend is routed into `fanout` quotient
 //!   partitions, all memory-resident. A division that fits never touches
@@ -94,6 +95,53 @@ fn splitmix64(mut x: u64) -> u64 {
 /// spread evenly.
 fn route(h: u64, level: u32, fanout: usize) -> usize {
     (splitmix64(h ^ u64::from(level).wrapping_mul(0xA076_1D64_78BD_642F)) as usize) % fanout
+}
+
+/// Appends every row of `batch` to the file of its cluster, `cluster(h)`
+/// of its hash `h` on `keys` (`< clusters`): one `hash_rows` for the
+/// batch, then per cluster that got rows one `gather`, `encode_records`
+/// and `append_records` into `file(cluster)`, in cluster order. `records`
+/// is scratch, empty between calls. Returns the bytes written.
+pub(crate) fn scatter(
+    storage: &StorageRef,
+    batch: &Batch,
+    keys: &[usize],
+    clusters: usize,
+    cluster: impl Fn(u64) -> usize,
+    mut file: impl FnMut(&mut StorageManager, usize) -> FileId,
+    records: &mut Vec<u8>,
+) -> Result<u64> {
+    let mut routed = vec![Vec::new(); clusters];
+    for (row, h) in batch.hash_rows(keys).into_iter().enumerate() {
+        routed[cluster(h)].push(row);
+    }
+    let (width, mut bytes) = (batch.schema().record_width(), 0);
+    let mut sm = storage.borrow_mut();
+    for (c, rows) in routed
+        .iter()
+        .enumerate()
+        .filter(|(_, rows)| !rows.is_empty())
+    {
+        batch.gather(rows).encode_records(records)?;
+        let file = file(&mut sm, c);
+        Appender::new(file).append_records(&mut sm, records, width)?;
+        bytes += records.len() as u64;
+        records.clear();
+    }
+    Ok(bytes)
+}
+
+/// The file in `slot`, created — and noted in `created` — on first use.
+fn spill_file(
+    sm: &mut StorageManager,
+    slot: &mut Option<FileId>,
+    created: &mut Vec<FileId>,
+) -> FileId {
+    *slot.get_or_insert_with(|| {
+        let file = sm.create_file(StorageManager::DATA_DISK);
+        created.push(file);
+        file
+    })
 }
 
 /// One quotient group: candidate tuple plus its bit map (or counter).
@@ -317,11 +365,7 @@ impl<'a> Hybrid<'a> {
             return Ok(0);
         }
         let mut sm = self.storage.borrow_mut();
-        let file = *files[kind].get_or_insert_with(|| {
-            let file = sm.create_file(StorageManager::DATA_DISK);
-            self.created.push(file);
-            file
-        });
+        let file = spill_file(&mut sm, &mut files[kind], &mut self.created);
         let width = self.layouts[kind].record_width();
         Appender::new(file).append_records(&mut sm, &self.records, width)?;
         let bytes = self.records.len() as u64;
@@ -601,21 +645,23 @@ impl<'a> Hybrid<'a> {
     ) -> Result<Vec<SpillFiles>> {
         let _span = self.span(format!("repartition level={level}"), SpanKind::Spill);
         let mut subs = vec![SpillFiles::default(); self.fanout];
+        let fanout = self.fanout;
         for (kind, file) in files.into_iter().enumerate() {
             for i in 0.. {
                 let Some(page) = self.read_page(file, kind, i)? else {
                     break;
                 };
-                let mut routed = vec![Vec::new(); self.fanout];
-                for (row, h) in page.hash_rows(&self.qcols).into_iter().enumerate() {
-                    self.cancel.checkpoint(&mut self.budget)?;
-                    routed[route(h, level, self.fanout)].push(row);
-                }
-                let routed = subs.iter_mut().zip(&routed);
-                for (sub, rows) in routed.filter(|(_, rows)| !rows.is_empty()) {
-                    page.gather(rows).encode_records(&mut self.records)?;
-                    report.respool_bytes += self.write(sub, kind)?;
-                }
+                self.cancel.check()?;
+                let created = &mut self.created;
+                report.respool_bytes += scatter(
+                    self.storage,
+                    &page,
+                    &self.qcols,
+                    fanout,
+                    |h| route(h, level, fanout),
+                    |sm, sub| spill_file(sm, &mut subs[sub][kind], created),
+                    &mut self.records,
+                )?;
             }
         }
         Ok(subs)
@@ -785,8 +831,8 @@ impl<'a> Hybrid<'a> {
 /// Memory-adaptive hybrid hash-division with spill accounting into
 /// `report` and optional profiling.
 ///
-/// The divisor table must fit in the pool (as with quotient partitioning,
-/// "the divisor table must be kept in main memory during all phases");
+/// The divisor table must fit in the pool ("the divisor table must be
+/// kept in main memory during all phases" of quotient partitioning);
 /// `MemoryExhausted` from its build is the caller's cue to partition the
 /// divisor instead.
 #[allow(clippy::too_many_arguments)] // the full division context

@@ -25,9 +25,10 @@
 //!   quotient candidate,
 //! * [`spec`] — [`DivisionSpec`], naming which dividend columns are
 //!   divisor attributes and which are quotient attributes,
-//! * [`overflow`] — hash-table overflow handling by quotient partitioning
-//!   and divisor partitioning, including the collection phase (Section
-//!   3.4),
+//! * [`hybrid`] — hash-table overflow handling by quotient partitioning,
+//!   done dynamically: the memory-adaptive hybrid (Section 3.4),
+//! * [`overflow`] — divisor partitioning with the collection phase, every
+//!   phase run by the hybrid (Section 3.4),
 //! * [`batch_div`] — the batch-at-a-time hash-division operator every
 //!   plan runs, byte-identical to the tuple-at-a-time
 //!   [`hash_division::HashDivision`] it is tested against,

@@ -1,324 +1,56 @@
-//! Hash-table overflow handling (Section 3.4).
+//! Hash-table overflow handling (Section 3.4): divisor partitioning.
 //!
 //! "If the available memory is not sufficient for divisor table and
 //! quotient table, the input data must be partitioned into disjoint
 //! subsets called clusters that can be processed in multiple phases."
 //!
-//! * [`quotient_partitioned`] — the dividend is partitioned on the
-//!   quotient attributes; each phase divides one dividend cluster by the
-//!   *entire* divisor (the divisor table stays resident across phases);
-//!   the quotient is the concatenation of the per-phase quotients. The
-//!   first cluster is processed in memory while the others are spooled,
-//!   in the style of hybrid hash-join.
-//! * [`divisor_partitioned`] — both inputs are partitioned on the divisor
-//!   attributes with the same function; each phase is a complete
-//!   hash-division producing a quotient cluster tagged with its phase
-//!   number; a final **collection phase** divides the union of the
-//!   clusters by the set of phase numbers — "this problem is exactly the
-//!   division problem again", and the phase number replaces the divisor
-//!   number, so the collection phase skips step 1.
+//! Quotient partitioning — the dividend partitioned on the quotient
+//! attributes, the divisor table resident across the phases — is the
+//! adaptive hybrid ([`crate::hybrid`]), which partitions dynamically and
+//! spills only what the input needs. What it cannot relieve is a divisor
+//! table that does not fit. [`divisor_partitioned_report`] partitions both
+//! inputs on the divisor attributes with the same function; each phase is
+//! a complete hash-division producing a quotient cluster tagged with its
+//! phase number; a final **collection phase** divides the union of the
+//! clusters by the set of phase numbers — "this problem is exactly the
+//! division problem again", and the phase number replaces the divisor
+//! number.
 //!
-//! Both strategies process clusters through temporary record files, whose
-//! pages often never leave the buffer pool.
+//! Every phase, the collection included, runs the hybrid, so a phase whose
+//! quotient table outgrows memory spills incrementally: the paper's
+//! "combinations of the techniques", for a divisor and a quotient that both
+//! exceed memory. The inputs are partitioned a batch at a time into
+//! temporary record files, which the phases read back a page at a time.
 
-use reldiv_exec::batch::scan::{BatchFileScan, BatchMemScan};
+use reldiv_exec::batch::scan::BatchMemScan;
+use reldiv_exec::batch::{drain_batches, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
-use reldiv_exec::op::BoxedOp;
-use reldiv_rel::{RecordCodec, Relation, Schema, Tuple, Value};
-use reldiv_storage::file::ScanCursor;
+use reldiv_rel::column::ColumnVec;
+use reldiv_rel::schema::Field;
+use reldiv_rel::{Batch, Relation, Schema, Tuple, Value};
+use reldiv_storage::file::Appender;
 use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
 
-use crate::hash_division::{DivisorTable, HashDivisionMode, QuotientTable};
-use crate::hybrid::{adaptive_hybrid_report, DEFAULT_FANOUT};
+use crate::api::Source;
+use crate::hash_division::HashDivisionMode;
+use crate::hybrid::{adaptive_hybrid_report, scatter, DEFAULT_FANOUT};
 use crate::report::DegradationReport;
 use crate::spec::DivisionSpec;
 use crate::{ExecError, Result};
 
-/// Spools tuples into per-cluster temporary files, counting spilled bytes.
-struct ClusterWriter {
-    codec: RecordCodec,
-    files: Vec<FileId>,
-    buf: Vec<u8>,
-    spilled: u64,
-}
-
-impl ClusterWriter {
-    fn new(storage: &StorageRef, schema: Schema, clusters: usize) -> Self {
-        let mut sm = storage.borrow_mut();
-        let files = (0..clusters)
-            .map(|_| sm.create_file(StorageManager::DATA_DISK))
-            .collect();
-        ClusterWriter {
-            codec: RecordCodec::new(schema),
-            files,
-            buf: Vec::new(),
-            spilled: 0,
-        }
-    }
-
-    fn write(&mut self, storage: &StorageRef, cluster: usize, t: &Tuple) -> Result<()> {
-        self.buf.clear();
-        self.codec.encode_into(t, &mut self.buf)?;
-        self.spilled += self.buf.len() as u64;
-        storage
-            .borrow_mut()
-            .append(self.files[cluster], &self.buf)?;
-        Ok(())
-    }
-
-    fn delete_all(&self, storage: &StorageRef) -> Result<()> {
-        let mut sm = storage.borrow_mut();
-        for &f in &self.files {
-            sm.delete_file(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// Reads one cluster file back, tuple at a time.
-fn for_each_record(
-    storage: &StorageRef,
-    file: FileId,
-    codec: &RecordCodec,
-    mut f: impl FnMut(Tuple) -> Result<()>,
-) -> Result<()> {
-    let mut cursor = ScanCursor::new(file);
-    loop {
-        let next = {
-            let mut sm = storage.borrow_mut();
-            cursor.next(&mut sm)?
-        };
-        match next {
-            Some((_, record)) => f(codec.decode(record)?)?,
-            None => return Ok(()),
-        }
-    }
-}
-
-/// Hash-division with quotient partitioning.
+/// Hash-division with divisor partitioning into `partitions` clusters and
+/// a collection phase, under `pool`, with cooperative cancellation.
 ///
-/// `partitions` must be at least 2 (one resident cluster + spooled ones);
-/// the divisor table must fit in memory — quotient partitioning only
-/// relieves quotient-table pressure ("the divisor table must be kept in
-/// main memory during all phases").
-pub fn quotient_partitioned(
-    storage: &StorageRef,
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: &DivisionSpec,
-    mode: HashDivisionMode,
-    partitions: usize,
-) -> Result<Relation> {
-    let mut report = DegradationReport::new();
-    let pool = storage.borrow().memory();
-    quotient_partitioned_report(
-        storage,
-        &pool,
-        dividend,
-        divisor,
-        spec,
-        mode,
-        partitions,
-        CancelToken::none(),
-        &mut report,
-    )
-}
-
-/// [`quotient_partitioned`] with an explicit memory pool (per-query
-/// budgets use a child pool), cooperative cancellation, and spill
-/// accounting into `report`.
-#[allow(clippy::too_many_arguments)] // mirrors quotient_partitioned + context
-pub fn quotient_partitioned_report(
-    storage: &StorageRef,
-    pool: &MemoryPool,
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: &DivisionSpec,
-    mode: HashDivisionMode,
-    partitions: usize,
-    cancel: CancelToken,
-    report: &mut DegradationReport,
-) -> Result<Relation> {
-    quotient_partitioned_impl(
-        storage, pool, dividend, divisor, spec, mode, partitions, cancel, report, false,
-    )
-}
-
-/// The shared implementation. `respool` routes the cluster-file bytes to
-/// `report.respool_bytes` instead of `spill_bytes` — combined partitioning
-/// uses it for its inner per-phase divisions, whose inputs are cluster
-/// files that were already counted when first spooled (double-counting
-/// them as fresh spills was a long-standing accounting bug).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quotient_partitioned_impl(
-    storage: &StorageRef,
-    pool: &MemoryPool,
-    mut dividend: BoxedOp,
-    mut divisor: BoxedOp,
-    spec: &DivisionSpec,
-    mode: HashDivisionMode,
-    partitions: usize,
-    cancel: CancelToken,
-    report: &mut DegradationReport,
-    respool: bool,
-) -> Result<Relation> {
-    if partitions < 2 {
-        return Err(ExecError::Plan(
-            "quotient partitioning needs >= 2 clusters".into(),
-        ));
-    }
-    spec.validate(dividend.schema(), divisor.schema())?;
-    let quotient_schema = spec.quotient_schema(dividend.schema())?;
-
-    // Step 1 once: the divisor table is resident for every phase. Built
-    // before any temporary file exists, so its exhaustion leaks nothing.
-    let dt = DivisorTable::build(&mut divisor, pool)?;
-
-    let mut writer = ClusterWriter::new(storage, dividend.schema().clone(), partitions - 1);
-    let outcome = quotient_partitioned_phases(
-        storage,
-        pool,
-        &mut dividend,
-        &dt,
-        spec,
-        mode,
-        partitions,
-        cancel,
-        &mut writer,
-        &quotient_schema,
-    );
-    // Spooled bytes are accounted and the temporary cluster files deleted
-    // whether the rung succeeded or was abandoned mid-phase: an abandoned
-    // rung used to leak both the files and the byte count.
-    if respool {
-        report.respool_bytes += writer.spilled;
-    } else {
-        report.spill_bytes += writer.spilled;
-    }
-    let cleanup = writer.delete_all(storage);
-    let result = outcome?;
-    cleanup?;
-    Ok(result)
-}
-
-/// Streaming + per-cluster phases of quotient partitioning, separated so
-/// the caller can account and clean up on every exit path.
-#[allow(clippy::too_many_arguments)]
-fn quotient_partitioned_phases(
-    storage: &StorageRef,
-    pool: &MemoryPool,
-    dividend: &mut BoxedOp,
-    dt: &DivisorTable,
-    spec: &DivisionSpec,
-    mode: HashDivisionMode,
-    partitions: usize,
-    cancel: CancelToken,
-    writer: &mut ClusterWriter,
-    quotient_schema: &Schema,
-) -> Result<Relation> {
-    let lookup = |t: &Tuple| -> Option<Option<u32>> {
-        if dt.count() == 0 {
-            Some(None) // empty divisor: vacuously matched
-        } else {
-            dt.lookup(t, &spec.divisor_keys).map(Some)
-        }
-    };
-
-    let mut result = Relation::empty(quotient_schema.clone());
-    let emit = |qt: &mut QuotientTable, result: &mut Relation| -> Result<()> {
-        while let Some(t) = qt.next_complete() {
-            result.push(t).map_err(ExecError::from)?;
-        }
-        Ok(())
-    };
-
-    // Cluster 0 is processed while the dividend streams (hybrid style);
-    // clusters 1..k are spooled on the quotient-attribute hash.
-    let mut resident = QuotientTable::new(
-        pool,
-        mode,
-        dt.count(),
-        spec.quotient_keys.clone(),
-        quotient_schema.record_width(),
-    )?;
-    let mut budget = 0u32;
-    dividend.open()?;
-    while let Some(t) = dividend.next()? {
-        cancel.checkpoint(&mut budget)?;
-        let cluster = (t.hash_on(&spec.quotient_keys) as usize) % partitions;
-        if cluster == 0 {
-            if let Some(dno) = lookup(&t) {
-                if let Some(q) = resident.absorb(&t, dno)? {
-                    result.push(q).map_err(ExecError::from)?;
-                }
-            }
-        } else {
-            writer.write(storage, cluster - 1, &t)?;
-        }
-    }
-    dividend.close()?;
-    emit(&mut resident, &mut result)?;
-    drop(resident);
-
-    // Remaining phases: one spooled cluster at a time against the
-    // resident divisor table.
-    let codec = writer.codec.clone();
-    for i in 0..partitions - 1 {
-        let mut qt = QuotientTable::new(
-            pool,
-            mode,
-            dt.count(),
-            spec.quotient_keys.clone(),
-            quotient_schema.record_width(),
-        )?;
-        let mut early: Vec<Tuple> = Vec::new();
-        for_each_record(storage, writer.files[i], &codec, |t| {
-            cancel.checkpoint(&mut budget)?;
-            if let Some(dno) = lookup(&t) {
-                if let Some(q) = qt.absorb(&t, dno)? {
-                    early.push(q);
-                }
-            }
-            Ok(())
-        })?;
-        for q in early {
-            result.push(q).map_err(ExecError::from)?;
-        }
-        emit(&mut qt, &mut result)?;
-    }
-    Ok(result)
-}
-
-/// Hash-division with divisor partitioning and a collection phase.
-pub fn divisor_partitioned(
-    storage: &StorageRef,
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: &DivisionSpec,
-    partitions: usize,
-) -> Result<Relation> {
-    let mut report = DegradationReport::new();
-    let pool = storage.borrow().memory();
-    divisor_partitioned_report(
-        storage,
-        &pool,
-        dividend,
-        divisor,
-        spec,
-        partitions,
-        CancelToken::none(),
-        &mut report,
-    )
-}
-
-/// [`divisor_partitioned`] with an explicit memory pool, cooperative
-/// cancellation, and spill accounting into `report`.
-#[allow(clippy::too_many_arguments)] // mirrors divisor_partitioned + context
+/// Accounting into `report`: the cluster files and the collection records
+/// are first-time spills (`spill_bytes`), counted as they are written,
+/// whether or not the rung then succeeds. What a phase's hybrid writes
+/// re-clusters records already in those files, so it is `respool_bytes`.
+#[allow(clippy::too_many_arguments)] // the full division context
 pub fn divisor_partitioned_report(
     storage: &StorageRef,
     pool: &MemoryPool,
-    mut dividend: BoxedOp,
-    mut divisor: BoxedOp,
+    dividend: BoxedBatchOp,
+    divisor: BoxedBatchOp,
     spec: &DivisionSpec,
     partitions: usize,
     cancel: CancelToken,
@@ -330,146 +62,112 @@ pub fn divisor_partitioned_report(
         ));
     }
     spec.validate(dividend.schema(), divisor.schema())?;
-    let quotient_schema = spec.quotient_schema(dividend.schema())?;
-
-    let mut divisor_writer = ClusterWriter::new(storage, divisor.schema().clone(), partitions);
-    let mut dividend_writer = ClusterWriter::new(storage, dividend.schema().clone(), partitions);
-    let collection_file = storage.borrow_mut().create_file(StorageManager::DATA_DISK);
-    let mut collection_spilled = 0u64;
-    let outcome = divisor_partitioned_phases(
-        storage,
-        pool,
-        &mut dividend,
-        &mut divisor,
-        spec,
-        partitions,
-        cancel,
-        &quotient_schema,
-        &mut divisor_writer,
-        &mut dividend_writer,
-        collection_file,
-        &mut collection_spilled,
-        report,
+    // A divisor and a dividend file per cluster, then the collection file.
+    let files: Vec<FileId> = {
+        let mut sm = storage.borrow_mut();
+        (0..=2 * partitions)
+            .map(|_| sm.create_file(StorageManager::DATA_DISK))
+            .collect()
+    };
+    let outcome = phases(
+        storage, pool, dividend, divisor, spec, &files, cancel, report,
     );
-    // Spooled bytes (cluster files + the collection file) are accounted
-    // and the temporaries deleted on every exit path — a phase abandoned
-    // by memory exhaustion used to leak all three files and report none
-    // of the bytes it had already written.
-    report.spill_bytes += divisor_writer.spilled + dividend_writer.spilled + collection_spilled;
-    let cleanup_divisor = divisor_writer.delete_all(storage);
-    let cleanup_dividend = dividend_writer.delete_all(storage);
-    let cleanup_collection = storage.borrow_mut().delete_file(collection_file);
+    // The temporaries are deleted on every exit path, the first failure to
+    // delete one reported after the division's own error.
+    let mut sm = storage.borrow_mut();
+    let mut cleanup = Ok(());
+    for &file in &files {
+        cleanup = cleanup.and(sm.delete_file(file));
+    }
     let result = outcome?;
-    cleanup_divisor?;
-    cleanup_dividend?;
-    cleanup_collection?;
+    cleanup?;
     Ok(result)
 }
 
-/// The phases of divisor partitioning, separated so the caller can
-/// account and clean up on every exit path.
+/// Partitioning, the phases and the collection phase over `files`,
+/// separated so the caller deletes them on every exit path.
 #[allow(clippy::too_many_arguments)]
-fn divisor_partitioned_phases(
+fn phases(
     storage: &StorageRef,
     pool: &MemoryPool,
-    dividend: &mut BoxedOp,
-    divisor: &mut BoxedOp,
+    dividend: BoxedBatchOp,
+    divisor: BoxedBatchOp,
     spec: &DivisionSpec,
-    partitions: usize,
+    files: &[FileId],
     cancel: CancelToken,
-    quotient_schema: &Schema,
-    divisor_writer: &mut ClusterWriter,
-    dividend_writer: &mut ClusterWriter,
-    collection_file: FileId,
-    collection_spilled: &mut u64,
     report: &mut DegradationReport,
 ) -> Result<Relation> {
-    // Partition the divisor and the dividend with the same function
-    // applied to the divisor attributes.
-    let divisor_all = spec.divisor_all_columns();
-    let mut divisor_cluster_sizes = vec![0u64; partitions];
-    let mut budget = 0u32;
-    divisor.open()?;
-    while let Some(t) = divisor.next()? {
-        cancel.checkpoint(&mut budget)?;
-        let cluster = (t.hash_on(&divisor_all) as usize) % partitions;
-        divisor_cluster_sizes[cluster] += 1;
-        divisor_writer.write(storage, cluster, &t)?;
-    }
-    divisor.close()?;
+    let k = files.len() / 2;
+    let (divisor_files, dividend_files, collection) = (&files[..k], &files[k..2 * k], files[2 * k]);
+    let schemas = [divisor.schema().clone(), dividend.schema().clone()];
+    let quotient_schema = spec.quotient_schema(&schemas[1])?;
 
-    dividend.open()?;
-    while let Some(t) = dividend.next()? {
-        cancel.checkpoint(&mut budget)?;
-        let cluster = (t.hash_on(&spec.divisor_keys) as usize) % partitions;
-        dividend_writer.write(storage, cluster, &t)?;
-    }
-    dividend.close()?;
-
-    // The quotient clusters, tagged with dense phase numbers, spooled to a
-    // collection file with schema (quotient..., phase).
-    let mut collection_schema_fields = quotient_schema.fields().to_vec();
-    collection_schema_fields.push(reldiv_rel::schema::Field::int("phase"));
-    let collection_schema = Schema::new(collection_schema_fields);
-    let collection_codec = RecordCodec::new(collection_schema.clone());
-
-    let empty_divisor = divisor_cluster_sizes.iter().all(|&n| n == 0);
-    let mut phase_count: u32 = 0;
-    let divisor_codec = divisor_writer.codec.clone();
-    let dividend_codec = dividend_writer.codec.clone();
-    let mut spool_q = |q: Tuple, phase: u32| -> Result<()> {
-        let mut vals = q.into_values();
-        vals.push(reldiv_rel::Value::Int(phase as i64));
-        let record = collection_codec.encode(&Tuple::new(vals))?;
-        *collection_spilled += record.len() as u64;
-        storage.borrow_mut().append(collection_file, &record)?;
-        Ok(())
-    };
-
-    #[allow(clippy::needless_range_loop)] // i indexes three parallel arrays
-    for i in 0..partitions {
-        if divisor_cluster_sizes[i] == 0 && !empty_divisor {
-            // A phase with no divisor tuples imposes no constraint; its
-            // dividend tuples can match nothing and are dropped.
-            continue;
-        }
-        // Phase i: a complete hash-division of cluster i.
-        let dt = if divisor_cluster_sizes[i] == 0 {
-            None // empty-divisor special case: distinct projection
-        } else {
-            let mut scan: BoxedOp = Box::new(reldiv_exec::scan::FileScan::new(
-                storage.clone(),
-                divisor_writer.files[i],
-                divisor_codec.schema().clone(),
-            ));
-            Some(DivisorTable::build(&mut scan, pool)?)
-        };
-        let divisor_count = dt.as_ref().map_or(0, DivisorTable::count);
-        let mut qt = QuotientTable::new(
-            pool,
-            HashDivisionMode::Standard,
-            divisor_count,
-            spec.quotient_keys.clone(),
-            quotient_schema.record_width(),
-        )?;
-        for_each_record(storage, dividend_writer.files[i], &dividend_codec, |t| {
-            cancel.checkpoint(&mut budget)?;
-            let dno = match &dt {
-                None => Some(None),
-                Some(dt) => dt.lookup(&t, &spec.divisor_keys).map(Some),
-            };
-            if let Some(dno) = dno {
-                qt.absorb(&t, dno)?;
-            }
+    // Both inputs are partitioned with the same function of the divisor
+    // attributes, a batch at a time.
+    let mut records = Vec::new();
+    let inputs = [
+        (divisor, spec.divisor_all_columns(), divisor_files),
+        (dividend, spec.divisor_keys.clone(), dividend_files),
+    ];
+    for (input, keys, files) in inputs {
+        drain_batches(input, cancel, |batch| {
+            let cluster = |h: u64| h as usize % k;
+            let bytes = scatter(
+                storage,
+                &batch,
+                &keys,
+                k,
+                cluster,
+                |_, c| files[c],
+                &mut records,
+            )?;
+            report.spill_bytes += bytes;
             Ok(())
         })?;
+    }
+
+    let sizes = {
+        let sm = storage.borrow();
+        let sizes = divisor_files.iter().map(|&f| sm.record_count(f));
+        sizes.collect::<std::result::Result<Vec<u64>, _>>()?
+    };
+    let empty_divisor = sizes.iter().all(|&n| n == 0);
+    let mut collection_fields = quotient_schema.fields().to_vec();
+    collection_fields.push(Field::int("phase"));
+    let collection_schema = Schema::new(collection_fields);
+    let mut phase_count = 0;
+    for c in (0..k).filter(|&c| sizes[c] > 0 || empty_divisor) {
+        // Phase c: a complete hash-division of cluster c. (A cluster with
+        // no divisor tuples imposes no constraint: its dividend tuples can
+        // match nothing and are dropped.)
+        let scan = |files: &[FileId], schema: &Schema| {
+            Source::from_file(files[c], schema.clone()).scan_batches(storage)
+        };
+        let mut local = DegradationReport::new();
+        let quotient = adaptive_hybrid_report(
+            storage,
+            pool,
+            scan(dividend_files, &schemas[1]),
+            scan(divisor_files, &schemas[0]),
+            spec,
+            HashDivisionMode::Standard,
+            DEFAULT_FANOUT,
+            cancel,
+            None,
+            &mut local,
+        );
+        fold_nested(report, &local);
         // Tag this phase's quotient cluster. Under the empty-divisor
         // special case all phases share tag 0 so the collection phase
         // deduplicates across clusters.
-        let tag = if empty_divisor { 0 } else { phase_count };
-        while let Some(q) = qt.next_complete() {
-            spool_q(q, tag)?;
-        }
+        report.spill_bytes += append_tagged(
+            storage,
+            collection,
+            &collection_schema,
+            &quotient?,
+            phase_count,
+            &mut records,
+        )?;
         if !empty_divisor {
             phase_count += 1;
         }
@@ -477,14 +175,10 @@ fn divisor_partitioned_phases(
     if empty_divisor {
         phase_count = 1;
     }
-
-    // Collection phase: divide the union of the quotient clusters by the
-    // set of phase numbers, using the phase number as the divisor value
-    // (skipping step 1 of hash-division).
     collection_division(
         storage,
         pool,
-        collection_file,
+        collection,
         &collection_schema,
         phase_count,
         cancel,
@@ -492,39 +186,75 @@ fn divisor_partitioned_phases(
     )
 }
 
-/// The collection phase shared by divisor and combined partitioning —
-/// "this problem is exactly the division problem again": divide the
-/// tagged quotient clusters by the set of phase numbers.
+/// Appends `quotient`'s tuples, each tagged with `tag`, to `file` of
+/// `schema` (the quotient's columns and the tag), a batch at a time.
+/// Returns the bytes written.
+fn append_tagged(
+    storage: &StorageRef,
+    file: FileId,
+    schema: &Schema,
+    quotient: &Relation,
+    tag: i64,
+    records: &mut Vec<u8>,
+) -> Result<u64> {
+    let mut appender = Appender::new(file);
+    let mut bytes = 0;
+    for chunk in quotient.tuples().chunks(DEFAULT_BATCH_SIZE) {
+        let mut batch = Batch::with_capacity(quotient.schema().clone(), chunk.len());
+        chunk.iter().for_each(|t| batch.push_tuple(t));
+        let tags = ColumnVec::Int(vec![tag; chunk.len()]);
+        batch.widen(schema.clone(), tags).encode_records(records)?;
+        let mut sm = storage.borrow_mut();
+        appender.append_records(&mut sm, records, schema.record_width())?;
+        bytes += records.len() as u64;
+        records.clear();
+    }
+    Ok(bytes)
+}
+
+/// Folds the report of a hybrid run over cluster files into the caller's.
+/// What the run wrote re-clusters records already counted when their
+/// cluster file was spooled, so its bytes are re-spools, never fresh
+/// spills.
+fn fold_nested(report: &mut DegradationReport, nested: &DegradationReport) {
+    report.degraded |= nested.degraded;
+    report.respool_bytes += nested.spill_bytes + nested.respool_bytes;
+    report.partitions_spilled += nested.partitions_spilled;
+    report.partitions_revived += nested.partitions_revived;
+    report.note_recursion(nested.recursion_depth);
+}
+
+/// The collection phase — "this problem is exactly the division problem
+/// again": divide the tagged quotient clusters by the set of phase
+/// numbers, the phase number standing in for the divisor number.
 ///
-/// It runs through the memory-adaptive hybrid, so a quotient-candidate
-/// set larger than memory spills incrementally instead of aborting the
-/// whole rung (divisor partitioning bounds the per-phase *divisor*
-/// table, never the candidate count). Its writes re-cluster records
-/// already counted when the collection file was spooled, so they fold
-/// into the caller's report as re-spools, never fresh spills.
+/// It runs through the hybrid, so a quotient-candidate set larger than
+/// memory spills incrementally instead of aborting the whole rung
+/// (divisor partitioning bounds the per-phase *divisor* table, never the
+/// candidate count).
 fn collection_division(
     storage: &StorageRef,
     pool: &MemoryPool,
     collection_file: FileId,
     collection_schema: &Schema,
-    phase_count: u32,
+    phase_count: i64,
     cancel: CancelToken,
     report: &mut DegradationReport,
 ) -> Result<Relation> {
     let phases = Relation::from_tuples(
-        Schema::new(vec![reldiv_rel::schema::Field::int("phase")]),
-        (0..i64::from(phase_count))
+        Schema::new(vec![Field::int("phase")]),
+        (0..phase_count)
             .map(|p| Tuple::new(vec![Value::Int(p)]))
             .collect(),
     )
     .map_err(ExecError::from)?;
     let spec = DivisionSpec::trailing_divisor(collection_schema, phases.schema())?;
-    let dividend = BatchFileScan::new(storage.clone(), collection_file, collection_schema.clone());
+    let dividend = Source::from_file(collection_file, collection_schema.clone());
     let mut local = DegradationReport::new();
     let result = adaptive_hybrid_report(
         storage,
         pool,
-        Box::new(dividend),
+        dividend.scan_batches(storage),
         Box::new(BatchMemScan::new(phases)),
         &spec,
         HashDivisionMode::Standard,
@@ -532,231 +262,24 @@ fn collection_division(
         cancel,
         None,
         &mut local,
-    )?;
-    if local.degraded {
-        report.respool_bytes += local.spill_bytes + local.respool_bytes;
-        report.partitions_spilled += local.partitions_spilled;
-        report.partitions_revived += local.partitions_revived;
-        report.recursion_depth = report.recursion_depth.max(local.recursion_depth);
-        report.note_phase("collection: adaptive");
-    }
-    Ok(result)
-}
-
-/// Combined partitioning: divisor partitioning whose per-phase divisions
-/// are themselves quotient-partitioned.
-///
-/// Section 3.4's fourth question — "what happens if neither one of these
-/// partitioning strategies work because both divisor and quotient are too
-/// large? In this case it will be necessary to resort to combinations of
-/// the techniques" — and Section 6's closing remark about the optimal mix.
-/// Each divisor-attribute phase must only hold `1/divisor_partitions` of
-/// the divisor table and `1/quotient_partitions` of that phase's quotient
-/// table at a time. (The final collection phase still gathers all
-/// quotient candidates; decentralizing *it* is the parallel engine's
-/// job.)
-pub fn combined_partitioned(
-    storage: &StorageRef,
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: &DivisionSpec,
-    divisor_partitions: usize,
-    quotient_partitions: usize,
-) -> Result<Relation> {
-    let mut report = DegradationReport::new();
-    let pool = storage.borrow().memory();
-    combined_partitioned_report(
-        storage,
-        &pool,
-        dividend,
-        divisor,
-        spec,
-        divisor_partitions,
-        quotient_partitions,
-        CancelToken::none(),
-        &mut report,
-    )
-}
-
-/// [`combined_partitioned`] with an explicit memory pool, cooperative
-/// cancellation, and spill accounting into `report`.
-///
-/// Accounting: the divisor/dividend cluster files and the collection
-/// records are first-time spills (`spill_bytes`); the inner per-phase
-/// quotient partitionings re-cluster data that is *already* in cluster
-/// files, so their bytes land in `respool_bytes`.
-#[allow(clippy::too_many_arguments)] // mirrors combined_partitioned + context
-pub fn combined_partitioned_report(
-    storage: &StorageRef,
-    pool: &MemoryPool,
-    mut dividend: BoxedOp,
-    mut divisor: BoxedOp,
-    spec: &DivisionSpec,
-    divisor_partitions: usize,
-    quotient_partitions: usize,
-    cancel: CancelToken,
-    report: &mut DegradationReport,
-) -> Result<Relation> {
-    if divisor_partitions < 1 || quotient_partitions < 2 {
-        return Err(ExecError::Plan(
-            "combined partitioning needs >= 1 divisor and >= 2 quotient clusters".into(),
-        ));
-    }
-    spec.validate(dividend.schema(), divisor.schema())?;
-    let quotient_schema = spec.quotient_schema(dividend.schema())?;
-    let k = divisor_partitions;
-
-    let mut divisor_writer = ClusterWriter::new(storage, divisor.schema().clone(), k);
-    let mut dividend_writer = ClusterWriter::new(storage, dividend.schema().clone(), k);
-    let collection_file = storage.borrow_mut().create_file(StorageManager::DATA_DISK);
-    let mut collection_spilled = 0u64;
-    let outcome = combined_partitioned_phases(
-        storage,
-        pool,
-        &mut dividend,
-        &mut divisor,
-        spec,
-        k,
-        quotient_partitions,
-        cancel,
-        &quotient_schema,
-        &mut divisor_writer,
-        &mut dividend_writer,
-        collection_file,
-        &mut collection_spilled,
-        report,
     );
-    report.spill_bytes += divisor_writer.spilled + dividend_writer.spilled + collection_spilled;
-    let cleanup_divisor = divisor_writer.delete_all(storage);
-    let cleanup_dividend = dividend_writer.delete_all(storage);
-    let cleanup_collection = storage.borrow_mut().delete_file(collection_file);
-    let result = outcome?;
-    cleanup_divisor?;
-    cleanup_dividend?;
-    cleanup_collection?;
-    Ok(result)
-}
-
-/// The phases of combined partitioning, separated so the caller can
-/// account and clean up on every exit path.
-#[allow(clippy::too_many_arguments)]
-fn combined_partitioned_phases(
-    storage: &StorageRef,
-    pool: &MemoryPool,
-    dividend: &mut BoxedOp,
-    divisor: &mut BoxedOp,
-    spec: &DivisionSpec,
-    k: usize,
-    quotient_partitions: usize,
-    cancel: CancelToken,
-    quotient_schema: &Schema,
-    divisor_writer: &mut ClusterWriter,
-    dividend_writer: &mut ClusterWriter,
-    collection_file: FileId,
-    collection_spilled: &mut u64,
-    report: &mut DegradationReport,
-) -> Result<Relation> {
-    // Partition both inputs on the divisor attributes (as in
-    // `divisor_partitioned`).
-    let divisor_all = spec.divisor_all_columns();
-    let mut divisor_cluster_sizes = vec![0u64; k];
-    let mut budget = 0u32;
-    divisor.open()?;
-    while let Some(t) = divisor.next()? {
-        cancel.checkpoint(&mut budget)?;
-        let cluster = (t.hash_on(&divisor_all) as usize) % k;
-        divisor_cluster_sizes[cluster] += 1;
-        divisor_writer.write(storage, cluster, &t)?;
-    }
-    divisor.close()?;
-    dividend.open()?;
-    while let Some(t) = dividend.next()? {
-        cancel.checkpoint(&mut budget)?;
-        let cluster = (t.hash_on(&spec.divisor_keys) as usize) % k;
-        dividend_writer.write(storage, cluster, &t)?;
-    }
-    dividend.close()?;
-
-    let empty_divisor = divisor_cluster_sizes.iter().all(|&n| n == 0);
-    let mut collection_schema_fields = quotient_schema.fields().to_vec();
-    collection_schema_fields.push(reldiv_rel::schema::Field::int("phase"));
-    let collection_schema = Schema::new(collection_schema_fields);
-    let collection_codec = RecordCodec::new(collection_schema.clone());
-    let mut phase_count: u32 = 0;
-
-    #[allow(clippy::needless_range_loop)] // i indexes three parallel arrays
-    for i in 0..k {
-        if divisor_cluster_sizes[i] == 0 && !empty_divisor {
-            continue;
-        }
-        // Each phase is itself a quotient-partitioned hash-division of
-        // cluster i's dividend by cluster i's divisor. The phase re-reads
-        // and re-clusters data already spooled above, so its bytes are
-        // respool, not fresh spill.
-        let dividend_scan: BoxedOp = Box::new(reldiv_exec::scan::FileScan::new(
-            storage.clone(),
-            dividend_writer.files[i],
-            dividend_writer.codec.schema().clone(),
-        ));
-        let divisor_scan: BoxedOp = Box::new(reldiv_exec::scan::FileScan::new(
-            storage.clone(),
-            divisor_writer.files[i],
-            divisor_writer.codec.schema().clone(),
-        ));
-        let phase_quotient = quotient_partitioned_impl(
-            storage,
-            pool,
-            dividend_scan,
-            divisor_scan,
-            spec,
-            HashDivisionMode::Standard,
-            quotient_partitions,
-            cancel,
-            report,
-            true,
-        )?;
-        let tag = if empty_divisor { 0 } else { phase_count };
-        for q in phase_quotient.into_tuples() {
-            let mut vals = q.into_values();
-            vals.push(reldiv_rel::Value::Int(tag as i64));
-            let record = collection_codec.encode(&Tuple::new(vals))?;
-            *collection_spilled += record.len() as u64;
-            storage.borrow_mut().append(collection_file, &record)?;
-        }
-        if !empty_divisor {
-            phase_count += 1;
-        }
-    }
-    if empty_divisor {
-        phase_count = 1;
-    }
-
-    // Collection phase, identical to `divisor_partitioned`'s.
-    collection_division(
-        storage,
-        pool,
-        collection_file,
-        &collection_schema,
-        phase_count,
-        cancel,
-        report,
-    )
+    fold_nested(report, &local);
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reldiv_exec::scan::MemScan;
-    use reldiv_rel::schema::Field;
+    use crate::hybrid::adaptive_hybrid;
     use reldiv_rel::tuple::ints;
     use reldiv_storage::manager::StorageConfig;
 
-    fn transcript(rows: &[[i64; 2]]) -> Relation {
+    pub(super) fn transcript(rows: &[[i64; 2]]) -> Relation {
         let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);
         Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap()
     }
 
-    fn courses(nos: &[i64]) -> Relation {
+    pub(super) fn courses(nos: &[i64]) -> Relation {
         let schema = Schema::new(vec![Field::int("cno")]);
         Relation::from_tuples(schema, nos.iter().map(|&n| ints(&[n])).collect()).unwrap()
     }
@@ -765,7 +288,7 @@ mod tests {
         StorageManager::shared(StorageConfig::large())
     }
 
-    fn sids(rel: &Relation) -> Vec<i64> {
+    pub(super) fn sids(rel: &Relation) -> Vec<i64> {
         let mut v: Vec<i64> = rel
             .tuples()
             .iter()
@@ -775,29 +298,47 @@ mod tests {
         v
     }
 
-    fn qp(dividend: &Relation, divisor: &Relation, k: usize) -> Vec<i64> {
+    /// Divisor partitioning into `k` clusters under `pool`: the sorted
+    /// quotient and the report. It leaves no file and no pin behind.
+    pub(super) fn divide_by_clusters(
+        dividend: &Relation,
+        divisor: &Relation,
+        k: usize,
+        pool: &MemoryPool,
+    ) -> Result<(Vec<i64>, DegradationReport)> {
         let st = storage();
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let rel = quotient_partitioned(
+        let mut report = DegradationReport::new();
+        let rel = divisor_partitioned_report(
             &st,
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
+            pool,
+            Box::new(BatchMemScan::new(dividend.clone())),
+            Box::new(BatchMemScan::new(divisor.clone())),
             &spec,
-            HashDivisionMode::Standard,
             k,
-        )
-        .unwrap();
-        sids(&rel)
+            CancelToken::none(),
+            &mut report,
+        );
+        let sm = st.borrow();
+        assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
+        Ok((sids(&rel?), report))
     }
 
     fn dp(dividend: &Relation, divisor: &Relation, k: usize) -> Vec<i64> {
-        let st = storage();
+        let pool = MemoryPool::unbounded();
+        divide_by_clusters(dividend, divisor, k, &pool).unwrap().0
+    }
+
+    /// Quotient partitioning, which the hybrid does, at fanout `k`.
+    fn qp(dividend: &Relation, divisor: &Relation, k: usize) -> Vec<i64> {
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let rel = divisor_partitioned(
-            &st,
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
+        let (rel, _) = adaptive_hybrid(
+            &storage(),
+            &MemoryPool::unbounded(),
+            Box::new(BatchMemScan::new(dividend.clone())),
+            Box::new(BatchMemScan::new(divisor.clone())),
             &spec,
+            HashDivisionMode::Standard,
             k,
         )
         .unwrap();
@@ -861,206 +402,154 @@ mod tests {
         assert_eq!(dp(&dividend, &divisor, 4), vec![1]);
     }
 
+    /// 3000 quotient candidates of 2 courses each.
+    fn pairs() -> (Relation, Relation) {
+        let rows: Vec<[i64; 2]> = (0..3000).flat_map(|q| [[q, 1], [q, 2]]).collect();
+        (transcript(&rows), courses(&[1, 2]))
+    }
+
     #[test]
     fn partitioned_quotient_fits_in_smaller_pool() {
-        // 3000 quotient candidates of 2 courses each; a pool too small for
-        // one quotient table but big enough for an eighth of it at a time.
-        let mut rows = Vec::new();
-        for q in 0..3000i64 {
-            rows.push([q, 1]);
-            rows.push([q, 2]);
-        }
-        let dividend = transcript(&rows);
-        let divisor = courses(&[1, 2]);
-        let st = StorageManager::shared(StorageConfig {
-            data_page_size: 8192,
-            run_page_size: 1024,
-            buffer_bytes: 1 << 22,
-            work_memory_bytes: 80 * 1024,
-        });
+        // A pool too small for one quotient table: plain division exhausts
+        // it, while divisor partitioning's phases spill what does not fit.
+        let (dividend, divisor) = pairs();
+        let pool = MemoryPool::new(80 * 1024);
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        // Plain division exhausts the pool...
-        let plain = crate::hash_division::HashDivision::new(
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
-            spec.clone(),
+        let mut plain = crate::batch_div::BatchHashDivision::new(
+            Box::new(BatchMemScan::new(dividend.clone())),
+            Box::new(BatchMemScan::new(divisor.clone())),
+            spec,
             HashDivisionMode::Standard,
-            st.borrow().memory(),
-        );
-        let mut plain = plain.unwrap();
-        assert!(reldiv_exec::Operator::open(&mut plain)
-            .unwrap_err()
-            .is_memory_exhausted());
-        drop(plain);
-        // ...but 8 quotient clusters fit.
-        let rel = quotient_partitioned(
-            &st,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            &spec,
-            HashDivisionMode::Standard,
-            8,
+            pool.clone(),
         )
         .unwrap();
-        assert_eq!(rel.cardinality(), 3000);
+        let err = reldiv_exec::batch::BatchOperator::open(&mut plain).unwrap_err();
+        assert!(err.is_memory_exhausted(), "{err}");
+        drop(plain);
+        let (quotient, report) = divide_by_clusters(&dividend, &divisor, 2, &pool).unwrap();
+        assert_eq!(quotient, (0..3000).collect::<Vec<_>>());
+        assert!(report.partitions_spilled > 0, "{report:?}");
+    }
+
+    #[test]
+    fn a_spilling_phase_respools_and_never_spills() {
+        // The same division with and without room for a phase's quotient
+        // table: what the squeezed phases write is all re-spool, so the
+        // first-time spills — cluster and collection files — are equal.
+        let (dividend, divisor) = pairs();
+        let run = |pool| divide_by_clusters(&dividend, &divisor, 2, &pool).unwrap();
+        let (roomy_quotient, roomy) = run(MemoryPool::unbounded());
+        let (squeezed_quotient, squeezed) = run(MemoryPool::new(48 * 1024));
+        assert_eq!(squeezed_quotient, roomy_quotient);
+        assert_eq!((roomy.respool_bytes, roomy.partitions_spilled), (0, 0));
+        assert!(squeezed.partitions_spilled > 0, "{squeezed:?}");
+        assert!(squeezed.respool_bytes > 0, "{squeezed:?}");
+        assert!(squeezed.degraded, "{squeezed:?}");
+        assert_eq!(squeezed.spill_bytes, roomy.spill_bytes);
     }
 
     #[test]
     fn too_few_partitions_is_a_plan_error() {
         let dividend = transcript(&[[1, 1]]);
         let divisor = courses(&[1]);
-        let st = storage();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        assert!(quotient_partitioned(
-            &st,
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
-            &spec,
-            HashDivisionMode::Standard,
-            1,
-        )
-        .is_err());
-        assert!(divisor_partitioned(
-            &st,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            &spec,
-            0,
-        )
-        .is_err());
+        let err = divide_by_clusters(&dividend, &divisor, 0, &MemoryPool::unbounded());
+        assert!(matches!(err, Err(ExecError::Plan(_))), "{err:?}");
     }
 }
 
+/// The combination of Section 3.4's two techniques: divisor partitioning
+/// whose phases do not fit either, and so spill in the hybrid.
 #[cfg(test)]
 mod combined_tests {
+    use super::tests::{courses, divide_by_clusters, transcript};
     use super::*;
-    use reldiv_exec::scan::MemScan;
-    use reldiv_rel::schema::Field;
+    use crate::api::{divide_with_report, DivisionConfig, OverflowPolicy};
+    use crate::hash_division::DivisorTable;
     use reldiv_rel::tuple::ints;
     use reldiv_storage::manager::StorageConfig;
-
-    fn transcript(rows: &[[i64; 2]]) -> Relation {
-        let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);
-        Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap()
-    }
-
-    fn courses(nos: &[i64]) -> Relation {
-        let schema = Schema::new(vec![Field::int("cno")]);
-        Relation::from_tuples(schema, nos.iter().map(|&n| ints(&[n])).collect()).unwrap()
-    }
-
-    fn cp(dividend: &Relation, divisor: &Relation, dk: usize, qk: usize) -> Vec<i64> {
-        let st = StorageManager::shared(StorageConfig::large());
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let rel = combined_partitioned(
-            &st,
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
-            &spec,
-            dk,
-            qk,
-        )
-        .unwrap();
-        let mut v: Vec<i64> = rel
-            .tuples()
-            .iter()
-            .map(|t| t.value(0).as_int().unwrap())
-            .collect();
-        v.sort_unstable();
-        v
-    }
 
     #[test]
     fn combined_matches_plain_division() {
         let mut rows = Vec::new();
-        for s in 0..50i64 {
+        for s in 0..2000i64 {
             for c in 0..=(s % 9) {
                 rows.push([s, c]);
             }
         }
-        let expected: Vec<i64> = (0..50).filter(|s| s % 9 >= 5).collect();
-        let dividend = transcript(&rows);
-        let divisor = courses(&(0..6).collect::<Vec<_>>());
-        for (dk, qk) in [(1, 2), (2, 2), (3, 4), (5, 3)] {
-            assert_eq!(cp(&dividend, &divisor, dk, qk), expected, "dk={dk} qk={qk}");
+        let expected: Vec<i64> = (0..2000).filter(|s| s % 9 >= 5).collect();
+        let (dividend, divisor) = (transcript(&rows), courses(&(0..6).collect::<Vec<_>>()));
+        for k in [1, 2, 3, 5] {
+            let pool = MemoryPool::new(24 * 1024);
+            let (got, report) = divide_by_clusters(&dividend, &divisor, k, &pool).unwrap();
+            assert_eq!(got, expected, "k={k}");
+            assert!(report.partitions_spilled > 0, "k={k}: {report:?}");
         }
     }
 
     #[test]
     fn combined_handles_empty_inputs() {
-        let dividend = transcript(&[[1, 10], [2, 20]]);
-        assert_eq!(
-            cp(&dividend, &courses(&[]), 3, 2),
-            vec![1, 2],
-            "vacuous divisor"
-        );
-        assert_eq!(
-            cp(&transcript(&[]), &courses(&[1]), 3, 2),
-            Vec::<i64>::new()
-        );
+        let rows: Vec<[i64; 2]> = (0..4000i64).map(|q| [q, q % 7]).collect();
+        let pool = MemoryPool::new(24 * 1024);
+        let (got, report) =
+            divide_by_clusters(&transcript(&rows), &courses(&[]), 3, &pool).unwrap();
+        assert_eq!(got, (0..4000).collect::<Vec<_>>(), "vacuous divisor");
+        assert!(report.partitions_spilled > 0, "{report:?}");
+        let (got, _) = divide_by_clusters(&transcript(&[]), &courses(&[1]), 3, &pool).unwrap();
+        assert_eq!(got, Vec::<i64>::new());
     }
 
     #[test]
     fn combined_fits_when_neither_single_strategy_would() {
-        // Large divisor (4000 tuples) AND large quotient (4000 candidates):
-        // a budget sized for ~1/4 of each still completes with 8x8 clusters.
+        // Large divisor (4000 tuples) AND large quotient (4000 candidates).
+        // Every candidate takes 3 consecutive divisor values; one more
+        // takes all 4000 and is the whole quotient.
         let mut rows = Vec::new();
         for q in 0..4000i64 {
-            // Every quotient value takes 3 of the 4000 divisor values; only
-            // q == 0..3 take the first three (the actual divisor we use is
-            // just those 3 values to keep |R| manageable).
-            rows.push([q, q % 4000]);
-            rows.push([q, (q + 1) % 4000]);
-            rows.push([q, (q + 2) % 4000]);
+            rows.extend([[q, q], [q, (q + 1) % 4000], [q, (q + 2) % 4000]]);
         }
-        let dividend = transcript(&rows);
-        // Divisor: all 4000 values -> only groups covering all of them
-        // qualify; none do, EXCEPT we add one complete group.
-        let mut full = rows.clone();
-        for d in 0..4000i64 {
-            full.push([4_000_000, d]);
-        }
-        let dividend = {
-            let mut d = dividend;
-            for r in &full[rows.len()..] {
-                d.push(ints(r)).unwrap();
-            }
-            d
+        rows.extend((0..4000).map(|d| [4_000_000, d]));
+        let (dividend, divisor) = (transcript(&rows), courses(&(0..4000).collect::<Vec<_>>()));
+        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+        // Three quarters of the divisor table: the hybrid, which keeps all
+        // of it resident, cannot start.
+        let table = MemoryPool::unbounded();
+        let mut scan: BoxedBatchOp = Box::new(BatchMemScan::new(divisor.clone()));
+        DivisorTable::build_batch(&mut scan, &table, CancelToken::none()).unwrap();
+        let divide = |overflow| {
+            let st = StorageManager::shared(StorageConfig {
+                work_memory_bytes: table.peak() * 3 / 4,
+                buffer_bytes: 1 << 23,
+                ..StorageConfig::paper()
+            });
+            let outcome = divide_with_report(
+                &st,
+                &Source::from_relation(&dividend),
+                &Source::from_relation(&divisor),
+                &spec,
+                crate::Algorithm::HashDivision {
+                    mode: HashDivisionMode::Standard,
+                },
+                &DivisionConfig {
+                    overflow,
+                    ..Default::default()
+                },
+            );
+            let sm = st.borrow();
+            assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
+            outcome
         };
-        let divisor = courses(&(0..4000).collect::<Vec<_>>());
-        let st = StorageManager::shared(StorageConfig {
-            work_memory_bytes: 700 * 1024,
-            buffer_bytes: 1 << 23,
-            ..StorageConfig::paper()
-        });
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let rel = combined_partitioned(
-            &st,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            &spec,
-            8,
-            8,
-        )
-        .unwrap();
-        assert_eq!(rel.cardinality(), 1);
-        assert_eq!(rel.tuples()[0], ints(&[4_000_000]));
-    }
-
-    #[test]
-    fn combined_rejects_degenerate_cluster_counts() {
-        let st = StorageManager::shared(StorageConfig::large());
-        let dividend = transcript(&[[1, 1]]);
-        let divisor = courses(&[1]);
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        assert!(combined_partitioned(
-            &st,
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            &spec,
-            0,
-            1,
-        )
-        .is_err());
+        let err = divide(OverflowPolicy::Adaptive).unwrap_err();
+        assert!(err.is_memory_exhausted(), "{err}");
+        for overflow in [
+            OverflowPolicy::DivisorPartition { partitions: 8 },
+            OverflowPolicy::Auto,
+        ] {
+            let (rel, report) = divide(overflow).unwrap();
+            assert_eq!(rel.tuples(), [ints(&[4_000_000])], "{overflow:?}");
+            let last = report.final_phase().unwrap();
+            assert!(last.starts_with("divisor-partitioned k="), "{report:?}");
+            // No phase's quotient table fits whole either.
+            assert!(report.partitions_spilled > 0, "{report:?}");
+        }
     }
 }

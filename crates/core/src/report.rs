@@ -1,12 +1,13 @@
 //! Degradation reporting: what a division had to do to survive.
 //!
 //! When hash-division hits memory pressure mid-build, the `Auto` overflow
-//! policy walks the Section 3.4 ladder — in-memory, quotient-partitioned,
-//! divisor-partitioned, combined — until a rung fits. The
+//! policy walks the Section 3.4 ladder — in-memory, the adaptive hybrid,
+//! divisor-partitioned with ever more clusters — until a rung fits. The
 //! [`DegradationReport`] returned alongside the quotient records that
-//! walk: which phases ran, how many rungs were abandoned, and how many
-//! bytes were spooled to temporary cluster files. A report with
-//! `degraded == false` and an empty phase list is the fast path.
+//! walk: which phases ran, how many rungs were abandoned, how many bytes
+//! were spooled to temporary files, and what the hybrid spilled, revived
+//! and re-partitioned. A report with `degraded == false` is the fast
+//! path.
 
 /// How a division degraded (or didn't) to produce its result.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -14,13 +15,13 @@ pub struct DegradationReport {
     /// Whether any fallback beyond the first attempt was needed.
     pub degraded: bool,
     /// Human-readable phases attempted, in order (e.g. `"in-memory:
-    /// memory exhausted"`, `"quotient-partitioned k=4"`). The last entry
+    /// memory exhausted"`, `"divisor-partitioned k=4"`). The last entry
     /// is the phase that produced the result.
     pub phases: Vec<String>,
     /// Bytes spooled to temporary cluster/collection files by the
     /// partitioned phases, counting each byte the first time it leaves
     /// memory. Bytes re-clustered from a file that was already a spill
-    /// (combined partitioning's inner phases, hybrid recursion) are in
+    /// (a divisor-partitioned phase's hybrid, hybrid recursion) are in
     /// [`respool_bytes`](Self::respool_bytes) instead.
     pub spill_bytes: u64,
     /// Bytes re-spooled from one temporary cluster file into another —
@@ -120,9 +121,9 @@ mod tests {
         let mut r = DegradationReport::new();
         r.note_phase("in-memory: memory exhausted");
         r.note_retry();
-        r.note_phase("quotient-partitioned k=2");
+        r.note_phase("divisor-partitioned k=2");
         assert!(r.degraded);
         assert_eq!(r.retries, 1);
-        assert_eq!(r.final_phase(), Some("quotient-partitioned k=2"));
+        assert_eq!(r.final_phase(), Some("divisor-partitioned k=2"));
     }
 }

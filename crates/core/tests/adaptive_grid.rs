@@ -2,7 +2,7 @@
 //! budgets from 16 KB to 1 MB, byte-identical quotients against the naive
 //! oracle — including quotient-key skew (one hot group holding ~50% of
 //! the dividend, and Zipf-distributed group sizes) — for the adaptive
-//! path and the surviving static fallbacks. Plus the wrong-size-estimate
+//! path and divisor partitioning. Plus the wrong-size-estimate
 //! regressions: an under-estimate must degrade mid-run instead of
 //! aborting, an over-estimate must not partition at all.
 
@@ -151,12 +151,10 @@ fn zipf_cell(s: u64, q: u64) -> Cell {
     }
 }
 
-/// Sweeps the grid under `make_cell`: the adaptive path must match the
-/// oracle byte-for-byte at every budget; the surviving static fallbacks
-/// (divisor-partitioned and combined) must match wherever they can run at
-/// all — their unpartitioned collection table may legitimately exceed the
-/// tightest budget, in which case the typed memory error (not a wrong
-/// answer) is the only acceptable outcome.
+/// Sweeps the grid under `make_cell`: the adaptive path and divisor
+/// partitioning must match the oracle byte-for-byte at every budget. Every
+/// divisor-partitioned phase, the collection included, runs the hybrid,
+/// so no budget here may make it fail.
 fn sweep(make_cell: fn(u64, u64) -> Cell) {
     for (s, q) in GRID {
         let cell = make_cell(s, q);
@@ -172,28 +170,15 @@ fn sweep(make_cell: fn(u64, u64) -> Cell) {
                 cell.label
             );
 
-            for policy in [
-                OverflowPolicy::DivisorPartition { partitions: 16 },
-                OverflowPolicy::CombinedPartition {
-                    divisor_partitions: 8,
-                    quotient_partitions: 8,
-                },
-            ] {
-                match budgeted_division(&cell.dividend, &cell.divisor, policy, budget) {
-                    Ok((rel, _)) => assert_eq!(
-                        canonical_bytes(&rel),
-                        expected,
-                        "{} budget={budget} {policy:?}: fallback differs from oracle",
-                        cell.label
-                    ),
-                    Err(e) => assert!(
-                        e.is_memory_exhausted() && budget < 256 << 10,
-                        "{} budget={budget} {policy:?}: only tight-budget \
-                         memory exhaustion is acceptable, got {e}",
-                        cell.label
-                    ),
-                }
-            }
+            let policy = OverflowPolicy::DivisorPartition { partitions: 16 };
+            let (rel, _) = budgeted_division(&cell.dividend, &cell.divisor, policy, budget)
+                .unwrap_or_else(|e| panic!("{} budget={budget} {policy:?}: {e}", cell.label));
+            assert_eq!(
+                canonical_bytes(&rel),
+                expected,
+                "{} budget={budget} {policy:?}: divisor partitioning differs from oracle",
+                cell.label
+            );
         }
     }
 }
@@ -221,10 +206,7 @@ fn adaptive_matches_oracle_under_zipf_skew() {
 fn under_estimated_memory_degrades_instead_of_aborting() {
     let cell = uniform_cell(25, 400); // ~10k tuples, tables >> 16 KB
     let expected = oracle(&cell.dividend, &cell.divisor);
-    for policy in [
-        OverflowPolicy::Auto,
-        OverflowPolicy::Adaptive { fanout: 16 },
-    ] {
+    for policy in [OverflowPolicy::Auto, OverflowPolicy::Adaptive] {
         let (rel, report) = budgeted_division(&cell.dividend, &cell.divisor, policy, 16 << 10)
             .expect("an under-estimate must degrade, not abort");
         assert_eq!(canonical_bytes(&rel), expected, "{policy:?}");
@@ -245,10 +227,7 @@ fn under_estimated_memory_degrades_instead_of_aborting() {
 fn over_estimated_memory_never_partitions() {
     let cell = uniform_cell(25, 25); // 625 tuples, a few KB of tables
     let expected = oracle(&cell.dividend, &cell.divisor);
-    for policy in [
-        OverflowPolicy::Auto,
-        OverflowPolicy::Adaptive { fanout: 16 },
-    ] {
+    for policy in [OverflowPolicy::Auto, OverflowPolicy::Adaptive] {
         let (rel, report) =
             budgeted_division(&cell.dividend, &cell.divisor, policy, 8 << 20).unwrap();
         assert_eq!(canonical_bytes(&rel), expected, "{policy:?}");

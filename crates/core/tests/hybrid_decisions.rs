@@ -8,7 +8,6 @@
 //! the in-memory operator first, whose counts are pinned beside them.
 
 use reldiv_core::api::{divide_with_report, load_source, DivisionConfig, OverflowPolicy, Source};
-use reldiv_core::hybrid::DEFAULT_FANOUT;
 use reldiv_core::{Algorithm, DegradationReport, DivisionSpec, HashDivisionMode};
 use reldiv_rel::counters::OpScope;
 use reldiv_rel::schema::Field;
@@ -44,9 +43,7 @@ fn source(storage: &StorageRef, kind: Kind, rel: &Relation) -> Source {
 }
 
 /// The adaptive hybrid as `Auto` runs it.
-const HYBRID: OverflowPolicy = OverflowPolicy::Adaptive {
-    fanout: DEFAULT_FANOUT,
-};
+const HYBRID: OverflowPolicy = OverflowPolicy::Adaptive;
 
 /// Hash-division under `overflow`.
 fn hash_divide(

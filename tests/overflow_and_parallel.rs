@@ -4,7 +4,6 @@
 
 use proptest::prelude::*;
 use reldiv::core::api::{divide, DivisionConfig, OverflowPolicy, Source};
-use reldiv::exec::scan::MemScan;
 use reldiv::parallel::{parallel_divide, ClusterConfig, Strategy};
 use reldiv::rel::schema::Field;
 use reldiv::rel::tuple::ints;
@@ -47,12 +46,15 @@ fn sorted_quotient(rel: &Relation) -> Vec<i64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Both overflow strategies equal the oracle for any partition count.
+    /// Both overflow strategies — the adaptive hybrid (quotient
+    /// partitioning) and divisor partitioning at any cluster count — equal
+    /// the oracle, with room to spare and under a budget of a few KB.
     #[test]
     fn partitioned_divisions_match_the_oracle(
         rows in prop::collection::vec((0i64..8, 0i64..10), 0..150),
         divisor in prop::collection::vec(0i64..10, 0..12),
         partitions in 1usize..9,
+        mem_budget in prop::option::of(2usize..8),
     ) {
         let dividend = dividend_rel(&rows);
         let divisor = divisor_rel(&divisor);
@@ -60,25 +62,26 @@ proptest! {
         let storage = StorageManager::shared(StorageConfig::large());
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema())
             .expect("spec");
-
-        let qp = reldiv::core::overflow::quotient_partitioned(
-            &storage,
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
-            &spec,
-            HashDivisionMode::Standard,
-            partitions.max(2),
-        ).expect("quotient partitioning");
-        prop_assert_eq!(sorted_quotient(&qp), expected.clone(), "quotient partitioning");
-
-        let dp = reldiv::core::overflow::divisor_partitioned(
-            &storage,
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
-            &spec,
-            partitions,
-        ).expect("divisor partitioning");
-        prop_assert_eq!(sorted_quotient(&dp), expected.clone(), "divisor partitioning");
+        for overflow in [
+            OverflowPolicy::Adaptive,
+            OverflowPolicy::DivisorPartition { partitions },
+        ] {
+            let config = DivisionConfig {
+                overflow,
+                mem_budget: mem_budget.map(|kb| kb * 1024),
+                ..Default::default()
+            };
+            let got = divide(
+                &storage,
+                &Source::from_relation(&dividend),
+                &Source::from_relation(&divisor),
+                &spec,
+                Algorithm::HashDivision { mode: HashDivisionMode::Standard },
+                &config,
+            ).expect("partitioned division");
+            prop_assert_eq!(sorted_quotient(&got), expected.clone(), "{:?}", config);
+            prop_assert_eq!(storage.borrow().file_count(), 0);
+        }
     }
 
     /// The Auto overflow policy produces the right answer under random
