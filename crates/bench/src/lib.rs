@@ -43,8 +43,11 @@ pub struct Measurement {
     pub quotient_cardinality: u64,
     /// Wall-clock milliseconds of the division (the harness is
     /// single-threaded and never blocks, so this approximates the paper's
-    /// getrusage CPU time).
+    /// getrusage CPU time); over repeated runs, their median.
     pub cpu_ms_measured: f64,
+    /// Range (max − min) of `cpu_ms_measured` over repeated runs of the
+    /// cell; zero for a single run.
+    pub cpu_ms_spread: f64,
     /// Deterministic CPU milliseconds: the abstract-operation counters
     /// priced with Table 1 units.
     pub cpu_ms_modeled: f64,
@@ -136,6 +139,7 @@ pub fn try_run_division_experiment_checked(
         dividend_size: dividend.cardinality() as u64,
         quotient_cardinality: quotient.cardinality() as u64,
         cpu_ms_measured,
+        cpu_ms_spread: 0.0,
         cpu_ms_modeled: price_ops(&units, ops.comparisons, ops.hashes, ops.moves, ops.bitops),
         io_ms: IoCostParams::paper().cost_ms(&io),
         io,
@@ -146,29 +150,50 @@ pub fn try_run_division_experiment_checked(
 /// Runs the full Table 4 grid: the nine `(|S|, |Q|)` configurations of
 /// Section 4.6 across the six algorithm columns, on `R = Q × S`
 /// workloads with `assume_unique` set (the paper restricts "our analysis
-/// to duplicate free inputs").
-pub fn run_table4(sizes: &[(u64, u64)], seed: u64) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for &(s, q) in sizes {
-        let spec = WorkloadSpec {
-            divisor_size: s,
-            quotient_size: q,
-            ..Default::default()
-        };
-        let w = spec.generate(seed ^ (s << 32) ^ q);
-        let config = DivisionConfig {
-            assume_unique: true,
-            ..Default::default()
-        };
-        for algorithm in Algorithm::table_columns() {
+/// to duplicate free inputs"). The grid runs `reps` times over, so that a
+/// cell's repeated runs lie apart in time: its measured CPU is their
+/// median, its spread their range (every other figure is the same on
+/// every run).
+pub fn run_table4(sizes: &[(u64, u64)], seed: u64, reps: usize) -> Vec<Measurement> {
+    let config = DivisionConfig {
+        assume_unique: true,
+        ..Default::default()
+    };
+    let workloads: Vec<_> = sizes
+        .iter()
+        .map(|&(s, q)| {
+            let spec = WorkloadSpec {
+                divisor_size: s,
+                quotient_size: q,
+                ..Default::default()
+            };
+            (s, q, spec.generate(seed ^ (s << 32) ^ q))
+        })
+        .collect();
+    let mut out: Vec<Measurement> = Vec::new();
+    let mut cpu: Vec<Vec<f64>> = Vec::new();
+    for rep in 0..reps.max(1) {
+        let cells = workloads
+            .iter()
+            .flat_map(|w| Algorithm::table_columns().map(|a| (w, a)));
+        for (i, ((s, q, w), algorithm)) in cells.enumerate() {
             let mut m = run_division_experiment(&w.dividend, &w.divisor, algorithm, &config);
-            m.quotient_size = q;
+            m.quotient_size = *q;
             assert_eq!(
-                m.quotient_cardinality, q,
+                m.quotient_cardinality, *q,
                 "{algorithm:?} |S|={s} |Q|={q}: wrong quotient"
             );
-            out.push(m);
+            if rep == 0 {
+                cpu.push(Vec::new());
+                out.push(m.clone());
+            }
+            cpu[i].push(m.cpu_ms_measured);
         }
+    }
+    for (m, mut cpu) in out.iter_mut().zip(cpu) {
+        cpu.sort_by(f64::total_cmp);
+        m.cpu_ms_measured = cpu[cpu.len() / 2];
+        m.cpu_ms_spread = cpu[cpu.len() - 1] - cpu[0];
     }
     out
 }
@@ -221,20 +246,32 @@ pub fn render_grid(
     s
 }
 
-/// Checks the qualitative claims of Section 5.2 against a Table 4 run;
-/// returns human-readable violations (empty = all claims hold).
+/// What [`check_table4_shape`] found, one human-readable line per claim.
+#[derive(Debug, Default)]
+pub struct ShapeCheck {
+    /// Claims the run contradicts (empty = all claims hold).
+    pub violations: Vec<String>,
+    /// Comparisons the run cannot decide: the two columns do the same
+    /// modeled I/O, and their totals differ by less than the cell's
+    /// spread — the widest range of measured CPU over repeated runs among
+    /// its six columns.
+    pub ties: Vec<String>,
+}
+
+/// Checks the qualitative claims of Section 5.2 against a Table 4 run.
 pub fn check_table4_shape(
     measurements: &[Measurement],
     total: impl Fn(&Measurement) -> f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    let get = |s: u64, q: u64, a: Algorithm| -> f64 {
+) -> ShapeCheck {
+    let mut check = ShapeCheck::default();
+    let cell = |s: u64, q: u64, a: Algorithm| -> &Measurement {
         measurements
             .iter()
             .find(|m| m.divisor_size == s && m.quotient_size == q && m.algorithm == a)
-            .map(&total)
             .expect("grid is complete")
     };
+    let [naive_a, sort_agg_a, sort_agg_j_a, hash_agg_a, hash_agg_j_a, hash_div_a] =
+        Algorithm::table_columns();
     let mut sizes: Vec<(u64, u64)> = measurements
         .iter()
         .map(|m| (m.divisor_size, m.quotient_size))
@@ -242,44 +279,58 @@ pub fn check_table4_shape(
     sizes.sort_unstable();
     sizes.dedup();
     for (s, q) in sizes {
-        let naive = get(s, q, Algorithm::Naive);
-        let sort_agg = get(s, q, Algorithm::SortAggregation { join: false });
-        let sort_agg_j = get(s, q, Algorithm::SortAggregation { join: true });
-        let hash_agg = get(s, q, Algorithm::HashAggregation { join: false });
-        let hash_agg_j = get(s, q, Algorithm::HashAggregation { join: true });
-        let hash_div = get(
-            s,
-            q,
-            Algorithm::HashDivision {
-                mode: reldiv_core::HashDivisionMode::Standard,
-            },
-        );
+        let get = |a: Algorithm| total(cell(s, q, a));
+        let naive = get(naive_a);
+        let sort_agg = get(sort_agg_a);
+        let sort_agg_j = get(sort_agg_j_a);
+        let hash_agg = get(hash_agg_a);
+        let hash_agg_j = get(hash_agg_j_a);
+        let hash_div = get(hash_div_a);
         // Whether I/O dominates for this configuration: |R| of 16-byte
         // tuples against the 256 KB buffer pool. Below that, everything is
         // memory-resident and the CPU-only ratios of the analytical model
         // apply; above it, the I/O terms dominate as in Table 2.
         let io_bound = (s * q) * 16 > 256 * 1024;
+        let spread = Algorithm::table_columns()
+            .map(|a| cell(s, q, a).cpu_ms_spread)
+            .into_iter()
+            .fold(0.0, f64::max);
+        // Whether column `a` costs less than column `b`, counting a tie
+        // (recorded as one) as no contradiction.
+        let mut below = |a: Algorithm, b: Algorithm| {
+            let (ma, mb) = (cell(s, q, a), cell(s, q, b));
+            let (ta, tb) = (total(ma), total(mb));
+            let tie = ta >= tb && ma.io == mb.io && ta - tb < spread;
+            if tie {
+                let (a, b) = (a.label(), b.label());
+                let line = format!("|S|={s} |Q|={q}: {a} ties {b} ({ta:.2} vs {tb:.2} ms)");
+                check.ties.push(line);
+            }
+            ta < tb || tie
+        };
         let mut claim = |ok: bool, msg: String| {
             if !ok {
-                violations.push(format!("|S|={s} |Q|={q}: {msg}"));
+                check.violations.push(format!("|S|={s} |Q|={q}: {msg}"));
             }
         };
         claim(
-            hash_agg < sort_agg && hash_agg < naive,
+            below(hash_agg_a, sort_agg_a) && below(hash_agg_a, naive_a),
             format!(
                 "hash-based should beat sort-based ({hash_agg:.0} vs {sort_agg:.0}/{naive:.0})"
             ),
         );
         claim(
-            hash_div < naive && hash_div < sort_agg && hash_div < sort_agg_j,
+            below(hash_div_a, naive_a)
+                && below(hash_div_a, sort_agg_a)
+                && below(hash_div_a, sort_agg_j_a),
             "hash-division should beat every sort-based column".into(),
         );
         claim(
-            sort_agg_j > sort_agg,
+            below(sort_agg_a, sort_agg_j_a),
             format!("the preceding join must cost extra ({sort_agg_j:.0} vs {sort_agg:.0})"),
         );
         claim(
-            hash_agg_j > hash_agg,
+            below(hash_agg_a, hash_agg_j_a),
             format!("the preceding semi-join must cost extra ({hash_agg_j:.0} vs {hash_agg:.0})"),
         );
         // Direct division vs join+aggregation: hash-division never needs
@@ -312,7 +363,7 @@ pub fn check_table4_shape(
             );
         }
     }
-    violations
+    check
 }
 
 #[cfg(test)]
@@ -345,9 +396,9 @@ mod tests {
         // A reduced grid keeps the test quick while checking the shape
         // machinery end to end.
         let sizes = [(25, 25), (25, 100)];
-        let ms = run_table4(&sizes, 99);
+        let ms = run_table4(&sizes, 99, 1);
         assert_eq!(ms.len(), 12);
-        let violations = check_table4_shape(&ms, Measurement::total_modeled_ms);
+        let violations = check_table4_shape(&ms, Measurement::total_modeled_ms).violations;
         // Only claims about configs present in the grid apply; filter.
         let relevant: Vec<&String> = violations
             .iter()
@@ -357,9 +408,66 @@ mod tests {
     }
 
     #[test]
+    fn a_tie_needs_equal_io_and_a_gap_inside_the_spread() {
+        // One memory-resident cell where every column does the same I/O
+        // and hash-division's CPU is 0.1 ms behind sort aggregation's.
+        let io = IoStats {
+            reads: 2,
+            seeks: 2,
+            bytes: 16_384,
+            ..IoStats::default()
+        };
+        let cpu = [3.0, 0.9, 2.0, 0.8, 1.5, 1.0];
+        let grid = |hash_div_cpu: f64, sort_agg_io: IoStats| -> Vec<Measurement> {
+            let cells = Algorithm::table_columns().into_iter().zip(cpu);
+            cells
+                .map(|(algorithm, cpu_ms)| {
+                    let hash_div = matches!(algorithm, Algorithm::HashDivision { .. });
+                    let sort_agg = algorithm == Algorithm::SortAggregation { join: false };
+                    let io = if sort_agg { sort_agg_io } else { io };
+                    Measurement {
+                        algorithm,
+                        divisor_size: 25,
+                        quotient_size: 25,
+                        dividend_size: 625,
+                        quotient_cardinality: 25,
+                        cpu_ms_measured: if hash_div { hash_div_cpu } else { cpu_ms },
+                        cpu_ms_spread: 0.2,
+                        cpu_ms_modeled: 0.0,
+                        io_ms: IoCostParams::paper().cost_ms(&io),
+                        io,
+                        ops: OpSnapshot::default(),
+                    }
+                })
+                .collect()
+        };
+        let beat_sorts = "|S|=25 |Q|=25: hash-division should beat every sort-based column";
+        let check = |ms: &[Measurement]| check_table4_shape(ms, Measurement::total_ms);
+
+        let tied = check(&grid(1.0, io));
+        assert!(tied.violations.is_empty(), "{tied:?}");
+        assert_eq!(tied.ties.len(), 1, "{tied:?}");
+        // Hash-division's CPU doubled: a loss far outside the spread.
+        let doubled = check(&grid(2.0, io));
+        assert!(
+            doubled.violations.iter().any(|v| v == beat_sorts),
+            "{doubled:?}"
+        );
+        // The same 0.1 ms behind a column that reads one page less.
+        let fewer_reads = IoStats {
+            reads: 1,
+            bytes: 8_192,
+            ..io
+        };
+        let lost = check(&grid(1.0, fewer_reads));
+        assert!(lost.violations.iter().any(|v| v == beat_sorts), "{lost:?}");
+        assert!(lost.ties.is_empty(), "{lost:?}");
+    }
+
+    #[test]
     fn render_grid_mentions_all_columns() {
         let sizes = [(25, 25)];
-        let ms = run_table4(&sizes, 5);
+        let ms = run_table4(&sizes, 5, 1);
         let grid = render_grid("t", &ms, Measurement::total_modeled_ms);
         for header in ["Naive", "SortAgg+J", "HashDiv"] {
             assert!(grid.contains(header));

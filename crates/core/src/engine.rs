@@ -17,7 +17,7 @@ use reldiv_exec::batch::{collect_batches, BoxedBatchOp};
 use reldiv_exec::hash_join::BatchHashJoin;
 use reldiv_exec::merge_join::JoinMode;
 use reldiv_exec::profile::{SpanKind, SpanMetrics, SpanScope};
-use reldiv_exec::sort::SortMode;
+use reldiv_exec::sort::{SortConfig, SortMode};
 use reldiv_rel::Relation;
 use reldiv_storage::{FileId, MemoryPool, StorageRef};
 
@@ -60,20 +60,27 @@ impl Engine<'_> {
         self.span(self.scan(source), label, SpanKind::Scan)
     }
 
-    /// An external sort in the configured sort space, under no span.
+    /// The query's sort space: its storage's work memory, within its budget.
+    fn sort_space(&self) -> SortConfig {
+        let work_memory = self.storage.borrow().config().work_memory_bytes;
+        SortConfig {
+            memory_bytes: work_memory.min(self.config.mem_budget.unwrap_or(usize::MAX)),
+            ..SortConfig::default()
+        }
+    }
+
+    /// An external sort in the query's sort space, under no span.
     fn sort_op(
         &self,
         input: BoxedBatchOp,
         keys: Vec<usize>,
         mode: SortMode,
     ) -> Result<BoxedBatchOp> {
-        let (st, sort, cancel) = (self.storage.clone(), self.config.sort, self.config.cancel);
-        Ok(Box::new(
-            BatchSort::new(st, input, keys, mode, sort)?.with_cancel(cancel),
-        ))
+        let sort = BatchSort::new(self.storage.clone(), input, keys, mode, self.sort_space())?;
+        Ok(Box::new(sort.with_cancel(self.config.cancel)))
     }
 
-    /// An external sort in the configured sort space.
+    /// An external sort in the query's sort space.
     pub(crate) fn sort(
         &self,
         input: BoxedBatchOp,
@@ -144,7 +151,7 @@ impl Engine<'_> {
             let all = (0..input.schema().arity()).collect();
             input = self.sort_op(input, all, SortMode::Distinct)?;
         }
-        let (st, sort, cancel) = (self.storage.clone(), self.config.sort, self.config.cancel);
+        let (st, sort, cancel) = (self.storage.clone(), self.sort_space(), self.config.cancel);
         // Sorted rows are (input columns..., count); keep the group
         // columns and the count.
         let mut columns = keys.clone();

@@ -203,16 +203,13 @@ impl<'a> Lowerer<'a> {
         // engine's.
         reldiv_core::api::validate_algorithm_for_inputs(algorithm, duplicate_free)
             .map_err(|e| PlanError::Validate(e.to_string()))?;
-        let mut config = DivisionConfig {
+        let config = DivisionConfig {
             assume_unique: duplicate_free,
             cancel: self.opts.cancel,
             profile: self.opts.profile.clone(),
             mem_budget: self.opts.mem_budget,
             ..DivisionConfig::default()
         };
-        // Sort space: the configured work memory, within the request's budget.
-        let work_memory = self.opts.storage.borrow().config().work_memory_bytes;
-        config.sort.memory_bytes = work_memory.min(self.opts.mem_budget.unwrap_or(usize::MAX));
         let (rel, report) = divide_with_report(
             &self.opts.storage,
             &dividend,
@@ -578,8 +575,9 @@ mod tests {
             vec![ints(&[10]), ints(&[11])],
         )
         .unwrap();
+        let schema = transcript.schema().clone();
         c.insert("transcript", transcript);
-        c.insert("courses", courses);
+        c.insert("courses", courses.clone());
         let text = "(divide (on course-no) (algorithm hash-div) \
                       (scan transcript) (scan courses))";
         let bound = bind(&parse(text).unwrap(), &c).unwrap();
@@ -595,6 +593,52 @@ mod tests {
         let clean = execute(&bound, &mut provider, &ExecOptions::new(storage())).unwrap();
         assert_eq!(clean.relation.cardinality(), 2000);
         assert!(!clean.choices[0].report.degraded);
+
+        // A sort-based plan sorts where `divide` does, in the storage's
+        // work memory within the budget: the same page transfers. 12 000
+        // students' runs outgrow the paper's 256 KB pool, not a 64 MB one.
+        let rows = (0..12_000).flat_map(|s| [ints(&[s, 10]), ints(&[s, 11])]);
+        let transcript = Relation::from_tuples(schema, rows.collect()).unwrap();
+        c.insert("transcript", transcript.clone());
+        let text = "(divide (on course-no) (algorithm naive) (unique no) \
+                      (scan transcript) (scan courses))";
+        let bound = bind(&parse(text).unwrap(), &c).unwrap();
+        let spec = DivisionSpec::trailing_divisor(transcript.schema(), courses.schema()).unwrap();
+        for (config, spills) in [
+            (StorageConfig::paper(), true),
+            (StorageConfig::large(), false),
+        ] {
+            for mem_budget in [None, Some(4 * 1024)] {
+                let io_of = |run: &dyn Fn(&StorageRef)| {
+                    let storage = StorageManager::shared(config.clone());
+                    run(&storage);
+                    let io = storage.borrow().io_stats();
+                    io
+                };
+                let planned = io_of(&|storage| {
+                    let opts = ExecOptions {
+                        mem_budget,
+                        ..ExecOptions::new(storage.clone())
+                    };
+                    let out = execute(&bound, &mut c.clone(), &opts).unwrap();
+                    assert_eq!(out.relation.cardinality(), 12_000);
+                });
+                let direct = io_of(&|storage| {
+                    let config = DivisionConfig {
+                        mem_budget,
+                        ..DivisionConfig::default()
+                    };
+                    let (r, s) = (
+                        Source::from_relation(&transcript),
+                        Source::from_relation(&courses),
+                    );
+                    let q = divide_with_report(storage, &r, &s, &spec, Algorithm::Naive, &config);
+                    assert_eq!(q.unwrap().0.cardinality(), 12_000);
+                });
+                assert_eq!(planned, direct, "{config:?} {mem_budget:?}");
+                assert_eq!(direct.writes > 0, spills, "{config:?} {mem_budget:?}");
+            }
+        }
     }
 
     #[test]

@@ -155,10 +155,7 @@ fn division_survives_a_tiny_buffer_pool() {
             algorithm,
             &DivisionConfig {
                 assume_unique: true,
-                sort: reldiv::exec::sort::SortConfig {
-                    memory_bytes: 8 * 1024,
-                    fan_in: 8,
-                },
+                mem_budget: Some(8 * 1024),
                 ..Default::default()
             },
         )
