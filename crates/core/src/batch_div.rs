@@ -12,10 +12,10 @@
 //!    passes (divisor attributes, quotient attributes) and per-row probes
 //!    through [`DivisorTable::lookup_row`] /
 //!    [`QuotientTable::absorb_row`], which compare column-at-a-time
-//!    against the batch and materialize a tuple only when a new quotient
-//!    candidate is created.
-//! 3. **Scan the quotient table**, chunking complete candidates into
-//!    batches.
+//!    against the tables' key columns and copy a new candidate's key into
+//!    them; the candidates `EarlyOut` completes leave with one `gather`.
+//! 3. **Scan the quotient table**, gathering a batch of complete
+//!    candidates at a time.
 //!
 //! Because the bulk hash kernel is bit-identical to
 //! [`Tuple::hash_on`](reldiv_rel::Tuple::hash_on) and the row-entry
@@ -27,9 +27,8 @@
 //!
 //! What changes is the constant factor: per batch the operator pays two
 //! virtual calls and one cancellation poll instead of one-plus-one per
-//! tuple, the hashes are computed in a tight columnar loop, and the
-//! tuple path's per-probe scratch allocations (the key-column index
-//! vectors in `lookup`/`absorb`) disappear entirely.
+//! tuple, the hashes are computed in a tight columnar loop, and no
+//! candidate is a tuple until it leaves.
 
 use reldiv_exec::batch::{BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
@@ -108,12 +107,11 @@ impl BatchHashDivision {
         s
     }
 
-    /// Steps 1+2 for one dividend batch; returns the quotient tuples the
+    /// Steps 1+2 for one dividend batch; returns the quotient rows the
     /// `EarlyOut` mode completed while absorbing it (empty otherwise).
     fn absorb_batch(&mut self, batch: &Batch) -> Result<Batch> {
         let dt = self.divisor_table.as_ref().expect("open builds tables");
         let qt = self.quotient_table.as_mut().expect("open builds tables");
-        let mut out = Batch::with_capacity(self.schema.clone(), 0);
         // Empty divisor: universal quantification is vacuous; every
         // dividend tuple survives as a (complete) candidate.
         let empty_divisor = dt.count() == 0;
@@ -123,6 +121,7 @@ impl BatchHashDivision {
             batch.hash_rows(&self.spec.divisor_keys)
         };
         let qhashes = batch.hash_rows(&self.spec.quotient_keys);
+        let mut done = Vec::new();
         for row in 0..batch.len() {
             let divisor_no = if empty_divisor {
                 None
@@ -136,12 +135,13 @@ impl BatchHashDivision {
                     }
                 }
             };
-            if let Some(q) = qt.absorb_row(qhashes[row], batch, row, divisor_no)? {
-                self.stats.emitted += 1;
-                out.push_tuple(&q);
-            }
+            done.extend(qt.absorb_row(qhashes[row], batch, row, divisor_no)?);
         }
-        Ok(out)
+        self.stats.emitted += done.len() as u64;
+        Ok(match done.is_empty() {
+            true => Batch::with_capacity(self.schema.clone(), 0),
+            false => qt.rows(&done),
+        })
     }
 }
 
@@ -203,21 +203,18 @@ impl BatchOperator for BatchHashDivision {
                 }
             };
         }
-        // Step 3: chunk the final quotient-table scan into batches.
+        // Step 3: chunk the final quotient-table scan into batches, a
+        // batch's complete candidates gathered at once.
         let qt = self.quotient_table.as_mut().expect("open builds tables");
-        let mut out = Batch::with_capacity(self.schema.clone(), self.batch_size);
-        while out.len() < self.batch_size {
-            match qt.next_complete() {
-                Some(t) => out.push_tuple(&t),
+        let mut done = Vec::with_capacity(self.batch_size);
+        while done.len() < self.batch_size {
+            match qt.next_complete_row() {
+                Some(g) => done.push(g),
                 None => break,
             }
         }
-        self.stats.emitted += out.len() as u64;
-        if out.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(out))
-        }
+        self.stats.emitted += done.len() as u64;
+        Ok((!done.is_empty()).then(|| qt.rows(&done)))
     }
 
     fn close(&mut self) -> Result<()> {

@@ -22,10 +22,9 @@ pub struct Bitmap {
 impl Bitmap {
     /// Creates a map of `bits` zero bits (one per divisor tuple).
     pub fn new(bits: usize) -> Self {
-        let words = bits.div_ceil(64);
-        counters::count_bitops(words.max(1) as u64); // word-at-a-time clear
+        count_clear(bits);
         Bitmap {
-            words: vec![0; words],
+            words: vec![0; bits.div_ceil(64)],
             bits,
         }
     }
@@ -51,11 +50,7 @@ impl Bitmap {
     /// bit position is set already" before setting — one operation here.
     pub fn set(&mut self, i: usize) -> bool {
         debug_assert!(i < self.bits, "bit {i} out of range {}", self.bits);
-        counters::count_bitops(1);
-        let (w, b) = (i / 64, i % 64);
-        let prior = self.words[w] & (1 << b) != 0;
-        self.words[w] |= 1 << b;
-        prior
+        set_bit(&mut self.words, i)
     }
 
     /// Tests bit `i`.
@@ -68,41 +63,51 @@ impl Bitmap {
     /// Tests the map for a zero bit, word at a time: `true` iff all bits
     /// are set. An empty map is vacuously complete.
     pub fn all_set(&self) -> bool {
-        counters::count_bitops(self.words.len().max(1) as u64);
-        if self.bits == 0 {
-            return true;
-        }
-        let full_words = self.bits / 64;
-        if self.words[..full_words].iter().any(|&w| w != u64::MAX) {
-            return false;
-        }
-        let rem = self.bits % 64;
-        if rem == 0 {
-            return true;
-        }
-        let mask = (1u64 << rem) - 1;
-        self.words[full_words] & mask == mask
+        all_set(&self.words, self.bits)
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
 
-    /// The backing words, for spill-record serialization (adaptive-hybrid
-    /// overflow writes whole bit maps to partition files).
-    pub fn words(&self) -> &[u64] {
-        &self.words
+// The word-slice kernels behind [`Bitmap`], shared with the flat group
+// table (`crate::groups`), whose maps live in one word array.
+
+/// Counts the word-at-a-time clear of a `bits`-bit map (one `Bit` per
+/// word, at least one).
+pub(crate) fn count_clear(bits: usize) {
+    counters::count_bitops(bits.div_ceil(64).max(1) as u64);
+}
+
+/// Sets bit `i` of `words`, returning its previous value. One `Bit`.
+pub(crate) fn set_bit(words: &mut [u64], i: usize) -> bool {
+    counters::count_bitops(1);
+    let (w, b) = (i / 64, i % 64);
+    let prior = words[w] & (1 << b) != 0;
+    words[w] |= 1 << b;
+    prior
+}
+
+/// Whether the `bits`-bit map in `words` has no zero, word at a time:
+/// one `Bit` per word (at least one). An empty map is complete.
+pub(crate) fn all_set(words: &[u64], bits: usize) -> bool {
+    counters::count_bitops(words.len().max(1) as u64);
+    let full_words = bits / 64;
+    if words[..full_words].iter().any(|&w| w != u64::MAX) {
+        return false;
     }
+    let mask = (1u64 << (bits % 64)) - 1;
+    mask == 0 || words[full_words] & mask == mask
+}
 
-    /// OR-merges serialized `words` into this map, word at a time.
-    /// Extra trailing words in `words` are ignored; missing ones are
-    /// treated as zero.
-    pub fn or_words(&mut self, words: impl IntoIterator<Item = u64>) {
-        counters::count_bitops(self.words.len().max(1) as u64);
-        for (w, v) in self.words.iter_mut().zip(words) {
-            *w |= v;
-        }
+/// ORs `from` into `words`, word at a time: one `Bit` per word of
+/// `words` (at least one). Extra words of `from` are ignored.
+pub(crate) fn or_words(words: &mut [u64], from: impl IntoIterator<Item = u64>) {
+    counters::count_bitops(words.len().max(1) as u64);
+    for (w, v) in words.iter_mut().zip(from) {
+        *w |= v;
     }
 }
 

@@ -34,19 +34,19 @@
 //!   observation: when the dividend is known duplicate-free, counters
 //!   replace divisor numbers and bit maps entirely.
 //!
-//! Memory for both hash tables, chain elements, and bit maps is accounted
-//! against the storage manager's memory pool; exhaustion surfaces as
-//! `MemoryExhausted`, the trigger for the overflow strategies.
+//! Both tables are flat `GroupTable`s (key columns and bit-map words, no
+//! tuple or bit map per entry). Memory for both hash tables, chain
+//! elements, and bit maps is accounted against the storage manager's
+//! memory pool; exhaustion surfaces as `MemoryExhausted`, the trigger for
+//! the overflow strategies.
 
 use reldiv_exec::batch::BoxedBatchOp;
 use reldiv_exec::cancel::CancelToken;
-use reldiv_exec::hash_table::ChainedTable;
 use reldiv_exec::op::{BoxedOp, OpState, Operator};
 use reldiv_rel::{Batch, Schema, Tuple};
-use reldiv_storage::memory::Reservation;
 use reldiv_storage::MemoryPool;
 
-use crate::bitmap::Bitmap;
+use crate::groups::{GroupTable, Key};
 use crate::spec::DivisionSpec;
 use crate::Result;
 
@@ -89,52 +89,49 @@ fn close_after<T>(drained: Result<T>, closed: Result<()>) -> Result<T> {
 
 /// Step 1's product: the divisor hash table with divisor numbers.
 pub struct DivisorTable {
-    table: ChainedTable<(Tuple, u32)>,
+    /// The distinct divisor tuples, numbered in arrival order: group `d`
+    /// is divisor number `d`.
+    table: GroupTable,
     /// Whether a batch probe compares only the chain elements of equal
-    /// hash ([`ChainedTable::find_hashed`]) or, as the tuple probes and the
-    /// cost model do, all of them.
+    /// hash or, as the tuple probes and the cost model do, all of them.
     prefilter: bool,
-    count: u32,
     duplicates: u64,
-    /// `0..arity` of the stored divisor tuples, precomputed so the batch
-    /// path's per-row lookups allocate nothing.
-    key_cols: Vec<usize>,
-    /// Accounts the stored divisor tuples' bytes.
-    _payload: Reservation,
 }
 
 impl DivisorTable {
+    fn empty(divisor: &Schema, pool: &MemoryPool, prefilter: bool) -> Result<Self> {
+        Ok(DivisorTable {
+            table: GroupTable::new(pool, divisor.record_width(), Some(divisor), None, 0)?,
+            prefilter,
+            duplicates: 0,
+        })
+    }
+
+    /// Adds the divisor tuple `key` of hash `h`, or counts a duplicate.
+    fn add(&mut self, h: u64, key: Key) -> Result<()> {
+        match self.find(h, key) {
+            Some(_) => self.duplicates += 1,
+            None => _ = self.table.insert(h, key, None)?,
+        }
+        Ok(())
+    }
+
+    fn find(&self, h: u64, key: Key) -> Option<u32> {
+        self.table.find(h, key, self.prefilter).map(|d| d as u32)
+    }
+
     /// Builds the table by draining `divisor` (opened here, and closed on
     /// every exit), eliminating duplicates on the fly and numbering
     /// distinct tuples in arrival order.
     pub fn build(divisor: &mut BoxedOp, pool: &MemoryPool) -> Result<Self> {
         let mut drain = || -> Result<Self> {
             divisor.open()?;
-            let width = divisor.schema().record_width();
-            let arity = divisor.schema().arity();
-            let mut table: ChainedTable<(Tuple, u32)> = ChainedTable::new(pool, 16)?;
-            let mut payload = pool.reserve(0)?;
-            let all: Vec<usize> = (0..arity).collect();
-            let mut count: u32 = 0;
-            let mut duplicates: u64 = 0;
+            let all: Vec<usize> = (0..divisor.schema().arity()).collect();
+            let mut dt = Self::empty(divisor.schema(), pool, false)?;
             while let Some(t) = divisor.next()? {
-                let h = t.hash_on(&all);
-                if table.find(h, |(s, _)| s.eq_on(&all, &t, &all)).is_some() {
-                    duplicates += 1;
-                    continue;
-                }
-                payload.grow(width)?;
-                table.insert(h, (t, count))?;
-                count += 1;
+                dt.add(t.hash_on(&all), Key::Tuple(&t, &all))?;
             }
-            Ok(DivisorTable {
-                table,
-                prefilter: false,
-                count,
-                duplicates,
-                key_cols: all,
-                _payload: payload,
-            })
+            Ok(dt)
         };
         let built = drain();
         close_after(built, divisor.close())
@@ -177,27 +174,12 @@ impl DivisorTable {
     ) -> Result<Self> {
         let mut drain = || -> Result<Self> {
             divisor.open()?;
-            let width = divisor.schema().record_width();
-            let arity = divisor.schema().arity();
-            let mut dt = DivisorTable {
-                table: ChainedTable::new(pool, 16)?,
-                prefilter,
-                count: 0,
-                duplicates: 0,
-                key_cols: (0..arity).collect(),
-                _payload: pool.reserve(0)?,
-            };
+            let all: Vec<usize> = (0..divisor.schema().arity()).collect();
+            let mut dt = Self::empty(divisor.schema(), pool, prefilter)?;
             while let Some(batch) = divisor.next_batch()? {
                 cancel.check()?;
-                let hashes = batch.hash_rows(&dt.key_cols);
-                for (row, &h) in hashes.iter().enumerate() {
-                    if dt.lookup_row(h, &batch, row, &dt.key_cols).is_some() {
-                        dt.duplicates += 1;
-                        continue;
-                    }
-                    dt._payload.grow(width)?;
-                    dt.table.insert(h, (batch.tuple(row), dt.count))?;
-                    dt.count += 1;
+                for (row, h) in batch.hash_rows(&all).into_iter().enumerate() {
+                    dt.add(h, Key::Row(&batch, &all, row))?;
                 }
             }
             Ok(dt)
@@ -208,7 +190,7 @@ impl DivisorTable {
 
     /// Number of distinct divisor tuples (the width of every bit map).
     pub fn count(&self) -> u32 {
-        self.count
+        self.table.len() as u32
     }
 
     /// Divisor duplicates dropped during the build.
@@ -219,12 +201,8 @@ impl DivisorTable {
     /// Looks up the divisor number matching dividend tuple `t` on its
     /// divisor-attribute columns `divisor_keys`.
     pub fn lookup(&self, t: &Tuple, divisor_keys: &[usize]) -> Option<u32> {
-        let arity = divisor_keys.len();
-        let all: Vec<usize> = (0..arity).collect();
         let h = t.hash_on(divisor_keys);
-        self.table
-            .find(h, |(s, _)| t.eq_on(divisor_keys, s, &all))
-            .map(|idx| self.table.get(idx).1)
+        self.find(h, Key::Tuple(t, divisor_keys))
     }
 
     /// [`DivisorTable::lookup`] for one row of a batch: `h` is the row's
@@ -238,40 +216,23 @@ impl DivisorTable {
         row: usize,
         divisor_keys: &[usize],
     ) -> Option<u32> {
-        let is = |(s, _): &(Tuple, u32)| batch.row_eq_tuple(divisor_keys, row, s, &self.key_cols);
-        let found = match self.prefilter {
-            true => self.table.find_hashed(h, is),
-            false => self.table.find(h, is),
-        };
-        found.map(|idx| self.table.get(idx).1)
+        self.find(h, Key::Row(batch, divisor_keys, row))
     }
 
     /// Iterates the distinct divisor tuples with their numbers.
-    pub fn entries(&self) -> impl Iterator<Item = &(Tuple, u32)> {
-        self.table.items()
+    pub fn entries(&self) -> impl Iterator<Item = (Tuple, u32)> + '_ {
+        let keys = self.table.keys();
+        (0..keys.len()).map(|d| (keys.tuple(d), d as u32))
     }
-}
-
-/// One quotient-table entry.
-struct QEntry {
-    tuple: Tuple,
-    bitmap: Bitmap,
-    count: u32,
 }
 
 /// Step 2/3's state: quotient candidates with bit maps.
 pub struct QuotientTable {
-    table: ChainedTable<QEntry>,
-    payload: Reservation,
+    table: GroupTable,
     mode: HashDivisionMode,
     divisor_count: u32,
     quotient_keys: Vec<usize>,
-    /// `0..quotient_keys.len()` — the candidate tuples' own columns,
-    /// precomputed so the batch path's per-row probes allocate nothing.
-    qcols: Vec<usize>,
-    quotient_width: usize,
     scan_pos: usize,
-    stats_candidates: u64,
 }
 
 impl QuotientTable {
@@ -284,23 +245,18 @@ impl QuotientTable {
         quotient_keys: Vec<usize>,
         quotient_width: usize,
     ) -> Result<Self> {
-        let qcols: Vec<usize> = (0..quotient_keys.len()).collect();
         Ok(QuotientTable {
-            table: ChainedTable::new(pool, 16)?,
-            payload: pool.reserve(0)?,
+            table: GroupTable::new(pool, quotient_width, None, Some(mode), divisor_count)?,
             mode,
             divisor_count,
             quotient_keys,
-            qcols,
-            quotient_width,
             scan_pos: 0,
-            stats_candidates: 0,
         })
     }
 
     /// Number of candidates.
     pub fn candidates(&self) -> u64 {
-        self.stats_candidates
+        self.table.len() as u64
     }
 
     /// Absorbs one dividend tuple already matched to `divisor_no`
@@ -308,138 +264,59 @@ impl QuotientTable {
     /// complete). Returns a quotient tuple when the `EarlyOut` mode
     /// completes a candidate.
     pub fn absorb(&mut self, t: &Tuple, divisor_no: Option<u32>) -> Result<Option<Tuple>> {
-        debug_assert!(divisor_no.is_some() || self.divisor_count == 0);
-        let qcols: Vec<usize> = (0..self.quotient_keys.len()).collect();
+        let key = Key::Tuple(t, &self.quotient_keys);
         let h = t.hash_on(&self.quotient_keys);
-        let found = self
-            .table
-            .find(h, |e| t.eq_on(&self.quotient_keys, &e.tuple, &qcols));
-        match found {
-            None => {
-                let tuple = t.project(&self.quotient_keys);
-                self.absorb_miss(h, tuple, divisor_no)
-            }
-            Some(idx) => self.absorb_hit(idx, divisor_no),
-        }
+        let found = self.table.find(h, key, false);
+        let absorbed = self.table.absorb_key((h, key), found, divisor_no)?;
+        Ok(self.completed(absorbed).map(|g| self.table.keys().tuple(g)))
     }
 
-    /// [`QuotientTable::absorb`] for one row of a batch, already matched
-    /// to `divisor_no`: `h` is the row's precomputed hash over the
-    /// quotient attributes (from the bulk kernel); the probe compares
-    /// column-at-a-time against the batch, and the candidate tuple is
-    /// materialized only on a miss.
+    /// [`QuotientTable::absorb`] for one row of a batch, of precomputed
+    /// quotient hash `h`: compares column-at-a-time and copies a new
+    /// candidate's key. Returns the candidate `EarlyOut` completes.
     pub fn absorb_row(
         &mut self,
         h: u64,
         batch: &Batch,
         row: usize,
         divisor_no: Option<u32>,
-    ) -> Result<Option<Tuple>> {
-        debug_assert!(divisor_no.is_some() || self.divisor_count == 0);
-        let found = self.table.find_hashed(h, |e| {
-            batch.row_eq_tuple(&self.quotient_keys, row, &e.tuple, &self.qcols)
-        });
-        match found {
-            None => {
-                let tuple = batch.tuple_projected(&self.quotient_keys, row);
-                self.absorb_miss(h, tuple, divisor_no)
-            }
-            Some(idx) => self.absorb_hit(idx, divisor_no),
-        }
+    ) -> Result<Option<usize>> {
+        let key = Key::Row(batch, &self.quotient_keys, row);
+        let found = self.table.find(h, key, true);
+        let absorbed = self.table.absorb_key((h, key), found, divisor_no)?;
+        Ok(self.completed(absorbed))
     }
 
-    /// Shared miss path: accounts and inserts a new candidate (already
-    /// projected onto the quotient attributes) under hash `h`.
-    fn absorb_miss(
-        &mut self,
-        h: u64,
-        tuple: Tuple,
-        divisor_no: Option<u32>,
-    ) -> Result<Option<Tuple>> {
-        let bits = if self.mode == HashDivisionMode::CounterOnly {
-            0
-        } else {
-            self.divisor_count as usize
-        };
-        self.payload
-            .grow(self.quotient_width + Bitmap::heap_bytes(bits))?;
-        let mut bitmap = Bitmap::new(bits);
-        let mut count = 0;
-        if let Some(d) = divisor_no {
-            if self.mode != HashDivisionMode::CounterOnly {
-                bitmap.set(d as usize);
-            }
-            count = 1;
-        }
-        self.stats_candidates += 1;
-        let complete = count == self.divisor_count;
-        let emit = if self.mode == HashDivisionMode::EarlyOut && complete {
-            Some(tuple.clone())
-        } else {
-            None
-        };
-        self.table.insert(
-            h,
-            QEntry {
-                tuple,
-                bitmap,
-                count,
-            },
-        )?;
-        Ok(emit)
+    /// The candidate `EarlyOut` completes with a tuple new to group `g`.
+    fn completed(&self, (g, new): (usize, bool)) -> Option<usize> {
+        let early = self.mode == HashDivisionMode::EarlyOut;
+        (early && new && self.table.count(g) == u64::from(self.divisor_count)).then_some(g)
     }
 
-    /// Shared hit path: updates the existing candidate at `idx`.
-    fn absorb_hit(&mut self, idx: u32, divisor_no: Option<u32>) -> Result<Option<Tuple>> {
-        let divisor_count = self.divisor_count;
-        let e = self.table.get_mut(idx);
-        match self.mode {
-            HashDivisionMode::Standard => {
-                if let Some(d) = divisor_no {
-                    e.bitmap.set(d as usize);
-                }
-                Ok(None)
-            }
-            HashDivisionMode::EarlyOut => {
-                if let Some(d) = divisor_no {
-                    // Test-and-set: an already-set bit means a duplicate
-                    // dividend tuple — discard it.
-                    if !e.bitmap.set(d as usize) {
-                        e.count += 1;
-                        if e.count == divisor_count {
-                            return Ok(Some(e.tuple.clone()));
-                        }
-                    }
-                }
-                Ok(None)
-            }
-            HashDivisionMode::CounterOnly => {
-                if divisor_no.is_some() {
-                    e.count += 1;
-                }
-                Ok(None)
-            }
-        }
+    /// The candidates numbered `groups`, as quotient rows.
+    pub fn rows(&self, groups: &[usize]) -> Batch {
+        self.table.keys().gather(groups)
     }
 
-    /// Step 3: pulls the next complete candidate from the final table
-    /// scan. (Under `EarlyOut`, complete candidates were emitted during
-    /// the stream, so this scan yields nothing.)
-    pub fn next_complete(&mut self) -> Option<Tuple> {
+    /// Step 3: the next complete candidate's number (none under `EarlyOut`,
+    /// whose complete candidates left during the stream).
+    pub fn next_complete_row(&mut self) -> Option<usize> {
         while self.scan_pos < self.table.len() {
-            let idx = self.scan_pos as u32;
+            let g = self.scan_pos;
             self.scan_pos += 1;
-            let e = self.table.get(idx);
-            let complete = match self.mode {
-                HashDivisionMode::Standard => e.bitmap.all_set(),
-                HashDivisionMode::EarlyOut => false,
-                HashDivisionMode::CounterOnly => e.count == self.divisor_count,
-            };
-            if complete {
-                return Some(e.tuple.clone());
+            if self.mode != HashDivisionMode::EarlyOut && self.table.complete(g, self.divisor_count)
+            {
+                return Some(g);
             }
         }
         None
+    }
+
+    /// Step 3: pulls the next complete candidate from the final table
+    /// scan, as a tuple.
+    pub fn next_complete(&mut self) -> Option<Tuple> {
+        let g = self.next_complete_row()?;
+        Some(self.table.keys().tuple(g))
     }
 }
 

@@ -28,25 +28,24 @@
 //!   [`MAX_RECURSION_DEPTH`] levels, past which the typed
 //!   [`ExecError::RecursionLimit`] is returned.
 //!
-//! Spill files come in two fixed-width record layouts per partition: a
-//! *state* file of whole table entries (quotient columns + bit-map words,
-//! or an accumulated count in counter mode) and a *delta* file of single
-//! matched tuples (quotient columns + divisor number). Merging ORs state
-//! bit maps and sets delta bits, so duplicate dividend tuples stay
-//! harmless in the bit-map modes exactly as in Figure 1.
+//! Every table — a hot group's too — is a flat `GroupTable` (a chain of
+//! group numbers over quotient columns and bit-map words). Spill files
+//! come in two fixed-width record layouts per partition: a *state* file of
+//! whole groups (quotient columns + bit-map words, or an accumulated count
+//! in counter mode) and a *delta* file of single matched tuples (quotient
+//! columns + divisor number). Merging ORs state bit maps and sets delta
+//! bits, so duplicate dividend tuples stay harmless in the bit-map modes
+//! exactly as in Figure 1.
 //!
-//! Both ends work on columns. The dividend arrives in batches: the
-//! divisor attributes are hashed a batch at a time, a row is compared
-//! against divisor and quotient tuples in place, and a tuple is built only
-//! for a new group. The decisions — routing, victims, revives, what a
-//! reservation is taken for and when — are still made row by row, so they
-//! are those of a tuple-at-a-time run. A row bound for a delta file is
-//! queued and written when its batch is done, a partition's rows in one
-//! append: no spill file is read before the input ends, so a file holds
-//! the records, in the order, it always did. Spill files are read back a
-//! page at a time, straight into columns. Outside the pool the operator
-//! holds one input batch with its queued row numbers, one spill page and
-//! at most a batch's worth of encoded records.
+//! Both ends work on columns (`docs/MEMORY.md`, "Batches in, pages back"):
+//! batches in, keys hashed a batch or a page at a time, rows compared in
+//! place, state records encoded from a table's columns, complete groups
+//! gathered. The decisions — routing, victims, revives, what a reservation
+//! is taken for and when — are still made row by row, so they are those
+//! of a tuple-at-a-time run, and each spill file holds the records, in the
+//! order, it always did. Outside the pool the operator holds one input
+//! batch with its queued row numbers, one spill page and at most a batch's
+//! worth of encoded records.
 //!
 //! Every decision is recorded: spills/revives/recursion in the
 //! [`DegradationReport`] and as [`SpanKind::Spill`]/[`SpanKind::Revive`]
@@ -54,16 +53,16 @@
 
 use reldiv_exec::batch::{drain_batches, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
-use reldiv_exec::hash_table::ChainedTable;
 use reldiv_exec::profile::{ProfileSink, SpanKind, SpanScope};
 use reldiv_rel::column::ColumnVec;
 use reldiv_rel::schema::Field;
-use reldiv_rel::{Batch, RecordCodec, Relation, Schema, Tuple};
+use reldiv_rel::{counters, Batch, Relation, Schema};
 use reldiv_storage::file::Appender;
 use reldiv_storage::memory::Reservation;
 use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
 
 use crate::bitmap::Bitmap;
+use crate::groups::{GroupTable, Key};
 use crate::hash_division::{DivisorTable, HashDivisionMode};
 use crate::report::DegradationReport;
 use crate::spec::DivisionSpec;
@@ -144,107 +143,16 @@ fn spill_file(
     })
 }
 
-/// One quotient group: candidate tuple plus its bit map (or counter).
-struct HEntry {
-    tuple: Tuple,
-    bitmap: Bitmap,
-    count: u32,
-}
-
-impl HEntry {
-    /// A group nothing has matched yet; `bits` is 0 in counter mode.
-    fn new(tuple: Tuple, bits: usize) -> Self {
-        HEntry {
-            tuple,
-            bitmap: Bitmap::new(bits),
-            count: 0,
-        }
-    }
-
-    fn complete(&self, counter: bool, divisor_count: u32) -> bool {
-        if counter {
-            self.count == divisor_count
-        } else {
-            self.bitmap.all_set()
-        }
-    }
-
-    /// Absorbs one matched dividend tuple. `None` means the divisor is
-    /// empty (vacuous).
-    fn absorb(&mut self, counter: bool, dno: Option<u32>) {
-        match dno {
-            Some(d) if !counter => {
-                self.bitmap.set(d as usize);
-            }
-            Some(_) => self.count += 1,
-            None => {}
-        }
-    }
-}
-
-/// A resident partition's quotient table, memory-accounted like
-/// [`crate::hash_division::QuotientTable`] but exposing its footprint
-/// (victim policy) and entry iteration (spilling).
-struct HybridTable {
-    table: ChainedTable<HEntry>,
-    payload: Reservation,
-    counter: bool,
-    divisor_count: u32,
-    /// Bits of a group's bit map (0 in counter mode), and the bytes a
-    /// group is accounted at.
-    bits: usize,
-    group_bytes: usize,
-}
-
-impl HybridTable {
-    /// Accounted bytes: buckets, chain elements, tuples, bit maps.
-    fn footprint(&self) -> usize {
-        self.table.accounted_bytes() + self.payload.bytes()
-    }
-
-    fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// The group with hash `h` whose quotient tuple `is` the wanted one —
-    /// every element of the chain is compared, as the cost model counts —
-    /// or a new one around `tuple()` that nothing has matched yet.
-    fn find_or_insert(
-        &mut self,
-        h: u64,
-        mut is: impl FnMut(&Tuple) -> bool,
-        tuple: impl FnOnce() -> Tuple,
-    ) -> Result<&mut HEntry> {
-        let idx = match self.table.find(h, |e| is(&e.tuple)) {
-            Some(idx) => idx,
-            None => {
-                self.payload.grow(self.group_bytes)?;
-                self.table.insert(h, HEntry::new(tuple(), self.bits))?
-            }
-        };
-        Ok(self.table.get_mut(idx))
-    }
-
-    /// Step 3: emits every complete candidate into `out`.
-    fn emit_complete(&self, out: &mut Relation) -> Result<()> {
-        for e in self.table.items() {
-            if e.complete(self.counter, self.divisor_count) {
-                out.push(e.tuple.clone()).map_err(ExecError::from)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The hot-group accumulator of a spilled partition.
+/// The hot-group accumulator of a spilled partition: one group, in a
+/// table of its own.
 struct HotGroup {
-    entry: HEntry,
-    /// Accounts the entry's bytes so skew handling respects the budget.
+    group: GroupTable,
+    /// Accounts the group's bytes so skew handling respects the budget.
     _mem: Reservation,
 }
 
 /// A partition's spill files, by record layout: at [`STATE`] serialized
-/// table entries (quotient + bit-map words / count), at [`DELTA`] single
+/// groups (quotient + bit-map words / count), at [`DELTA`] single
 /// matched tuples (quotient + divisor number). Each is created by its
 /// first record.
 type SpillFiles = [Option<FileId>; 2];
@@ -255,7 +163,7 @@ const DELTA: usize = 1;
 #[derive(Default)]
 struct Partition {
     /// The resident table; `None` when untouched or spilled.
-    resident: Option<HybridTable>,
+    resident: Option<GroupTable>,
     /// Whether the partition has been evicted (distinguishes "spilled"
     /// from "never touched").
     spilled: bool,
@@ -270,43 +178,25 @@ struct Partition {
 
 /// One dividend row that found its divisor tuple (or an empty divisor).
 struct Matched<'b> {
-    batch: &'b Batch,
+    /// The row on the dividend's quotient columns, and its hash on them.
+    key: Key<'b>,
     row: usize,
-    /// The dividend's quotient columns, and the row's hash on them.
-    keys: &'b [usize],
     h: u64,
     dno: Option<u32>,
-}
-
-impl Matched<'_> {
-    /// Whether the row belongs to `group`, a tuple over `qcols`.
-    fn is(&self, group: &Tuple, qcols: &[usize]) -> bool {
-        self.batch.row_eq_tuple(self.keys, self.row, group, qcols)
-    }
-
-    fn tuple(&self) -> Tuple {
-        self.batch.tuple_projected(self.keys, self.row)
-    }
-}
-
-/// An `Int` column of a spill page: every one after the quotient's is.
-fn ints(page: &Batch, column: usize) -> &[i64] {
-    match page.column(column) {
-        ColumnVec::Int(values) => values,
-        ColumnVec::Str(_) => unreachable!("a spill record ends in Int columns"),
-    }
 }
 
 /// The adaptive-hybrid driver state.
 struct Hybrid<'a> {
     storage: &'a StorageRef,
     pool: MemoryPool,
-    counter: bool,
+    /// `Standard` (a bit map per group) or `CounterOnly` (a count).
+    mode: HashDivisionMode,
+    /// The bytes a group is accounted at.
+    group_bytes: usize,
     divisor_count: u32,
-    /// Encodes a group's tuple: the head of either spill record.
-    quotient: RecordCodec,
-    /// `0..quotient arity`: the quotient columns of a group's tuple and of
-    /// either spill record.
+    /// The quotient's schema: the head of either spill record.
+    quotient: Schema,
+    /// `0..quotient arity`: the quotient columns of either spill record.
     qcols: Vec<usize>,
     /// The spill-record layouts, at [`STATE`] and [`DELTA`].
     layouts: [Schema; 2],
@@ -329,28 +219,10 @@ struct Hybrid<'a> {
 }
 
 impl<'a> Hybrid<'a> {
-    /// Bits of a group's bit map (0 in counter mode), and the bytes a
-    /// group is accounted at.
-    fn group(&self) -> (usize, usize) {
-        let bits = if self.counter {
-            0
-        } else {
-            self.divisor_count as usize
-        };
-        let bytes = self.quotient.record_width() + Bitmap::heap_bytes(bits);
-        (bits, bytes)
-    }
-
-    fn new_table(&self) -> Result<HybridTable> {
-        let (bits, group_bytes) = self.group();
-        Ok(HybridTable {
-            table: ChainedTable::new(&self.pool, 16)?,
-            payload: self.pool.reserve(0)?,
-            counter: self.counter,
-            divisor_count: self.divisor_count,
-            bits,
-            group_bytes,
-        })
+    /// An empty table of groups, in `pool`.
+    fn new_table(&self, pool: &MemoryPool) -> Result<GroupTable> {
+        let (width, keys) = (self.quotient.record_width(), Some(&self.quotient));
+        GroupTable::new(pool, width, keys, Some(self.mode), self.divisor_count)
     }
 
     fn span(&self, label: String, kind: SpanKind) -> Option<SpanScope> {
@@ -373,33 +245,18 @@ impl<'a> Hybrid<'a> {
         Ok(bytes)
     }
 
-    /// Queues `entry`'s state record: the group's tuple through the record
-    /// codec, with its checks, then the bit-map words or the count.
-    fn push_state(&mut self, entry: &HEntry) -> Result<()> {
-        self.quotient.encode_into(&entry.tuple, &mut self.records)?;
-        if self.counter {
-            let count = i64::from(entry.count);
-            self.records.extend_from_slice(&count.to_le_bytes());
-        }
-        for word in entry.bitmap.words() {
-            self.records.extend_from_slice(&word.to_le_bytes());
-        }
-        Ok(())
-    }
-
-    /// Writes every entry of `table` to the state file, a batch's worth of
-    /// records to an append. Returns the bytes written (the caller decides
-    /// spill vs respool).
-    fn write_table(&mut self, files: &mut SpillFiles, table: &HybridTable) -> Result<u64> {
+    /// Writes `groups` to the state file, a batch of them gathered and
+    /// encoded at a time; returns the bytes (the caller's spill or respool).
+    fn write_groups(&mut self, files: &mut SpillFiles, groups: &GroupTable) -> Result<u64> {
         let mut bytes = 0;
-        for (idx, entry) in table.table.items().enumerate() {
-            self.cancel.checkpoint(&mut self.budget)?;
-            self.push_state(entry)?;
-            if (idx + 1) % DEFAULT_BATCH_SIZE == 0 {
-                bytes += self.write(files, STATE)?;
-            }
+        for start in (0..groups.len()).step_by(DEFAULT_BATCH_SIZE) {
+            self.cancel.check()?;
+            let end = groups.len().min(start + DEFAULT_BATCH_SIZE);
+            let rows = groups.rows(start..end, self.layouts[STATE].clone());
+            rows.encode_records(&mut self.records)?;
+            bytes += self.write(files, STATE)?;
         }
-        Ok(bytes + self.write(files, STATE)?)
+        Ok(bytes)
     }
 
     /// Evicts the largest resident partition. Returns `false` when no
@@ -424,7 +281,7 @@ impl<'a> Hybrid<'a> {
             format!("spill p{vi} ({} groups)", table.len()),
             SpanKind::Spill,
         );
-        let bytes = self.write_table(&mut parts[vi].files, &table)?;
+        let bytes = self.write_groups(&mut parts[vi].files, &table)?;
         drop(table); // releases the partition's reservations
         report.note_spill(bytes);
         Ok(true)
@@ -437,18 +294,23 @@ impl<'a> Hybrid<'a> {
         report.spill_bytes += self.layouts[DELTA].record_width() as u64;
     }
 
-    /// Adopts `m`'s group as the hot group of a spilled partition; falls
-    /// back to a delta record when even one entry does not fit.
-    fn adopt_hot(&self, part: &mut Partition, m: &Matched, report: &mut DegradationReport) {
-        let (bits, bytes) = self.group();
-        match self.pool.reserve(bytes) {
+    /// Adopts `m`'s group as the hot group of a spilled partition (charged
+    /// its group's bytes alone); a delta record when even that does not fit.
+    fn adopt_hot(
+        &self,
+        part: &mut Partition,
+        m: &Matched,
+        report: &mut DegradationReport,
+    ) -> Result<()> {
+        match self.pool.reserve(self.group_bytes) {
             Ok(mem) => {
-                let mut entry = HEntry::new(m.tuple(), bits);
-                entry.absorb(self.counter, m.dno);
-                part.hot = Some(HotGroup { entry, _mem: mem });
+                let mut group = self.new_table(&MemoryPool::unbounded())?;
+                group.insert(m.h, m.key, m.dno)?;
+                part.hot = Some(HotGroup { group, _mem: mem });
             }
             Err(_) => self.queue_delta(part, m, report),
         }
+        Ok(())
     }
 
     /// Absorbs a matched tuple into a spilled partition: the hot-group
@@ -460,8 +322,10 @@ impl<'a> Hybrid<'a> {
         report: &mut DegradationReport,
     ) -> Result<()> {
         if let Some(hot) = &mut part.hot {
-            if m.is(&hot.entry.tuple, &self.qcols) {
-                hot.entry.absorb(self.counter, m.dno);
+            if hot.group.is(0, m.key) {
+                if let Some(d) = m.dno {
+                    hot.group.absorb(0, d);
+                }
                 part.hot_misses = 0;
                 return Ok(());
             }
@@ -477,12 +341,10 @@ impl<'a> Hybrid<'a> {
         // decision hangs on it.
         let cold = part.hot.take();
         if let Some(cold) = &cold {
-            self.push_state(&cold.entry)?;
-            report.spill_bytes += self.write(&mut part.files, STATE)?;
+            report.spill_bytes += self.write_groups(&mut part.files, &cold.group)?;
             part.hot_misses = 0;
         }
-        self.adopt_hot(part, m, report);
-        Ok(())
+        self.adopt_hot(part, m, report)
     }
 
     /// Routes one matched tuple, spilling victims until it lands.
@@ -498,14 +360,14 @@ impl<'a> Hybrid<'a> {
                 return self.absorb_spilled(&mut parts[p], m, report);
             }
             let landed = if let Some(table) = &mut parts[p].resident {
-                table
-                    .find_or_insert(m.h, |group| m.is(group, &self.qcols), || m.tuple())
-                    .map(|entry| {
-                        entry.absorb(self.counter, m.dno);
-                        true
-                    })
+                table.find_or_insert(m.h, m.key).map(|g| {
+                    if let Some(d) = m.dno {
+                        table.absorb(g, d);
+                    }
+                    true
+                })
             } else {
-                self.new_table().map(|table| {
+                self.new_table(&self.pool).map(|table| {
                     parts[p].resident = Some(table);
                     false
                 })
@@ -552,7 +414,7 @@ impl<'a> Hybrid<'a> {
         let Some(vi) = parts.iter().position(|p| p.spilled) else {
             return Ok(());
         };
-        let mut table = match self.new_table() {
+        let mut table = match self.new_table(&self.pool) {
             Ok(t) => t,
             // The headroom estimate was optimistic; stay spilled.
             Err(e) if e.is_memory_exhausted() => return Ok(()),
@@ -561,15 +423,11 @@ impl<'a> Hybrid<'a> {
         let _span = self.span(format!("revive p{vi}"), SpanKind::Revive);
         if let Some(hot) = parts[vi].hot.take() {
             // The table adopts the hot group, whole.
-            let (group, qcols) = (&hot.entry, &self.qcols);
-            let adopted = table.find_or_insert(
-                group.tuple.hash_on(qcols),
-                |other| group.tuple.eq_on(qcols, other, qcols),
-                || group.tuple.clone(),
-            );
+            let group = &hot.group;
+            let h = group.keys().hash_row(&self.qcols, 0);
+            let adopted = table.find_or_insert(h, Key::Row(group.keys(), &self.qcols, 0));
             match adopted {
-                Ok(entry) if self.counter => entry.count += group.count,
-                Ok(entry) => entry.bitmap.or_words(group.bitmap.words().iter().copied()),
+                Ok(g) => table.merge(g, group.words(0).iter().copied()),
                 Err(e) if e.is_memory_exhausted() => {
                     // Keep the hot group where it was and abort the revive.
                     parts[vi].hot = Some(hot);
@@ -590,8 +448,10 @@ impl<'a> Hybrid<'a> {
         let Some(file) = file else {
             return Ok(None);
         };
-        let mut page = Batch::with_capacity(self.layouts[kind].clone(), 0);
         let mut sm = self.storage.borrow_mut();
+        // Room for as many records as fit a page.
+        let (layout, page_size) = (&self.layouts[kind], sm.config().data_page_size);
+        let mut page = Batch::with_capacity(layout.clone(), page_size / layout.record_width());
         let visited = sm.visit_page(file, i, |_, record| {
             page.push_record(record).map_err(ExecError::from)
         })?;
@@ -601,8 +461,8 @@ impl<'a> Hybrid<'a> {
     /// Streams the partition's spill files into a fresh table, a page at a
     /// time. On memory exhaustion the partial table is discarded (the
     /// files still hold every record) and the caller re-partitions.
-    fn try_merge(&mut self, files: &SpillFiles) -> Result<HybridTable> {
-        let mut table = self.new_table()?;
+    fn try_merge(&mut self, files: &SpillFiles) -> Result<GroupTable> {
+        let mut table = self.new_table(&self.pool)?;
         let qcols = &self.qcols;
         for (kind, &file) in files.iter().enumerate() {
             for i in 0.. {
@@ -611,21 +471,26 @@ impl<'a> Hybrid<'a> {
                 };
                 // What follows the quotient: words or a count, or a
                 // divisor number.
-                let tail: Vec<&[i64]> = (qcols.len()..page.schema().arity())
-                    .map(|column| ints(&page, column))
+                let tail: Vec<&[i64]> = (page.columns()[qcols.len()..].iter())
+                    .map(|column| match column {
+                        ColumnVec::Int(values) => &values[..],
+                        ColumnVec::Str(_) => unreachable!("a spill record ends in Int columns"),
+                    })
                     .collect();
-                for row in 0..page.len() {
+                // One hash pass per page, counted row by row: a merge that
+                // runs out of memory midway counts what it used.
+                for (row, h) in page.hash_rows_uncounted(qcols).into_iter().enumerate() {
                     self.cancel.checkpoint(&mut self.budget)?;
-                    let entry = table.find_or_insert(
-                        page.hash_row(qcols, row),
-                        |group| page.row_eq_tuple(qcols, row, group, qcols),
-                        || page.tuple_projected(qcols, row),
-                    )?;
+                    counters::count_hashes(1);
+                    let g = table.find_or_insert(h, Key::Row(&page, qcols, row))?;
                     match kind {
-                        STATE if self.counter => entry.count += tail[0][row] as u32,
-                        STATE => entry.bitmap.or_words(tail.iter().map(|w| w[row] as u64)),
+                        STATE => table.merge(g, tail.iter().map(|w| w[row] as u64)),
                         // A negative number is none (vacuous divisor).
-                        _ => entry.absorb(self.counter, u32::try_from(tail[0][row]).ok()),
+                        _ => {
+                            if let Ok(d) = u32::try_from(tail[0][row]) {
+                                table.absorb(g, d);
+                            }
+                        }
                     }
                 }
             }
@@ -667,6 +532,17 @@ impl<'a> Hybrid<'a> {
         Ok(subs)
     }
 
+    /// Emits the complete groups of `groups` into `out`, gathered at once.
+    fn emit_complete(&self, groups: &GroupTable, out: &mut Relation) -> Result<()> {
+        let complete: Vec<usize> = (0..groups.len())
+            .filter(|&g| groups.complete(g, self.divisor_count))
+            .collect();
+        for t in groups.keys().gather(&complete).into_tuples() {
+            out.push(t).map_err(ExecError::from)?;
+        }
+        Ok(())
+    }
+
     /// Merges one partition's files, recursing on exhaustion. `depth` is
     /// the current recursion level (0 for the first pass).
     fn merge_files(
@@ -683,7 +559,7 @@ impl<'a> Hybrid<'a> {
         let span = self.span(format!("merge p{label} depth={depth}"), SpanKind::Partition);
         match self.try_merge(&files) {
             Ok(table) => {
-                table.emit_complete(result)?;
+                self.emit_complete(&table, result)?;
                 drop(span);
                 Ok(())
             }
@@ -712,30 +588,20 @@ impl<'a> Hybrid<'a> {
         report: &mut DegradationReport,
     ) -> Result<()> {
         let (resident, hot) = (part.resident.take(), part.hot.take());
+        let mut groups = resident.iter().chain(hot.as_ref().map(|hot| &hot.group));
         let mut files = part.files;
         if files == SpillFiles::default() {
             // Fully in-memory: emit straight from the table (and the hot
             // group of a partition that spilled before writing anything).
-            if let Some(table) = resident {
-                table.emit_complete(result)?;
-            }
-            if let Some(hot) = hot {
-                if hot.entry.complete(self.counter, self.divisor_count) {
-                    result.push(hot.entry.tuple).map_err(ExecError::from)?;
-                }
-            }
-            return Ok(());
+            return groups.try_for_each(|groups| self.emit_complete(groups, result));
         }
         // Flush the in-memory remains so the files hold every record, then
         // merge from disk (first-time spills: these bytes never hit a file
-        // before).
-        if let Some(table) = resident {
-            report.spill_bytes += self.write_table(&mut files, &table)?;
+        // before) with their memory given back.
+        for groups in groups {
+            report.spill_bytes += self.write_groups(&mut files, groups)?;
         }
-        if let Some(hot) = hot {
-            self.push_state(&hot.entry)?;
-            report.spill_bytes += self.write(&mut files, STATE)?;
-        }
+        drop((resident, hot));
         self.merge_files(p, files, 0, result, report)
     }
 
@@ -746,15 +612,14 @@ impl<'a> Hybrid<'a> {
         batch: &Batch,
         quotient_keys: &[usize],
     ) -> Result<()> {
-        if parts.iter().all(|part| part.delta_rows.is_empty()) {
-            return Ok(());
-        }
-        let quotient = batch.project(quotient_keys)?;
         for part in parts.iter_mut().filter(|part| !part.delta_rows.is_empty()) {
-            let dnos = ColumnVec::Int(std::mem::take(&mut part.delta_dnos));
-            let deltas = quotient.gather(&part.delta_rows);
-            part.delta_rows.clear();
-            (deltas.widen(self.layouts[DELTA].clone(), dnos)).encode_records(&mut self.records)?;
+            let dnos = ColumnVec::Int(part.delta_dnos.drain(..).collect());
+            let mut deltas = Batch::with_capacity(self.quotient.clone(), dnos.len());
+            for row in part.delta_rows.drain(..) {
+                deltas.push_projected(batch, quotient_keys, row);
+            }
+            (deltas.widen(self.layouts[DELTA].clone(), [dnos]))
+                .encode_records(&mut self.records)?;
             self.write(&mut part.files, DELTA)?;
         }
         Ok(())
@@ -770,11 +635,14 @@ impl<'a> Hybrid<'a> {
         report: &mut DegradationReport,
     ) -> Result<()> {
         let keys = &spec.quotient_keys[..];
-        // An empty divisor matches every tuple, vacuously.
+        // Step 1: the rows with a divisor tuple, and its number. An empty
+        // divisor matches every tuple, vacuously.
         let dhashes = match dt.count() {
             0 => Vec::new(),
             _ => batch.hash_rows(&spec.divisor_keys),
         };
+        let mut rows = Vec::with_capacity(batch.len());
+        let mut dnos = Vec::with_capacity(batch.len());
         for row in 0..batch.len() {
             self.cancel.checkpoint(&mut self.budget)?;
             let dno = match dhashes.get(row) {
@@ -784,14 +652,15 @@ impl<'a> Hybrid<'a> {
                     None => continue, // no divisor match: discard
                 },
             };
-            let m = Matched {
-                batch,
-                row,
-                keys,
-                h: batch.hash_row(keys, row),
-                dno,
-            };
-            self.absorb(parts, &m, report)?;
+            rows.push(row);
+            dnos.push(dno);
+        }
+        // Step 2, a matched row at a time; their quotient keys are hashed
+        // in one pass, so a noise row costs no hash.
+        let hashes = batch.hash_rows_at(keys, &rows);
+        for ((row, dno), h) in rows.into_iter().zip(dnos).zip(hashes) {
+            let key = Key::Row(batch, keys, row);
+            self.absorb(parts, &Matched { key, row, h, dno }, report)?;
             self.matched += 1;
             if self.spilled_yet && self.matched % REVIVE_STRIDE == 0 {
                 self.maybe_revive(parts, report)?;
@@ -812,7 +681,7 @@ impl<'a> Hybrid<'a> {
         drain_batches(dividend, self.cancel, |batch| {
             self.ingest(&batch, &mut parts, dt, spec, report)
         })?;
-        let mut result = Relation::empty(self.quotient.schema().clone());
+        let mut result = Relation::empty(self.quotient.clone());
         for (p, part) in parts.iter_mut().enumerate() {
             self.finish_partition(p, part, &mut result, report)?;
         }
@@ -871,24 +740,30 @@ pub fn adaptive_hybrid_report(
     // candidate would be re-emitted by the merge pass), so the adaptive
     // path runs it as Standard; the quotient set is identical.
     let counter = mode == HashDivisionMode::CounterOnly;
-    let tail: Vec<Field> = match counter {
-        true => vec![Field::int("count")],
-        false => (0..dt.count().div_ceil(64))
-            .map(|w| Field::int(format!("w{w}")))
-            .collect(),
-    };
+    let bits = if counter { 0 } else { dt.count() as usize };
     let layout = |tail: Vec<Field>| {
         let quotient = quotient_schema.fields().iter().cloned();
         Schema::new(quotient.chain(tail).collect())
     };
+    let words = match counter {
+        true => vec![Field::int("count")],
+        false => (0..bits.div_ceil(64))
+            .map(|w| Field::int(format!("w{w}")))
+            .collect(),
+    };
     let mut hybrid = Hybrid {
         storage,
         pool: pool.clone(),
-        counter,
+        mode: if counter {
+            mode
+        } else {
+            HashDivisionMode::Standard
+        },
         divisor_count: dt.count(),
+        group_bytes: quotient_schema.record_width() + Bitmap::heap_bytes(bits),
         qcols: (0..spec.quotient_keys.len()).collect(),
-        layouts: [layout(tail), layout(vec![Field::int("dno")])],
-        quotient: RecordCodec::new(quotient_schema),
+        layouts: [layout(words), layout(vec![Field::int("dno")])],
+        quotient: quotient_schema,
         fanout,
         cancel,
         budget: 0,

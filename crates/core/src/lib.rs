@@ -61,6 +61,7 @@ pub mod batch_div;
 pub mod bitmap;
 pub mod contains;
 mod engine;
+mod groups;
 pub mod hash_agg;
 pub mod hash_division;
 pub mod hybrid;

@@ -202,7 +202,7 @@ fn append_tagged(
     for chunk in quotient.tuples().chunks(DEFAULT_BATCH_SIZE) {
         let mut batch = Batch::with_capacity(quotient.schema().clone(), chunk.len());
         chunk.iter().for_each(|t| batch.push_tuple(t));
-        let tags = ColumnVec::Int(vec![tag; chunk.len()]);
+        let tags = [ColumnVec::Int(vec![tag; chunk.len()])];
         batch.widen(schema.clone(), tags).encode_records(records)?;
         let mut sm = storage.borrow_mut();
         appender.append_records(&mut sm, records, schema.record_width())?;

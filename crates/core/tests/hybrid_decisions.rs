@@ -179,6 +179,109 @@ fn operation_counts_on_a_noisy_input_are_the_recorded_ones() {
     }
 }
 
+/// A report of the hybrid that spilled `spilled` partitions and recursed
+/// to `depth`, with `(spill_bytes, respool_bytes)`.
+fn spilled_report((spill, respool): (u64, u64), spilled: u32, depth: u32) -> DegradationReport {
+    DegradationReport {
+        degraded: true,
+        phases: vec![
+            "in-memory: memory exhausted".into(),
+            "adaptive-hybrid f=16".into(),
+        ],
+        spill_bytes: spill,
+        respool_bytes: respool,
+        retries: 1,
+        partitions_spilled: spilled,
+        partitions_revived: 0,
+        recursion_depth: depth,
+    }
+}
+
+#[test]
+fn operation_counts_of_wide_keys_and_counters_are_the_recorded_ones() {
+    // The noisy input re-keyed by an 8-byte string and by two columns, at
+    // the 64 KB and 6 KB rows above; and counters on the same input
+    // without duplicates, where 16 KB re-partitions. Recorded on the
+    // hybrid whose groups were a tuple and a bit map each.
+    let w = noisy();
+    let unique = WorkloadSpec {
+        divisor_size: 25,
+        quotient_size: 1500,
+        incomplete_groups: 500,
+        noise_per_group: 3,
+        ..WorkloadSpec::default()
+    }
+    .generate(72);
+    let str_key = rekey(&w.dividend, Key::Str);
+    let two_columns = rekey(&w.dividend, Key::TwoColumns);
+    let standard = HashDivisionMode::Standard;
+    for (dividend, divisor, mode, budget, ops, report) in [
+        (
+            &str_key,
+            &w.divisor,
+            standard,
+            64 << 10,
+            (222_395, 318_261, 96_148),
+            spilled_report((541_968, 86_864), 6, 1),
+        ),
+        (
+            &str_key,
+            &w.divisor,
+            standard,
+            6 << 10,
+            (358_016, 327_909, 105_805),
+            spilled_report((1_378_832, 1_378_832), 16, 1),
+        ),
+        (
+            &two_columns,
+            &w.divisor,
+            standard,
+            64 << 10,
+            (230_348, 319_013, 97_620),
+            spilled_report((985_992, 139_752), 7, 1),
+        ),
+        (
+            &two_columns,
+            &w.divisor,
+            standard,
+            6 << 10,
+            (357_417, 327_732, 104_841),
+            spilled_report((2_068_464, 2_068_464), 16, 1),
+        ),
+        (
+            &unique.dividend,
+            &unique.divisor,
+            HashDivisionMode::CounterOnly,
+            64 << 10,
+            (103_276, 154_037, 3_152),
+            spilled_report((188_016, 0), 4, 0),
+        ),
+        (
+            &unique.dividend,
+            &unique.divisor,
+            HashDivisionMode::CounterOnly,
+            16 << 10,
+            (133_956, 176_274, 4_936),
+            spilled_report((575_632, 93_248), 13, 1),
+        ),
+    ] {
+        let scope = OpScope::begin();
+        let (rel, got) = hash_divide(
+            &spill_geometry(),
+            Kind::Mem,
+            (dividend, divisor),
+            mode,
+            (HYBRID, Some(budget)),
+        );
+        let counted = scope.finish();
+        let case = format!("{:?} {mode:?} {budget}", dividend.schema());
+        assert_eq!(rel.cardinality(), 1500, "{case}");
+        assert_eq!(got, report, "{case}");
+        let counted = (counted.hashes, counted.comparisons, counted.bitops);
+        assert_eq!(counted, ops, "{case}");
+    }
+}
+
 /// The quotient-key layouts of the grid.
 #[derive(Debug, Clone, Copy)]
 enum Key {

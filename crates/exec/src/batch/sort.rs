@@ -264,7 +264,7 @@ impl BatchSort {
             self.cancel.check()?;
             if self.append_one {
                 let ones = ColumnVec::Int(vec![1; batch.len()]);
-                batch = batch.widen(self.schema.clone(), ones);
+                batch = batch.widen(self.schema.clone(), [ones]);
             }
             batch.encode_records(&mut records)?;
             while records.len() >= capacity {

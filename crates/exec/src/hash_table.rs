@@ -121,15 +121,7 @@ impl<T> ChainedTable<T> {
     /// tuple" — callers compare tuples inside `pred`, which counts the
     /// comparisons.
     pub fn find(&self, hash: u64, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
-        let mut cur = self.buckets[self.bucket_of(hash)];
-        while cur != NIL {
-            let e = &self.entries[cur as usize];
-            if pred(&e.item) {
-                return Some(cur);
-            }
-            cur = e.next;
-        }
-        None
+        self.find_by(hash, |_, item| pred(item))
     }
 
     /// [`ChainedTable::find`] with a packed-key prefilter: the predicate
@@ -139,10 +131,16 @@ impl<T> ChainedTable<T> {
     /// the comparison on every hash-distinct collision in the chain —
     /// the probe the vectorized kernels use.
     pub fn find_hashed(&self, hash: u64, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
+        self.find_by(hash, |stored, item| stored == hash && pred(item))
+    }
+
+    /// [`ChainedTable::find`] whose predicate also gets each element's
+    /// stored hash: `pred(stored, item)`.
+    pub fn find_by(&self, hash: u64, mut pred: impl FnMut(u64, &T) -> bool) -> Option<u32> {
         let mut cur = self.buckets[self.bucket_of(hash)];
         while cur != NIL {
             let e = &self.entries[cur as usize];
-            if e.hash == hash && pred(&e.item) {
+            if pred(e.hash, &e.item) {
                 return Some(cur);
             }
             cur = e.next;
@@ -158,11 +156,6 @@ impl<T> ChainedTable<T> {
     /// Mutable access to the element at an entry index.
     pub fn get_mut(&mut self, idx: u32) -> &mut T {
         &mut self.entries[idx as usize].item
-    }
-
-    /// Iterates all elements in insertion order.
-    pub fn items(&self) -> impl Iterator<Item = &T> {
-        self.entries.iter().map(|e| &e.item)
     }
 
     /// Consumes the table, yielding elements in insertion order and

@@ -249,15 +249,20 @@ impl Batch {
         })
     }
 
-    /// The batch under `schema` — its own fields and one more — with
-    /// `column` appended.
-    pub fn widen(mut self, schema: Schema, column: ColumnVec) -> Batch {
-        assert_eq!(schema.arity(), self.columns.len() + 1);
-        let int = schema.fields()[self.columns.len()].ty == ColumnType::Int;
-        assert_eq!(matches!(column, ColumnVec::Int(_)), int);
-        assert_eq!(column.len(), self.len);
+    /// The batch under `schema` — its own fields and more — with
+    /// `columns` appended.
+    pub fn widen(mut self, schema: Schema, columns: impl IntoIterator<Item = ColumnVec>) -> Batch {
+        let own = self.columns.len();
+        self.columns.extend(columns);
+        assert_eq!(schema.arity(), self.columns.len());
+        for (column, field) in self.columns[own..].iter().zip(&schema.fields()[own..]) {
+            assert_eq!(
+                matches!(column, ColumnVec::Int(_)),
+                field.ty == ColumnType::Int
+            );
+            assert_eq!(column.len(), self.len);
+        }
         self.schema = schema;
-        self.columns.push(column);
         self
     }
 
@@ -267,6 +272,17 @@ impl Batch {
     pub fn push_row_from(&mut self, other: &Batch, row: usize) {
         for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
             dst.push_from(src, row);
+        }
+        self.len += 1;
+    }
+
+    /// Appends row `row` of `other` projected onto `keys`, in that order;
+    /// the projected columns must have this batch's column types.
+    #[inline]
+    pub fn push_projected(&mut self, other: &Batch, keys: &[usize], row: usize) {
+        debug_assert_eq!(keys.len(), self.columns.len());
+        for (dst, &k) in self.columns.iter_mut().zip(keys) {
+            dst.push_from(&other.columns[k], row);
         }
         self.len += 1;
     }
@@ -318,6 +334,13 @@ impl Batch {
     /// bulk).
     pub fn hash_rows(&self, keys: &[usize]) -> Vec<u64> {
         counters::count_hashes(self.len as u64);
+        self.hash_rows_uncounted(keys)
+    }
+
+    /// [`Batch::hash_rows`] counting nothing, for a caller that counts one
+    /// `Hash` per row as it uses the row's hash — so that rows it never
+    /// gets to, when it stops midway, are not counted.
+    pub fn hash_rows_uncounted(&self, keys: &[usize]) -> Vec<u64> {
         let mut states: Vec<Fnv1a> = (0..self.len).map(|_| Fnv1a::new()).collect();
         for &k in keys {
             match &self.columns[k] {
@@ -335,6 +358,30 @@ impl Batch {
                         // (bytes plus a 0xff terminator).
                         state.write_u8(1);
                         s.as_str().hash(state);
+                    }
+                }
+            }
+        }
+        states.into_iter().map(|s| s.finish()).collect()
+    }
+
+    /// [`Batch::hash_rows`] over the rows at `rows` only, in that order:
+    /// one output, and one `Hash`, per selected row.
+    pub fn hash_rows_at(&self, keys: &[usize], rows: &[usize]) -> Vec<u64> {
+        counters::count_hashes(rows.len() as u64);
+        let mut states: Vec<Fnv1a> = rows.iter().map(|_| Fnv1a::new()).collect();
+        for &k in keys {
+            match &self.columns[k] {
+                ColumnVec::Int(vs) => {
+                    for (state, &row) in states.iter_mut().zip(rows) {
+                        state.write_u8(0);
+                        state.write_u64(vs[row] as u64);
+                    }
+                }
+                ColumnVec::Str(vs) => {
+                    for (state, &row) in states.iter_mut().zip(rows) {
+                        state.write_u8(1);
+                        vs[row].as_str().hash(state);
                     }
                 }
             }
@@ -389,6 +436,28 @@ impl Batch {
             }
         }
         true
+    }
+
+    /// Whether row `row` on `keys` equals row `other_row` of `other` on
+    /// `other_keys`: [`Batch::cmp_rows`] is `Equal`. Counts one `Comp`.
+    #[inline]
+    pub fn rows_eq(
+        &self,
+        keys: &[usize],
+        row: usize,
+        other: &Batch,
+        other_keys: &[usize],
+        other_row: usize,
+    ) -> bool {
+        counters::count_comparisons(1);
+        debug_assert_eq!(keys.len(), other_keys.len());
+        keys.iter()
+            .zip(other_keys)
+            .all(|(&a, &b)| match (&self.columns[a], &other.columns[b]) {
+                (ColumnVec::Int(x), ColumnVec::Int(y)) => x[row] == y[other_row],
+                (ColumnVec::Str(x), ColumnVec::Str(y)) => x[row] == y[other_row],
+                _ => false,
+            })
     }
 
     /// Orders row `row` on `keys` against row `other_row` of `other` on
@@ -564,8 +633,14 @@ mod tests {
         let rows = mixed_rows();
         let batch = batch_of(mixed_schema(), &rows);
         counters::reset();
-        let _ = batch.hash_rows(&[0, 1]);
+        let all = batch.hash_rows(&[0, 1]);
         assert_eq!(counters::snapshot().hashes, rows.len() as u64);
+        // A selection hashes its rows alike, counting only them.
+        counters::reset();
+        assert_eq!(batch.hash_rows_at(&[0, 1], &[2, 0]), vec![all[2], all[0]]);
+        assert_eq!(counters::snapshot().hashes, 2);
+        assert_eq!(batch.hash_rows_uncounted(&[0, 1]), all);
+        assert_eq!(counters::snapshot().hashes, 2);
     }
 
     #[test]
@@ -650,6 +725,10 @@ mod tests {
                     let got = a.cmp_rows(&keys, i, &b, &keys, j);
                     assert_eq!(counters::snapshot().comparisons, 1);
                     assert_eq!(got, x.cmp_on(&keys, y, &keys), "{x} vs {y} on {keys:?}");
+                    counters::reset();
+                    let eq = a.rows_eq(&keys, i, &b, &keys, j);
+                    assert_eq!(counters::snapshot().comparisons, 1);
+                    assert_eq!(eq, got == std::cmp::Ordering::Equal, "{x} vs {y}");
                 }
             }
         }
@@ -677,8 +756,11 @@ mod tests {
     fn tuple_projected_matches_tuple_project() {
         let rows = mixed_rows();
         let batch = batch_of(mixed_schema(), &rows);
+        let mut pushed = Batch::with_capacity(mixed_schema().project(&[2, 1]).unwrap(), 0);
         for (row, t) in rows.iter().enumerate() {
             assert_eq!(batch.tuple_projected(&[2, 1], row), t.project(&[2, 1]));
+            pushed.push_projected(&batch, &[2, 1], row);
+            assert_eq!(pushed.tuple(row), t.project(&[2, 1]));
         }
     }
     fn numbered(n: usize) -> Vec<Tuple> {
