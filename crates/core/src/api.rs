@@ -6,15 +6,13 @@
 //! wrapper used by examples and tests: it provisions a private storage
 //! manager with the paper's configuration.
 
-use std::rc::Rc;
-
-use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan, BatchMemScan};
+use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan};
 use reldiv_exec::batch::{BatchToTuple, BoxedBatchOp, ExecMode};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::BoxedOp;
 use reldiv_exec::profile::{ProfileSink, QueryProfile, SpanKind, SpanScope};
-use reldiv_exec::scan::{FileScan, MemScan};
-use reldiv_rel::{Columns, Relation, Schema, Tuple};
+use reldiv_exec::scan::FileScan;
+use reldiv_rel::{Columns, Relation, Schema};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::{FileId, StorageManager, StorageRef};
 
@@ -42,26 +40,19 @@ pub enum Source {
         /// Schema for decoding the records.
         schema: Schema,
     },
-    /// An in-memory relation (shared, so re-scans are cheap).
-    Mem {
-        /// The relation's schema.
-        schema: Schema,
-        /// The tuples, shared among scans.
-        tuples: Rc<Vec<Tuple>>,
-    },
-    /// A relation held as shared columns — the service catalog's form and
-    /// what a plan's materialized intermediates become. The payload is
-    /// `Send + Sync`: one copy serves every worker thread.
+    /// A relation held in memory as shared columns — an in-memory
+    /// relation's form, the service catalog's, and what a plan's
+    /// materialized intermediates become. Its scans hand out the stored
+    /// batches; the payload is `Send + Sync`: one copy serves every worker
+    /// thread.
     Columns(Columns),
 }
 
 impl Source {
-    /// Wraps an in-memory relation.
+    /// Wraps an in-memory relation: its rows as columns, built once for
+    /// every scan.
     pub fn from_relation(relation: &Relation) -> Source {
-        Source::Mem {
-            schema: relation.schema().clone(),
-            tuples: Rc::new(relation.tuples().to_vec()),
-        }
+        Source::Columns(Columns::from_relation(relation))
     }
 
     /// Wraps a record file.
@@ -72,7 +63,7 @@ impl Source {
     /// The relation's schema.
     pub fn schema(&self) -> &Schema {
         match self {
-            Source::File { schema, .. } | Source::Mem { schema, .. } => schema,
+            Source::File { schema, .. } => schema,
             Source::Columns(columns) => columns.schema(),
         }
     }
@@ -84,9 +75,6 @@ impl Source {
             Source::Columns(_) => Box::new(BatchToTuple::new(self.scan_batches(storage))),
             Source::File { file, schema } => {
                 Box::new(FileScan::new(storage.clone(), *file, schema.clone()))
-            }
-            Source::Mem { schema, tuples } => {
-                Box::new(MemScan::shared(schema.clone(), tuples.clone()))
             }
         }
     }
@@ -100,9 +88,6 @@ impl Source {
             Source::Columns(columns) => Box::new(BatchColumnsScan::new(columns.clone())),
             Source::File { file, schema } => {
                 Box::new(BatchFileScan::new(storage.clone(), *file, schema.clone()))
-            }
-            Source::Mem { schema, tuples } => {
-                Box::new(BatchMemScan::shared(schema.clone(), tuples.clone()))
             }
         }
     }
@@ -546,7 +531,7 @@ mod tests {
     use super::*;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
-    use reldiv_rel::Value;
+    use reldiv_rel::{Tuple, Value};
 
     fn transcript(rows: &[[i64; 2]]) -> Relation {
         let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);

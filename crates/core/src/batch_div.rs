@@ -8,18 +8,20 @@
 //! 1. **Build the divisor table** with
 //!    [`DivisorTable::build_batch`]: one bulk hash per divisor batch, one
 //!    cancellation poll per batch.
-//! 2. **Build the quotient table**: per dividend batch, two bulk hash
-//!    passes (divisor attributes, quotient attributes) and per-row probes
-//!    through [`DivisorTable::lookup_row`] /
-//!    [`QuotientTable::absorb_row`], which compare column-at-a-time
-//!    against the tables' key columns and copy a new candidate's key into
-//!    them; the candidates `EarlyOut` completes leave with one `gather`.
+//! 2. **Build the quotient table**: per dividend batch, one divisor probe
+//!    ([`DivisorTable::probe`]: a bulk hash of the divisor attributes and
+//!    the batch's key columns typed once), then a bulk hash of the matched
+//!    rows' quotient attributes only — a discarded row costs no quotient
+//!    `Hash` — and one typed quotient probe
+//!    ([`QuotientTable::absorb_rows`]), which copies a new candidate's key
+//!    into the table's columns; the candidates `EarlyOut` completes leave
+//!    with one `gather`.
 //! 3. **Scan the quotient table**, gathering a batch of complete
 //!    candidates at a time.
 //!
 //! Because the bulk hash kernel is bit-identical to
-//! [`Tuple::hash_on`](reldiv_rel::Tuple::hash_on) and the row-entry
-//! methods share the tuple path's tables, chain layouts, divisor numbers,
+//! [`Tuple::hash_on`](reldiv_rel::Tuple::hash_on) and the batch probes
+//! share the tuple path's tables, chain layouts, divisor numbers,
 //! and memory accounting are *exactly* those of the tuple path: the
 //! quotient comes out byte-identical, and memory exhaustion fires at the
 //! same tuple. The tuple operator stays as the reference this operator's
@@ -27,8 +29,9 @@
 //!
 //! What changes is the constant factor: per batch the operator pays two
 //! virtual calls and one cancellation poll instead of one-plus-one per
-//! tuple, the hashes are computed in a tight columnar loop, and no
-//! candidate is a tuple until it leaves.
+//! tuple, the hashes are computed in a tight columnar loop, the compares
+//! read typed slices and count into locals, and no candidate is a tuple
+//! until it leaves.
 
 use reldiv_exec::batch::{BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
@@ -112,31 +115,11 @@ impl BatchHashDivision {
     fn absorb_batch(&mut self, batch: &Batch) -> Result<Batch> {
         let dt = self.divisor_table.as_ref().expect("open builds tables");
         let qt = self.quotient_table.as_mut().expect("open builds tables");
-        // Empty divisor: universal quantification is vacuous; every
-        // dividend tuple survives as a (complete) candidate.
-        let empty_divisor = dt.count() == 0;
-        let dhashes = if empty_divisor {
-            Vec::new()
-        } else {
-            batch.hash_rows(&self.spec.divisor_keys)
-        };
-        let qhashes = batch.hash_rows(&self.spec.quotient_keys);
-        let mut done = Vec::new();
-        for row in 0..batch.len() {
-            let divisor_no = if empty_divisor {
-                None
-            } else {
-                match dt.lookup_row(dhashes[row], batch, row, &self.spec.divisor_keys) {
-                    Some(d) => Some(d),
-                    None => {
-                        // No matching divisor tuple: discard immediately.
-                        self.stats.dividend_discarded += 1;
-                        continue;
-                    }
-                }
-            };
-            done.extend(qt.absorb_row(qhashes[row], batch, row, divisor_no)?);
-        }
+        // Step 1: a row without a matching divisor tuple is discarded
+        // before its quotient key is hashed.
+        let (rows, dnos) = dt.probe(batch, &self.spec.divisor_keys);
+        self.stats.dividend_discarded += (batch.len() - rows.len()) as u64;
+        let done = qt.absorb_rows(batch, &rows, &dnos)?;
         self.stats.emitted += done.len() as u64;
         Ok(match done.is_empty() {
             true => Batch::with_capacity(self.schema.clone(), 0),
@@ -160,7 +143,7 @@ impl BatchOperator for BatchHashDivision {
             self.mode,
             dt.count(),
             self.spec.quotient_keys.clone(),
-            self.schema.record_width(),
+            &self.schema,
         )?;
         self.divisor_table = Some(dt);
         self.quotient_table = Some(qt);

@@ -50,6 +50,7 @@ impl Bitmap {
     /// bit position is set already" before setting — one operation here.
     pub fn set(&mut self, i: usize) -> bool {
         debug_assert!(i < self.bits, "bit {i} out of range {}", self.bits);
+        counters::count_bitops(1);
         set_bit(&mut self.words, i)
     }
 
@@ -81,9 +82,10 @@ pub(crate) fn count_clear(bits: usize) {
     counters::count_bitops(bits.div_ceil(64).max(1) as u64);
 }
 
-/// Sets bit `i` of `words`, returning its previous value. One `Bit`.
+/// Sets bit `i` of `words`, returning its previous value: one `Bit`,
+/// which the caller counts.
+#[inline]
 pub(crate) fn set_bit(words: &mut [u64], i: usize) -> bool {
-    counters::count_bitops(1);
     let (w, b) = (i / 64, i % 64);
     let prior = words[w] & (1 << b) != 0;
     words[w] |= 1 << b;
@@ -103,9 +105,9 @@ pub(crate) fn all_set(words: &[u64], bits: usize) -> bool {
 }
 
 /// ORs `from` into `words`, word at a time: one `Bit` per word of
-/// `words` (at least one). Extra words of `from` are ignored.
+/// `words` (at least one), which the caller counts. Extra words of `from`
+/// are ignored.
 pub(crate) fn or_words(words: &mut [u64], from: impl IntoIterator<Item = u64>) {
-    counters::count_bitops(words.len().max(1) as u64);
     for (w, v) in words.iter_mut().zip(from) {
         *w |= v;
     }

@@ -4,13 +4,16 @@
 //! The divisor table keeps no words: a divisor number *is* its group
 //! number. A group is charged its key's record width plus its map's bytes,
 //! and each clear, set, zero test and OR counts the `Bit`s a [`Bitmap`]'s.
+//!
+//! A batch probes through a [`Probe`], its key columns typed once, and
+//! counts its `Comp`s and `Bit`s in a [`Tally`] that reaches the counters
+//! once per batch and before anything that can fail or open a span.
 
 use std::ops::Range;
 
 use reldiv_exec::hash_table::ChainedTable;
 use reldiv_rel::column::ColumnVec;
-use reldiv_rel::schema::Field;
-use reldiv_rel::{counters, Batch, Schema, Tuple, Value};
+use reldiv_rel::{counters, Batch, Schema, Tuple};
 use reldiv_storage::memory::Reservation;
 use reldiv_storage::MemoryPool;
 
@@ -18,12 +21,92 @@ use crate::bitmap::{self, Bitmap};
 use crate::hash_division::HashDivisionMode;
 use crate::Result;
 
-/// A group's key as a probe holds it: a batch row or a tuple, on the
-/// columns listed.
+/// `Comp`s and `Bit`s counted in locals: [`Tally::flush`] adds them to the
+/// counters, as does dropping the tally, so an error exit loses none.
+#[derive(Default)]
+pub(crate) struct Tally {
+    comps: u64,
+    bits: u64,
+}
+
+impl Tally {
+    pub(crate) fn flush(&mut self) {
+        counters::count_comparisons(std::mem::take(&mut self.comps));
+        counters::count_bitops(std::mem::take(&mut self.bits));
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// One key column of a probe, typed.
 #[derive(Clone, Copy)]
-pub(crate) enum Key<'a> {
-    Row(&'a Batch, &'a [usize], usize),
-    Tuple(&'a Tuple, &'a [usize]),
+enum Col<'a> {
+    Int(&'a [i64]),
+    Str(&'a [String]),
+}
+
+/// A batch's key columns, typed once for every probe of its rows.
+pub(crate) struct Probe<'a> {
+    batch: &'a Batch,
+    on: &'a [usize],
+    cols: Vec<Col<'a>>,
+}
+
+impl<'a> Probe<'a> {
+    /// The columns `on` of `batch`, in that order.
+    pub(crate) fn new(batch: &'a Batch, on: &'a [usize]) -> Probe<'a> {
+        let cols = on.iter().map(|&k| match batch.column(k) {
+            ColumnVec::Int(v) => Col::Int(v),
+            ColumnVec::Str(v) => Col::Str(v),
+        });
+        let cols = cols.collect();
+        Probe { batch, on, cols }
+    }
+}
+
+/// A key to find or add: row `.1` of a batch's [`Probe`], or a tuple on the
+/// columns listed. Each kind compares at its own speed; no key is
+/// dispatched per compare.
+pub(crate) trait Key: Copy {
+    /// Whether group `g` of `table` is this key. One `Comp`.
+    fn is(self, table: &GroupTable, g: usize, tally: &mut Tally) -> bool;
+    /// Appends this key to a table's key columns.
+    fn push(self, keys: &mut Batch);
+}
+
+impl Key for (&Probe<'_>, usize) {
+    #[inline]
+    fn is(self, table: &GroupTable, g: usize, tally: &mut Tally) -> bool {
+        let (probe, row) = self;
+        tally.comps += 1;
+        probe
+            .cols
+            .iter()
+            .zip(table.keys.columns())
+            .all(|pair| match pair {
+                (Col::Int(p), ColumnVec::Int(k)) => p[row] == k[g],
+                (Col::Str(p), ColumnVec::Str(k)) => p[row] == k[g],
+                _ => false,
+            })
+    }
+
+    fn push(self, keys: &mut Batch) {
+        keys.push_projected(self.0.batch, self.0.on, self.1);
+    }
+}
+
+impl Key for (&Tuple, &[usize]) {
+    fn is(self, table: &GroupTable, g: usize, _: &mut Tally) -> bool {
+        table.keys.row_eq_tuple(&table.all, g, self.0, self.1)
+    }
+
+    fn push(self, keys: &mut Batch) {
+        keys.push_tuple(&self.0.project(self.1));
+    }
 }
 
 /// Groups under a bucket-chained hash table, as columns, accounted in a
@@ -36,9 +119,9 @@ pub(crate) struct GroupTable {
     bits: Option<usize>,
     count: bool,
     map: usize,
-    /// Row `g` is group `g`'s key: typed at creation, or by the first key.
+    /// Row `g` is group `g`'s key; `all` lists its columns.
     keys: Batch,
-    cols: Vec<usize>,
+    all: Vec<usize>,
     /// Group `g`'s map words, then its count: `words[g * stride..][..stride]`.
     words: Vec<u64>,
     stride: usize,
@@ -49,12 +132,10 @@ pub(crate) struct GroupTable {
 
 impl GroupTable {
     /// An empty table in `pool` of `mode`'s candidates over `divisor_count`
-    /// divisor tuples (no mode: of divisor tuples), with `key_width`-byte
-    /// keys, rows of `keys` or typed after the first key.
+    /// divisor tuples (no mode: of divisor tuples), keyed by rows of `keys`.
     pub(crate) fn new(
         pool: &MemoryPool,
-        key_width: usize,
-        keys: Option<&Schema>,
+        keys: &Schema,
         mode: Option<HashDivisionMode>,
         divisor_count: u32,
     ) -> Result<GroupTable> {
@@ -64,17 +145,16 @@ impl GroupTable {
         };
         let count = mode.is_some_and(|mode| mode != HashDivisionMode::Standard);
         let map = bits.unwrap_or(0).div_ceil(64);
-        let keys = keys.cloned().unwrap_or_else(|| Schema::new(Vec::new()));
         Ok(GroupTable {
             table: ChainedTable::new(pool, 16)?,
             bits,
             count,
             map,
-            cols: (0..keys.arity()).collect(),
-            keys: Batch::with_capacity(keys, 0),
+            keys: Batch::with_capacity(keys.clone(), 0),
+            all: (0..keys.arity()).collect(),
             words: Vec::new(),
             stride: map + usize::from(count),
-            group_bytes: key_width + Bitmap::heap_bytes(bits.unwrap_or(0)),
+            group_bytes: keys.record_width() + Bitmap::heap_bytes(bits.unwrap_or(0)),
             payload: pool.reserve(0)?,
         })
     }
@@ -93,26 +173,30 @@ impl GroupTable {
         &self.keys
     }
 
-    /// Whether group `g` is `key`. One `Comp`.
-    #[inline]
-    pub(crate) fn is(&self, g: usize, key: Key) -> bool {
-        match key {
-            Key::Row(batch, on, row) => batch.rows_eq(on, row, &self.keys, &self.cols, g),
-            Key::Tuple(t, on) => self.keys.row_eq_tuple(&self.cols, g, t, on),
-        }
+    /// The heads of `hashes`' chains, in one pass of independent loads:
+    /// valid until the next insert.
+    pub(crate) fn heads(&self, hashes: &[u64]) -> Vec<u32> {
+        hashes.iter().map(|&h| self.table.head(h)).collect()
     }
 
-    /// The group of hash `h` that is `key`, compared with every element of
-    /// the chain up to it (one `Comp` each, as the cost model counts) or —
-    /// `hashed` — with those of equal hash. An element of another hash
-    /// cannot be `key`: the stored hash decides that compare.
-    pub(crate) fn find(&self, h: u64, key: Key, hashed: bool) -> Option<usize> {
-        let found = self.table.find_by(h, |stored, &g| match stored == h {
-            true => self.is(g as usize, key),
+    /// The group of hash `h` that is `key`, on its chain (from `head`, one
+    /// of [`GroupTable::heads`], if given): compared with every element up
+    /// to it (one `Comp` each, as the cost model counts) or — `hashed` —
+    /// with those of equal hash. An element of another hash cannot be the
+    /// key: the stored hash decides that compare.
+    #[inline]
+    pub(crate) fn find(
+        &self,
+        (h, head): (u64, Option<u32>),
+        key: impl Key,
+        hashed: bool,
+        tally: &mut Tally,
+    ) -> Option<usize> {
+        let head = head.unwrap_or_else(|| self.table.head(h));
+        let found = self.table.find_from(head, |stored, &g| match stored == h {
+            true => key.is(self, g as usize, tally),
             false => {
-                if !hashed {
-                    counters::count_comparisons(1);
-                }
+                tally.comps += u64::from(!hashed);
                 false
             }
         });
@@ -120,70 +204,42 @@ impl GroupTable {
     }
 
     /// Adds group `key` under hash `h`: charges its bytes, counts its map's
-    /// clear, absorbs `first`, then charges its chain element. A failure
-    /// leaves the groups as they were, but not what was charged or counted.
-    pub(crate) fn insert(&mut self, h: u64, key: Key, first: Option<u32>) -> Result<usize> {
+    /// clear, absorbs `first`, charges its chain element, then copies the
+    /// key in. A failure leaves the groups as they were, but not what was
+    /// charged or counted.
+    pub(crate) fn insert(&mut self, h: u64, key: impl Key, first: Option<u32>) -> Result<usize> {
         self.payload.grow(self.group_bytes)?;
+        let mut tally = Tally::default();
         if let Some(bits) = self.bits {
-            bitmap::count_clear(bits);
+            tally.bits += bits.div_ceil(64).max(1) as u64;
         }
         let g = self.len();
         self.words.resize((g + 1) * self.stride, 0);
         if let Some(d) = first {
-            self.absorb(g, d);
+            self.absorb(g, d, &mut tally);
         }
         if let Err(e) = self.table.insert(h, g as u32) {
             self.words.truncate(g * self.stride);
             return Err(e);
         }
-        if self.cols.is_empty() && self.keys.is_empty() {
-            self.type_keys(key);
-        }
-        match key {
-            Key::Row(batch, on, row) => self.keys.push_projected(batch, on, row),
-            Key::Tuple(t, on) => self.keys.push_tuple(&t.project(on)),
-        }
+        key.push(&mut self.keys);
         Ok(g)
     }
 
-    /// Types the key columns after the first key's.
-    fn type_keys(&mut self, key: Key) {
-        let schema = match key {
-            Key::Row(batch, on, _) => batch.schema().project(on).expect("key columns"),
-            Key::Tuple(t, on) => Schema::new(
-                on.iter()
-                    .map(|&k| match t.value(k) {
-                        Value::Int(_) => Field::int("key"),
-                        Value::Str(_) => Field::str("key", 0),
-                    })
-                    .collect(),
-            ),
-        };
-        self.cols = (0..schema.arity()).collect();
-        self.keys = Batch::with_capacity(schema, 0);
-    }
-
-    /// Absorbs a tuple of divisor number `dno` (none: an empty divisor) into
-    /// group `found`, or into a new group `key` of hash `h`. Returns the
-    /// group, and whether the tuple was new to it.
-    pub(crate) fn absorb_key(
+    /// The group `key` under hash `h`, compared with every chain element,
+    /// added when there is none (`tally` flushed first).
+    pub(crate) fn find_or_insert(
         &mut self,
-        (h, key): (u64, Key),
-        found: Option<usize>,
-        dno: Option<u32>,
-    ) -> Result<(usize, bool)> {
-        Ok(match (found, dno) {
-            (None, _) => (self.insert(h, key, dno)?, true),
-            (Some(g), Some(d)) => (g, self.absorb(g, d)),
-            (Some(g), None) => (g, false),
-        })
-    }
-
-    /// The group `key` under hash `h`, added when there is none.
-    pub(crate) fn find_or_insert(&mut self, h: u64, key: Key) -> Result<usize> {
-        match self.find(h, key, false) {
+        h: u64,
+        key: impl Key,
+        tally: &mut Tally,
+    ) -> Result<usize> {
+        match self.find((h, None), key, false, tally) {
             Some(g) => Ok(g),
-            None => self.insert(h, key, None),
+            None => {
+                tally.flush();
+                self.insert(h, key, None)
+            }
         }
     }
 
@@ -199,9 +255,11 @@ impl GroupTable {
 
     /// Absorbs a tuple of divisor number `d` into group `g`: test-and-sets
     /// its bit (one `Bit`) and counts it if new. Returns whether it was.
-    pub(crate) fn absorb(&mut self, g: usize, d: u32) -> bool {
+    #[inline]
+    pub(crate) fn absorb(&mut self, g: usize, d: u32, tally: &mut Tally) -> bool {
         let (map, count) = (self.map, self.count);
         let words = &mut self.words[g * self.stride..][..self.stride];
+        tally.bits += u64::from(map != 0);
         let new = map == 0 || !bitmap::set_bit(&mut words[..map], d as usize);
         if count && new {
             words[map] += 1;
@@ -220,11 +278,19 @@ impl GroupTable {
 
     /// Merges `from` — group `g`'s words as another table or a spill record
     /// holds them — into it: counts add, maps OR word at a time.
-    pub(crate) fn merge(&mut self, g: usize, from: impl IntoIterator<Item = u64>) {
+    pub(crate) fn merge(
+        &mut self,
+        g: usize,
+        from: impl IntoIterator<Item = u64>,
+        tally: &mut Tally,
+    ) {
         let words = &mut self.words[g * self.stride..][..self.stride];
         match self.count {
             true => words[self.map] += from.into_iter().next().unwrap_or(0),
-            false => bitmap::or_words(words, from),
+            false => {
+                tally.bits += words.len().max(1) as u64;
+                bitmap::or_words(words, from);
+            }
         }
     }
 
@@ -246,7 +312,9 @@ impl GroupTable {
 mod tests {
     use super::*;
     use reldiv_rel::counters::OpScope;
+    use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
+    use reldiv_rel::Value;
     use reldiv_storage::memory::sizes;
 
     fn key_batch(schema: Schema, rows: Vec<Tuple>) -> Batch {
@@ -255,34 +323,33 @@ mod tests {
         batch
     }
 
-    /// `n` distinct keys of each layout: Int, `Str(8)`, two columns.
-    fn layouts(n: i64) -> Vec<Batch> {
+    /// Keys `range` of each layout: Int, `Str(8)`, two columns.
+    fn layouts(range: Range<i64>) -> Vec<Batch> {
         let text = |q: i64| Tuple::new(vec![Value::Str(format!("s{q:06}"))]);
         vec![
             key_batch(
                 Schema::new(vec![Field::int("q")]),
-                (0..n).map(|q| ints(&[q])).collect(),
+                range.clone().map(|q| ints(&[q])).collect(),
             ),
             key_batch(
                 Schema::new(vec![Field::str("q", 8)]),
-                (0..n).map(text).collect(),
+                range.clone().map(text).collect(),
             ),
             key_batch(
                 Schema::new(vec![Field::int("q1"), Field::int("q2")]),
-                (0..n).map(|q| ints(&[q / 7, q % 7])).collect(),
+                range.map(|q| ints(&[q / 7, q % 7])).collect(),
             ),
         ]
     }
 
-    /// A table in `pool` holding every row of `keys`, typed or not.
-    fn filled(pool: &MemoryPool, keys: &Batch, mode: HashDivisionMode, typed: bool) -> GroupTable {
+    /// A table in `pool` holding every row of `keys`.
+    fn filled(pool: &MemoryPool, keys: &Batch, mode: HashDivisionMode) -> GroupTable {
         let schema = keys.schema();
-        let typed = typed.then_some(schema);
-        let width = schema.record_width();
-        let mut table = GroupTable::new(pool, width, typed, Some(mode), 100).unwrap();
+        let mut table = GroupTable::new(pool, schema, Some(mode), 100).unwrap();
         let cols: Vec<usize> = (0..schema.arity()).collect();
+        let probe = Probe::new(keys, &cols);
         for (row, h) in keys.hash_rows(&cols).into_iter().enumerate() {
-            table.insert(h, Key::Row(keys, &cols, row), None).unwrap();
+            table.insert(h, (&probe, row), None).unwrap();
         }
         table
     }
@@ -291,10 +358,10 @@ mod tests {
     fn footprint_is_the_per_entry_formula() {
         let n = 300;
         let (standard, counter) = (HashDivisionMode::Standard, HashDivisionMode::CounterOnly);
-        for keys in layouts(n) {
+        for keys in layouts(0..n) {
             for (mode, map) in [(standard, Bitmap::heap_bytes(100)), (counter, 0)] {
                 let pool = MemoryPool::unbounded();
-                let table = filled(&pool, &keys, mode, true);
+                let table = filled(&pool, &keys, mode);
                 let buckets = table.table.bucket_count() * sizes::BUCKET;
                 let per_group = sizes::CHAIN_ELEMENT + keys.schema().record_width() + map;
                 let want = buckets + n as usize * per_group;
@@ -305,46 +372,84 @@ mod tests {
     }
 
     #[test]
+    fn batch_and_tuple_probes_find_and_count_alike() {
+        // Half the probed keys are groups, half are not; every layout, both
+        // the compare-all and the hash-equal probe.
+        let tables = layouts(0..400).into_iter().map(|keys| {
+            let table = filled(&MemoryPool::unbounded(), &keys, HashDivisionMode::Standard);
+            (table, keys.schema().arity())
+        });
+        for ((table, arity), probed) in tables.zip(layouts(200..600)) {
+            let cols: Vec<usize> = (0..arity).collect();
+            let hashes = probed.hash_rows(&cols);
+            for hashed in [false, true] {
+                let scope = OpScope::begin();
+                let (probe, mut tally) = (Probe::new(&probed, &cols), Tally::default());
+                let by_batch: Vec<Option<usize>> = (hashes.iter().enumerate())
+                    .map(|(row, &h)| table.find((h, None), (&probe, row), hashed, &mut tally))
+                    .collect();
+                drop(tally);
+                let batch_ops = scope.finish();
+                let scope = OpScope::begin();
+                let by_tuple: Vec<Option<usize>> = (hashes.iter().enumerate())
+                    .map(|(row, &h)| {
+                        let key = (&probed.tuple(row), &cols[..]);
+                        table.find((h, None), key, hashed, &mut Tally::default())
+                    })
+                    .collect();
+                assert_eq!(batch_ops, scope.finish(), "{arity} columns, {hashed}");
+                assert_eq!(by_batch, by_tuple);
+                let found: Vec<usize> = by_batch.iter().flatten().copied().collect();
+                assert_eq!(found, (200..400).collect::<Vec<_>>());
+                assert!(batch_ops.comparisons >= 400 - 200 * u64::from(hashed));
+            }
+        }
+    }
+
+    #[test]
+    fn a_tally_adds_its_counts_once_when_flushed_or_dropped() {
+        let scope = OpScope::begin();
+        let mut tally = Tally::default();
+        (tally.comps, tally.bits) = (3, 2);
+        assert_eq!(scope.delta().comparisons, 0);
+        tally.flush();
+        tally.comps = 4;
+        drop(tally);
+        let ops = scope.finish();
+        assert_eq!((ops.comparisons, ops.bitops), (7, 2));
+    }
+
+    #[test]
     fn a_failed_insert_changes_no_group_but_counts_the_clear() {
-        let keys = &layouts(64)[0];
-        let cols = [0];
+        let keys = &layouts(0..64)[0];
+        let (cols, probe) = ([0], Probe::new(keys, &[0]));
         // Room for the buckets and two groups' bytes but one chain element:
         // the second group is charged, cleared and set, then refused.
         let group = 8 + Bitmap::heap_bytes(130);
         let pool = MemoryPool::new(16 * sizes::BUCKET + 2 * group + sizes::CHAIN_ELEMENT);
         let standard = Some(HashDivisionMode::Standard);
-        let mut table = GroupTable::new(&pool, 8, None, standard, 130).unwrap();
+        let mut table = GroupTable::new(&pool, keys.schema(), standard, 130).unwrap();
         let h = keys.hash_rows(&cols);
-        table
-            .insert(h[0], Key::Row(keys, &cols, 0), Some(3))
-            .unwrap();
+        table.insert(h[0], (&probe, 0), Some(3)).unwrap();
         let scope = OpScope::begin();
-        let err = table
-            .insert(h[1], Key::Row(keys, &cols, 1), Some(5))
-            .unwrap_err();
+        let err = table.insert(h[1], (&probe, 1), Some(5)).unwrap_err();
         assert!(err.is_memory_exhausted(), "{err}");
         // Three words cleared, one bit set: as `Bitmap::new` and `set`.
         assert_eq!(scope.finish().bitops, 3 + 1);
         assert_eq!((table.len(), table.words.len()), (1, table.stride));
-        assert_eq!(table.find(h[0], Key::Row(keys, &cols, 0), false), Some(0));
-        assert_eq!(table.find(h[1], Key::Row(keys, &cols, 1), false), None);
+        let mut tally = Tally::default();
+        let mut find = |row: usize| table.find((h[row], None), (&probe, row), false, &mut tally);
+        assert_eq!((find(0), find(1)), (Some(0), None));
         // A refused charge counts nothing.
         let scope = OpScope::begin();
-        assert!(table
-            .insert(h[2], Key::Row(keys, &cols, 2), Some(5))
-            .is_err());
+        assert!(table.insert(h[2], (&probe, 2), Some(5)).is_err());
         assert_eq!(scope.finish().bitops, 0);
     }
 
     #[test]
     fn groups_come_out_in_insertion_order() {
-        for keys in layouts(500) {
-            let table = filled(
-                &MemoryPool::unbounded(),
-                &keys,
-                HashDivisionMode::Standard,
-                false,
-            );
+        for keys in layouts(0..500) {
+            let table = filled(&MemoryPool::unbounded(), &keys, HashDivisionMode::Standard);
             let words = (0..table.stride).map(|w| Field::int(format!("w{w}")));
             let fields = keys.schema().fields().iter().cloned();
             let layout = Schema::new(fields.chain(words).collect());
@@ -358,14 +463,19 @@ mod tests {
     #[test]
     fn early_out_test_and_set_drops_a_duplicate() {
         let early = Some(HashDivisionMode::EarlyOut);
-        let mut table = GroupTable::new(&MemoryPool::unbounded(), 8, None, early, 2).unwrap();
+        let schema = Schema::new(vec![Field::int("q")]);
+        let mut table = GroupTable::new(&MemoryPool::unbounded(), &schema, early, 2).unwrap();
         let t = ints(&[7, 1]);
-        let key = Key::Tuple(&t, &[0]);
+        let key = (&t, &[0][..]);
         let g = table.insert(t.hash_on(&[0]), key, Some(1)).unwrap();
         assert_eq!(table.count(g), 1);
-        assert!(!table.absorb(g, 1), "the same divisor tuple again");
+        let mut tally = Tally::default();
+        assert!(
+            !table.absorb(g, 1, &mut tally),
+            "the same divisor tuple again"
+        );
         assert_eq!(table.count(g), 1);
-        assert!(table.absorb(g, 0));
+        assert!(table.absorb(g, 0, &mut tally));
         assert_eq!(table.count(g), 2);
         assert!(table.complete(g, 2));
         assert_eq!(table.keys().tuple(g), ints(&[7]));

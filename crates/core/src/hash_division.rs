@@ -46,7 +46,7 @@ use reldiv_exec::op::{BoxedOp, OpState, Operator};
 use reldiv_rel::{Batch, Schema, Tuple};
 use reldiv_storage::MemoryPool;
 
-use crate::groups::{GroupTable, Key};
+use crate::groups::{GroupTable, Probe, Tally};
 use crate::spec::DivisionSpec;
 use crate::Result;
 
@@ -101,23 +101,10 @@ pub struct DivisorTable {
 impl DivisorTable {
     fn empty(divisor: &Schema, pool: &MemoryPool, prefilter: bool) -> Result<Self> {
         Ok(DivisorTable {
-            table: GroupTable::new(pool, divisor.record_width(), Some(divisor), None, 0)?,
+            table: GroupTable::new(pool, divisor, None, 0)?,
             prefilter,
             duplicates: 0,
         })
-    }
-
-    /// Adds the divisor tuple `key` of hash `h`, or counts a duplicate.
-    fn add(&mut self, h: u64, key: Key) -> Result<()> {
-        match self.find(h, key) {
-            Some(_) => self.duplicates += 1,
-            None => _ = self.table.insert(h, key, None)?,
-        }
-        Ok(())
-    }
-
-    fn find(&self, h: u64, key: Key) -> Option<u32> {
-        self.table.find(h, key, self.prefilter).map(|d| d as u32)
     }
 
     /// Builds the table by draining `divisor` (opened here, and closed on
@@ -129,7 +116,11 @@ impl DivisorTable {
             let all: Vec<usize> = (0..divisor.schema().arity()).collect();
             let mut dt = Self::empty(divisor.schema(), pool, false)?;
             while let Some(t) = divisor.next()? {
-                dt.add(t.hash_on(&all), Key::Tuple(&t, &all))?;
+                let (h, key) = (t.hash_on(&all), (&t, &all[..]));
+                match dt.table.find((h, None), key, false, &mut Tally::default()) {
+                    Some(_) => dt.duplicates += 1,
+                    None => _ = dt.table.insert(h, key, None)?,
+                }
             }
             Ok(dt)
         };
@@ -155,7 +146,7 @@ impl DivisorTable {
 
     /// [`DivisorTable::build_batch`] for the adaptive hybrid, whose
     /// operation counts are the cost model's: the build, and every
-    /// [`DivisorTable::lookup_row`] on the table, compares a row with all
+    /// [`DivisorTable::probe`] of the table, compares a row with all
     /// elements of its chain, as [`DivisorTable::build`] and
     /// [`DivisorTable::lookup`] do.
     pub(crate) fn build_batch_comparing_all(
@@ -178,8 +169,15 @@ impl DivisorTable {
             let mut dt = Self::empty(divisor.schema(), pool, prefilter)?;
             while let Some(batch) = divisor.next_batch()? {
                 cancel.check()?;
+                let (probe, mut tally) = (Probe::new(&batch, &all), Tally::default());
                 for (row, h) in batch.hash_rows(&all).into_iter().enumerate() {
-                    dt.add(h, Key::Row(&batch, &all, row))?;
+                    match dt
+                        .table
+                        .find((h, None), (&probe, row), prefilter, &mut tally)
+                    {
+                        Some(_) => dt.duplicates += 1,
+                        None => _ = dt.table.insert(h, (&probe, row), None)?,
+                    }
                 }
             }
             Ok(dt)
@@ -202,21 +200,33 @@ impl DivisorTable {
     /// divisor-attribute columns `divisor_keys`.
     pub fn lookup(&self, t: &Tuple, divisor_keys: &[usize]) -> Option<u32> {
         let h = t.hash_on(divisor_keys);
-        self.find(h, Key::Tuple(t, divisor_keys))
+        let key = (t, divisor_keys);
+        let found = (self.table).find((h, None), key, self.prefilter, &mut Tally::default());
+        found.map(|d| d as u32)
     }
 
-    /// [`DivisorTable::lookup`] for one row of a batch: `h` is the row's
-    /// precomputed hash over `divisor_keys` (from the bulk kernel), and
-    /// the compare runs column-at-a-time against the batch — no tuple is
-    /// materialized and nothing is allocated.
-    pub fn lookup_row(
-        &self,
-        h: u64,
-        batch: &Batch,
-        row: usize,
-        divisor_keys: &[usize],
-    ) -> Option<u32> {
-        self.find(h, Key::Row(batch, divisor_keys, row))
+    /// [`DivisorTable::lookup`] for a batch: the rows whose columns
+    /// `divisor_keys` are a divisor tuple, with its number — every row, of
+    /// none, when the divisor is empty (vacuously). One bulk hash pass, one
+    /// typed probe; the compares are counted once.
+    pub fn probe(&self, batch: &Batch, divisor_keys: &[usize]) -> (Vec<usize>, Vec<Option<u32>>) {
+        if self.count() == 0 {
+            return ((0..batch.len()).collect(), vec![None; batch.len()]);
+        }
+        let (probe, mut tally) = (Probe::new(batch, divisor_keys), Tally::default());
+        let hashes = batch.hash_rows(divisor_keys);
+        let heads = self.table.heads(&hashes).into_iter().map(Some);
+        let found = hashes
+            .into_iter()
+            .zip(heads)
+            .enumerate()
+            .filter_map(|(row, head)| {
+                let d = self
+                    .table
+                    .find(head, (&probe, row), self.prefilter, &mut tally)?;
+                Some((row, Some(d as u32)))
+            });
+        found.unzip()
     }
 
     /// Iterates the distinct divisor tuples with their numbers.
@@ -237,16 +247,17 @@ pub struct QuotientTable {
 
 impl QuotientTable {
     /// Creates an empty quotient table for candidates projected onto
-    /// `quotient_keys` of the dividend, with `divisor_count`-bit maps.
+    /// `quotient_keys` of the dividend — rows of `quotient` — with
+    /// `divisor_count`-bit maps.
     pub fn new(
         pool: &MemoryPool,
         mode: HashDivisionMode,
         divisor_count: u32,
         quotient_keys: Vec<usize>,
-        quotient_width: usize,
+        quotient: &Schema,
     ) -> Result<Self> {
         Ok(QuotientTable {
-            table: GroupTable::new(pool, quotient_width, None, Some(mode), divisor_count)?,
+            table: GroupTable::new(pool, quotient, Some(mode), divisor_count)?,
             mode,
             divisor_count,
             quotient_keys,
@@ -264,27 +275,48 @@ impl QuotientTable {
     /// complete). Returns a quotient tuple when the `EarlyOut` mode
     /// completes a candidate.
     pub fn absorb(&mut self, t: &Tuple, divisor_no: Option<u32>) -> Result<Option<Tuple>> {
-        let key = Key::Tuple(t, &self.quotient_keys);
+        let key = (t, &self.quotient_keys[..]);
         let h = t.hash_on(&self.quotient_keys);
-        let found = self.table.find(h, key, false);
-        let absorbed = self.table.absorb_key((h, key), found, divisor_no)?;
+        let mut tally = Tally::default();
+        let absorbed = match self.table.find((h, None), key, false, &mut tally) {
+            None => (self.table.insert(h, key, divisor_no)?, true),
+            Some(g) => (
+                g,
+                divisor_no.is_some_and(|d| self.table.absorb(g, d, &mut tally)),
+            ),
+        };
         Ok(self.completed(absorbed).map(|g| self.table.keys().tuple(g)))
     }
 
-    /// [`QuotientTable::absorb`] for one row of a batch, of precomputed
-    /// quotient hash `h`: compares column-at-a-time and copies a new
-    /// candidate's key. Returns the candidate `EarlyOut` completes.
-    pub fn absorb_row(
+    /// [`QuotientTable::absorb`] for the rows `rows` of a batch, matched to
+    /// `divisor_nos`: one bulk hash pass over their quotient columns, one
+    /// typed probe, each compared only with the candidates of equal hash; a
+    /// new candidate's key is copied in. Returns the candidates `EarlyOut`
+    /// completes.
+    pub fn absorb_rows(
         &mut self,
-        h: u64,
         batch: &Batch,
-        row: usize,
-        divisor_no: Option<u32>,
-    ) -> Result<Option<usize>> {
-        let key = Key::Row(batch, &self.quotient_keys, row);
-        let found = self.table.find(h, key, true);
-        let absorbed = self.table.absorb_key((h, key), found, divisor_no)?;
-        Ok(self.completed(absorbed))
+        rows: &[usize],
+        divisor_nos: &[Option<u32>],
+    ) -> Result<Vec<usize>> {
+        let keys = self.quotient_keys.clone();
+        let hashes = batch.hash_rows_at(&keys, rows);
+        let (probe, mut tally) = (Probe::new(batch, &keys), Tally::default());
+        // The chain heads hold until the batch inserts a candidate.
+        let (heads, mut inserted) = (self.table.heads(&hashes), false);
+        let mut done = Vec::new();
+        for (((&row, &dno), h), head) in rows.iter().zip(divisor_nos).zip(hashes).zip(heads) {
+            let head = (h, (!inserted).then_some(head));
+            let absorbed = match self.table.find(head, (&probe, row), true, &mut tally) {
+                None => {
+                    inserted = true;
+                    (self.table.insert(h, (&probe, row), dno)?, true)
+                }
+                Some(g) => (g, dno.is_some_and(|d| self.table.absorb(g, d, &mut tally))),
+            };
+            done.extend(self.completed(absorbed));
+        }
+        Ok(done)
     }
 
     /// The candidate `EarlyOut` completes with a tuple new to group `g`.
@@ -421,7 +453,7 @@ impl Operator for HashDivision {
             self.mode,
             dt.count(),
             self.spec.quotient_keys.clone(),
-            self.schema.record_width(),
+            &self.schema,
         )?;
         self.divisor_table = Some(dt);
         self.quotient_table = Some(qt);

@@ -39,9 +39,10 @@
 //!
 //! Both ends work on columns (`docs/MEMORY.md`, "Batches in, pages back"):
 //! batches in, keys hashed a batch or a page at a time, rows compared in
-//! place, state records encoded from a table's columns, complete groups
-//! gathered. The decisions — routing, victims, revives, what a reservation
-//! is taken for and when — are still made row by row, so they are those
+//! place through the batch's or the page's typed key columns, state
+//! records encoded from a table's columns, complete groups gathered. The
+//! decisions — routing, victims, revives, what a reservation is taken for
+//! and when — are still made row by row, so they are those
 //! of a tuple-at-a-time run, and each spill file holds the records, in the
 //! order, it always did. Outside the pool the operator holds one input
 //! batch with its queued row numbers, one spill page and at most a batch's
@@ -62,7 +63,7 @@ use reldiv_storage::memory::Reservation;
 use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
 
 use crate::bitmap::Bitmap;
-use crate::groups::{GroupTable, Key};
+use crate::groups::{GroupTable, Key, Probe, Tally};
 use crate::hash_division::{DivisorTable, HashDivisionMode};
 use crate::report::DegradationReport;
 use crate::spec::DivisionSpec;
@@ -176,10 +177,9 @@ struct Partition {
     delta_dnos: Vec<i64>,
 }
 
-/// One dividend row that found its divisor tuple (or an empty divisor).
-struct Matched<'b> {
-    /// The row on the dividend's quotient columns, and its hash on them.
-    key: Key<'b>,
+/// One dividend row that found its divisor tuple (or an empty divisor):
+/// its row of the batch probed on the quotient columns, its hash on them.
+struct Matched {
     row: usize,
     h: u64,
     dno: Option<u32>,
@@ -216,13 +216,15 @@ struct Hybrid<'a> {
     /// far (the revive cadence).
     spilled_yet: bool,
     matched: u64,
+    /// The probes' `Comp`s and `Bit`s, flushed before whatever can fail
+    /// or open a span.
+    tally: Tally,
 }
 
 impl<'a> Hybrid<'a> {
     /// An empty table of groups, in `pool`.
     fn new_table(&self, pool: &MemoryPool) -> Result<GroupTable> {
-        let (width, keys) = (self.quotient.record_width(), Some(&self.quotient));
-        GroupTable::new(pool, width, keys, Some(self.mode), self.divisor_count)
+        GroupTable::new(pool, &self.quotient, Some(self.mode), self.divisor_count)
     }
 
     fn span(&self, label: String, kind: SpanKind) -> Option<SpanScope> {
@@ -299,13 +301,13 @@ impl<'a> Hybrid<'a> {
     fn adopt_hot(
         &self,
         part: &mut Partition,
-        m: &Matched,
+        (probe, m): (&Probe, &Matched),
         report: &mut DegradationReport,
     ) -> Result<()> {
         match self.pool.reserve(self.group_bytes) {
             Ok(mem) => {
                 let mut group = self.new_table(&MemoryPool::unbounded())?;
-                group.insert(m.h, m.key, m.dno)?;
+                group.insert(m.h, (probe, m.row), m.dno)?;
                 part.hot = Some(HotGroup { group, _mem: mem });
             }
             Err(_) => self.queue_delta(part, m, report),
@@ -318,13 +320,13 @@ impl<'a> Hybrid<'a> {
     fn absorb_spilled(
         &mut self,
         part: &mut Partition,
-        m: &Matched,
+        (probe, m): (&Probe, &Matched),
         report: &mut DegradationReport,
     ) -> Result<()> {
         if let Some(hot) = &mut part.hot {
-            if hot.group.is(0, m.key) {
+            if (probe, m.row).is(&hot.group, 0, &mut self.tally) {
                 if let Some(d) = m.dno {
-                    hot.group.absorb(0, d);
+                    hot.group.absorb(0, d, &mut self.tally);
                 }
                 part.hot_misses = 0;
                 return Ok(());
@@ -339,34 +341,37 @@ impl<'a> Hybrid<'a> {
         // re-adopt. The cold group gives its reservation back only after
         // the new one has taken its own, as it always has — a spill
         // decision hangs on it.
+        self.tally.flush();
         let cold = part.hot.take();
         if let Some(cold) = &cold {
             report.spill_bytes += self.write_groups(&mut part.files, &cold.group)?;
             part.hot_misses = 0;
         }
-        self.adopt_hot(part, m, report)
+        self.adopt_hot(part, (probe, m), report)
     }
 
     /// Routes one matched tuple, spilling victims until it lands.
     fn absorb(
         &mut self,
         parts: &mut [Partition],
-        m: &Matched,
+        (probe, m): (&Probe, &Matched),
         report: &mut DegradationReport,
     ) -> Result<()> {
         let p = route(m.h, 0, self.fanout);
         loop {
             if parts[p].spilled {
-                return self.absorb_spilled(&mut parts[p], m, report);
+                return self.absorb_spilled(&mut parts[p], (probe, m), report);
             }
             let landed = if let Some(table) = &mut parts[p].resident {
-                table.find_or_insert(m.h, m.key).map(|g| {
+                let key = (probe, m.row);
+                table.find_or_insert(m.h, key, &mut self.tally).map(|g| {
                     if let Some(d) = m.dno {
-                        table.absorb(g, d);
+                        table.absorb(g, d, &mut self.tally);
                     }
                     true
                 })
             } else {
+                self.tally.flush();
                 self.new_table(&self.pool).map(|table| {
                     parts[p].resident = Some(table);
                     false
@@ -411,6 +416,7 @@ impl<'a> Hybrid<'a> {
         if self.pool.available() < self.revive_threshold {
             return Ok(());
         }
+        self.tally.flush();
         let Some(vi) = parts.iter().position(|p| p.spilled) else {
             return Ok(());
         };
@@ -424,10 +430,11 @@ impl<'a> Hybrid<'a> {
         if let Some(hot) = parts[vi].hot.take() {
             // The table adopts the hot group, whole.
             let group = &hot.group;
-            let h = group.keys().hash_row(&self.qcols, 0);
-            let adopted = table.find_or_insert(h, Key::Row(group.keys(), &self.qcols, 0));
+            let h = group.keys().hash_rows(&self.qcols)[0];
+            let (probe, mut tally) = (Probe::new(group.keys(), &self.qcols), Tally::default());
+            let adopted = table.find_or_insert(h, (&probe, 0), &mut tally);
             match adopted {
-                Ok(g) => table.merge(g, group.words(0).iter().copied()),
+                Ok(g) => table.merge(g, group.words(0).iter().copied(), &mut tally),
                 Err(e) if e.is_memory_exhausted() => {
                     // Keep the hot group where it was and abort the revive.
                     parts[vi].hot = Some(hot);
@@ -463,7 +470,7 @@ impl<'a> Hybrid<'a> {
     /// files still hold every record) and the caller re-partitions.
     fn try_merge(&mut self, files: &SpillFiles) -> Result<GroupTable> {
         let mut table = self.new_table(&self.pool)?;
-        let qcols = &self.qcols;
+        let (qcols, mut tally) = (&self.qcols, Tally::default());
         for (kind, &file) in files.iter().enumerate() {
             for i in 0.. {
                 let Some(page) = self.read_page(file, kind, i)? else {
@@ -477,18 +484,20 @@ impl<'a> Hybrid<'a> {
                         ColumnVec::Str(_) => unreachable!("a spill record ends in Int columns"),
                     })
                     .collect();
-                // One hash pass per page, counted row by row: a merge that
-                // runs out of memory midway counts what it used.
+                // One hash pass and one typed probe per page, the hashes
+                // counted row by row: a merge that runs out of memory midway
+                // counts what it used.
+                let probe = Probe::new(&page, qcols);
                 for (row, h) in page.hash_rows_uncounted(qcols).into_iter().enumerate() {
                     self.cancel.checkpoint(&mut self.budget)?;
                     counters::count_hashes(1);
-                    let g = table.find_or_insert(h, Key::Row(&page, qcols, row))?;
+                    let g = table.find_or_insert(h, (&probe, row), &mut tally)?;
                     match kind {
-                        STATE => table.merge(g, tail.iter().map(|w| w[row] as u64)),
+                        STATE => table.merge(g, tail.iter().map(|w| w[row] as u64), &mut tally),
                         // A negative number is none (vacuous divisor).
                         _ => {
                             if let Ok(d) = u32::try_from(tail[0][row]) {
-                                table.absorb(g, d);
+                                table.absorb(g, d, &mut tally);
                             }
                         }
                     }
@@ -635,37 +644,21 @@ impl<'a> Hybrid<'a> {
         report: &mut DegradationReport,
     ) -> Result<()> {
         let keys = &spec.quotient_keys[..];
-        // Step 1: the rows with a divisor tuple, and its number. An empty
-        // divisor matches every tuple, vacuously.
-        let dhashes = match dt.count() {
-            0 => Vec::new(),
-            _ => batch.hash_rows(&spec.divisor_keys),
-        };
-        let mut rows = Vec::with_capacity(batch.len());
-        let mut dnos = Vec::with_capacity(batch.len());
-        for row in 0..batch.len() {
-            self.cancel.checkpoint(&mut self.budget)?;
-            let dno = match dhashes.get(row) {
-                None => None,
-                Some(&h) => match dt.lookup_row(h, batch, row, &spec.divisor_keys) {
-                    Some(d) => Some(d),
-                    None => continue, // no divisor match: discard
-                },
-            };
-            rows.push(row);
-            dnos.push(dno);
-        }
+        // Step 1: the rows with a divisor tuple, and its number.
+        let (rows, dnos) = dt.probe(batch, &spec.divisor_keys);
         // Step 2, a matched row at a time; their quotient keys are hashed
         // in one pass, so a noise row costs no hash.
         let hashes = batch.hash_rows_at(keys, &rows);
+        let probe = Probe::new(batch, keys);
         for ((row, dno), h) in rows.into_iter().zip(dnos).zip(hashes) {
-            let key = Key::Row(batch, keys, row);
-            self.absorb(parts, &Matched { key, row, h, dno }, report)?;
+            self.cancel.checkpoint(&mut self.budget)?;
+            self.absorb(parts, (&probe, &Matched { row, h, dno }), report)?;
             self.matched += 1;
             if self.spilled_yet && self.matched % REVIVE_STRIDE == 0 {
                 self.maybe_revive(parts, report)?;
             }
         }
+        self.tally.flush();
         self.flush_deltas(parts, batch, keys)
     }
 
@@ -690,6 +683,7 @@ impl<'a> Hybrid<'a> {
 
     /// Deletes every spill file created during the run, success or not.
     fn cleanup(&mut self) {
+        self.tally.flush();
         let mut sm = self.storage.borrow_mut();
         for f in self.created.drain(..) {
             let _ = sm.delete_file(f);
@@ -777,6 +771,7 @@ pub fn adaptive_hybrid_report(
         records: Vec::new(),
         spilled_yet: false,
         matched: 0,
+        tally: Tally::default(),
     };
     let result = hybrid.run(dividend, &dt, spec, report);
     hybrid.cleanup();

@@ -8,12 +8,17 @@
 //! the in-memory operator first, whose counts are pinned beside them.
 
 use reldiv_core::api::{divide_with_report, load_source, DivisionConfig, OverflowPolicy, Source};
-use reldiv_core::{Algorithm, DegradationReport, DivisionSpec, HashDivisionMode};
+use reldiv_core::hash_division::HashDivisionStats;
+use reldiv_core::{
+    Algorithm, BatchHashDivision, DegradationReport, DivisionSpec, HashDivisionMode,
+};
+use reldiv_exec::batch::scan::BatchColumnsScan;
+use reldiv_exec::batch::{BatchOperator, BoxedBatchOp};
 use reldiv_rel::counters::OpScope;
 use reldiv_rel::schema::Field;
 use reldiv_rel::{Columns, Relation, Schema, Tuple, Value};
 use reldiv_storage::manager::StorageConfig;
-use reldiv_storage::{StorageManager, StorageRef};
+use reldiv_storage::{MemoryPool, StorageManager, StorageRef};
 use reldiv_workload::{zipf_workload, Workload, WorkloadSpec};
 
 /// `perf_report --workload spill`'s storage: the paper's pages and 256 KB
@@ -143,7 +148,8 @@ fn operation_counts_on_a_noisy_input_are_the_recorded_ones() {
     let w = noisy();
     // The 6 KB budget re-partitions: merges that run out of memory midway.
     // The last row is `Auto`'s first rung for an unbudgeted query, the
-    // in-memory operator, whose tables compare only hash-equal entries.
+    // in-memory operator, whose tables compare only hash-equal entries; it
+    // hashes a matched row's quotient key only, as the hybrid does.
     for (run, want, depth) in [
         ((HYBRID, None), (183_075, 285_865, 91_000), None),
         (
@@ -158,7 +164,7 @@ fn operation_counts_on_a_noisy_input_are_the_recorded_ones() {
         ),
         (
             (OverflowPolicy::Auto, None),
-            (192_075, 172_050, 91_000),
+            (183_075, 172_050, 91_000),
             None,
         ),
     ] {
@@ -279,6 +285,74 @@ fn operation_counts_of_wide_keys_and_counters_are_the_recorded_ones() {
         assert_eq!(got, report, "{case}");
         let counted = (counted.hashes, counted.comparisons, counted.bitops);
         assert_eq!(counted, ops, "{case}");
+    }
+}
+
+#[test]
+fn rung_zero_counts_of_every_key_layout_are_the_recorded_ones() {
+    // `Auto`'s first rung for an unbudgeted query, the in-memory operator,
+    // on the noisy input re-keyed, and counters on it without duplicates:
+    // its counts through `divide`, and its statistics off the operator.
+    let w = noisy();
+    let unique = WorkloadSpec {
+        divisor_size: 25,
+        quotient_size: 1500,
+        incomplete_groups: 500,
+        noise_per_group: 3,
+        ..WorkloadSpec::default()
+    }
+    .generate(72);
+    let (standard, early) = (HashDivisionMode::Standard, HashDivisionMode::EarlyOut);
+    let stats = |divisor_duplicates: u64, dividend_discarded: u64| HashDivisionStats {
+        divisor_count: 25,
+        divisor_duplicates,
+        dividend_discarded,
+        candidates: 2000,
+        emitted: 1500,
+    };
+    // Recorded on the operator that hashed every row's quotient key, a
+    // discarded noise row's too: each count here is that one less a `Hash`
+    // per discarded row.
+    let (noisy_ops, noisy_stats) = ((192_075 - 9000, 172_050, 91_000), stats(50, 9000));
+    let early_ops = (192_075 - 9000, 172_050, 89_000);
+    for (w, key, mode, ops, want) in [
+        (&w, Key::Int, standard, noisy_ops, noisy_stats),
+        (&w, Key::Int, early, early_ops, noisy_stats),
+        (&w, Key::Str, standard, noisy_ops, noisy_stats),
+        (&w, Key::Str, early, early_ops, noisy_stats),
+        (&w, Key::TwoColumns, standard, noisy_ops, noisy_stats),
+        (&w, Key::TwoColumns, early, early_ops, noisy_stats),
+        (
+            &unique,
+            Key::Int,
+            HashDivisionMode::CounterOnly,
+            (96_025 - 4500, 85_000, 2000),
+            stats(0, 4500),
+        ),
+    ] {
+        let dividend = rekey(&w.dividend, key);
+        let case = format!("{key:?} {mode:?}");
+        let scope = OpScope::begin();
+        let inputs = (&dividend, &w.divisor);
+        let run = (OverflowPolicy::Auto, None);
+        let (rel, report) = hash_divide(&spill_geometry(), Kind::Mem, inputs, mode, run);
+        let counted = scope.finish();
+        assert_eq!(rel.cardinality(), 1500, "{case}");
+        assert!(!report.degraded, "{case}: {report:?}");
+        let counted = (counted.hashes, counted.comparisons, counted.bitops);
+        assert_eq!(counted, ops, "{case}");
+
+        let scan = |rel: &Relation| -> BoxedBatchOp {
+            let columns = Columns::from_tuples(rel.schema().clone(), rel.tuples()).unwrap();
+            Box::new(BatchColumnsScan::new(columns))
+        };
+        let spec = DivisionSpec::trailing_divisor(dividend.schema(), w.divisor.schema()).unwrap();
+        let (r, s) = (scan(&dividend), scan(&w.divisor));
+        let mut op = BatchHashDivision::new(r, s, spec, mode, MemoryPool::unbounded()).unwrap();
+        op.open().unwrap();
+        while op.next_batch().unwrap().is_some() {}
+        assert_eq!(op.stats(), want, "{case}");
+        op.close().unwrap();
     }
 }
 

@@ -10,8 +10,6 @@
 //! of [`crate::scan::MemScan`]. [`BatchColumnsScan`] does no per-row work
 //! at all: the relation is already batches.
 
-use std::rc::Rc;
-
 use reldiv_rel::{Batch, Columns, Relation, Schema, Tuple};
 use reldiv_storage::file::Appender;
 use reldiv_storage::{FileId, StorageManager, StorageRef};
@@ -85,10 +83,10 @@ impl BatchOperator for BatchFileScan {
 }
 
 /// Scans an in-memory relation in batches. The batch analogue of
-/// [`crate::scan::MemScan`], sharing tuples cheaply between re-scans.
+/// [`crate::scan::MemScan`].
 pub struct BatchMemScan {
     schema: Schema,
-    tuples: Rc<Vec<Tuple>>,
+    tuples: Vec<Tuple>,
     pos: usize,
     batch_size: usize,
     state: OpState,
@@ -97,15 +95,9 @@ pub struct BatchMemScan {
 impl BatchMemScan {
     /// Creates a scan over a relation.
     pub fn new(relation: Relation) -> BatchMemScan {
-        let schema = relation.schema().clone();
-        BatchMemScan::shared(schema, Rc::new(relation.into_tuples()))
-    }
-
-    /// Creates a scan sharing tuples with other scans (cheap re-scan).
-    pub fn shared(schema: Schema, tuples: Rc<Vec<Tuple>>) -> BatchMemScan {
         BatchMemScan {
-            schema,
-            tuples,
+            schema: relation.schema().clone(),
+            tuples: relation.into_tuples(),
             pos: 0,
             batch_size: DEFAULT_BATCH_SIZE,
             state: OpState::Created,

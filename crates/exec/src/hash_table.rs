@@ -121,7 +121,7 @@ impl<T> ChainedTable<T> {
     /// tuple" — callers compare tuples inside `pred`, which counts the
     /// comparisons.
     pub fn find(&self, hash: u64, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
-        self.find_by(hash, |_, item| pred(item))
+        self.find_from(self.head(hash), |_, item| pred(item))
     }
 
     /// [`ChainedTable::find`] with a packed-key prefilter: the predicate
@@ -131,13 +131,23 @@ impl<T> ChainedTable<T> {
     /// the comparison on every hash-distinct collision in the chain —
     /// the probe the vectorized kernels use.
     pub fn find_hashed(&self, hash: u64, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
-        self.find_by(hash, |stored, item| stored == hash && pred(item))
+        let prefiltered = |stored, item: &T| stored == hash && pred(item);
+        self.find_from(self.head(hash), prefiltered)
     }
 
-    /// [`ChainedTable::find`] whose predicate also gets each element's
-    /// stored hash: `pred(stored, item)`.
-    pub fn find_by(&self, hash: u64, mut pred: impl FnMut(u64, &T) -> bool) -> Option<u32> {
-        let mut cur = self.buckets[self.bucket_of(hash)];
+    /// The first element of the chain of `hash`'s bucket. A batch can take
+    /// the heads of all its rows in one pass of independent loads, and walk
+    /// each chain with [`ChainedTable::find_from`] while the table does not
+    /// change.
+    #[inline]
+    pub fn head(&self, hash: u64) -> u32 {
+        self.buckets[self.bucket_of(hash)]
+    }
+
+    /// [`ChainedTable::find`] along the chain from `head`, whose predicate
+    /// also gets each element's stored hash: `pred(stored, item)`.
+    #[inline]
+    pub fn find_from(&self, mut cur: u32, mut pred: impl FnMut(u64, &T) -> bool) -> Option<u32> {
         while cur != NIL {
             let e = &self.entries[cur as usize];
             if pred(e.hash, &e.item) {

@@ -57,11 +57,11 @@ impl Operator for FileScan {
     }
 }
 
-/// Scans an in-memory relation. Used by tests, by the in-memory division
-/// API, and as the rescan source for materialized intermediates.
+/// Scans an in-memory relation, tuple at a time: the tuple operators'
+/// input in tests and in `reldiv-parallel`'s nodes.
 pub struct MemScan {
     schema: Schema,
-    tuples: std::rc::Rc<Vec<Tuple>>,
+    tuples: Vec<Tuple>,
     pos: usize,
     state: OpState,
 }
@@ -69,20 +69,9 @@ pub struct MemScan {
 impl MemScan {
     /// Creates a scan over a relation.
     pub fn new(relation: Relation) -> Self {
-        let schema = relation.schema().clone();
         MemScan {
-            schema,
-            tuples: std::rc::Rc::new(relation.into_tuples()),
-            pos: 0,
-            state: OpState::Created,
-        }
-    }
-
-    /// Creates a scan sharing tuples with other scans (cheap re-scan).
-    pub fn shared(schema: Schema, tuples: std::rc::Rc<Vec<Tuple>>) -> Self {
-        MemScan {
-            schema,
-            tuples,
+            schema: relation.schema().clone(),
+            tuples: relation.into_tuples(),
             pos: 0,
             state: OpState::Created,
         }
@@ -245,15 +234,5 @@ mod tests {
         scan.open().unwrap();
         scan.close().unwrap();
         assert!(matches!(scan.next(), Err(ExecError::Protocol(_))));
-    }
-
-    #[test]
-    fn shared_mem_scans_do_not_clone_tuples() {
-        let rel = two_col(&[[1, 2], [3, 4]]);
-        let tuples = std::rc::Rc::new(rel.tuples().to_vec());
-        let a = MemScan::shared(rel.schema().clone(), tuples.clone());
-        let b = MemScan::shared(rel.schema().clone(), tuples.clone());
-        assert_eq!(collect(Box::new(a)).unwrap().cardinality(), 2);
-        assert_eq!(collect(Box::new(b)).unwrap().cardinality(), 2);
     }
 }

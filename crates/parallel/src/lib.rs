@@ -209,7 +209,7 @@ fn node_main_streaming(
                     HashDivisionMode::EarlyOut,
                     dt.count(),
                     spec.quotient_keys.clone(),
-                    quotient_schema.record_width(),
+                    &quotient_schema,
                 )?);
                 divisor_table = Some(dt);
             }

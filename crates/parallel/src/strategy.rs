@@ -355,7 +355,7 @@ impl CollectionSite {
             HashDivisionMode::Standard,
             phase_count,
             (0..quotient_schema.arity()).collect(),
-            quotient_schema.record_width(),
+            quotient_schema,
         )?;
         let dense = participating
             .iter()

@@ -315,11 +315,7 @@ impl<'a> Lowerer<'a> {
                 };
                 self.wrap_batch(op, label, SpanKind::Having)
             }
-            BoundNode::Divide(d) => {
-                let rel = self.divide(d, bound.rows)?;
-                let (schema, tuples) = (rel.schema().clone(), rel.into_tuples());
-                Box::new(BatchMemScan::shared(schema, std::rc::Rc::new(tuples)))
-            }
+            BoundNode::Divide(d) => Box::new(BatchMemScan::new(self.divide(d, bound.rows)?)),
         })
     }
 }

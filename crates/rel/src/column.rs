@@ -30,6 +30,7 @@ use std::sync::Arc;
 use crate::codec;
 use crate::counters;
 use crate::error::RelError;
+use crate::relation::Relation;
 use crate::schema::{ColumnType, Schema};
 use crate::tuple::{Fnv1a, Tuple};
 use crate::value::Value;
@@ -341,75 +342,37 @@ impl Batch {
     /// `Hash` per row as it uses the row's hash — so that rows it never
     /// gets to, when it stops midway, are not counted.
     pub fn hash_rows_uncounted(&self, keys: &[usize]) -> Vec<u64> {
-        let mut states: Vec<Fnv1a> = (0..self.len).map(|_| Fnv1a::new()).collect();
-        for &k in keys {
-            match &self.columns[k] {
-                ColumnVec::Int(vs) => {
-                    for (state, v) in states.iter_mut().zip(vs) {
-                        // Value::hash_into: tag byte 0, then i64::hash
-                        // (which writes the native-endian bytes).
-                        state.write_u8(0);
-                        state.write_u64(*v as u64);
-                    }
-                }
-                ColumnVec::Str(vs) => {
-                    for (state, s) in states.iter_mut().zip(vs) {
-                        // Value::hash_into: tag byte 1, then str::hash
-                        // (bytes plus a 0xff terminator).
-                        state.write_u8(1);
-                        s.as_str().hash(state);
-                    }
-                }
-            }
-        }
-        states.into_iter().map(|s| s.finish()).collect()
+        self.hash_kernel(keys, self.len, |i| i)
     }
 
     /// [`Batch::hash_rows`] over the rows at `rows` only, in that order:
     /// one output, and one `Hash`, per selected row.
     pub fn hash_rows_at(&self, keys: &[usize], rows: &[usize]) -> Vec<u64> {
         counters::count_hashes(rows.len() as u64);
-        let mut states: Vec<Fnv1a> = rows.iter().map(|_| Fnv1a::new()).collect();
-        for &k in keys {
-            match &self.columns[k] {
-                ColumnVec::Int(vs) => {
-                    for (state, &row) in states.iter_mut().zip(rows) {
-                        state.write_u8(0);
-                        state.write_u64(vs[row] as u64);
-                    }
-                }
-                ColumnVec::Str(vs) => {
-                    for (state, &row) in states.iter_mut().zip(rows) {
-                        state.write_u8(1);
-                        vs[row].as_str().hash(state);
-                    }
-                }
-            }
-        }
-        states.into_iter().map(|s| s.finish()).collect()
+        self.hash_kernel(keys, rows.len(), |i| rows[i])
     }
 
-    /// Hashes a single row's key columns — same stream as
-    /// [`Batch::hash_rows`], for the lazy second hash of hash-division
-    /// (quotient keys are only hashed for dividend rows that matched a
-    /// divisor). Counts one `Hash`.
+    /// The one hash kernel, over a row selection: output `i` hashes row
+    /// `row(i)`, for `i < n`, a key column at a time. Counts nothing.
     #[inline]
-    pub fn hash_row(&self, keys: &[usize], row: usize) -> u64 {
-        counters::count_hashes(1);
-        let mut state = Fnv1a::new();
+    fn hash_kernel(&self, keys: &[usize], n: usize, row: impl Fn(usize) -> usize) -> Vec<u64> {
+        let mut states = vec![Fnv1a::OFFSET; n];
         for &k in keys {
             match &self.columns[k] {
-                ColumnVec::Int(vs) => {
-                    state.write_u8(0);
-                    state.write_u64(vs[row] as u64);
-                }
+                ColumnVec::Int(vs) => fold_ints(&mut states, |i| vs[row(i)]),
                 ColumnVec::Str(vs) => {
-                    state.write_u8(1);
-                    vs[row].as_str().hash(&mut state);
+                    for (i, state) in states.iter_mut().enumerate() {
+                        // Value::hash_into: tag byte 1, then str::hash
+                        // (bytes plus a 0xff terminator).
+                        let mut fnv = Fnv1a(*state);
+                        fnv.write_u8(1);
+                        vs[row(i)].as_str().hash(&mut fnv);
+                        *state = fnv.finish();
+                    }
                 }
             }
         }
-        state.finish()
+        states
     }
 
     /// Equality of row `row` on `keys` against `other` on `other_keys`,
@@ -436,28 +399,6 @@ impl Batch {
             }
         }
         true
-    }
-
-    /// Whether row `row` on `keys` equals row `other_row` of `other` on
-    /// `other_keys`: [`Batch::cmp_rows`] is `Equal`. Counts one `Comp`.
-    #[inline]
-    pub fn rows_eq(
-        &self,
-        keys: &[usize],
-        row: usize,
-        other: &Batch,
-        other_keys: &[usize],
-        other_row: usize,
-    ) -> bool {
-        counters::count_comparisons(1);
-        debug_assert_eq!(keys.len(), other_keys.len());
-        keys.iter()
-            .zip(other_keys)
-            .all(|(&a, &b)| match (&self.columns[a], &other.columns[b]) {
-                (ColumnVec::Int(x), ColumnVec::Int(y)) => x[row] == y[other_row],
-                (ColumnVec::Str(x), ColumnVec::Str(y)) => x[row] == y[other_row],
-                _ => false,
-            })
     }
 
     /// Orders row `row` on `keys` against row `other_row` of `other` on
@@ -487,6 +428,31 @@ impl Batch {
             }
         }
         Ordering::Equal
+    }
+}
+
+/// Folds an `Int` key value into every state as `Value::hash_into` does —
+/// tag byte 0, whose XOR is a no-op, so one multiply; then `i64::hash`'s
+/// native-endian bytes — state `i` taking `value(i)`. Four rows go at a
+/// time, in four independent FNV-1a chains whose multiplies overlap.
+#[inline]
+fn fold_ints(states: &mut [u64], value: impl Fn(usize) -> i64) {
+    const PRIME: u64 = Fnv1a::PRIME;
+    let fold = |h: u64, byte: u8| (h ^ u64::from(byte)).wrapping_mul(PRIME);
+    let quads = states.len() / 4 * 4;
+    for (q, lanes) in states[..quads].chunks_exact_mut(4).enumerate() {
+        let bytes: [[u8; 8]; 4] = std::array::from_fn(|l| value(4 * q + l).to_ne_bytes());
+        let mut h: [u64; 4] = std::array::from_fn(|l| lanes[l].wrapping_mul(PRIME));
+        for b in 0..8 {
+            for (h, bytes) in h.iter_mut().zip(&bytes) {
+                *h = fold(*h, bytes[b]);
+            }
+        }
+        lanes.copy_from_slice(&h);
+    }
+    for (i, state) in states.iter_mut().enumerate().skip(quads) {
+        let bytes = value(i).to_ne_bytes();
+        *state = bytes.into_iter().fold(state.wrapping_mul(PRIME), fold);
     }
 }
 
@@ -524,16 +490,25 @@ impl Columns {
     /// [`crate::RecordCodec::encode`] would: arity, types, string widths,
     /// no embedded NUL.
     pub fn from_tuples<T: Borrow<Tuple>>(schema: Schema, tuples: &[T]) -> crate::Result<Columns> {
-        let mut batches = Vec::with_capacity(tuples.len().div_ceil(BATCH_ROWS));
-        for chunk in tuples.chunks(BATCH_ROWS) {
+        (tuples.iter()).try_for_each(|t| codec::check_tuple(&schema, t.borrow()))?;
+        Ok(Columns::chunked(schema, tuples))
+    }
+
+    /// Converts a relation, [`BATCH_ROWS`] to a batch. Its tuples already
+    /// have its schema's types and widths; a string no record can hold (an
+    /// embedded NUL) is kept, to fail where a record is written.
+    pub fn from_relation(relation: &Relation) -> Columns {
+        Columns::chunked(relation.schema().clone(), relation.tuples())
+    }
+
+    /// `tuples` as they are, [`BATCH_ROWS`] to a batch.
+    fn chunked<T: Borrow<Tuple>>(schema: Schema, tuples: &[T]) -> Columns {
+        let batches = tuples.chunks(BATCH_ROWS).map(|chunk| {
             let mut batch = Batch::with_capacity(schema.clone(), chunk.len());
-            for t in chunk {
-                codec::check_tuple(&schema, t.borrow())?;
-                batch.push_tuple(t.borrow());
-            }
-            batches.push(batch);
-        }
-        Ok(Columns::from_batches(schema, batches))
+            chunk.iter().for_each(|t| batch.push_tuple(t.borrow()));
+            batch
+        });
+        Columns::from_batches(schema.clone(), batches.collect())
     }
 
     /// Decodes back-to-back fixed-width records, [`BATCH_ROWS`] to a
@@ -623,9 +598,40 @@ mod tests {
             let kernel = batch.hash_rows(&keys);
             for (row, t) in rows.iter().enumerate() {
                 assert_eq!(kernel[row], t.hash_on(&keys), "keys {keys:?} row {row}");
-                assert_eq!(batch.hash_row(&keys, row), t.hash_on(&keys));
             }
         }
+        // The Int kernel folds four rows at a time: every remainder of
+        // four, the extreme values alone and beside a Str column, and
+        // selections that end mid-quad must all hash as `hash_on` does.
+        let extremes = [i64::MIN, -1, 0, 1, i64::MAX];
+        let schema = Schema::new(vec![Field::int("a"), Field::str("s", 4), Field::int("b")]);
+        for len in 0..10 {
+            let rows: Vec<Tuple> = (0..len)
+                .map(|i| {
+                    let (a, b) = (extremes[i % 5], extremes[(i * 3 + 1) % 5]);
+                    Tuple::new(vec![
+                        Value::Int(a),
+                        Value::Str("x".repeat(i % 3)),
+                        Value::Int(b),
+                    ])
+                })
+                .collect();
+            let batch = batch_of(schema.clone(), &rows);
+            for keys in [vec![0usize], vec![2, 0], vec![0, 1], vec![1, 2, 0]] {
+                let want: Vec<u64> = rows.iter().map(|t| t.hash_on(&keys)).collect();
+                assert_eq!(batch.hash_rows(&keys), want, "{len} rows on {keys:?}");
+                let rows_at: Vec<usize> = (0..len).rev().step_by(2).collect();
+                let at: Vec<u64> = rows_at.iter().map(|&row| want[row]).collect();
+                assert_eq!(batch.hash_rows_at(&keys, &rows_at), at, "{rows_at:?}");
+            }
+        }
+        let rows = [1, 5, 2, 7, 0, 3, 9];
+        let many: Vec<Tuple> = (0..10)
+            .map(|i| ints(&[extremes[i % 5], i as i64]))
+            .collect();
+        let batch = batch_of(Schema::new(vec![Field::int("a"), Field::int("b")]), &many);
+        let want: Vec<u64> = rows.iter().map(|&row| many[row].hash_on(&[0, 1])).collect();
+        assert_eq!(batch.hash_rows_at(&[0, 1], &rows), want);
     }
 
     #[test]
@@ -725,10 +731,6 @@ mod tests {
                     let got = a.cmp_rows(&keys, i, &b, &keys, j);
                     assert_eq!(counters::snapshot().comparisons, 1);
                     assert_eq!(got, x.cmp_on(&keys, y, &keys), "{x} vs {y} on {keys:?}");
-                    counters::reset();
-                    let eq = a.rows_eq(&keys, i, &b, &keys, j);
-                    assert_eq!(counters::snapshot().comparisons, 1);
-                    assert_eq!(eq, got == std::cmp::Ordering::Equal, "{x} vs {y}");
                 }
             }
         }

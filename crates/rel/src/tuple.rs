@@ -126,11 +126,11 @@ pub fn ints(values: &[i64]) -> Tuple {
 /// Crate-visible so the columnar kernels in [`crate::column`] fold the
 /// exact same byte stream per row — hash-table layouts (and therefore
 /// output orders) are identical between the tuple and batch paths.
-pub(crate) struct Fnv1a(u64);
+pub(crate) struct Fnv1a(pub(crate) u64);
 
 impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    pub(crate) const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    pub(crate) const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     pub(crate) fn new() -> Self {
         Fnv1a(Self::OFFSET)
