@@ -37,9 +37,8 @@ fn bench_chained_table(c: &mut Criterion) {
             b.iter(|| {
                 let mut hits = 0;
                 for i in 0..n {
-                    if t.find(i.wrapping_mul(0x9E3779B97F4A7C15), |&v| v == i)
-                        .is_some()
-                    {
+                    let h = i.wrapping_mul(0x9E3779B97F4A7C15);
+                    if t.find_from(t.head(h), |_, &v| v == i).is_some() {
                         hits += 1;
                     }
                 }

@@ -1,206 +1,62 @@
-//! Hash-division's tables, flat: a [`ChainedTable`] of group numbers, group
-//! `g`'s key at row `g` of one [`Batch`] (as `BatchDistinct` keeps rows),
-//! and its bit-map words or count at `words[g * stride..]` of one array.
-//! The divisor table keeps no words: a divisor number *is* its group
-//! number. A group is charged its key's record width plus its map's bytes,
+//! Hash-division's quotient tables, flat: an `exec` [`KeyTable`] of groups
+//! and each group's bit-map words or count at `words[g * stride..]` of one
+//! array. A group is charged its key's record width plus its map's bytes,
 //! and each clear, set, zero test and OR counts the `Bit`s a [`Bitmap`]'s.
 //!
 //! A batch probes through a [`Probe`], its key columns typed once, and
 //! counts its `Comp`s and `Bit`s in a [`Tally`] that reaches the counters
 //! once per batch and before anything that can fail or open a span.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
-use reldiv_exec::hash_table::ChainedTable;
+use reldiv_exec::hash_table::KeyTable;
+pub(crate) use reldiv_exec::hash_table::{Key, Probe, Tally};
 use reldiv_rel::column::ColumnVec;
-use reldiv_rel::{counters, Batch, Schema, Tuple};
-use reldiv_storage::memory::Reservation;
+use reldiv_rel::{Batch, Schema};
 use reldiv_storage::MemoryPool;
 
 use crate::bitmap::{self, Bitmap};
 use crate::hash_division::HashDivisionMode;
 use crate::Result;
 
-/// `Comp`s and `Bit`s counted in locals: [`Tally::flush`] adds them to the
-/// counters, as does dropping the tally, so an error exit loses none.
-#[derive(Default)]
-pub(crate) struct Tally {
-    comps: u64,
-    bits: u64,
-}
-
-impl Tally {
-    pub(crate) fn flush(&mut self) {
-        counters::count_comparisons(std::mem::take(&mut self.comps));
-        counters::count_bitops(std::mem::take(&mut self.bits));
-    }
-}
-
-impl Drop for Tally {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// One key column of a probe, typed.
-#[derive(Clone, Copy)]
-enum Col<'a> {
-    Int(&'a [i64]),
-    Str(&'a [String]),
-}
-
-/// A batch's key columns, typed once for every probe of its rows.
-pub(crate) struct Probe<'a> {
-    batch: &'a Batch,
-    on: &'a [usize],
-    cols: Vec<Col<'a>>,
-}
-
-impl<'a> Probe<'a> {
-    /// The columns `on` of `batch`, in that order.
-    pub(crate) fn new(batch: &'a Batch, on: &'a [usize]) -> Probe<'a> {
-        let cols = on.iter().map(|&k| match batch.column(k) {
-            ColumnVec::Int(v) => Col::Int(v),
-            ColumnVec::Str(v) => Col::Str(v),
-        });
-        let cols = cols.collect();
-        Probe { batch, on, cols }
-    }
-}
-
-/// A key to find or add: row `.1` of a batch's [`Probe`], or a tuple on the
-/// columns listed. Each kind compares at its own speed; no key is
-/// dispatched per compare.
-pub(crate) trait Key: Copy {
-    /// Whether group `g` of `table` is this key. One `Comp`.
-    fn is(self, table: &GroupTable, g: usize, tally: &mut Tally) -> bool;
-    /// Appends this key to a table's key columns.
-    fn push(self, keys: &mut Batch);
-}
-
-impl Key for (&Probe<'_>, usize) {
-    #[inline]
-    fn is(self, table: &GroupTable, g: usize, tally: &mut Tally) -> bool {
-        let (probe, row) = self;
-        tally.comps += 1;
-        probe
-            .cols
-            .iter()
-            .zip(table.keys.columns())
-            .all(|pair| match pair {
-                (Col::Int(p), ColumnVec::Int(k)) => p[row] == k[g],
-                (Col::Str(p), ColumnVec::Str(k)) => p[row] == k[g],
-                _ => false,
-            })
-    }
-
-    fn push(self, keys: &mut Batch) {
-        keys.push_projected(self.0.batch, self.0.on, self.1);
-    }
-}
-
-impl Key for (&Tuple, &[usize]) {
-    fn is(self, table: &GroupTable, g: usize, _: &mut Tally) -> bool {
-        table.keys.row_eq_tuple(&table.all, g, self.0, self.1)
-    }
-
-    fn push(self, keys: &mut Batch) {
-        keys.push_tuple(&self.0.project(self.1));
-    }
-}
-
-/// Groups under a bucket-chained hash table, as columns, accounted in a
-/// pool.
+/// Groups under a key table, whose lookups are the group table's, with
+/// their words.
 pub(crate) struct GroupTable {
-    table: ChainedTable<u32>,
-    /// Bits of a group's map: `None` for none (the divisor table), `Some(0)`
-    /// for an empty one, cleared and tested as `Bitmap::new(0)` is; whether
-    /// a count word follows it; its words.
-    bits: Option<usize>,
+    keyed: KeyTable,
+    /// Bits of a group's map (none, `CounterOnly`'s, cleared and tested as
+    /// `Bitmap::new(0)` is); whether a count word follows it; its words.
+    bits: usize,
     count: bool,
     map: usize,
-    /// Row `g` is group `g`'s key; `all` lists its columns.
-    keys: Batch,
-    all: Vec<usize>,
     /// Group `g`'s map words, then its count: `words[g * stride..][..stride]`.
     words: Vec<u64>,
     stride: usize,
-    /// Per group: its key's record width and its map's bytes.
-    group_bytes: usize,
-    payload: Reservation,
 }
 
 impl GroupTable {
     /// An empty table in `pool` of `mode`'s candidates over `divisor_count`
-    /// divisor tuples (no mode: of divisor tuples), keyed by rows of `keys`.
+    /// divisor tuples, keyed by rows of `keys`.
     pub(crate) fn new(
         pool: &MemoryPool,
         keys: &Schema,
-        mode: Option<HashDivisionMode>,
+        mode: HashDivisionMode,
         divisor_count: u32,
     ) -> Result<GroupTable> {
         let bits = match mode {
-            Some(HashDivisionMode::CounterOnly) => Some(0),
-            _ => mode.map(|_| divisor_count as usize),
+            HashDivisionMode::CounterOnly => 0,
+            _ => divisor_count as usize,
         };
-        let count = mode.is_some_and(|mode| mode != HashDivisionMode::Standard);
-        let map = bits.unwrap_or(0).div_ceil(64);
+        let count = mode != HashDivisionMode::Standard;
+        let map = bits.div_ceil(64);
+        let group_bytes = keys.record_width() + Bitmap::heap_bytes(bits);
         Ok(GroupTable {
-            table: ChainedTable::new(pool, 16)?,
+            keyed: KeyTable::new(pool, keys, group_bytes)?,
             bits,
             count,
             map,
-            keys: Batch::with_capacity(keys.clone(), 0),
-            all: (0..keys.arity()).collect(),
             words: Vec::new(),
             stride: map + usize::from(count),
-            group_bytes: keys.record_width() + Bitmap::heap_bytes(bits.unwrap_or(0)),
-            payload: pool.reserve(0)?,
         })
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Accounted bytes: buckets, chain elements, keys, maps.
-    pub(crate) fn footprint(&self) -> usize {
-        self.table.accounted_bytes() + self.payload.bytes()
-    }
-
-    /// The key columns, a row per group.
-    pub(crate) fn keys(&self) -> &Batch {
-        &self.keys
-    }
-
-    /// The heads of `hashes`' chains, in one pass of independent loads:
-    /// valid until the next insert.
-    pub(crate) fn heads(&self, hashes: &[u64]) -> Vec<u32> {
-        hashes.iter().map(|&h| self.table.head(h)).collect()
-    }
-
-    /// The group of hash `h` that is `key`, on its chain (from `head`, one
-    /// of [`GroupTable::heads`], if given): compared with every element up
-    /// to it (one `Comp` each, as the cost model counts) or — `hashed` —
-    /// with those of equal hash. An element of another hash cannot be the
-    /// key: the stored hash decides that compare.
-    #[inline]
-    pub(crate) fn find(
-        &self,
-        (h, head): (u64, Option<u32>),
-        key: impl Key,
-        hashed: bool,
-        tally: &mut Tally,
-    ) -> Option<usize> {
-        let head = head.unwrap_or_else(|| self.table.head(h));
-        let found = self.table.find_from(head, |stored, &g| match stored == h {
-            true => key.is(self, g as usize, tally),
-            false => {
-                tally.comps += u64::from(!hashed);
-                false
-            }
-        });
-        found.map(|g| g as usize)
     }
 
     /// Adds group `key` under hash `h`: charges its bytes, counts its map's
@@ -208,21 +64,18 @@ impl GroupTable {
     /// key in. A failure leaves the groups as they were, but not what was
     /// charged or counted.
     pub(crate) fn insert(&mut self, h: u64, key: impl Key, first: Option<u32>) -> Result<usize> {
-        self.payload.grow(self.group_bytes)?;
+        self.keyed.charge()?;
         let mut tally = Tally::default();
-        if let Some(bits) = self.bits {
-            tally.bits += bits.div_ceil(64).max(1) as u64;
-        }
+        tally.bits += self.bits.div_ceil(64).max(1) as u64;
         let g = self.len();
         self.words.resize((g + 1) * self.stride, 0);
         if let Some(d) = first {
             self.absorb(g, d, &mut tally);
         }
-        if let Err(e) = self.table.insert(h, g as u32) {
+        if let Err(e) = self.keyed.link(h, key) {
             self.words.truncate(g * self.stride);
             return Err(e);
         }
-        key.push(&mut self.keys);
         Ok(g)
     }
 
@@ -272,7 +125,7 @@ impl GroupTable {
     pub(crate) fn complete(&self, g: usize, divisor_count: u32) -> bool {
         match self.count {
             true => self.count(g) == u64::from(divisor_count),
-            false => bitmap::all_set(self.words(g), self.bits.unwrap_or(0)),
+            false => bitmap::all_set(self.words(g), self.bits),
         }
     }
 
@@ -304,7 +157,15 @@ impl GroupTable {
                 .map(|g| self.words[g * self.stride + w] as i64);
             ColumnVec::Int(column.collect())
         });
-        self.keys.gather(&rows).widen(layout, words)
+        self.keys().gather(&rows).widen(layout, words)
+    }
+}
+
+impl Deref for GroupTable {
+    type Target = KeyTable;
+
+    fn deref(&self) -> &KeyTable {
+        &self.keyed
     }
 }
 
@@ -314,7 +175,7 @@ mod tests {
     use reldiv_rel::counters::OpScope;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
-    use reldiv_rel::Value;
+    use reldiv_rel::{Tuple, Value};
     use reldiv_storage::memory::sizes;
 
     fn key_batch(schema: Schema, rows: Vec<Tuple>) -> Batch {
@@ -345,7 +206,7 @@ mod tests {
     /// A table in `pool` holding every row of `keys`.
     fn filled(pool: &MemoryPool, keys: &Batch, mode: HashDivisionMode) -> GroupTable {
         let schema = keys.schema();
-        let mut table = GroupTable::new(pool, schema, Some(mode), 100).unwrap();
+        let mut table = GroupTable::new(pool, schema, mode, 100).unwrap();
         let cols: Vec<usize> = (0..schema.arity()).collect();
         let probe = Probe::new(keys, &cols);
         for (row, h) in keys.hash_rows(&cols).into_iter().enumerate() {
@@ -362,7 +223,8 @@ mod tests {
             for (mode, map) in [(standard, Bitmap::heap_bytes(100)), (counter, 0)] {
                 let pool = MemoryPool::unbounded();
                 let table = filled(&pool, &keys, mode);
-                let buckets = table.table.bucket_count() * sizes::BUCKET;
+                // 16 buckets, doubled at 32, 64, 128 and 256 groups.
+                let buckets = 256 * sizes::BUCKET;
                 let per_group = sizes::CHAIN_ELEMENT + keys.schema().record_width() + map;
                 let want = buckets + n as usize * per_group;
                 assert_eq!(table.footprint(), want, "{:?} {mode:?}", keys.schema());
@@ -427,7 +289,7 @@ mod tests {
         // the second group is charged, cleared and set, then refused.
         let group = 8 + Bitmap::heap_bytes(130);
         let pool = MemoryPool::new(16 * sizes::BUCKET + 2 * group + sizes::CHAIN_ELEMENT);
-        let standard = Some(HashDivisionMode::Standard);
+        let standard = HashDivisionMode::Standard;
         let mut table = GroupTable::new(&pool, keys.schema(), standard, 130).unwrap();
         let h = keys.hash_rows(&cols);
         table.insert(h[0], (&probe, 0), Some(3)).unwrap();
@@ -462,7 +324,7 @@ mod tests {
 
     #[test]
     fn early_out_test_and_set_drops_a_duplicate() {
-        let early = Some(HashDivisionMode::EarlyOut);
+        let early = HashDivisionMode::EarlyOut;
         let schema = Schema::new(vec![Field::int("q")]);
         let mut table = GroupTable::new(&MemoryPool::unbounded(), &schema, early, 2).unwrap();
         let t = ints(&[7, 1]);

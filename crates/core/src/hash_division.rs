@@ -34,17 +34,19 @@
 //!   observation: when the dividend is known duplicate-free, counters
 //!   replace divisor numbers and bit maps entirely.
 //!
-//! Both tables are flat `GroupTable`s (key columns and bit-map words, no
-//! tuple or bit map per entry). Memory for both hash tables, chain
-//! elements, and bit maps is accounted against the storage manager's
-//! memory pool; exhaustion surfaces as `MemoryExhausted`, the trigger for
-//! the overflow strategies.
+//! Both tables are flat — a `KeyTable` of divisor tuples, a `GroupTable`
+//! of candidates' keys and bit-map words. Their buckets, chain elements,
+//! keys and bit maps are accounted against the storage manager's memory
+//! pool; exhaustion surfaces as `MemoryExhausted`, the trigger for the
+//! overflow strategies.
 
 use reldiv_exec::batch::BoxedBatchOp;
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::{BoxedOp, OpState, Operator};
 use reldiv_rel::{Batch, Schema, Tuple};
 use reldiv_storage::MemoryPool;
+
+use reldiv_exec::hash_table::KeyTable;
 
 use crate::groups::{GroupTable, Probe, Tally};
 use crate::spec::DivisionSpec;
@@ -89,9 +91,9 @@ fn close_after<T>(drained: Result<T>, closed: Result<()>) -> Result<T> {
 
 /// Step 1's product: the divisor hash table with divisor numbers.
 pub struct DivisorTable {
-    /// The distinct divisor tuples, numbered in arrival order: group `d`
-    /// is divisor number `d`.
-    table: GroupTable,
+    /// The distinct divisor tuples, numbered in arrival order: entry `d`
+    /// is divisor number `d`, charged its record width.
+    table: KeyTable,
     /// Whether a batch probe compares only the chain elements of equal
     /// hash or, as the tuple probes and the cost model do, all of them.
     prefilter: bool,
@@ -101,7 +103,7 @@ pub struct DivisorTable {
 impl DivisorTable {
     fn empty(divisor: &Schema, pool: &MemoryPool, prefilter: bool) -> Result<Self> {
         Ok(DivisorTable {
-            table: GroupTable::new(pool, divisor, None, 0)?,
+            table: KeyTable::new(pool, divisor, divisor.record_width())?,
             prefilter,
             duplicates: 0,
         })
@@ -119,7 +121,7 @@ impl DivisorTable {
                 let (h, key) = (t.hash_on(&all), (&t, &all[..]));
                 match dt.table.find((h, None), key, false, &mut Tally::default()) {
                     Some(_) => dt.duplicates += 1,
-                    None => _ = dt.table.insert(h, key, None)?,
+                    None => _ = dt.table.insert(h, key)?,
                 }
             }
             Ok(dt)
@@ -176,7 +178,7 @@ impl DivisorTable {
                         .find((h, None), (&probe, row), prefilter, &mut tally)
                     {
                         Some(_) => dt.duplicates += 1,
-                        None => _ = dt.table.insert(h, (&probe, row), None)?,
+                        None => _ = dt.table.insert(h, (&probe, row))?,
                     }
                 }
             }
@@ -214,18 +216,11 @@ impl DivisorTable {
             return ((0..batch.len()).collect(), vec![None; batch.len()]);
         }
         let (probe, mut tally) = (Probe::new(batch, divisor_keys), Tally::default());
-        let hashes = batch.hash_rows(divisor_keys);
-        let heads = self.table.heads(&hashes).into_iter().map(Some);
-        let found = hashes
-            .into_iter()
-            .zip(heads)
-            .enumerate()
-            .filter_map(|(row, head)| {
-                let d = self
-                    .table
-                    .find(head, (&probe, row), self.prefilter, &mut tally)?;
-                Some((row, Some(d as u32)))
-            });
+        let chains = self.table.chains(&batch.hash_rows(divisor_keys));
+        let found = chains.into_iter().enumerate().filter_map(|(row, chain)| {
+            let d = (self.table).find(chain, (&probe, row), self.prefilter, &mut tally)?;
+            Some((row, Some(d as u32)))
+        });
         found.unzip()
     }
 
@@ -257,7 +252,7 @@ impl QuotientTable {
         quotient: &Schema,
     ) -> Result<Self> {
         Ok(QuotientTable {
-            table: GroupTable::new(pool, quotient, Some(mode), divisor_count)?,
+            table: GroupTable::new(pool, quotient, mode, divisor_count)?,
             mode,
             divisor_count,
             quotient_keys,
@@ -300,13 +295,12 @@ impl QuotientTable {
         divisor_nos: &[Option<u32>],
     ) -> Result<Vec<usize>> {
         let keys = self.quotient_keys.clone();
-        let hashes = batch.hash_rows_at(&keys, rows);
+        let chains = self.table.chains(&batch.hash_rows_at(&keys, rows));
         let (probe, mut tally) = (Probe::new(batch, &keys), Tally::default());
         // The chain heads hold until the batch inserts a candidate.
-        let (heads, mut inserted) = (self.table.heads(&hashes), false);
-        let mut done = Vec::new();
-        for (((&row, &dno), h), head) in rows.iter().zip(divisor_nos).zip(hashes).zip(heads) {
-            let head = (h, (!inserted).then_some(head));
+        let (mut inserted, mut done) = (false, Vec::new());
+        for ((&row, &dno), (h, head)) in rows.iter().zip(divisor_nos).zip(chains) {
+            let head = (h, head.filter(|_| !inserted));
             let absorbed = match self.table.find(head, (&probe, row), true, &mut tally) {
                 None => {
                     inserted = true;

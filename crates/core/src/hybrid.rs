@@ -52,6 +52,7 @@
 //! [`DegradationReport`] and as [`SpanKind::Spill`]/[`SpanKind::Revive`]
 //! profile spans.
 
+use reldiv_exec::batch::scan::read_page;
 use reldiv_exec::batch::{drain_batches, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::profile::{ProfileSink, SpanKind, SpanScope};
@@ -224,7 +225,7 @@ struct Hybrid<'a> {
 impl<'a> Hybrid<'a> {
     /// An empty table of groups, in `pool`.
     fn new_table(&self, pool: &MemoryPool) -> Result<GroupTable> {
-        GroupTable::new(pool, &self.quotient, Some(self.mode), self.divisor_count)
+        GroupTable::new(pool, &self.quotient, self.mode, self.divisor_count)
     }
 
     fn span(&self, label: String, kind: SpanKind) -> Option<SpanScope> {
@@ -452,17 +453,9 @@ impl<'a> Hybrid<'a> {
 
     /// The `i`-th page of a spill file of layout `kind`, as columns.
     fn read_page(&self, file: Option<FileId>, kind: usize, i: u64) -> Result<Option<Batch>> {
-        let Some(file) = file else {
-            return Ok(None);
-        };
         let mut sm = self.storage.borrow_mut();
-        // Room for as many records as fit a page.
-        let (layout, page_size) = (&self.layouts[kind], sm.config().data_page_size);
-        let mut page = Batch::with_capacity(layout.clone(), page_size / layout.record_width());
-        let visited = sm.visit_page(file, i, |_, record| {
-            page.push_record(record).map_err(ExecError::from)
-        })?;
-        Ok(visited.then_some(page))
+        let page = file.map(|file| read_page(&mut sm, file, i, &self.layouts[kind]));
+        Ok(page.transpose()?.flatten())
     }
 
     /// Streams the partition's spill files into a fresh table, a page at a

@@ -9,14 +9,17 @@
 //! aggregate operator. Second, for each student, the courses taken are
 //! counted using an aggregate function operator. Third, only those students
 //! whose number of courses taken is equal to the number of courses offered
-//! are selected."
+//! are selected." Both operators count in one `GroupCounts`: a
+//! [`KeyTable`] of groups and a count per group.
 
 use reldiv_rel::schema::Field;
-use reldiv_rel::{ColumnType, Schema, Tuple, Value};
-use reldiv_storage::{MemoryPool, StorageRef};
+use reldiv_rel::{counters, Batch, ColumnType, ColumnVec, Schema, Tuple};
+use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
 
+use crate::batch::scan::read_page;
+use crate::batch::DEFAULT_BATCH_SIZE;
 use crate::cancel::CancelToken;
-use crate::hash_table::ChainedTable;
+use crate::hash_table::{Key, KeyTable, Probe, Tally};
 use crate::op::{BoxedOp, OpState, Operator};
 use crate::{ExecError, Result};
 
@@ -36,9 +39,8 @@ pub struct HashCountAggregate {
     group_keys: Vec<usize>,
     schema: Schema,
     pool: MemoryPool,
-    /// When set, the aggregation table spills partial aggregates to
-    /// temporary cluster files on exhaustion instead of failing — the
-    /// GAMMA-style partitioned ("hybrid") aggregation.
+    /// Where partial aggregates spill on exhaustion instead of failing —
+    /// the GAMMA-style partitioned ("hybrid") aggregation.
     spill: Option<StorageRef>,
     cancel: CancelToken,
     state: OpState,
@@ -47,17 +49,12 @@ pub struct HashCountAggregate {
 
 /// The output schema of a group count: the group columns, then `count`.
 pub(crate) fn count_schema(input: &Schema, group_keys: &[usize]) -> Result<Schema> {
-    if group_keys.iter().any(|&k| k >= input.arity()) {
-        return Err(ExecError::Plan(
-            "hash aggregate: group key out of range".into(),
-        ));
-    }
-    let mut fields: Vec<Field> = group_keys
-        .iter()
-        .map(|&k| input.fields()[k].clone())
-        .collect();
-    fields.push(Field::new("count", ColumnType::Int));
-    Ok(Schema::new(fields))
+    let out_of_range = |_| ExecError::Plan("hash aggregate: group key out of range".into());
+    let keys = input.project(group_keys).map_err(out_of_range)?;
+    let count = Field::new("count", ColumnType::Int);
+    Ok(Schema::new(
+        keys.fields().iter().cloned().chain([count]).collect(),
+    ))
 }
 
 impl HashCountAggregate {
@@ -78,19 +75,17 @@ impl HashCountAggregate {
     }
 
     /// Polls `cancel` every checkpoint stride of tuples while `open`
-    /// drains the input into the aggregation table (and while spill
-    /// clusters are re-aggregated) — the whole aggregation happens before
-    /// the first `next`, so without this a deadline cannot interrupt it.
+    /// aggregates (and re-aggregates spill clusters): all before the first
+    /// `next`, which a deadline could not otherwise interrupt.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
 
-    /// Enables partitioned overflow handling: when the aggregation table
-    /// exhausts the memory pool, partial aggregates are spooled to
-    /// group-hash cluster files on `storage`'s data disk and each cluster
-    /// is aggregated in its own phase — the aggregation analogue of
-    /// hash-division's quotient partitioning.
+    /// Spools partial aggregates to group-hash cluster files on `storage`'s
+    /// data disk when the table exhausts the pool, each cluster aggregated
+    /// in its own phase: hash-division's quotient partitioning, for
+    /// aggregation.
     pub fn with_spill(mut self, storage: StorageRef) -> Self {
         self.spill = Some(storage);
         self
@@ -100,27 +95,20 @@ impl HashCountAggregate {
 /// Group-hash clusters for the spill path.
 const SPILL_PARTITIONS: usize = 8;
 
-pub(crate) type GroupTable = ChainedTable<(Tuple, i64)>;
-
-/// Widens a group tuple with its count into an output-schema tuple.
-fn widen(group: Tuple, count: i64) -> Tuple {
-    let mut vals = group.into_values();
-    vals.push(Value::Int(count));
-    Tuple::new(vals)
-}
-
-/// The state of a group count, shared by the tuple and the batch operator:
-/// the table of `(group, count)` until the pool is exhausted, then
+/// A group count's state: a key table of groups (charged its buckets and
+/// chain elements) and a count per group until the pool is exhausted; then
 /// [`SPILL_PARTITIONS`] cluster files of `(group..., count)` records, each
-/// re-aggregated in its own phase and all deleted with the state.
+/// re-aggregated in a phase of its own, all deleted with the state.
 pub(crate) struct GroupCounts {
     pool: MemoryPool,
     spill: Option<StorageRef>,
-    codec: reldiv_rel::RecordCodec,
-    /// `None` once spilling has begun (the table's memory is released
-    /// back to the pool before the phase tables need it).
-    table: Option<GroupTable>,
-    clusters: Vec<reldiv_storage::FileId>,
+    /// The output rows, and the group columns they start with.
+    schema: Schema,
+    keys: Schema,
+    /// `None` once spilling (its memory released for the phases).
+    table: Option<(KeyTable, Vec<i64>)>,
+    clusters: Vec<FileId>,
+    records: Vec<u8>,
 }
 
 impl GroupCounts {
@@ -130,93 +118,127 @@ impl GroupCounts {
         spill: Option<StorageRef>,
         schema: Schema,
     ) -> Result<Self> {
+        let keys = schema.project(&(0..schema.arity() - 1).collect::<Vec<_>>())?;
         Ok(GroupCounts {
-            table: Some(ChainedTable::new(pool, 16)?),
+            table: Some((KeyTable::new(pool, &keys, 0)?, Vec::new())),
             pool: pool.clone(),
             spill,
-            codec: reldiv_rel::RecordCodec::new(schema),
+            schema,
+            keys,
             clusters: Vec::new(),
+            records: Vec::new(),
         })
     }
 
-    /// Spools one partial aggregate to the cluster its group hash names.
-    fn route(&self, hash: u64, group: Tuple, count: i64) -> Result<()> {
-        let storage = self.spill.as_ref().expect("clusters imply spill");
-        let record = self.codec.encode(&widen(group, count))?;
-        let cluster = self.clusters[(hash as usize) % SPILL_PARTITIONS];
-        storage.borrow_mut().append(cluster, &record)?;
+    /// Counts the rows of `batch`, grouped on its columns `on`: one hash
+    /// pass and one typed probe, each row compared with the groups of
+    /// equal hash.
+    pub(crate) fn add_batch(&mut self, batch: &Batch, on: &[usize]) -> Result<()> {
+        let (probe, mut tally) = (Probe::new(batch, on), Tally::default());
+        for (row, h) in batch.hash_rows(on).into_iter().enumerate() {
+            self.add(h, (&probe, row), 1, true, &mut tally)?;
+        }
         Ok(())
     }
 
-    /// Counts one more row of the group hashing to `hash` that `find`
-    /// locates in the table, or of a new group `group()`; once spilling,
-    /// routes it. A table that exhausts the pool is drained into the
-    /// cluster files (if spilling is enabled: otherwise that is the error).
+    /// Counts `n` more rows of group `key` under hash `h`, compared with
+    /// every chain element or — `hashed` — those of equal hash; once
+    /// spilling, routes one. A table that exhausts the pool is drained into
+    /// the clusters (without spilling, that is the error).
     pub(crate) fn add(
         &mut self,
-        hash: u64,
-        find: impl FnOnce(&GroupTable) -> Option<u32>,
-        group: impl Fn() -> Tuple,
+        h: u64,
+        key: impl Key,
+        n: i64,
+        hashed: bool,
+        tally: &mut Tally,
     ) -> Result<()> {
-        let Some(table) = &mut self.table else {
-            return self.route(hash, group(), 1);
+        let Some((table, counts)) = &mut self.table else {
+            return self.route(&[h], |row| key.push(row), vec![1]);
         };
-        if let Some(idx) = find(table) {
-            table.get_mut(idx).1 += 1;
+        if let Some(g) = table.find((h, None), key, hashed, tally) {
+            counts[g] += n;
             return Ok(());
         }
-        match table.insert(hash, (group(), 1)) {
+        match table.insert(h, key) {
+            Ok(_) => counts.push(n),
             Err(e) if e.is_memory_exhausted() && self.spill.is_some() => {
-                let storage = self.spill.as_ref().expect("checked");
-                self.clusters = {
-                    let mut sm = storage.borrow_mut();
-                    (0..SPILL_PARTITIONS)
-                        .map(|_| sm.create_file(reldiv_storage::StorageManager::DATA_DISK))
-                        .collect()
-                };
-                let out_keys: Vec<usize> = (0..self.codec.schema().arity() - 1).collect();
-                for (g, c) in self.table.take().expect("table present").into_items() {
-                    self.route(g.hash_on(&out_keys), g, c)?;
-                }
-                self.route(hash, group(), 1)
+                let mut sm = self.spill.as_ref().expect("checked").borrow_mut();
+                let files =
+                    (0..SPILL_PARTITIONS).map(|_| sm.create_file(StorageManager::DATA_DISK));
+                self.clusters = files.collect();
+                drop(sm);
+                // Each group rehashed to find its cluster, then this row.
+                let (table, counts) = self.table.take().expect("table present");
+                let groups = table.into_keys();
+                let hashes = groups.hash_rows(&(0..groups.schema().arity()).collect::<Vec<_>>());
+                self.route(&hashes, |rows| *rows = groups, counts)?;
+                self.route(&[h], |row| key.push(row), vec![1])?;
             }
-            other => other.map(|_| ()),
+            Err(e) => return Err(e),
         }
+        Ok(())
     }
 
-    /// The counted groups as output tuples, in insertion order (cluster
-    /// by cluster, if spilled, polling `cancel` every checkpoint stride).
-    pub(crate) fn finish(mut self, cancel: CancelToken) -> Result<Vec<Tuple>> {
-        if let Some(table) = self.table.take() {
-            return Ok(table.into_items().map(|(g, c)| widen(g, c)).collect());
+    /// Spools groups — the key rows `fill` puts in a batch, with `counts` —
+    /// to the clusters their `hashes` name, in order.
+    fn route(
+        &mut self,
+        hashes: &[u64],
+        fill: impl FnOnce(&mut Batch),
+        counts: Vec<i64>,
+    ) -> Result<()> {
+        let mut rows = Batch::with_capacity(self.keys.clone(), hashes.len());
+        fill(&mut rows);
+        let rows = rows.widen(self.schema.clone(), [ColumnVec::Int(counts)]);
+        self.records.clear();
+        rows.encode_records(&mut self.records)?;
+        let mut sm = self
+            .spill
+            .as_ref()
+            .expect("clusters imply spill")
+            .borrow_mut();
+        let records = self.records.chunks(self.schema.record_width());
+        for (&h, record) in hashes.iter().zip(records) {
+            sm.append(self.clusters[(h as usize) % SPILL_PARTITIONS], record)?;
+        }
+        Ok(())
+    }
+
+    /// The groups as batches, the key columns widened by the count column,
+    /// in insertion order (cluster by cluster, if spilled, polling
+    /// `cancel` every checkpoint stride).
+    pub(crate) fn finish(mut self, cancel: CancelToken) -> Result<Vec<Batch>> {
+        if let Some((table, counts)) = self.table.take() {
+            let rows = table
+                .into_keys()
+                .widen(self.schema.clone(), [ColumnVec::Int(counts)]);
+            return Ok(rows.into_chunks(DEFAULT_BATCH_SIZE));
         }
         let storage = self.spill.clone().expect("clusters imply spill");
-        let out_keys: Vec<usize> = (0..self.codec.schema().arity() - 1).collect();
-        let (mut out, mut budget) = (Vec::new(), 0u32);
+        let on: Vec<usize> = (0..self.keys.arity()).collect();
+        let (mut out, mut budget, mut tally) = (Vec::new(), 0u32, Tally::default());
         for &file in &self.clusters {
-            let mut phase: GroupTable = ChainedTable::new(&self.pool, 16)?;
-            let mut cursor = reldiv_storage::file::ScanCursor::new(file);
-            loop {
-                cancel.checkpoint(&mut budget)?;
-                let mut sm = storage.borrow_mut();
-                let Some((_, record)) = cursor.next(&mut sm)? else {
+            // A cluster that still exhausts memory means the group
+            // population defeats k-way partitioning; surface that honestly.
+            let mut phase = GroupCounts::new(&self.pool, None, self.schema.clone())?;
+            for i in 0.. {
+                let Some(page) = read_page(&mut storage.borrow_mut(), file, i, &self.schema)?
+                else {
                     break;
                 };
-                let t = self.codec.decode(record)?;
-                let count = t.value(t.arity() - 1).as_int().unwrap_or(0);
-                let group = t.project(&out_keys);
-                // A cluster that still exhausts memory means the group
-                // population defeats k-way partitioning; surface that
-                // honestly.
-                let h = group.hash_on(&out_keys);
-                match phase.find(h, |(g, _)| group.eq_on(&out_keys, g, &out_keys)) {
-                    Some(idx) => phase.get_mut(idx).1 += count,
-                    None => {
-                        phase.insert(h, (group, count))?;
-                    }
+                let ColumnVec::Int(partial) = page.column(on.len()) else {
+                    unreachable!("a count is an Int column");
+                };
+                // Each record compared with its whole chain.
+                let probe = Probe::new(&page, &on);
+                for (row, h) in page.hash_rows_uncounted(&on).into_iter().enumerate() {
+                    cancel.checkpoint(&mut budget)?;
+                    counters::count_hashes(1);
+                    phase.add(h, (&probe, row), partial[row], false, &mut tally)?;
                 }
             }
-            out.extend(phase.into_items().map(|(g, c)| widen(g, c)));
+            out.extend(phase.finish(cancel)?);
         }
         Ok(out)
     }
@@ -239,19 +261,19 @@ impl Operator for HashCountAggregate {
 
     fn open(&mut self) -> Result<()> {
         self.input.open()?;
-        let out_keys: Vec<usize> = (0..self.group_keys.len()).collect();
         let mut counts = GroupCounts::new(&self.pool, self.spill.clone(), self.schema.clone())?;
-        let mut budget = 0u32;
+        let (keys, mut budget, mut tally) = (&self.group_keys[..], 0u32, Tally::default());
         while let Some(t) = self.input.next()? {
             self.cancel.checkpoint(&mut budget)?;
-            let group = t.project(&self.group_keys);
-            let h = group.hash_on(&out_keys);
-            let find =
-                |table: &GroupTable| table.find(h, |(g, _)| group.eq_on(&out_keys, g, &out_keys));
-            counts.add(h, find, || group.clone())?;
+            let h = t.hash_on(keys);
+            counts.add(h, (&t, keys), 1, false, &mut tally)?;
         }
         self.input.close()?;
-        self.drain = Some(counts.finish(self.cancel)?.into_iter());
+        let rows = counts
+            .finish(self.cancel)?
+            .into_iter()
+            .flat_map(Batch::into_tuples);
+        self.drain = Some(rows.collect::<Vec<Tuple>>().into_iter());
         self.state = OpState::Open;
         Ok(())
     }

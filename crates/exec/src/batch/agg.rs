@@ -2,22 +2,21 @@
 //! count and `HAVING count = N` — division by aggregation on the batch
 //! path.
 
-use reldiv_rel::{counters, Batch, ColumnVec, Schema, Tuple};
+use reldiv_rel::{counters, Batch, ColumnVec, Schema};
 use reldiv_storage::{MemoryPool, StorageRef};
 
-use super::{drain_batches, BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
+use super::{drain_batches, BatchOperator, BoxedBatchOp};
 use crate::agg::{count_schema, GroupCounts};
 use crate::cancel::CancelToken;
 use crate::op::OpState;
 use crate::{ExecError, Result};
 
 /// Hash-based `COUNT(*) GROUP BY`, spilling like
-/// [`crate::agg::HashCountAggregate`] with `with_spill`: the same table,
-/// pool accounting, spill clusters and per-cluster re-aggregation
-/// (one shared `GroupCounts` state), probed with [`Batch::hash_rows`] and
-/// [`Batch::row_eq_tuple`] — a tuple is materialized only for a new
-/// group — so output order, the row at which memory is exhausted and the
-/// spilled records are those of the tuple operator.
+/// [`crate::agg::HashCountAggregate`] with `with_spill` (one shared
+/// `GroupCounts` state), probed a batch at a time — one hash pass, the key
+/// columns typed once, each row compared with the groups of equal hash —
+/// so output order, the row at which memory is exhausted and the spilled
+/// records are those of the tuple operator.
 pub struct BatchHashCountAggregate {
     input: BoxedBatchOp,
     group_keys: Vec<usize>,
@@ -26,7 +25,7 @@ pub struct BatchHashCountAggregate {
     storage: StorageRef,
     cancel: CancelToken,
     state: OpState,
-    drain: std::vec::IntoIter<Tuple>,
+    drain: std::vec::IntoIter<Batch>,
 }
 
 impl BatchHashCountAggregate {
@@ -65,20 +64,11 @@ impl BatchOperator for BatchHashCountAggregate {
 
     fn open(&mut self) -> Result<()> {
         self.input.open()?;
-        let (keys, storage) = (&self.group_keys, Some(self.storage.clone()));
-        let out_keys: Vec<usize> = (0..keys.len()).collect();
+        let storage = Some(self.storage.clone());
         let mut counts = GroupCounts::new(&self.pool, storage, self.schema.clone())?;
         while let Some(batch) = self.input.next_batch()? {
             self.cancel.check()?;
-            for (row, &h) in batch.hash_rows(keys).iter().enumerate() {
-                counts.add(
-                    h,
-                    |table| {
-                        table.find_hashed(h, |(g, _)| batch.row_eq_tuple(keys, row, g, &out_keys))
-                    },
-                    || batch.tuple_projected(keys, row),
-                )?;
-            }
+            counts.add_batch(&batch, &self.group_keys)?;
         }
         self.input.close()?;
         self.drain = counts.finish(self.cancel)?.into_iter();
@@ -88,12 +78,7 @@ impl BatchOperator for BatchHashCountAggregate {
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         self.state.require_open()?;
-        let rows = self.drain.len().min(DEFAULT_BATCH_SIZE);
-        let mut batch = Batch::with_capacity(self.schema.clone(), rows);
-        for t in self.drain.by_ref().take(rows) {
-            batch.push_tuple(&t);
-        }
-        Ok((rows > 0).then_some(batch))
+        Ok(self.drain.next())
     }
 
     fn close(&mut self) -> Result<()> {

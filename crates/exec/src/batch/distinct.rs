@@ -7,19 +7,16 @@
 //! dividend relation." This operator is that scheme: every kept row is
 //! charged to the pool (one record width on top of its chain element), so
 //! a large input exhausts it — the point the paper makes when motivating
-//! hash-division's built-in duplicate insensitivity. Rows come out in the
-//! order of their first occurrence. The kept rows live in the output
-//! batches themselves: a table entry is a row number, compared row
-//! against row ([`Batch::cmp_rows`]), and no tuple is ever built.
-
-use std::cmp::Ordering;
+//! hash-division's built-in duplicate insensitivity. The kept rows are a
+//! [`KeyTable`]'s keys, probed a batch at a time; they come out in the
+//! order of their first occurrence, and no tuple is ever built.
 
 use reldiv_rel::{Batch, Schema};
 use reldiv_storage::MemoryPool;
 
 use super::{BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use crate::cancel::CancelToken;
-use crate::hash_table::ChainedTable;
+use crate::hash_table::{KeyTable, Probe, Tally};
 use crate::op::OpState;
 use crate::Result;
 
@@ -58,33 +55,24 @@ impl BatchOperator for BatchDistinct {
     }
 
     fn open(&mut self) -> Result<()> {
-        const ROWS: usize = DEFAULT_BATCH_SIZE;
         self.input.open()?;
         let schema = self.input.schema().clone();
         let all: Vec<usize> = (0..schema.arity()).collect();
-        let width = schema.record_width();
-        // Entry `n` is row `n % ROWS` of kept batch `n / ROWS`.
-        let mut table: ChainedTable<u32> = ChainedTable::new(&self.pool, 16)?;
-        let mut payload = self.pool.reserve(0)?;
-        let mut kept: Vec<Batch> = Vec::new();
+        let mut kept = KeyTable::new(&self.pool, &schema, schema.record_width())?;
         while let Some(batch) = self.input.next_batch()? {
             self.cancel.check()?;
-            for (row, &h) in batch.hash_rows(&all).iter().enumerate() {
-                let same = |&n: &u32| {
-                    let (of, at) = (&kept[n as usize / ROWS], n as usize % ROWS);
-                    batch.cmp_rows(&all, row, of, &all, at) == Ordering::Equal
-                };
-                if table.find_hashed(h, same).is_none() {
-                    payload.grow(width)?;
-                    if table.insert(h, table.len() as u32)? as usize % ROWS == 0 {
-                        kept.push(Batch::with_capacity(schema.clone(), ROWS));
-                    }
-                    kept.last_mut().expect("pushed").push_row_from(&batch, row);
+            let (probe, mut tally) = (Probe::new(&batch, &all), Tally::default());
+            for (row, h) in batch.hash_rows(&all).into_iter().enumerate() {
+                if kept
+                    .find((h, None), (&probe, row), true, &mut tally)
+                    .is_none()
+                {
+                    kept.insert(h, (&probe, row))?;
                 }
             }
         }
         self.input.close()?;
-        self.drain = kept.into_iter();
+        self.drain = kept.into_keys().into_chunks(DEFAULT_BATCH_SIZE).into_iter();
         self.state = OpState::Open;
         Ok(())
     }

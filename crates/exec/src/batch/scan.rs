@@ -61,25 +61,40 @@ impl BatchOperator for BatchFileScan {
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         self.state.require_open()?;
-        let mut batch = Batch::with_capacity(self.schema.clone(), DEFAULT_BATCH_SIZE);
         let mut sm = self.storage.borrow_mut();
         // Empty pages are skipped.
-        while batch.is_empty() {
-            let visited = sm.visit_page(self.file, self.next_page, |_, record| {
-                batch.push_record(record).map_err(ExecError::from)
-            })?;
-            if !visited {
-                return Ok(None);
-            }
+        while let Some(batch) = read_page(&mut sm, self.file, self.next_page, &self.schema)? {
             self.next_page += 1;
+            if !batch.is_empty() {
+                return Ok(Some(batch));
+            }
         }
-        Ok(Some(batch))
+        Ok(None)
     }
 
     fn close(&mut self) -> Result<()> {
         self.state = OpState::Closed;
         Ok(())
     }
+}
+
+/// The `i`-th page of `file` decoded as one batch of `schema`, sized to
+/// its live records, through the column-wise [`Batch::push_records`];
+/// `None` past the file's last page.
+pub fn read_page(
+    sm: &mut StorageManager,
+    file: FileId,
+    i: u64,
+    schema: &Schema,
+) -> Result<Option<Batch>> {
+    let mut page = None;
+    sm.visit_page(file, i, |_, records| {
+        let mut batch = Batch::with_capacity(schema.clone(), records.len());
+        batch.push_records(records.map(|(_, record)| record))?;
+        page = Some(batch);
+        Ok::<(), ExecError>(())
+    })?;
+    Ok(page)
 }
 
 /// Scans an in-memory relation in batches. The batch analogue of
@@ -250,6 +265,70 @@ mod tests {
             scan.next_batch(),
             Err(crate::ExecError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn a_page_decodes_as_its_records_do_one_by_one() {
+        use reldiv_rel::{ColumnType, RecordCodec, Value};
+        use reldiv_storage::manager::StorageConfig;
+        let layouts = [
+            Schema::new(vec![Field::int("a"), Field::int("b")]),
+            Schema::new(vec![Field::str("s", 8)]),
+            Schema::new(vec![
+                Field::str("s", 5),
+                Field::int("a"),
+                Field::str("t", 3),
+            ]),
+        ];
+        for schema in layouts {
+            let codec = RecordCodec::new(schema.clone());
+            let row = |i: usize| {
+                let values = schema.fields().iter().map(|f| match f.ty {
+                    ColumnType::Int => Value::Int(i as i64 * 31 - 7),
+                    ColumnType::Str(w) => Value::Str(format!("{i:08}")[8 - w..].into()),
+                });
+                Tuple::new(values.collect())
+            };
+            let mut sm = StorageManager::new(StorageConfig {
+                data_page_size: 1024,
+                ..StorageConfig::paper()
+            });
+            let file = sm.create_file(StorageManager::DATA_DISK);
+            let encode = |i| codec.encode(&row(i)).unwrap();
+            let rids: Vec<_> = (0..200)
+                .map(|i| sm.append(file, &encode(i)).unwrap())
+                .collect();
+            // Page 0 loses some slots, page 1 all of them.
+            let rids = &rids;
+            let page_of =
+                |first: usize| (0..200).filter(move |&i| rids[i].page == rids[first].page);
+            let page0 = page_of(0).count();
+            let gone: Vec<usize> = [0, 3, 4, page0 - 1]
+                .into_iter()
+                .chain(page_of(page0))
+                .collect();
+            for &i in &gone {
+                sm.delete_record(file, rids[i]).unwrap();
+            }
+            let mut one = Batch::with_capacity(schema.clone(), 0);
+            sm.visit_page(file, 0, |_, records| {
+                records.for_each(|(_, record)| one.push_record(record).unwrap());
+                Ok::<(), ExecError>(())
+            })
+            .unwrap();
+            let want: Vec<Tuple> = page_of(0).filter(|i| !gone.contains(i)).map(row).collect();
+            let batch = read_page(&mut sm, file, 0, &schema).unwrap().unwrap();
+            assert_eq!(batch.columns()[0].len(), want.len());
+            assert_eq!(one.into_tuples(), want);
+            assert_eq!(batch.into_tuples(), want);
+            // An emptied page is an empty batch; past the last page, none.
+            assert!(read_page(&mut sm, file, 1, &schema)
+                .unwrap()
+                .unwrap()
+                .is_empty());
+            let pages = sm.page_count(file).unwrap();
+            assert!(read_page(&mut sm, file, pages, &schema).unwrap().is_none());
+        }
     }
 
     #[test]

@@ -1,28 +1,22 @@
-//! Hash join and hash semi-join with bucket chaining.
+//! Hash join and hash semi-join with bucket chaining: the paper's
+//! semi-join before hash-based aggregation ("The hash table in the
+//! semi-join is built by hashing on course-no's").
 //!
-//! The build side (inner) is loaded into a bucket-chained hash table drawn
-//! from the main-memory pool; the probe side (outer) streams through. The
-//! second example query of the paper uses exactly this operator as the
-//! semi-join before hash-based aggregation: "The hash table in the
-//! semi-join is built by hashing on course-no's."
-//!
-//! Build and probe both run through the packed-key kernels: one
-//! [`Batch::hash_rows`] call per batch replaces a `hash_on` per tuple, and
-//! chain candidates are compared column-against-tuple without
-//! materializing the probe row. Matches leave each probe row in
-//! chain-walk order (the build rows of a key, last inserted first); a
-//! semi-join keeps the matching probe rows in order.
-//!
-//! If the build side exceeds the memory pool the operator reports
-//! `MemoryExhausted`; the division algorithms translate that into their
-//! partitioned overflow strategies.
+//! Every inner row goes into a [`KeyTable`] in the pool without a probe
+//! (its key columns, and for the inner join its rows, as columns). A probe
+//! batch is hashed in one pass, its chain heads read first and its key
+//! columns typed once; the semi-join compares a row with the build rows of
+//! equal hash, the inner join with its whole chain, the `Comp`s going to a
+//! [`Tally`]. Matches follow each probe row in chain-walk order (last
+//! inserted first), gathered from the build side's columns. A build side
+//! that exhausts the pool is `MemoryExhausted`.
 
-use reldiv_rel::{Batch, Schema, Tuple};
+use reldiv_rel::{Batch, Schema};
 use reldiv_storage::MemoryPool;
 
 use crate::batch::{select, BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use crate::cancel::CancelToken;
-use crate::hash_table::ChainedTable;
+use crate::hash_table::{Chain, KeyTable, Probe, Tally};
 use crate::merge_join::{join_schema, JoinMode};
 use crate::op::OpState;
 use crate::Result;
@@ -37,9 +31,11 @@ pub struct BatchHashJoin {
     pool: MemoryPool,
     schema: Schema,
     state: OpState,
-    table: Option<ChainedTable<Tuple>>,
-    /// The probe batch in hand, its hashes and its next row to probe.
-    probe: Option<(Batch, Vec<u64>, usize)>,
+    /// The build side's keys, and (inner join) its rows: entry `g` is
+    /// build row `g`.
+    table: Option<(KeyTable, Batch)>,
+    /// The probe batch in hand, its rows' chains and its next row to probe.
+    probe: Option<(Batch, Vec<Chain>, usize)>,
     selection: Vec<usize>,
     cancel: CancelToken,
 }
@@ -87,16 +83,22 @@ impl BatchOperator for BatchHashJoin {
 
     fn open(&mut self) -> Result<()> {
         self.inner.open()?;
-        let mut table = ChainedTable::new(&self.pool, 16)?;
+        let (schema, on) = (self.inner.schema().clone(), &self.inner_keys);
+        let mut table = KeyTable::new(&self.pool, &schema.project(on)?, 0)?;
+        let mut rows = Batch::with_capacity(schema, 0);
+        let keep_rows = self.mode == JoinMode::Inner;
         while let Some(batch) = self.inner.next_batch()? {
             self.cancel.check()?;
-            let hashes = batch.hash_rows(&self.inner_keys);
-            for (row, &h) in hashes.iter().enumerate() {
-                table.insert(h, batch.tuple(row))?;
+            let probe = Probe::new(&batch, on);
+            for (row, h) in batch.hash_rows(on).into_iter().enumerate() {
+                table.insert(h, (&probe, row))?;
+                if keep_rows {
+                    rows.push_row_from(&batch, row);
+                }
             }
         }
         self.inner.close()?;
-        self.table = Some(table);
+        self.table = Some((table, rows));
         self.outer.open()?;
         self.state = OpState::Open;
         Ok(())
@@ -104,22 +106,20 @@ impl BatchOperator for BatchHashJoin {
 
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         self.state.require_open()?;
-        let table = self.table.as_ref().expect("open builds table");
+        let (table, rows) = self.table.as_ref().expect("open builds table");
         if self.probe.is_none() {
             let Some(batch) = self.outer.next_batch()? else {
                 return Ok(None);
             };
-            let hashes = batch.hash_rows(&self.outer_keys);
-            self.probe = Some((batch, hashes, 0));
+            let chains = table.chains(&batch.hash_rows(&self.outer_keys));
+            self.probe = Some((batch, chains, 0));
         }
-        let (batch, hashes, next_row) = self.probe.as_mut().expect("a probe batch");
-        let matches = |row: usize, cand: &Tuple| {
-            batch.row_eq_tuple(&self.outer_keys, row, cand, &self.inner_keys)
-        };
+        let (batch, chains, next_row) = self.probe.as_mut().expect("a probe batch");
+        let (probe, mut tally) = (Probe::new(batch, &self.outer_keys), Tally::default());
         if self.mode == JoinMode::LeftSemi {
             self.selection.clear();
-            for (row, &h) in hashes.iter().enumerate() {
-                if table.find_hashed(h, |cand| matches(row, cand)).is_some() {
+            for (row, &chain) in chains.iter().enumerate() {
+                if table.find(chain, (&probe, row), true, &mut tally).is_some() {
                     self.selection.push(row);
                 }
             }
@@ -128,24 +128,21 @@ impl BatchOperator for BatchHashJoin {
         }
         // An output batch ends with the probe row that fills it: however
         // a join multiplies, it does a batch of work between two polls.
-        let mut out = Batch::with_capacity(self.schema.clone(), batch.len());
-        let mut found: Vec<Tuple> = Vec::new();
-        while *next_row < batch.len() && out.len() < DEFAULT_BATCH_SIZE {
-            let row = *next_row;
-            *next_row += 1;
-            found.clear();
-            table.find(hashes[row], |cand| {
-                if matches(row, cand) {
-                    found.push(cand.clone());
-                }
-                false // keep walking the chain
-            });
-            for inner in &found {
-                let mut vals = batch.tuple(row).into_values();
-                vals.extend(inner.values().iter().cloned());
-                out.push_tuple(&Tuple::new(vals));
+        let (mut outer, mut inner) = (Vec::new(), Vec::new());
+        for (row, &(h, head)) in chains.iter().enumerate().skip(*next_row) {
+            if outer.len() >= DEFAULT_BATCH_SIZE {
+                break;
             }
+            *next_row += 1;
+            let mut head = head;
+            while let Some(g) = table.find((h, head), (&probe, row), false, &mut tally) {
+                inner.push(g);
+                head = Some(table.after(g));
+            }
+            outer.resize(inner.len(), row);
         }
+        let out = batch.gather(&outer);
+        let out = out.widen(self.schema.clone(), rows.gather(&inner).into_columns());
         if *next_row == batch.len() {
             self.probe = None;
         }

@@ -1,19 +1,17 @@
-//! The bucket-chained hash table shared by all hash-based operators.
+//! The bucket-chained hash table, and the typed key table on it that every
+//! hash-based operator stands on: "we use bucket chaining as conflict
+//! resolution in hash tables. The hash algorithms use the file system's
+//! memory manager to allocate space for hash tables, bit maps, and chain
+//! elements." (Section 5.1.) A failed reservation is `MemoryExhausted`,
+//! the signal for overflow handling.
 //!
-//! "In our implementation of hash-based algorithms, we use bucket chaining
-//! as conflict resolution in hash tables. The hash algorithms use the file
-//! system's memory manager to allocate space for hash tables, bit maps, and
-//! chain elements." (Section 5.1.)
-//!
-//! The table accounts every bucket header and chain element against a
-//! [`MemoryPool`]; a failed reservation surfaces as
-//! [`StorageError::MemoryExhausted`](reldiv_storage::StorageError), the
-//! signal for hash-table overflow handling. Lookups walk the whole bucket
-//! chain and apply the caller's predicate to each element, so tuple
-//! comparisons are counted exactly as the paper's model prices them ("the
-//! tuple is compared with all tuples in this bucket, on the average two
-//! tuples").
+//! A [`KeyTable`] compares a key with every element of its chain, one
+//! `Comp` each as the paper prices it, or — a batch probe — only with the
+//! elements of equal stored hash: no other can be the key. A batch probes
+//! through a [`Probe`], its key columns typed once, counting in a [`Tally`].
 
+use reldiv_rel::column::ColumnVec;
+use reldiv_rel::{counters, Batch, Schema, Tuple};
 use reldiv_storage::memory::{sizes, Reservation};
 use reldiv_storage::MemoryPool;
 
@@ -77,11 +75,9 @@ impl<T> ChainedTable<T> {
         (hash as usize) & (self.buckets.len() - 1)
     }
 
-    /// Inserts an element, returning its stable entry index.
-    ///
-    /// Fails with `MemoryExhausted` (leaving the table unchanged) when the
-    /// memory pool cannot cover the new chain element — the caller's cue to
-    /// start overflow handling.
+    /// Inserts an element, returning its stable entry index; fails with
+    /// `MemoryExhausted`, the table unchanged, when the pool cannot cover
+    /// its chain element.
     pub fn insert(&mut self, hash: u64, item: T) -> Result<u32> {
         self.maybe_grow()?;
         self.reservation.grow(sizes::CHAIN_ELEMENT)?;
@@ -113,39 +109,20 @@ impl<T> ChainedTable<T> {
         Ok(())
     }
 
-    /// Walks the bucket for `hash`, returning the index of the first
-    /// element satisfying `pred`.
-    ///
-    /// The predicate is applied to *every* element of the chain until a
-    /// match, mirroring the paper's "scan hash bucket for a matching
-    /// tuple" — callers compare tuples inside `pred`, which counts the
-    /// comparisons.
-    pub fn find(&self, hash: u64, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
-        self.find_from(self.head(hash), |_, item| pred(item))
-    }
-
-    /// [`ChainedTable::find`] with a packed-key prefilter: the predicate
-    /// runs only on chain elements whose stored 64-bit hash equals
-    /// `hash`. Because equal keys hash equally, this returns exactly the
-    /// element `find` would for key-equality predicates while skipping
-    /// the comparison on every hash-distinct collision in the chain —
-    /// the probe the vectorized kernels use.
-    pub fn find_hashed(&self, hash: u64, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
-        let prefiltered = |stored, item: &T| stored == hash && pred(item);
-        self.find_from(self.head(hash), prefiltered)
-    }
-
-    /// The first element of the chain of `hash`'s bucket. A batch can take
-    /// the heads of all its rows in one pass of independent loads, and walk
-    /// each chain with [`ChainedTable::find_from`] while the table does not
-    /// change.
+    /// The first element of the chain of `hash`'s bucket, to walk with
+    /// [`ChainedTable::find_from`] while the table does not change.
     #[inline]
     pub fn head(&self, hash: u64) -> u32 {
         self.buckets[self.bucket_of(hash)]
     }
 
-    /// [`ChainedTable::find`] along the chain from `head`, whose predicate
-    /// also gets each element's stored hash: `pred(stored, item)`.
+    /// The element after `idx` on its chain.
+    pub fn next(&self, idx: u32) -> u32 {
+        self.entries[idx as usize].next
+    }
+
+    /// The first element from `head` on along its chain satisfying `pred`,
+    /// applied to each element's stored hash and item in turn.
     #[inline]
     pub fn find_from(&self, mut cur: u32, mut pred: impl FnMut(u64, &T) -> bool) -> Option<u32> {
         while cur != NIL {
@@ -157,29 +134,206 @@ impl<T> ChainedTable<T> {
         }
         None
     }
+}
 
-    /// The element at a previously returned entry index.
-    pub fn get(&self, idx: u32) -> &T {
-        &self.entries[idx as usize].item
+/// `Comp`s and `Bit`s counted in locals: [`Tally::flush`] adds them to the
+/// counters, as does dropping the tally, so an error exit loses none.
+#[derive(Default)]
+pub struct Tally {
+    /// Comparisons not yet counted.
+    pub comps: u64,
+    /// Bit-map operations not yet counted.
+    pub bits: u64,
+}
+
+impl Tally {
+    /// Adds the counts to the counters and zeroes them.
+    pub fn flush(&mut self) {
+        counters::count_comparisons(std::mem::take(&mut self.comps));
+        counters::count_bitops(std::mem::take(&mut self.bits));
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// One key column of a probe, typed.
+#[derive(Clone, Copy)]
+enum Col<'a> {
+    Int(&'a [i64]),
+    Str(&'a [String]),
+}
+
+/// A batch's key columns, typed once for every probe of its rows.
+pub struct Probe<'a> {
+    batch: &'a Batch,
+    on: &'a [usize],
+    cols: Vec<Col<'a>>,
+}
+
+impl<'a> Probe<'a> {
+    /// The columns `on` of `batch`, in that order.
+    pub fn new(batch: &'a Batch, on: &'a [usize]) -> Probe<'a> {
+        let cols = on.iter().map(|&k| match batch.column(k) {
+            ColumnVec::Int(v) => Col::Int(v),
+            ColumnVec::Str(v) => Col::Str(v),
+        });
+        let cols = cols.collect();
+        Probe { batch, on, cols }
+    }
+}
+
+/// A key to find or add: row `.1` of a batch's [`Probe`], or a tuple on the
+/// columns listed. Each kind compares at its own speed; no key is
+/// dispatched per compare.
+pub trait Key: Copy {
+    /// Whether entry `g` of `table` is this key. One `Comp`.
+    fn is(self, table: &KeyTable, g: usize, tally: &mut Tally) -> bool;
+    /// Appends this key to a table's key columns.
+    fn push(self, keys: &mut Batch);
+}
+
+impl Key for (&Probe<'_>, usize) {
+    #[inline]
+    fn is(self, table: &KeyTable, g: usize, tally: &mut Tally) -> bool {
+        let (probe, row) = self;
+        tally.comps += 1;
+        let mut pairs = probe.cols.iter().zip(table.keys.columns());
+        pairs.all(|pair| match pair {
+            (Col::Int(p), ColumnVec::Int(k)) => p[row] == k[g],
+            (Col::Str(p), ColumnVec::Str(k)) => p[row] == k[g],
+            _ => false,
+        })
     }
 
-    /// Mutable access to the element at an entry index.
-    pub fn get_mut(&mut self, idx: u32) -> &mut T {
-        &mut self.entries[idx as usize].item
+    #[inline]
+    fn push(self, keys: &mut Batch) {
+        keys.push_projected(self.0.batch, self.0.on, self.1);
+    }
+}
+
+impl Key for (&Tuple, &[usize]) {
+    fn is(self, table: &KeyTable, g: usize, _: &mut Tally) -> bool {
+        table.keys.row_eq_tuple(&table.all, g, self.0, self.1)
     }
 
-    /// Consumes the table, yielding elements in insertion order and
-    /// releasing the memory reservation.
-    pub fn into_items(self) -> impl Iterator<Item = T> {
-        self.entries.into_iter().map(|e| e.item)
+    fn push(self, keys: &mut Batch) {
+        keys.push_tuple(&self.0.project(self.1));
+    }
+}
+
+/// A key's hash and, if taken up front ([`KeyTable::chains`]), the head
+/// of its chain.
+pub type Chain = (u64, Option<u32>);
+
+/// Keys under a [`ChainedTable`] of entry numbers, entry `g`'s key at row
+/// `g` of one batch, each entry charged `entry_bytes` of payload besides
+/// its chain element (a kept row's record width, or nothing).
+pub struct KeyTable {
+    table: ChainedTable<u32>,
+    /// Row `g` is entry `g`'s key; `all` lists its columns.
+    keys: Batch,
+    all: Vec<usize>,
+    entry_bytes: usize,
+    payload: Reservation,
+}
+
+impl KeyTable {
+    /// An empty table in `pool`, keyed by rows of `keys`.
+    pub fn new(pool: &MemoryPool, keys: &Schema, entry_bytes: usize) -> Result<KeyTable> {
+        Ok(KeyTable {
+            table: ChainedTable::new(pool, 16)?,
+            keys: Batch::with_capacity(keys.clone(), 0),
+            all: (0..keys.arity()).collect(),
+            entry_bytes,
+            payload: pool.reserve(0)?,
+        })
     }
 
-    /// Average chain length (the paper's `hbs`).
-    pub fn average_chain_len(&self) -> f64 {
-        if self.buckets.is_empty() {
-            return 0.0;
-        }
-        self.entries.len() as f64 / self.buckets.iter().filter(|&&b| b != NIL).count().max(1) as f64
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the table has no entry.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Accounted bytes: buckets, chain elements, payload.
+    pub fn footprint(&self) -> usize {
+        self.table.accounted_bytes() + self.payload.bytes()
+    }
+
+    /// The key columns, a row per entry.
+    pub fn keys(&self) -> &Batch {
+        &self.keys
+    }
+
+    /// The key columns, the table's memory released.
+    pub fn into_keys(self) -> Batch {
+        self.keys
+    }
+
+    /// The chains of `hashes`, their heads read in one pass of independent
+    /// loads: valid until the next insert.
+    pub fn chains(&self, hashes: &[u64]) -> Vec<Chain> {
+        hashes
+            .iter()
+            .map(|&h| (h, Some(self.table.head(h))))
+            .collect()
+    }
+
+    /// The first entry on `chain` that is `key`: compared with every
+    /// element up to it (one `Comp` each) or — `hashed` — with those of
+    /// equal hash.
+    #[inline]
+    pub fn find(
+        &self,
+        (h, head): Chain,
+        key: impl Key,
+        hashed: bool,
+        t: &mut Tally,
+    ) -> Option<usize> {
+        let head = head.unwrap_or_else(|| self.table.head(h));
+        let found = self.table.find_from(head, |stored, &g| match stored == h {
+            true => key.is(self, g as usize, t),
+            false => {
+                t.comps += u64::from(!hashed);
+                false
+            }
+        });
+        found.map(|g| g as usize)
+    }
+
+    /// The element after entry `g` on its chain: a [`KeyTable::find`]
+    /// resumed from it finds the next entry that is the key.
+    pub fn after(&self, g: usize) -> u32 {
+        self.table.next(g as u32)
+    }
+
+    /// Charges one more entry's payload, ahead of [`KeyTable::link`].
+    pub fn charge(&mut self) -> Result<()> {
+        Ok(self.payload.grow(self.entry_bytes)?)
+    }
+
+    /// Links `key` under hash `h` as the next entry, charging its chain
+    /// element, and copies the key in. A failure changes no entry.
+    pub fn link(&mut self, h: u64, key: impl Key) -> Result<usize> {
+        let g = self.len();
+        self.table.insert(h, g as u32)?;
+        key.push(&mut self.keys);
+        Ok(g)
+    }
+
+    /// [`KeyTable::charge`], then [`KeyTable::link`]: a failure changes no
+    /// entry, but keeps what was charged.
+    pub fn insert(&mut self, h: u64, key: impl Key) -> Result<usize> {
+        self.charge()?;
+        self.link(h, key)
     }
 }
 
@@ -187,6 +341,40 @@ impl<T> ChainedTable<T> {
 mod tests {
     use super::*;
     use reldiv_storage::StorageError;
+
+    impl<T> ChainedTable<T> {
+        /// The index of the first element on `hash`'s chain satisfying `pred`,
+        /// applied to every element up to it (the paper's "scan hash bucket
+        /// for a matching tuple").
+        pub fn find(&self, hash: u64, mut pred: impl FnMut(&T) -> bool) -> Option<u32> {
+            self.find_from(self.head(hash), |_, item| pred(item))
+        }
+
+        /// The element at a previously returned entry index.
+        pub fn get(&self, idx: u32) -> &T {
+            &self.entries[idx as usize].item
+        }
+
+        /// Mutable access to the element at an entry index.
+        pub fn get_mut(&mut self, idx: u32) -> &mut T {
+            &mut self.entries[idx as usize].item
+        }
+
+        /// Consumes the table, yielding elements in insertion order and
+        /// releasing the memory reservation.
+        pub fn into_items(self) -> impl Iterator<Item = T> {
+            self.entries.into_iter().map(|e| e.item)
+        }
+
+        /// Average chain length (the paper's `hbs`).
+        pub fn average_chain_len(&self) -> f64 {
+            if self.buckets.is_empty() {
+                return 0.0;
+            }
+            self.entries.len() as f64
+                / self.buckets.iter().filter(|&&b| b != NIL).count().max(1) as f64
+        }
+    }
 
     fn pool() -> MemoryPool {
         MemoryPool::new(1 << 20)

@@ -31,8 +31,9 @@
 //!   rungs of hash-division, and the [`index_join`] over B+-trees (the
 //!   paper's third join option),
 //! * [`merge_join`] — the join mode and key check every join shares,
-//! * [`hash_table`] — the bucket-chained hash table shared by the
-//!   hash-based operators and by hash-division in `reldiv-core`,
+//! * [`hash_table`] — the bucket-chained hash table, and the typed key
+//!   table on it under every hash-based operator here and hash-division's
+//!   tables in `reldiv-core`,
 //! * [`profile`] — per-operator `EXPLAIN ANALYZE` spans (wall time,
 //!   tuples, abstract ops, physical page I/O), zero-cost when disabled.
 //!

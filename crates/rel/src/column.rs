@@ -208,6 +208,49 @@ impl Batch {
         Ok(())
     }
 
+    /// Appends one row per record — [`Batch::push_record`] a column at a
+    /// time. Every record's width and every string field's UTF-8 are
+    /// checked first, so an error leaves the batch unchanged; then each
+    /// column is filled in one loop over the records.
+    pub fn push_records<'r>(
+        &mut self,
+        records: impl Iterator<Item = &'r [u8]>,
+    ) -> crate::Result<()> {
+        let width = self.schema.record_width();
+        let mut at = 0;
+        let fields = self.schema.fields().iter().map(|f| {
+            let field = (at, f.ty);
+            at += f.ty.width();
+            field
+        });
+        let fields: Vec<(usize, ColumnType)> = fields.collect();
+        let mut checked: Vec<&[u8]> = Vec::with_capacity(records.size_hint().0);
+        for record in records {
+            if record.len() < width {
+                codec::check_width(&self.schema, record)?;
+            }
+            for &(at, ty) in &fields {
+                if let ColumnType::Str(w) = ty {
+                    codec::str_field(&record[at..at + w])?;
+                }
+            }
+            checked.push(&record[..width]);
+        }
+        for (col, &(at, ty)) in self.columns.iter_mut().zip(&fields) {
+            match col {
+                ColumnVec::Int(v) => v.extend(checked.iter().map(|record| {
+                    i64::from_le_bytes(record[at..at + 8].try_into().expect("8 bytes"))
+                })),
+                ColumnVec::Str(v) => v.extend(checked.iter().map(|record| {
+                    let s = codec::str_field(&record[at..at + ty.width()]);
+                    s.expect("checked above").to_owned()
+                })),
+            }
+        }
+        self.len += checked.len();
+        Ok(())
+    }
+
     /// Appends every row as a fixed-width record of the batch's schema,
     /// back to back — [`crate::RecordCodec::encode_into`] a column at a
     /// time, with its checks (column type, declared string width, no
@@ -316,6 +359,47 @@ impl Batch {
             columns,
             len: self.len,
         })
+    }
+
+    /// The batch cut into batches of `rows` rows (the last may be short;
+    /// no rows, no batch): its columns split, not rebuilt row by row.
+    pub fn into_chunks(self, rows: usize) -> Vec<Batch> {
+        let rows = rows.max(1);
+        if self.len <= rows {
+            return (self.len > 0).then_some(self).into_iter().collect();
+        }
+        let lens = (0..self.len)
+            .step_by(rows)
+            .map(|at| rows.min(self.len - at));
+        let mut out: Vec<Batch> = lens
+            .map(|len| Batch {
+                schema: self.schema.clone(),
+                columns: Vec::with_capacity(self.columns.len()),
+                len,
+            })
+            .collect();
+        for column in self.columns {
+            match column {
+                ColumnVec::Int(v) => {
+                    for (batch, chunk) in out.iter_mut().zip(v.chunks(rows)) {
+                        batch.columns.push(ColumnVec::Int(chunk.to_vec()));
+                    }
+                }
+                ColumnVec::Str(v) => {
+                    let mut values = v.into_iter();
+                    for batch in &mut out {
+                        let chunk = values.by_ref().take(batch.len).collect();
+                        batch.columns.push(ColumnVec::Str(chunk));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The columns, in schema order.
+    pub fn into_columns(self) -> Vec<ColumnVec> {
+        self.columns
     }
 
     /// A new batch keeping only the rows at `rows`, in that order.
@@ -512,15 +596,13 @@ impl Columns {
     }
 
     /// Decodes back-to-back fixed-width records, [`BATCH_ROWS`] to a
-    /// batch, each through the validating [`Batch::push_record`].
+    /// batch, through the validating [`Batch::push_records`].
     pub fn from_records(schema: Schema, records: &[u8]) -> crate::Result<Columns> {
         let width = schema.record_width().max(1);
         let mut batches = Vec::with_capacity(records.len().div_ceil(width * BATCH_ROWS));
         for chunk in records.chunks(width * BATCH_ROWS) {
             let mut batch = Batch::with_capacity(schema.clone(), chunk.len() / width);
-            for record in chunk.chunks(width) {
-                batch.push_record(record)?;
-            }
+            batch.push_records(chunk.chunks(width))?;
             batches.push(batch);
         }
         Ok(Columns::from_batches(schema, batches))
@@ -694,6 +776,60 @@ mod tests {
         assert!(batch.columns().iter().all(|c| c.len() == 3));
         batch.push_record(&good).unwrap();
         assert_eq!(batch.tuple(3), mixed_rows()[0]);
+    }
+
+    #[test]
+    fn push_records_decodes_as_push_record_does_or_changes_nothing() {
+        let layouts = [
+            Schema::new(vec![Field::int("a"), Field::int("b")]),
+            Schema::new(vec![Field::str("s", 8)]),
+            mixed_schema(),
+        ];
+        for schema in layouts {
+            let codec = crate::RecordCodec::new(schema.clone());
+            let rows: Vec<Tuple> = (0..300i64)
+                .map(|i| {
+                    let values = schema.fields().iter().map(|f| match f.ty {
+                        ColumnType::Int => Value::Int(i * 7 - 100),
+                        ColumnType::Str(w) => Value::Str(format!("{i:05}")[..w.min(5)].into()),
+                    });
+                    Tuple::new(values.collect())
+                })
+                .collect();
+            let mut records = Vec::new();
+            rows.iter()
+                .for_each(|t| codec.encode_into(t, &mut records).unwrap());
+            let width = schema.record_width();
+            let mut one = Batch::with_capacity(schema.clone(), 0);
+            for record in records.chunks(width) {
+                one.push_record(record).unwrap();
+            }
+            let mut run = Batch::with_capacity(schema.clone(), 0);
+            run.push_records(records.chunks(width)).unwrap();
+            assert_eq!(run.clone().into_tuples(), rows);
+            assert_eq!(one.into_tuples(), rows);
+            run.push_records([].iter().copied()).unwrap();
+            assert_eq!(run.len(), 300);
+
+            // A truncated record, or (with a string field) one that is not
+            // UTF-8, in the middle of a run: the run's error, and no row.
+            let mut bad = records.clone();
+            bad.truncate(150 * width + width - 1);
+            let mut bad_runs = vec![bad];
+            if let Some(at) = schema.fields().iter().position(|f| f.ty != ColumnType::Int) {
+                let mut not_utf8 = records.clone();
+                let offset: usize = schema.fields()[..at].iter().map(|f| f.ty.width()).sum();
+                not_utf8[150 * width + offset] = 0xFF;
+                bad_runs.push(not_utf8);
+            }
+            for bad in bad_runs {
+                let theirs = codec.decode(bad[150 * width..].chunks(width).next().unwrap());
+                let err = run.push_records(bad.chunks(width)).unwrap_err();
+                assert_eq!(Err(err), theirs.map(|_| ()));
+                assert_eq!(run.len(), 300);
+                assert!(run.columns().iter().all(|c| c.len() == 300));
+            }
+        }
     }
 
     #[test]

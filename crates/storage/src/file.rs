@@ -13,7 +13,7 @@ use crate::buffer::{FrameId, Reuse};
 use crate::disk::{DiskId, PageId};
 use crate::error::StorageError;
 use crate::manager::StorageManager;
-use crate::page::SlottedPage;
+use crate::page::{Records, SlottedPage};
 use crate::Result;
 
 /// Number of pages allocated per extent.
@@ -233,12 +233,13 @@ impl StorageManager {
         Ok(())
     }
 
-    /// Visits the `i`-th page of the file: fixes it once, hands `each`
-    /// every live record in slot order as a slice borrowed from the
-    /// buffer pool, and unfixes it (`Reuse::Lru`) on every exit, so a scan
-    /// touches each page exactly once and nothing stays fixed between
-    /// visits. Returns `false`, visiting nothing, when the file has no
-    /// `i`-th page. An error from `each` ends the visit and is returned.
+    /// Visits the `i`-th page of the file: fixes it once, hands `each` the
+    /// page's id and all its live records at once — in slot order, as
+    /// slices borrowed from the buffer pool — and unfixes it
+    /// (`Reuse::Lru`) on every exit, so a scan touches each page exactly
+    /// once and nothing stays fixed between visits. Returns `false`,
+    /// visiting nothing, when the file has no `i`-th page; an error from
+    /// `each` is returned.
     ///
     /// This is the paper's "scans give memory addresses to records fixed
     /// in the buffer pool": consumers decode in place instead of copying
@@ -247,7 +248,7 @@ impl StorageManager {
         &mut self,
         file: FileId,
         i: u64,
-        mut each: impl FnMut(Rid, &[u8]) -> std::result::Result<(), E>,
+        each: impl FnOnce(PageId, Records<'_>) -> std::result::Result<(), E>,
     ) -> std::result::Result<bool, E> {
         let meta = self.meta(file)?;
         if i >= meta.pages_used {
@@ -256,8 +257,7 @@ impl StorageManager {
         let pid = PageId::new(meta.disk, meta.nth_page(i));
         let fid = self.fix(pid)?;
         let visited = match self.page(fid) {
-            Ok(page) => SlottedPage::records(page)
-                .try_for_each(|(slot, record)| each(Rid { page: pid, slot }, record)),
+            Ok(page) => each(pid, SlottedPage::records(page)),
             Err(e) => Err(e.into()),
         };
         self.unfix(fid, Reuse::Lru)?;
@@ -294,33 +294,31 @@ impl Appender {
     /// Appends `records` — back-to-back records of `width` (> 0) bytes —
     /// fixing each tail page once: the write-side twin of
     /// [`StorageManager::visit_page`]. A page's first record goes through
-    /// [`Appender::append`] (which turns the page), the rest fill it under
-    /// one fix: all but the buffer's hit count is as if appended singly.
+    /// [`Appender::append`] (which turns the page), the rest of its run
+    /// through [`SlottedPage::insert_run`] under one fix: all but the
+    /// buffer's hit count is as if appended singly, and every page's bytes
+    /// are.
     pub fn append_records(
         &mut self,
         sm: &mut StorageManager,
         records: &[u8],
         width: usize,
     ) -> Result<()> {
-        let mut rest = records.chunks_exact(width);
-        while let Some(record) = rest.next() {
+        let mut rest = &records[..records.len() / width * width];
+        while let Some((record, tail)) = rest.split_at_checked(width) {
             self.append(sm, record)?;
+            rest = tail;
             let (_, fid) = self.last.expect("append leaves the tail's frame");
-            if rest.len() == 0 || !sm.buffer.refix(fid) {
+            if rest.is_empty() || !sm.buffer.refix(fid) {
                 continue;
             }
-            let page = sm.buffer.page_mut(fid)?;
-            let mut filled = 0;
-            while rest.len() > 0 && SlottedPage::fits(page, width) {
-                SlottedPage::insert(page, rest.next().expect("records remain"))
-                    .expect("the record fits");
-                filled += 1;
-            }
+            let filled = SlottedPage::insert_run(sm.buffer.page_mut(fid)?, rest, width);
+            rest = &rest[filled * width..];
             sm.buffer.unfix(fid, Reuse::Lru)?;
             sm.files
                 .get_mut(&self.file.0)
                 .expect("appended to")
-                .record_count += filled;
+                .record_count += filled as u64;
         }
         Ok(())
     }
@@ -368,9 +366,11 @@ impl ScanCursor {
             bytes.clear();
             index.clear();
             self.pos = 0;
-            let more = sm.visit_page(self.file, self.next_page, |rid, record| {
-                bytes.extend_from_slice(record);
-                index.push((rid, bytes.len()));
+            let more = sm.visit_page(self.file, self.next_page, |page, records| {
+                for (slot, record) in records {
+                    bytes.extend_from_slice(record);
+                    index.push((Rid { page, slot }, bytes.len()));
+                }
                 Ok::<(), StorageError>(())
             })?;
             if !more {
@@ -632,7 +632,17 @@ mod tests {
 
     #[test]
     fn append_records_lays_a_run_out_as_append_does_with_fewer_pool_hits() {
-        for (page_size, width) in [(128usize, 16usize), (256, 7), (1024, 16), (1024, 300)] {
+        // 21 + 4 bytes fill a 256-byte page's 250 exactly, as 18 + 4 do a
+        // 512-byte page's 506.
+        let cases = [
+            (128usize, 16usize),
+            (256, 7),
+            (1024, 16),
+            (1024, 300),
+            (256, 21),
+            (512, 18),
+        ];
+        for (page_size, width) in cases {
             let fresh = || {
                 StorageManager::new(StorageConfig {
                     data_page_size: page_size,
@@ -677,7 +687,53 @@ mod tests {
                 BufferStats { hits: 0, ..one },
                 BufferStats { hits: 0, ..run }
             );
+            // And every page is the same bytes, so the same checksum.
+            assert_eq!(pages_of(&mut single, f), pages_of(&mut bulk, g));
         }
+    }
+
+    /// Every page of `file`: its bytes and their checksum.
+    fn pages_of(sm: &mut StorageManager, file: FileId) -> Vec<(Vec<u8>, u64)> {
+        let meta = sm.files[&file.0].clone();
+        let page = |sm: &mut StorageManager, i| {
+            let fid = sm.fix(PageId::new(meta.disk, meta.nth_page(i))).unwrap();
+            let bytes = sm.page(fid).unwrap().to_vec();
+            sm.unfix(fid, Reuse::Lru).unwrap();
+            let checksum = crate::disk::page_checksum(&bytes);
+            (bytes, checksum)
+        };
+        (0..meta.pages_used).map(|i| page(sm, i)).collect()
+    }
+
+    #[test]
+    fn append_records_reuses_a_deleted_slot_as_append_does() {
+        // A tail page with deleted slots takes the fallback: the run first
+        // refills the freed slots, then appends, page for page as single
+        // appends do.
+        let fresh = || {
+            let mut s = sm();
+            let f = s.create_file(StorageManager::DATA_DISK);
+            let rids: Vec<Rid> = (0..20u8).map(|i| s.append(f, &[i; 12]).unwrap()).collect();
+            let tail = rids.last().unwrap().page;
+            let on_tail: Vec<Rid> = rids.into_iter().filter(|r| r.page == tail).collect();
+            for rid in [on_tail[1], on_tail[3]] {
+                s.delete_record(f, rid).unwrap();
+            }
+            (s, f)
+        };
+        let records: Vec<u8> = (0..60 * 12).map(|i| (100 + i / 12) as u8).collect();
+        let (mut single, f) = fresh();
+        for record in records.chunks(12) {
+            single.append(f, record).unwrap();
+        }
+        let (mut bulk, g) = fresh();
+        Appender::new(g)
+            .append_records(&mut bulk, &records, 12)
+            .unwrap();
+        assert_eq!(single.record_count(f).unwrap(), 78);
+        assert_eq!(bulk.record_count(g).unwrap(), 78);
+        assert_eq!(single.io_stats(), bulk.io_stats());
+        assert_eq!(pages_of(&mut single, f), pages_of(&mut bulk, g));
     }
 
     #[test]
@@ -726,15 +782,12 @@ mod tests {
             s.append(f, &[i; 10]).unwrap();
         }
         let mut seen = 0;
-        let stopped: Result<bool> = s.visit_page(f, 0, |_, _| {
-            seen += 1;
-            if seen == 3 {
-                return Err(StorageError::InvalidFrame);
-            }
-            Ok(())
+        let stopped: Result<bool> = s.visit_page(f, 0, |_, records| {
+            seen = records.len();
+            Err(StorageError::InvalidFrame)
         });
         assert_eq!(stopped, Err(StorageError::InvalidFrame));
-        assert_eq!(seen, 3, "the visit ends at the first error");
+        assert!(seen > 0, "the page's records were handed over");
         assert_eq!(s.pinned_frames(), 0);
         let pages = s.page_count(f).unwrap();
         assert_eq!(

@@ -40,11 +40,13 @@ impl SlottedPage {
     }
 
     /// Number of slots in the directory (live + deleted).
+    #[inline]
     pub fn slot_count(buf: &[u8]) -> u16 {
         read_u16(buf, 0)
     }
 
     /// Number of live records.
+    #[inline]
     pub fn record_count(buf: &[u8]) -> u16 {
         read_u16(buf, 4)
     }
@@ -135,7 +137,49 @@ impl SlottedPage {
         Ok(slot)
     }
 
+    /// Inserts as many of `records` — back-to-back records of `width`
+    /// bytes — as fit, in order, and returns how many did: the page comes
+    /// out byte for byte as from [`SlottedPage::insert`] of each while it
+    /// [`SlottedPage::fits`]. Records that append — no deleted slot to
+    /// reuse, room in the contiguous free region — are copied and given
+    /// their slots in one loop, the header written once; the others go
+    /// through `insert`.
+    pub fn insert_run(buf: &mut [u8], records: &[u8], width: usize) -> usize {
+        let total = records.len() / width;
+        let mut done = 0;
+        while done < total {
+            let free_slot = Self::slot_count(buf) > Self::record_count(buf);
+            let room = if free_slot {
+                0
+            } else {
+                Self::contiguous_free(buf) / (width + SLOT)
+            };
+            let run = room.min(total - done);
+            if run > 0 {
+                let (slots, free_ptr) = (Self::slot_count(buf), read_u16(buf, 2) as usize);
+                let payload = &records[done * width..][..run * width];
+                buf[free_ptr..free_ptr + payload.len()].copy_from_slice(payload);
+                for i in 0..run {
+                    let at = (free_ptr + i * width) as u16;
+                    Self::write_slot(buf, slots + i as u16, at, width as u16);
+                }
+                write_u16(buf, 0, slots + run as u16);
+                write_u16(buf, 2, (free_ptr + payload.len()) as u16);
+                write_u16(buf, 4, Self::record_count(buf) + run as u16);
+                done += run;
+            } else if Self::fits(buf, width) {
+                // A deleted slot to reuse, or room only compaction frees.
+                Self::insert(buf, &records[done * width..][..width]).expect("the record fits");
+                done += 1;
+            } else {
+                break;
+            }
+        }
+        done
+    }
+
     /// Returns the record bytes at `slot`.
+    #[inline]
     pub fn get(buf: &[u8], slot: u16) -> Option<&[u8]> {
         let (off, len) = Self::read_slot(buf, slot)?;
         if off == DELETED {
@@ -156,9 +200,13 @@ impl SlottedPage {
         }
     }
 
-    /// Iterates `(slot, record)` pairs over live records.
-    pub fn records(buf: &[u8]) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..Self::slot_count(buf)).filter_map(move |s| Self::get(buf, s).map(|r| (s, r)))
+    /// The live records, in slot order, with their slots.
+    pub fn records(buf: &[u8]) -> Records<'_> {
+        Records {
+            buf,
+            next: 0,
+            live: Self::record_count(buf) as usize,
+        }
     }
 
     fn contiguous_free(buf: &[u8]) -> usize {
@@ -196,10 +244,12 @@ impl SlottedPage {
         })
     }
 
+    #[inline]
     fn slot_pos(buf: &[u8], slot: u16) -> usize {
         buf.len() - (slot as usize + 1) * SLOT
     }
 
+    #[inline]
     fn read_slot(buf: &[u8], slot: u16) -> Option<(u16, u16)> {
         if slot >= Self::slot_count(buf) {
             return None;
@@ -215,6 +265,41 @@ impl SlottedPage {
     }
 }
 
+/// A page's live records in slot order, as `(slot, record)` pairs: a page
+/// handed over whole, which a consumer may walk more than once (it is
+/// cheap to clone) and knows the length of.
+#[derive(Clone)]
+pub struct Records<'a> {
+    buf: &'a [u8],
+    next: u16,
+    /// Live records not yet yielded.
+    live: usize,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (u16, &'a [u8]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.live > 0 && self.next < SlottedPage::slot_count(self.buf) {
+            let slot = self.next;
+            self.next += 1;
+            if let Some(record) = SlottedPage::get(self.buf, slot) {
+                self.live -= 1;
+                return Some((slot, record));
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.live, Some(self.live))
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
+
+#[inline]
 fn read_u16(buf: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([buf[at], buf[at + 1]])
 }
