@@ -1,15 +1,16 @@
 //! Micro-benchmarks of the storage and execution substrate: the
-//! bucket-chained hash table, bit maps, B+-trees, and the external sort.
+//! bucket-chained hash table, bit maps, and the external sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reldiv_core::bitmap::Bitmap;
+use reldiv_exec::batch::drain_batches;
+use reldiv_exec::batch::scan::BatchMemScan;
+use reldiv_exec::batch::sort::BatchSort;
 use reldiv_exec::hash_table::ChainedTable;
-use reldiv_exec::op::Operator;
-use reldiv_exec::scan::MemScan;
-use reldiv_exec::sort::{Sort, SortConfig, SortMode};
+use reldiv_exec::sort::{SortConfig, SortMode};
+use reldiv_exec::CancelToken;
 use reldiv_rel::tuple::ints;
 use reldiv_rel::{Relation, Schema};
-use reldiv_storage::btree::BTree;
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::{MemoryPool, StorageManager};
 
@@ -69,30 +70,6 @@ fn bench_bitmap(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_btree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("btree");
-    group.sample_size(10);
-    group.bench_function("insert_10k", |b| {
-        b.iter(|| {
-            let mut sm = StorageManager::new(StorageConfig::large());
-            let mut t = BTree::create(&mut sm, StorageManager::DATA_DISK).expect("create");
-            for i in 0..10_000u64 {
-                let k = (i.wrapping_mul(2654435761) % 100_000).to_be_bytes();
-                t.insert(
-                    &mut sm,
-                    &k,
-                    reldiv_storage::Rid {
-                        page: reldiv_storage::PageId::new(reldiv_storage::DiskId(0), i),
-                        slot: 0,
-                    },
-                )
-                .expect("insert");
-            }
-        })
-    });
-    group.finish();
-}
-
 fn bench_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("external_sort");
     group.sample_size(10);
@@ -111,9 +88,9 @@ fn bench_sort(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sort_50k", label), &mem, |b, &mem| {
             b.iter(|| {
                 let storage = StorageManager::shared(StorageConfig::large());
-                let mut s = Sort::new(
+                let sort = BatchSort::new(
                     storage,
-                    Box::new(MemScan::new(rel.clone())),
+                    Box::new(BatchMemScan::new(rel.clone())),
                     vec![0, 1],
                     SortMode::Plain,
                     SortConfig {
@@ -122,12 +99,12 @@ fn bench_sort(c: &mut Criterion) {
                     },
                 )
                 .expect("sort");
-                s.open().expect("open");
                 let mut n = 0u64;
-                while s.next().expect("next").is_some() {
-                    n += 1;
-                }
-                s.close().expect("close");
+                drain_batches(Box::new(sort), CancelToken::none(), |batch| {
+                    n += batch.len() as u64;
+                    Ok(())
+                })
+                .expect("drain");
                 n
             })
         });
@@ -135,11 +112,5 @@ fn bench_sort(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_chained_table,
-    bench_bitmap,
-    bench_btree,
-    bench_sort
-);
+criterion_group!(benches, bench_chained_table, bench_bitmap, bench_sort);
 criterion_main!(benches);

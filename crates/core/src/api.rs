@@ -11,7 +11,6 @@ use reldiv_exec::batch::{BatchToTuple, BoxedBatchOp, ExecMode};
 use reldiv_exec::cancel::CancelToken;
 use reldiv_exec::op::BoxedOp;
 use reldiv_exec::profile::{ProfileSink, QueryProfile, SpanKind, SpanScope};
-use reldiv_exec::scan::FileScan;
 use reldiv_rel::{Columns, Relation, Schema};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::{FileId, StorageManager, StorageRef};
@@ -68,21 +67,15 @@ impl Source {
         }
     }
 
-    /// Opens a fresh scan over the relation. Shared columns have no
-    /// tuple-at-a-time scan of their own: the batch scan is bridged.
+    /// Opens a fresh tuple-at-a-time scan over the relation: its batch
+    /// scan, bridged.
     pub fn scan(&self, storage: &StorageRef) -> BoxedOp {
-        match self {
-            Source::Columns(_) => Box::new(BatchToTuple::new(self.scan_batches(storage))),
-            Source::File { file, schema } => {
-                Box::new(FileScan::new(storage.clone(), *file, schema.clone()))
-            }
-        }
+        Box::new(BatchToTuple::new(self.scan_batches(storage)))
     }
 
-    /// Opens a fresh batch scan over the relation. Every kind is
-    /// batch-native: a record file is decoded page by page straight into
-    /// columns, with the page I/O of [`Source::scan`] on the same file;
-    /// shared columns are handed out batch by batch, with none.
+    /// Opens a fresh batch scan over the relation: a record file is
+    /// decoded page by page straight into columns; shared columns are
+    /// handed out batch by batch, with no I/O.
     pub fn scan_batches(&self, storage: &StorageRef) -> BoxedBatchOp {
         match self {
             Source::Columns(columns) => Box::new(BatchColumnsScan::new(columns.clone())),

@@ -1,6 +1,5 @@
-//! Vectorized hash-division: [`BatchHashDivision`], the batch-at-a-time
-//! form of [`HashDivision`](crate::hash_division::HashDivision), and the
-//! operator of every in-memory hash-division plan.
+//! Vectorized hash-division: [`BatchHashDivision`], the operator of every
+//! in-memory hash-division plan.
 //!
 //! The operator runs the same three steps over columnar
 //! [`Batch`]es instead of single tuples:
@@ -20,18 +19,16 @@
 //!    candidates at a time.
 //!
 //! Because the bulk hash kernel is bit-identical to
-//! [`Tuple::hash_on`](reldiv_rel::Tuple::hash_on) and the batch probes
-//! share the tuple path's tables, chain layouts, divisor numbers,
-//! and memory accounting are *exactly* those of the tuple path: the
-//! quotient comes out byte-identical, and memory exhaustion fires at the
-//! same tuple. The tuple operator stays as the reference this operator's
-//! tests compare against.
+//! [`Tuple::hash_on`](reldiv_rel::Tuple::hash_on), chain layouts, divisor
+//! numbers and memory accounting are *exactly* those of the
+//! tuple-at-a-time operator this one replaced: the quotient comes out
+//! byte-identical, and memory exhaustion fires at the same tuple (the
+//! tests below hold it to that operator's recorded results).
 //!
-//! What changes is the constant factor: per batch the operator pays two
-//! virtual calls and one cancellation poll instead of one-plus-one per
-//! tuple, the hashes are computed in a tight columnar loop, the compares
-//! read typed slices and count into locals, and no candidate is a tuple
-//! until it leaves.
+//! Per batch the operator pays two virtual calls and one cancellation poll
+//! instead of one-plus-one per tuple, the hashes are computed in a tight
+//! columnar loop, the compares read typed slices and count into locals,
+//! and no candidate is a tuple until it leaves.
 
 use reldiv_exec::batch::{BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
@@ -219,11 +216,8 @@ impl BatchOperator for BatchHashDivision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash_division::HashDivision;
     use reldiv_exec::batch::collect_batches;
     use reldiv_exec::batch::scan::BatchMemScan;
-    use reldiv_exec::op::{collect, BoxedOp, Operator};
-    use reldiv_exec::scan::MemScan;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
@@ -238,40 +232,48 @@ mod tests {
         Relation::from_tuples(schema, nos.iter().map(|&n| ints(&[n])).collect()).unwrap()
     }
 
-    const MODES: [HashDivisionMode; 3] = [
-        HashDivisionMode::Standard,
-        HashDivisionMode::EarlyOut,
-        HashDivisionMode::CounterOnly,
-    ];
-
-    fn both_paths(
+    fn operator(
         dividend: &Relation,
         divisor: &Relation,
         mode: HashDivisionMode,
-    ) -> (Relation, Relation) {
+        pool: MemoryPool,
+    ) -> BatchHashDivision {
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let tuple_op: BoxedOp = Box::new(
-            HashDivision::new(
-                Box::new(MemScan::new(dividend.clone())),
-                Box::new(MemScan::new(divisor.clone())),
-                spec.clone(),
-                mode,
-                MemoryPool::unbounded(),
-            )
-            .unwrap(),
-        );
-        let batch_op = BatchHashDivision::new(
+        BatchHashDivision::new(
             Box::new(BatchMemScan::new(dividend.clone())),
             Box::new(BatchMemScan::new(divisor.clone())),
             spec,
             mode,
-            MemoryPool::unbounded(),
+            pool,
         )
-        .unwrap();
-        (
-            collect(tuple_op).unwrap(),
-            collect_batches(Box::new(batch_op), CancelToken::none()).unwrap(),
-        )
+        .unwrap()
+    }
+
+    /// The quotient's first column, in output order, and the run's
+    /// statistics; `None` where the pool is exhausted.
+    fn run(
+        dividend: &Relation,
+        divisor: &Relation,
+        mode: HashDivisionMode,
+        pool: MemoryPool,
+    ) -> Option<(Vec<i64>, HashDivisionStats)> {
+        let mut op = operator(dividend, divisor, mode, pool);
+        if let Err(e) = op.open() {
+            assert!(e.is_memory_exhausted(), "{e:?}");
+            return None;
+        }
+        let mut out = Vec::new();
+        while let Some(batch) = op.next_batch().unwrap() {
+            out.extend(
+                batch
+                    .into_tuples()
+                    .iter()
+                    .map(|t| t.value(0).as_int().unwrap()),
+            );
+        }
+        let stats = op.stats();
+        op.close().unwrap();
+        Some((out, stats))
     }
 
     /// A workload with duplicates, noise rows (no divisor match), and
@@ -288,17 +290,30 @@ mod tests {
         (transcript(&rows), courses(&[0, 1, 2, 3]))
     }
 
+    /// What the tuple-at-a-time operator produced on [`noisy_inputs`],
+    /// recorded before this one replaced it: the students with at least
+    /// four courses, in table order, under `Standard` and `EarlyOut` alike.
+    const NOISY_QUOTIENT: [i64; 28] = [
+        3, 4, 5, 6, 10, 11, 12, 13, 17, 18, 19, 20, 24, 25, 26, 27, 31, 32, 33, 34, 38, 39, 40, 41,
+        45, 46, 47, 48,
+    ];
+
+    /// ... and its statistics there.
+    const NOISY_STATS: HashDivisionStats = HashDivisionStats {
+        divisor_count: 4,
+        divisor_duplicates: 0,
+        dividend_discarded: 92,
+        candidates: 50,
+        emitted: 28,
+    };
+
     #[test]
     fn all_modes_match_the_tuple_path_byte_for_byte() {
         let (dividend, divisor) = noisy_inputs();
-        for mode in MODES {
-            if mode == HashDivisionMode::CounterOnly {
-                // CounterOnly requires a duplicate-free dividend.
-                continue;
-            }
-            let (tuple, batch) = both_paths(&dividend, &divisor, mode);
-            assert_eq!(tuple, batch, "mode {mode:?}");
-            assert!(!tuple.is_empty(), "workload must produce a quotient");
+        for mode in [HashDivisionMode::Standard, HashDivisionMode::EarlyOut] {
+            // CounterOnly requires a duplicate-free dividend.
+            let (out, _) = run(&dividend, &divisor, mode, MemoryPool::unbounded()).unwrap();
+            assert_eq!(out, NOISY_QUOTIENT, "mode {mode:?}");
         }
     }
 
@@ -310,10 +325,20 @@ mod tests {
                 rows.push([sid, cno]);
             }
         }
-        let dividend = transcript(&rows);
-        let divisor = courses(&[0, 1, 2]);
-        let (tuple, batch) = both_paths(&dividend, &divisor, HashDivisionMode::CounterOnly);
-        assert_eq!(tuple, batch);
+        let (dividend, divisor) = (transcript(&rows), courses(&[0, 1, 2]));
+        let mode = HashDivisionMode::CounterOnly;
+        let (out, stats) = run(&dividend, &divisor, mode, MemoryPool::unbounded()).unwrap();
+        // The tuple path's quotient and statistics, recorded.
+        let expected: Vec<i64> = (0..40).filter(|sid| sid % 5 >= 2).collect();
+        assert_eq!(out, expected);
+        let recorded = HashDivisionStats {
+            divisor_count: 3,
+            divisor_duplicates: 0,
+            dividend_discarded: 24,
+            candidates: 40,
+            emitted: 24,
+        };
+        assert_eq!(stats, recorded);
     }
 
     #[test]
@@ -321,96 +346,51 @@ mod tests {
         let dividend = transcript(&[[1, 10], [1, 11], [2, 10], [1, 10]]);
         let divisor = courses(&[]);
         for mode in [HashDivisionMode::Standard, HashDivisionMode::EarlyOut] {
-            let (tuple, batch) = both_paths(&dividend, &divisor, mode);
-            assert_eq!(tuple, batch, "mode {mode:?}");
-            assert_eq!(batch.cardinality(), 2);
+            let (out, stats) = run(&dividend, &divisor, mode, MemoryPool::unbounded()).unwrap();
+            // The tuple path's, recorded: both students, in arrival order.
+            assert_eq!(out, [1, 2], "mode {mode:?}");
+            assert_eq!((stats.candidates, stats.emitted), (2, 2), "mode {mode:?}");
         }
     }
 
     #[test]
     fn stats_match_the_tuple_path() {
         let (dividend, divisor) = noisy_inputs();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let mut tuple_op = HashDivision::new(
-            Box::new(MemScan::new(dividend.clone())),
-            Box::new(MemScan::new(divisor.clone())),
-            spec.clone(),
-            HashDivisionMode::Standard,
-            MemoryPool::unbounded(),
-        )
-        .unwrap();
-        tuple_op.open().unwrap();
-        while tuple_op.next().unwrap().is_some() {}
-        let tuple_stats = tuple_op.stats();
-        tuple_op.close().unwrap();
-
-        let mut batch_op = BatchHashDivision::new(
-            Box::new(BatchMemScan::new(dividend)),
-            Box::new(BatchMemScan::new(divisor)),
-            spec,
-            HashDivisionMode::Standard,
-            MemoryPool::unbounded(),
-        )
-        .unwrap();
-        batch_op.open().unwrap();
-        while batch_op.next_batch().unwrap().is_some() {}
-        let batch_stats = batch_op.stats();
-        batch_op.close().unwrap();
-        assert_eq!(tuple_stats, batch_stats);
+        let mode = HashDivisionMode::Standard;
+        let (_, stats) = run(&dividend, &divisor, mode, MemoryPool::unbounded()).unwrap();
+        assert_eq!(stats, NOISY_STATS);
     }
 
     #[test]
     fn memory_exhaustion_fires_identically() {
         let (dividend, divisor) = noisy_inputs();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        // Find the smallest budget where the tuple path succeeds by
-        // bisection is overkill: just compare outcomes over a ramp.
-        for budget in [64usize, 256, 1024, 4096, 1 << 20] {
-            let tuple_op: BoxedOp = Box::new(
-                HashDivision::new(
-                    Box::new(MemScan::new(dividend.clone())),
-                    Box::new(MemScan::new(divisor.clone())),
-                    spec.clone(),
-                    HashDivisionMode::Standard,
-                    MemoryPool::new(budget),
-                )
-                .unwrap(),
-            );
-            let batch_op = BatchHashDivision::new(
-                Box::new(BatchMemScan::new(dividend.clone())),
-                Box::new(BatchMemScan::new(divisor.clone())),
-                spec.clone(),
-                HashDivisionMode::Standard,
-                MemoryPool::new(budget),
-            )
-            .unwrap();
-            let tuple = collect(tuple_op);
-            let batch = collect_batches(Box::new(batch_op), CancelToken::none());
-            match (tuple, batch) {
-                (Ok(t), Ok(b)) => assert_eq!(t, b, "budget {budget}"),
-                (Err(te), Err(be)) => {
-                    assert!(te.is_memory_exhausted(), "budget {budget}: {te:?}");
-                    assert!(be.is_memory_exhausted(), "budget {budget}: {be:?}");
-                }
-                (t, b) => panic!("paths diverged at budget {budget}: {t:?} vs {b:?}"),
-            }
+        // Where the tuple path ran out of memory, recorded: every budget
+        // up to 1 KB fails, 4 KB holds both tables.
+        for (budget, fits) in [
+            (64, false),
+            (256, false),
+            (1024, false),
+            (4096, true),
+            (1 << 20, true),
+        ] {
+            let mode = HashDivisionMode::Standard;
+            let got = run(&dividend, &divisor, mode, MemoryPool::new(budget));
+            let expected = fits.then_some((NOISY_QUOTIENT.to_vec(), NOISY_STATS));
+            assert_eq!(got, expected, "budget {budget}");
         }
     }
 
     #[test]
     fn expired_deadline_cancels_per_batch() {
         let (dividend, divisor) = noisy_inputs();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
         let expired =
             CancelToken::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        let mut op = BatchHashDivision::new(
-            Box::new(BatchMemScan::new(dividend)),
-            Box::new(BatchMemScan::new(divisor)),
-            spec,
+        let mut op = operator(
+            &dividend,
+            &divisor,
             HashDivisionMode::Standard,
             MemoryPool::unbounded(),
-        )
-        .unwrap();
+        );
         op.set_cancel(expired);
         let err = collect_batches(Box::new(op), expired).unwrap_err();
         assert!(err.is_cancelled(), "expected Cancelled, got {err:?}");

@@ -16,9 +16,9 @@
 //! 3. **Scan the quotient table**, emitting candidates whose bit map has
 //!    no remaining zero.
 //!
-//! [`HashDivision`] packages the three steps as an open-next-close
-//! operator; the tables are public so that the overflow strategies
-//! ([`crate::overflow`]) and the shared-nothing adaptation
+//! [`crate::batch_div::BatchHashDivision`] packages the three steps as an
+//! open-next-close operator; the tables are public so that the adaptive
+//! hybrid ([`crate::hybrid`]) and the shared-nothing adaptation
 //! (`reldiv-parallel`) can compose them differently — e.g. one divisor
 //! table shared by many phases, or a collection phase that indexes bits by
 //! phase number instead of divisor number.
@@ -42,17 +42,15 @@
 
 use reldiv_exec::batch::BoxedBatchOp;
 use reldiv_exec::cancel::CancelToken;
-use reldiv_exec::op::{BoxedOp, OpState, Operator};
 use reldiv_rel::{Batch, Schema, Tuple};
 use reldiv_storage::MemoryPool;
 
 use reldiv_exec::hash_table::KeyTable;
 
 use crate::groups::{GroupTable, Probe, Tally};
-use crate::spec::DivisionSpec;
 use crate::Result;
 
-/// Variant selection for [`HashDivision`].
+/// Variant selection for hash-division.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HashDivisionMode {
     /// Figure 1: bit maps, quotient produced by a final table scan.
@@ -94,8 +92,8 @@ pub struct DivisorTable {
     /// The distinct divisor tuples, numbered in arrival order: entry `d`
     /// is divisor number `d`, charged its record width.
     table: KeyTable,
-    /// Whether a batch probe compares only the chain elements of equal
-    /// hash or, as the tuple probes and the cost model do, all of them.
+    /// Whether a probe compares only the chain elements of equal hash or,
+    /// as the cost model does, all of them.
     prefilter: bool,
     duplicates: u64,
 }
@@ -110,34 +108,10 @@ impl DivisorTable {
     }
 
     /// Builds the table by draining `divisor` (opened here, and closed on
-    /// every exit), eliminating duplicates on the fly and numbering
-    /// distinct tuples in arrival order.
-    pub fn build(divisor: &mut BoxedOp, pool: &MemoryPool) -> Result<Self> {
-        let mut drain = || -> Result<Self> {
-            divisor.open()?;
-            let all: Vec<usize> = (0..divisor.schema().arity()).collect();
-            let mut dt = Self::empty(divisor.schema(), pool, false)?;
-            while let Some(t) = divisor.next()? {
-                let (h, key) = (t.hash_on(&all), (&t, &all[..]));
-                match dt.table.find((h, None), key, false, &mut Tally::default()) {
-                    Some(_) => dt.duplicates += 1,
-                    None => _ = dt.table.insert(h, key)?,
-                }
-            }
-            Ok(dt)
-        };
-        let built = drain();
-        close_after(built, divisor.close())
-    }
-
-    /// [`DivisorTable::build`] over a batch input: drains `divisor`
-    /// (opened here, and closed on every exit) one batch at a time, hashing
-    /// each batch with the bulk kernel and polling `cancel` once per batch.
-    ///
-    /// The hash kernel is bit-identical to [`Tuple::hash_on`], so the
-    /// chain layout — and every divisor number — matches the tuple-path
-    /// build exactly; memory is accounted identically, so exhaustion
-    /// surfaces at the same tuple.
+    /// every exit) one batch at a time, eliminating duplicates on the fly
+    /// and numbering distinct tuples in arrival order; hashes each batch
+    /// with the bulk kernel and polls `cancel` once per batch. Each row is
+    /// compared only with the chain elements of equal hash.
     pub fn build_batch(
         divisor: &mut BoxedBatchOp,
         pool: &MemoryPool,
@@ -149,8 +123,7 @@ impl DivisorTable {
     /// [`DivisorTable::build_batch`] for the adaptive hybrid, whose
     /// operation counts are the cost model's: the build, and every
     /// [`DivisorTable::probe`] of the table, compares a row with all
-    /// elements of its chain, as [`DivisorTable::build`] and
-    /// [`DivisorTable::lookup`] do.
+    /// elements of its chain.
     pub(crate) fn build_batch_comparing_all(
         divisor: &mut BoxedBatchOp,
         pool: &MemoryPool,
@@ -198,16 +171,7 @@ impl DivisorTable {
         self.duplicates
     }
 
-    /// Looks up the divisor number matching dividend tuple `t` on its
-    /// divisor-attribute columns `divisor_keys`.
-    pub fn lookup(&self, t: &Tuple, divisor_keys: &[usize]) -> Option<u32> {
-        let h = t.hash_on(divisor_keys);
-        let key = (t, divisor_keys);
-        let found = (self.table).find((h, None), key, self.prefilter, &mut Tally::default());
-        found.map(|d| d as u32)
-    }
-
-    /// [`DivisorTable::lookup`] for a batch: the rows whose columns
+    /// Looks up a batch's rows in the table: the rows whose columns
     /// `divisor_keys` are a divisor tuple, with its number — every row, of
     /// none, when the divisor is empty (vacuously). One bulk hash pass, one
     /// typed probe; the compares are counted once.
@@ -222,12 +186,6 @@ impl DivisorTable {
             Some((row, Some(d as u32)))
         });
         found.unzip()
-    }
-
-    /// Iterates the distinct divisor tuples with their numbers.
-    pub fn entries(&self) -> impl Iterator<Item = (Tuple, u32)> + '_ {
-        let keys = self.table.keys();
-        (0..keys.len()).map(|d| (keys.tuple(d), d as u32))
     }
 }
 
@@ -346,179 +304,13 @@ impl QuotientTable {
     }
 }
 
-/// The hash-division operator.
-pub struct HashDivision {
-    dividend: BoxedOp,
-    divisor: BoxedOp,
-    spec: DivisionSpec,
-    mode: HashDivisionMode,
-    pool: MemoryPool,
-    schema: Schema,
-    state: OpState,
-    divisor_table: Option<DivisorTable>,
-    quotient_table: Option<QuotientTable>,
-    streaming: bool,
-    stats: HashDivisionStats,
-    cancel: CancelToken,
-    cancel_budget: u32,
-}
-
-impl HashDivision {
-    /// Creates a hash-division of `dividend ÷ divisor` described by `spec`.
-    pub fn new(
-        dividend: BoxedOp,
-        divisor: BoxedOp,
-        spec: DivisionSpec,
-        mode: HashDivisionMode,
-        pool: MemoryPool,
-    ) -> Result<Self> {
-        spec.validate(dividend.schema(), divisor.schema())?;
-        let schema = spec.quotient_schema(dividend.schema())?;
-        Ok(HashDivision {
-            dividend,
-            divisor,
-            spec,
-            mode,
-            pool,
-            schema,
-            state: OpState::Created,
-            divisor_table: None,
-            quotient_table: None,
-            streaming: false,
-            stats: HashDivisionStats::default(),
-            cancel: CancelToken::none(),
-            cancel_budget: 0,
-        })
-    }
-
-    /// Installs a cancellation token, polled cooperatively in the
-    /// per-tuple build and stream loops.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    /// Run statistics (meaningful once the operator has been drained).
-    pub fn stats(&self) -> HashDivisionStats {
-        let mut s = self.stats;
-        if let Some(q) = &self.quotient_table {
-            s.candidates = q.candidates();
-        }
-        s
-    }
-
-    /// Steps 1+2 for one dividend tuple.
-    fn absorb(&mut self, t: Tuple) -> Result<Option<Tuple>> {
-        let dt = self.divisor_table.as_ref().expect("open builds tables");
-        let divisor_no = if dt.count() == 0 {
-            // Empty divisor: universal quantification is vacuous; every
-            // dividend tuple survives as a (complete) candidate.
-            None
-        } else {
-            match dt.lookup(&t, &self.spec.divisor_keys) {
-                Some(d) => Some(d),
-                None => {
-                    // No matching divisor tuple: discard immediately.
-                    self.stats.dividend_discarded += 1;
-                    return Ok(None);
-                }
-            }
-        };
-        let qt = self.quotient_table.as_mut().expect("open builds tables");
-        let out = qt.absorb(&t, divisor_no)?;
-        if out.is_some() {
-            self.stats.emitted += 1;
-        }
-        Ok(out)
-    }
-}
-
-impl Operator for HashDivision {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.stats = HashDivisionStats::default();
-        let dt = DivisorTable::build(&mut self.divisor, &self.pool)?;
-        self.stats.divisor_count = dt.count() as u64;
-        self.stats.divisor_duplicates = dt.duplicates();
-        let qt = QuotientTable::new(
-            &self.pool,
-            self.mode,
-            dt.count(),
-            self.spec.quotient_keys.clone(),
-            &self.schema,
-        )?;
-        self.divisor_table = Some(dt);
-        self.quotient_table = Some(qt);
-        self.dividend.open()?;
-        match self.mode {
-            HashDivisionMode::Standard | HashDivisionMode::CounterOnly => {
-                // Stop-and-go: consume the whole dividend now, checking the
-                // deadline once per stride of tuples.
-                while let Some(t) = self.dividend.next()? {
-                    self.cancel.checkpoint(&mut self.cancel_budget)?;
-                    self.absorb(t)?;
-                }
-                self.dividend.close()?;
-                // "free divisor table" — it is no longer needed, but keep
-                // the count for the final scan.
-                self.streaming = false;
-            }
-            HashDivisionMode::EarlyOut => {
-                self.streaming = true;
-            }
-        }
-        self.state = OpState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        // EarlyOut: keep consuming the dividend until a candidate
-        // completes.
-        if self.streaming {
-            loop {
-                self.cancel.checkpoint(&mut self.cancel_budget)?;
-                match self.dividend.next()? {
-                    Some(t) => {
-                        if let Some(q) = self.absorb(t)? {
-                            return Ok(Some(q));
-                        }
-                    }
-                    None => {
-                        self.dividend.close()?;
-                        self.streaming = false;
-                        // All complete candidates were already emitted.
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-        // Step 3: scan the quotient table for bit maps with no zero.
-        let qt = self.quotient_table.as_mut().expect("open builds tables");
-        match qt.next_complete() {
-            Some(t) => {
-                self.stats.emitted += 1;
-                Ok(Some(t))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        // "free divisor table ... free quotient table".
-        self.divisor_table = None;
-        self.quotient_table = None;
-        self.state = OpState::Closed;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reldiv_exec::scan::MemScan;
+    use crate::batch_div::BatchHashDivision;
+    use crate::spec::DivisionSpec;
+    use reldiv_exec::batch::scan::BatchMemScan;
+    use reldiv_exec::batch::BatchOperator;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::{Relation, Value};
@@ -533,27 +325,37 @@ mod tests {
         Relation::from_tuples(schema, nos.iter().map(|&n| ints(&[n])).collect()).unwrap()
     }
 
+    fn operator(
+        dividend: Relation,
+        divisor: Relation,
+        mode: HashDivisionMode,
+        pool: MemoryPool,
+    ) -> BatchHashDivision {
+        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+        let (dividend, divisor) = (BatchMemScan::new(dividend), BatchMemScan::new(divisor));
+        BatchHashDivision::new(Box::new(dividend), Box::new(divisor), spec, mode, pool).unwrap()
+    }
+
+    /// Every quotient row of a drained operator, and its statistics.
+    fn drain(mut op: BatchHashDivision) -> (Vec<Tuple>, HashDivisionStats) {
+        op.open().unwrap();
+        let mut out = Vec::new();
+        while let Some(batch) = op.next_batch().unwrap() {
+            out.extend(batch.into_tuples());
+        }
+        let stats = op.stats();
+        op.close().unwrap();
+        (out, stats)
+    }
+
     fn divide(
         dividend: Relation,
         divisor: Relation,
         mode: HashDivisionMode,
     ) -> (Vec<i64>, HashDivisionStats) {
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let mut op = HashDivision::new(
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            spec,
-            mode,
-            MemoryPool::unbounded(),
-        )
-        .unwrap();
-        op.open().unwrap();
-        let mut out = Vec::new();
-        while let Some(t) = op.next().unwrap() {
-            out.push(t.value(0).as_int().unwrap());
-        }
-        let stats = op.stats();
-        op.close().unwrap();
+        let op = operator(dividend, divisor, mode, MemoryPool::unbounded());
+        let (out, stats) = drain(op);
+        let mut out: Vec<i64> = out.iter().map(|t| t.value(0).as_int().unwrap()).collect();
         out.sort_unstable();
         (out, stats)
     }
@@ -591,26 +393,13 @@ mod tests {
             ],
         )
         .unwrap();
-        let spec = DivisionSpec::trailing_divisor(t.schema(), c.schema()).unwrap();
-        let mut op = HashDivision::new(
-            Box::new(MemScan::new(t)),
-            Box::new(MemScan::new(c)),
-            spec,
-            HashDivisionMode::Standard,
-            MemoryPool::unbounded(),
-        )
-        .unwrap();
-        op.open().unwrap();
-        let mut names = Vec::new();
-        while let Some(q) = op.next().unwrap() {
-            names.push(q.value(0).as_str().unwrap().to_owned());
-        }
+        let op = operator(t, c, HashDivisionMode::Standard, MemoryPool::unbounded());
+        let (out, stats) = drain(op);
+        let names: Vec<&str> = out.iter().map(|q| q.value(0).as_str().unwrap()).collect();
         assert_eq!(names, vec!["Ann"], "only Ann took both database courses");
-        let stats = op.stats();
         assert_eq!(stats.divisor_count, 2);
         assert_eq!(stats.dividend_discarded, 1, "(Barb, Optics) is discarded");
         assert_eq!(stats.candidates, 2, "Ann and Barb are candidates");
-        op.close().unwrap();
     }
 
     #[test]
@@ -705,21 +494,23 @@ mod tests {
         let dividend = transcript(&rows);
         let divisor = courses(&[10, 20]);
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let mut op = HashDivision::new(
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
+        let mut op = BatchHashDivision::new(
+            Box::new(BatchMemScan::new(dividend).with_batch_size(2)),
+            Box::new(BatchMemScan::new(divisor)),
             spec,
             HashDivisionMode::EarlyOut,
             MemoryPool::unbounded(),
         )
         .unwrap();
         op.open().unwrap();
-        let first = op.next().unwrap().unwrap();
-        assert_eq!(first, ints(&[1]));
-        // At this point only 2 of 102 dividend tuples were needed; the
-        // candidate count proves the tail was not consumed.
+        let first = op.next_batch().unwrap().unwrap();
+        assert_eq!(first.into_tuples(), vec![ints(&[1])]);
+        // At this point only the first batch of 2 of 102 dividend tuples
+        // was needed; the candidate count proves the tail was not consumed.
         assert!(op.stats().candidates <= 2);
-        assert!(op.next().unwrap().is_none());
+        while let Some(batch) = op.next_batch().unwrap() {
+            assert!(batch.is_empty(), "no other candidate completes");
+        }
         op.close().unwrap();
     }
 
@@ -729,17 +520,13 @@ mod tests {
         for q in 0..10_000 {
             rows.push([q, 1]);
         }
-        let dividend = transcript(&rows);
-        let divisor = courses(&[1]);
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let mut op = HashDivision::new(
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            spec,
-            HashDivisionMode::Standard,
+        let mode = HashDivisionMode::Standard;
+        let mut op = operator(
+            transcript(&rows),
+            courses(&[1]),
+            mode,
             MemoryPool::new(4096),
-        )
-        .unwrap();
+        );
         let err = op.open().unwrap_err();
         assert!(err.is_memory_exhausted());
     }
@@ -767,22 +554,9 @@ mod tests {
         .unwrap();
         let divisor =
             Relation::from_tuples(divisor_schema, vec![ints(&[5, 50]), ints(&[6, 60])]).unwrap();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let mut op = HashDivision::new(
-            Box::new(MemScan::new(dividend)),
-            Box::new(MemScan::new(divisor)),
-            spec,
-            HashDivisionMode::Standard,
-            MemoryPool::unbounded(),
-        )
-        .unwrap();
-        op.open().unwrap();
-        let mut out = Vec::new();
-        while let Some(t) = op.next().unwrap() {
-            out.push(t);
-        }
+        let mode = HashDivisionMode::Standard;
+        let (out, _) = drain(operator(dividend, divisor, mode, MemoryPool::unbounded()));
         assert_eq!(out, vec![ints(&[1, 1])]);
-        op.close().unwrap();
     }
 
     #[test]
@@ -805,13 +579,17 @@ mod tests {
     #[test]
     fn divisor_table_is_reusable_across_phases() {
         // The overflow strategies keep one divisor table across phases.
-        let divisor = courses(&[10, 20, 30]);
-        let mut op: BoxedOp = Box::new(MemScan::new(divisor));
-        let dt = DivisorTable::build(&mut op, &MemoryPool::unbounded()).unwrap();
+        let mut divisor: BoxedBatchOp = Box::new(BatchMemScan::new(courses(&[10, 20, 30])));
+        let none = CancelToken::none();
+        let dt = DivisorTable::build_batch(&mut divisor, &MemoryPool::unbounded(), none).unwrap();
         assert_eq!(dt.count(), 3);
-        let t = ints(&[7, 20]);
-        assert_eq!(dt.lookup(&t, &[1]), Some(1));
-        assert_eq!(dt.lookup(&ints(&[7, 99]), &[1]), None);
-        assert_eq!(dt.entries().count(), 3);
+        let rows = transcript(&[[7, 20], [7, 99], [8, 30]]);
+        let columns = reldiv_rel::Columns::from_relation(&rows);
+        for _phase in 0..2 {
+            assert_eq!(
+                dt.probe(&columns.batches()[0], &[1]),
+                (vec![0, 2], vec![Some(1), Some(2)])
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! | [`naive`] | naive division over sorted inputs (Smith 1975) | 2.1 |
 //! | [`sort_agg`] | division by sort-based aggregation (count per group == divisor count), with or without a preceding merge semi-join | 2.2.1 |
 //! | [`hash_agg`] | division by hash-based aggregation, with or without a preceding hash semi-join | 2.2.2 |
-//! | [`hash_division`] | **hash-division**: a divisor table assigning divisor numbers and a quotient table of candidates with bit maps | 3 |
+//! | [`hash_division`] | **hash-division**: a divisor table assigning divisor numbers and a quotient table of candidates with bit maps ([`batch_div`] runs them) | 3 |
 //!
 //! Supporting modules:
 //!
@@ -29,9 +29,8 @@
 //!   done dynamically: the memory-adaptive hybrid (Section 3.4),
 //! * [`overflow`] — divisor partitioning with the collection phase, every
 //!   phase run by the hybrid (Section 3.4),
-//! * [`batch_div`] — the batch-at-a-time hash-division operator every
-//!   plan runs, byte-identical to the tuple-at-a-time
-//!   [`hash_division::HashDivision`] it is tested against,
+//! * [`batch_div`] — the hash-division operator every plan runs, a batch
+//!   at a time,
 //! * [`contains`] — the "contains clause" the paper's conclusion calls
 //!   for: a declarative for-all query builder with cost-based algorithm
 //!   choice,
@@ -78,7 +77,7 @@ pub use api::{
 pub use batch_div::BatchHashDivision;
 pub use bitmap::Bitmap;
 pub use contains::Contains;
-pub use hash_division::{HashDivision, HashDivisionMode};
+pub use hash_division::HashDivisionMode;
 pub use reldiv_exec::batch::ExecMode;
 pub use reldiv_exec::profile::{ProfileNode, ProfileSink, QueryProfile, SpanKind};
 pub use report::DegradationReport;

@@ -212,7 +212,6 @@ pub(crate) fn naive_division(
 mod tests {
     use super::*;
     use crate::api::DivisionConfig;
-    use reldiv_exec::batch::scan::BatchMemScan;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_storage::manager::{StorageConfig, StorageManager};
@@ -318,6 +317,7 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn sorted_input_invariant_is_debug_checked() {
+        use reldiv_exec::batch::scan::BatchMemScan;
         // Feeding unsorted inputs directly into BatchNaiveDivision (without
         // the plan's sorts) trips the debug assertion.
         let dividend = transcript(&[[2, 10], [1, 10]]);

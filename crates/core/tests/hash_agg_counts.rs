@@ -14,10 +14,9 @@ use reldiv_core::api::{divide_with_report, load_source, DivisionConfig, Overflow
 use reldiv_core::{Algorithm, DivisionSpec};
 use reldiv_exec::agg::HashCountAggregate;
 use reldiv_exec::batch::agg::BatchHashCountAggregate;
-use reldiv_exec::batch::collect_batches;
 use reldiv_exec::batch::scan::BatchMemScan;
+use reldiv_exec::batch::{collect_batches, BatchToTuple};
 use reldiv_exec::op::collect;
-use reldiv_exec::scan::MemScan;
 use reldiv_exec::CancelToken;
 use reldiv_rel::counters::OpScope;
 use reldiv_rel::schema::Field;
@@ -221,7 +220,7 @@ fn a_spilling_group_count_counts_what_it_did() {
             let outcome = match batch {
                 false => collect(Box::new(
                     HashCountAggregate::new(
-                        Box::new(MemScan::new(rel.clone())),
+                        Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel.clone())))),
                         vec![1, 0],
                         pool.clone(),
                     )

@@ -298,9 +298,9 @@ mod tests {
     use crate::batch::project::BatchProject;
     use crate::batch::scan::BatchMemScan;
     use crate::batch::sort::BatchSort;
+    use crate::batch::BatchToTuple;
     use crate::batch::{collect_batches, BatchOperator, BoxedBatchOp};
     use crate::op::collect;
-    use crate::scan::MemScan;
     use crate::sort::{SortConfig, SortMode};
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn hash_aggregate_counts_courses_per_student() {
         let agg = HashCountAggregate::new(
-            Box::new(MemScan::new(transcript())),
+            Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(transcript())))),
             vec![0],
             MemoryPool::unbounded(),
         )
@@ -382,7 +382,7 @@ mod tests {
         let mut rel = transcript();
         rel.push(ints(&[2, 10])).unwrap();
         let agg = HashCountAggregate::new(
-            Box::new(MemScan::new(rel)),
+            Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel)))),
             vec![0],
             MemoryPool::unbounded(),
         )
@@ -399,8 +399,12 @@ mod tests {
         let rel = Relation::from_tuples(schema, (0..10_000).map(|i| ints(&[i % 5, i])).collect())
             .unwrap();
         let pool = MemoryPool::new(4096);
-        let agg =
-            HashCountAggregate::new(Box::new(MemScan::new(rel)), vec![0], pool.clone()).unwrap();
+        let agg = HashCountAggregate::new(
+            Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel)))),
+            vec![0],
+            pool.clone(),
+        )
+        .unwrap();
         let out = collect(Box::new(agg)).unwrap();
         assert_eq!(out.cardinality(), 5);
         assert!(out
@@ -477,8 +481,9 @@ mod tests {
 #[cfg(test)]
 mod spill_tests {
     use super::*;
+    use crate::batch::scan::BatchMemScan;
+    use crate::batch::BatchToTuple;
     use crate::op::collect;
-    use crate::scan::MemScan;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
     use reldiv_storage::manager::{StorageConfig, StorageManager};
@@ -498,7 +503,7 @@ mod spill_tests {
         // In-memory reference with an unbounded pool.
         let reference = collect(Box::new(
             HashCountAggregate::new(
-                Box::new(MemScan::new(rel.clone())),
+                Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel.clone())))),
                 vec![0],
                 MemoryPool::unbounded(),
             )
@@ -512,9 +517,13 @@ mod spill_tests {
         });
         let pool = MemoryPool::new(32 * 1024);
         let spilled = collect(Box::new(
-            HashCountAggregate::new(Box::new(MemScan::new(rel)), vec![0], pool)
-                .unwrap()
-                .with_spill(storage.clone()),
+            HashCountAggregate::new(
+                Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel)))),
+                vec![0],
+                pool,
+            )
+            .unwrap()
+            .with_spill(storage.clone()),
         ))
         .unwrap();
         assert_eq!(reference.bag_counts(), spilled.bag_counts());
@@ -532,7 +541,7 @@ mod spill_tests {
     fn without_spill_the_same_pressure_is_an_error() {
         let rel = groups(3000, 4);
         let mut agg = HashCountAggregate::new(
-            Box::new(MemScan::new(rel)),
+            Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel)))),
             vec![0],
             MemoryPool::new(32 * 1024),
         )
@@ -546,7 +555,7 @@ mod spill_tests {
         let storage = StorageManager::shared(StorageConfig::large());
         let out = collect(Box::new(
             HashCountAggregate::new(
-                Box::new(MemScan::new(rel)),
+                Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel)))),
                 vec![0],
                 MemoryPool::new(1 << 20),
             )

@@ -230,8 +230,8 @@ mod tests {
     #[test]
     fn group_count_spills_exactly_like_the_tuple_aggregate() {
         use crate::agg::HashCountAggregate;
+        use crate::batch::BatchToTuple;
         use crate::op::collect;
-        use crate::scan::MemScan;
         use reldiv_storage::manager::{StorageConfig, StorageManager};
         // (pool bytes, outcome): fits; spills and recovers; exhausted even
         // per cluster.
@@ -245,7 +245,7 @@ mod tests {
             });
             let tuple = collect(Box::new(
                 HashCountAggregate::new(
-                    Box::new(MemScan::new(rel.clone())),
+                    Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel.clone())))),
                     vec![1, 0],
                     MemoryPool::new(pool_bytes),
                 )

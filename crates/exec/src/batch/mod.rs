@@ -9,25 +9,15 @@
 //! therefore output orders — are those a tuple-at-a-time operator over the
 //! same table would produce.
 //!
-//! Every division plan is built from these operators. The tuple operators
-//! that remain serve hash-division's static overflow rungs and the
-//! benchmark, and each is the reference its batch form is tested against:
-//!
-//! | tuple operator              | batch operator                     |
-//! |-----------------------------|------------------------------------|
-//! | [`crate::scan::FileScan`]   | [`scan::BatchFileScan`]            |
-//! | [`crate::scan::MemScan`]    | [`scan::BatchMemScan`]             |
-//! | [`crate::scan::spool`] of an operator | [`scan::materialize`]    |
-//! | [`crate::sort::Sort`]       | [`sort::BatchSort`]                |
-//! | [`crate::agg::HashCountAggregate`] | [`agg::BatchHashCountAggregate`] |
-//!
-//! The rest have no tuple form: [`scan::BatchColumnsScan`],
-//! [`filter::BatchFilter`], [`project::BatchProject`],
-//! [`sort::BatchSort::counting`], [`agg::count_rows`],
-//! [`distinct::BatchDistinct`], [`agg::BatchHavingCount`],
-//! [`crate::hash_join::BatchHashJoin`], [`join::BatchMergeSemiJoin`] and
-//! [`profile::ProfiledBatchOp`]. [`BatchToTuple`] lets the tuple operators
-//! above, and hash-division's static overflow rungs, scan shared columns.
+//! Every division plan is built from these operators, and they are the
+//! only implementations there are. Three tuple-at-a-time operators remain,
+//! for the benchmark, which still names them: [`BatchToTuple`], which
+//! bridges any batch operator into tuples (a source's tuple scan is one
+//! over its batch scan); [`crate::sort::Sort`], a [`BatchToTuple`] over a
+//! [`sort::BatchSort`] fed its tuple input a batch at a time; and
+//! [`crate::agg::HashCountAggregate`], which counts in the group state of
+//! [`agg::BatchHashCountAggregate`]. The sort's and the file scan's numbers
+//! are pinned as the tuple operators they replaced recorded them.
 //!
 //! **Cancellation cadence.** A streaming batch operator carries no cancel
 //! token; instead [`drain_batches`] polls the [`CancelToken`] once per
@@ -70,7 +60,7 @@ pub enum ExecMode {
 
 /// A relational operator producing columnar batches.
 ///
-/// The protocol is the batch analogue of [`Operator`]: `open` prepares
+/// The protocol is the batch form of [`Operator`]: `open` prepares
 /// the operator, `next_batch` produces the next chunk of rows (possibly
 /// empty — see [`collect_batches`]), and `close` releases resources.
 pub trait BatchOperator {
@@ -166,25 +156,26 @@ pub(crate) fn record_width(schema: &Schema) -> Result<usize> {
 }
 
 /// Bridges a batch operator into a tuple plan by buffering one batch and
-/// yielding its rows one at a time.
-pub struct BatchToTuple {
-    input: BoxedBatchOp,
+/// yielding its rows one at a time: the tuple operators' inputs, and the
+/// [`crate::sort::Sort`] bridge over a [`sort::BatchSort`].
+pub struct BatchToTuple<B: ?Sized = dyn BatchOperator> {
     buffer: std::vec::IntoIter<Tuple>,
     done: bool,
+    pub(crate) input: Box<B>,
 }
 
-impl BatchToTuple {
+impl<B: BatchOperator + ?Sized> BatchToTuple<B> {
     /// Wraps `input`.
-    pub fn new(input: BoxedBatchOp) -> BatchToTuple {
+    pub fn new(input: Box<B>) -> BatchToTuple<B> {
         BatchToTuple {
-            input,
             buffer: Vec::new().into_iter(),
             done: false,
+            input,
         }
     }
 }
 
-impl Operator for BatchToTuple {
+impl<B: BatchOperator + ?Sized> Operator for BatchToTuple<B> {
     fn schema(&self) -> &Schema {
         self.input.schema()
     }

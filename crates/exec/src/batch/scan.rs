@@ -4,11 +4,12 @@
 //! [`BatchFileScan`] is the page-granular producer of the batch engine:
 //! storage hands it each page's records as slices borrowed from the
 //! buffer pool and it decodes them straight into columns, so an on-disk
-//! plan pays neither a per-record copy nor a per-tuple allocation and
-//! keeps the exact page-I/O profile of the tuple
-//! [`crate::scan::FileScan`]. [`BatchMemScan`] avoids the per-tuple clone
-//! of [`crate::scan::MemScan`]. [`BatchColumnsScan`] does no per-row work
-//! at all: the relation is already batches.
+//! plan pays neither a per-record copy nor a per-tuple allocation, and
+//! reads exactly the pages a tuple-at-a-time file scan read (recorded in
+//! `tests/scan_differential.rs`). [`BatchMemScan`] scans a relation's
+//! tuples; [`BatchColumnsScan`] does no per-row work at all: the relation
+//! is already batches. A tuple operator reads any of them through
+//! [`super::BatchToTuple`].
 
 use reldiv_rel::{Batch, Columns, Relation, Schema, Tuple};
 use reldiv_storage::file::Appender;
@@ -19,8 +20,7 @@ use crate::cancel::CancelToken;
 use crate::op::OpState;
 use crate::{ExecError, Result};
 
-/// Scans a record file a page per batch. The batch analogue of
-/// [`crate::scan::FileScan`].
+/// Scans a record file a page per batch.
 ///
 /// Each `next_batch` visits the next page — fixed exactly once, not left
 /// fixed when the call returns — and hands its records on as one batch.
@@ -97,8 +97,7 @@ pub fn read_page(
     Ok(page)
 }
 
-/// Scans an in-memory relation in batches. The batch analogue of
-/// [`crate::scan::MemScan`].
+/// Scans an in-memory relation in batches.
 pub struct BatchMemScan {
     schema: Schema,
     tuples: Vec<Tuple>,
@@ -202,8 +201,8 @@ impl BatchOperator for BatchColumnsScan {
 }
 
 /// Drains `op` into a new record file on the data disk, a batch's
-/// records at a time ([`Appender::append_records`]): the batch engine's
-/// [`crate::scan::spool`]. `cancel` is polled once per batch, `op` is
+/// records at a time ([`Appender::append_records`]), laid out as
+/// [`crate::scan::spool`] lays them out. `cancel` is polled once per batch, `op` is
 /// closed on every exit, and a failure leaves no file behind.
 pub fn materialize(storage: &StorageRef, op: BoxedBatchOp, cancel: CancelToken) -> Result<FileId> {
     let width = super::record_width(op.schema())?;

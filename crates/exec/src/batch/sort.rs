@@ -1,12 +1,12 @@
 //! The external merge sort of the batch engine.
 //!
-//! Everything observable is [`crate::sort::Sort`]'s — the [`SortMode`]s,
-//! run boundaries (`memory_bytes / (record_width + 24)` rows a run), the
+//! Everything observable is pinned in this module's tests, as the
+//! tuple-at-a-time sort it replaced recorded it: the [`SortMode`]s, run
+//! boundaries (`memory_bytes / (record_width + 24)` rows a run), the
 //! run-disk rule, `fan_in`, the on-demand final merge, "no run contains
-//! duplicate keys", one counted move per run page — so on one input and
-//! one [`SortConfig`] the two sorts emit the same rows in the same order
-//! and read and write the same pages. What differs is the work per row:
-//! the buffer holds validated fixed-width records
+//! duplicate keys", one counted move per run page — the rows in their
+//! order, the comparisons, and the pages read and written on each disk.
+//! The buffer holds validated fixed-width records
 //! ([`Batch::encode_records`]) and sorts their normalized keys
 //! ([`RecordKey`]: one integer compare for keys up to 16 bytes), and runs
 //! go out and come back a page at a time into a merge that allocates
@@ -20,13 +20,14 @@ use reldiv_storage::{FileId, StorageRef};
 use super::{BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use crate::cancel::CancelToken;
 use crate::op::OpState;
-use crate::sort::{check_keys, run_disk, SortConfig, SortMode};
+use crate::sort::{check_keys, run_disk, run_rows, SortConfig, SortMode};
 use crate::Result;
 
 /// A row's packed key (at most 16 bytes) and its number, in 20 bytes where
-/// a `(u128, u32)` pads to 32. Like `Sort`'s tuples it is over 16 bytes,
-/// the size past which the standard library's stable sort takes the same
-/// steps, so the two sorts make the same comparisons.
+/// a `(u128, u32)` pads to 32. Like the tuples of the tuple-at-a-time sort
+/// this one replaced it is over 16 bytes, the size past which the standard
+/// library's stable sort takes the same steps, so the comparisons are the
+/// ones recorded from that sort.
 #[derive(Clone, Copy)]
 #[repr(C, packed(4))]
 struct PackedEntry {
@@ -48,7 +49,7 @@ fn sort_collapse<E, K: Ord>(
 ) -> Vec<u32> {
     let mut comps = 0u64;
     // A stable sort on the key alone: equal keys keep their row order, and
-    // the comparisons are those `Sort`'s stable sort of the same keys makes.
+    // the comparisons are those a stable sort of the same tuples makes.
     entries.sort_by(|a, b| {
         comps += 1;
         key(a).cmp(&key(b))
@@ -107,8 +108,9 @@ enum Source {
 }
 
 impl BatchSort {
-    /// Creates a sort of `input` on `keys` (major to minor); arguments
-    /// and errors are [`crate::sort::Sort::new`]'s.
+    /// Creates a sort of `input` on `keys` (major to minor). A key out of
+    /// range, a `CountAggregate` key on the trailing count column and
+    /// zero-width records are plan errors.
     pub fn new(
         storage: StorageRef,
         input: BoxedBatchOp,
@@ -137,8 +139,8 @@ impl BatchSort {
     /// The sort-based `COUNT(*) GROUP BY`: every input row is widened
     /// with `count = 1` and equal `group_keys` sum their counts in every
     /// run and merge step. Output rows are the input's columns and the
-    /// count: a [`crate::sort::Sort`] in `CountAggregate` mode over the
-    /// input widened with the count.
+    /// count: a sort in `CountAggregate` mode over the input widened with
+    /// the count.
     pub fn counting(
         storage: StorageRef,
         input: BoxedBatchOp,
@@ -255,7 +257,7 @@ impl BatchSort {
 
     fn open_inner(&mut self) -> Result<()> {
         self.input.open()?;
-        let capacity = (self.config.memory_bytes / (self.width + 24)).max(16) * self.width;
+        let capacity = run_rows(&self.config, self.width) * self.width;
         let mut records: Vec<u8> = Vec::new();
 
         // Phase 1: run generation. A run is cut every `capacity` bytes of
@@ -350,9 +352,9 @@ impl BatchOperator for BatchSort {
 
 /// A multiway merge over sorted runs with mode-aware collapse: a binary
 /// heap of run numbers ordered by each run's current normalized key, ties
-/// by run number. The heap moves as the standard library's `BinaryHeap`
-/// of [`crate::sort::Sort`] moves — pop, advance the run, push — so the
-/// two merges make the same comparisons.
+/// by run number. The heap moves as a standard library `BinaryHeap` of the
+/// runs' current records moves — pop, advance the run, push — so the merge
+/// makes the comparisons recorded from the tuple-at-a-time merge.
 struct Merge {
     runs: Vec<ScanCursor>,
     /// Every run's current record (`width` bytes) and its key.
@@ -534,12 +536,13 @@ mod tests {
     use super::*;
     use crate::batch::collect_batches;
     use crate::batch::scan::BatchMemScan;
-    use crate::op::{collect, BoxedOp, Operator};
-    use crate::scan::MemScan;
+    use crate::batch::BatchToTuple;
+    use crate::op::collect;
     use crate::sort::Sort;
+    use reldiv_rel::counters::OpScope;
     use reldiv_rel::{Relation, Tuple, Value};
     use reldiv_storage::manager::StorageConfig;
-    use reldiv_storage::StorageManager;
+    use reldiv_storage::{IoStats, StorageManager};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A pool of eight 1 KB pages: every external sort here does real I/O.
@@ -580,6 +583,137 @@ mod tests {
         }
     }
 
+    /// What a sort did: its rows (FNV-1a digest of their text, one line
+    /// each, and count), its `[comparisons, hashes, moves, bitops]`, the
+    /// data and run disks' `[reads, writes, seeks, bytes]`, and the run
+    /// files it created.
+    type Recorded = (u64, usize, [u64; 4], [u64; 4], [u64; 4], u64);
+
+    /// Runs `sort` on `storage` and observes it; every run file must be
+    /// gone afterwards and no frame fixed.
+    fn observe(storage: StorageRef, sort: impl FnOnce(&StorageRef) -> Relation) -> Recorded {
+        let files = storage.borrow().file_count();
+        let scope = OpScope::begin();
+        let out = sort(&storage);
+        let ops = scope.finish();
+        let mut sm = storage.borrow_mut();
+        assert_eq!((sm.file_count(), sm.pinned_frames()), (files, 0));
+        let io = |s: IoStats| [s.reads, s.writes, s.seeks, s.bytes];
+        let text = out
+            .tuples()
+            .iter()
+            .map(|t| format!("{t}\n"))
+            .collect::<String>();
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        (
+            digest,
+            out.cardinality(),
+            [ops.comparisons, ops.hashes, ops.moves, ops.bitops],
+            io(sm.disk_stats(StorageManager::DATA_DISK)),
+            io(sm.disk_stats(StorageManager::RUN_DISK)),
+            // Files are numbered from 0 in creation order.
+            sm.create_file(StorageManager::DATA_DISK).0,
+        )
+    }
+
+    fn batch_sort(input: Relation, keys: &[usize], mode: SortMode, config: SortConfig) -> Recorded {
+        observe(small_storage(), |storage| {
+            let scan = Box::new(BatchMemScan::new(input).with_batch_size(700));
+            let sort = BatchSort::new(storage.clone(), scan, keys.to_vec(), mode, config);
+            collect_batches(Box::new(sort.unwrap()), CancelToken::none()).unwrap()
+        })
+    }
+
+    /// The [`Sort`] bridge over a tuple input.
+    fn tuple_sort(input: Relation, keys: &[usize], mode: SortMode, config: SortConfig) -> Recorded {
+        observe(small_storage(), |storage| {
+            let scan = Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(input))));
+            let sort = Sort::new(storage.clone(), scan, keys.to_vec(), mode, config);
+            collect(Box::new(sort.unwrap())).unwrap()
+        })
+    }
+
+    /// The tuple-at-a-time sort's rows, operations, transfers and run files
+    /// on 3000 rows of [`rows`] — the loops below, innermost last — recorded
+    /// before the batch sort replaced it. On no rows it did nothing.
+    #[rustfmt::skip]
+    const GRID: [Recorded; 72] = [
+        (0x494cf66e95a27e4d, 3000, [13050, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0xf7186e2889a00c80, 7, [16049, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x2f1ecd5c2af3ac5d, 7, [16049, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x68003666a84c4291, 3000, [12845, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x1b06a37128dc290c, 7, [15844, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x59bd9c9f73b486e4, 7, [15844, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0xa578034ad98c74f7, 3000, [21545, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0xca53174619d6d395, 49, [24544, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x02f4329ee17e0769, 49, [24544, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x13af8aec337bfedb, 3000, [21982, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x0bbe7b9ece0f9d63, 49, [24981, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x2fdb8b352cf6463b, 49, [24981, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], 0),
+        (0x494cf66e95a27e4d, 3000, [16112, 0, 430, 0], [0, 0, 0, 0], [430, 430, 80, 220160], 2),
+        (0xf7186e2889a00c80, 7, [16284, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x2f1ecd5c2af3ac5d, 7, [16284, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x68003666a84c4291, 3000, [15721, 0, 430, 0], [0, 0, 0, 0], [430, 430, 80, 220160], 2),
+        (0x1b06a37128dc290c, 7, [15893, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x59bd9c9f73b486e4, 7, [15893, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0xa578034ad98c74f7, 3000, [26132, 0, 430, 0], [0, 0, 0, 0], [430, 430, 158, 220160], 2),
+        (0xca53174619d6d395, 49, [26345, 0, 14, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x02f4329ee17e0769, 49, [26345, 0, 14, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x13af8aec337bfedb, 3000, [25645, 0, 430, 0], [0, 0, 0, 0], [430, 430, 158, 220160], 2),
+        (0x0bbe7b9ece0f9d63, 49, [25858, 0, 14, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x2fdb8b352cf6463b, 49, [25858, 0, 14, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x494cf66e95a27e4d, 3000, [48741, 0, 468, 0], [0, 0, 0, 0], [468, 468, 404, 239616], 47),
+        (0xf7186e2889a00c80, 7, [23566, 0, 47, 0], [0, 0, 0, 0], [47, 47, 94, 24064], 47),
+        (0x2f1ecd5c2af3ac5d, 7, [23566, 0, 47, 0], [0, 0, 0, 0], [47, 47, 94, 24064], 47),
+        (0x68003666a84c4291, 3000, [49701, 0, 468, 0], [0, 0, 0, 0], [468, 468, 452, 239616], 47),
+        (0x1b06a37128dc290c, 7, [24743, 0, 47, 0], [0, 0, 0, 0], [47, 47, 94, 24064], 47),
+        (0x59bd9c9f73b486e4, 7, [24743, 0, 47, 0], [0, 0, 0, 0], [47, 47, 94, 24064], 47),
+        (0xa578034ad98c74f7, 3000, [45338, 0, 468, 0], [0, 0, 0, 0], [468, 468, 544, 239616], 47),
+        (0xca53174619d6d395, 49, [37895, 0, 281, 0], [0, 0, 0, 0], [281, 281, 355, 143872], 47),
+        (0x02f4329ee17e0769, 49, [37895, 0, 281, 0], [0, 0, 0, 0], [281, 281, 355, 143872], 47),
+        (0x13af8aec337bfedb, 3000, [50612, 0, 468, 0], [0, 0, 0, 0], [468, 468, 544, 239616], 47),
+        (0x0bbe7b9ece0f9d63, 49, [43181, 0, 281, 0], [0, 0, 0, 0], [281, 281, 355, 143872], 47),
+        (0x2fdb8b352cf6463b, 49, [43181, 0, 281, 0], [0, 0, 0, 0], [281, 281, 355, 143872], 47),
+        (0x3fba3e889aa84f5d, 3000, [33892, 0, 2485, 0], [0, 0, 0, 0], [2485, 2485, 3572, 1272320], 92),
+        (0x2d5a6cf5d7d3fb62, 7, [22425, 0, 92, 0], [0, 0, 0, 0], [33, 33, 65, 16896], 92),
+        (0x84d200ab5c274665, 7, [22425, 0, 92, 0], [0, 0, 0, 0], [33, 33, 65, 16896], 92),
+        (0xa507c8da53db0229, 3000, [34974, 0, 2485, 0], [0, 0, 0, 0], [2485, 2485, 3616, 1272320], 92),
+        (0xd4e0f20a41d548a7, 7, [23499, 0, 92, 0], [0, 0, 0, 0], [33, 33, 65, 16896], 92),
+        (0xcf0669dd851b4305, 7, [23499, 0, 92, 0], [0, 0, 0, 0], [33, 33, 65, 16896], 92),
+        (0x88b0689683aefc9d, 3000, [37314, 0, 2485, 0], [0, 0, 0, 0], [2485, 2485, 3486, 1272320], 92),
+        (0x7cc77a42650809c1, 49, [31613, 0, 596, 0], [0, 0, 0, 0], [564, 567, 815, 289536], 92),
+        (0x02f4329ee17e0769, 49, [31613, 0, 596, 0], [0, 0, 0, 0], [564, 567, 827, 289536], 92),
+        (0x7d400318d153a171, 3000, [42637, 0, 2485, 0], [0, 0, 0, 0], [2485, 2485, 3470, 1272320], 92),
+        (0x9f7d44867e1f6733, 49, [36953, 0, 596, 0], [0, 0, 0, 0], [564, 567, 796, 289536], 92),
+        (0x2fdb8b352cf6463b, 49, [36953, 0, 596, 0], [0, 0, 0, 0], [564, 567, 798, 289536], 92),
+        (0x3fba3e889aa84f5d, 3000, [38310, 0, 1612, 0], [0, 0, 0, 0], [1612, 1612, 2166, 825344], 69),
+        (0x2d5a6cf5d7d3fb62, 7, [22564, 0, 69, 0], [0, 0, 0, 0], [26, 26, 52, 13312], 69),
+        (0x84d200ab5c274665, 7, [22564, 0, 69, 0], [0, 0, 0, 0], [26, 26, 52, 13312], 69),
+        (0xa507c8da53db0229, 3000, [39432, 0, 1612, 0], [0, 0, 0, 0], [1612, 1612, 2192, 825344], 69),
+        (0xd4e0f20a41d548a7, 7, [23660, 0, 69, 0], [0, 0, 0, 0], [26, 26, 52, 13312], 69),
+        (0xcf0669dd851b4305, 7, [23660, 0, 69, 0], [0, 0, 0, 0], [26, 26, 52, 13312], 69),
+        (0x88b0689683aefc9d, 3000, [42149, 0, 1612, 0], [0, 0, 0, 0], [1612, 1612, 2288, 825344], 69),
+        (0x7cc77a42650809c1, 49, [32307, 0, 435, 0], [0, 0, 0, 0], [424, 424, 587, 217088], 69),
+        (0x02f4329ee17e0769, 49, [32307, 0, 435, 0], [0, 0, 0, 0], [424, 424, 588, 217088], 69),
+        (0x7d400318d153a171, 3000, [47438, 0, 1612, 0], [0, 0, 0, 0], [1612, 1612, 2266, 825344], 69),
+        (0x9f7d44867e1f6733, 49, [37626, 0, 435, 0], [0, 0, 0, 0], [424, 424, 587, 217088], 69),
+        (0x2fdb8b352cf6463b, 49, [37626, 0, 435, 0], [0, 0, 0, 0], [424, 424, 583, 217088], 69),
+        (0x5e6a7e7d4a47cd35, 3000, [47024, 0, 1515, 0], [0, 0, 0, 0], [1515, 1515, 2037, 775680], 62),
+        (0xa6ffe4cca40106ac, 7, [22799, 0, 62, 0], [0, 0, 0, 0], [25, 25, 49, 12800], 62),
+        (0xb4be7f8e25463ba8, 7, [22799, 0, 62, 0], [0, 0, 0, 0], [25, 25, 49, 12800], 62),
+        (0x2bc9bad28cf18485, 3000, [48195, 0, 1515, 0], [0, 0, 0, 0], [1515, 1515, 2060, 775680], 62),
+        (0xf4d04df496635d01, 7, [23904, 0, 62, 0], [0, 0, 0, 0], [25, 25, 49, 12800], 62),
+        (0x76e6366981b0a424, 7, [23904, 0, 62, 0], [0, 0, 0, 0], [25, 25, 49, 12800], 62),
+        (0x96f6fe592d081743, 3000, [50058, 0, 1515, 0], [0, 0, 0, 0], [1515, 1515, 2025, 775680], 62),
+        (0xa25891344617b978, 49, [33984, 0, 386, 0], [0, 0, 0, 0], [379, 379, 525, 194048], 62),
+        (0x02f4329ee17e0769, 49, [33984, 0, 386, 0], [0, 0, 0, 0], [379, 379, 524, 194048], 62),
+        (0x07b49557639f7a4f, 3000, [54992, 0, 1515, 0], [0, 0, 0, 0], [1515, 1515, 2046, 775680], 62),
+        (0x44b38d3055385f7a, 49, [39014, 0, 386, 0], [0, 0, 0, 0], [379, 379, 524, 194048], 62),
+        (0x2fdb8b352cf6463b, 49, [39014, 0, 386, 0], [0, 0, 0, 0], [379, 379, 525, 194048], 62),
+    ];
+
     #[test]
     fn batch_sort_equals_the_tuple_sort_row_for_row_and_page_for_page() {
         let in_memory = SortConfig {
@@ -594,71 +728,46 @@ mod tests {
             external(3),
             external(4),
         ];
-        for n in [0, 3000] {
-            for config in configs {
-                // An 8-byte, a 12-byte and a 20-byte (unpacked) key.
-                for keys in [vec![1], vec![0], vec![0, 1], vec![1, 0]] {
-                    for mode in [
-                        SortMode::Plain,
-                        SortMode::Distinct,
-                        SortMode::CountAggregate,
-                    ] {
-                        let case = format!("{n} rows, {config:?}, keys {keys:?}, {mode:?}");
-                        let (tuple_storage, batch_storage) = (small_storage(), small_storage());
-                        let scope = reldiv_rel::counters::OpScope::begin();
-                        let tuple = collect(Box::new(
-                            Sort::new(
-                                tuple_storage.clone(),
-                                Box::new(MemScan::new(rows(n))),
-                                keys.clone(),
-                                mode,
-                                config,
-                            )
-                            .unwrap(),
-                        ))
-                        .unwrap();
-                        let tuple_ops = scope.finish();
-                        let scope = reldiv_rel::counters::OpScope::begin();
-                        let batch = collect_batches(
-                            Box::new(
-                                BatchSort::new(
-                                    batch_storage.clone(),
-                                    Box::new(BatchMemScan::new(rows(n)).with_batch_size(700)),
-                                    keys.clone(),
-                                    mode,
-                                    config,
-                                )
-                                .unwrap(),
-                            ),
-                            CancelToken::none(),
-                        )
-                        .unwrap();
-                        let batch_ops = scope.finish();
-                        assert_eq!(tuple, batch, "{case}");
-                        assert_eq!(tuple_ops, batch_ops, "{case}");
-                        let (t, b) = (tuple_storage.borrow(), batch_storage.borrow());
-                        assert_eq!(t.io_stats(), b.io_stats(), "{case}");
-                        assert_eq!((b.file_count(), b.pinned_frames()), (0, 0), "{case}");
-                        // An input that fits the sort space costs no I/O; one
-                        // that does not (uncollapsed) outgrows the pool.
-                        let spilled = n > config.memory_bytes / (28 + 24);
-                        let transfers = b.io_stats().transfers();
-                        assert!(spilled || transfers == 0, "{case}");
-                        assert!(
-                            !spilled || mode != SortMode::Plain || transfers > 0,
-                            "{case}"
-                        );
-                    }
+        let mut recorded = GRID.iter();
+        for config in configs {
+            // An 8-byte, a 12-byte and a 20-byte (unpacked) key.
+            for keys in [vec![1], vec![0], vec![0, 1], vec![1, 0]] {
+                for mode in [
+                    SortMode::Plain,
+                    SortMode::Distinct,
+                    SortMode::CountAggregate,
+                ] {
+                    let case = format!("{config:?}, keys {keys:?}, {mode:?}");
+                    let nothing = (0xcbf2_9ce4_8422_2325, 0, [0; 4], [0; 4], [0; 4], 0);
+                    assert_eq!(batch_sort(rows(0), &keys, mode, config), nothing, "{case}");
+                    assert_eq!(tuple_sort(rows(0), &keys, mode, config), nothing, "{case}");
+                    let expected = *recorded.next().unwrap();
+                    assert_eq!(
+                        batch_sort(rows(3000), &keys, mode, config),
+                        expected,
+                        "{case}"
+                    );
+                    assert_eq!(
+                        tuple_sort(rows(3000), &keys, mode, config),
+                        expected,
+                        "{case}"
+                    );
                 }
             }
         }
     }
 
+    /// The tuple sort in `CountAggregate` mode over 3000 rows of [`rows`]
+    /// widened with `count = 1`, keyed on `i`, with the default and with
+    /// [`external`]`(3)` sort space: recorded as above.
+    #[rustfmt::skip]
+    const COUNTED: [Recorded; 2] = [
+        (0xf4ef8f1a04a9180c, 7, [18012, 0, 4, 0], [0, 0, 0, 0], [0, 0, 0, 0], 2),
+        (0x27f7bf2e925a5944, 7, [20234, 0, 107, 0], [0, 0, 0, 0], [69, 69, 137, 35328], 81),
+    ];
+
     #[test]
     fn counting_sort_equals_the_sort_count_aggregate() {
-        use crate::batch::project::BatchProject;
-        // The sort count aggregate: the tuple sort in `CountAggregate`
-        // mode over the input widened with `count = 1`.
         let input = rows(3000);
         let mut fields = input.schema().fields().to_vec();
         fields.push(Field::int("count"));
@@ -668,25 +777,72 @@ mod tests {
             Tuple::new(values)
         });
         let widened = Relation::from_tuples(Schema::new(fields), widened.collect()).unwrap();
-        for config in [SortConfig::default(), external(3)] {
+        for (config, expected) in [SortConfig::default(), external(3)]
+            .into_iter()
+            .zip(COUNTED)
+        {
+            let counted = observe(small_storage(), |storage| {
+                let scan = Box::new(BatchMemScan::new(input.clone()));
+                let sort = BatchSort::counting(storage.clone(), scan, vec![1], config);
+                collect_batches(Box::new(sort.unwrap()), CancelToken::none()).unwrap()
+            });
+            assert_eq!(counted, expected, "{config:?}");
             let mode = SortMode::CountAggregate;
-            let scan = Box::new(MemScan::new(widened.clone()));
-            let sort = Sort::new(small_storage(), scan, vec![1], mode, config).unwrap();
-            let tuple = collect(Box::new(sort)).unwrap().project(&[1, 3]).unwrap();
-            let counted = BatchSort::counting(
-                small_storage(),
-                Box::new(BatchMemScan::new(input.clone())),
-                vec![1],
-                config,
-            )
-            .unwrap();
-            let batch = collect_batches(
-                Box::new(BatchProject::new(Box::new(counted), vec![1, 3]).unwrap()),
-                CancelToken::none(),
-            )
-            .unwrap();
-            assert_eq!(tuple, batch);
-            assert_eq!(batch.cardinality(), 7);
+            let bridged = tuple_sort(widened.clone(), &[1], mode, config);
+            assert_eq!(bridged, expected, "{config:?}");
+            assert_eq!(expected.1, 7);
+        }
+    }
+
+    /// The tuple sort of a 30 000-row `(a, b)` record file scanned cold on
+    /// the paper's configuration, on both columns — `Plain` then `Distinct`,
+    /// each with the default sort space and with 40 KB at fan-in 4 —
+    /// recorded as above. The input file is file 0.
+    #[rustfmt::skip]
+    const FROM_FILE: [Recorded; 4] = [
+        (0xf8dc8ee1cac7f013, 30000, [497455, 0, 609, 0], [74, 0, 1, 606208], [574, 609, 722, 1211392], 13),
+        (0xf8dc8ee1cac7f013, 30000, [571053, 0, 1709, 0], [74, 0, 1, 606208], [1709, 1709, 2324, 3500032], 40),
+        (0xf8dc8ee1cac7f013, 30000, [557442, 0, 609, 0], [74, 0, 1, 606208], [574, 609, 722, 1211392], 13),
+        (0xf8dc8ee1cac7f013, 30000, [685589, 0, 1709, 0], [74, 0, 1, 606208], [1709, 1709, 2324, 3500032], 40),
+    ];
+
+    #[test]
+    fn a_file_input_reads_and_writes_the_recorded_pages_through_both_sorts() {
+        use crate::batch::scan::BatchFileScan;
+        use crate::scan::load_relation;
+        let schema = Schema::new(vec![Field::int("a"), Field::int("b")]);
+        let rows = (0..30_000i64)
+            .map(|i| Tuple::new(vec![Value::Int((i * 7919) % 30_000), Value::Int(i)]));
+        let input = Relation::from_tuples(schema.clone(), rows.collect()).unwrap();
+        let small = SortConfig {
+            memory_bytes: 40 * 1024,
+            fan_in: 4,
+        };
+        let cases = [SortMode::Plain, SortMode::Distinct]
+            .into_iter()
+            .flat_map(|mode| [(mode, SortConfig::default()), (mode, small)]);
+        for ((mode, config), expected) in cases.zip(FROM_FILE) {
+            for bridged in [false, true] {
+                let storage = StorageManager::shared(StorageConfig::paper());
+                let file = load_relation(&storage, &input).unwrap();
+                let mut sm = storage.borrow_mut();
+                sm.evict_all().unwrap();
+                sm.reset_stats();
+                drop(sm);
+                let got = observe(storage, |storage| {
+                    let scan = Box::new(BatchFileScan::new(storage.clone(), file, schema.clone()));
+                    let keys = vec![0, 1];
+                    if bridged {
+                        let scan = Box::new(BatchToTuple::new(scan));
+                        let sort = Sort::new(storage.clone(), scan, keys, mode, config);
+                        collect(Box::new(sort.unwrap())).unwrap()
+                    } else {
+                        let sort = BatchSort::new(storage.clone(), scan, keys, mode, config);
+                        collect_batches(Box::new(sort.unwrap()), CancelToken::none()).unwrap()
+                    }
+                });
+                assert_eq!(got, expected, "{mode:?} {config:?}, bridged {bridged}");
+            }
         }
     }
 
@@ -729,82 +885,58 @@ mod tests {
         }
     }
 
-    /// Hands out `rows(n)` a row (or a batch) at a time, counting, and
-    /// trips `abort` once `trip_at` rows are out.
+    /// Hands out `rows(n)` a batch at a time, counting, and trips `abort`
+    /// once `trip_at` rows are out.
     struct CountingScan {
-        tuples: MemScan,
         batches: BatchMemScan,
         pulled: std::rc::Rc<std::cell::Cell<usize>>,
         trip_at: usize,
         abort: &'static AtomicBool,
     }
 
-    impl CountingScan {
-        fn count(&self, rows: usize) {
-            self.pulled.set(self.pulled.get() + rows);
-            if self.pulled.get() >= self.trip_at {
-                self.abort.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    impl Operator for CountingScan {
-        fn schema(&self) -> &Schema {
-            Operator::schema(&self.tuples)
-        }
-        fn open(&mut self) -> Result<()> {
-            Operator::open(&mut self.tuples)
-        }
-        fn next(&mut self) -> Result<Option<Tuple>> {
-            let t = self.tuples.next()?;
-            self.count(usize::from(t.is_some()));
-            Ok(t)
-        }
-        fn close(&mut self) -> Result<()> {
-            Operator::close(&mut self.tuples)
-        }
-    }
-
     impl BatchOperator for CountingScan {
         fn schema(&self) -> &Schema {
-            BatchOperator::schema(&self.batches)
+            self.batches.schema()
         }
         fn open(&mut self) -> Result<()> {
-            BatchOperator::open(&mut self.batches)
+            self.batches.open()
         }
         fn next_batch(&mut self) -> Result<Option<Batch>> {
             let batch = self.batches.next_batch()?;
-            self.count(batch.as_ref().map_or(0, Batch::len));
+            self.pulled
+                .set(self.pulled.get() + batch.as_ref().map_or(0, Batch::len));
+            if self.pulled.get() >= self.trip_at {
+                self.abort.store(true, Ordering::Relaxed);
+            }
             Ok(batch)
         }
         fn close(&mut self) -> Result<()> {
-            BatchOperator::close(&mut self.batches)
+            self.batches.close()
         }
     }
 
     #[test]
     fn a_token_expiring_mid_run_generation_stops_both_sorts_early() {
         const ROWS: usize = 20_000;
-        for batch_engine in [false, true] {
+        for bridged in [false, true] {
             let abort: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
             let cancel = CancelToken::none().with_abort(abort);
             let pulled = std::rc::Rc::new(std::cell::Cell::new(0));
-            let scan = CountingScan {
-                tuples: MemScan::new(rows(ROWS)),
+            let scan = Box::new(CountingScan {
                 batches: BatchMemScan::new(rows(ROWS)),
                 pulled: pulled.clone(),
                 trip_at: 5_000,
                 abort,
-            };
+            });
             let storage = small_storage();
             let (keys, mode, config) = (vec![0, 1], SortMode::Plain, external(4));
-            let err = if batch_engine {
-                let sort = BatchSort::new(storage.clone(), Box::new(scan), keys, mode, config);
-                collect_batches(Box::new(sort.unwrap().with_cancel(cancel)), cancel).unwrap_err()
+            let err = if bridged {
+                let scan = Box::new(BatchToTuple::new(scan));
+                let sort = Sort::new(storage.clone(), scan, keys, mode, config);
+                collect(Box::new(sort.unwrap().with_cancel(cancel))).unwrap_err()
             } else {
-                let sort = Sort::new(storage.clone(), Box::new(scan), keys, mode, config);
-                let sort: BoxedOp = Box::new(sort.unwrap().with_cancel(cancel));
-                collect(sort).unwrap_err()
+                let sort = BatchSort::new(storage.clone(), scan, keys, mode, config);
+                collect_batches(Box::new(sort.unwrap().with_cancel(cancel)), cancel).unwrap_err()
             };
             assert!(err.is_cancelled(), "{err}");
             // Runs were being written when the token tripped, and the sort

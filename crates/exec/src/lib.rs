@@ -24,12 +24,11 @@
 //!   hash-based duplicate elimination; the merge semi-join,
 //! * [`hash_join`] — the hash join and hash semi-join with bucket
 //!   chaining, on the same batch protocol,
-//! * [`op::Operator`] — the tuple-at-a-time protocol, kept for the
-//!   operators that still read tuples: the [`sort::Sort`] and
-//!   [`agg::HashCountAggregate`] the batch sort and group count are
-//!   measured against, the [`scan`]s that feed them and the overflow
-//!   rungs of hash-division, and the [`index_join`] over B+-trees (the
-//!   paper's third join option),
+//! * [`op::Operator`] — the tuple-at-a-time protocol, kept for the three
+//!   operators the benchmark still names: [`batch::BatchToTuple`], the
+//!   [`sort::Sort`] bridge over the batch sort, and
+//!   [`agg::HashCountAggregate`] on the batch group count's state,
+//! * [`scan`] — loading relations into record files,
 //! * [`merge_join`] — the join mode and key check every join shares,
 //! * [`hash_table`] — the bucket-chained hash table, and the typed key
 //!   table on it under every hash-based operator here and hash-division's
@@ -51,7 +50,6 @@ pub mod error;
 pub mod filter;
 pub mod hash_join;
 pub mod hash_table;
-pub mod index_join;
 pub mod merge_join;
 pub mod op;
 pub mod profile;

@@ -1,7 +1,7 @@
 //! What every join shares: its [`JoinMode`] and the check of its key
 //! lists that yields its output schema. The joins themselves are the
-//! hash join ([`crate::hash_join`]), the merge semi-join
-//! ([`crate::batch::join`]) and the index join ([`crate::index_join`]).
+//! hash join ([`crate::hash_join`]) and the merge semi-join
+//! ([`crate::batch::join`]).
 //!
 //! "Merge join consists of a merging scan of both inputs, in which tuples
 //! from the inner relation with equal key values are kept in a linked list

@@ -289,11 +289,6 @@ impl ProfileSink {
         self.inner.borrow_mut().spans[id.0].metrics.spill_bytes += bytes;
     }
 
-    /// Adds network bytes to a span.
-    pub fn add_network(&self, id: SpanId, bytes: u64) {
-        self.inner.borrow_mut().spans[id.0].metrics.network_bytes += bytes;
-    }
-
     /// Number of spans registered so far.
     pub fn span_count(&self) -> usize {
         self.inner.borrow().spans.len()

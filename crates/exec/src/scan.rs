@@ -1,116 +1,16 @@
-//! Scan operators: file scans over record files, and in-memory scans.
+//! Writing relations to record files: [`spool`] and [`load_relation`].
+//! Files are read back by [`crate::batch::scan::BatchFileScan`].
 
-use reldiv_rel::{RecordCodec, Relation, Schema, Tuple};
-use reldiv_storage::file::{Appender, ScanCursor};
+use reldiv_rel::{RecordCodec, Relation, Tuple};
+use reldiv_storage::file::Appender;
 use reldiv_storage::{DiskId, FileId, StorageManager, StorageRef};
 
-use crate::op::{OpState, Operator};
 use crate::Result;
-
-/// Sequentially scans a record file, decoding records into tuples.
-pub struct FileScan {
-    storage: StorageRef,
-    file: FileId,
-    codec: RecordCodec,
-    cursor: Option<ScanCursor>,
-    state: OpState,
-}
-
-impl FileScan {
-    /// Creates a scan of `file`, decoding with `schema`.
-    pub fn new(storage: StorageRef, file: FileId, schema: Schema) -> Self {
-        FileScan {
-            storage,
-            file,
-            codec: RecordCodec::new(schema),
-            cursor: None,
-            state: OpState::Created,
-        }
-    }
-}
-
-impl Operator for FileScan {
-    fn schema(&self) -> &Schema {
-        self.codec.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.cursor = Some(ScanCursor::new(self.file));
-        self.state = OpState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        let cursor = self.cursor.as_mut().expect("open sets cursor");
-        let mut sm = self.storage.borrow_mut();
-        match cursor.next(&mut sm)? {
-            Some((_rid, record)) => Ok(Some(self.codec.decode(record)?)),
-            None => Ok(None),
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.cursor = None;
-        self.state = OpState::Closed;
-        Ok(())
-    }
-}
-
-/// Scans an in-memory relation, tuple at a time: the tuple operators'
-/// input in tests and in `reldiv-parallel`'s nodes.
-pub struct MemScan {
-    schema: Schema,
-    tuples: Vec<Tuple>,
-    pos: usize,
-    state: OpState,
-}
-
-impl MemScan {
-    /// Creates a scan over a relation.
-    pub fn new(relation: Relation) -> Self {
-        MemScan {
-            schema: relation.schema().clone(),
-            tuples: relation.into_tuples(),
-            pos: 0,
-            state: OpState::Created,
-        }
-    }
-}
-
-impl Operator for MemScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.pos = 0;
-        self.state = OpState::Open;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        if self.pos < self.tuples.len() {
-            let t = self.tuples[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(t))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.state = OpState::Closed;
-        Ok(())
-    }
-}
 
 /// Spools the tuples `next` yields, in order, into a new record file on
 /// `disk` through storage's bulk [`Appender`], and returns the file.
 ///
-/// Every operator that writes one file at a time goes through here
-/// (loaders, sort runs, materialized intermediates). On any failure — of
+/// The loaders write through here. On any failure — of
 /// `next`, of a tuple that does not fit `codec`'s schema, or of storage —
 /// the half-written file is deleted before the error is returned.
 pub fn spool<T: std::borrow::Borrow<Tuple>>(
@@ -153,10 +53,13 @@ pub fn load_relation(storage: &StorageRef, relation: &Relation) -> Result<FileId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::collect;
+    use crate::batch::scan::{BatchFileScan, BatchMemScan};
+    use crate::batch::BatchToTuple;
+    use crate::op::{collect, Operator};
     use crate::ExecError;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
+    use reldiv_rel::Schema;
     use reldiv_storage::manager::StorageConfig;
 
     fn two_col(rows: &[[i64; 2]]) -> Relation {
@@ -164,12 +67,22 @@ mod tests {
         Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap()
     }
 
+    /// A tuple scan of a record file.
+    fn file_scan(storage: StorageRef, file: FileId, schema: Schema) -> BatchToTuple {
+        BatchToTuple::new(Box::new(BatchFileScan::new(storage, file, schema)))
+    }
+
+    /// A tuple scan of an in-memory relation.
+    fn mem_scan(rel: Relation) -> BatchToTuple {
+        BatchToTuple::new(Box::new(BatchMemScan::new(rel)))
+    }
+
     #[test]
     fn file_scan_roundtrips_relation() {
         let storage = StorageManager::shared(StorageConfig::large());
         let rel = two_col(&[[1, 2], [3, 4], [5, 6]]);
         let file = load_relation(&storage, &rel).unwrap();
-        let scan = FileScan::new(storage, file, rel.schema().clone());
+        let scan = file_scan(storage, file, rel.schema().clone());
         let got = collect(Box::new(scan)).unwrap();
         assert_eq!(got, rel);
     }
@@ -185,7 +98,7 @@ mod tests {
             assert!(sm.page_count(file).unwrap() > 1);
             sm.flush_all().unwrap();
         }
-        let scan = FileScan::new(storage, file, rel.schema().clone());
+        let scan = file_scan(storage, file, rel.schema().clone());
         let got = collect(Box::new(scan)).unwrap();
         assert_eq!(got.cardinality(), 5000);
         assert_eq!(got, rel);
@@ -210,14 +123,14 @@ mod tests {
     #[test]
     fn mem_scan_produces_all_tuples() {
         let rel = two_col(&[[9, 8], [7, 6]]);
-        let got = collect(Box::new(MemScan::new(rel.clone()))).unwrap();
+        let got = collect(Box::new(mem_scan(rel.clone()))).unwrap();
         assert_eq!(got, rel);
     }
 
     #[test]
     fn mem_scan_can_be_reopened() {
         let rel = two_col(&[[1, 1]]);
-        let mut scan = MemScan::new(rel);
+        let mut scan = mem_scan(rel);
         scan.open().unwrap();
         assert!(scan.next().unwrap().is_some());
         assert!(scan.next().unwrap().is_none());
@@ -229,7 +142,7 @@ mod tests {
     #[test]
     fn next_before_open_is_a_protocol_error() {
         let rel = two_col(&[[1, 1]]);
-        let mut scan = MemScan::new(rel);
+        let mut scan = mem_scan(rel);
         assert!(matches!(scan.next(), Err(ExecError::Protocol(_))));
         scan.open().unwrap();
         scan.close().unwrap();

@@ -1,6 +1,9 @@
-//! External merge sort with early aggregation and duplicate elimination.
+//! What every external merge sort shares — its [`SortMode`]s, its
+//! [`SortConfig`], the key check and the run-disk rule — and [`Sort`], the
+//! tuple-at-a-time face of the one sort there is,
+//! [`crate::batch::sort::BatchSort`].
 //!
-//! Follows the paper's implementation notes closely:
+//! The sort follows the paper's implementation notes closely:
 //!
 //! * "Opening a sort operator prepares sorted runs and merges them until
 //!   only one merge step is left. The final merge is performed on demand by
@@ -15,18 +18,13 @@
 //! the sort costs no I/O — the buffer-pool effect the paper cites when its
 //! experimental numbers beat the analytical model.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::rc::Rc;
+use reldiv_rel::{Batch, Schema, Tuple};
+use reldiv_storage::{StorageManager, StorageRef};
 
-use reldiv_rel::counters;
-use reldiv_rel::{RecordCodec, Schema, Tuple, Value};
-use reldiv_storage::file::ScanCursor;
-use reldiv_storage::{FileId, StorageManager, StorageRef};
-
+use crate::batch::sort::BatchSort;
+use crate::batch::{BatchOperator, BatchToTuple, DEFAULT_BATCH_SIZE};
 use crate::cancel::CancelToken;
-use crate::op::{BoxedOp, OpState, Operator};
-use crate::scan::spool;
+use crate::op::{BoxedOp, Operator};
 use crate::{ExecError, Result};
 
 /// What the sort does with tuples whose sort keys are equal.
@@ -79,6 +77,12 @@ pub(crate) fn check_keys(schema: &Schema, keys: &[usize], mode: SortMode) -> Res
     Ok(())
 }
 
+/// The rows of `width`-byte records a run holds: its sort space over the
+/// bytes a buffered row is charged, its record and 24 bytes.
+pub(crate) fn run_rows(config: &SortConfig, width: usize) -> usize {
+    (config.memory_bytes / (width + 24)).max(16)
+}
+
 /// The disk run files of `width`-byte records go to: the 1 KB run disk
 /// for high fan-in, unless the records are too wide for its pages, in
 /// which case runs use the data disk's larger pages.
@@ -91,26 +95,10 @@ pub(crate) fn run_disk(sm: &StorageManager, width: usize) -> reldiv_storage::Dis
     }
 }
 
-/// The external merge sort operator.
-pub struct Sort {
-    input: BoxedOp,
-    keys: Rc<Vec<usize>>,
-    mode: SortMode,
-    config: SortConfig,
-    storage: StorageRef,
-    codec: RecordCodec,
-    state: OpState,
-    source: Source,
-    /// Runs awaiting deletion at close.
-    live_runs: Vec<FileId>,
-    cancel: CancelToken,
-}
-
-enum Source {
-    NotOpen,
-    Memory(std::vec::IntoIter<Tuple>),
-    Merge(MergeState),
-}
+/// The external merge sort over a tuple input, a tuple at a time: a
+/// [`BatchSort`] fed the input a batch at a time, its output bridged back
+/// into tuples. Rows, counts, pages and run files are the batch sort's.
+pub struct Sort(BatchToTuple<BatchSort>);
 
 impl Sort {
     /// Creates a sort of `input` on `keys` (major to minor).
@@ -121,328 +109,84 @@ impl Sort {
         mode: SortMode,
         config: SortConfig,
     ) -> Result<Self> {
-        let schema = input.schema().clone();
-        check_keys(&schema, &keys, mode)?;
-        Ok(Sort {
-            codec: RecordCodec::new(schema),
+        let run_rows = run_rows(&config, input.schema().record_width());
+        let input = Box::new(TupleBatches {
             input,
-            keys: Rc::new(keys),
-            mode,
-            config,
-            storage,
-            state: OpState::Created,
-            source: Source::NotOpen,
-            live_runs: Vec::new(),
-            cancel: CancelToken::none(),
-        })
+            run_rows,
+            pulled: 0,
+        });
+        let sort = BatchSort::new(storage, input, keys, mode, config)?;
+        Ok(Sort(BatchToTuple::new(Box::new(sort))))
     }
 
-    /// Polls `cancel` every checkpoint stride during run generation and
-    /// intermediate merge passes — both happen inside `open`, before the
-    /// caller sees a single tuple.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Estimated in-memory bytes per buffered tuple.
-    fn tuple_bytes(&self) -> usize {
-        self.codec.record_width() + 24
-    }
-
-    /// Applies the mode's collapse to a sorted slice, in place.
-    fn collapse(&self, tuples: &mut Vec<Tuple>) {
-        match self.mode {
-            SortMode::Plain => {}
-            SortMode::Distinct => {
-                tuples.dedup_by(|b, a| a.eq_on(&self.keys, b, &self.keys));
-            }
-            SortMode::CountAggregate => {
-                let count_col = self.codec.schema().arity() - 1;
-                let mut out: Vec<Tuple> = Vec::with_capacity(tuples.len());
-                for t in tuples.drain(..) {
-                    match out.last_mut() {
-                        Some(last) if last.eq_on(&self.keys, &t, &self.keys) => {
-                            let sum = last.value(count_col).as_int().unwrap_or(0)
-                                + t.value(count_col).as_int().unwrap_or(0);
-                            let mut vals = last.clone().into_values();
-                            vals[count_col] = Value::Int(sum);
-                            *last = Tuple::new(vals);
-                        }
-                        _ => out.push(t),
-                    }
-                }
-                *tuples = out;
-            }
-        }
-    }
-
-    /// Spools sorted, collapsed tuples to a new run file on the run disk
-    /// and registers it for deletion at close.
-    fn write_run<T: std::borrow::Borrow<Tuple>>(
-        &mut self,
-        next: impl FnMut() -> Result<Option<T>>,
-    ) -> Result<FileId> {
-        let disk = run_disk(&self.storage.borrow(), self.codec.record_width());
-        let run = spool(&self.storage, disk, &self.codec, next)?;
-        self.live_runs.push(run);
-        // One page-sized memory move per run page (assembling transfer
-        // units), as priced by the analytical model's merge cost.
-        counters::count_moves(self.storage.borrow().page_count(run)?);
-        Ok(run)
-    }
-
-    /// Sorts and collapses the run-generation buffer and spools it as a
-    /// run, leaving the buffer empty.
-    fn flush_run(&mut self, buffer: &mut Vec<Tuple>) -> Result<FileId> {
-        let keys = self.keys.clone();
-        buffer.sort_by(|a, b| a.cmp_keys(b, &keys));
-        self.collapse(buffer);
-        let mut tuples = buffer.iter();
-        let run = self.write_run(|| Ok(tuples.next()))?;
-        buffer.clear();
-        Ok(run)
-    }
-
-    fn delete_runs(&mut self, runs: &[FileId]) -> Result<()> {
-        let mut sm = self.storage.borrow_mut();
-        for &r in runs {
-            sm.delete_file(r)?;
-        }
-        self.live_runs.retain(|r| !runs.contains(r));
-        Ok(())
+    /// Polls `cancel` during run generation and intermediate merge passes
+    /// — both happen inside `open`, before the caller sees a single tuple.
+    pub fn with_cancel(self, cancel: CancelToken) -> Self {
+        Sort(BatchToTuple::new(Box::new(
+            self.0.input.with_cancel(cancel),
+        )))
     }
 }
 
 impl Operator for Sort {
     fn schema(&self) -> &Schema {
-        self.codec.schema()
+        self.0.schema()
     }
 
     fn open(&mut self) -> Result<()> {
-        self.input.open()?;
-        let capacity = (self.config.memory_bytes / self.tuple_bytes()).max(16);
-        let mut buffer: Vec<Tuple> = Vec::with_capacity(capacity.min(1 << 20));
-        let mut runs: Vec<FileId> = Vec::new();
-
-        // Phase 1: run generation with quicksort (std's sort counts its
-        // comparisons through Tuple::cmp_keys).
-        let mut budget = 0u32;
-        while let Some(t) = self.input.next()? {
-            self.cancel.checkpoint(&mut budget)?;
-            buffer.push(t);
-            if buffer.len() >= capacity {
-                runs.push(self.flush_run(&mut buffer)?);
-            }
-        }
-        self.input.close()?;
-
-        if runs.is_empty() {
-            // Entire input fits in the sort buffer: stream from memory.
-            let keys = self.keys.clone();
-            buffer.sort_by(|a, b| a.cmp_keys(b, &keys));
-            self.collapse(&mut buffer);
-            self.source = Source::Memory(buffer.into_iter());
-            self.state = OpState::Open;
-            return Ok(());
-        }
-        if !buffer.is_empty() {
-            runs.push(self.flush_run(&mut buffer)?);
-        }
-
-        // Phase 2: merge passes until one final merge remains. Each pass
-        // streams its output run tuple by tuple, never materializing it.
-        while runs.len() > self.config.fan_in {
-            let batch: Vec<FileId> = runs.drain(..self.config.fan_in).collect();
-            let mut merge = MergeState::new(
-                self.storage.clone(),
-                &batch,
-                self.codec.clone(),
-                self.keys.clone(),
-                self.mode,
-            )?;
-            let (storage, cancel) = (self.storage.clone(), self.cancel);
-            runs.push(self.write_run(|| {
-                cancel.checkpoint(&mut budget)?;
-                merge.next(&storage)
-            })?);
-            self.delete_runs(&batch)?;
-        }
-
-        // Phase 3: final merge on demand by `next`.
-        let merge = MergeState::new(
-            self.storage.clone(),
-            &runs,
-            self.codec.clone(),
-            self.keys.clone(),
-            self.mode,
-        )?;
-        self.source = Source::Merge(merge);
-        self.state = OpState::Open;
-        Ok(())
+        self.0.open()
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        match &mut self.source {
-            Source::NotOpen => Err(ExecError::Protocol("sort source missing")),
-            Source::Memory(iter) => Ok(iter.next()),
-            Source::Merge(merge) => merge.next(&self.storage),
-        }
+        self.0.next()
     }
 
     fn close(&mut self) -> Result<()> {
-        let runs = self.live_runs.clone();
-        self.delete_runs(&runs)?;
-        self.source = Source::NotOpen;
-        self.state = OpState::Closed;
-        Ok(())
+        self.0.close()
     }
 }
 
-/// One run being merged.
-struct RunCursor {
-    cursor: ScanCursor,
+/// A tuple input handed on [`DEFAULT_BATCH_SIZE`] rows at a time, a batch
+/// ending where a run does: the sort writes a run before it pulls the row
+/// after it, so an input that reads pages reads the next one after the
+/// run's pages are written, as a tuple-at-a-time sort had it.
+struct TupleBatches {
+    input: BoxedOp,
+    run_rows: usize,
+    pulled: usize,
 }
 
-/// Heap entry ordering tuples ascending by sort key (ties by run index for
-/// stability), inverted for Rust's max-heap.
-struct HeapEntry {
-    tuple: Tuple,
-    run: usize,
-    keys: Rc<Vec<usize>>,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl BatchOperator for TupleBatches {
+    fn schema(&self) -> &Schema {
+        self.input.schema()
     }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need the minimum first.
-        self.tuple
-            .cmp_keys(&other.tuple, &self.keys)
-            .then(self.run.cmp(&other.run))
-            .reverse()
-    }
-}
 
-/// A multiway merge over sorted runs with mode-aware collapse.
-struct MergeState {
-    runs: Vec<RunCursor>,
-    heap: BinaryHeap<HeapEntry>,
-    keys: Rc<Vec<usize>>,
-    mode: SortMode,
-    codec: RecordCodec,
-    /// Pending group for CountAggregate; last emitted key for Distinct.
-    pending: Option<Tuple>,
-}
+    fn open(&mut self) -> Result<()> {
+        self.pulled = 0;
+        self.input.open()
+    }
 
-impl MergeState {
-    fn new(
-        storage: StorageRef,
-        runs: &[FileId],
-        codec: RecordCodec,
-        keys: Rc<Vec<usize>>,
-        mode: SortMode,
-    ) -> Result<Self> {
-        let mut state = MergeState {
-            runs: runs
-                .iter()
-                .map(|&f| RunCursor {
-                    cursor: ScanCursor::new(f),
-                })
-                .collect(),
-            heap: BinaryHeap::new(),
-            keys,
-            mode,
-            codec,
-            pending: None,
-        };
-        for i in 0..state.runs.len() {
-            state.advance(&storage, i)?;
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        let rows = (self.run_rows - self.pulled % self.run_rows).min(DEFAULT_BATCH_SIZE);
+        let mut batch = Batch::with_capacity(self.input.schema().clone(), rows);
+        while batch.len() < rows {
+            let Some(t) = self.input.next()? else { break };
+            batch.push_tuple(&t);
         }
-        Ok(state)
+        self.pulled += batch.len();
+        Ok((!batch.is_empty()).then_some(batch))
     }
 
-    /// Pulls the next tuple from run `i` into the heap.
-    fn advance(&mut self, storage: &StorageRef, i: usize) -> Result<()> {
-        let mut sm = storage.borrow_mut();
-        if let Some((_, record)) = self.runs[i].cursor.next(&mut sm)? {
-            let tuple = self.codec.decode(record)?;
-            self.heap.push(HeapEntry {
-                tuple,
-                run: i,
-                keys: self.keys.clone(),
-            });
-        }
-        Ok(())
-    }
-
-    fn pop(&mut self, storage: &StorageRef) -> Result<Option<Tuple>> {
-        match self.heap.pop() {
-            Some(HeapEntry { tuple, run, .. }) => {
-                self.advance(storage, run)?;
-                Ok(Some(tuple))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn next(&mut self, storage: &StorageRef) -> Result<Option<Tuple>> {
-        match self.mode {
-            SortMode::Plain => self.pop(storage),
-            SortMode::Distinct => loop {
-                let Some(t) = self.pop(storage)? else {
-                    return Ok(None);
-                };
-                let dup = self
-                    .pending
-                    .as_ref()
-                    .is_some_and(|p| p.eq_on(&self.keys, &t, &self.keys));
-                if !dup {
-                    self.pending = Some(t.clone());
-                    return Ok(Some(t));
-                }
-            },
-            SortMode::CountAggregate => {
-                let count_col = self.codec.schema().arity() - 1;
-                loop {
-                    let Some(t) = self.pop(storage)? else {
-                        return Ok(self.pending.take());
-                    };
-                    match self.pending.take() {
-                        None => self.pending = Some(t),
-                        Some(p) if p.eq_on(&self.keys, &t, &self.keys) => {
-                            let sum = p.value(count_col).as_int().unwrap_or(0)
-                                + t.value(count_col).as_int().unwrap_or(0);
-                            let mut vals = p.into_values();
-                            vals[count_col] = Value::Int(sum);
-                            self.pending = Some(Tuple::new(vals));
-                        }
-                        Some(p) => {
-                            self.pending = Some(t);
-                            return Ok(Some(p));
-                        }
-                    }
-                }
-            }
-        }
+    fn close(&mut self) -> Result<()> {
+        self.input.close()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::scan::BatchMemScan;
     use crate::op::collect;
-    use crate::scan::MemScan;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
     use reldiv_rel::Relation;
@@ -457,8 +201,13 @@ mod tests {
         Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap()
     }
 
+    /// A tuple scan of `rel`.
+    fn scan(rel: Relation) -> BoxedOp {
+        Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(rel))))
+    }
+
     fn sort_of(rel: Relation, keys: Vec<usize>, mode: SortMode, config: SortConfig) -> Relation {
-        let s = Sort::new(storage(), Box::new(MemScan::new(rel)), keys, mode, config).unwrap();
+        let s = Sort::new(storage(), scan(rel), keys, mode, config).unwrap();
         collect(Box::new(s)).unwrap()
     }
 
@@ -480,7 +229,7 @@ mod tests {
         let rel = rel2(&(0..100).map(|i| [100 - i, i]).collect::<Vec<_>>());
         let s = Sort::new(
             st.clone(),
-            Box::new(MemScan::new(rel)),
+            scan(rel),
             vec![0],
             SortMode::Plain,
             SortConfig::default(),
@@ -587,7 +336,7 @@ mod tests {
         let rel = Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap();
         let mut s = Sort::new(
             st.clone(),
-            Box::new(MemScan::new(rel)),
+            scan(rel),
             vec![0],
             SortMode::Plain,
             SortConfig {
@@ -629,7 +378,7 @@ mod tests {
     fn invalid_sort_key_is_a_plan_error() {
         let s = Sort::new(
             storage(),
-            Box::new(MemScan::new(rel2(&[[1, 2]]))),
+            scan(rel2(&[[1, 2]])),
             vec![5],
             SortMode::Plain,
             SortConfig::default(),
@@ -641,7 +390,7 @@ mod tests {
     fn count_aggregate_rejects_count_column_as_key() {
         let s = Sort::new(
             storage(),
-            Box::new(MemScan::new(rel2(&[[1, 2]]))),
+            scan(rel2(&[[1, 2]])),
             vec![0, 1],
             SortMode::CountAggregate,
             SortConfig::default(),

@@ -19,11 +19,11 @@ use reldiv_exec::batch::agg::count_rows;
 use reldiv_exec::batch::distinct::BatchDistinct;
 use reldiv_exec::batch::filter::BatchFilter;
 use reldiv_exec::batch::scan::BatchMemScan;
-use reldiv_exec::batch::BoxedBatchOp;
+use reldiv_exec::batch::{BatchToTuple, BoxedBatchOp};
 use reldiv_exec::filter::BatchPredicate;
 use reldiv_exec::hash_join::BatchHashJoin;
 use reldiv_exec::merge_join::JoinMode;
-use reldiv_exec::scan::MemScan;
+
 use reldiv_exec::sort::{Sort, SortConfig, SortMode};
 use reldiv_exec::{collect, collect_batches, BoxedOp, CancelToken, ExecError, Operator};
 use reldiv_rel::schema::Field;
@@ -74,7 +74,7 @@ fn aggregate_build_phases_cancel() {
 
     let agg: BoxedOp = Box::new(
         HashCountAggregate::new(
-            Box::new(MemScan::new(big_rel())),
+            Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(big_rel())))),
             vec![0],
             MemoryPool::unbounded(),
         )
@@ -113,7 +113,7 @@ fn sort_run_generation_cancels() {
     let sort: BoxedOp = Box::new(
         Sort::new(
             storage,
-            Box::new(MemScan::new(big_rel())),
+            Box::new(BatchToTuple::new(Box::new(BatchMemScan::new(big_rel())))),
             vec![0],
             SortMode::Plain,
             SortConfig::default(),

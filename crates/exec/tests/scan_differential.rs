@@ -1,19 +1,21 @@
 //! Differential suite for record-file scans: the batch-native
-//! [`BatchFileScan`] against the tuple [`FileScan`] against the relation
-//! that was loaded, over one table of file shapes and disk faults.
+//! [`BatchFileScan`] and its tuple bridge ([`BatchToTuple`], what a
+//! source's tuple scan is) against the relation that was loaded and
+//! against what the tuple-at-a-time file scan did, recorded, over one
+//! table of file shapes and disk faults.
 //!
 //! For every row of the table the two scans of the same cold file must
-//! produce the same outcome — the same rows in file order, or the same
-//! typed error — with the same disk transfers and buffer-pool activity,
-//! and leave no frame fixed.
+//! produce the recorded outcome — the same rows in file order, or the same
+//! typed error — with the recorded disk transfers and buffer-pool
+//! activity, and leave no frame fixed.
 //!
 //! A second test puts the storage-free scans beside them: the
-//! shared-columns [`BatchColumnsScan`] (and its tuple bridge) and the two
-//! in-memory scans must produce the rows the file scans produce.
+//! shared-columns [`BatchColumnsScan`] (and its tuple bridge) and the
+//! in-memory scan must produce the rows the file scans produce.
 
 use reldiv_exec::batch::scan::{BatchColumnsScan, BatchFileScan, BatchMemScan};
 use reldiv_exec::batch::{BatchOperator, BatchToTuple, DEFAULT_BATCH_SIZE};
-use reldiv_exec::scan::{load_relation, FileScan, MemScan};
+use reldiv_exec::scan::load_relation;
 use reldiv_exec::{collect, collect_batches, drain_batches, CancelToken, ExecError};
 use reldiv_rel::schema::Field;
 use reldiv_rel::{Columns, Relation, Schema, Tuple, Value};
@@ -97,6 +99,95 @@ const CASES: &[Case] = &[
     },
 ];
 
+/// What the tuple-at-a-time file scan did on each row of [`CASES`], cold:
+/// its rows (count and digest; `None` where the case's fault fails it),
+/// its transfers `[reads, writes, seeks, bytes]`, and the pool's `[hits,
+/// misses, evictions, writebacks, peak bytes, read retries, write
+/// retries]`. Recorded before the batch scan replaced it.
+type Recorded = (Option<(usize, u64)>, [u64; 4], [u64; 7]);
+
+const RECORDED: [Recorded; 15] = [
+    (
+        Some((0, 0xcbf29ce484222325)),
+        [0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        Some((5, 0x189ceca21f815dbd)),
+        [1, 0, 1, 128],
+        [0, 1, 0, 0, 128, 0, 0],
+    ),
+    (
+        Some((400, 0x7b29f0bf0f691c4b)),
+        [67, 0, 1, 8576],
+        [0, 67, 63, 0, 512, 0, 0],
+    ),
+    (
+        Some((400, 0x7b29f0bf0f691c4b)),
+        [34, 0, 1, 8704],
+        [0, 34, 30, 0, 1024, 0, 0],
+    ),
+    (
+        Some((3000, 0xc969d10fa4739661)),
+        [60, 0, 1, 61440],
+        [0, 60, 56, 0, 4096, 0, 0],
+    ),
+    (
+        Some((5000, 0x4e508b6be510505b)),
+        [13, 0, 1, 106496],
+        [0, 13, 9, 0, 32768, 0, 0],
+    ),
+    (
+        Some((300, 0xefda66af7dd0c729)),
+        [43, 0, 1, 5504],
+        [0, 43, 39, 0, 512, 0, 0],
+    ),
+    (
+        Some((300, 0xefda66af7dd0c729)),
+        [5, 0, 1, 5120],
+        [0, 5, 1, 0, 4096, 0, 0],
+    ),
+    (
+        Some((300, 0x72ddba31daf7bfb1)),
+        [75, 0, 1, 9600],
+        [0, 75, 71, 0, 512, 0, 0],
+    ),
+    (
+        Some((3000, 0x03916c2b2e017303)),
+        [10, 0, 1, 81920],
+        [0, 10, 6, 0, 32768, 0, 0],
+    ),
+    (
+        Some((200, 0x6bd8b5fb00a5bf32)),
+        [34, 0, 1, 8704],
+        [0, 34, 30, 0, 1024, 0, 0],
+    ),
+    (
+        Some((0, 0xcbf29ce484222325)),
+        [7, 0, 1, 896],
+        [0, 7, 3, 0, 512, 0, 0],
+    ),
+    (
+        Some((400, 0x7b29f0bf0f691c4b)),
+        [67, 0, 1, 8576],
+        [0, 67, 63, 0, 512, 1, 0],
+    ),
+    (None, [1, 0, 1, 128], [0, 2, 0, 0, 128, 0, 0]),
+    (None, [2, 0, 1, 512], [0, 2, 0, 0, 256, 0, 0]),
+];
+
+/// FNV-1a over the rows' text, one line each.
+fn digest(rel: &Relation) -> u64 {
+    let text = rel
+        .tuples()
+        .iter()
+        .map(|t| format!("{t}\n"))
+        .collect::<String>();
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn relation(shape: Shape, rows: usize) -> Relation {
     let int = |i: usize, salt: i64| Value::Int((i as i64).wrapping_mul(0x9E37_79B9) ^ salt);
     let name = |i: usize, width: usize| -> Value {
@@ -124,6 +215,30 @@ struct Observed {
     outcome: Result<Relation, ExecError>,
     io: IoStats,
     pool: BufferStats,
+}
+
+impl Observed {
+    fn recorded(&self) -> Recorded {
+        let rows = self
+            .outcome
+            .as_ref()
+            .ok()
+            .map(|r| (r.cardinality(), digest(r)));
+        let (io, p) = (self.io, self.pool);
+        (
+            rows,
+            [io.reads, io.writes, io.seeks, io.bytes],
+            [
+                p.hits,
+                p.misses,
+                p.evictions,
+                p.writebacks,
+                p.peak_bytes as u64,
+                p.read_retries,
+                p.write_retries,
+            ],
+        )
+    }
 }
 
 fn cold_scan(
@@ -211,12 +326,10 @@ fn batch_and_tuple_file_scans_agree() {
         let expected = Relation::from_tuples(schema.clone(), expected).unwrap();
 
         let by_tuple = cold_scan(&storage, plan.as_ref(), || {
-            collect(Box::new(FileScan::new(
-                storage.clone(),
-                file,
-                schema.clone(),
-            )))
+            let scan = BatchFileScan::new(storage.clone(), file, schema.clone());
+            collect(Box::new(BatchToTuple::new(Box::new(scan))))
         });
+        assert_eq!(by_tuple.recorded(), RECORDED[n], "{label}");
         match c.fault {
             Fault::None => assert_eq!(by_tuple.outcome.as_ref(), Ok(&expected), "{label}"),
             Fault::TransientRead => {
@@ -289,13 +402,12 @@ fn shared_columns_scan_agrees_with_the_file_and_memory_scans() {
             let columns = Columns::from_tuples(schema.clone(), loaded.tuples()).unwrap();
             let none = CancelToken::none();
 
-            let by_file = FileScan::new(storage.clone(), file, schema.clone());
+            let by_file = BatchFileScan::new(storage.clone(), file, schema.clone());
+            let by_file = BatchToTuple::new(Box::new(by_file));
             assert_eq!(collect(Box::new(by_file)).unwrap(), loaded, "{label}");
             let by_batch_file = BatchFileScan::new(storage.clone(), file, schema.clone());
             let by_batch_file = collect_batches(Box::new(by_batch_file), none).unwrap();
             assert_eq!(by_batch_file, loaded, "{label}");
-            let by_mem = collect(Box::new(MemScan::new(loaded.clone()))).unwrap();
-            assert_eq!(by_mem, loaded, "{label}");
             let by_batch_mem = Box::new(BatchMemScan::new(loaded.clone()));
             assert_eq!(
                 collect_batches(by_batch_mem, none).unwrap(),

@@ -35,12 +35,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use reldiv_core::api::{divide, DivisionConfig, Source};
-use reldiv_core::hash_division::{HashDivisionMode, QuotientTable};
+use reldiv_core::hash_division::HashDivisionMode;
 use reldiv_core::{Algorithm, DivisionSpec, ExecError, ProfileNode, QueryProfile, SpanKind};
 use reldiv_rel::counters::{OpScope, OpSnapshot};
 use reldiv_rel::{Relation, Tuple};
 use reldiv_storage::manager::StorageConfig;
-use reldiv_storage::{MemoryPool, StorageManager};
+use reldiv_storage::StorageManager;
 
 use network::{build_links, build_result_link, Message, NetworkCounters, NetworkStats, Port};
 use strategy::{distribute, CollectionSite, Transport};
@@ -66,13 +66,6 @@ pub struct ClusterConfig {
     /// Bits of bit-vector filter applied at the scan site before shipping
     /// dividend tuples (divisor partitioning only). `None` disables.
     pub bit_vector_bits: Option<usize>,
-    /// Stream quotient tuples from the nodes as soon as their bit maps
-    /// complete (Section 3.3's early-output modification; Section 6: "the
-    /// collection phase can be overlapped with producing the clusters").
-    /// Streaming nodes absorb dividend batches as they arrive instead of
-    /// buffering their whole cluster, drawing table memory from the
-    /// node's work-memory pool.
-    pub streaming_nodes: bool,
     /// Number of collection sites for divisor partitioning (Section 6:
     /// "in the unlikely case that the central collection site becomes a
     /// bottleneck, it is possible to decentralize the collection step
@@ -90,7 +83,6 @@ impl Default for ClusterConfig {
             node_storage: StorageConfig::paper(),
             batch_size: 512,
             bit_vector_bits: None,
-            streaming_nodes: false,
             collection_sites: 1,
         }
     }
@@ -174,87 +166,6 @@ impl RunReport {
             },
         }
     }
-}
-
-/// A streaming node (Section 3.3 early output): builds the divisor table
-/// from the first message, absorbs dividend batches as they arrive, and
-/// ships completed quotient tuples immediately, overlapping downstream
-/// collection with upstream production.
-fn node_main_streaming(
-    node_id: usize,
-    rx: crossbeam::channel::Receiver<Message>,
-    result: network::ResultPort,
-    spec: DivisionSpec,
-    dividend_schema: reldiv_rel::Schema,
-    storage_config: StorageConfig,
-) -> Result<OpSnapshot> {
-    use reldiv_core::hash_division::DivisorTable;
-    let scope = OpScope::begin();
-    let pool = MemoryPool::new(storage_config.work_memory_bytes.max(1 << 20));
-    let quotient_schema = spec.quotient_schema(&dividend_schema)?;
-    let mut divisor_table: Option<DivisorTable> = None;
-    let mut quotient_table: Option<QuotientTable> = None;
-    let mut outbox: Vec<Tuple> = Vec::new();
-    const SHIP_BATCH: usize = 256;
-    loop {
-        match rx.recv() {
-            Ok(Message::Divisor(v)) => {
-                // Step 1, once, from the replicated/partitioned fragment.
-                let rel = Relation::from_tuples(spec_divisor_schema(&spec, &dividend_schema), v)
-                    .map_err(ExecError::from)?;
-                let mut scan: reldiv_exec::BoxedOp = Box::new(reldiv_exec::scan::MemScan::new(rel));
-                let dt = DivisorTable::build(&mut scan, &pool)?;
-                quotient_table = Some(QuotientTable::new(
-                    &pool,
-                    HashDivisionMode::EarlyOut,
-                    dt.count(),
-                    spec.quotient_keys.clone(),
-                    &quotient_schema,
-                )?);
-                divisor_table = Some(dt);
-            }
-            Ok(Message::Dividend(v)) => {
-                let dt = divisor_table
-                    .as_ref()
-                    .ok_or_else(|| ExecError::Plan("dividend before divisor".into()))?;
-                let qt = quotient_table.as_mut().expect("built with divisor table");
-                for t in v {
-                    let dno = if dt.count() == 0 {
-                        Some(None)
-                    } else {
-                        dt.lookup(&t, &spec.divisor_keys).map(Some)
-                    };
-                    if let Some(dno) = dno {
-                        if let Some(q) = qt.absorb(&t, dno)? {
-                            outbox.push(q);
-                            if outbox.len() >= SHIP_BATCH {
-                                result.send(node_id, std::mem::take(&mut outbox));
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(Message::End) | Err(_) => break,
-        }
-    }
-    if !outbox.is_empty() {
-        result.send(node_id, outbox);
-    }
-    Ok(scope.finish())
-}
-
-/// Reconstructs the divisor schema from the spec and the dividend schema
-/// (the divisor columns are the dividend's divisor-key columns, in order).
-fn spec_divisor_schema(
-    spec: &DivisionSpec,
-    dividend_schema: &reldiv_rel::Schema,
-) -> reldiv_rel::Schema {
-    reldiv_rel::Schema::new(
-        spec.divisor_keys
-            .iter()
-            .map(|&k| dividend_schema.fields()[k].clone())
-            .collect(),
-    )
 }
 
 /// One node's worker: receive divisor and dividend, divide locally with a
@@ -358,21 +269,16 @@ pub fn parallel_divide(
         let dividend_schema = dividend.schema().clone();
         let divisor_schema = divisor.schema().clone();
         let storage_config = config.node_storage.clone();
-        let streaming = config.streaming_nodes;
         handles.push(std::thread::spawn(move || {
-            if streaming {
-                node_main_streaming(node_id, rx, result, spec, dividend_schema, storage_config)
-            } else {
-                node_main(
-                    node_id,
-                    rx,
-                    result,
-                    spec,
-                    dividend_schema,
-                    divisor_schema,
-                    storage_config,
-                )
-            }
+            node_main(
+                node_id,
+                rx,
+                result,
+                spec,
+                dividend_schema,
+                divisor_schema,
+                storage_config,
+            )
         }));
     }
     drop(result_port); // collection channel closes when all nodes finish
@@ -781,106 +687,6 @@ mod decentralized_tests {
             nodes: 3,
             strategy: Strategy::DivisorPartitioning,
             collection_sites: 2,
-            ..Default::default()
-        };
-        let (rel, _) = parallel_divide(&dividend, &divisor, &spec, &config).unwrap();
-        let mut got: Vec<i64> = rel
-            .tuples()
-            .iter()
-            .map(|t| t.value(0).as_int().unwrap())
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2]);
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
-    use reldiv_rel::schema::{Field, Schema};
-    use reldiv_rel::tuple::ints;
-
-    fn workload() -> (Relation, Relation, Vec<i64>) {
-        let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);
-        let mut rows = Vec::new();
-        for s in 0..70i64 {
-            for c in 0..=(s % 8) {
-                rows.push(ints(&[s, c]));
-            }
-            rows.push(ints(&[s, 900 + s])); // noise
-        }
-        let dividend = Relation::from_tuples(schema, rows).unwrap();
-        let divisor = Relation::from_tuples(
-            Schema::new(vec![Field::int("cno")]),
-            (0..5).map(|c| ints(&[c])).collect(),
-        )
-        .unwrap();
-        let expected: Vec<i64> = (0..70).filter(|s| s % 8 >= 4).collect();
-        (dividend, divisor, expected)
-    }
-
-    #[test]
-    fn streaming_nodes_match_buffered_nodes() {
-        let (dividend, divisor, expected) = workload();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        for strategy in [
-            Strategy::QuotientPartitioning,
-            Strategy::DivisorPartitioning,
-        ] {
-            for nodes in [1usize, 3] {
-                let config = ClusterConfig {
-                    nodes,
-                    strategy,
-                    streaming_nodes: true,
-                    ..Default::default()
-                };
-                let (rel, _) = parallel_divide(&dividend, &divisor, &spec, &config).unwrap();
-                let mut got: Vec<i64> = rel
-                    .tuples()
-                    .iter()
-                    .map(|t| t.value(0).as_int().unwrap())
-                    .collect();
-                got.sort_unstable();
-                assert_eq!(got, expected, "{strategy:?} nodes={nodes}");
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_with_decentralized_collection() {
-        let (dividend, divisor, expected) = workload();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let config = ClusterConfig {
-            nodes: 4,
-            strategy: Strategy::DivisorPartitioning,
-            streaming_nodes: true,
-            collection_sites: 3,
-            bit_vector_bits: Some(4096),
-            ..Default::default()
-        };
-        let (rel, report) = parallel_divide(&dividend, &divisor, &spec, &config).unwrap();
-        let mut got: Vec<i64> = rel
-            .tuples()
-            .iter()
-            .map(|t| t.value(0).as_int().unwrap())
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-        assert!(report.filtered_tuples > 0, "noise dropped by the filter");
-    }
-
-    #[test]
-    fn streaming_nodes_handle_empty_divisor() {
-        let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);
-        let dividend =
-            Relation::from_tuples(schema, vec![ints(&[1, 10]), ints(&[2, 20]), ints(&[1, 30])])
-                .unwrap();
-        let divisor = Relation::from_tuples(Schema::new(vec![Field::int("cno")]), vec![]).unwrap();
-        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
-        let config = ClusterConfig {
-            nodes: 2,
-            strategy: Strategy::QuotientPartitioning,
-            streaming_nodes: true,
             ..Default::default()
         };
         let (rel, _) = parallel_divide(&dividend, &divisor, &spec, &config).unwrap();

@@ -121,41 +121,11 @@ pub(crate) fn str_field(raw: &[u8]) -> Result<&str> {
     std::str::from_utf8(&raw[..end]).map_err(|e| RelError::Decode(format!("invalid UTF-8: {e}")))
 }
 
-/// Encodes the columns `cols` of `tuple` as an **order-preserving** byte
-/// string: byte-wise comparison of two encodings orders exactly like
-/// [`Tuple::cmp_keys`] on the same columns.
-///
-/// This is the key format for B+-tree indexes: equality search needs only
-/// injectivity, range scans need order preservation.
-///
-/// * `Int(v)`: tag `0x01`, then `v` with the sign bit flipped, big-endian
-///   (so negative values order before positive ones byte-wise),
-/// * `Str(s)`: tag `0x02`, then the bytes, then a `0x00` terminator
-///   (strings containing NUL are not representable, matching the
-///   fixed-width codec's restriction).
-pub fn index_key(tuple: &Tuple, cols: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(cols.len() * 9);
-    for &c in cols {
-        match tuple.value(c) {
-            Value::Int(v) => {
-                out.push(0x01);
-                out.extend_from_slice(&((*v as u64) ^ (1 << 63)).to_be_bytes());
-            }
-            Value::Str(s) => {
-                out.push(0x02);
-                out.extend_from_slice(s.as_bytes());
-                out.push(0x00);
-            }
-        }
-    }
-    out
-}
-
 /// The **normalized sort key** of one schema's fixed-width records on a
 /// key-column list: a byte string read straight off a record, whose
 /// byte-wise order is [`Tuple::cmp_keys`]'s on the same columns, so a sort
 /// never decodes a value. An `Int` is its sign-flipped big-endian bytes
-/// ([`index_key`]'s transformation; no tag, all keys share one layout); a
+/// (negative values order first; no tag, all keys share one layout); a
 /// string is its zero-padded field as stored (a record holds no embedded
 /// NUL, so the padding sorts a prefix first).
 #[derive(Debug, Clone)]
@@ -262,44 +232,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn index_key_preserves_integer_order() {
-        let values = [i64::MIN, -5, -1, 0, 1, 42, i64::MAX];
-        let keys: Vec<Vec<u8>> = values
-            .iter()
-            .map(|&v| index_key(&ints(&[v]), &[0]))
-            .collect();
-        for w in keys.windows(2) {
-            assert!(w[0] < w[1], "byte order must match numeric order");
-        }
-    }
-
-    #[test]
-    fn index_key_preserves_string_order_and_is_prefix_free() {
-        let a = Tuple::new(vec![Value::from("ab"), Value::Int(0)]);
-        let b = Tuple::new(vec![Value::from("abc"), Value::Int(0)]);
-        let ka = index_key(&a, &[0, 1]);
-        let kb = index_key(&b, &[0, 1]);
-        assert!(ka < kb);
-        // The terminator keeps ("ab", big-int) from colliding with
-        // ("abc", ...) prefixes.
-        assert!(!kb.starts_with(&ka));
-    }
-
-    #[test]
-    fn index_key_is_injective_across_types() {
-        let i = index_key(&Tuple::new(vec![Value::Int(0x61)]), &[0]);
-        let s = index_key(&Tuple::new(vec![Value::from("a")]), &[0]);
-        assert_ne!(i, s, "type tags keep Int(0x61) and \"a\" apart");
-    }
-
-    #[test]
-    fn index_key_respects_column_selection_and_order() {
-        let t = ints(&[7, 8]);
-        assert_ne!(index_key(&t, &[0, 1]), index_key(&t, &[1, 0]));
-        assert_eq!(index_key(&t, &[1]), index_key(&ints(&[99, 8]), &[1]));
     }
 
     fn codec(fields: Vec<Field>) -> RecordCodec {

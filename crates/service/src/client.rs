@@ -7,14 +7,12 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use reldiv_parallel::filter::BitVectorFilter;
-use reldiv_rel::{Relation, Schema, Tuple};
+use reldiv_rel::Relation;
 
 use crate::error::{Result, ServiceError};
 use crate::metrics::MetricsSnapshot;
 use crate::proto::{
-    self, DivideReply, DivideRequest, ExecPlanRequest, PartialQuotientReply, PlanReply,
-    RepartitionRequest, Reply, Request, ShardRequest, WriteKind,
+    self, DivideReply, DivideRequest, ExecPlanRequest, PlanReply, Reply, Request, WriteKind,
 };
 use crate::service::Service;
 
@@ -104,69 +102,6 @@ impl TcpClient {
     pub fn shutdown_server(&mut self) -> Result<()> {
         match self.call(&Request::Shutdown)? {
             Reply::ShuttingDown => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Installs one shard of a hash-partitioned relation on the node;
-    /// returns the node's catalog version for it.
-    pub fn shard(&mut self, request: &ShardRequest) -> Result<u64> {
-        match self.call(&Request::Shard(request.clone()))? {
-            Reply::Sharded { version } => Ok(version),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Asks the node to hash-partition a stored relation's local tuples;
-    /// returns `(schema, buckets, filtered)`.
-    pub fn repartition(
-        &mut self,
-        request: &RepartitionRequest,
-    ) -> Result<(Schema, Vec<Vec<Tuple>>, u64)> {
-        match self.call(&Request::Repartition(request.clone()))? {
-            Reply::Repartitioned {
-                schema,
-                buckets,
-                filtered,
-            } => Ok((schema, buckets, filtered)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Asks the node to build a bit-vector filter over a stored
-    /// relation's local tuples; returns `(filter, insertions)`.
-    pub fn build_filter(
-        &mut self,
-        name: &str,
-        keys: &[usize],
-        bits: u32,
-    ) -> Result<(BitVectorFilter, u64)> {
-        let request = Request::BuildFilter {
-            name: name.to_owned(),
-            keys: keys.to_vec(),
-            bits,
-            epoch: None,
-        };
-        match self.call(&request)? {
-            Reply::Filter { filter, insertions } => Ok((filter, insertions)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Runs one node's share of a cluster division; the tag is echoed in
-    /// the reply so a collection site can map it back.
-    pub fn divide_partial(
-        &mut self,
-        tag: u16,
-        query: &DivideRequest,
-    ) -> Result<PartialQuotientReply> {
-        let request = Request::DividePartial {
-            tag,
-            query: query.clone(),
-            epoch: None,
-        };
-        match self.call(&request)? {
-            Reply::PartialQuotient(reply) => Ok(reply),
             other => Err(unexpected(&other)),
         }
     }

@@ -8,7 +8,8 @@
 //! extent-based files, records, B+-trees, scans, a fast buffer manager, and
 //! a main memory manager."
 //!
-//! This crate provides the same services:
+//! This crate provides the same services except B+-trees, which no
+//! division plan of the paper uses (its joins are merge and hash joins):
 //!
 //! * [`disk`] — a simulated disk with per-transfer statistics (seeks,
 //!   sequential transfers, bytes) and the paper's Table 3 cost model,
@@ -18,7 +19,6 @@
 //!   statistics,
 //! * [`mod@file`] — extent-based record files addressed by record identifiers
 //!   (RIDs), with sequential scans,
-//! * [`btree`] — B+-trees mapping byte-string keys to RIDs,
 //! * [`memory`] — a budgeted main-memory pool for hash tables, bit maps,
 //!   and chain elements; exhaustion is the signal for hash-table overflow
 //!   handling (Section 3.4 of the paper),
@@ -33,7 +33,6 @@
 
 #![deny(missing_docs)]
 
-pub mod btree;
 pub mod buffer;
 pub mod disk;
 pub mod error;

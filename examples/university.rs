@@ -9,8 +9,7 @@
 //!
 //! The relations are loaded into record files on the simulated disk; the
 //! divisor of example 2 is computed with a real selection + projection
-//! plan; and a B+-tree index over Transcript demonstrates the storage
-//! substrate's index service.
+//! plan; and a selection on Transcript fetches one student's rows.
 //!
 //! ```text
 //! cargo run --example university
@@ -24,9 +23,7 @@ use reldiv::exec::batch::BoxedBatchOp;
 use reldiv::exec::filter::BatchPredicate;
 use reldiv::exec::scan::load_relation;
 use reldiv::exec::{collect_batches, CancelToken};
-use reldiv::rel::RecordCodec;
 use reldiv::rel::Relation;
-use reldiv::storage::btree::BTree;
 use reldiv::storage::manager::StorageConfig;
 use reldiv::storage::StorageManager;
 use reldiv::workload::university::{self, UniversitysSpec};
@@ -56,20 +53,17 @@ fn main() {
         let schema = u.courses.schema().clone();
         Box::new(BatchFileScan::new(storage.clone(), courses_file, schema))
     };
+    let scan_transcript = || -> BoxedBatchOp {
+        let schema = u.transcript.schema().clone();
+        Box::new(BatchFileScan::new(storage.clone(), transcript_file, schema))
+    };
     let project = |input: BoxedBatchOp, columns: Vec<usize>| -> Relation {
         let plan = BatchProject::new(input, columns).expect("projection plan");
         collect_batches(Box::new(plan), CancelToken::none()).expect("projection")
     };
 
     // Dividend for both queries: π(student-id, course-no)(Transcript).
-    let dividend = project(
-        Box::new(BatchFileScan::new(
-            storage.clone(),
-            transcript_file,
-            u.transcript.schema().clone(),
-        )),
-        vec![0, 1],
-    );
+    let dividend = project(scan_transcript(), vec![0, 1]);
 
     // ---- Example 1: all courses ----------------------------------------
     let all_courses = project(scan_courses(), vec![0]);
@@ -143,40 +137,22 @@ fn main() {
         u.students_with_all_database_courses.len()
     );
 
-    // ---- Bonus: a B+-tree index over Transcript ------------------------
-    // Index student-id -> RID, then fetch one student's rows by key.
-    let mut index = {
-        let mut sm = storage.borrow_mut();
-        BTree::create(&mut sm, StorageManager::DATA_DISK).expect("create index")
-    };
-    let codec = RecordCodec::new(u.transcript.schema().clone());
-    {
-        let mut sm = storage.borrow_mut();
-        let mut cursor = reldiv::storage::file::ScanCursor::new(transcript_file);
-        while let Some((rid, record)) = cursor.next(&mut sm).expect("scan") {
-            let t = codec.decode(record).expect("decode");
-            let key = t.value(0).as_int().expect("sid").to_be_bytes();
-            index.insert(&mut sm, &key, rid).expect("index insert");
-        }
-    }
+    // ---- Bonus: one student's transcript -------------------------------
+    // σ(student-id = probe)(Transcript): a selection over the file scan.
     let probe = u
         .students_with_all_database_courses
         .first()
         .copied()
         .unwrap_or(0);
-    let rows = {
-        let mut sm = storage.borrow_mut();
-        let rids = index
-            .search(&mut sm, &probe.to_be_bytes())
-            .expect("index lookup");
-        rids.into_iter()
-            .map(|rid| codec.decode(&sm.get(rid).expect("fetch")).expect("decode"))
-            .collect::<Vec<_>>()
-    };
+    let student = BatchFilter::new(scan_transcript(), BatchPredicate::int_equals(0, probe));
+    let rows = collect_batches(Box::new(student), CancelToken::none()).expect("selection");
     println!(
-        "\nB+-tree index probe: student {probe} has {} transcript rows, e.g. {}",
-        rows.len(),
-        rows.first().map(|t| t.to_string()).unwrap_or_default()
+        "\nselection: student {probe} has {} transcript rows, e.g. {}",
+        rows.cardinality(),
+        rows.tuples()
+            .first()
+            .map(|t| t.to_string())
+            .unwrap_or_default()
     );
     assert!(!rows.is_empty());
 }

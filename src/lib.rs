@@ -82,7 +82,7 @@ pub use reldiv_core::api::{
 };
 pub use reldiv_core::mem;
 pub use reldiv_core::Contains;
-pub use reldiv_core::{Algorithm, DivisionSpec, HashDivision, HashDivisionMode};
+pub use reldiv_core::{Algorithm, DivisionSpec, HashDivisionMode};
 pub use reldiv_core::{ProfileNode, QueryProfile};
 
 #[cfg(test)]

@@ -1,106 +1,15 @@
-//! Integration tests of the storage substrate: B+-trees against a model,
-//! buffer-pool pressure during end-to-end divisions, and the experiment
-//! harness's cost accounting.
+//! Integration tests of the storage substrate: buffer-pool pressure during
+//! end-to-end divisions, and the experiment harness's cost accounting.
 
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reldiv::core::api::{divide, DivisionConfig};
 use reldiv::rel::schema::Field;
 use reldiv::rel::tuple::ints;
 use reldiv::rel::{Relation, Schema};
-use reldiv::storage::btree::BTree;
-use reldiv::storage::file::Rid;
 use reldiv::storage::manager::StorageConfig;
-use reldiv::storage::{DiskId, PageId, StorageManager};
+use reldiv::storage::StorageManager;
 use reldiv::{Algorithm, DivisionSpec, HashDivisionMode};
-
-/// B+-tree vs `BTreeMap` model under random interleaved operations.
-#[derive(Debug, Clone)]
-enum TreeOp {
-    Insert(u16, u8),
-    Delete(u16, u8),
-    Search(u16),
-    Range(u16, u16),
-}
-
-fn tree_op() -> impl Strategy<Value = TreeOp> {
-    prop_oneof![
-        (0u16..200, 0u8..4).prop_map(|(k, v)| TreeOp::Insert(k, v)),
-        (0u16..200, 0u8..4).prop_map(|(k, v)| TreeOp::Delete(k, v)),
-        (0u16..200).prop_map(TreeOp::Search),
-        (0u16..200, 0u16..200).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
-    ]
-}
-
-fn rid(v: u8) -> Rid {
-    Rid {
-        page: PageId::new(DiskId(0), v as u64),
-        slot: v as u16,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn btree_matches_a_model(ops in prop::collection::vec(tree_op(), 1..400)) {
-        let mut sm = StorageManager::new(StorageConfig {
-            data_page_size: 256,
-            run_page_size: 128,
-            buffer_bytes: 1 << 20,
-            work_memory_bytes: 1 << 20,
-        });
-        let mut tree = BTree::create(&mut sm, StorageManager::DATA_DISK).expect("create");
-        // Model: multiset of (key, rid) pairs.
-        let mut model: std::collections::BTreeSet<(u16, u8)> = Default::default();
-        for op in ops {
-            match op {
-                TreeOp::Insert(k, v) => {
-                    // The model is a set; skip duplicate (k, v) pairs so
-                    // both sides stay comparable.
-                    if model.insert((k, v)) {
-                        tree.insert(&mut sm, &k.to_be_bytes(), rid(v)).expect("insert");
-                    }
-                }
-                TreeOp::Delete(k, v) => {
-                    let in_model = model.remove(&(k, v));
-                    let deleted =
-                        tree.delete(&mut sm, &k.to_be_bytes(), rid(v)).expect("delete");
-                    prop_assert_eq!(deleted, in_model);
-                }
-                TreeOp::Search(k) => {
-                    let mut got = tree.search(&mut sm, &k.to_be_bytes()).expect("search");
-                    got.sort();
-                    let mut want: Vec<Rid> = model
-                        .iter()
-                        .filter(|(mk, _)| *mk == k)
-                        .map(|&(_, v)| rid(v))
-                        .collect();
-                    want.sort();
-                    prop_assert_eq!(got, want);
-                }
-                TreeOp::Range(lo, hi) => {
-                    let got = tree
-                        .range(&mut sm, &lo.to_be_bytes(), &hi.to_be_bytes())
-                        .expect("range");
-                    let want: Vec<(u16, u8)> = model
-                        .iter()
-                        .filter(|(k, _)| (lo..hi).contains(k))
-                        .copied()
-                        .collect();
-                    prop_assert_eq!(got.len(), want.len());
-                    for ((k_bytes, _), (k, _)) in got.iter().zip(&want) {
-                        let expected = k.to_be_bytes();
-                        prop_assert_eq!(k_bytes.as_slice(), expected.as_slice());
-                    }
-                }
-            }
-            let count = tree.validate(&mut sm).expect("validate");
-            prop_assert_eq!(count as usize, model.len());
-        }
-    }
-}
 
 /// End-to-end division from record files under severe buffer pressure:
 /// a 16-frame pool forces constant eviction and re-reads, but the answer
