@@ -13,8 +13,8 @@
 //! every fragment lives on `k` nodes: its primary (node index = fragment
 //! index, exactly the `k = 1` placement) plus `k − 1` replicas
 //! round-robin ([`catalog::placement`]). Writes fan out to every holder
-//! — one [`Request::Shard`] to the primary, [`Request::ReplicaWrite`]s
-//! to the replicas — and succeed when **every fragment** collects at
+//! — one `Shard` write frame to the primary, `ReplicaWrite` frames to
+//! the replicas — and succeed when **every fragment** collects at
 //! least one acknowledgment. Reads and per-fragment sub-queries run
 //! through a failover driver: candidates are the fragment's holders
 //! (primary first, [`Health::Excluded`] nodes skipped), each tried up to

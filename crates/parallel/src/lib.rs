@@ -284,9 +284,9 @@ pub fn parallel_divide(
     drop(result_port); // collection channel closes when all nodes finish
 
     let n = config.nodes;
-    // The scan site: the shared strategy driver over the accounted
-    // channels. The TCP cluster runs the identical driver over its links,
-    // so the two backends cannot drift apart.
+    // The scan site: the strategy driver over the accounted channels.
+    // (The TCP cluster does not run it: its coordinator routes with the
+    // same `route` hash and collects with the same `CollectionSite`.)
     let mut transport = ChannelTransport { ports: &ports };
     let dist = distribute(
         &mut transport,

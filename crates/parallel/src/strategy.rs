@@ -1,11 +1,10 @@
-//! Strategy logic shared by the thread-simulated machine and the TCP
-//! cluster.
+//! Section 6's strategy logic, as the thread-simulated machine
+//! ([`crate::parallel_divide`]) runs it.
 //!
-//! Section 6's two parallelization strategies are transport-independent:
-//! what varies between the in-process machine ([`crate::parallel_divide`])
-//! and a real shared-nothing deployment (`reldiv-cluster`) is only *how*
-//! tuples move, not *which* tuples move where. This module owns the
-//! shared half:
+//! The TCP cluster (`reldiv-cluster`) has its own driver: its
+//! coordinator and each node's `Service::repartition` route with the same
+//! [`crate::route`] hash, and its collection site is the
+//! [`CollectionSite`] below. This module holds:
 //!
 //! * [`plan_divisor`] — place the divisor (replicate it for
 //!   [`Strategy::QuotientPartitioning`], hash-cluster it on all divisor
@@ -14,11 +13,11 @@
 //!   participate.
 //! * [`Router`] — the sending site's per-tuple decision: drop (filter or
 //!   non-participating destination) or ship to a node, with accounting.
-//! * [`Transport`] + [`distribute`] — the generic scan-site driver that
-//!   ships divisor fragments and batched dividend tuples over any
-//!   transport (accounted channels, TCP links, or a bucket accumulator on
-//!   a cluster node repartitioning its local fragment).
-//! * [`CollectionSite`] — the collection-phase division over node
+//! * [`Transport`] + [`distribute`] — the machine's scan-site driver that
+//!   ships divisor fragments and batched dividend tuples over its
+//!   accounted channels.
+//! * [`CollectionSite`] — shared with the TCP cluster's coordinator: the
+//!   collection-phase division over node
 //!   addresses ("the collection site divides the set of all incoming
 //!   tuples over the set of processor network addresses"), reusing the
 //!   quotient-table machinery with each node's dense tag as the bit
@@ -153,9 +152,8 @@ pub fn plan_divisor(
 /// Strategy-agnostic: it routes on a key set, optionally tests a
 /// bit-vector filter, and optionally drops tuples bound for sites that
 /// hold no divisor fragment. Built from a [`DivisorPlan`] via
-/// [`Router::for_strategy`] at scan sites that own the divisor, or
-/// directly via [`Router::new`] at cluster nodes that repartition their
-/// dividend fragment against a filter shipped to them.
+/// [`Router::for_strategy`] at the machine's scan site, which owns the
+/// divisor.
 #[derive(Debug)]
 pub struct Router {
     route_keys: Vec<usize>,
@@ -244,8 +242,8 @@ impl Router {
 
 /// The sending half a strategy needs from a transport: ship a divisor
 /// fragment, ship a dividend batch, signal end-of-input. Implemented by
-/// the accounted channels of the thread machine, the TCP links of the
-/// cluster, and the bucket accumulator a node uses when repartitioning.
+/// the thread machine's accounted channels; the TCP cluster ships over
+/// its own links and does not use it.
 pub trait Transport {
     /// Transport failure (infallible for in-process channels).
     type Error;
@@ -274,8 +272,9 @@ pub struct DistributionReport {
 
 /// The generic scan-site driver: places the divisor, then streams the
 /// dividend through a [`Router`] in `batch_size` batches over any
-/// [`Transport`]. Both backends run exactly this code, so the thread
-/// machine is a faithful model of the TCP cluster's traffic.
+/// [`Transport`]. Only the thread machine runs it; the TCP cluster's
+/// coordinator routes with the same [`crate::route`] hash, so both send
+/// each tuple to the same node.
 pub fn distribute<T: Transport>(
     transport: &mut T,
     dist: Distribution,

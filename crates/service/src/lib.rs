@@ -49,7 +49,7 @@ pub use error::{Result, ServiceError};
 pub use metrics::MetricsSnapshot;
 pub use proto::{
     DivideReply, DivideRequest, EpochRequest, ExecPlanRequest, PartialQuotientReply, PlanReply,
-    RepartitionRequest, ReplicaWriteRequest, ShardRequest,
+    RepartitionRequest,
 };
 pub use reldiv_core::{ProfileNode, QueryProfile};
 pub use server::ServerHandle;

@@ -1,18 +1,25 @@
-//! The length-prefixed binary wire protocol.
+//! The length-prefixed binary wire protocol, stated once.
 //!
 //! Every message is one frame: a `u32` little-endian payload length
-//! followed by the payload. The first payload byte is an opcode (requests)
-//! or a status byte (responses). Integers are little-endian; strings are
-//! `u16` length + UTF-8 bytes; tuples travel as the fixed-width records of
-//! [`RecordCodec`], so a relation's bytes on the wire are identical to its
-//! bytes in a record file. The full grammar is documented in
-//! `docs/PROTOCOL.md`.
+//! followed by the payload. Every payload layout is one row of the frame
+//! table (the `wire!` invocations below): the bytes that open it, its
+//! fields in wire order, each with its wire form (a `Form`), and its
+//! append-only trailing extensions. The encoder and the decoder are
+//! generated from those rows; so are `docs/PROTOCOL.md`'s frame tables
+//! ([`FRAME_TABLE`], checked against the document by a test) and the
+//! hostile-frame corpus the wire tests run. Integers are little-endian;
+//! tuples travel as the fixed-width records of [`RecordCodec`], so a
+//! relation's bytes on the wire are identical to its bytes in a record
+//! file.
 
 use std::borrow::Borrow;
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
+use std::mem::discriminant;
 use std::sync::Arc;
 
-use reldiv_core::{Algorithm, HashDivisionMode, ProfileNode, QueryProfile, SpanKind};
+use reldiv_core::HashDivisionMode::{CounterOnly, EarlyOut, Standard};
+use reldiv_core::{Algorithm, ProfileNode, QueryProfile, SpanKind};
 use reldiv_parallel::filter::BitVectorFilter;
 use reldiv_parallel::{Distribution, Strategy};
 use reldiv_rel::counters::OpSnapshot;
@@ -31,7 +38,7 @@ pub const MAX_FRAME: usize = 64 << 20;
 pub const MAX_CLUSTER_NODES: usize = 1024;
 
 /// The reserved catalog-name prefix under which replica copies of a
-/// sharded fragment are stored (see [`Request::ReplicaWrite`]).
+/// sharded fragment are stored (see [`WriteKind::Replica`]).
 pub const REPLICA_PREFIX: &str = ".replica.";
 
 /// The catalog name a replica copy of `fragment` of `base` is stored
@@ -88,75 +95,61 @@ pub const TRI_AUTO: u8 = 0xFF;
 /// bound ([`reldiv_plan::parse::MAX_PLAN_TEXT`]).
 pub const MAX_PLAN_WIRE: usize = 1 << 20;
 
+/// The algorithms' stable wire codes: one two-way table.
+const ALGORITHM_CODES: [(u8, Algorithm); 8] = [
+    (0, Algorithm::Naive),
+    (1, Algorithm::SortAggregation { join: false }),
+    (2, Algorithm::SortAggregation { join: true }),
+    (3, Algorithm::HashAggregation { join: false }),
+    (4, Algorithm::HashAggregation { join: true }),
+    (5, Algorithm::HashDivision { mode: Standard }),
+    (6, Algorithm::HashDivision { mode: EarlyOut }),
+    (7, Algorithm::HashDivision { mode: CounterOnly }),
+];
+
 /// Encodes an algorithm as its stable wire code.
 pub fn algorithm_code(alg: Algorithm) -> u8 {
-    match alg {
-        Algorithm::Naive => 0,
-        Algorithm::SortAggregation { join: false } => 1,
-        Algorithm::SortAggregation { join: true } => 2,
-        Algorithm::HashAggregation { join: false } => 3,
-        Algorithm::HashAggregation { join: true } => 4,
-        Algorithm::HashDivision {
-            mode: HashDivisionMode::Standard,
-        } => 5,
-        Algorithm::HashDivision {
-            mode: HashDivisionMode::EarlyOut,
-        } => 6,
-        Algorithm::HashDivision {
-            mode: HashDivisionMode::CounterOnly,
-        } => 7,
-    }
+    let entry = ALGORITHM_CODES.iter().find(|(_, a)| *a == alg);
+    entry.expect("every algorithm has a wire code").0
 }
 
 /// Decodes an algorithm wire code ([`ALG_AUTO`] is not an algorithm and
 /// returns `None`, as do unknown codes).
 pub fn algorithm_from_code(code: u8) -> Option<Algorithm> {
-    Some(match code {
-        0 => Algorithm::Naive,
-        1 => Algorithm::SortAggregation { join: false },
-        2 => Algorithm::SortAggregation { join: true },
-        3 => Algorithm::HashAggregation { join: false },
-        4 => Algorithm::HashAggregation { join: true },
-        5 => Algorithm::HashDivision {
-            mode: HashDivisionMode::Standard,
-        },
-        6 => Algorithm::HashDivision {
-            mode: HashDivisionMode::EarlyOut,
-        },
-        7 => Algorithm::HashDivision {
-            mode: HashDivisionMode::CounterOnly,
-        },
-        _ => return None,
-    })
+    let entry = ALGORITHM_CODES.iter().find(|(c, _)| *c == code);
+    entry.map(|&(_, alg)| alg)
 }
+
+/// Builds an error variant from its wire message.
+type MakeError = fn(String) -> ServiceError;
+
+/// The errors' stable wire codes: one two-way table, each code with the
+/// variant it builds from a message.
+const ERROR_CODES: [(u8, MakeError); 9] = [
+    (1, |_| ServiceError::Overloaded),
+    (2, |_| ServiceError::ShuttingDown),
+    (3, ServiceError::UnknownRelation),
+    (4, ServiceError::BadRequest),
+    (5, ServiceError::Exec),
+    (6, ServiceError::Protocol),
+    (7, ServiceError::Internal),
+    (8, |_| ServiceError::DeadlineExceeded),
+    (9, ServiceError::StaleEpoch),
+];
 
 /// Stable error codes for [`ServiceError`] on the wire.
 pub fn error_code(err: &ServiceError) -> u8 {
-    match err {
-        ServiceError::Overloaded => 1,
-        ServiceError::ShuttingDown => 2,
-        ServiceError::UnknownRelation(_) => 3,
-        ServiceError::BadRequest(_) => 4,
-        ServiceError::Exec(_) => 5,
-        ServiceError::Protocol(_) => 6,
-        ServiceError::Internal(_) => 7,
-        ServiceError::DeadlineExceeded => 8,
-        ServiceError::StaleEpoch(_) => 9,
-    }
+    let same = |make: &MakeError| discriminant(&make(String::new())) == discriminant(err);
+    let entry = ERROR_CODES.iter().find(|(_, make)| same(make));
+    entry.map_or(7, |&(code, _)| code)
 }
 
-/// Reconstructs a [`ServiceError`] from its wire code and message.
+/// Reconstructs a [`ServiceError`] from its wire code and message; an
+/// unknown code is an internal error.
 pub fn error_from_code(code: u8, message: String) -> ServiceError {
-    match code {
-        1 => ServiceError::Overloaded,
-        2 => ServiceError::ShuttingDown,
-        3 => ServiceError::UnknownRelation(message),
-        4 => ServiceError::BadRequest(message),
-        5 => ServiceError::Exec(message),
-        6 => ServiceError::Protocol(message),
-        8 => ServiceError::DeadlineExceeded,
-        9 => ServiceError::StaleEpoch(message),
-        _ => ServiceError::Internal(message),
+    match ERROR_CODES.iter().find(|(c, _)| *c == code) {
+        Some((_, make)) => make(message),
+        None => ServiceError::Internal(message),
     }
 }
 
@@ -165,7 +158,9 @@ pub fn error_from_code(code: u8, message: String) -> ServiceError {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Install (or replace) a named relation.
+    /// Install (or replace) a named relation. A write frame: clients
+    /// send it with [`encode_write`], and the server reads it with
+    /// [`decode_write`].
     Register {
         /// Catalog name.
         name: String,
@@ -185,10 +180,6 @@ pub enum Request {
     Stats,
     /// Ask the server to shut down gracefully.
     Shutdown,
-    /// Install one shard of a hash-partitioned relation (cluster node
-    /// role): the node stores the tuples as an ordinary relation plus the
-    /// shard coordinates, so a coordinator can later verify placement.
-    Shard(ShardRequest),
     /// Hash-partition a stored relation's tuples on a key set into
     /// `parts` buckets, optionally dropping tuples through a bit-vector
     /// filter first — the sending-site half of divisor partitioning,
@@ -237,11 +228,6 @@ pub enum Request {
     /// [`ServiceError::StaleEpoch`] so a pre-rebalance routing table can
     /// never produce a wrong quotient.
     ClusterEpoch(EpochRequest),
-    /// Install a replica copy of one fragment of a sharded relation. The
-    /// node stores it under the reserved `.replica.{fragment}.{name}`
-    /// catalog name so a coordinator can fail a fragment's sub-queries
-    /// over to this node when the primary dies.
-    ReplicaWrite(ReplicaWriteRequest),
 }
 
 /// The payload of a [`Request::ClusterEpoch`].
@@ -262,28 +248,6 @@ pub enum EpochRequest {
     },
 }
 
-/// The replica-install payload of a [`Request::ReplicaWrite`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaWriteRequest {
-    /// Base catalog name (the primary's name; the replica is stored
-    /// under `.replica.{fragment}.{name}`).
-    pub name: String,
-    /// Which fragment this is a replica of, `< of`.
-    pub fragment: u16,
-    /// Total fragment count (bounded by [`MAX_CLUSTER_NODES`]).
-    pub of: u16,
-    /// Columns the relation is hash-partitioned on.
-    pub shard_keys: Vec<usize>,
-    /// Relation schema (identical across fragments).
-    pub schema: Schema,
-    /// The fragment's tuples.
-    pub tuples: Vec<Tuple>,
-    /// Coordinator catalog epoch; mismatch is a typed
-    /// [`ServiceError::StaleEpoch`]. `None` skips the check (a peer
-    /// that predates epochs).
-    pub epoch: Option<u64>,
-}
-
 /// The plan-execution payload of a [`Request::ExecPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPlanRequest {
@@ -298,34 +262,16 @@ pub struct ExecPlanRequest {
     pub profile: bool,
 }
 
-/// The shard-install payload of a [`Request::Shard`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardRequest {
-    /// Catalog name (shared by all shards of the relation).
-    pub name: String,
-    /// This shard's index, `< of`.
-    pub shard: u16,
-    /// Total shard count (bounded by [`MAX_CLUSTER_NODES`]).
-    pub of: u16,
-    /// Columns the relation is hash-partitioned on.
-    pub shard_keys: Vec<usize>,
-    /// Relation schema (identical across shards).
-    pub schema: Schema,
-    /// This shard's tuples.
-    pub tuples: Vec<Tuple>,
-    /// Coordinator catalog epoch (trailing extension; absence skips the
-    /// staleness check, keeping pre-replication coordinators working).
-    pub epoch: Option<u64>,
-}
-
 /// Which of the three bulk write frames a [`WriteFrame`] is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteKind {
     /// [`Request::Register`].
     Register,
-    /// [`Request::Shard`], with the shard's coordinates.
+    /// A `Shard` frame: one hash-partition shard of a relation, with the
+    /// shard's coordinates.
     Shard(ShardInfo),
-    /// [`Request::ReplicaWrite`], with the fragment's coordinates.
+    /// A `ReplicaWrite` frame: a replica copy of one fragment, stored
+    /// under [`replica_name`], with the fragment's coordinates.
     Replica(ShardInfo),
 }
 
@@ -380,7 +326,9 @@ pub struct DivideRequest {
     pub spec: Option<(Vec<usize>, Vec<usize>)>,
     /// Per-query deadline in milliseconds (`None` uses the server's
     /// default). An expired deadline cancels the division cooperatively
-    /// and the reply is error code 8 (`DeadlineExceeded`).
+    /// and the reply is error code 8 (`DeadlineExceeded`). `Some(0)` has
+    /// expired on arrival: encoding it fails with `DeadlineExceeded`,
+    /// the answer the service gives it in process.
     pub deadline_ms: Option<u64>,
     /// Ask the server to profile the query and attach the per-operator
     /// span tree to the reply (`EXPLAIN ANALYZE`). Encoded as a trailing
@@ -428,7 +376,7 @@ pub enum Reply {
     /// Acknowledges [`Request::Shutdown`]; the server stops accepting
     /// connections after sending it.
     ShuttingDown,
-    /// Answer to [`Request::Shard`].
+    /// Answer to a `Shard` write frame.
     Sharded {
         /// The catalog version installed for this shard.
         version: u64,
@@ -471,7 +419,7 @@ pub enum Reply {
         /// Replication factor k.
         replication: u16,
     },
-    /// Answer to [`Request::ReplicaWrite`]: the write acknowledgment the
+    /// Answer to a `ReplicaWrite` frame: the write acknowledgment the
     /// coordinator tracks per fragment.
     ReplicaAck {
         /// The catalog version installed for the replica copy.
@@ -594,7 +542,423 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoders / decoders
+// Encoding and decoding: every layout is a row of the frame table below.
+
+impl Request {
+    /// Encodes the request as a frame payload.
+    pub fn encode(&self) -> PResult<Vec<u8>> {
+        let mut out = Vec::new();
+        Requests::put(self, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decodes a frame payload. A `Shard` or `ReplicaWrite` frame is
+    /// refused: the server reads those with [`decode_write`].
+    pub fn decode(payload: &[u8]) -> PResult<Request> {
+        whole(payload, Requests::get)
+    }
+}
+
+/// Encodes a response as a frame payload.
+pub fn encode_response(response: &Response) -> PResult<Vec<u8>> {
+    let mut out = Vec::new();
+    Responses::put(response, &mut out)?;
+    Ok(out)
+}
+
+/// Decodes a response frame payload.
+pub fn decode_response(payload: &[u8]) -> PResult<Response> {
+    whole(payload, Responses::get)
+}
+
+/// Encodes a `Register`, `Shard` or `ReplicaWrite` frame from borrowed
+/// rows, so a client need not clone a relation into a [`Request`] first.
+pub fn encode_write<T: Borrow<Tuple>>(
+    name: &str,
+    kind: &WriteKind,
+    schema: &Schema,
+    tuples: &[T],
+    epoch: Option<u64>,
+) -> PResult<Vec<u8>> {
+    let mut out = Vec::new();
+    put_write(name, kind, schema, tuples, epoch, &mut out)?;
+    Ok(out)
+}
+
+/// Decodes a frame payload that is a `Register`, `Shard` or
+/// `ReplicaWrite`, its record section read straight into columns (each
+/// record checked for width and UTF-8, as [`Request::decode`] checks
+/// it); `None` for any other opcode.
+pub fn decode_write(payload: &[u8]) -> Option<PResult<WriteFrame<Columns>>> {
+    let opens = |row: &FrameDoc| payload.starts_with(row.tag);
+    let write = Writes::FAMILY.frames.iter().any(opens);
+    write.then(|| whole(payload, Writes::get))
+}
+
+/// Reads one value that must span the whole payload.
+fn whole<V>(payload: &[u8], get: impl FnOnce(&mut Reader<'_>) -> PResult<V>) -> PResult<V> {
+    let mut r = Reader {
+        buf: payload,
+        ..Reader::default()
+    };
+    let value = get(&mut r)?;
+    match r.buf.len() {
+        0 => Ok(value),
+        n => Err(perr(format!("{n} trailing bytes in frame"))),
+    }
+}
+
+/// Puts a write frame through the write rows; `Request::Register` comes
+/// here too.
+fn put_write<T: Borrow<Tuple>>(
+    name: &str,
+    kind: &WriteKind,
+    schema: &Schema,
+    rows: &[T],
+    epoch: Option<u64>,
+    out: &mut Vec<u8>,
+) -> PResult<()> {
+    let (name, kind, schema) = (name.to_owned(), kind.clone(), schema.clone());
+    let write = WriteFrame {
+        name,
+        kind,
+        schema,
+        rows,
+        epoch,
+    };
+    Writes::put(&write, out)
+}
+
+/// Reads a request opcode no request row claims: a `Register` lands its
+/// rows in tuples; a sharded write is the server's ([`decode_write`]).
+fn get_register(r: &mut Reader<'_>) -> PResult<Request> {
+    let write: WriteFrame<Vec<Tuple>> = Writes::get(r)?;
+    match write.kind {
+        WriteKind::Register => Ok(Request::Register {
+            name: write.name,
+            schema: write.schema,
+            tuples: write.rows,
+        }),
+        _ => Err(perr("a shard or replica write is read with decode_write")),
+    }
+}
+
+// ---------------------------------------------------------------------
+// The frame table
+
+/// One row of the frame table, as `docs/PROTOCOL.md` and the wire tests
+/// read it.
+pub struct FrameDoc {
+    /// The bytes that open the row (none for a section inside a frame).
+    pub tag: &'static [u8],
+    /// The row's name.
+    pub name: &'static str,
+    /// `(field, wire form)` pairs in wire order.
+    pub fields: &'static [(&'static str, &'static str)],
+    /// The append-only trailing extensions, oldest first: a frame may end
+    /// before any of them, which then takes its default.
+    pub ext: &'static [(&'static str, &'static str)],
+}
+
+/// A family of rows told apart by their tags: the frames one decoder
+/// reads, or a section nested inside frames.
+pub struct Family {
+    /// The family's name.
+    pub name: &'static str,
+    /// Its rows.
+    pub frames: &'static [FrameDoc],
+}
+
+/// States the frame table. A family is a list of rows; a row is
+///
+/// ```text
+/// [tag bytes] Name (pattern) { field: Form, ... } ext { field: Form, ... } absent { field };
+/// ```
+///
+/// The pattern names the value's fields and serves both as the encoder's
+/// match pattern and the decoder's constructor. Fields travel in order,
+/// each in its wire form ([`Form`]); `Form[dep]` is a form that reads an
+/// earlier field (a record section its schema). `ext` fields are the
+/// append-only trailing extensions; `absent` fields are not on the wire
+/// and decode as their default. A family nests as a form of its own.
+macro_rules! wire {
+    (@put $out:ident $f:ident $form:ty) => { <$form as Form>::put($f, $out)? };
+    (@put $out:ident $f:ident $form:ty, $dep:ident) => { <$form>::put($f, $dep, $out)? };
+    (@get $r:ident $form:ty) => { <$form as Form>::get($r)? };
+    (@get $r:ident $form:ty, $dep:ident) => { <$form>::get($r, &$dep)? };
+    (@else $r:ident $what:literal) => { Err($r.unknown($what)) };
+    (@else $r:ident $what:literal $eget:ident) => { $eget($r) };
+    (@family $fam:ident $what:literal [$($impl:tt)*] [$($put:tt)*] [$($get:tt)*]
+     $value:ident $out:ident $r:ident
+     [$(($($epat:tt)+) => $eput:ident($($earg:expr),*) / $eget:ident)?]
+     $([$($tag:literal),*] $label:ident ($($shape:tt)+)
+       { $($f:ident : $form:ty $([$dep:ident])?),* }
+       $(ext { $($x:ident : $xform:ty),* })? $(absent { $($a:ident),* })?;)*) => {
+        impl $fam {
+            const FAMILY: Family = Family {
+                name: stringify!($fam),
+                frames: &[$(FrameDoc {
+                    tag: &[$($tag),*],
+                    name: stringify!($label),
+                    fields: &[$((
+                        stringify!($f),
+                        concat!(stringify!($form) $(, "[", stringify!($dep), "]")?),
+                    )),*],
+                    ext: &[$($((stringify!($x), stringify!($xform))),*)?],
+                }),*],
+            };
+        }
+        $($impl)* {
+            $($put)* {
+                match $value {
+                    $($($shape)+ => {
+                        $out.extend_from_slice(&[$($tag),*]);
+                        $(wire!(@put $out $f $form $(, $dep)?);)*
+                        $($(<$xform as Form>::put($x, $out)?;)*)?
+                        $($(let _ = $a;)*)?
+                    })*
+                    $($($epat)+ => return $eput($($earg,)* $out),)?
+                }
+                Ok(())
+            }
+            $($get)* {
+                $(if $r.eat(&[$($tag),*]) {
+                    $(let $f = wire!(@get $r $form $(, $dep)?);)*
+                    $($(let $x = match $r.buf.is_empty() {
+                        true => Default::default(),
+                        false => <$xform as Form>::get($r)?,
+                    };)*)?
+                    $($(let $a = Default::default();)*)?
+                    return Ok($($shape)+);
+                })*
+                wire!(@else $r $what $($eget)?)
+            }
+        }
+    };
+    (@writes $(#[$doc:meta])* $fam:ident put[$pt:ident: $pb:path]($pty:ty)
+     get[$gt:ident: $gb:path]($gty:ty) $what:literal { $($rows:tt)* }) => {
+        $(#[$doc])*
+        struct $fam;
+        wire!(@family $fam $what [impl $fam]
+            [fn put<$pt: $pb>(value: &$pty, out: &mut Vec<u8>) -> PResult<()>]
+            [fn get<$gt: $gb>(r: &mut Reader<'_>) -> PResult<$gty>] value out r [] $($rows)*);
+    };
+    ($(#[$tdoc:meta])* $table:ident = [$($first:ident),*];
+     $($(#[$doc:meta])* $fam:ident($ty:ty) $what:literal
+       $(else ($($epat:tt)+) => $eput:ident($($earg:expr),*) / $eget:ident)?
+       { $($rows:tt)* })+) => {
+        $(#[$tdoc])*
+        pub const $table: &[Family] = &[$($first::FAMILY,)* $($fam::FAMILY),+];
+        $(
+        $(#[$doc])*
+        struct $fam;
+        wire!(@family $fam $what [impl Form for $fam]
+            [type Value = $ty; fn put(value: &$ty, out: &mut Vec<u8>) -> PResult<()>]
+            [fn get(r: &mut Reader<'_>) -> PResult<$ty>] value out r
+            [$(($($epat)+) => $eput($($earg),*) / $eget)?] $($rows)*);
+        )+
+    };
+}
+
+wire! {
+    /// Every family of the frame table: the frames, then their sections.
+    FRAME_TABLE = [Writes];
+
+    /// Requests, by opcode. `Register` is a write frame ([`Writes`]).
+    Requests(Request) "request opcode"
+    else (Request::Register { name, schema, tuples })
+        => put_write(name, &WriteKind::Register, schema, tuples, None) / get_register {
+        [0x01] Ping (Request::Ping) {};
+        [0x03] Drop (Request::DropRelation { name }) { name: Str };
+        [0x04] Divide (Request::Divide(query)) { query: DivideBody };
+        [0x05] Stats (Request::Stats) {};
+        [0x06] Shutdown (Request::Shutdown) {};
+        [0x08] Repartition
+            (Request::Repartition(RepartitionRequest { name, keys, parts, filter, epoch }))
+            { name: Str, keys: Keys, parts: Within<U16, 1, MAX_CLUSTER_NODES>, filter: Opt<Filter> }
+            ext { epoch: Opt<U64> };
+        [0x09] BuildFilter (Request::BuildFilter { name, keys, bits, epoch })
+            { name: Str, keys: Keys, bits: Within<U32, 1, MAX_FILTER_BITS> }
+            ext { epoch: Opt<U64> };
+        [0x0A] DividePartial (Request::DividePartial { tag, query, epoch })
+            { tag: U16, query: DivideBody } ext { epoch: Opt<U64> };
+        [0x0B] ExecPlan (Request::ExecPlan(ExecPlanRequest { plan, deadline_ms, profile }))
+            { plan: Text, deadline_ms: Millis, profile: Flag };
+        [0x0C] Heartbeat (Request::Heartbeat) {};
+        [0x0D] ClusterEpoch (Request::ClusterEpoch(view)) { view: EpochRequests };
+    }
+
+    /// The two `ClusterEpoch` requests.
+    EpochRequests(EpochRequest) "epoch request tag" {
+        [0x00] Get (EpochRequest::Get) {};
+        [0x01] Set (EpochRequest::Set { epoch, members, replication })
+            { epoch: U64, members: List<Str, 1, MAX_CLUSTER_NODES>,
+              replication: Replication[members] };
+    }
+
+    /// A status byte, then a reply or an error.
+    Responses(Response) "status byte" {
+        [0x00] Ok (Ok(reply)) { reply: Replies };
+        [0x01] Err (Err(error)) { error: Failure };
+    }
+
+    /// Replies, by tag. Tag `0x05` (the unversioned stats reply) is retired
+    /// and stays unassigned.
+    Replies(Reply) "reply tag" {
+        [0x01] Pong (Reply::Pong) {};
+        [0x02] Registered (Reply::Registered { version }) { version: U64 };
+        [0x03] Dropped (Reply::Dropped) {};
+        [0x04] Divided (Reply::Divided(DivideReply {
+                algorithm, cached, dividend_version, divisor_version, micros, ops, schema, tuples,
+                profile
+            }))
+            { algorithm: Alg, cached: Flag, dividend_version: U64, divisor_version: U64,
+              micros: U64, ops: Ops, schema: Heading, tuples: Records[schema] }
+            ext { profile: Opt<Profile> };
+        [0x06] ShuttingDown (Reply::ShuttingDown) {};
+        [0x07] Stats (Reply::Stats(counters)) { counters: Counters };
+        [0x08] Sharded (Reply::Sharded { version }) { version: U64 };
+        [0x09] Repartitioned (Reply::Repartitioned { schema, buckets, filtered })
+            { schema: Heading, buckets: Buckets[schema], filtered: U64 };
+        [0x0A] Filter (Reply::Filter { filter, insertions }) { filter: Filter, insertions: U64 };
+        [0x0B] PartialQuotient (Reply::PartialQuotient(PartialQuotientReply {
+                tag, algorithm, dividend_version, divisor_version, micros, ops, schema, tuples,
+                profile
+            }))
+            { tag: U16, algorithm: Alg, dividend_version: U64, divisor_version: U64, micros: U64,
+              ops: Ops, schema: Heading, tuples: Records[schema], profile: Opt<Profile> };
+        [0x0C] Plan (Reply::Plan(PlanReply {
+                algorithms, cached, micros, ops, relations, schema, tuples, profile
+            }))
+            { algorithms: List<Alg, 0, MAX_PLAN_ALGORITHMS>, cached: Flag, micros: U64, ops: Ops,
+              relations: List<(Str, U64), 0, MAX_PLAN_RELATIONS>, schema: Heading,
+              tuples: Records[schema], profile: Opt<Profile> };
+        [0x0D] HeartbeatAck (Reply::HeartbeatAck { epoch, accepting })
+            { epoch: U64, accepting: Flag };
+        [0x0E] Epoch (Reply::Epoch { epoch, members, replication })
+            { epoch: U64, members: List<Str, 1, MAX_CLUSTER_NODES>,
+              replication: Replication[members] };
+        [0x0F] ReplicaAck (Reply::ReplicaAck { version, fragment }) { version: U64, fragment: U16 };
+    }
+
+    /// A division query: the body of `Divide` and of `DividePartial`,
+    /// where its extensions stay optional ahead of the epoch.
+    DivideBody(DivideRequest) "" {
+        [] DivideBody (DivideRequest {
+                dividend, divisor, algorithm, assume_unique, spec, deadline_ms,
+                profile, distribute, restricted, mem_budget
+            })
+            { dividend: Str, divisor: Str, algorithm: AutoAlg, assume_unique: Flag,
+              spec: Opt<(Keys, Keys)>, deadline_ms: Millis }
+            ext { profile: Flag, distribute: Opt<DistBody>, restricted: Tri, mem_budget: Budget };
+    }
+
+    /// A division spread over the in-process parallel machine.
+    DistBody(Distribution) "" {
+        [] Distribution (Distribution { strategy, nodes, bit_vector_bits })
+            { strategy: StrategyCode, nodes: Within<Index, 1, MAX_CLUSTER_NODES>,
+              bit_vector_bits: FilterBits };
+    }
+
+    /// Where a shard or replica sits in a sharded relation.
+    Placement(ShardInfo) "" {
+        [] Placement (ShardInfo { shard, of, shard_keys })
+            { shard: U16, of: Of[shard], shard_keys: Keys };
+    }
+
+    /// The paper's Table 1 units.
+    Ops(OpSnapshot) "" {
+        [] Ops (OpSnapshot { comparisons, hashes, moves, bitops })
+            { comparisons: U64, hashes: U64, moves: U64, bitops: U64 };
+    }
+
+    /// One column of a schema: type first, then name.
+    FieldBody(Field) "" {
+        [] Field (Field { name, ty }) { ty: ColumnTypes, name: Str };
+    }
+
+    /// A column type.
+    ColumnTypes(ColumnType) "column type tag" {
+        [0x00] Int (ColumnType::Int) {};
+        [0x01] Str (ColumnType::Str(width)) { width: Width };
+    }
+
+    /// A query profile: its root span.
+    Profile(QueryProfile) "" {
+        [] Profile (QueryProfile { root }) { root: Span };
+    }
+
+    /// One span of a profile tree, children depth-first.
+    ProfileNodes(ProfileNode) "" {
+        [] Span (ProfileNode {
+                label, kind, wall_micros, tuples_in, tuples_out, pages_read, pages_written,
+                spill_bytes, network_bytes, ops, phases, children
+            })
+            { label: Str, kind: Kind, wall_micros: U64, tuples_in: U64, tuples_out: U64,
+              pages_read: U64, pages_written: U64, spill_bytes: U64, network_bytes: U64, ops: Ops,
+              phases: List<Str, 0, U16_MAX>, children: List<Span, 0, U16_MAX> };
+    }
+}
+
+wire! {
+    @writes
+    /// The three bulk write frames: their rows land in tuples
+    /// ([`Request::decode`]) or in columns ([`decode_write`]).
+    Writes put[T: Borrow<Tuple>](WriteFrame<&[T]>) get[R: Land](WriteFrame<R>) "request opcode" {
+        [0x02] Register (WriteFrame { name, kind: WriteKind::Register, schema, rows, epoch })
+            { name: Str, schema: Heading, rows: Records[schema] } absent { epoch };
+        [0x07] Shard (WriteFrame { name, kind: WriteKind::Shard(at), schema, rows, epoch })
+            { name: Str, at: Placement, schema: Heading, rows: Records[schema] }
+            ext { epoch: Opt<U64> };
+        [0x0E] ReplicaWrite (WriteFrame { name, kind: WriteKind::Replica(at), schema, rows, epoch })
+            { name: Str, at: Placement, schema: Heading, rows: Records[schema] }
+            ext { epoch: Opt<U64> };
+    }
+}
+
+/// The stats reply's counters in wire order, one two-way table.
+/// Append-only: new counters go at the end, so old decoders skip them.
+macro_rules! counters {
+    ($($field:ident),*) => {
+        /// The stats reply's counter names, in wire order.
+        pub const STATS_COUNTERS: &[&str] = &[$(stringify!($field)),*];
+
+        fn counter_slots(s: &mut MetricsSnapshot) -> impl Iterator<Item = &mut u64> {
+            [$(&mut s.$field),*].into_iter()
+        }
+    };
+}
+
+counters! {
+    queries, cache_hits, cache_misses, rejections, shed_shutdown, errors, timeouts, worker_panics,
+    io_retries, latency_p50_us, latency_p95_us, latency_p99_us, latency_mean_us, latency_count,
+    profiled_queries, replica_retries, failovers, nodes_excluded, heartbeats_missed,
+    degraded_queries, division_spill_bytes
+}
+
+/// Counters every stats frame must carry (the original 13); a frame
+/// announcing fewer is corrupt, not merely old.
+const STATS_REQUIRED_FIELDS: usize = 13;
+
+/// Largest algorithm list accepted in a plan reply (a plan has at most
+/// [`MAX_PLAN_WIRE`]-bounded text, so thousands of divisions is already
+/// absurd; this bound stops a lying count from allocating further).
+const MAX_PLAN_ALGORITHMS: usize = 4096;
+
+/// Largest pinned-relation list accepted in a plan reply.
+const MAX_PLAN_RELATIONS: usize = 4096;
+
+/// The largest `u16` count: a list the wire bounds only by its width.
+const U16_MAX: usize = u16::MAX as usize;
+
+/// Deepest span nesting accepted on the wire.
+pub const MAX_PROFILE_DEPTH: usize = 64;
+
+/// Largest span tree accepted on the wire.
+pub const MAX_PROFILE_NODES: usize = 65_536;
+
+// ---------------------------------------------------------------------
+// Wire forms
 
 type PResult<T> = Result<T, ServiceError>;
 
@@ -602,15 +966,17 @@ fn perr(msg: impl Into<String>) -> ServiceError {
     ServiceError::Protocol(msg.into())
 }
 
+/// A cursor over one frame, with the bounds a profile tree is read under.
+#[derive(Default)]
 struct Reader<'a> {
     buf: &'a [u8],
+    /// Nesting of the span being read.
+    depth: usize,
+    /// Spans read so far.
+    spans: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf }
-    }
-
     fn take(&mut self, n: usize) -> PResult<&'a [u8]> {
         if self.buf.len() < n {
             return Err(perr(format!(
@@ -623,1364 +989,456 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
-    fn u8(&mut self) -> PResult<u8> {
-        Ok(self.take(1)?[0])
+    /// Consumes `tag` if the frame continues with it.
+    fn eat(&mut self, tag: &[u8]) -> bool {
+        let rest = self.buf.strip_prefix(tag);
+        self.buf = rest.unwrap_or(self.buf);
+        rest.is_some()
     }
 
-    fn u16(&mut self) -> PResult<u16> {
-        let b = self.take(2)?;
-        b.try_into()
-            .map(u16::from_le_bytes)
-            .map_err(|_| perr("internal: u16 slice length"))
-    }
-
-    fn u32(&mut self) -> PResult<u32> {
-        let b = self.take(4)?;
-        b.try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| perr("internal: u32 slice length"))
-    }
-
-    fn u64(&mut self) -> PResult<u64> {
-        let b = self.take(8)?;
-        b.try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| perr("internal: u64 slice length"))
-    }
-
-    fn str(&mut self) -> PResult<String> {
-        let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| perr("string is not UTF-8"))
-    }
-
-    /// Bytes not yet consumed. Used to decode optional trailing sections
-    /// added by newer protocol revisions: an empty reader at that point
-    /// means the peer predates the extension.
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn finish(&self) -> PResult<()> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(perr(format!("{} trailing bytes in frame", self.buf.len())))
+    /// The refusal of a tag no row claims.
+    fn unknown(&mut self, what: &str) -> ServiceError {
+        match U8::get(self) {
+            Ok(tag) => perr(format!("unknown {what} {tag:#04x}")),
+            Err(truncated) => truncated,
         }
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) -> PResult<()> {
-    let len = u16::try_from(s.len()).map_err(|_| {
-        perr(format!(
-            "string of {} bytes exceeds the u16 length",
-            s.len()
-        ))
-    })?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
+/// How one field's value travels.
+trait Form {
+    type Value;
+    fn put(value: &Self::Value, out: &mut Vec<u8>) -> PResult<()>;
+    fn get(r: &mut Reader<'_>) -> PResult<Self::Value>;
 }
 
-fn put_schema(out: &mut Vec<u8>, schema: &Schema) -> PResult<()> {
-    let n = u16::try_from(schema.arity())
-        .map_err(|_| perr(format!("schema arity {} exceeds u16", schema.arity())))?;
-    out.extend_from_slice(&n.to_le_bytes());
-    for field in schema.fields() {
-        match field.ty {
-            ColumnType::Int => out.push(0),
-            ColumnType::Str(width) => {
-                out.push(1);
-                let width = u32::try_from(width)
-                    .map_err(|_| perr(format!("string width {width} exceeds u32")))?;
-                out.extend_from_slice(&width.to_le_bytes());
+/// `n` as a `u64` if it lies in `min..=max`.
+fn within(n: impl TryInto<u64>, min: usize, max: usize) -> PResult<u64> {
+    let n = n.try_into().unwrap_or(u64::MAX);
+    if (min as u64..=max as u64).contains(&n) {
+        Ok(n)
+    } else {
+        Err(perr(format!("{n} is outside {min}..={max}")))
+    }
+}
+
+fn put_count<const MIN: usize, const MAX: usize>(n: usize, out: &mut Vec<u8>) -> PResult<()> {
+    U16::put(&(within(n, MIN, MAX)? as u16), out)
+}
+
+fn get_count<const MIN: usize, const MAX: usize>(r: &mut Reader<'_>) -> PResult<usize> {
+    Ok(within(U16::get(r)?, MIN, MAX)? as usize)
+}
+
+macro_rules! ints {
+    ($($form:ident: $t:ty),*) => {$(
+        /// A little-endian integer.
+        struct $form;
+        impl Form for $form {
+            type Value = $t;
+            fn put(v: &$t, out: &mut Vec<u8>) -> PResult<()> {
+                out.extend_from_slice(&v.to_le_bytes());
+                Ok(())
+            }
+            fn get(r: &mut Reader<'_>) -> PResult<$t> {
+                let bytes = r.take(size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("took the width")))
             }
         }
-        put_str(out, &field.name)?;
-    }
-    Ok(())
+    )*};
 }
 
-fn get_schema(r: &mut Reader<'_>) -> PResult<Schema> {
-    let n = r.u16()? as usize;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ty = match r.u8()? {
-            0 => ColumnType::Int,
-            1 => ColumnType::Str(r.u32()? as usize),
-            t => return Err(perr(format!("unknown column type tag {t}"))),
-        };
-        let name = r.str()?;
-        fields.push(Field::new(name, ty));
-    }
-    Ok(Schema::new(fields))
+ints!(U8: u8, U16: u16, U32: u32, U64: u64);
+
+/// Forms that map a value onto one integer: `put` yields the integer,
+/// `get` the value.
+macro_rules! mapped {
+    ($($(#[$doc:meta])* $form:ident: $t:ty = $wire:ident,
+       |$v:ident| $put:expr, |$w:ident| $get:expr;)*) => {$(
+        $(#[$doc])*
+        struct $form;
+        impl Form for $form {
+            type Value = $t;
+            fn put($v: &$t, out: &mut Vec<u8>) -> PResult<()> {
+                $wire::put(&$put?, out)
+            }
+            fn get(r: &mut Reader<'_>) -> PResult<$t> {
+                let $w = $wire::get(r)?;
+                $get
+            }
+        }
+    )*};
 }
 
-fn put_tuples<T: Borrow<Tuple>>(out: &mut Vec<u8>, schema: &Schema, tuples: &[T]) -> PResult<()> {
-    let codec = RecordCodec::new(schema.clone());
-    let n = u32::try_from(tuples.len()).map_err(|_| perr("too many tuples for one frame"))?;
-    out.extend_from_slice(&n.to_le_bytes());
-    for t in tuples {
-        codec
-            .encode_into(t.borrow(), out)
-            .map_err(|e| perr(format!("tuple does not fit the schema: {e}")))?;
-    }
-    Ok(())
+mapped! {
+    /// `0` is false, anything else true.
+    Flag: bool = U8, |v| PResult::Ok(u8::from(*v)), |b| Ok(b != 0);
+    /// An algorithm code ([`ALGORITHM_CODES`]).
+    Alg: Algorithm = U8, |v| PResult::Ok(algorithm_code(*v)), |code| algorithm(code);
+    /// An algorithm code, or [`ALG_AUTO`] for the service's choice.
+    AutoAlg: Option<Algorithm> = U8, |v| PResult::Ok(v.map_or(ALG_AUTO, algorithm_code)),
+        |code| if code == ALG_AUTO { Ok(None) } else { algorithm(code).map(Some) };
+    /// `0` false, `1` true, [`TRI_AUTO`] no assertion.
+    Tri: Option<bool> = U8, |v| PResult::Ok(v.map_or(TRI_AUTO, u8::from)), |b| match b {
+        TRI_AUTO => Ok(None),
+        0 | 1 => Ok(Some(b == 1)),
+        t => Err(perr(format!("unknown restricted tag {t:#04x}"))),
+    };
+    /// A deadline in milliseconds, `0` for none. `Some(0)` has expired
+    /// before it is sent: it is refused as the service refuses it in
+    /// process, since the wire would read it as no deadline.
+    Millis: Option<u64> = U64, |v| match v {
+        Some(0) => Err(ServiceError::DeadlineExceeded),
+        v => Ok(v.unwrap_or(0)),
+    }, |ms| Ok((ms != 0).then_some(ms));
+    /// A memory budget in bytes, `0` for none.
+    Budget: Option<u64> = U64, |v| PResult::Ok(v.unwrap_or(0)), |b| Ok((b != 0).then_some(b));
+    /// A bit-vector filter width, `0` for no filter.
+    FilterBits: Option<usize> = U64, |v| within(v.unwrap_or(0), 0, MAX_FILTER_BITS),
+        |bits| Ok((within(bits, 0, MAX_FILTER_BITS)? != 0).then_some(bits as usize));
+    /// A Section 6 strategy code.
+    StrategyCode: Strategy = U8, |v| PResult::Ok(v.code()), |code| {
+        Strategy::from_code(code).ok_or_else(|| perr(format!("unknown strategy code {code}")))
+    };
+    /// A span kind code; an unknown code reads as `other`.
+    Kind: SpanKind = U8, |v| PResult::Ok(v.code()), |code| Ok(SpanKind::from_code(code));
+    /// A column index.
+    Index: usize = U16,
+        |v| u16::try_from(*v).map_err(|_| perr(format!("column index {v} exceeds u16"))),
+        |i| Ok(usize::from(i));
+    /// A string column's width.
+    Width: usize = U32,
+        |v| u32::try_from(*v).map_err(|_| perr(format!("string width {v} exceeds u32"))),
+        |w| Ok(w as usize);
 }
 
-/// Reads a frame's record section — a `u32` count, then that many
-/// `width`-byte records — and hands the records to `land`. The only
-/// reader of record sections: clients land the rows in tuples, the
-/// server lands a write's rows in columns.
-fn get_rows<R>(
-    r: &mut Reader<'_>,
-    width: usize,
-    land: impl FnOnce(&[u8]) -> reldiv_rel::Result<R>,
-) -> PResult<R> {
-    let n = r.u32()? as usize;
-    if width == 0 && n > 0 {
-        return Err(perr("records of a schema without columns"));
-    }
-    let bytes = n.checked_mul(width).map(|len| r.take(len));
-    land(bytes.ok_or_else(|| perr("tuple count overflow"))??)
-        .map_err(|e| perr(format!("bad record: {e}")))
+fn algorithm(code: u8) -> PResult<Algorithm> {
+    algorithm_from_code(code).ok_or_else(|| perr(format!("unknown algorithm code {code}")))
 }
 
-fn get_tuples(r: &mut Reader<'_>, schema: &Schema) -> PResult<Vec<Tuple>> {
-    let codec = RecordCodec::new(schema.clone());
-    let width = codec.record_width();
-    get_rows(r, width, |records| {
-        let mut tuples = Vec::with_capacity(records.len() / width.max(1));
-        for record in records.chunks_exact(width.max(1)) {
+/// Column indexes.
+type Keys = List<Index, 0, U16_MAX>;
+
+/// A value of `F` in `MIN..=MAX`.
+struct Within<F, const MIN: usize, const MAX: usize>(PhantomData<F>);
+
+impl<F: Form, const MIN: usize, const MAX: usize> Form for Within<F, MIN, MAX>
+where
+    F::Value: Copy + TryInto<u64>,
+{
+    type Value = F::Value;
+    fn put(v: &F::Value, out: &mut Vec<u8>) -> PResult<()> {
+        within(*v, MIN, MAX)?;
+        F::put(v, out)
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<F::Value> {
+        let v = F::get(r)?;
+        within(v, MIN, MAX).map(|_| v)
+    }
+}
+
+/// A `u16` count in `MIN..=MAX`, then that many values of `F`.
+struct List<F, const MIN: usize, const MAX: usize>(PhantomData<F>);
+
+impl<F: Form, const MIN: usize, const MAX: usize> Form for List<F, MIN, MAX> {
+    type Value = Vec<F::Value>;
+    fn put(items: &Vec<F::Value>, out: &mut Vec<u8>) -> PResult<()> {
+        put_count::<MIN, MAX>(items.len(), out)?;
+        items.iter().try_for_each(|item| F::put(item, out))
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<Vec<F::Value>> {
+        let n = get_count::<MIN, MAX>(r)?;
+        (0..n).map(|_| F::get(r)).collect()
+    }
+}
+
+/// A `u8` tag, `0` for none or `1` followed by the value.
+struct Opt<F>(PhantomData<F>);
+
+impl<F: Form> Form for Opt<F> {
+    type Value = Option<F::Value>;
+    fn put(v: &Option<F::Value>, out: &mut Vec<u8>) -> PResult<()> {
+        out.push(u8::from(v.is_some()));
+        v.as_ref().map_or(Ok(()), |v| F::put(v, out))
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<Option<F::Value>> {
+        match U8::get(r)? {
+            0 => Ok(None),
+            1 => F::get(r).map(Some),
+            t => Err(perr(format!("unknown option tag {t}"))),
+        }
+    }
+}
+
+impl<A: Form, B: Form> Form for (A, B) {
+    type Value = (A::Value, B::Value);
+    fn put((a, b): &(A::Value, B::Value), out: &mut Vec<u8>) -> PResult<()> {
+        A::put(a, out)?;
+        B::put(b, out)
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<(A::Value, B::Value)> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A byte length (`F`, up to `MAX`), then that many bytes of UTF-8.
+struct Utf8<F, const MAX: usize>(PhantomData<F>);
+
+/// A string.
+type Str = Utf8<U16, U16_MAX>;
+
+/// Plan text.
+type Text = Utf8<U32, MAX_PLAN_WIRE>;
+
+impl<F: Form, const MAX: usize> Form for Utf8<F, MAX>
+where
+    F::Value: Copy + TryInto<u64> + TryFrom<u64>,
+{
+    type Value = String;
+    fn put(s: &String, out: &mut Vec<u8>) -> PResult<()> {
+        let n = F::Value::try_from(within(s.len(), 0, MAX)?);
+        F::put(
+            &n.map_err(|_| perr("string length exceeds its wire width"))?,
+            out,
+        )?;
+        out.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<String> {
+        let n = within(F::get(r)?, 0, MAX)?;
+        String::from_utf8(r.take(n as usize)?.to_vec()).map_err(|_| perr("string is not UTF-8"))
+    }
+}
+
+/// A schema: a `u16` field count, then each field.
+struct Heading;
+
+impl Form for Heading {
+    type Value = Schema;
+    fn put(schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        put_count::<0, U16_MAX>(schema.arity(), out)?;
+        schema
+            .fields()
+            .iter()
+            .try_for_each(|f| FieldBody::put(f, out))
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<Schema> {
+        List::<FieldBody, 0, U16_MAX>::get(r).map(Schema::new)
+    }
+}
+
+/// Where a record section's rows land: tuples for clients, columns for
+/// the server's catalog.
+trait Land: Sized {
+    fn land(schema: &Schema, records: &[u8]) -> reldiv_rel::Result<Self>;
+}
+
+impl Land for Vec<Tuple> {
+    fn land(schema: &Schema, records: &[u8]) -> reldiv_rel::Result<Self> {
+        let codec = RecordCodec::new(schema.clone());
+        let width = codec.record_width().max(1);
+        let mut tuples = Vec::with_capacity(records.len() / width);
+        for record in records.chunks_exact(width) {
             tuples.push(codec.decode(record)?);
         }
         Ok(tuples)
-    })
+    }
 }
 
-fn put_keys(out: &mut Vec<u8>, keys: &[usize]) -> PResult<()> {
-    let n = u16::try_from(keys.len())
-        .map_err(|_| perr(format!("key list of {} entries exceeds u16", keys.len())))?;
-    out.extend_from_slice(&n.to_le_bytes());
-    for &k in keys {
-        let k =
-            u16::try_from(k).map_err(|_| perr(format!("column index {k} exceeds the u16 wire")))?;
-        out.extend_from_slice(&k.to_le_bytes());
+impl Land for Arc<Vec<Tuple>> {
+    fn land(schema: &Schema, records: &[u8]) -> reldiv_rel::Result<Self> {
+        Vec::land(schema, records).map(Arc::new)
     }
-    Ok(())
 }
 
-fn get_keys(r: &mut Reader<'_>) -> PResult<Vec<usize>> {
-    let n = r.u16()? as usize;
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(r.u16()? as usize);
+impl Land for Columns {
+    fn land(schema: &Schema, records: &[u8]) -> reldiv_rel::Result<Self> {
+        Columns::from_records(schema.clone(), records)
     }
-    Ok(keys)
 }
 
-fn put_ops(out: &mut Vec<u8>, ops: &OpSnapshot) {
-    out.extend_from_slice(&ops.comparisons.to_le_bytes());
-    out.extend_from_slice(&ops.hashes.to_le_bytes());
-    out.extend_from_slice(&ops.moves.to_le_bytes());
-    out.extend_from_slice(&ops.bitops.to_le_bytes());
-}
+/// A record section: a `u32` count, then that many records of the
+/// schema's record codec. The only reader of record sections: rows land
+/// where the caller's type says ([`Land`]).
+struct Records;
 
-fn get_ops(r: &mut Reader<'_>) -> PResult<OpSnapshot> {
-    Ok(OpSnapshot {
-        comparisons: r.u64()?,
-        hashes: r.u64()?,
-        moves: r.u64()?,
-        bitops: r.u64()?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Query profiles
-//
-// A profile is a tree of spans. Each node is encoded depth-first:
-// label, kind code, eight u64 metrics, a phase list, then a u16 child
-// count followed by the children. Hostile input is bounded two ways:
-// nesting deeper than [`MAX_PROFILE_DEPTH`] and trees larger than
-// [`MAX_PROFILE_NODES`] are typed protocol errors, never unbounded
-// recursion or allocation.
-
-/// Deepest span nesting accepted on the wire.
-pub const MAX_PROFILE_DEPTH: usize = 64;
-
-/// Largest span tree accepted on the wire.
-pub const MAX_PROFILE_NODES: usize = 65_536;
-
-fn put_profile_node(out: &mut Vec<u8>, node: &ProfileNode) -> PResult<()> {
-    put_str(out, &node.label)?;
-    out.push(node.kind.code());
-    for v in [
-        node.wall_micros,
-        node.tuples_in,
-        node.tuples_out,
-        node.pages_read,
-        node.pages_written,
-        node.spill_bytes,
-        node.network_bytes,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    put_ops(out, &node.ops);
-    let phases = u16::try_from(node.phases.len())
-        .map_err(|_| perr(format!("{} phase notes exceed u16", node.phases.len())))?;
-    out.extend_from_slice(&phases.to_le_bytes());
-    for phase in &node.phases {
-        put_str(out, phase)?;
-    }
-    let children = u16::try_from(node.children.len())
-        .map_err(|_| perr(format!("{} child spans exceed u16", node.children.len())))?;
-    out.extend_from_slice(&children.to_le_bytes());
-    for child in &node.children {
-        put_profile_node(out, child)?;
-    }
-    Ok(())
-}
-
-fn get_profile_node(r: &mut Reader<'_>, depth: usize, budget: &mut usize) -> PResult<ProfileNode> {
-    if depth > MAX_PROFILE_DEPTH {
-        return Err(perr(format!(
-            "profile nesting exceeds the depth limit of {MAX_PROFILE_DEPTH}"
-        )));
-    }
-    if *budget == 0 {
-        return Err(perr(format!(
-            "profile tree exceeds the {MAX_PROFILE_NODES}-node limit"
-        )));
-    }
-    *budget -= 1;
-    let label = r.str()?;
-    let kind = SpanKind::from_code(r.u8()?);
-    let wall_micros = r.u64()?;
-    let tuples_in = r.u64()?;
-    let tuples_out = r.u64()?;
-    let pages_read = r.u64()?;
-    let pages_written = r.u64()?;
-    let spill_bytes = r.u64()?;
-    let network_bytes = r.u64()?;
-    let ops = get_ops(r)?;
-    let n_phases = r.u16()? as usize;
-    let mut phases = Vec::with_capacity(n_phases.min(256));
-    for _ in 0..n_phases {
-        phases.push(r.str()?);
-    }
-    let n_children = r.u16()? as usize;
-    let mut children = Vec::with_capacity(n_children.min(256));
-    for _ in 0..n_children {
-        children.push(get_profile_node(r, depth + 1, budget)?);
-    }
-    Ok(ProfileNode {
-        label,
-        kind,
-        wall_micros,
-        tuples_in,
-        tuples_out,
-        ops,
-        pages_read,
-        pages_written,
-        spill_bytes,
-        network_bytes,
-        phases,
-        children,
-    })
-}
-
-fn put_profile(out: &mut Vec<u8>, profile: &QueryProfile) -> PResult<()> {
-    put_profile_node(out, &profile.root)
-}
-
-fn get_profile(r: &mut Reader<'_>) -> PResult<QueryProfile> {
-    let mut budget = MAX_PROFILE_NODES;
-    let root = get_profile_node(r, 0, &mut budget)?;
-    Ok(QueryProfile { root })
-}
-
-// ---------------------------------------------------------------------
-// Bit-vector filters
-//
-// Wire form: u32 bit count, u32 word count, then the words as u64s. The
-// word count is redundant (it must equal ceil(bits/64)) and exists so a
-// corrupt frame is caught by arithmetic, not by a misaligned read of
-// whatever follows. Bounded by [`MAX_FILTER_BITS`].
-
-fn put_filter(out: &mut Vec<u8>, filter: &BitVectorFilter) -> PResult<()> {
-    if filter.bits() > MAX_FILTER_BITS {
-        return Err(perr(format!(
-            "filter of {} bits exceeds the {MAX_FILTER_BITS}-bit limit",
-            filter.bits()
-        )));
-    }
-    out.extend_from_slice(&(filter.bits() as u32).to_le_bytes());
-    let words = filter.words();
-    out.extend_from_slice(&(words.len() as u32).to_le_bytes());
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    Ok(())
-}
-
-fn get_filter(r: &mut Reader<'_>) -> PResult<BitVectorFilter> {
-    let bits = r.u32()? as usize;
-    if bits > MAX_FILTER_BITS {
-        return Err(perr(format!(
-            "filter of {bits} bits exceeds the {MAX_FILTER_BITS}-bit limit"
-        )));
-    }
-    let n_words = r.u32()? as usize;
-    if n_words != bits.div_ceil(64) {
-        return Err(perr(format!(
-            "filter word count {n_words} does not match {bits} bits"
-        )));
-    }
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(r.u64()?);
-    }
-    BitVectorFilter::from_parts(bits, words)
-        .ok_or_else(|| perr("filter geometry rejected".to_string()))
-}
-
-// ---------------------------------------------------------------------
-// Requests
-
-const OP_PING: u8 = 0x01;
-const OP_REGISTER: u8 = 0x02;
-const OP_DROP: u8 = 0x03;
-const OP_DIVIDE: u8 = 0x04;
-const OP_STATS: u8 = 0x05;
-const OP_SHUTDOWN: u8 = 0x06;
-const OP_SHARD: u8 = 0x07;
-const OP_REPARTITION: u8 = 0x08;
-const OP_BUILD_FILTER: u8 = 0x09;
-const OP_DIVIDE_PARTIAL: u8 = 0x0A;
-const OP_EXEC_PLAN: u8 = 0x0B;
-const OP_HEARTBEAT: u8 = 0x0C;
-const OP_CLUSTER_EPOCH: u8 = 0x0D;
-const OP_REPLICA_WRITE: u8 = 0x0E;
-
-/// Encodes the optional trailing catalog-epoch extension shared by the
-/// cluster data-plane requests: a presence byte, then the epoch. Peers
-/// that predate replication simply stop before it.
-fn put_epoch_ext(out: &mut Vec<u8>, epoch: Option<u64>) {
-    match epoch {
-        None => out.push(0),
-        Some(e) => {
-            out.push(1);
-            out.extend_from_slice(&e.to_le_bytes());
+impl Records {
+    fn put<T: Borrow<Tuple>>(tuples: &[T], schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        let codec = RecordCodec::new(schema.clone());
+        let n = u32::try_from(tuples.len()).map_err(|_| perr("too many tuples for one frame"))?;
+        // Room for the records and for what may follow them (an epoch, a
+        // profile tag), so a frame is not copied to grow at its tail.
+        out.reserve(tuples.len() * codec.record_width() + 256);
+        U32::put(&n, out)?;
+        for t in tuples {
+            codec
+                .encode_into(t.borrow(), out)
+                .map_err(|e| perr(format!("tuple does not fit the schema: {e}")))?;
         }
+        Ok(())
+    }
+
+    fn get<R: Land>(r: &mut Reader<'_>, schema: &Schema) -> PResult<R> {
+        let (n, width) = (U32::get(r)? as usize, schema.record_width());
+        if width == 0 && n > 0 {
+            return Err(perr("records of a schema without columns"));
+        }
+        let bytes = n.checked_mul(width).map(|len| r.take(len));
+        R::land(schema, bytes.ok_or_else(|| perr("tuple count overflow"))??)
+            .map_err(|e| perr(format!("bad record: {e}")))
     }
 }
 
-/// Decodes the trailing catalog-epoch extension; an exhausted reader
-/// means the peer predates it.
-fn get_epoch_ext(r: &mut Reader<'_>) -> PResult<Option<u64>> {
-    if r.remaining() == 0 {
-        return Ok(None);
+/// One record section per node: a `u16` count in `1..=`
+/// [`MAX_CLUSTER_NODES`], then the sections.
+struct Buckets;
+
+impl Buckets {
+    fn put(buckets: &[Vec<Tuple>], schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        put_count::<1, MAX_CLUSTER_NODES>(buckets.len(), out)?;
+        buckets
+            .iter()
+            .try_for_each(|b| Records::put(b, schema, out))
     }
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        t => Err(perr(format!("unknown epoch tag {t}"))),
+
+    fn get(r: &mut Reader<'_>, schema: &Schema) -> PResult<Vec<Vec<Tuple>>> {
+        let n = get_count::<1, MAX_CLUSTER_NODES>(r)?;
+        (0..n).map(|_| Records::get(r, schema)).collect()
     }
 }
 
-/// Encodes a `Register`, `Shard` or `ReplicaWrite` frame from borrowed
-/// rows, so a client need not clone a relation into a [`Request`] first;
-/// the bytes are those of the matching `Request`'s `encode`.
-pub fn encode_write<T: Borrow<Tuple>>(
-    name: &str,
-    kind: &WriteKind,
-    schema: &Schema,
-    tuples: &[T],
-    epoch: Option<u64>,
-) -> PResult<Vec<u8>> {
-    let (op, at) = match kind {
-        WriteKind::Register => (OP_REGISTER, None),
-        WriteKind::Shard(at) => (OP_SHARD, Some(at)),
-        WriteKind::Replica(at) => (OP_REPLICA_WRITE, Some(at)),
-    };
-    let mut out = Vec::with_capacity(tuples.len() * schema.record_width() + 256);
-    out.push(op);
-    put_str(&mut out, name)?;
-    if let Some(at) = at {
-        check_placement(op, at.shard, at.of)?;
-        out.extend_from_slice(&at.shard.to_le_bytes());
-        out.extend_from_slice(&at.of.to_le_bytes());
-        put_keys(&mut out, &at.shard_keys)?;
+/// A fragment count (`u16`): `1..=`[`MAX_CLUSTER_NODES`], above the
+/// fragment index.
+struct Of;
+
+impl Of {
+    fn put(of: &u16, shard: &u16, out: &mut Vec<u8>) -> PResult<()> {
+        U16::put(&Of::check(*shard, *of)?, out)
     }
-    put_schema(&mut out, schema)?;
-    put_tuples(&mut out, schema, tuples)?;
-    if at.is_some() {
-        put_epoch_ext(&mut out, epoch);
+
+    fn get(r: &mut Reader<'_>, shard: &u16) -> PResult<u16> {
+        Of::check(*shard, U16::get(r)?)
     }
-    Ok(out)
+
+    fn check(shard: u16, of: u16) -> PResult<u16> {
+        if of > 0 && of as usize <= MAX_CLUSTER_NODES && shard < of {
+            return Ok(of);
+        }
+        Err(perr(format!(
+            "fragment {shard} of {of} is not a valid placement"
+        )))
+    }
 }
 
-fn check_placement(op: u8, index: u16, of: u16) -> PResult<()> {
-    if of > 0 && of as usize <= MAX_CLUSTER_NODES && index < of {
-        return Ok(());
+/// A replication factor (`u16`): `1..=` the member count.
+struct Replication;
+
+impl Replication {
+    fn put(k: &u16, members: &[String], out: &mut Vec<u8>) -> PResult<()> {
+        within(*k, 1, members.len())?;
+        U16::put(k, out)
     }
-    Err(perr(if op == OP_SHARD {
-        format!("shard {index}/{of} is not a valid placement")
-    } else {
-        format!("replica of fragment {index}/{of} is not a valid placement")
-    }))
+
+    fn get(r: &mut Reader<'_>, members: &[String]) -> PResult<u16> {
+        let k = U16::get(r)?;
+        within(k, 1, members.len()).map(|_| k)
+    }
 }
 
-/// Parses the body of a bulk write frame whose opcode `op` was already
-/// read, landing the record section wherever `rows` puts it.
-fn get_write<R>(
-    op: u8,
-    r: &mut Reader<'_>,
-    rows: impl FnOnce(&mut Reader<'_>, &Schema) -> PResult<R>,
-) -> PResult<WriteFrame<R>> {
-    let name = r.str()?;
-    let kind = if op == OP_REGISTER {
-        WriteKind::Register
-    } else {
-        let (shard, of) = (r.u16()?, r.u16()?);
-        check_placement(op, shard, of)?;
-        let shard_keys = get_keys(r)?;
-        let at = ShardInfo {
-            shard,
-            of,
-            shard_keys,
+/// `u32` bits up to [`MAX_FILTER_BITS`], `u32` words (which must be
+/// `ceil(bits / 64)`, so a corrupt frame fails arithmetic, not a
+/// misaligned read), then the words.
+struct Filter;
+
+impl Form for Filter {
+    type Value = BitVectorFilter;
+    fn put(filter: &BitVectorFilter, out: &mut Vec<u8>) -> PResult<()> {
+        U32::put(&(within(filter.bits(), 0, MAX_FILTER_BITS)? as u32), out)?;
+        U32::put(&(filter.words().len() as u32), out)?;
+        filter.words().iter().try_for_each(|w| U64::put(w, out))
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<BitVectorFilter> {
+        let bits = within(U32::get(r)?, 0, MAX_FILTER_BITS)? as usize;
+        let n = U32::get(r)? as usize;
+        if n != bits.div_ceil(64) {
+            return Err(perr(format!(
+                "filter word count {n} does not match {bits} bits"
+            )));
+        }
+        let words = (0..n).map(|_| U64::get(r)).collect::<PResult<Vec<u64>>>()?;
+        BitVectorFilter::from_parts(bits, words).ok_or_else(|| perr("filter geometry rejected"))
+    }
+}
+
+/// A span and its subtree. Hostile trees are bounded: nesting deeper
+/// than [`MAX_PROFILE_DEPTH`] or more than [`MAX_PROFILE_NODES`] spans is
+/// a typed protocol error, never unbounded recursion or allocation.
+struct Span;
+
+impl Form for Span {
+    type Value = ProfileNode;
+    fn put(node: &ProfileNode, out: &mut Vec<u8>) -> PResult<()> {
+        ProfileNodes::put(node, out)
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<ProfileNode> {
+        if r.depth > MAX_PROFILE_DEPTH {
+            return Err(perr(format!(
+                "profile nesting exceeds depth {MAX_PROFILE_DEPTH}"
+            )));
+        }
+        if r.spans == MAX_PROFILE_NODES {
+            return Err(perr(format!(
+                "profile tree exceeds {MAX_PROFILE_NODES} nodes"
+            )));
+        }
+        r.spans += 1;
+        r.depth += 1;
+        let node = ProfileNodes::get(r);
+        r.depth -= 1;
+        node
+    }
+}
+
+/// The stats counters: a `u16` count (at least 13), the counters in
+/// [`STATS_COUNTERS`] order, then the ops totals. Counters past the ones
+/// this side knows are a newer peer's and are skipped; ones an older peer
+/// never sent read as zero.
+struct Counters;
+
+impl Form for Counters {
+    type Value = MetricsSnapshot;
+    fn put(s: &MetricsSnapshot, out: &mut Vec<u8>) -> PResult<()> {
+        let mut s = *s;
+        put_count::<0, U16_MAX>(STATS_COUNTERS.len(), out)?;
+        counter_slots(&mut s).try_for_each(|v| U64::put(v, out))?;
+        Ops::put(&s.ops, out)
+    }
+    fn get(r: &mut Reader<'_>) -> PResult<MetricsSnapshot> {
+        let n = get_count::<STATS_REQUIRED_FIELDS, U16_MAX>(r)?;
+        let values = (0..n).map(|_| U64::get(r)).collect::<PResult<Vec<u64>>>()?;
+        let mut s = MetricsSnapshot {
+            ops: Ops::get(r)?,
+            ..MetricsSnapshot::default()
         };
-        if op == OP_SHARD {
-            WriteKind::Shard(at)
-        } else {
-            WriteKind::Replica(at)
-        }
-    };
-    let schema = get_schema(r)?;
-    let rows = rows(r, &schema)?;
-    let epoch = match kind {
-        WriteKind::Register => None,
-        _ => get_epoch_ext(r)?,
-    };
-    Ok(WriteFrame {
-        name,
-        kind,
-        schema,
-        rows,
-        epoch,
-    })
-}
-
-/// Decodes a frame payload that is a `Register`, `Shard` or
-/// `ReplicaWrite`, its record section read straight into columns (each
-/// record checked for width and UTF-8, as [`Request::decode`] checks
-/// it); `None` for any other opcode.
-pub fn decode_write(payload: &[u8]) -> Option<PResult<WriteFrame<Columns>>> {
-    let op = *payload.first()?;
-    if !matches!(op, OP_REGISTER | OP_SHARD | OP_REPLICA_WRITE) {
-        return None;
-    }
-    let mut r = Reader::new(&payload[1..]);
-    let columns = |r: &mut Reader<'_>, schema: &Schema| {
-        get_rows(r, schema.record_width(), |records| {
-            Columns::from_records(schema.clone(), records)
-        })
-    };
-    Some(get_write(op, &mut r, columns).and_then(|write| r.finish().map(|()| write)))
-}
-
-/// Encodes a membership view (epoch, member addresses, replication
-/// factor), shared by the `ClusterEpoch` request and the `Epoch` reply.
-fn put_membership(
-    out: &mut Vec<u8>,
-    epoch: u64,
-    members: &[String],
-    replication: u16,
-) -> PResult<()> {
-    if members.is_empty() || members.len() > MAX_CLUSTER_NODES {
-        return Err(perr(format!(
-            "{} members is outside 1..={MAX_CLUSTER_NODES}",
-            members.len()
-        )));
-    }
-    if replication == 0 || replication as usize > members.len() {
-        return Err(perr(format!(
-            "replication factor {replication} is outside 1..={}",
-            members.len()
-        )));
-    }
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(members.len() as u16).to_le_bytes());
-    for m in members {
-        put_str(out, m)?;
-    }
-    out.extend_from_slice(&replication.to_le_bytes());
-    Ok(())
-}
-
-/// Decodes a membership view, enforcing the same geometry bounds the
-/// encoder does so hostile frames never allocate per a lying count.
-fn get_membership(r: &mut Reader<'_>) -> PResult<(u64, Vec<String>, u16)> {
-    let epoch = r.u64()?;
-    let n = r.u16()? as usize;
-    if n == 0 || n > MAX_CLUSTER_NODES {
-        return Err(perr(format!(
-            "{n} members is outside 1..={MAX_CLUSTER_NODES}"
-        )));
-    }
-    let mut members = Vec::with_capacity(n);
-    for _ in 0..n {
-        members.push(r.str()?);
-    }
-    let replication = r.u16()?;
-    if replication == 0 || replication as usize > members.len() {
-        return Err(perr(format!(
-            "replication factor {replication} is outside 1..={}",
-            members.len()
-        )));
-    }
-    Ok((epoch, members, replication))
-}
-
-/// Encodes the body of a divide request (everything after the opcode),
-/// shared by [`Request::Divide`] and [`Request::DividePartial`].
-fn put_divide_body(out: &mut Vec<u8>, q: &DivideRequest) -> PResult<()> {
-    put_str(out, &q.dividend)?;
-    put_str(out, &q.divisor)?;
-    out.push(q.algorithm.map_or(ALG_AUTO, algorithm_code));
-    out.push(u8::from(q.assume_unique));
-    match &q.spec {
-        None => out.push(0),
-        Some((divisor_keys, quotient_keys)) => {
-            out.push(1);
-            put_keys(out, divisor_keys)?;
-            put_keys(out, quotient_keys)?;
-        }
-    }
-    // 0 on the wire means "no explicit deadline".
-    out.extend_from_slice(&q.deadline_ms.unwrap_or(0).to_le_bytes());
-    // Trailing extension (absent in the original revision): request a
-    // query profile with the reply.
-    out.push(u8::from(q.profile));
-    // Trailing extension (absent before the cluster revision): run the
-    // division over the in-process parallel machine.
-    match &q.distribute {
-        None => out.push(0),
-        Some(d) => {
-            if d.nodes == 0 || d.nodes > MAX_CLUSTER_NODES {
-                return Err(perr(format!(
-                    "distribution over {} nodes is outside 1..={MAX_CLUSTER_NODES}",
-                    d.nodes
-                )));
-            }
-            out.push(1);
-            out.push(d.strategy.code());
-            out.extend_from_slice(&(d.nodes as u16).to_le_bytes());
-            let bits = d.bit_vector_bits.unwrap_or(0);
-            if bits > MAX_FILTER_BITS {
-                return Err(perr(format!(
-                    "filter of {bits} bits exceeds the {MAX_FILTER_BITS}-bit limit"
-                )));
-            }
-            out.extend_from_slice(&(bits as u64).to_le_bytes());
-        }
-    }
-    // Trailing extension (absent before the plan revision): the
-    // restricted-divisor assertion, 0xFF for "no assertion".
-    out.push(match q.restricted {
-        None => TRI_AUTO,
-        Some(false) => 0,
-        Some(true) => 1,
-    });
-    // Trailing extension (absent before the adaptive-memory revision):
-    // per-query memory budget in bytes, 0 for "no budget".
-    out.extend_from_slice(&q.mem_budget.unwrap_or(0).to_le_bytes());
-    Ok(())
-}
-
-/// Decodes a divide-request body. Both trailing extensions (profile
-/// byte, distribution section) may be absent: old peers stop early.
-fn get_divide_body(r: &mut Reader<'_>) -> PResult<DivideRequest> {
-    let dividend = r.str()?;
-    let divisor = r.str()?;
-    let alg = r.u8()?;
-    let algorithm = if alg == ALG_AUTO {
-        None
-    } else {
-        Some(
-            algorithm_from_code(alg)
-                .ok_or_else(|| perr(format!("unknown algorithm code {alg}")))?,
-        )
-    };
-    let assume_unique = r.u8()? != 0;
-    let spec = match r.u8()? {
-        0 => None,
-        1 => Some((get_keys(r)?, get_keys(r)?)),
-        t => return Err(perr(format!("unknown spec tag {t}"))),
-    };
-    let deadline_ms = match r.u64()? {
-        0 => None,
-        ms => Some(ms),
-    };
-    // Original-revision clients stop here; absence of the trailing
-    // profile byte means "no profile".
-    let profile = r.remaining() > 0 && r.u8()? != 0;
-    // Pre-cluster clients stop here; absence means "not distributed".
-    let distribute = if r.remaining() > 0 {
-        match r.u8()? {
-            0 => None,
-            1 => {
-                let code = r.u8()?;
-                let strategy = Strategy::from_code(code)
-                    .ok_or_else(|| perr(format!("unknown strategy code {code}")))?;
-                let nodes = r.u16()? as usize;
-                if nodes == 0 || nodes > MAX_CLUSTER_NODES {
-                    return Err(perr(format!(
-                        "distribution over {nodes} nodes is outside 1..={MAX_CLUSTER_NODES}"
-                    )));
-                }
-                let bits = r.u64()? as usize;
-                if bits > MAX_FILTER_BITS {
-                    return Err(perr(format!(
-                        "filter of {bits} bits exceeds the {MAX_FILTER_BITS}-bit limit"
-                    )));
-                }
-                Some(Distribution {
-                    strategy,
-                    nodes,
-                    bit_vector_bits: if bits == 0 { None } else { Some(bits) },
-                })
-            }
-            t => return Err(perr(format!("unknown distribution tag {t}"))),
-        }
-    } else {
-        None
-    };
-    // Pre-plan-revision clients stop here; absence means "no assertion".
-    let restricted = if r.remaining() > 0 {
-        match r.u8()? {
-            TRI_AUTO => None,
-            0 => Some(false),
-            1 => Some(true),
-            t => return Err(perr(format!("unknown restricted tag {t:#04x}"))),
-        }
-    } else {
-        None
-    };
-    // Pre-adaptive-memory clients stop here; absence (or an explicit 0)
-    // means "no budget".
-    let mem_budget = if r.remaining() > 0 {
-        match r.u64()? {
-            0 => None,
-            b => Some(b),
-        }
-    } else {
-        None
-    };
-    Ok(DivideRequest {
-        dividend,
-        divisor,
-        algorithm,
-        assume_unique,
-        spec,
-        deadline_ms,
-        profile,
-        distribute,
-        restricted,
-        mem_budget,
-    })
-}
-
-impl Request {
-    /// Encodes the request as a frame payload.
-    pub fn encode(&self) -> PResult<Vec<u8>> {
-        let mut out = Vec::new();
-        match self {
-            Request::Ping => out.push(OP_PING),
-            Request::Register {
-                name,
-                schema,
-                tuples,
-            } => return encode_write(name, &WriteKind::Register, schema, tuples, None),
-            Request::DropRelation { name } => {
-                out.push(OP_DROP);
-                put_str(&mut out, name)?;
-            }
-            Request::Divide(q) => {
-                out.push(OP_DIVIDE);
-                put_divide_body(&mut out, q)?;
-            }
-            Request::Stats => out.push(OP_STATS),
-            Request::Shutdown => out.push(OP_SHUTDOWN),
-            Request::Shard(s) => {
-                let at = ShardInfo {
-                    shard: s.shard,
-                    of: s.of,
-                    shard_keys: s.shard_keys.clone(),
-                };
-                let kind = WriteKind::Shard(at);
-                return encode_write(&s.name, &kind, &s.schema, &s.tuples, s.epoch);
-            }
-            Request::Repartition(p) => {
-                out.push(OP_REPARTITION);
-                if p.parts == 0 || p.parts as usize > MAX_CLUSTER_NODES {
-                    return Err(perr(format!(
-                        "repartition into {} parts is outside 1..={MAX_CLUSTER_NODES}",
-                        p.parts
-                    )));
-                }
-                put_str(&mut out, &p.name)?;
-                put_keys(&mut out, &p.keys)?;
-                out.extend_from_slice(&p.parts.to_le_bytes());
-                match &p.filter {
-                    None => out.push(0),
-                    Some(f) => {
-                        out.push(1);
-                        put_filter(&mut out, f)?;
-                    }
-                }
-                put_epoch_ext(&mut out, p.epoch);
-            }
-            Request::BuildFilter {
-                name,
-                keys,
-                bits,
-                epoch,
-            } => {
-                out.push(OP_BUILD_FILTER);
-                if *bits == 0 || *bits as usize > MAX_FILTER_BITS {
-                    return Err(perr(format!(
-                        "filter of {bits} bits is outside 1..={MAX_FILTER_BITS}"
-                    )));
-                }
-                put_str(&mut out, name)?;
-                put_keys(&mut out, keys)?;
-                out.extend_from_slice(&bits.to_le_bytes());
-                put_epoch_ext(&mut out, *epoch);
-            }
-            Request::DividePartial { tag, query, epoch } => {
-                out.push(OP_DIVIDE_PARTIAL);
-                out.extend_from_slice(&tag.to_le_bytes());
-                put_divide_body(&mut out, query)?;
-                put_epoch_ext(&mut out, *epoch);
-            }
-            Request::ExecPlan(p) => {
-                out.push(OP_EXEC_PLAN);
-                if p.plan.len() > MAX_PLAN_WIRE {
-                    return Err(perr(format!(
-                        "plan text of {} bytes exceeds the {MAX_PLAN_WIRE}-byte limit",
-                        p.plan.len()
-                    )));
-                }
-                out.extend_from_slice(&(p.plan.len() as u32).to_le_bytes());
-                out.extend_from_slice(p.plan.as_bytes());
-                out.extend_from_slice(&p.deadline_ms.unwrap_or(0).to_le_bytes());
-                out.push(u8::from(p.profile));
-            }
-            Request::Heartbeat => out.push(OP_HEARTBEAT),
-            Request::ClusterEpoch(e) => {
-                out.push(OP_CLUSTER_EPOCH);
-                match e {
-                    EpochRequest::Get => out.push(0),
-                    EpochRequest::Set {
-                        epoch,
-                        members,
-                        replication,
-                    } => {
-                        out.push(1);
-                        put_membership(&mut out, *epoch, members, *replication)?;
-                    }
-                }
-            }
-            Request::ReplicaWrite(w) => {
-                let at = ShardInfo {
-                    shard: w.fragment,
-                    of: w.of,
-                    shard_keys: w.shard_keys.clone(),
-                };
-                let kind = WriteKind::Replica(at);
-                return encode_write(&w.name, &kind, &w.schema, &w.tuples, w.epoch);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Decodes a frame payload.
-    pub fn decode(payload: &[u8]) -> PResult<Request> {
-        let mut r = Reader::new(payload);
-        let req = match r.u8()? {
-            OP_PING => Request::Ping,
-            op @ (OP_REGISTER | OP_SHARD | OP_REPLICA_WRITE) => {
-                let WriteFrame {
-                    name,
-                    kind,
-                    schema,
-                    rows: tuples,
-                    epoch,
-                } = get_write(op, &mut r, get_tuples)?;
-                match kind {
-                    WriteKind::Register => Request::Register {
-                        name,
-                        schema,
-                        tuples,
-                    },
-                    WriteKind::Shard(at) => Request::Shard(ShardRequest {
-                        name,
-                        shard: at.shard,
-                        of: at.of,
-                        shard_keys: at.shard_keys,
-                        schema,
-                        tuples,
-                        epoch,
-                    }),
-                    WriteKind::Replica(at) => Request::ReplicaWrite(ReplicaWriteRequest {
-                        name,
-                        fragment: at.shard,
-                        of: at.of,
-                        shard_keys: at.shard_keys,
-                        schema,
-                        tuples,
-                        epoch,
-                    }),
-                }
-            }
-            OP_DROP => Request::DropRelation { name: r.str()? },
-            OP_DIVIDE => Request::Divide(get_divide_body(&mut r)?),
-            OP_STATS => Request::Stats,
-            OP_SHUTDOWN => Request::Shutdown,
-            OP_REPARTITION => {
-                let name = r.str()?;
-                let keys = get_keys(&mut r)?;
-                let parts = r.u16()?;
-                if parts == 0 || parts as usize > MAX_CLUSTER_NODES {
-                    return Err(perr(format!(
-                        "repartition into {parts} parts is outside 1..={MAX_CLUSTER_NODES}"
-                    )));
-                }
-                let filter = match r.u8()? {
-                    0 => None,
-                    1 => Some(get_filter(&mut r)?),
-                    t => return Err(perr(format!("unknown filter tag {t}"))),
-                };
-                let epoch = get_epoch_ext(&mut r)?;
-                Request::Repartition(RepartitionRequest {
-                    name,
-                    keys,
-                    parts,
-                    filter,
-                    epoch,
-                })
-            }
-            OP_BUILD_FILTER => {
-                let name = r.str()?;
-                let keys = get_keys(&mut r)?;
-                let bits = r.u32()?;
-                if bits == 0 || bits as usize > MAX_FILTER_BITS {
-                    return Err(perr(format!(
-                        "filter of {bits} bits is outside 1..={MAX_FILTER_BITS}"
-                    )));
-                }
-                let epoch = get_epoch_ext(&mut r)?;
-                Request::BuildFilter {
-                    name,
-                    keys,
-                    bits,
-                    epoch,
-                }
-            }
-            OP_DIVIDE_PARTIAL => {
-                let tag = r.u16()?;
-                let query = get_divide_body(&mut r)?;
-                let epoch = get_epoch_ext(&mut r)?;
-                Request::DividePartial { tag, query, epoch }
-            }
-            OP_EXEC_PLAN => {
-                let n = r.u32()? as usize;
-                if n > MAX_PLAN_WIRE {
-                    return Err(perr(format!(
-                        "plan text of {n} bytes exceeds the {MAX_PLAN_WIRE}-byte limit"
-                    )));
-                }
-                let plan = String::from_utf8(r.take(n)?.to_vec())
-                    .map_err(|_| perr("plan text is not UTF-8"))?;
-                let deadline_ms = match r.u64()? {
-                    0 => None,
-                    ms => Some(ms),
-                };
-                let profile = r.u8()? != 0;
-                Request::ExecPlan(ExecPlanRequest {
-                    plan,
-                    deadline_ms,
-                    profile,
-                })
-            }
-            OP_HEARTBEAT => Request::Heartbeat,
-            OP_CLUSTER_EPOCH => match r.u8()? {
-                0 => Request::ClusterEpoch(EpochRequest::Get),
-                1 => {
-                    let (epoch, members, replication) = get_membership(&mut r)?;
-                    Request::ClusterEpoch(EpochRequest::Set {
-                        epoch,
-                        members,
-                        replication,
-                    })
-                }
-                t => return Err(perr(format!("unknown epoch request tag {t}"))),
-            },
-            op => return Err(perr(format!("unknown request opcode {op:#04x}"))),
-        };
-        r.finish()?;
-        Ok(req)
+        counter_slots(&mut s)
+            .zip(values)
+            .for_each(|(slot, v)| *slot = v);
+        Ok(s)
     }
 }
 
-// ---------------------------------------------------------------------
-// Responses
+/// An error: its code ([`ERROR_CODES`]), then its message as a string.
+struct Failure;
 
-const STATUS_OK: u8 = 0x00;
-const STATUS_ERR: u8 = 0x01;
-
-const REPLY_PONG: u8 = 0x01;
-const REPLY_REGISTERED: u8 = 0x02;
-const REPLY_DROPPED: u8 = 0x03;
-const REPLY_DIVIDED: u8 = 0x04;
-// 0x05 was the unversioned stats reply (exactly 13 counters); no server
-// has sent it since `REPLY_STATS_V2` and the code stays unassigned.
-const REPLY_SHUTTING_DOWN: u8 = 0x06;
-/// Versioned stats reply: a `u16` field count followed by that many
-/// `u64` counters in the canonical order, then the ops block. Decoders
-/// read the fields they know and skip unknown trailing fields, so the
-/// counter list can grow without another reply code.
-const REPLY_STATS_V2: u8 = 0x07;
-const REPLY_SHARDED: u8 = 0x08;
-const REPLY_REPARTITIONED: u8 = 0x09;
-const REPLY_FILTER: u8 = 0x0A;
-const REPLY_PARTIAL_QUOTIENT: u8 = 0x0B;
-const REPLY_PLAN: u8 = 0x0C;
-const REPLY_HEARTBEAT_ACK: u8 = 0x0D;
-const REPLY_EPOCH: u8 = 0x0E;
-const REPLY_REPLICA_ACK: u8 = 0x0F;
-
-/// Largest algorithm list accepted in a plan reply (a plan has at most
-/// [`MAX_PLAN_WIRE`]-bounded text, so thousands of divisions is already
-/// absurd; this bound stops a lying count from allocating further).
-const MAX_PLAN_ALGORITHMS: usize = 4096;
-
-/// Largest pinned-relation list accepted in a plan reply.
-const MAX_PLAN_RELATIONS: usize = 4096;
-
-/// Counters every stats frame must carry (the original 13); a `V2`
-/// frame announcing fewer is corrupt, not merely old.
-const STATS_REQUIRED_FIELDS: usize = 13;
-
-/// The canonical counter order of a stats frame. Append-only: new
-/// counters go at the end so old decoders skip them.
-fn stats_fields(s: &MetricsSnapshot) -> [u64; 21] {
-    [
-        s.queries,
-        s.cache_hits,
-        s.cache_misses,
-        s.rejections,
-        s.shed_shutdown,
-        s.errors,
-        s.timeouts,
-        s.worker_panics,
-        s.io_retries,
-        s.latency_p50_us,
-        s.latency_p95_us,
-        s.latency_p99_us,
-        s.latency_mean_us,
-        s.latency_count,
-        s.profiled_queries,
-        s.replica_retries,
-        s.failovers,
-        s.nodes_excluded,
-        s.heartbeats_missed,
-        s.degraded_queries,
-        s.division_spill_bytes,
-    ]
-}
-
-/// Rebuilds a snapshot from wire counters in the canonical order.
-/// Counters beyond the caller's slice default to zero (an old peer that
-/// has never heard of them).
-fn stats_from_fields(vals: &[u64], ops: OpSnapshot) -> MetricsSnapshot {
-    let field = |i: usize| vals.get(i).copied().unwrap_or(0);
-    MetricsSnapshot {
-        queries: field(0),
-        cache_hits: field(1),
-        cache_misses: field(2),
-        rejections: field(3),
-        shed_shutdown: field(4),
-        errors: field(5),
-        timeouts: field(6),
-        worker_panics: field(7),
-        io_retries: field(8),
-        latency_p50_us: field(9),
-        latency_p95_us: field(10),
-        latency_p99_us: field(11),
-        latency_mean_us: field(12),
-        latency_count: field(13),
-        profiled_queries: field(14),
-        replica_retries: field(15),
-        failovers: field(16),
-        nodes_excluded: field(17),
-        heartbeats_missed: field(18),
-        degraded_queries: field(19),
-        division_spill_bytes: field(20),
-        ops,
+impl Form for Failure {
+    type Value = ServiceError;
+    fn put(e: &ServiceError, out: &mut Vec<u8>) -> PResult<()> {
+        U8::put(&error_code(e), out)?;
+        Str::put(&e.to_string(), out)
     }
-}
-
-/// Encodes a response as a frame payload.
-pub fn encode_response(response: &Response) -> PResult<Vec<u8>> {
-    let mut out = Vec::new();
-    match response {
-        Err(e) => {
-            out.push(STATUS_ERR);
-            out.push(error_code(e));
-            put_str(&mut out, &e.to_string())?;
-        }
-        Ok(reply) => {
-            out.push(STATUS_OK);
-            match reply {
-                Reply::Pong => out.push(REPLY_PONG),
-                Reply::Registered { version } => {
-                    out.push(REPLY_REGISTERED);
-                    out.extend_from_slice(&version.to_le_bytes());
-                }
-                Reply::Dropped => out.push(REPLY_DROPPED),
-                Reply::Divided(d) => {
-                    out.push(REPLY_DIVIDED);
-                    out.push(algorithm_code(d.algorithm));
-                    out.push(u8::from(d.cached));
-                    out.extend_from_slice(&d.dividend_version.to_le_bytes());
-                    out.extend_from_slice(&d.divisor_version.to_le_bytes());
-                    out.extend_from_slice(&d.micros.to_le_bytes());
-                    put_ops(&mut out, &d.ops);
-                    put_schema(&mut out, &d.schema)?;
-                    put_tuples(&mut out, &d.schema, &d.tuples)?;
-                    // Trailing extension (absent in the original
-                    // revision): the query profile, when one was taken.
-                    match &d.profile {
-                        None => out.push(0),
-                        Some(profile) => {
-                            out.push(1);
-                            put_profile(&mut out, profile)?;
-                        }
-                    }
-                }
-                Reply::Stats(s) => {
-                    out.push(REPLY_STATS_V2);
-                    let fields = stats_fields(s);
-                    let n = u16::try_from(fields.len())
-                        .map_err(|_| perr("stats field count exceeds u16"))?;
-                    out.extend_from_slice(&n.to_le_bytes());
-                    for v in fields {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                    put_ops(&mut out, &s.ops);
-                }
-                Reply::ShuttingDown => out.push(REPLY_SHUTTING_DOWN),
-                Reply::Sharded { version } => {
-                    out.push(REPLY_SHARDED);
-                    out.extend_from_slice(&version.to_le_bytes());
-                }
-                Reply::Repartitioned {
-                    schema,
-                    buckets,
-                    filtered,
-                } => {
-                    out.push(REPLY_REPARTITIONED);
-                    if buckets.is_empty() || buckets.len() > MAX_CLUSTER_NODES {
-                        return Err(perr(format!(
-                            "{} buckets is outside 1..={MAX_CLUSTER_NODES}",
-                            buckets.len()
-                        )));
-                    }
-                    put_schema(&mut out, schema)?;
-                    out.extend_from_slice(&(buckets.len() as u16).to_le_bytes());
-                    for bucket in buckets {
-                        put_tuples(&mut out, schema, bucket)?;
-                    }
-                    out.extend_from_slice(&filtered.to_le_bytes());
-                }
-                Reply::Filter { filter, insertions } => {
-                    out.push(REPLY_FILTER);
-                    put_filter(&mut out, filter)?;
-                    out.extend_from_slice(&insertions.to_le_bytes());
-                }
-                Reply::Plan(p) => {
-                    out.push(REPLY_PLAN);
-                    if p.algorithms.len() > MAX_PLAN_ALGORITHMS {
-                        return Err(perr(format!(
-                            "{} division algorithms exceed the plan-reply limit",
-                            p.algorithms.len()
-                        )));
-                    }
-                    out.extend_from_slice(&(p.algorithms.len() as u16).to_le_bytes());
-                    for &alg in &p.algorithms {
-                        out.push(algorithm_code(alg));
-                    }
-                    out.push(u8::from(p.cached));
-                    out.extend_from_slice(&p.micros.to_le_bytes());
-                    put_ops(&mut out, &p.ops);
-                    if p.relations.len() > MAX_PLAN_RELATIONS {
-                        return Err(perr(format!(
-                            "{} pinned relations exceed the plan-reply limit",
-                            p.relations.len()
-                        )));
-                    }
-                    out.extend_from_slice(&(p.relations.len() as u16).to_le_bytes());
-                    for (name, version) in &p.relations {
-                        put_str(&mut out, name)?;
-                        out.extend_from_slice(&version.to_le_bytes());
-                    }
-                    put_schema(&mut out, &p.schema)?;
-                    put_tuples(&mut out, &p.schema, &p.tuples)?;
-                    match &p.profile {
-                        None => out.push(0),
-                        Some(profile) => {
-                            out.push(1);
-                            put_profile(&mut out, profile)?;
-                        }
-                    }
-                }
-                Reply::HeartbeatAck { epoch, accepting } => {
-                    out.push(REPLY_HEARTBEAT_ACK);
-                    out.extend_from_slice(&epoch.to_le_bytes());
-                    out.push(u8::from(*accepting));
-                }
-                Reply::Epoch {
-                    epoch,
-                    members,
-                    replication,
-                } => {
-                    out.push(REPLY_EPOCH);
-                    put_membership(&mut out, *epoch, members, *replication)?;
-                }
-                Reply::ReplicaAck { version, fragment } => {
-                    out.push(REPLY_REPLICA_ACK);
-                    out.extend_from_slice(&version.to_le_bytes());
-                    out.extend_from_slice(&fragment.to_le_bytes());
-                }
-                Reply::PartialQuotient(p) => {
-                    out.push(REPLY_PARTIAL_QUOTIENT);
-                    out.extend_from_slice(&p.tag.to_le_bytes());
-                    out.push(algorithm_code(p.algorithm));
-                    out.extend_from_slice(&p.dividend_version.to_le_bytes());
-                    out.extend_from_slice(&p.divisor_version.to_le_bytes());
-                    out.extend_from_slice(&p.micros.to_le_bytes());
-                    put_ops(&mut out, &p.ops);
-                    put_schema(&mut out, &p.schema)?;
-                    put_tuples(&mut out, &p.schema, &p.tuples)?;
-                    match &p.profile {
-                        None => out.push(0),
-                        Some(profile) => {
-                            out.push(1);
-                            put_profile(&mut out, profile)?;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Decodes a response frame payload.
-pub fn decode_response(payload: &[u8]) -> PResult<Response> {
-    let mut r = Reader::new(payload);
-    match r.u8()? {
-        STATUS_ERR => {
-            let code = r.u8()?;
-            let message = r.str()?;
-            r.finish()?;
-            Ok(Err(error_from_code(code, message)))
-        }
-        STATUS_OK => {
-            let reply = match r.u8()? {
-                REPLY_PONG => Reply::Pong,
-                REPLY_REGISTERED => Reply::Registered { version: r.u64()? },
-                REPLY_DROPPED => Reply::Dropped,
-                REPLY_DIVIDED => {
-                    let alg = r.u8()?;
-                    let algorithm = algorithm_from_code(alg)
-                        .ok_or_else(|| perr(format!("unknown algorithm code {alg}")))?;
-                    let cached = r.u8()? != 0;
-                    let dividend_version = r.u64()?;
-                    let divisor_version = r.u64()?;
-                    let micros = r.u64()?;
-                    let ops = get_ops(&mut r)?;
-                    let schema = get_schema(&mut r)?;
-                    let tuples = get_tuples(&mut r, &schema)?;
-                    // Original-revision servers stop here; absence of
-                    // the trailing profile tag means "no profile".
-                    let profile = if r.remaining() > 0 {
-                        match r.u8()? {
-                            0 => None,
-                            1 => Some(get_profile(&mut r)?),
-                            t => return Err(perr(format!("unknown profile tag {t}"))),
-                        }
-                    } else {
-                        None
-                    };
-                    Reply::Divided(DivideReply {
-                        algorithm,
-                        cached,
-                        dividend_version,
-                        divisor_version,
-                        micros,
-                        ops,
-                        schema,
-                        tuples: Arc::new(tuples),
-                        profile,
-                    })
-                }
-                REPLY_STATS_V2 => {
-                    let n = r.u16()? as usize;
-                    if n < STATS_REQUIRED_FIELDS {
-                        return Err(perr(format!(
-                            "stats frame announces {n} counters; at least \
-                             {STATS_REQUIRED_FIELDS} are required"
-                        )));
-                    }
-                    let mut vals = Vec::with_capacity(n.min(64));
-                    for _ in 0..n {
-                        vals.push(r.u64()?);
-                    }
-                    // Counters past the ones we know are a newer peer's
-                    // extensions; they were read (so the ops block lines
-                    // up) and are otherwise ignored.
-                    let ops = get_ops(&mut r)?;
-                    Reply::Stats(stats_from_fields(&vals, ops))
-                }
-                REPLY_SHUTTING_DOWN => Reply::ShuttingDown,
-                REPLY_SHARDED => Reply::Sharded { version: r.u64()? },
-                REPLY_REPARTITIONED => {
-                    let schema = get_schema(&mut r)?;
-                    let parts = r.u16()? as usize;
-                    if parts == 0 || parts > MAX_CLUSTER_NODES {
-                        return Err(perr(format!(
-                            "{parts} buckets is outside 1..={MAX_CLUSTER_NODES}"
-                        )));
-                    }
-                    let mut buckets = Vec::with_capacity(parts);
-                    for _ in 0..parts {
-                        buckets.push(get_tuples(&mut r, &schema)?);
-                    }
-                    let filtered = r.u64()?;
-                    Reply::Repartitioned {
-                        schema,
-                        buckets,
-                        filtered,
-                    }
-                }
-                REPLY_FILTER => {
-                    let filter = get_filter(&mut r)?;
-                    let insertions = r.u64()?;
-                    Reply::Filter { filter, insertions }
-                }
-                REPLY_PLAN => {
-                    let n_algs = r.u16()? as usize;
-                    if n_algs > MAX_PLAN_ALGORITHMS {
-                        return Err(perr(format!(
-                            "{n_algs} division algorithms exceed the plan-reply limit"
-                        )));
-                    }
-                    let mut algorithms = Vec::with_capacity(n_algs);
-                    for _ in 0..n_algs {
-                        let code = r.u8()?;
-                        algorithms.push(
-                            algorithm_from_code(code)
-                                .ok_or_else(|| perr(format!("unknown algorithm code {code}")))?,
-                        );
-                    }
-                    let cached = r.u8()? != 0;
-                    let micros = r.u64()?;
-                    let ops = get_ops(&mut r)?;
-                    let n_rels = r.u16()? as usize;
-                    if n_rels > MAX_PLAN_RELATIONS {
-                        return Err(perr(format!(
-                            "{n_rels} pinned relations exceed the plan-reply limit"
-                        )));
-                    }
-                    let mut relations = Vec::with_capacity(n_rels);
-                    for _ in 0..n_rels {
-                        let name = r.str()?;
-                        let version = r.u64()?;
-                        relations.push((name, version));
-                    }
-                    let schema = get_schema(&mut r)?;
-                    let tuples = get_tuples(&mut r, &schema)?;
-                    let profile = match r.u8()? {
-                        0 => None,
-                        1 => Some(get_profile(&mut r)?),
-                        t => return Err(perr(format!("unknown profile tag {t}"))),
-                    };
-                    Reply::Plan(PlanReply {
-                        algorithms,
-                        cached,
-                        micros,
-                        ops,
-                        relations,
-                        schema,
-                        tuples: Arc::new(tuples),
-                        profile,
-                    })
-                }
-                REPLY_PARTIAL_QUOTIENT => {
-                    let tag = r.u16()?;
-                    let alg = r.u8()?;
-                    let algorithm = algorithm_from_code(alg)
-                        .ok_or_else(|| perr(format!("unknown algorithm code {alg}")))?;
-                    let dividend_version = r.u64()?;
-                    let divisor_version = r.u64()?;
-                    let micros = r.u64()?;
-                    let ops = get_ops(&mut r)?;
-                    let schema = get_schema(&mut r)?;
-                    let tuples = get_tuples(&mut r, &schema)?;
-                    let profile = match r.u8()? {
-                        0 => None,
-                        1 => Some(get_profile(&mut r)?),
-                        t => return Err(perr(format!("unknown profile tag {t}"))),
-                    };
-                    Reply::PartialQuotient(PartialQuotientReply {
-                        tag,
-                        algorithm,
-                        dividend_version,
-                        divisor_version,
-                        micros,
-                        ops,
-                        schema,
-                        tuples: Arc::new(tuples),
-                        profile,
-                    })
-                }
-                REPLY_HEARTBEAT_ACK => {
-                    let epoch = r.u64()?;
-                    let accepting = r.u8()? != 0;
-                    Reply::HeartbeatAck { epoch, accepting }
-                }
-                REPLY_EPOCH => {
-                    let (epoch, members, replication) = get_membership(&mut r)?;
-                    Reply::Epoch {
-                        epoch,
-                        members,
-                        replication,
-                    }
-                }
-                REPLY_REPLICA_ACK => {
-                    let version = r.u64()?;
-                    let fragment = r.u16()?;
-                    Reply::ReplicaAck { version, fragment }
-                }
-                t => return Err(perr(format!("unknown reply tag {t:#04x}"))),
-            };
-            r.finish()?;
-            Ok(Ok(reply))
-        }
-        s => Err(perr(format!("unknown status byte {s:#04x}"))),
+    fn get(r: &mut Reader<'_>) -> PResult<ServiceError> {
+        let code = U8::get(r)?;
+        Ok(error_from_code(code, Str::get(r)?))
     }
 }
 
@@ -1988,9 +1446,42 @@ pub fn decode_response(payload: &[u8]) -> PResult<Response> {
 mod tests {
     use super::*;
     use reldiv_rel::tuple::ints;
+    use reldiv_rel::Value;
 
     fn schema2() -> Schema {
         Schema::new(vec![Field::int("q"), Field::int("d")])
+    }
+
+    fn divide(dividend: &str, divisor: &str) -> DivideRequest {
+        DivideRequest {
+            dividend: dividend.into(),
+            divisor: divisor.into(),
+            algorithm: None,
+            assume_unique: false,
+            spec: None,
+            deadline_ms: None,
+            profile: false,
+            distribute: None,
+            restricted: None,
+            mem_budget: None,
+        }
+    }
+
+    fn at(shard: u16, of: u16, shard_keys: Vec<usize>) -> ShardInfo {
+        ShardInfo {
+            shard,
+            of,
+            shard_keys,
+        }
+    }
+
+    /// Decodes a section the way a frame does.
+    fn read<F: Form>(bytes: &[u8]) -> PResult<F::Value> {
+        whole(bytes, F::get)
+    }
+
+    fn protocol_error<T: std::fmt::Debug>(r: PResult<T>) {
+        assert!(matches!(r, Err(ServiceError::Protocol(_))), "{r:?}");
     }
 
     #[test]
@@ -2019,80 +1510,50 @@ mod tests {
         assert_eq!(fragment_base("r.x"), "r.x");
     }
 
-    /// A small but fully populated span tree: `depth` levels, two
-    /// children per level, every metric non-zero somewhere.
+    /// A span tree `depth` levels deep, two children per level.
     fn sample_profile_node(depth: usize) -> ProfileNode {
-        let children = if depth == 0 {
-            Vec::new()
-        } else {
-            vec![
-                sample_profile_node(depth - 1),
-                sample_profile_node(depth - 1),
-            ]
-        };
         ProfileNode {
             label: format!("span at depth {depth}"),
-            kind: if depth == 0 {
-                SpanKind::Scan
-            } else {
-                SpanKind::Query
-            },
+            kind: SpanKind::Query,
             wall_micros: 100 + depth as u64,
             tuples_in: 7,
             tuples_out: 5,
             ops: OpSnapshot {
                 comparisons: 11,
-                hashes: 13,
-                moves: 17,
-                bitops: 19,
+                ..OpSnapshot::default()
             },
             pages_read: 3,
             pages_written: 2,
             spill_bytes: 4096,
             network_bytes: 0,
             phases: vec!["in-memory".into()],
-            children,
+            children: (0..depth.min(1) * 2)
+                .map(|_| sample_profile_node(depth - 1))
+                .collect(),
         }
+    }
+
+    /// A stats frame of `n` counters `1..=n`, then `ops`.
+    fn stats_frame(n: u16, ops: &OpSnapshot) -> Vec<u8> {
+        let mut frame = vec![0x00, 0x07];
+        frame.extend_from_slice(&n.to_le_bytes());
+        (1..=u64::from(n)).for_each(|v| frame.extend_from_slice(&v.to_le_bytes()));
+        Ops::put(ops, &mut frame).unwrap();
+        frame
     }
 
     /// A stats reply round-trips through the versioned frame, new
     /// counters included.
     #[test]
     fn stats_reply_round_trips_with_new_counters() {
-        let snapshot = MetricsSnapshot {
-            queries: 9,
-            cache_hits: 2,
-            cache_misses: 7,
-            rejections: 0,
-            shed_shutdown: 0,
-            errors: 1,
-            timeouts: 0,
-            worker_panics: 0,
-            io_retries: 3,
-            latency_p50_us: 50,
-            latency_p95_us: 95,
-            latency_p99_us: 99,
-            latency_mean_us: 60,
-            latency_count: 9,
-            profiled_queries: 4,
-            replica_retries: 6,
-            failovers: 2,
-            nodes_excluded: 1,
-            heartbeats_missed: 5,
-            degraded_queries: 3,
-            division_spill_bytes: 65536,
-            ops: OpSnapshot {
-                comparisons: 1,
-                hashes: 2,
-                moves: 3,
-                bitops: 4,
-            },
-        };
+        let mut snapshot = MetricsSnapshot::default();
+        for (i, slot) in counter_slots(&mut snapshot).enumerate() {
+            *slot = i as u64 + 1;
+        }
+        snapshot.ops.bitops = 4;
         let bytes = encode_response(&Ok(Reply::Stats(snapshot))).unwrap();
-        assert_eq!(
-            bytes[1], REPLY_STATS_V2,
-            "encoder emits the versioned frame"
-        );
+        let n = STATS_COUNTERS.len() as u16;
+        assert_eq!(bytes, stats_frame(n, &snapshot.ops), "the versioned frame");
         match decode_response(&bytes).unwrap().unwrap() {
             Reply::Stats(decoded) => assert_eq!(decoded, snapshot),
             other => panic!("expected stats, got {other:?}"),
@@ -2104,11 +1565,9 @@ mod tests {
     /// code, not a best-effort decode.
     #[test]
     fn legacy_stats_frame_is_an_unknown_reply() {
-        let mut frame = vec![STATUS_OK, 0x05];
-        for v in 1..=13u64 {
-            frame.extend_from_slice(&v.to_le_bytes());
-        }
-        put_ops(&mut frame, &OpSnapshot::default());
+        let mut frame = stats_frame(13, &OpSnapshot::default());
+        frame.drain(1..4);
+        frame.insert(1, 0x05);
         match decode_response(&frame) {
             Err(ServiceError::Protocol(msg)) => {
                 assert!(msg.contains("unknown reply tag 0x05"), "{msg}")
@@ -2122,44 +1581,30 @@ mod tests {
     /// extras are skipped, and the ops block still lines up.
     #[test]
     fn future_stats_frame_with_extra_counters_decodes() {
-        let mut frame = vec![STATUS_OK, REPLY_STATS_V2];
-        frame.extend_from_slice(&24u16.to_le_bytes());
-        for v in 1..=24u64 {
-            frame.extend_from_slice(&v.to_le_bytes());
-        }
         let ops = OpSnapshot {
             comparisons: 40,
             hashes: 41,
             moves: 42,
             bitops: 43,
         };
-        put_ops(&mut frame, &ops);
-        match decode_response(&frame).unwrap().unwrap() {
+        match decode_response(&stats_frame(24, &ops)).unwrap().unwrap() {
             Reply::Stats(s) => {
                 assert_eq!(s.queries, 1);
                 assert_eq!(s.latency_count, 14);
-                assert_eq!(s.profiled_queries, 15);
-                assert_eq!(s.replica_retries, 16);
-                assert_eq!(s.failovers, 17);
-                assert_eq!(s.nodes_excluded, 18);
                 assert_eq!(s.heartbeats_missed, 19);
+                assert_eq!(s.division_spill_bytes, 21);
                 assert_eq!(s.ops, ops, "ops block read after skipping extras");
             }
             other => panic!("expected stats, got {other:?}"),
         }
     }
 
-    /// A stats frame from a PR 4-era peer — versioned tag, 15 counters,
-    /// predating the replication counters — still decodes; the four
-    /// robustness counters it has never heard of read as zero.
+    /// A stats frame from a peer that predates the replication counters
+    /// (15 of them) still decodes; the counters it has never heard of
+    /// read as zero.
     #[test]
     fn pre_replication_stats_frame_decodes_with_robustness_counters_zero() {
-        let mut frame = vec![STATUS_OK, REPLY_STATS_V2];
-        frame.extend_from_slice(&15u16.to_le_bytes());
-        for v in 1..=15u64 {
-            frame.extend_from_slice(&v.to_le_bytes());
-        }
-        put_ops(&mut frame, &OpSnapshot::default());
+        let frame = stats_frame(15, &OpSnapshot::default());
         match decode_response(&frame).unwrap().unwrap() {
             Reply::Stats(s) => {
                 assert_eq!(s.profiled_queries, 15, "last counter the peer knows");
@@ -2176,13 +1621,7 @@ mod tests {
     /// is a typed protocol error, not a short read or a misparse.
     #[test]
     fn short_stats_frame_is_a_typed_protocol_error() {
-        let mut frame = vec![STATUS_OK, REPLY_STATS_V2];
-        frame.extend_from_slice(&12u16.to_le_bytes());
-        for v in 1..=12u64 {
-            frame.extend_from_slice(&v.to_le_bytes());
-        }
-        put_ops(&mut frame, &OpSnapshot::default());
-        match decode_response(&frame) {
+        match decode_response(&stats_frame(12, &OpSnapshot::default())) {
             Err(ServiceError::Protocol(msg)) => {
                 assert!(msg.contains("12"), "names the bad count: {msg}");
             }
@@ -2190,65 +1629,32 @@ mod tests {
         }
     }
 
-    /// Divide requests and replies without the trailing profile bytes —
-    /// what original-revision peers send — still decode.
+    /// Divide requests and replies without the trailing extensions —
+    /// what older peers send — still decode, each missing extension as
+    /// its default.
     #[test]
     fn profile_extension_is_optional_on_the_wire() {
-        // A request frame cut exactly before the trailing profile byte.
-        let req = Request::Divide(DivideRequest {
-            dividend: "r".into(),
-            divisor: "s".into(),
-            algorithm: None,
-            assume_unique: false,
-            spec: None,
-            deadline_ms: None,
+        let bytes = Request::Divide(DivideRequest {
             profile: true,
-            distribute: None,
-            restricted: None,
-            mem_budget: None,
-        });
-        let bytes = req.encode().unwrap();
+            ..divide("r", "s")
+        })
+        .encode()
+        .unwrap();
         // The frame tail is four trailing extensions, newest last:
         // [profile byte][distribution tag][restricted byte][mem-budget
-        // u64]. Cut the mem-budget word only (a plan-era peer).
-        match Request::decode(&bytes[..bytes.len() - 8]).unwrap() {
-            Request::Divide(q) => {
-                assert!(q.profile, "profile byte survives the shorter frame");
-                assert_eq!(q.distribute, None, "absent section decodes as None");
-                assert_eq!(q.restricted, None, "absent byte decodes as None");
-                assert_eq!(q.mem_budget, None, "absent word decodes as None");
+        // u64]. Cut them one at a time, newest first.
+        for (cut, profile) in [(8, true), (9, true), (10, true), (11, false)] {
+            match Request::decode(&bytes[..bytes.len() - cut]).unwrap() {
+                Request::Divide(q) => assert_eq!(
+                    q,
+                    DivideRequest {
+                        profile,
+                        ..divide("r", "s")
+                    },
+                    "cut {cut}"
+                ),
+                other => panic!("expected divide, got {other:?}"),
             }
-            other => panic!("expected divide, got {other:?}"),
-        }
-        // Cut the restricted byte too (a distribution-era peer).
-        match Request::decode(&bytes[..bytes.len() - 9]).unwrap() {
-            Request::Divide(q) => {
-                assert!(q.profile, "profile byte survives the shorter frame");
-                assert_eq!(q.distribute, None, "absent section decodes as None");
-                assert_eq!(q.restricted, None, "absent byte decodes as None");
-                assert_eq!(q.mem_budget, None);
-            }
-            other => panic!("expected divide, got {other:?}"),
-        }
-        // Cut the distribution tag too (a profile-era peer).
-        match Request::decode(&bytes[..bytes.len() - 10]).unwrap() {
-            Request::Divide(q) => {
-                assert!(q.profile, "profile byte survives the shorter frame");
-                assert_eq!(q.distribute, None, "absent section decodes as None");
-                assert_eq!(q.restricted, None);
-                assert_eq!(q.mem_budget, None);
-            }
-            other => panic!("expected divide, got {other:?}"),
-        }
-        // Cut all four trailing extensions (an original-revision peer).
-        match Request::decode(&bytes[..bytes.len() - 11]).unwrap() {
-            Request::Divide(q) => {
-                assert!(!q.profile, "absent byte decodes as false");
-                assert_eq!(q.distribute, None);
-                assert_eq!(q.restricted, None);
-                assert_eq!(q.mem_budget, None);
-            }
-            other => panic!("expected divide, got {other:?}"),
         }
         // A reply frame cut exactly before the trailing profile tag.
         let reply = Ok(Reply::Divided(DivideReply {
@@ -2263,10 +1669,7 @@ mod tests {
             profile: None,
         }));
         let bytes = encode_response(&reply).unwrap();
-        match decode_response(&bytes[..bytes.len() - 1]).unwrap().unwrap() {
-            Reply::Divided(d) => assert_eq!(d.profile, None),
-            other => panic!("expected divided, got {other:?}"),
-        }
+        assert_eq!(decode_response(&bytes[..bytes.len() - 1]).unwrap(), reply);
     }
 
     /// Hostile profile payloads hit the typed depth and node limits
@@ -2274,10 +1677,7 @@ mod tests {
     #[test]
     fn profile_limits_are_enforced() {
         // Depth: a chain one deeper than the limit.
-        let mut node = ProfileNode {
-            children: Vec::new(),
-            ..sample_profile_node(0)
-        };
+        let mut node = sample_profile_node(0);
         for _ in 0..=MAX_PROFILE_DEPTH {
             node = ProfileNode {
                 children: vec![node],
@@ -2285,20 +1685,19 @@ mod tests {
             };
         }
         let mut out = Vec::new();
-        put_profile_node(&mut out, &node).unwrap();
-        let mut r = Reader::new(&out);
-        match get_profile(&mut r) {
+        Span::put(&node, &mut out).unwrap();
+        match read::<Span>(&out) {
             Err(ServiceError::Protocol(msg)) => assert!(msg.contains("depth")),
             other => panic!("expected a depth error, got {other:?}"),
         }
+        // One level less is within the limit.
+        let mut out = Vec::new();
+        Span::put(&node.children[0], &mut out).unwrap();
+        assert_eq!(read::<Span>(&out).unwrap(), node.children[0]);
 
         // Node count: a star two levels deep that exceeds the budget.
-        let leaf = ProfileNode {
-            children: Vec::new(),
-            ..sample_profile_node(0)
-        };
         let arm = ProfileNode {
-            children: vec![leaf.clone(); 600],
+            children: vec![sample_profile_node(0); 600],
             ..sample_profile_node(0)
         };
         let wide = ProfileNode {
@@ -2307,20 +1706,29 @@ mod tests {
         };
         assert!(wide.node_count() > MAX_PROFILE_NODES);
         let mut out = Vec::new();
-        put_profile_node(&mut out, &wide).unwrap();
-        let mut r = Reader::new(&out);
-        match get_profile(&mut r) {
+        Span::put(&wide, &mut out).unwrap();
+        match read::<Span>(&out) {
             Err(ServiceError::Protocol(msg)) => assert!(msg.contains("node")),
             other => panic!("expected a node-limit error, got {other:?}"),
         }
     }
 
+    /// The algorithm and error tables are two-way: every entry decodes to
+    /// itself, and an unknown code is `None` or an internal error.
     #[test]
     fn algorithm_codes_round_trip() {
-        for alg in Algorithm::table_columns() {
-            assert_eq!(algorithm_from_code(algorithm_code(alg)), Some(alg));
+        for (code, alg) in ALGORITHM_CODES {
+            assert_eq!(algorithm_code(alg), code);
+            assert_eq!(algorithm_from_code(code), Some(alg));
         }
         assert_eq!(algorithm_from_code(ALG_AUTO), None);
+        for (code, make) in ERROR_CODES {
+            let error = make("m".into());
+            assert_eq!(error_code(&error), code);
+            assert_eq!(error_code(&error_from_code(code, "m".into())), code);
+        }
+        let unknown = error_from_code(0xEE, "m".into());
+        assert_eq!(unknown, ServiceError::Internal("m".into()));
     }
 
     #[test]
@@ -2336,63 +1744,26 @@ mod tests {
                 name: "transcript".into(),
             },
             Request::Divide(DivideRequest {
-                dividend: "r".into(),
-                divisor: "s".into(),
                 algorithm: Some(Algorithm::Naive),
                 assume_unique: true,
                 spec: Some((vec![1], vec![0])),
                 deadline_ms: Some(2_500),
                 profile: true,
-                distribute: None,
-                restricted: None,
-                mem_budget: None,
+                ..divide("r", "s")
             }),
+            Request::Divide(divide("r", "s")),
             Request::Divide(DivideRequest {
-                dividend: "r".into(),
-                divisor: "s".into(),
-                algorithm: None,
-                assume_unique: false,
-                spec: None,
-                deadline_ms: None,
-                profile: false,
-                distribute: None,
-                restricted: None,
-                mem_budget: None,
-            }),
-            Request::Divide(DivideRequest {
-                dividend: "r".into(),
-                divisor: "s".into(),
-                algorithm: None,
-                assume_unique: false,
-                spec: None,
-                deadline_ms: None,
-                profile: false,
                 distribute: Some(Distribution {
                     strategy: Strategy::DivisorPartitioning,
                     nodes: 8,
                     bit_vector_bits: Some(4096),
                 }),
                 restricted: Some(false),
-                mem_budget: None,
+                mem_budget: Some(1 << 20),
+                ..divide("r", "s")
             }),
             Request::Stats,
             Request::Shutdown,
-            Request::Shard(ShardRequest {
-                name: "transcript".into(),
-                shard: 2,
-                of: 4,
-                shard_keys: vec![0],
-                schema: schema2(),
-                tuples: vec![ints(&[1, 10]), ints(&[5, 50])],
-                epoch: Some(3),
-            }),
-            Request::Repartition(RepartitionRequest {
-                name: "transcript".into(),
-                keys: vec![1],
-                parts: 4,
-                filter: None,
-                epoch: None,
-            }),
             Request::Repartition(RepartitionRequest {
                 name: "transcript".into(),
                 keys: vec![1],
@@ -2404,23 +1775,13 @@ mod tests {
                 name: "courses".into(),
                 keys: vec![0],
                 bits: 1024,
-                epoch: Some(1),
+                epoch: None,
             },
             Request::DividePartial {
                 tag: 7,
                 query: DivideRequest {
-                    dividend: ".part.r.3".into(),
-                    divisor: ".repl.s.9".into(),
-                    algorithm: Some(Algorithm::HashDivision {
-                        mode: HashDivisionMode::Standard,
-                    }),
-                    assume_unique: false,
-                    spec: None,
-                    deadline_ms: Some(5_000),
-                    profile: true,
-                    distribute: None,
                     restricted: Some(true),
-                    mem_budget: None,
+                    ..divide(".part.r.3", ".repl.s.9")
                 },
                 epoch: Some(12),
             },
@@ -2431,36 +1792,10 @@ mod tests {
                 members: vec!["127.0.0.1:7181".into(), "127.0.0.1:7182".into()],
                 replication: 2,
             }),
-            Request::ReplicaWrite(ReplicaWriteRequest {
-                name: "transcript".into(),
-                fragment: 1,
-                of: 3,
-                shard_keys: vec![0],
-                schema: schema2(),
-                tuples: vec![ints(&[4, 40])],
-                epoch: Some(5),
-            }),
-            Request::ReplicaWrite(ReplicaWriteRequest {
-                name: "transcript".into(),
-                fragment: 0,
-                of: 2,
-                shard_keys: vec![],
-                schema: schema2(),
-                tuples: vec![],
-                epoch: None,
-            }),
             Request::ExecPlan(ExecPlanRequest {
-                plan: "(divide (on course-no) (scan transcript) \
-                       (project (course-no) (filter (contains title \"database\") \
-                       (scan courses))))"
-                    .into(),
+                plan: "(divide (on s) (scan r) (scan s))".into(),
                 deadline_ms: Some(3_000),
                 profile: true,
-            }),
-            Request::ExecPlan(ExecPlanRequest {
-                plan: "(scan r)".into(),
-                deadline_ms: None,
-                profile: false,
             }),
         ];
         for req in requests {
@@ -2483,7 +1818,7 @@ mod tests {
 
         let mut hostile = vec![0x0B];
         hostile.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(Request::decode(&hostile).is_err(), "length claim rejected");
+        protocol_error(Request::decode(&hostile));
     }
 
     /// The restricted-divisor trailing byte: 0xFF means "no assertion",
@@ -2491,16 +1826,8 @@ mod tests {
     #[test]
     fn restricted_byte_rejects_unknown_tags() {
         let bytes = Request::Divide(DivideRequest {
-            dividend: "r".into(),
-            divisor: "s".into(),
-            algorithm: None,
-            assume_unique: false,
-            spec: None,
-            deadline_ms: None,
-            profile: false,
-            distribute: None,
             restricted: Some(false),
-            mem_budget: None,
+            ..divide("r", "s")
         })
         .encode()
         .unwrap();
@@ -2510,43 +1837,30 @@ mod tests {
         assert_eq!(bytes[pos], 0, "Some(false) encodes as 0");
         let mut mutated = bytes.clone();
         mutated[pos] = 2;
-        assert!(Request::decode(&mutated).is_err());
+        protocol_error(Request::decode(&mutated));
         mutated[pos] = TRI_AUTO;
-        match Request::decode(&mutated).unwrap() {
-            Request::Divide(q) => assert_eq!(q.restricted, None),
-            other => panic!("expected divide, got {other:?}"),
-        }
+        assert_eq!(
+            Request::decode(&mutated).unwrap(),
+            Request::Divide(divide("r", "s"))
+        );
     }
 
     /// The mem-budget trailing word: 0 means "no budget", a nonzero
     /// value is the per-query cap in bytes.
     #[test]
     fn mem_budget_word_round_trips() {
-        let mut req = DivideRequest {
-            dividend: "r".into(),
-            divisor: "s".into(),
-            algorithm: None,
-            assume_unique: false,
-            spec: None,
-            deadline_ms: None,
-            profile: false,
-            distribute: None,
-            restricted: None,
+        let req = Request::Divide(DivideRequest {
             mem_budget: Some(256 * 1024),
-        };
-        let bytes = Request::Divide(req.clone()).encode().unwrap();
-        match Request::decode(&bytes).unwrap() {
-            Request::Divide(q) => assert_eq!(q.mem_budget, Some(256 * 1024)),
-            other => panic!("expected divide, got {other:?}"),
-        }
+            ..divide("r", "s")
+        });
+        assert_eq!(Request::decode(&req.encode().unwrap()).unwrap(), req);
         // An explicit 0 on the wire decodes as "no budget".
-        req.mem_budget = None;
-        let bytes = Request::Divide(req).encode().unwrap();
+        let bytes = Request::Divide(divide("r", "s")).encode().unwrap();
         assert_eq!(&bytes[bytes.len() - 8..], &[0u8; 8]);
-        match Request::decode(&bytes).unwrap() {
-            Request::Divide(q) => assert_eq!(q.mem_budget, None),
-            other => panic!("expected divide, got {other:?}"),
-        }
+        assert_eq!(
+            Request::decode(&bytes).unwrap(),
+            Request::Divide(divide("r", "s"))
+        );
     }
 
     fn sample_filter() -> BitVectorFilter {
@@ -2559,63 +1873,41 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
+        let plan = PlanReply {
+            algorithms: ALGORITHM_CODES.iter().map(|&(_, alg)| alg).collect(),
+            cached: false,
+            micros: 4321,
+            ops: OpSnapshot::default(),
+            relations: vec![("courses".into(), 7), ("transcript".into(), 5)],
+            schema: Schema::new(vec![Field::int("student-id")]),
+            tuples: Arc::new(vec![ints(&[1]), ints(&[3])]),
+            profile: Some(QueryProfile {
+                root: sample_profile_node(2),
+            }),
+        };
         let responses: Vec<Response> = vec![
             Ok(Reply::Pong),
             Ok(Reply::Registered { version: 42 }),
             Ok(Reply::Dropped),
             Ok(Reply::Divided(DivideReply {
-                algorithm: Algorithm::HashDivision {
-                    mode: HashDivisionMode::Standard,
-                },
+                algorithm: Algorithm::HashDivision { mode: Standard },
                 cached: true,
                 dividend_version: 3,
                 divisor_version: 4,
                 micros: 1234,
-                ops: OpSnapshot {
-                    comparisons: 1,
-                    hashes: 2,
-                    moves: 3,
-                    bitops: 4,
-                },
+                ops: OpSnapshot::default(),
                 schema: Schema::new(vec![Field::int("q")]),
                 tuples: Arc::new(vec![ints(&[7]), ints(&[9])]),
                 profile: Some(QueryProfile {
                     root: sample_profile_node(2),
                 }),
             })),
-            Ok(Reply::Stats(MetricsSnapshot {
-                queries: 10,
-                cache_hits: 4,
-                cache_misses: 6,
-                rejections: 1,
-                shed_shutdown: 0,
-                errors: 2,
-                timeouts: 5,
-                worker_panics: 1,
-                io_retries: 17,
-                latency_p50_us: 100,
-                latency_p95_us: 200,
-                latency_p99_us: 300,
-                latency_mean_us: 120,
-                latency_count: 10,
-                profiled_queries: 3,
-                replica_retries: 8,
-                failovers: 4,
-                nodes_excluded: 2,
-                heartbeats_missed: 6,
-                degraded_queries: 1,
-                division_spill_bytes: 4096,
-                ops: OpSnapshot::default(),
-            })),
+            Ok(Reply::Stats(MetricsSnapshot::default())),
             Ok(Reply::ShuttingDown),
             Ok(Reply::Sharded { version: 99 }),
             Ok(Reply::HeartbeatAck {
                 epoch: 7,
                 accepting: true,
-            }),
-            Ok(Reply::HeartbeatAck {
-                epoch: 0,
-                accepting: false,
             }),
             Ok(Reply::Epoch {
                 epoch: 4,
@@ -2628,11 +1920,7 @@ mod tests {
             }),
             Ok(Reply::Repartitioned {
                 schema: schema2(),
-                buckets: vec![
-                    vec![ints(&[1, 10]), ints(&[2, 20])],
-                    vec![],
-                    vec![ints(&[3, 30])],
-                ],
+                buckets: vec![vec![ints(&[1, 10])], vec![], vec![ints(&[3, 30])]],
                 filtered: 12,
             }),
             Ok(Reply::Filter {
@@ -2641,72 +1929,25 @@ mod tests {
             }),
             Ok(Reply::PartialQuotient(PartialQuotientReply {
                 tag: 3,
-                algorithm: Algorithm::HashDivision {
-                    mode: HashDivisionMode::Standard,
-                },
+                algorithm: Algorithm::Naive,
                 dividend_version: 11,
                 divisor_version: 12,
                 micros: 777,
-                ops: OpSnapshot {
-                    comparisons: 5,
-                    hashes: 6,
-                    moves: 7,
-                    bitops: 8,
-                },
-                schema: Schema::new(vec![Field::int("q")]),
-                tuples: Arc::new(vec![ints(&[4]), ints(&[5])]),
-                profile: Some(QueryProfile {
-                    root: sample_profile_node(1),
-                }),
-            })),
-            Ok(Reply::PartialQuotient(PartialQuotientReply {
-                tag: 0,
-                algorithm: Algorithm::Naive,
-                dividend_version: 1,
-                divisor_version: 2,
-                micros: 1,
                 ops: OpSnapshot::default(),
                 schema: Schema::new(vec![Field::int("q")]),
-                tuples: Arc::new(vec![]),
+                tuples: Arc::new(vec![ints(&[4])]),
                 profile: None,
             })),
-            Ok(Reply::Plan(PlanReply {
-                algorithms: vec![
-                    Algorithm::SortAggregation { join: true },
-                    Algorithm::HashDivision {
-                        mode: HashDivisionMode::Standard,
-                    },
-                ],
-                cached: false,
-                micros: 4321,
-                ops: OpSnapshot {
-                    comparisons: 9,
-                    hashes: 10,
-                    moves: 11,
-                    bitops: 12,
-                },
-                relations: vec![("courses".into(), 7), ("transcript".into(), 5)],
-                schema: Schema::new(vec![Field::int("student-id")]),
-                tuples: Arc::new(vec![ints(&[1]), ints(&[3])]),
-                profile: Some(QueryProfile {
-                    root: sample_profile_node(2),
-                }),
-            })),
+            Ok(Reply::Plan(plan.clone())),
             Ok(Reply::Plan(PlanReply {
                 algorithms: vec![],
-                cached: true,
-                micros: 2,
-                ops: OpSnapshot::default(),
-                relations: vec![("r".into(), 1)],
-                schema: Schema::new(vec![Field::int("q")]),
-                tuples: Arc::new(vec![]),
+                relations: vec![],
                 profile: None,
+                ..plan
             })),
             Err(ServiceError::Overloaded),
             Err(ServiceError::DeadlineExceeded),
-            Err(ServiceError::UnknownRelation(
-                "unknown relation \"x\"".into(),
-            )),
+            Err(ServiceError::UnknownRelation("x".into())),
             Err(ServiceError::StaleEpoch(
                 "request epoch 2, node epoch 5".into(),
             )),
@@ -2741,8 +1982,8 @@ mod tests {
     fn string_relations_round_trip() {
         let schema = Schema::new(vec![Field::int("id"), Field::str("title", 16)]);
         let tuples = vec![Tuple::new(vec![
-            reldiv_rel::Value::Int(1),
-            reldiv_rel::Value::Str("database".into()),
+            Value::Int(1),
+            Value::Str("database".into()),
         ])];
         let req = Request::Register {
             name: "courses".into(),
@@ -2756,102 +1997,54 @@ mod tests {
     #[test]
     fn truncated_frames_are_protocol_errors() {
         let bytes = Request::Stats.encode().unwrap();
-        assert!(matches!(
-            Request::decode(&bytes[..0]),
-            Err(ServiceError::Protocol(_))
-        ));
+        protocol_error(Request::decode(&bytes[..0]));
+        protocol_error(decode_response(&[]));
         let mut with_trailing = bytes.clone();
         with_trailing.push(0);
-        assert!(matches!(
-            Request::decode(&with_trailing),
-            Err(ServiceError::Protocol(_))
-        ));
+        protocol_error(Request::decode(&with_trailing));
     }
 
-    /// Every cluster frame rejects out-of-range geometry with a typed
-    /// protocol error, on the encode side (bad values never hit the wire)
-    /// and the decode side (hostile frames never allocate per a lying
-    /// count). Frames are hand-built so the decode checks are exercised
-    /// even for values the encoder refuses to produce.
+    /// Every bounded field refuses out-of-range values with a typed
+    /// protocol error, on the encode side (bad values never reach the
+    /// wire) and the decode side (hostile frames never allocate per a
+    /// lying count). The decode side reads hand-built sections, so it
+    /// is exercised even for values the encoder refuses to produce.
     #[test]
     fn cluster_frames_reject_bad_geometry() {
-        let protocol_err = |r: PResult<Request>| {
-            assert!(matches!(r, Err(ServiceError::Protocol(_))), "{r:?}");
-        };
-        // Shard placement: shard >= of, of = 0, of > MAX_CLUSTER_NODES.
+        // Placement: shard >= of, of = 0, of > MAX_CLUSTER_NODES, for
+        // shard and replica writes alike.
         for (shard, of) in [(4u16, 4u16), (0, 0), (0, MAX_CLUSTER_NODES as u16 + 1)] {
-            let req = Request::Shard(ShardRequest {
-                name: "r".into(),
-                shard,
-                of,
-                shard_keys: vec![0],
-                schema: schema2(),
-                tuples: vec![],
-                epoch: None,
-            });
-            protocol_err(req.encode().map(|_| Request::Ping));
-            let mut frame = vec![OP_SHARD];
-            put_str(&mut frame, "r").unwrap();
-            frame.extend_from_slice(&shard.to_le_bytes());
-            frame.extend_from_slice(&of.to_le_bytes());
-            protocol_err(Request::decode(&frame));
-            // The replica-write frame enforces the same placement bounds.
-            let req = Request::ReplicaWrite(ReplicaWriteRequest {
-                name: "r".into(),
-                fragment: shard,
-                of,
-                shard_keys: vec![0],
-                schema: schema2(),
-                tuples: vec![],
-                epoch: Some(1),
-            });
-            protocol_err(req.encode().map(|_| Request::Ping));
-            let mut frame = vec![OP_REPLICA_WRITE];
-            put_str(&mut frame, "r").unwrap();
-            frame.extend_from_slice(&shard.to_le_bytes());
-            frame.extend_from_slice(&of.to_le_bytes());
-            protocol_err(Request::decode(&frame));
+            for kind in [
+                WriteKind::Shard(at(shard, of, vec![0])),
+                WriteKind::Replica(at(shard, of, vec![0])),
+            ] {
+                let empty: &[Tuple] = &[];
+                protocol_error(encode_write("r", &kind, &schema2(), empty, None));
+            }
+            let mut section = shard.to_le_bytes().to_vec();
+            section.extend_from_slice(&of.to_le_bytes());
+            Keys::put(&vec![0], &mut section).unwrap();
+            protocol_error(read::<Placement>(&section));
         }
-        // Repartition parts: 0 and > MAX_CLUSTER_NODES.
-        for parts in [0u16, MAX_CLUSTER_NODES as u16 + 1] {
-            let req = Request::Repartition(RepartitionRequest {
-                name: "r".into(),
-                keys: vec![0],
-                parts,
-                filter: None,
-                epoch: None,
-            });
-            protocol_err(req.encode().map(|_| Request::Ping));
-            let mut frame = vec![OP_REPARTITION];
-            put_str(&mut frame, "r").unwrap();
-            put_keys(&mut frame, &[0]).unwrap();
-            frame.extend_from_slice(&parts.to_le_bytes());
-            frame.push(0);
-            protocol_err(Request::decode(&frame));
+        // Bounded counts: repartition parts, filter bits, distribution
+        // nodes, bucket counts, member counts.
+        let parts = |n: u16| n.to_le_bytes().to_vec();
+        for n in [0u16, MAX_CLUSTER_NODES as u16 + 1] {
+            protocol_error(<Within<U16, 1, MAX_CLUSTER_NODES>>::put(&n, &mut vec![]));
+            protocol_error(read::<Within<U16, 1, MAX_CLUSTER_NODES>>(&parts(n)));
+            let mut buckets = Vec::new();
+            Heading::put(&schema2(), &mut buckets).unwrap();
+            buckets.extend(parts(n));
+            protocol_error(whole(&buckets, |r| {
+                let schema = Heading::get(r)?;
+                Buckets::get(r, &schema)
+            }));
+            protocol_error(read::<List<Str, 1, MAX_CLUSTER_NODES>>(&parts(n)));
+            let mut dist = vec![0];
+            dist.extend(parts(n));
+            dist.extend_from_slice(&0u64.to_le_bytes());
+            protocol_error(read::<DistBody>(&dist));
         }
-        // Filter geometry inside a repartition: oversize bit counts and a
-        // word count that does not match the bit count.
-        let mut prefix = vec![OP_REPARTITION];
-        put_str(&mut prefix, "r").unwrap();
-        put_keys(&mut prefix, &[0]).unwrap();
-        prefix.extend_from_slice(&2u16.to_le_bytes());
-        prefix.push(1); // filter present
-        let mut oversize = prefix.clone();
-        oversize.extend_from_slice(&(MAX_FILTER_BITS as u32 + 1).to_le_bytes());
-        oversize.extend_from_slice(&0u32.to_le_bytes());
-        protocol_err(Request::decode(&oversize));
-        let mut mismatched = prefix.clone();
-        mismatched.extend_from_slice(&128u32.to_le_bytes());
-        // 128 bits need 2 words; a hostile frame claiming 65_535 must be
-        // refused by arithmetic before any allocation happens.
-        mismatched.extend_from_slice(&65_535u32.to_le_bytes());
-        protocol_err(Request::decode(&mismatched));
-        let mut truncated = prefix.clone();
-        truncated.extend_from_slice(&128u32.to_le_bytes());
-        truncated.extend_from_slice(&2u32.to_le_bytes());
-        truncated.extend_from_slice(&1u64.to_le_bytes()); // 1 of 2 words
-        protocol_err(Request::decode(&truncated));
-        // BuildFilter bit bounds: 0 and > MAX_FILTER_BITS.
         for bits in [0u32, MAX_FILTER_BITS as u32 + 1] {
             let req = Request::BuildFilter {
                 name: "r".into(),
@@ -2859,49 +2052,30 @@ mod tests {
                 bits,
                 epoch: None,
             };
-            protocol_err(req.encode().map(|_| Request::Ping));
-            let mut frame = vec![OP_BUILD_FILTER];
-            put_str(&mut frame, "r").unwrap();
-            put_keys(&mut frame, &[0]).unwrap();
-            frame.extend_from_slice(&bits.to_le_bytes());
-            protocol_err(Request::decode(&frame));
+            protocol_error(req.encode());
+            protocol_error(read::<Within<U32, 1, MAX_FILTER_BITS>>(&bits.to_le_bytes()));
         }
-        // Distribution section: node count 0, node count over the limit,
-        // and an unknown strategy code.
-        for (strategy, nodes) in [(0u8, 0u16), (0, MAX_CLUSTER_NODES as u16 + 1), (9, 4)] {
-            let mut frame = vec![OP_DIVIDE];
-            put_str(&mut frame, "r").unwrap();
-            put_str(&mut frame, "s").unwrap();
-            frame.push(ALG_AUTO);
-            frame.push(0); // assume_unique
-            frame.push(0); // no spec
-            frame.extend_from_slice(&0u64.to_le_bytes()); // no deadline
-            frame.push(0); // no profile
-            frame.push(1); // distribution present
-            frame.push(strategy);
-            frame.extend_from_slice(&nodes.to_le_bytes());
-            frame.extend_from_slice(&0u64.to_le_bytes()); // no filter bits
-            protocol_err(Request::decode(&frame));
-        }
-        // Repartitioned reply: bucket counts 0 and > MAX_CLUSTER_NODES.
-        for parts in [0u16, MAX_CLUSTER_NODES as u16 + 1] {
-            let mut frame = vec![STATUS_OK, REPLY_REPARTITIONED];
-            put_schema(&mut frame, &schema2()).unwrap();
-            frame.extend_from_slice(&parts.to_le_bytes());
-            assert!(matches!(
-                decode_response(&frame),
-                Err(ServiceError::Protocol(_))
-            ));
-        }
+        let unknown_strategy = [9, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        protocol_error(read::<DistBody>(&unknown_strategy));
         let oversized_reply = Reply::Repartitioned {
             schema: schema2(),
             buckets: vec![Vec::new(); MAX_CLUSTER_NODES + 1],
             filtered: 0,
         };
-        assert!(matches!(
-            encode_response(&Ok(oversized_reply)),
-            Err(ServiceError::Protocol(_))
-        ));
+        protocol_error(encode_response(&Ok(oversized_reply)));
+        // Filter geometry: oversize bit counts, a word count that does
+        // not match the bit count (refused by arithmetic before any
+        // allocation), and too few words.
+        let filter = |bits: u32, words: u32, sent: usize| {
+            let mut f = bits.to_le_bytes().to_vec();
+            f.extend_from_slice(&words.to_le_bytes());
+            f.extend(std::iter::repeat_n(0u8, 8 * sent));
+            f
+        };
+        protocol_error(read::<Filter>(&filter(MAX_FILTER_BITS as u32 + 1, 0, 0)));
+        protocol_error(read::<Filter>(&filter(128, 65_535, 0)));
+        protocol_error(read::<Filter>(&filter(128, 2, 1)));
+        assert!(read::<Filter>(&filter(128, 2, 2)).is_ok());
         // Membership geometry: zero members, too many members, and a
         // replication factor of 0 or above the member count — on both
         // the epoch request and the epoch reply, encode and decode.
@@ -2917,36 +2091,22 @@ mod tests {
                 members: members.clone(),
                 replication,
             });
-            protocol_err(req.encode().map(|_| Request::Ping));
+            protocol_error(req.encode());
             let reply = Reply::Epoch {
                 epoch: 1,
                 members: members.clone(),
                 replication,
             };
-            assert!(matches!(
-                encode_response(&Ok(reply)),
-                Err(ServiceError::Protocol(_))
-            ));
-            // Hand-built hostile frames for the decode side. Member
-            // counts above the u16 wire cannot be expressed, so only the
-            // in-range hostile values are built by hand.
-            if members.len() <= u16::MAX as usize {
-                let mut frame = vec![OP_CLUSTER_EPOCH, 1];
-                frame.extend_from_slice(&1u64.to_le_bytes());
-                frame.extend_from_slice(&(members.len() as u16).to_le_bytes());
-                for m in &members {
-                    put_str(&mut frame, m).unwrap();
-                }
-                frame.extend_from_slice(&replication.to_le_bytes());
-                protocol_err(Request::decode(&frame));
+            protocol_error(encode_response(&Ok(reply)));
+            let mut frame = vec![0x0D, 1];
+            frame.extend_from_slice(&1u64.to_le_bytes());
+            frame.extend_from_slice(&(members.len() as u16).to_le_bytes());
+            for m in &members {
+                Str::put(m, &mut frame).unwrap();
             }
+            frame.extend_from_slice(&replication.to_le_bytes());
+            protocol_error(Request::decode(&frame));
         }
-        // A hostile member count claiming more than MAX_CLUSTER_NODES is
-        // refused before any per-member allocation.
-        let mut frame = vec![OP_CLUSTER_EPOCH, 1];
-        frame.extend_from_slice(&1u64.to_le_bytes());
-        frame.extend_from_slice(&(MAX_CLUSTER_NODES as u16 + 1).to_le_bytes());
-        protocol_err(Request::decode(&frame));
     }
 
     /// The trailing epoch extension on the cluster data-plane frames is
@@ -2955,63 +2115,32 @@ mod tests {
     /// round-trips. Unknown tags are typed protocol errors.
     #[test]
     fn epoch_extension_is_optional_on_the_wire() {
-        let req = Request::Shard(ShardRequest {
-            name: "r".into(),
-            shard: 0,
-            of: 2,
-            shard_keys: vec![0],
-            schema: schema2(),
-            tuples: vec![ints(&[1, 2])],
-            epoch: Some(42),
-        });
-        let bytes = req.encode().unwrap();
+        let kind = WriteKind::Shard(at(0, 2, vec![0]));
+        let bytes = encode_write("r", &kind, &schema2(), &[ints(&[1, 2])], Some(42)).unwrap();
+        let epoch = |frame: &[u8]| decode_write(frame).unwrap().map(|w| w.epoch);
         // The extension is 9 trailing bytes: presence tag + u64 epoch.
-        match Request::decode(&bytes[..bytes.len() - 9]).unwrap() {
-            Request::Shard(s) => assert_eq!(s.epoch, None, "cut frame decodes epochless"),
-            other => panic!("expected shard, got {other:?}"),
-        }
-        match Request::decode(&bytes).unwrap() {
-            Request::Shard(s) => assert_eq!(s.epoch, Some(42)),
-            other => panic!("expected shard, got {other:?}"),
-        }
+        assert_eq!(epoch(&bytes[..bytes.len() - 9]), Ok(None), "cut frame");
+        assert_eq!(epoch(&bytes), Ok(Some(42)));
         let mut mutated = bytes.clone();
         let tag_at = bytes.len() - 9;
         mutated[tag_at] = 7;
         mutated.truncate(tag_at + 1);
-        assert!(matches!(
-            Request::decode(&mutated),
-            Err(ServiceError::Protocol(_))
-        ));
+        protocol_error(epoch(&mutated));
         // Same for a divide-partial frame, whose body already ends in
-        // three older trailing extensions — the epoch stacks after them.
+        // four older trailing extensions — the epoch stacks after them.
         let req = Request::DividePartial {
             tag: 1,
-            query: DivideRequest {
-                dividend: "r".into(),
-                divisor: "s".into(),
-                algorithm: None,
-                assume_unique: false,
-                spec: None,
-                deadline_ms: None,
-                profile: false,
-                distribute: None,
-                restricted: None,
-                mem_budget: None,
-            },
+            query: divide("r", "s"),
             epoch: Some(3),
         };
         let bytes = req.encode().unwrap();
-        match Request::decode(&bytes[..bytes.len() - 9]).unwrap() {
-            Request::DividePartial { epoch, .. } => assert_eq!(epoch, None),
-            other => panic!("expected divide-partial, got {other:?}"),
-        }
-        match Request::decode(&bytes).unwrap() {
-            Request::DividePartial { epoch, query, .. } => {
-                assert_eq!(epoch, Some(3));
-                assert_eq!(query.restricted, None, "older extensions unharmed");
-            }
-            other => panic!("expected divide-partial, got {other:?}"),
-        }
+        let cut = Request::DividePartial {
+            tag: 1,
+            query: divide("r", "s"),
+            epoch: None,
+        };
+        assert_eq!(Request::decode(&bytes[..bytes.len() - 9]).unwrap(), cut);
+        assert_eq!(Request::decode(&bytes).unwrap(), req);
     }
 
     /// The stale-epoch error is typed on the wire in both directions:
@@ -3039,237 +2168,25 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Hostile-client safety net: the decoders must return errors, never
-    /// panic, on arbitrary bytes — random garbage, every truncation of
-    /// valid frames, and valid frames with random byte flips.
+    /// Hostile-client safety net: the decoders return typed errors, never
+    /// panic, on random garbage of every length. (Every row's truncations
+    /// and overwrites are the corpus of `tests/wire_table.rs`.)
     #[test]
     fn decoders_survive_hostile_frames() {
         let mut rng = 0x5EED_u64;
-        // Pure garbage of assorted lengths.
         for len in 0..=257usize {
-            let payload: Vec<u8> = (0..len).map(|_| splitmix64(&mut rng) as u8).collect();
-            let _ = Request::decode(&payload);
-            let _ = decode_response(&payload);
-        }
-        // Every prefix of every valid request, and single-byte mutations.
-        let valid = vec![
-            Request::Ping.encode().unwrap(),
-            Request::Register {
-                name: "r".into(),
-                schema: schema2(),
-                tuples: vec![ints(&[1, 2]), ints(&[3, 4])],
-            }
-            .encode()
-            .unwrap(),
-            Request::Divide(DivideRequest {
-                dividend: "r".into(),
-                divisor: "s".into(),
-                algorithm: None,
-                assume_unique: false,
-                spec: Some((vec![1], vec![0])),
-                deadline_ms: Some(100),
-                profile: true,
-                distribute: None,
-                restricted: None,
-                mem_budget: None,
-            })
-            .encode()
-            .unwrap(),
-            Request::Divide(DivideRequest {
-                dividend: "r".into(),
-                divisor: "s".into(),
-                algorithm: None,
-                assume_unique: false,
-                spec: None,
-                deadline_ms: None,
-                profile: false,
-                distribute: Some(Distribution {
-                    strategy: Strategy::QuotientPartitioning,
-                    nodes: 4,
-                    bit_vector_bits: Some(1 << 12),
-                }),
-                restricted: Some(true),
-                mem_budget: None,
-            })
-            .encode()
-            .unwrap(),
-            Request::Shard(ShardRequest {
-                name: "r".into(),
-                shard: 1,
-                of: 3,
-                shard_keys: vec![0, 1],
-                schema: schema2(),
-                tuples: vec![ints(&[1, 2]), ints(&[3, 4])],
-                epoch: Some(2),
-            })
-            .encode()
-            .unwrap(),
-            Request::Repartition(RepartitionRequest {
-                name: "r".into(),
-                keys: vec![1],
-                parts: 4,
-                filter: Some(sample_filter()),
-                epoch: Some(1),
-            })
-            .encode()
-            .unwrap(),
-            Request::BuildFilter {
-                name: "s".into(),
-                keys: vec![0],
-                bits: 2048,
-                epoch: None,
-            }
-            .encode()
-            .unwrap(),
-            Request::DividePartial {
-                tag: 2,
-                query: DivideRequest {
-                    dividend: "r".into(),
-                    divisor: "s".into(),
-                    algorithm: None,
-                    assume_unique: false,
-                    spec: None,
-                    deadline_ms: None,
-                    profile: false,
-                    distribute: None,
-                    restricted: None,
-                    mem_budget: None,
-                },
-                epoch: Some(6),
-            }
-            .encode()
-            .unwrap(),
-            Request::Heartbeat.encode().unwrap(),
-            Request::ClusterEpoch(EpochRequest::Get).encode().unwrap(),
-            Request::ClusterEpoch(EpochRequest::Set {
-                epoch: 3,
-                members: vec!["127.0.0.1:7181".into(), "127.0.0.1:7182".into()],
-                replication: 2,
-            })
-            .encode()
-            .unwrap(),
-            Request::ReplicaWrite(ReplicaWriteRequest {
-                name: "r".into(),
-                fragment: 0,
-                of: 2,
-                shard_keys: vec![0],
-                schema: schema2(),
-                tuples: vec![ints(&[1, 2])],
-                epoch: Some(3),
-            })
-            .encode()
-            .unwrap(),
-            Request::ExecPlan(ExecPlanRequest {
-                plan: "(divide (on s) (filter (>= q 2) (scan r)) (scan s))".into(),
-                deadline_ms: Some(750),
-                profile: true,
-            })
-            .encode()
-            .unwrap(),
-        ];
-        for bytes in &valid {
-            for cut in 0..bytes.len() {
-                let _ = Request::decode(&bytes[..cut]);
-            }
-            for _ in 0..64 {
-                let mut mutated = bytes.clone();
-                let at = (splitmix64(&mut rng) as usize) % mutated.len();
-                mutated[at] ^= (splitmix64(&mut rng) as u8) | 1;
-                let _ = Request::decode(&mutated);
-            }
-        }
-        // Same treatment for a valid response frame.
-        let resp = encode_response(&Ok(Reply::Divided(DivideReply {
-            algorithm: Algorithm::Naive,
-            cached: false,
-            dividend_version: 1,
-            divisor_version: 2,
-            micros: 3,
-            ops: OpSnapshot::default(),
-            schema: schema2(),
-            tuples: Arc::new(vec![ints(&[5, 6])]),
-            profile: Some(QueryProfile {
-                root: sample_profile_node(3),
-            }),
-        })))
-        .unwrap();
-        let cluster_replies = vec![
-            encode_response(&Ok(Reply::Repartitioned {
-                schema: schema2(),
-                buckets: vec![vec![ints(&[1, 2])], vec![], vec![ints(&[3, 4])]],
-                filtered: 5,
-            }))
-            .unwrap(),
-            encode_response(&Ok(Reply::Filter {
-                filter: sample_filter(),
-                insertions: 40,
-            }))
-            .unwrap(),
-            encode_response(&Ok(Reply::PartialQuotient(PartialQuotientReply {
-                tag: 1,
-                algorithm: Algorithm::Naive,
-                dividend_version: 1,
-                divisor_version: 2,
-                micros: 3,
-                ops: OpSnapshot::default(),
-                schema: schema2(),
-                tuples: Arc::new(vec![ints(&[5, 6])]),
-                profile: Some(QueryProfile {
-                    root: sample_profile_node(1),
-                }),
-            })))
-            .unwrap(),
-            encode_response(&Ok(Reply::Plan(PlanReply {
-                algorithms: vec![
-                    Algorithm::Naive,
-                    Algorithm::HashDivision {
-                        mode: HashDivisionMode::Standard,
-                    },
-                ],
-                cached: false,
-                micros: 9,
-                ops: OpSnapshot::default(),
-                relations: vec![("r".into(), 3), ("s".into(), 4)],
-                schema: schema2(),
-                tuples: Arc::new(vec![ints(&[5, 6])]),
-                profile: Some(QueryProfile {
-                    root: sample_profile_node(2),
-                }),
-            })))
-            .unwrap(),
-            encode_response(&Ok(Reply::HeartbeatAck {
-                epoch: 4,
-                accepting: true,
-            }))
-            .unwrap(),
-            encode_response(&Ok(Reply::Epoch {
-                epoch: 4,
-                members: vec!["127.0.0.1:7181".into(), "127.0.0.1:7182".into()],
-                replication: 2,
-            }))
-            .unwrap(),
-            encode_response(&Ok(Reply::ReplicaAck {
-                version: 3,
-                fragment: 1,
-            }))
-            .unwrap(),
-        ];
-        for resp in std::iter::once(&resp).chain(&cluster_replies) {
-            for cut in 0..resp.len() {
-                let _ = decode_response(&resp[..cut]);
-            }
-            for _ in 0..64 {
-                let mut mutated = resp.clone();
-                let at = (splitmix64(&mut rng) as usize) % mutated.len();
-                mutated[at] ^= (splitmix64(&mut rng) as u8) | 1;
-                let _ = decode_response(&mutated);
+            for _ in 0..8 {
+                let payload: Vec<u8> = (0..len).map(|_| splitmix64(&mut rng) as u8).collect();
+                let _ = Request::decode(&payload);
+                let _ = decode_response(&payload);
+                let _ = decode_write(&payload);
             }
         }
     }
+
     /// A seeded relation: one to four columns of either type, strings of
     /// one- and two-byte characters up to their width.
     fn random_relation(rng: &mut u64, rows: usize) -> (Schema, Vec<Tuple>) {
-        use reldiv_rel::Value;
         let fields: Vec<Field> = (0..1 + splitmix64(rng) % 4)
             .map(|i| match splitmix64(rng) % 2 {
                 0 => Field::int(format!("c{i}")),
@@ -3295,79 +2212,29 @@ mod tests {
         (Schema::new(fields), tuples)
     }
 
-    /// The three bulk write requests over one relation.
-    fn write_requests(schema: &Schema, tuples: &[Tuple]) -> [Request; 3] {
+    /// The three bulk write kinds.
+    fn write_kinds() -> [(WriteKind, Option<u64>); 3] {
         [
-            Request::Register {
-                name: "r".into(),
-                schema: schema.clone(),
-                tuples: tuples.to_vec(),
-            },
-            Request::Shard(ShardRequest {
-                name: "r".into(),
-                shard: 1,
-                of: 3,
-                shard_keys: vec![0],
-                schema: schema.clone(),
-                tuples: tuples.to_vec(),
-                epoch: Some(9),
-            }),
-            Request::ReplicaWrite(ReplicaWriteRequest {
-                name: "r".into(),
-                fragment: 2,
-                of: 3,
-                shard_keys: vec![0],
-                schema: schema.clone(),
-                tuples: tuples.to_vec(),
-                epoch: None,
-            }),
+            (WriteKind::Register, None),
+            (WriteKind::Shard(at(1, 3, vec![0])), Some(9)),
+            (WriteKind::Replica(at(2, 3, vec![0])), None),
         ]
     }
 
-    /// What `Request::decode` makes of a bulk write frame, in
-    /// `decode_write`'s terms.
-    fn as_write(request: Request) -> WriteFrame<Vec<Tuple>> {
-        let at = |shard, of, shard_keys| ShardInfo {
-            shard,
-            of,
-            shard_keys,
-        };
-        let (name, kind, schema, rows, epoch) = match request {
-            Request::Register {
-                name,
-                schema,
-                tuples,
-            } => (name, WriteKind::Register, schema, tuples, None),
-            Request::Shard(s) => {
-                let kind = WriteKind::Shard(at(s.shard, s.of, s.shard_keys));
-                (s.name, kind, s.schema, s.tuples, s.epoch)
-            }
-            Request::ReplicaWrite(w) => {
-                let kind = WriteKind::Replica(at(w.fragment, w.of, w.shard_keys));
-                (w.name, kind, w.schema, w.tuples, w.epoch)
-            }
-            other => panic!("not a bulk write: {other:?}"),
-        };
-        WriteFrame {
-            name,
-            kind,
-            schema,
-            rows,
-            epoch,
-        }
-    }
+    type Landed = PResult<WriteFrame<Vec<Tuple>>>;
 
-    /// `decode_write`'s answer with the columns read back as tuples.
-    fn columnar(frame: &[u8]) -> Option<PResult<WriteFrame<Vec<Tuple>>>> {
-        decode_write(frame).map(|write| {
-            write.map(|w| WriteFrame {
-                rows: w.rows.tuples().collect(),
-                name: w.name,
-                kind: w.kind,
-                schema: w.schema,
-                epoch: w.epoch,
-            })
-        })
+    /// A write frame's rows landed in tuples, and in columns read back
+    /// as tuples.
+    fn both_landings(frame: &[u8]) -> (Landed, Landed) {
+        let tuples = whole(frame, Writes::get::<Vec<Tuple>>);
+        let columns = decode_write(frame).unwrap().map(|w| WriteFrame {
+            rows: w.rows.tuples().collect(),
+            name: w.name,
+            kind: w.kind,
+            schema: w.schema,
+            epoch: w.epoch,
+        });
+        (tuples, columns)
     }
 
     #[test]
@@ -3376,17 +2243,36 @@ mod tests {
         // Cardinalities around the batch boundaries, the empty relation.
         for rows in [0, 1, 7, 1023, 1024, 1025, 2048, 2500] {
             let (schema, tuples) = random_relation(&mut rng, rows);
-            for request in write_requests(&schema, &tuples) {
-                let frame = request.encode().unwrap();
-                let want = as_write(Request::decode(&frame).unwrap());
-                assert_eq!(want.rows, tuples);
-                assert_eq!(columnar(&frame).unwrap().unwrap(), want, "{rows} rows");
+            for (kind, epoch) in write_kinds() {
+                let frame = encode_write("r", &kind, &schema, &tuples, epoch).unwrap();
+                let (from_tuples, from_columns) = both_landings(&frame);
+                let want = WriteFrame {
+                    name: "r".into(),
+                    kind: kind.clone(),
+                    schema: schema.clone(),
+                    rows: tuples.clone(),
+                    epoch,
+                };
+                assert_eq!(from_tuples.unwrap(), want);
+                assert_eq!(from_columns.unwrap(), want, "{rows} rows");
                 // The borrowed-row encoder writes the same bytes.
                 let borrowed: Vec<&Tuple> = tuples.iter().collect();
-                let again = encode_write(&want.name, &want.kind, &schema, &borrowed, want.epoch);
+                let again = encode_write("r", &kind, &schema, &borrowed, epoch);
                 assert_eq!(again.unwrap(), frame);
             }
+            // A `Register` request is the same frame, and only it decodes
+            // as a request.
+            let register = Request::Register {
+                name: "r".into(),
+                schema: schema.clone(),
+                tuples: tuples.clone(),
+            };
+            let frame = encode_write("r", &WriteKind::Register, &schema, &tuples, None).unwrap();
+            assert_eq!(register.encode().unwrap(), frame);
+            assert_eq!(Request::decode(&frame).unwrap(), register);
         }
+        let shard = encode_write("r", &write_kinds()[1].0, &schema2(), &[ints(&[1, 2])], None);
+        protocol_error(Request::decode(&shard.unwrap()));
         assert!(decode_write(&Request::Stats.encode().unwrap()).is_none());
         assert!(decode_write(&[]).is_none());
     }
@@ -3395,61 +2281,46 @@ mod tests {
     fn damaged_write_frames_fail_both_decoders_alike() {
         let mut rng = 0xBAD_u64;
         let (schema, tuples) = random_relation(&mut rng, 40);
-        let protocol_error = |frame: &[u8], what: &str| {
-            let theirs = Request::decode(frame).unwrap_err();
-            let ours = columnar(frame).unwrap().unwrap_err();
-            assert!(matches!(ours, ServiceError::Protocol(_)), "{what}: {ours}");
-            assert_eq!(ours.to_string(), theirs.to_string(), "{what}");
-        };
-        for request in write_requests(&schema, &tuples) {
-            let frame = request.encode().unwrap();
-            // Every truncation — the record section's among them.
-            for cut in 1..frame.len() {
-                match Request::decode(&frame[..cut]) {
-                    Err(_) => protocol_error(&frame[..cut], "truncated"),
-                    // (A cut that only drops the optional epoch.)
-                    Ok(shorter) => {
-                        assert_eq!(columnar(&frame[..cut]).unwrap().unwrap(), as_write(shorter))
-                    }
-                }
+        let alike = |frame: &[u8], what: &str| match both_landings(frame) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}"),
+            (Err(a), Err(b)) => {
+                assert!(matches!(b, ServiceError::Protocol(_)), "{what}: {b}");
+                assert_eq!(a.to_string(), b.to_string(), "{what}");
             }
-            // Random damage: the decoders agree on every frame, whether
+            (a, b) => panic!("{what}: the landings disagree: {a:?} vs {b:?}"),
+        };
+        for (kind, epoch) in write_kinds() {
+            let frame = encode_write("r", &kind, &schema, &tuples, epoch).unwrap();
+            // Every truncation — the record section's among them (a cut
+            // that only drops the optional epoch still decodes).
+            for cut in 1..frame.len() {
+                alike(&frame[..cut], "truncated");
+            }
+            // Random damage: the landings agree on every frame, whether
             // it still decodes or not.
             for _ in 0..400 {
                 let mut bent = frame.clone();
                 let at = 1 + splitmix64(&mut rng) as usize % (bent.len() - 1);
                 bent[at] ^= 1 << (splitmix64(&mut rng) % 8);
-                match Request::decode(&bent) {
-                    Err(_) => protocol_error(&bent, "bit flip"),
-                    Ok(request) => {
-                        assert_eq!(columnar(&bent).unwrap().unwrap(), as_write(request))
-                    }
-                }
+                alike(&bent, "bit flip");
             }
         }
 
         // A record count whose byte length cannot fit the frame.
-        let name_and_schema = {
-            let empty = Request::Register {
-                name: "r".into(),
-                schema: schema2(),
-                tuples: vec![],
-            };
-            let mut frame = empty.encode().unwrap();
-            frame.truncate(frame.len() - 4);
-            frame
-        };
-        let mut huge = name_and_schema.clone();
+        let empty: &[Tuple] = &[];
+        let mut huge = encode_write("r", &WriteKind::Register, &schema2(), empty, None).unwrap();
+        huge.truncate(huge.len() - 4);
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        protocol_error(&huge, "count overflow");
+        alike(&huge, "count overflow");
+        protocol_error(decode_write(&huge).unwrap());
 
         // A string field that is not UTF-8.
         let strings = Schema::new(vec![Field::str("s", 4)]);
-        let row = Tuple::new(vec![reldiv_rel::Value::from("ab")]);
-        let [register, ..] = write_requests(&strings, &[row]);
-        let mut frame = register.encode().unwrap();
+        let row = [Tuple::new(vec![Value::from("ab")])];
+        let mut frame = encode_write("r", &WriteKind::Register, &strings, &row, None).unwrap();
         let at = frame.len() - 4;
         frame[at] = 0xFF;
-        protocol_error(&frame, "invalid UTF-8");
+        alike(&frame, "invalid UTF-8");
+        protocol_error(decode_write(&frame).unwrap());
     }
 }

@@ -213,17 +213,24 @@ fn install(service: &Service, write: WriteFrame<Columns>) -> Response {
     }
 }
 
+/// The reply to both `ClusterEpoch` requests: the node's view after it.
+fn epoch_reply(s: ClusterEpochState) -> Reply {
+    Reply::Epoch {
+        epoch: s.epoch,
+        members: s.members,
+        replication: s.replication,
+    }
+}
+
 /// Runs one request against the service; the boolean asks the server to
 /// begin shutting down after the response is sent.
 fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
     let service = &shared.service;
     let response = match request {
         Request::Ping => Ok(Reply::Pong),
-        Request::Register { .. } | Request::Shard(_) | Request::ReplicaWrite(_) => {
-            Err(ServiceError::Internal(
-                "a bulk write frame is decoded into columns, never dispatched".into(),
-            ))
-        }
+        Request::Register { .. } => Err(ServiceError::Internal(
+            "a bulk write frame is decoded into columns, never dispatched".into(),
+        )),
         Request::DropRelation { name } => service.drop_relation(&name).map(|()| Reply::Dropped),
         Request::Divide(q) => service.divide(&q).map(Reply::Divided),
         Request::Repartition(r) => service
@@ -279,11 +286,7 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
             .ok_or_else(|| {
                 ServiceError::BadRequest("no cluster membership installed on this node".into())
             })
-            .map(|s| Reply::Epoch {
-                epoch: s.epoch,
-                members: s.members,
-                replication: s.replication,
-            }),
+            .map(epoch_reply),
         Request::ClusterEpoch(EpochRequest::Set {
             epoch,
             members,
@@ -294,11 +297,7 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
                 members,
                 replication,
             })
-            .map(|s| Reply::Epoch {
-                epoch: s.epoch,
-                members: s.members,
-                replication: s.replication,
-            }),
+            .map(epoch_reply),
         Request::Shutdown => return (Ok(Reply::ShuttingDown), true),
     };
     (response, false)

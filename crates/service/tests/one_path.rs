@@ -9,7 +9,8 @@ mod common;
 use reldiv_core::{Algorithm, HashDivisionMode};
 use reldiv_parallel::{Distribution, Strategy};
 use reldiv_plan::AlgorithmHint;
-use reldiv_rel::{Relation, Schema, Tuple};
+use reldiv_rel::tuple::ints;
+use reldiv_rel::{Field, Relation, Schema, Tuple};
 use reldiv_service::proto::MAX_CLUSTER_NODES;
 use reldiv_service::{
     DivideRequest, DivisionClient, ExecPlanRequest, InProcClient, ServerHandle, Service,
@@ -327,5 +328,51 @@ fn distributed_divides_match_the_oracle_over_tcp() {
     let service = Service::start(ServiceConfig::default()).unwrap();
     let mut server = ServerHandle::start(service, "127.0.0.1:0").unwrap();
     check_distributed(&mut TcpClient::connect(server.local_addr()).unwrap());
+    server.shutdown();
+}
+
+/// A deadline of zero milliseconds has expired on arrival: the query is
+/// refused the same way in process and over TCP, although the wire reads
+/// a zero deadline as none (the encoder refuses to send it).
+#[test]
+fn an_expired_deadline_is_refused_alike_in_process_and_over_tcp() {
+    let relation = |names: &[&str], rows: &[&[i64]]| {
+        let schema = Schema::new(names.iter().map(|&n| Field::int(n)).collect());
+        Relation::from_tuples(schema, rows.iter().map(|r| ints(r)).collect()).unwrap()
+    };
+    let dividend = relation(&["q", "d"], &[&[1, 7], &[1, 8], &[2, 7]]);
+    let divisor = relation(&["d"], &[&[7], &[8]]);
+    let config = ServiceConfig {
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(config).unwrap();
+    let mut server = ServerHandle::start(service.clone(), "127.0.0.1:0").unwrap();
+    let mut tcp = TcpClient::connect(server.local_addr()).unwrap();
+    let mut inproc = InProcClient::new(service);
+    let expired = DivideRequest {
+        deadline_ms: Some(0),
+        ..request("r", "s")
+    };
+    let plan = ExecPlanRequest {
+        plan: "(divide (on d) (scan r) (scan s))".into(),
+        deadline_ms: Some(0),
+        profile: false,
+    };
+    let clients: [&mut dyn DivisionClient; 2] = [&mut inproc, &mut tcp];
+    for client in clients {
+        client.register("r", &dividend).unwrap();
+        client.register("s", &divisor).unwrap();
+        let live = client.divide(&request("r", "s")).unwrap();
+        assert_eq!(live.tuples.as_slice(), [ints(&[1])]);
+        assert_eq!(
+            client.divide(&expired).unwrap_err(),
+            ServiceError::DeadlineExceeded
+        );
+        assert_eq!(
+            client.exec_plan(&plan).unwrap_err(),
+            ServiceError::DeadlineExceeded
+        );
+    }
     server.shutdown();
 }
