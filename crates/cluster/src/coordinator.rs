@@ -1,6 +1,13 @@
 //! The coordinator: a replicated sharded catalog plus the two Section 6
 //! strategies executed over real TCP links, with mid-query failover.
 //!
+//! The strategies are not written here: [`Coordinator::divide`] runs the
+//! one phase driver ([`reldiv_parallel::strategy::Driver`]) that the
+//! thread machine runs too, over the coordinator's node links as its
+//! [`Transport`]. This module moves rows — repartitions, replicas,
+//! filters, partial divisions — and every such send goes through the
+//! failover driver below.
+//!
 //! The coordinator owns no tuple data between queries — relations live
 //! hash-partitioned across the node services, placed by the same
 //! [`route`] the thread machine uses (FNV-1a on the shard keys), so a
@@ -34,38 +41,24 @@
 //! with a typed `StaleEpoch` refusal — a stale coordinator can never
 //! read the wrong fragment, it gets told to [`Coordinator::refresh`].
 //!
-//! ## Quotient partitioning on the wire
+//! ## The driver's phases on the wire
 //!
-//! "The divisor table must be replicated in the main memory of all
-//! participating processors. After replication, all local hash-division
-//! operators work completely independently of each other." The
-//! coordinator fetches every node's divisor fragment, concatenates them,
-//! and installs the full divisor on every node under a version-stamped
-//! replica name (so a re-run against unchanged inputs skips the
-//! replication entirely). If the dividend is not already sharded on the
-//! quotient attributes it is transparently repartitioned first — quotient
-//! partitioning is only correct when no quotient value spans nodes. Each
-//! node then runs one local hash division and the quotients concatenate.
-//!
-//! ## Divisor partitioning on the wire
-//!
-//! Both inputs are repartitioned on the divisor attributes *where they
-//! live*: each fragment is bucketed by one of its holders
-//! ([`Request::Repartition`]) and only the buckets cross the network,
-//! coordinator-switched to their owner nodes. Each participating
-//! fragment is divided locally by a holder and the partial quotient
-//! tagged; the coordinator runs the paper's collection-phase division
-//! ([`CollectionSite`]) over the tagged streams: a quotient value
-//! survives only if every participating fragment reported it.
-//!
-//! ## Bit-vector filtering
-//!
-//! With a filter size configured, each divisor fragment's holder builds
-//! a filter over the fragment ([`Request::BuildFilter`]), the
-//! coordinator ORs them ([`BitVectorFilter::union`]), and the union
-//! rides inside the dividend repartition requests: dividend tuples that
-//! cannot match any divisor tuple are dropped at the node that holds
-//! them. Bits cross the network; the tuples they exclude never do.
+//! * **Placing rows on keys** repartitions a relation *where it lives*:
+//!   each fragment is bucketed by one of its holders
+//!   ([`Request::Repartition`], the filter riding inside), and only the
+//!   buckets cross the network, coordinator-switched to their owner nodes
+//!   (buckets owned by non-participating nodes are dropped at the switch).
+//!   The result is a version-stamped temporary, so a re-run against
+//!   unchanged inputs moves nothing.
+//! * **Placing rows everywhere** fetches every fragment and installs the
+//!   whole relation on every node under a version-stamped replica name,
+//!   skipped on nodes that already hold it.
+//! * **Building a filter** asks each fragment's holder for a filter over
+//!   the fragment ([`Request::BuildFilter`]): bits cross the network; the
+//!   tuples they exclude never do.
+//! * **Dividing a fragment** is a tagged [`Request::DividePartial`] to a
+//!   node holding both operands; its quotient cluster comes back as
+//!   columns.
 //!
 //! [`Health::Excluded`]: crate::health::Health::Excluded
 
@@ -74,14 +67,14 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use reldiv_core::hash_division::HashDivisionMode;
-use reldiv_core::{Algorithm, DivisionSpec, ProfileNode, QueryProfile, SpanKind};
+use reldiv_core::{Algorithm, DivisionSpec, QueryProfile};
 use reldiv_parallel::filter::BitVectorFilter;
-use reldiv_parallel::strategy::CollectionSite;
+use reldiv_parallel::strategy::{Driver, Partial, Placed, Route, Transport};
 use reldiv_parallel::{route, Strategy};
-use reldiv_rel::{Relation, Schema, Tuple};
+use reldiv_rel::{Batch, Columns, Relation, Schema, Tuple};
 use reldiv_service::proto::{
-    encode_write, is_derived_from, DivideRequest, EpochRequest, PartialQuotientReply,
-    RepartitionRequest, Reply, Request, WriteKind, MAX_CLUSTER_NODES,
+    encode_write, is_derived_from, DivideRequest, EpochRequest, RepartitionRequest, Reply, Request,
+    Rows, WriteKind, MAX_CLUSTER_NODES,
 };
 use reldiv_service::{MetricsSnapshot, ShardInfo};
 
@@ -236,36 +229,6 @@ struct WriteItem {
     payload: Vec<u8>,
 }
 
-impl WriteItem {
-    /// The writes that install fragment `at.shard` on `holders`: a `Shard`
-    /// frame for the fragment's own node, a `ReplicaWrite` frame for every
-    /// other holder, each encoded from the borrowed rows.
-    fn for_fragment<T: std::borrow::Borrow<Tuple>>(
-        name: &str,
-        at: ShardInfo,
-        holders: &[usize],
-        schema: &Schema,
-        epoch: u64,
-        tuples: &[T],
-    ) -> Result<Vec<WriteItem>> {
-        let fragment = at.shard as usize;
-        let item = |&node: &usize| {
-            let kind = if node == fragment {
-                WriteKind::Shard(at.clone())
-            } else {
-                WriteKind::Replica(at.clone())
-            };
-            let payload = encode_write(name, &kind, schema, tuples, Some(epoch));
-            Ok(WriteItem {
-                fragment,
-                node,
-                payload: payload.map_err(encoding)?,
-            })
-        };
-        holders.iter().map(item).collect()
-    }
-}
-
 fn encoding(e: reldiv_service::ServiceError) -> ClusterError {
     ClusterError::BadRequest(format!("encoding request: {e}"))
 }
@@ -297,10 +260,15 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    fn new(links: Vec<NodeLink>) -> Coordinator {
+    fn new(links: Vec<NodeLink>) -> Result<Coordinator> {
         let n = links.len();
+        if n == 0 {
+            return Err(ClusterError::BadRequest(
+                "cluster needs at least one node".into(),
+            ));
+        }
         let policy = RetryPolicy::default();
-        Coordinator {
+        Ok(Coordinator {
             links,
             catalog: HashMap::new(),
             installed: HashSet::new(),
@@ -311,7 +279,7 @@ impl Coordinator {
             policy,
             rng: splitmix64(policy.seed),
             metrics: ClusterMetrics::default(),
-        }
+        })
     }
 
     /// Connects to the nodes at `addrs` (node index = position) and
@@ -321,16 +289,11 @@ impl Coordinator {
         addrs: &[std::net::SocketAddr],
         read_timeout: Option<Duration>,
     ) -> Result<Coordinator> {
-        if addrs.is_empty() {
-            return Err(ClusterError::BadRequest(
-                "cluster needs at least one node".into(),
-            ));
-        }
         let mut links = Vec::with_capacity(addrs.len());
         for (node, addr) in addrs.iter().enumerate() {
             links.push(NodeLink::connect(node, addr, read_timeout)?);
         }
-        let mut coordinator = Coordinator::new(links);
+        let mut coordinator = Coordinator::new(links)?;
         coordinator.adopt_epoch_best_effort();
         Ok(coordinator)
     }
@@ -342,12 +305,7 @@ impl Coordinator {
     ///
     /// [`LocalCluster`]: crate::local::LocalCluster
     pub fn from_links(links: Vec<NodeLink>) -> Result<Coordinator> {
-        if links.is_empty() {
-            return Err(ClusterError::BadRequest(
-                "cluster needs at least one node".into(),
-            ));
-        }
-        Ok(Coordinator::new(links))
+        Coordinator::new(links)
     }
 
     /// Number of nodes.
@@ -439,64 +397,101 @@ impl Coordinator {
             }
         }
         let n = self.links.len();
-        let k = self.replication;
         let mut shards: Vec<Vec<&Tuple>> = vec![Vec::new(); n];
         for tuple in relation.tuples() {
             shards[route(tuple, shard_keys, n)].push(tuple);
         }
-        let per_node: Vec<usize> = shards.iter().map(|s| s.len()).collect();
-        let schema = relation.schema().clone();
-        let mut items = Vec::with_capacity(n * k);
-        for (fragment, tuples) in shards.iter().enumerate() {
-            let at = ShardInfo {
-                shard: fragment as u16,
-                of: n as u16,
-                shard_keys: shard_keys.to_vec(),
-            };
-            let holders = catalog::placement(fragment, n, k);
-            items.extend(WriteItem::for_fragment(
-                name, at, &holders, &schema, self.epoch, tuples,
-            )?);
-        }
-        let (holders, versions) = match self.settle_writes(items, n, k) {
-            Ok(settled) => settled,
-            Err(WriteFailure { error, any_acks }) => {
-                // Nodes that did ack have already replaced their copy
-                // with the new version while others kept the old one;
-                // the existing catalog entry then describes no
-                // consistent placement. Drop it (and everything derived
-                // from it) so the next query fails fast with an unknown
-                // relation instead of silently mixing versions. With
-                // zero acks (every node refused — e.g. a StaleEpoch
-                // rejection of the whole fan-out) nothing was installed
-                // and the old entry is still good.
-                if any_acks {
-                    self.catalog.remove(name);
-                    self.forget_derivations_of(name);
-                }
-                return Err(error);
+        let shards: Vec<_> = shards.into_iter().map(Some).collect();
+        let schema = relation.schema();
+        if let Err(WriteFailure { error, any_acks }) =
+            self.install(name, schema, shard_keys, &shards, 0)
+        {
+            // Nodes that did ack have already replaced their copy with
+            // the new version while others kept the old one; the existing
+            // catalog entry then describes no consistent placement. Drop
+            // it (and everything derived from it) so the next query fails
+            // fast with an unknown relation instead of silently mixing
+            // versions. With zero acks (every node refused — e.g. a
+            // StaleEpoch rejection of the whole fan-out) nothing was
+            // installed and the old entry is still good.
+            if any_acks {
+                self.catalog.remove(name);
+                self.forget_derivations_of(name);
             }
-        };
-        self.next_stamp += 1;
-        self.catalog.insert(
-            name.to_owned(),
-            ShardedRelation {
-                schema,
-                shard_keys: shard_keys.to_vec(),
-                versions,
-                cardinality: relation.tuples().len(),
-                per_node,
-                stamp: self.next_stamp,
-                holders,
-                filtered_at_build: 0,
-            },
-        );
+            return Err(error);
+        }
         // Anything derived from the old version is stale.
         self.forget_derivations_of(name);
         Ok(())
     }
 
-    /// Runs `dividend ÷ divisor` across the cluster.
+    /// Writes each `Some` fragment of `name` to its primary plus `k − 1`
+    /// replicas and, once every written fragment has an acknowledgment,
+    /// records the relation in the catalog: the acknowledging nodes
+    /// become the fragment's failover candidates. A `None` fragment gets
+    /// no write and no holder. `filtered` is what the senders dropped.
+    fn install<R: Rows>(
+        &mut self,
+        name: &str,
+        schema: &Schema,
+        keys: &[usize],
+        fragments: &[Option<R>],
+        filtered: u64,
+    ) -> std::result::Result<(), WriteFailure> {
+        let (n, k) = (self.links.len(), self.replication);
+        let mut items = Vec::with_capacity(n * k);
+        for (j, rows) in fragments.iter().enumerate() {
+            let Some(rows) = rows else { continue };
+            let at = ShardInfo {
+                shard: j as u16,
+                of: n as u16,
+                shard_keys: keys.to_vec(),
+            };
+            // A `Shard` frame for the fragment's own node, a
+            // `ReplicaWrite` frame for every other holder.
+            for node in catalog::placement(j, n, k) {
+                let kind = match node == j {
+                    true => WriteKind::Shard(at.clone()),
+                    false => WriteKind::Replica(at.clone()),
+                };
+                let payload = encode_write(name, &kind, schema, rows, Some(self.epoch));
+                let payload = payload.map_err(|e| WriteFailure {
+                    error: encoding(e),
+                    any_acks: false,
+                })?;
+                items.push(WriteItem {
+                    fragment: j,
+                    node,
+                    payload,
+                });
+            }
+        }
+        let (mut holders, versions) = self.settle_writes(items, n, k)?;
+        for (h, rows) in holders.iter_mut().zip(fragments) {
+            if rows.is_none() {
+                h.clear();
+            }
+        }
+        let per_node: Vec<usize> = (fragments.iter())
+            .map(|rows| rows.as_ref().map_or(0, Rows::count))
+            .collect();
+        self.next_stamp += 1;
+        let relation = ShardedRelation {
+            schema: schema.clone(),
+            shard_keys: keys.to_vec(),
+            versions,
+            cardinality: per_node.iter().sum(),
+            per_node,
+            stamp: self.next_stamp,
+            holders,
+            filtered_at_build: filtered,
+        };
+        self.catalog.insert(name.to_owned(), relation);
+        Ok(())
+    }
+
+    /// Runs `dividend ÷ divisor` across the cluster: the Section 6
+    /// driver over the coordinator's links.
     pub fn divide(
         &mut self,
         dividend: &str,
@@ -504,82 +499,55 @@ impl Coordinator {
         options: &ClusterQueryOptions,
     ) -> Result<ClusterResponse> {
         let start = Instant::now();
-        let before: Vec<LinkStats> = self.links.iter().map(|l| l.stats()).collect();
+        let before = self.link_stats();
         let metrics_before = self.metrics;
-        let dividend_rel = self.lookup(dividend)?;
-        let divisor_rel = self.lookup(divisor)?;
+        let dividend_schema = self.lookup(dividend)?.schema.clone();
+        let divisor_schema = &self.lookup(divisor)?.schema;
+        let bad = |e: reldiv_core::ExecError| ClusterError::BadRequest(e.to_string());
         let spec = match &options.spec {
-            Some((dk, qk)) => DivisionSpec::new(
-                &dividend_rel.schema,
-                &divisor_rel.schema,
-                dk.clone(),
-                qk.clone(),
-            ),
-            None => DivisionSpec::trailing_divisor(&dividend_rel.schema, &divisor_rel.schema),
+            Some((dk, qk)) => {
+                DivisionSpec::new(&dividend_schema, divisor_schema, dk.clone(), qk.clone())
+            }
+            None => DivisionSpec::trailing_divisor(&dividend_schema, divisor_schema),
         }
-        .map_err(|e| ClusterError::BadRequest(e.to_string()))?;
-        let quotient_schema = spec
-            .quotient_schema(&dividend_rel.schema)
-            .map_err(|e| ClusterError::BadRequest(e.to_string()))?;
-
-        let outcome = match options.strategy {
-            Strategy::QuotientPartitioning => {
-                self.divide_quotient_partitioned(dividend, divisor, &spec, options)?
-            }
-            Strategy::DivisorPartitioning => {
-                self.divide_divisor_partitioned(dividend, divisor, &spec, options)?
-            }
+        .map_err(bad)?;
+        let quotient_schema = spec.quotient_schema(&dividend_schema).map_err(bad)?;
+        let driver = Driver {
+            strategy: options.strategy,
+            bit_vector_bits: options.bit_vector_bits,
+            collection_sites: 1,
         };
-        let StrategyOutcome {
-            tuples,
-            participating,
-            filtered_tuples,
-            filter_fill_ratio,
-            partials,
-        } = outcome;
+        let (dividend, divisor) = (dividend.to_owned(), divisor.to_owned());
+        let mut links = Links {
+            coordinator: self,
+            profile: options.profile,
+        };
+        let mut run = driver.run(&mut links, &dividend, &divisor, &spec, &quotient_schema)?;
 
-        let after: Vec<LinkStats> = self.links.iter().map(|l| l.stats()).collect();
-        let per_link: Vec<LinkStats> = before
-            .iter()
-            .zip(&after)
-            .map(|(b, a)| LinkStats {
-                messages_sent: a.messages_sent - b.messages_sent,
-                bytes_sent: a.bytes_sent - b.bytes_sent,
-                messages_received: a.messages_received - b.messages_received,
-                bytes_received: a.bytes_received - b.bytes_received,
-            })
-            .collect();
+        let after = self.link_stats().into_iter();
+        let per_link: Vec<LinkStats> = after.zip(&before).map(|(a, b)| a.since(b)).collect();
         let (messages, bytes) = per_link.iter().fold((0, 0), |(m, b), l| {
             let (lm, lb) = l.total();
             (m + lm, b + lb)
         });
         let mut per_node_quotient = vec![0u64; self.links.len()];
-        for p in &partials {
-            per_node_quotient[p.holder] += p.reply.tuples.len() as u64;
+        for p in &mut run.partials {
+            per_node_quotient[p.node] += p.rows.cardinality() as u64;
+            p.network_bytes = per_link[p.node].total().1;
         }
         let elapsed = start.elapsed();
-        let profile = options.profile.then(|| {
-            merge_profiles(
-                options.strategy,
-                self.links.len(),
-                &participating,
-                filtered_tuples,
-                filter_fill_ratio,
-                &per_link,
-                bytes,
-                elapsed,
-                &partials,
-            )
-        });
+        let profile = options
+            .profile
+            .then(|| run.profile("cluster", bytes, elapsed));
         Ok(ClusterResponse {
             schema: quotient_schema,
-            tuples,
+            tuples: run.quotient.tuples().collect(),
             report: ClusterReport {
                 strategy: options.strategy,
                 nodes: self.links.len(),
-                participating,
-                filtered_tuples,
-                filter_fill_ratio,
+                participating: run.participating,
+                filtered_tuples: run.filtered_tuples,
+                filter_fill_ratio: run.filter_fill_ratio,
                 per_link,
                 messages,
                 bytes,
@@ -613,20 +581,17 @@ impl Coordinator {
     /// is never wedged on the dead socket.
     /// Returns each node's `(epoch, accepting)` or `None` for a miss.
     pub fn heartbeat(&mut self) -> Vec<Option<(u64, bool)>> {
-        let limit = self.policy.flap_limit;
         let mut out = Vec::with_capacity(self.links.len());
         for node in 0..self.links.len() {
             match self.links[node].call(&Request::Heartbeat) {
                 Ok(Reply::HeartbeatAck { epoch, accepting }) => {
-                    self.health[node].record_success();
+                    self.observe(node, true);
                     out.push(Some((epoch, accepting)));
                 }
                 _ => {
                     self.health[node].heartbeats_missed += 1;
                     self.metrics.heartbeats_missed += 1;
-                    if self.health[node].record_failure(limit) {
-                        self.metrics.nodes_excluded += 1;
-                    }
+                    self.observe(node, false);
                     out.push(None);
                 }
             }
@@ -645,20 +610,7 @@ impl Coordinator {
         for link in &mut self.links {
             let _ = link.reconnect();
         }
-        let mut best: Option<(u64, Vec<String>, u16)> = None;
-        for link in &mut self.links {
-            if let Ok(Reply::Epoch {
-                epoch,
-                members,
-                replication,
-            }) = link.call(&Request::ClusterEpoch(EpochRequest::Get))
-            {
-                if best.as_ref().is_none_or(|(e, _, _)| epoch > *e) {
-                    best = Some((epoch, members, replication));
-                }
-            }
-        }
-        if let Some((epoch, members, replication)) = best {
+        if let Some((epoch, members, replication)) = self.best_view() {
             let current: Vec<String> = self.links.iter().map(|l| l.addr().to_string()).collect();
             if members != current {
                 let timeout = self.links[0].read_timeout();
@@ -706,9 +658,6 @@ impl Coordinator {
         let link = NodeLink::connect(node, addr, timeout)?;
         self.links.push(link);
         self.health.push(NodeHealth::default());
-        self.epoch += 1;
-        self.push_epoch();
-        self.forget_derived();
         self.reregister(bases)?;
         Ok(node)
     }
@@ -734,11 +683,7 @@ impl Coordinator {
         }
         self.health = vec![NodeHealth::default(); self.links.len()];
         self.replication = self.replication.min(self.links.len());
-        self.epoch += 1;
-        self.push_epoch();
-        self.forget_derived();
-        self.reregister(bases)?;
-        Ok(())
+        self.reregister(bases)
     }
 
     /// Asks every node to shut down gracefully. Node failures are
@@ -761,21 +706,30 @@ impl Coordinator {
     /// Best-effort epoch adoption at connect time: take the highest
     /// epoch (and its replication factor) any node reports.
     fn adopt_epoch_best_effort(&mut self) {
-        let mut best: Option<(u64, u16)> = None;
-        for link in &mut self.links {
-            if let Ok(Reply::Epoch {
-                epoch, replication, ..
-            }) = link.call(&Request::ClusterEpoch(EpochRequest::Get))
-            {
-                if best.is_none_or(|(e, _)| epoch > e) {
-                    best = Some((epoch, replication));
-                }
-            }
-        }
-        if let Some((epoch, replication)) = best {
+        if let Some((epoch, _, replication)) = self.best_view() {
             self.epoch = self.epoch.max(epoch);
             self.replication = (replication as usize).clamp(1, self.links.len());
         }
+    }
+
+    /// The highest-epoch membership view any node reports:
+    /// `(epoch, members, replication)`.
+    fn best_view(&mut self) -> Option<(u64, Vec<String>, u16)> {
+        let mut best: Option<(u64, Vec<String>, u16)> = None;
+        for link in &mut self.links {
+            let view = link.call(&Request::ClusterEpoch(EpochRequest::Get));
+            if let Ok(Reply::Epoch {
+                epoch,
+                members,
+                replication,
+            }) = view
+            {
+                if best.as_ref().is_none_or(|(e, _, _)| epoch > *e) {
+                    best = Some((epoch, members, replication));
+                }
+            }
+        }
+        best
     }
 
     /// Pushes the coordinator's membership view to every node,
@@ -796,8 +750,7 @@ impl Coordinator {
 
     /// Fetches the full contents of every base relation, in sorted name
     /// order, via failover reads.
-    #[allow(clippy::type_complexity)]
-    fn snapshot_bases(&mut self) -> Result<Vec<(String, Schema, Vec<usize>, Vec<Tuple>)>> {
+    fn snapshot_bases(&mut self) -> Result<Vec<(String, Vec<usize>, Columns)>> {
         let mut names: Vec<String> = self
             .catalog
             .keys()
@@ -811,17 +764,21 @@ impl Coordinator {
         let mut out = Vec::with_capacity(names.len());
         for name in names {
             let rel = self.lookup(&name)?.clone();
-            let tuples = self.fetch_fragments(&name, &rel)?;
-            out.push((name, rel.schema, rel.shard_keys, tuples));
+            let rows = self.fetch_fragments(&name, &rel)?;
+            out.push((name, rel.shard_keys, rows));
         }
         Ok(out)
     }
 
-    /// Re-registers snapshotted base relations under the current
-    /// membership and replication factor.
-    fn reregister(&mut self, bases: Vec<(String, Schema, Vec<usize>, Vec<Tuple>)>) -> Result<()> {
-        for (name, schema, shard_keys, tuples) in bases {
-            let relation = Relation::from_tuples(schema, tuples)
+    /// Installs a changed membership: bumps the catalog epoch, pushes the
+    /// view, forgets every derived temporary, and re-registers the
+    /// snapshotted base relations under the new placement.
+    fn reregister(&mut self, bases: Vec<(String, Vec<usize>, Columns)>) -> Result<()> {
+        self.epoch += 1;
+        self.push_epoch();
+        self.forget_derived();
+        for (name, shard_keys, rows) in bases {
+            let relation = Relation::from_tuples(rows.schema().clone(), rows.tuples().collect())
                 .map_err(|e| ClusterError::Exec(format!("rebuilding {name:?}: {e}")))?;
             self.register(&name, &relation, &shard_keys)?;
         }
@@ -845,173 +802,6 @@ impl Coordinator {
     fn forget_derivations_of(&mut self, name: &str) {
         self.installed.retain(|(_, t)| !is_derived_from(t, name));
         self.catalog.retain(|t, _| !is_derived_from(t, name));
-    }
-
-    // -----------------------------------------------------------------
-    // Strategy drivers
-
-    fn divide_quotient_partitioned(
-        &mut self,
-        dividend: &str,
-        divisor: &str,
-        spec: &DivisionSpec,
-        options: &ClusterQueryOptions,
-    ) -> Result<StrategyOutcome> {
-        // Quotient partitioning is only correct when no quotient value
-        // spans nodes: repartition the dividend on the quotient keys
-        // unless it is already sharded that way.
-        let dividend_rel = self.lookup(dividend)?.clone();
-        let local_dividend = if dividend_rel.shard_keys == spec.quotient_keys {
-            dividend.to_owned()
-        } else {
-            self.repartition_to_temp(dividend, &spec.quotient_keys, None, "")?
-                .0
-        };
-        // Replicate the divisor to every node, cached by the catalog
-        // stamp. A node that fails the install simply misses the replica
-        // — the failover driver skips it as a candidate.
-        let divisor_rel = self.lookup(divisor)?.clone();
-        let repl = format!(".repl.{divisor}.{}", divisor_rel.stamp);
-        let nodes = self.links.len();
-        let missing: Vec<usize> = (0..nodes)
-            .filter(|&n| !self.installed.contains(&(n, repl.clone())))
-            .collect();
-        if !missing.is_empty() {
-            let fragments = self.fetch_fragments(divisor, &divisor_rel)?;
-            let all_cols: Vec<usize> = (0..divisor_rel.schema.arity()).collect();
-            // One frame serves every node: the whole divisor as shard 0
-            // of 1.
-            let whole = WriteKind::Shard(ShardInfo {
-                shard: 0,
-                of: 1,
-                shard_keys: all_cols,
-            });
-            let (schema, epoch) = (&divisor_rel.schema, Some(self.epoch));
-            let payload =
-                encode_write(&repl, &whole, schema, &fragments, epoch).map_err(encoding)?;
-            let items: Vec<WriteItem> = missing
-                .iter()
-                .map(|&node| WriteItem {
-                    fragment: node,
-                    node,
-                    payload: payload.clone(),
-                })
-                .collect();
-            for (_, node, result) in self.fan_out_writes(items) {
-                match result {
-                    Ok(Reply::Sharded { .. }) => {
-                        self.installed.insert((node, repl.clone()));
-                    }
-                    Ok(other) => return Err(unexpected(node, &other)),
-                    Err(e) => {
-                        if e.is_stale_epoch() {
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        }
-        // One independent local division per fragment; quotients
-        // concatenate.
-        let participating: Vec<usize> = (0..nodes).collect();
-        let partials = self.divide_partial(
-            &participating,
-            &local_dividend,
-            &repl,
-            spec,
-            options.profile,
-        )?;
-        let mut tuples = Vec::new();
-        for p in &partials {
-            tuples.extend(p.reply.tuples.iter().cloned());
-        }
-        Ok(StrategyOutcome {
-            tuples,
-            participating,
-            filtered_tuples: 0,
-            filter_fill_ratio: None,
-            partials,
-        })
-    }
-
-    fn divide_divisor_partitioned(
-        &mut self,
-        dividend: &str,
-        divisor: &str,
-        spec: &DivisionSpec,
-        options: &ClusterQueryOptions,
-    ) -> Result<StrategyOutcome> {
-        let divisor_rel = self.lookup(divisor)?.clone();
-        let empty_divisor = divisor_rel.cardinality == 0;
-        let nodes = self.links.len();
-        // Build and merge the per-fragment bit-vector filters. An empty
-        // divisor makes the division vacuous (every quotient value
-        // qualifies), so filtering would wrongly drop everything.
-        let filter = match options.bit_vector_bits {
-            Some(bits) if !empty_divisor => {
-                Some(self.merged_filter(divisor, &divisor_rel, bits)?)
-            }
-            _ => None,
-        };
-        let filter_fill_ratio = filter.as_ref().map(|f| f.fill_ratio());
-        // Repartition the divisor on all its columns; the owner of bucket
-        // j is node j.
-        let all_cols: Vec<usize> = (0..divisor_rel.schema.arity()).collect();
-        let (divisor_parts, _) = self.repartition_to_temp(divisor, &all_cols, None, "")?;
-        let divisor_per_node = self.lookup(&divisor_parts)?.per_node.clone();
-        let participating: Vec<usize> = if empty_divisor {
-            (0..nodes).collect()
-        } else {
-            (0..nodes).filter(|&n| divisor_per_node[n] > 0).collect()
-        };
-        // Repartition the dividend on the divisor attributes, filter
-        // applied at the sending sites. Tuples routed to a node with no
-        // divisor cluster cannot influence the quotient and are dropped
-        // at the coordinator switch (counted, never shipped onward).
-        // A filtered temp's contents depend on the divisor that built the
-        // filter, so its cache identity must carry that divisor's name
-        // and stamp — otherwise dividing the same dividend by a different
-        // divisor would reuse tuples pruned against the wrong one.
-        let filter_tag = if filter.is_some() {
-            format!(".{divisor}.{}", divisor_rel.stamp)
-        } else {
-            String::new()
-        };
-        let (dividend_parts, filtered_tuples) = self.repartition_to_temp_participating(
-            dividend,
-            spec,
-            filter,
-            &filter_tag,
-            &participating,
-        )?;
-        let partials = self.divide_partial(
-            &participating,
-            &dividend_parts,
-            &divisor_parts,
-            spec,
-            options.profile,
-        )?;
-        // The collection-phase division, shared verbatim with the thread
-        // machine: a quotient value survives only if every participating
-        // fragment reported it.
-        let quotient_schema = spec
-            .quotient_schema(&self.lookup(dividend)?.schema)
-            .map_err(|e| ClusterError::BadRequest(e.to_string()))?;
-        let mut site = CollectionSite::new(&quotient_schema, &participating, empty_divisor)
-            .map_err(|e| ClusterError::Exec(e.to_string()))?;
-        for p in &partials {
-            for t in p.reply.tuples.iter() {
-                site.absorb(p.fragment, t)
-                    .map_err(|e| ClusterError::Exec(e.to_string()))?;
-            }
-        }
-        Ok(StrategyOutcome {
-            tuples: site.finish(),
-            participating,
-            filtered_tuples,
-            filter_fill_ratio,
-            partials,
-        })
     }
 
     // -----------------------------------------------------------------
@@ -1088,13 +878,18 @@ impl Coordinator {
     fn apply_events(&mut self, events: FragmentEvents) {
         self.metrics.replica_retries += events.replica_retries;
         self.metrics.failovers += events.failovers;
-        let limit = self.policy.flap_limit;
         for (node, ok) in events.node_events {
-            if ok {
-                self.health[node].record_success();
-            } else if self.health[node].record_failure(limit) {
-                self.metrics.nodes_excluded += 1;
-            }
+            self.observe(node, ok);
+        }
+    }
+
+    /// Folds one call outcome into node `node`'s health, counting the
+    /// node's exclusion once when this failure excludes it.
+    fn observe(&mut self, node: usize, ok: bool) {
+        if ok {
+            self.health[node].record_success();
+        } else if self.health[node].record_failure(self.policy.flap_limit) {
+            self.metrics.nodes_excluded += 1;
         }
     }
 
@@ -1135,15 +930,10 @@ impl Coordinator {
                 .collect()
         });
         let flat: Vec<(usize, usize, Result<Reply>)> = results.into_iter().flatten().collect();
-        let limit = self.policy.flap_limit;
         for (_, node, result) in &flat {
             match result {
-                Ok(_) => self.health[*node].record_success(),
-                Err(ClusterError::NodeFailed { .. }) => {
-                    if self.health[*node].record_failure(limit) {
-                        self.metrics.nodes_excluded += 1;
-                    }
-                }
+                Ok(_) => self.observe(*node, true),
+                Err(ClusterError::NodeFailed { .. }) => self.observe(*node, false),
                 Err(_) => {}
             }
         }
@@ -1207,143 +997,176 @@ impl Coordinator {
             .ok_or_else(|| ClusterError::BadRequest(format!("unknown relation {name:?}")))
     }
 
-    /// Fetches every fragment of `name` (a one-bucket repartition per
-    /// fragment, served by any holder) and concatenates them in fragment
-    /// order.
-    fn fetch_fragments(&mut self, name: &str, rel: &ShardedRelation) -> Result<Vec<Tuple>> {
-        let epoch = self.epoch;
-        let tasks: Vec<FragmentTask> = (0..rel.holders.len())
-            .map(|fragment| {
-                let name = name.to_owned();
-                let keys = rel.shard_keys.clone();
-                FragmentTask {
-                    fragment,
-                    holders: rel.holders[fragment].clone(),
-                    build: Box::new(move |node| {
-                        Request::Repartition(RepartitionRequest {
-                            name: catalog::name_on(node, fragment, &name),
-                            keys: keys.clone(),
-                            parts: 1,
-                            filter: None,
-                            epoch: Some(epoch),
-                        })
-                    }),
-                }
-            })
-            .collect();
-        let mut out = Vec::new();
-        for r in self.call_fragments(tasks)? {
-            match r.reply {
-                Reply::Repartitioned { mut buckets, .. } => {
-                    out.append(&mut buckets.remove(0));
-                }
-                other => return Err(unexpected(r.holder, &other)),
+    /// One request per fragment of `name`, served by any holder: `request`
+    /// builds it from the relation's name on the serving node.
+    fn per_fragment(
+        name: &str,
+        rel: &ShardedRelation,
+        request: impl Fn(String) -> Request + Clone + Send + 'static,
+    ) -> Vec<FragmentTask> {
+        let task = |fragment: usize| {
+            let (name, request) = (name.to_owned(), request.clone());
+            FragmentTask {
+                fragment,
+                holders: rel.holders[fragment].clone(),
+                build: Box::new(move |node| request(catalog::name_on(node, fragment, &name))),
             }
-        }
-        Ok(out)
+        };
+        (0..rel.holders.len()).map(task).collect()
     }
 
-    /// Builds a filter over each fragment of `name` (served by any
-    /// holder) and ORs the fragments' filters together.
-    fn merged_filter(
+    /// Has each fragment of `name` bucketed on `keys` into `parts` by one
+    /// of its holders, `filter` applied at the sender; returns each part's
+    /// batches in fragment order and the rows the filter dropped.
+    fn bucket(
         &mut self,
         name: &str,
         rel: &ShardedRelation,
-        bits: usize,
-    ) -> Result<BitVectorFilter> {
-        let epoch = self.epoch;
-        let keys: Vec<usize> = (0..rel.schema.arity()).collect();
-        let tasks: Vec<FragmentTask> = (0..rel.holders.len())
-            .map(|fragment| {
-                let name = name.to_owned();
-                let keys = keys.clone();
-                FragmentTask {
-                    fragment,
-                    holders: rel.holders[fragment].clone(),
-                    build: Box::new(move |node| Request::BuildFilter {
-                        name: catalog::name_on(node, fragment, &name),
-                        keys: keys.clone(),
-                        bits: bits as u32,
-                        epoch: Some(epoch),
-                    }),
-                }
+        keys: &[usize],
+        parts: usize,
+        filter: Option<&BitVectorFilter>,
+    ) -> Result<(Vec<Vec<Batch>>, u64)> {
+        let (keys, filter, epoch) = (keys.to_vec(), filter.cloned(), Some(self.epoch));
+        let tasks = Self::per_fragment(name, rel, move |name| {
+            Request::Repartition(RepartitionRequest {
+                name,
+                keys: keys.clone(),
+                parts: parts as u16,
+                filter: filter.clone(),
+                epoch,
             })
-            .collect();
-        let mut merged: Option<BitVectorFilter> = None;
+        });
+        let mut dest: Vec<Vec<Batch>> = vec![Vec::new(); parts];
+        let mut filtered = 0u64;
         for r in self.call_fragments(tasks)? {
-            match r.reply {
-                Reply::Filter { filter, .. } => match &mut merged {
-                    None => merged = Some(filter),
-                    Some(m) => {
-                        if !m.union(&filter) {
-                            return Err(ClusterError::NodeFailed {
-                                node: r.holder,
-                                kind: FailureKind::Other,
-                                detail: format!(
-                                    "filter geometry mismatch: {} vs {} bits",
-                                    m.bits(),
-                                    filter.bits()
-                                ),
-                            });
-                        }
-                    }
-                },
-                other => return Err(unexpected(r.holder, &other)),
+            let Reply::Repartitioned {
+                buckets,
+                filtered: f,
+                ..
+            } = r.reply
+            else {
+                return Err(unexpected(r.holder, &r.reply));
+            };
+            if buckets.len() != parts {
+                return Err(ClusterError::NodeFailed {
+                    node: r.holder,
+                    kind: FailureKind::Other,
+                    detail: format!("{} buckets for {parts} nodes", buckets.len()),
+                });
+            }
+            filtered += f;
+            for (part, bucket) in dest.iter_mut().zip(buckets) {
+                part.extend(bucket.batches().iter().cloned());
             }
         }
-        merged.ok_or_else(|| ClusterError::BadRequest("cluster has no nodes".into()))
+        Ok((dest, filtered))
+    }
+
+    /// Fetches every fragment of `name` (a one-bucket repartition per
+    /// fragment, served by any holder) and concatenates them in fragment
+    /// order.
+    fn fetch_fragments(&mut self, name: &str, rel: &ShardedRelation) -> Result<Columns> {
+        let (mut whole, _) = self.bucket(name, rel, &rel.shard_keys, 1, None)?;
+        Ok(Columns::from_batches(rel.schema.clone(), whole.remove(0)))
+    }
+
+    /// Builds a filter over each fragment of `name`, hashed on `keys`
+    /// (served by any holder).
+    fn build_filters(
+        &mut self,
+        name: &str,
+        keys: &[usize],
+        bits: usize,
+    ) -> Result<Vec<BitVectorFilter>> {
+        let rel = self.lookup(name)?.clone();
+        let (keys, epoch) = (keys.to_vec(), Some(self.epoch));
+        let tasks = Self::per_fragment(name, &rel, move |name| Request::BuildFilter {
+            name,
+            keys: keys.clone(),
+            bits: bits as u32,
+            epoch,
+        });
+        let replies = self.call_fragments(tasks)?.into_iter();
+        let filter = |r: FragmentReply| match r.reply {
+            Reply::Filter { filter, .. } => Ok(filter),
+            other => Err(unexpected(r.holder, &other)),
+        };
+        replies.map(filter).collect()
+    }
+
+    /// Installs the whole of `name` on every node under a replica name
+    /// stamped with its version, and returns that name. Cached: a node
+    /// that already holds the replica gets nothing. A node that fails the
+    /// install simply misses the replica — the failover driver skips it
+    /// as a candidate.
+    fn replicate(&mut self, name: &str) -> Result<String> {
+        let rel = self.lookup(name)?.clone();
+        let repl = format!(".repl.{name}.{}", rel.stamp);
+        let missing: Vec<usize> = (0..self.links.len())
+            .filter(|&n| !self.installed.contains(&(n, repl.clone())))
+            .collect();
+        if missing.is_empty() {
+            return Ok(repl);
+        }
+        let rows = self.fetch_fragments(name, &rel)?;
+        // One frame serves every node: the whole relation as shard 0 of 1.
+        let whole = WriteKind::Shard(ShardInfo {
+            shard: 0,
+            of: 1,
+            shard_keys: (0..rel.schema.arity()).collect(),
+        });
+        let payload = encode_write(&repl, &whole, &rel.schema, &rows, Some(self.epoch));
+        let payload = payload.map_err(encoding)?;
+        let items = missing.iter().map(|&node| WriteItem {
+            fragment: node,
+            node,
+            payload: payload.clone(),
+        });
+        for (_, node, result) in self.fan_out_writes(items.collect()) {
+            match result {
+                Ok(Reply::Sharded { .. }) => {
+                    self.installed.insert((node, repl.clone()));
+                }
+                Ok(other) => return Err(unexpected(node, &other)),
+                Err(e) if e.is_stale_epoch() => return Err(e),
+                Err(_) => {}
+            }
+        }
+        Ok(repl)
     }
 
     /// Repartitions `name` on `keys` across all nodes into a temp
-    /// relation; returns `(temp name, tuples filtered at the senders)`.
-    /// Cached by the source relation's stamp: if every participating
-    /// fragment of the temp still has a holder, nothing crosses the
-    /// network.
-    fn repartition_to_temp(
+    /// relation; returns `(temp name, tuples dropped at the senders)`.
+    /// `filter` (with the relation it was built over) is applied where
+    /// the rows live; buckets owned by nodes outside `participants` are
+    /// dropped at the switch. Cached by the source relation's stamp: if
+    /// every participating fragment of the temp still has a holder,
+    /// nothing crosses the network.
+    fn repartition(
         &mut self,
         name: &str,
         keys: &[usize],
-        filter: Option<BitVectorFilter>,
-        filter_tag: &str,
-    ) -> Result<(String, u64)> {
-        let participating: Vec<usize> = (0..self.links.len()).collect();
-        self.repartition_keys_to(name, keys, filter, filter_tag, &participating)
-    }
-
-    /// Like [`Self::repartition_to_temp`] but on the division spec's
-    /// divisor keys and shipping only to `participating` nodes; buckets
-    /// owned by non-participating nodes are dropped and counted.
-    fn repartition_to_temp_participating(
-        &mut self,
-        name: &str,
-        spec: &DivisionSpec,
-        filter: Option<BitVectorFilter>,
-        filter_tag: &str,
-        participating: &[usize],
-    ) -> Result<(String, u64)> {
-        self.repartition_keys_to(name, &spec.divisor_keys, filter, filter_tag, participating)
-    }
-
-    fn repartition_keys_to(
-        &mut self,
-        name: &str,
-        keys: &[usize],
-        filter: Option<BitVectorFilter>,
-        filter_tag: &str,
-        participating: &[usize],
+        filter: Option<(&BitVectorFilter, &str)>,
+        participants: Option<&[usize]>,
     ) -> Result<(String, u64)> {
         let rel = self.lookup(name)?.clone();
         let nodes = self.links.len();
-        let k = self.replication;
-        let epoch = self.epoch;
-        let fbits = filter.as_ref().map_or(0, |f| f.bits());
+        let every: Vec<usize> = (0..nodes).collect();
+        let participating = participants.unwrap_or(&every);
+        let fbits = filter.map_or(0, |(f, _)| f.bits());
         let key_tag: String = keys
             .iter()
             .map(|k| k.to_string())
             .collect::<Vec<_>>()
             .join("_");
-        // `filter_tag` names the divisor (and its stamp) whose filter
-        // pruned the tuples; unfiltered temps carry no tag.
+        // A filtered temp's contents depend on the relation that built the
+        // filter, so its cache identity carries that relation's name and
+        // stamp — otherwise dividing the same dividend by a different
+        // divisor would reuse tuples pruned against the wrong one.
+        let filter_tag = match filter {
+            Some((_, source)) => format!(".{source}.{}", self.lookup(source)?.stamp),
+            None => String::new(),
+        };
         let temp = format!(
             ".part.{name}.{}.{nodes}.{key_tag}.{fbits}{filter_tag}",
             rel.stamp
@@ -1361,112 +1184,24 @@ impl Coordinator {
         }
         // Phase 1: each fragment is bucketed by one of its holders
         // (filter applied at the sender).
-        let tasks: Vec<FragmentTask> = (0..rel.holders.len())
-            .map(|fragment| {
-                let name = name.to_owned();
-                let keys = keys.to_vec();
-                let filter = filter.clone();
-                FragmentTask {
-                    fragment,
-                    holders: rel.holders[fragment].clone(),
-                    build: Box::new(move |node| {
-                        Request::Repartition(RepartitionRequest {
-                            name: catalog::name_on(node, fragment, &name),
-                            keys: keys.clone(),
-                            parts: nodes as u16,
-                            filter: filter.clone(),
-                            epoch: Some(epoch),
-                        })
-                    }),
-                }
-            })
-            .collect();
-        let mut dest: Vec<Vec<Tuple>> = vec![Vec::new(); nodes];
-        let mut filtered = 0u64;
-        for r in self.call_fragments(tasks)? {
-            match r.reply {
-                Reply::Repartitioned {
-                    buckets,
-                    filtered: f,
-                    ..
-                } => {
-                    if buckets.len() != nodes {
-                        return Err(ClusterError::NodeFailed {
-                            node: r.holder,
-                            kind: FailureKind::Other,
-                            detail: format!("{} buckets for {nodes} nodes", buckets.len()),
-                        });
-                    }
-                    filtered += f;
-                    for (j, mut bucket) in buckets.into_iter().enumerate() {
-                        dest[j].append(&mut bucket);
-                    }
-                }
-                other => return Err(unexpected(r.holder, &other)),
-            }
-        }
+        let (dest, mut filtered) = self.bucket(name, &rel, keys, nodes, filter.map(|(f, _)| f))?;
         // Phase 2: switch each aggregated bucket to its owner node plus
         // that fragment's replicas. Buckets owned by non-participating
         // nodes are dropped here — their divisor cluster is empty, so
-        // their tuples cannot appear in the quotient.
-        let is_participating: Vec<bool> = {
-            let mut v = vec![false; nodes];
-            for &p in participating {
-                v[p] = true;
-            }
-            v
-        };
-        let mut items = Vec::new();
-        let mut per_node = vec![0usize; nodes];
+        // their tuples cannot appear in the quotient. A partial failure
+        // needs no catalog cleanup: the temp is only recorded on success,
+        // and a retry rewrites every fragment under the same name.
+        let mut fragments = Vec::with_capacity(nodes);
         for (j, bucket) in dest.into_iter().enumerate() {
-            if !is_participating[j] {
-                filtered += bucket.len() as u64;
-                continue;
-            }
-            per_node[j] = bucket.len();
-            let at = ShardInfo {
-                shard: j as u16,
-                of: nodes as u16,
-                shard_keys: keys.to_vec(),
-            };
-            let holders = catalog::placement(j, nodes, k);
-            items.extend(WriteItem::for_fragment(
-                &temp,
-                at,
-                &holders,
-                &rel.schema,
-                epoch,
-                &bucket,
-            )?);
-        }
-        // A partial failure needs no catalog cleanup here: the temp is
-        // only recorded on success, and a retry rewrites every fragment
-        // under the same name.
-        let (mut holders, versions) = self.settle_writes(items, nodes, k).map_err(|f| f.error)?;
-        // A fragment that got no write at all (non-participating) keeps
-        // an empty holder list — it never serves requests.
-        for (j, h) in holders.iter_mut().enumerate() {
-            if !is_participating[j] {
-                h.clear();
+            let bucket = Columns::from_batches(rel.schema.clone(), bucket);
+            if participating.contains(&j) {
+                fragments.push(Some(bucket));
+            } else {
+                filtered += bucket.cardinality() as u64;
+                fragments.push(None);
             }
         }
-        // Record the temp in the coordinator catalog so later phases can
-        // resolve its schema, holders, and per-node occupancy (the
-        // participation decision for divisor partitioning reads it).
-        self.next_stamp += 1;
-        self.catalog.insert(
-            temp.clone(),
-            ShardedRelation {
-                schema: rel.schema.clone(),
-                shard_keys: keys.to_vec(),
-                versions,
-                cardinality: per_node.iter().sum(),
-                per_node,
-                stamp: self.next_stamp,
-                holders,
-                filtered_at_build: filtered,
-            },
-        );
+        (self.install(&temp, &rel.schema, keys, &fragments, filtered)).map_err(|f| f.error)?;
         Ok((temp, filtered))
     }
 
@@ -1491,11 +1226,10 @@ impl Coordinator {
             Some(self.lookup(divisor)?.holders.clone())
         };
         let epoch = self.epoch;
-        let mut tag_of: HashMap<usize, u16> = HashMap::new();
+        let tag_of = |fragment| participating.iter().position(|&f| f == fragment);
         let mut tasks = Vec::with_capacity(participating.len());
         for (tag, &fragment) in participating.iter().enumerate() {
             let tag = tag as u16;
-            tag_of.insert(fragment, tag);
             let mut holders: Vec<usize> = dividend_rel.holders[fragment].clone();
             if full_copy {
                 holders.retain(|&c| self.installed.contains(&(c, divisor.to_owned())));
@@ -1536,26 +1270,98 @@ impl Coordinator {
         }
         let mut partials = Vec::with_capacity(participating.len());
         for r in self.call_fragments(tasks)? {
-            match r.reply {
-                Reply::PartialQuotient(reply) => {
-                    let want = tag_of[&r.fragment];
-                    if reply.tag != want {
-                        return Err(ClusterError::NodeFailed {
-                            node: r.holder,
-                            kind: FailureKind::Other,
-                            detail: format!("tag mismatch: sent {want} got {}", reply.tag),
-                        });
-                    }
-                    partials.push(Partial {
-                        fragment: r.fragment,
-                        holder: r.holder,
-                        reply,
-                    });
-                }
-                other => return Err(unexpected(r.holder, &other)),
+            let Reply::PartialQuotient(reply) = r.reply else {
+                return Err(unexpected(r.holder, &r.reply));
+            };
+            let want = tag_of(r.fragment).map_or(u16::MAX, |t| t as u16);
+            if reply.tag != want {
+                return Err(ClusterError::NodeFailed {
+                    node: r.holder,
+                    kind: FailureKind::Other,
+                    detail: format!("tag mismatch: sent {want} got {}", reply.tag),
+                });
             }
+            partials.push(Partial {
+                fragment: r.fragment,
+                node: r.holder,
+                rows: reply.tuples,
+                tuples_in: 0,
+                ops: reply.ops,
+                micros: reply.micros,
+                network_bytes: 0,
+                profile: reply.profile,
+            });
         }
         Ok(partials)
+    }
+}
+
+/// The coordinator's node links as the Section 6 driver's [`Transport`]:
+/// relations are catalog names, and every phase runs through the failover
+/// driver.
+struct Links<'a> {
+    coordinator: &'a mut Coordinator,
+    /// Ask each node for its span tree.
+    profile: bool,
+}
+
+impl Transport for Links<'_> {
+    type Rel = String;
+    type Error = ClusterError;
+
+    fn nodes(&self) -> usize {
+        self.coordinator.links.len()
+    }
+
+    fn placed_on(&self, name: &String) -> Option<Vec<usize>> {
+        let rel = self.coordinator.catalog.get(name);
+        rel.map(|r| r.shard_keys.clone())
+    }
+
+    fn is_empty(&self, name: &String) -> bool {
+        let rel = self.coordinator.catalog.get(name);
+        rel.is_some_and(|r| r.cardinality == 0)
+    }
+
+    fn place(&mut self, name: &String, route: Route<'_, String>) -> Result<Placed<String>> {
+        let c = &mut *self.coordinator;
+        let Some(keys) = route.keys else {
+            let rel = c.replicate(name)?;
+            let per_node = vec![c.lookup(name)?.cardinality as u64; c.links.len()];
+            return Ok(Placed {
+                rel,
+                per_node,
+                filtered: 0,
+            });
+        };
+        let filter = route.filter.map(|(f, source)| (f, source.as_str()));
+        let (rel, filtered) = c.repartition(name, keys, filter, route.participants)?;
+        let per_node = c.lookup(&rel)?.per_node.iter().map(|&n| n as u64).collect();
+        Ok(Placed {
+            rel,
+            per_node,
+            filtered,
+        })
+    }
+
+    fn build_filters(
+        &mut self,
+        name: &String,
+        keys: &[usize],
+        bits: usize,
+    ) -> Result<Vec<BitVectorFilter>> {
+        self.coordinator.build_filters(name, keys, bits)
+    }
+
+    fn divide(
+        &mut self,
+        dividend: &String,
+        divisor: &String,
+        spec: &DivisionSpec,
+        fragments: &[usize],
+    ) -> Result<Vec<Partial>> {
+        let profile = self.profile;
+        (self.coordinator).divide_partial(fragments, dividend, divisor, spec, profile)
     }
 }
 
@@ -1644,99 +1450,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-struct Partial {
-    fragment: usize,
-    holder: usize,
-    reply: PartialQuotientReply,
-}
-
-struct StrategyOutcome {
-    tuples: Vec<Tuple>,
-    participating: Vec<usize>,
-    filtered_tuples: u64,
-    filter_fill_ratio: Option<f64>,
-    partials: Vec<Partial>,
-}
-
 fn unexpected(node: usize, reply: &Reply) -> ClusterError {
     ClusterError::NodeFailed {
         node,
         kind: FailureKind::Other,
         detail: format!("unexpected reply {reply:?}"),
-    }
-}
-
-/// Folds a cluster run into one `EXPLAIN ANALYZE` tree: a network root
-/// carrying the query's total wire traffic, one child span per
-/// participating fragment carrying its serving node's link traffic and
-/// local measurements, with the node's own span tree grafted beneath it.
-#[allow(clippy::too_many_arguments)]
-fn merge_profiles(
-    strategy: Strategy,
-    nodes: usize,
-    participating: &[usize],
-    filtered_tuples: u64,
-    filter_fill_ratio: Option<f64>,
-    per_link: &[LinkStats],
-    bytes: u64,
-    elapsed: Duration,
-    partials: &[Partial],
-) -> QueryProfile {
-    let children = partials
-        .iter()
-        .map(|p| {
-            let link = per_link.get(p.holder).copied().unwrap_or_default();
-            ProfileNode {
-                label: format!("node {}", p.holder),
-                kind: SpanKind::Node,
-                wall_micros: p.reply.micros,
-                tuples_in: 0,
-                tuples_out: p.reply.tuples.len() as u64,
-                ops: p.reply.ops,
-                pages_read: 0,
-                pages_written: 0,
-                spill_bytes: 0,
-                network_bytes: link.total().1,
-                phases: Vec::new(),
-                children: p
-                    .reply
-                    .profile
-                    .clone()
-                    .map(|q| q.root)
-                    .into_iter()
-                    .collect(),
-            }
-        })
-        .collect();
-    let mut phases = vec![
-        format!("{strategy:?} over TCP"),
-        format!("{} of {nodes} nodes participating", participating.len()),
-    ];
-    if let Some(fill) = filter_fill_ratio {
-        phases.push(format!(
-            "bit-vector filter dropped {filtered_tuples} tuples (fill {fill:.2})"
-        ));
-    } else if filtered_tuples > 0 {
-        phases.push(format!("{filtered_tuples} tuples dropped at the switch"));
-    }
-    QueryProfile {
-        root: ProfileNode {
-            label: format!("cluster division ({nodes} nodes)"),
-            kind: SpanKind::Network,
-            wall_micros: elapsed.as_micros() as u64,
-            tuples_in: 0,
-            tuples_out: partials.iter().map(|p| p.reply.tuples.len() as u64).sum(),
-            ops: partials
-                .iter()
-                .fold(reldiv_rel::counters::OpSnapshot::default(), |acc, p| {
-                    acc.merge(&p.reply.ops)
-                }),
-            pages_read: 0,
-            pages_written: 0,
-            spill_bytes: 0,
-            network_bytes: bytes,
-            phases,
-            children,
-        },
     }
 }

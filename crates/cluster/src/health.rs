@@ -14,6 +14,10 @@
 
 use std::time::Duration;
 
+use reldiv_service::BackoffPolicy;
+/// The jitter stream's step, shared with the rest of the workspace.
+pub use reldiv_storage::splitmix64;
+
 /// How a request to a node failed, classified from the transport error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
@@ -138,20 +142,14 @@ impl RetryPolicy {
     /// node: uniformly in `[half, full]` of the capped exponential step,
     /// drawn from the deterministic stream `rng`.
     pub fn delay(&self, attempt: u32, rng: &mut u64) -> Duration {
-        let exp = self.base.saturating_mul(1u32 << (attempt - 1).min(20));
-        let full = exp.min(self.cap).as_nanos() as u64;
-        *rng = splitmix64(*rng);
-        let jittered = full / 2 + if full == 0 { 0 } else { *rng % (full / 2 + 1) };
-        Duration::from_nanos(jittered)
+        let (base, cap) = (self.base, self.cap);
+        let schedule = BackoffPolicy {
+            base,
+            cap,
+            ..BackoffPolicy::default()
+        };
+        schedule.delay(attempt, rng)
     }
-}
-
-/// The splitmix64 step: a tiny deterministic stream for retry jitter.
-pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -1,39 +1,32 @@
 //! # reldiv-cluster — distributed division over real TCP
 //!
 //! Section 6 of the paper runs hash-division on a GAMMA-style
-//! shared-nothing machine. `reldiv-parallel` simulates that machine with
-//! threads and channels; this crate *deploys* it: every node is a full
-//! `reldiv-service` process (storage, execution, admission control,
-//! metrics) reached over the length-prefixed TCP protocol, and the
-//! coordinator is a real process on the other end of real sockets.
+//! shared-nothing machine. `reldiv-parallel` states that adaptation once,
+//! as a phase driver over a transport
+//! ([`Driver`](reldiv_parallel::strategy::Driver)), and simulates the
+//! machine with threads and channels; this crate *deploys* it: every node
+//! is a full `reldiv-service` process (storage, execution, admission
+//! control, metrics) reached over the length-prefixed TCP protocol, and
+//! the coordinator is a real process on the other end of real sockets.
 //!
 //! * [`Coordinator`] — owns the sharded catalog (relations
 //!   hash-partitioned across the nodes with the same
-//!   [`route`](reldiv_parallel::route) the thread machine uses) and
-//!   executes `R ÷ S` with either Section 6 strategy **on the wire**:
-//!   - [`Strategy::QuotientPartitioning`] — the divisor is replicated to
-//!     every node (cached by catalog version), each node divides its
-//!     dividend shard locally, and the quotients concatenate.
-//!   - [`Strategy::DivisorPartitioning`] — both inputs are repartitioned
-//!     on the divisor attributes *where they live* (each node buckets its
-//!     own shard; only buckets cross the network), and the coordinator
-//!     runs the paper's collection-phase division over the tagged partial
-//!     quotients — the same [`CollectionSite`] the thread machine uses.
-//! * **Replication & failover** ([`catalog`], [`health`]) — each fragment lives on a primary plus `k − 1` replica
-//!   nodes (round-robin placement); every write fans out to all holders,
-//!   and reads/sub-queries fail over between holders with bounded,
-//!   jittered retries. With `k ≥ 2`, killing any single node at any
-//!   point during a query still returns the exact quotient.
+//!   [`route`](reldiv_parallel::route) the thread machine uses) and runs
+//!   `R ÷ S` under either [`Strategy`] with the driver the thread machine
+//!   runs, its node links as the transport: rows are repartitioned *where
+//!   they live* and only buckets, replicas, filter bits and partial
+//!   quotients cross the network.
+//! * **Replication & failover** ([`catalog`], [`health`]) — each fragment
+//!   lives on a primary plus `k − 1` replica nodes (round-robin
+//!   placement); every write fans out to all holders, and every read and
+//!   sub-query fails over between holders with bounded, jittered retries.
+//!   With `k ≥ 2`, killing any single node at any point during a query
+//!   still returns the exact quotient.
 //! * **Elastic membership** — [`join_node`](Coordinator::join_node) /
 //!   [`remove_node`](Coordinator::remove_node) re-replicate fragments
 //!   under the new placement; a monotonically increasing *catalog epoch*
 //!   rides on every data-plane request so a stale coordinator gets a
 //!   typed `StaleEpoch` refusal, never a wrong quotient.
-//! * **Bit-vector filtering** ([`filter`](reldiv_parallel::filter)) —
-//!   each divisor-owning node builds a filter over its fragment, the
-//!   coordinator ORs them, and the union rides inside the dividend
-//!   repartition requests so non-matching tuples are dropped *at the
-//!   sending site*: bits move over the network, tuples don't.
 //! * [`NodeLink`] — a counted connection: per-link message and byte
 //!   totals in both directions, so the traffic Section 6 reasons about is
 //!   measurable per wire, and a read deadline so a dead node surfaces as
@@ -42,10 +35,6 @@
 //! * [`LocalCluster`] — spawns N in-process node servers on loopback for
 //!   tests and benchmarks, with a [`kill`](LocalCluster::kill) switch for
 //!   chaos testing.
-//!
-//! [`Strategy::QuotientPartitioning`]: reldiv_parallel::Strategy::QuotientPartitioning
-//! [`Strategy::DivisorPartitioning`]: reldiv_parallel::Strategy::DivisorPartitioning
-//! [`CollectionSite`]: reldiv_parallel::strategy::CollectionSite
 
 #![deny(missing_docs)]
 
@@ -132,3 +121,9 @@ impl std::error::Error for ClusterError {}
 
 /// Cluster result alias.
 pub type Result<T> = std::result::Result<T, ClusterError>;
+
+impl From<reldiv_core::ExecError> for ClusterError {
+    fn from(e: reldiv_core::ExecError) -> ClusterError {
+        ClusterError::Exec(e.to_string())
+    }
+}

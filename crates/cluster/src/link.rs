@@ -54,6 +54,16 @@ impl LinkStats {
         )
     }
 
+    /// The traffic since `before`, an earlier reading of the same link.
+    pub fn since(&self, before: &LinkStats) -> LinkStats {
+        LinkStats {
+            messages_sent: self.messages_sent - before.messages_sent,
+            bytes_sent: self.bytes_sent - before.bytes_sent,
+            messages_received: self.messages_received - before.messages_received,
+            bytes_received: self.bytes_received - before.bytes_received,
+        }
+    }
+
     /// Accumulates another link's counters into this one.
     pub fn absorb(&mut self, other: &LinkStats) {
         self.messages_sent += other.messages_sent;

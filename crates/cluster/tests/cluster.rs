@@ -8,7 +8,8 @@ use std::time::Duration;
 
 use reldiv_cluster::{ClusterQueryOptions, LocalCluster, Strategy};
 use reldiv_core::hash_division::HashDivisionMode;
-use reldiv_core::{divide_relations, Algorithm};
+use reldiv_core::{divide_relations, Algorithm, DivisionSpec};
+use reldiv_parallel::{parallel_divide, ClusterConfig};
 use reldiv_rel::tuple::ints;
 use reldiv_rel::{Relation, Tuple};
 use reldiv_service::ServiceConfig;
@@ -97,6 +98,71 @@ fn grid_matches_single_node_oracle_under_both_strategies() {
                 // Request/reply protocol: every frame sent got a frame back.
                 for link in &response.report.per_link {
                     assert_eq!(link.messages_sent, link.messages_received);
+                }
+            }
+        }
+    }
+}
+
+/// Both backends run the one Section 6 driver: over the Table 4 grid the
+/// thread machine and the TCP cluster return the same quotient, let the
+/// same nodes participate and drop the same dividend tuples, under both
+/// strategies with and without a bit-vector filter.
+#[test]
+fn both_backends_make_the_same_section6_decisions() {
+    let cluster = start_nodes(4);
+    let mut coord = cluster.coordinator(TIMEOUT).expect("connect");
+    for &divisor_size in &[25u64, 100, 400] {
+        for &quotient_size in &[25u64, 100, 400] {
+            let w = WorkloadSpec {
+                divisor_size,
+                quotient_size,
+                incomplete_groups: quotient_size.min(40),
+                incomplete_fill: 0.6,
+                noise_per_group: 2,
+                ..WorkloadSpec::default()
+            }
+            .generate(divisor_size * 1000 + quotient_size);
+            coord.register("r", &w.dividend, &[0]).expect("register r");
+            coord.register("s", &w.divisor, &[0]).expect("register s");
+            let spec = DivisionSpec::trailing_divisor(w.dividend.schema(), w.divisor.schema())
+                .expect("spec");
+            for strategy in [
+                Strategy::QuotientPartitioning,
+                Strategy::DivisorPartitioning,
+            ] {
+                for bits in [None, Some(16 * 1024)] {
+                    let case =
+                        format!("|S|={divisor_size} |Q|={quotient_size} {strategy:?} {bits:?}");
+                    let config = ClusterConfig {
+                        nodes: 4,
+                        strategy,
+                        bit_vector_bits: bits,
+                        node_storage: StorageConfig::large(),
+                        ..ClusterConfig::default()
+                    };
+                    let (quotient, machine) =
+                        parallel_divide(&w.dividend, &w.divisor, &spec, &config).expect(&case);
+                    let tcp = coord
+                        .divide("r", "s", &options(strategy, bits))
+                        .expect(&case);
+                    assert_eq!(canon(quotient.tuples()), canon(&tcp.tuples), "{case}");
+                    let machine_nodes: Vec<String> = (machine.profile.root.children.iter())
+                        .map(|span| span.label.clone())
+                        .collect();
+                    let tcp_nodes: Vec<String> = (tcp.report.participating.iter())
+                        .map(|node| format!("node {node}"))
+                        .collect();
+                    assert_eq!(machine_nodes, tcp_nodes, "{case}: participating nodes");
+                    assert_eq!(machine.participating_nodes, tcp_nodes.len(), "{case}");
+                    assert_eq!(
+                        machine.filtered_tuples, tcp.report.filtered_tuples,
+                        "{case}: filtered tuples"
+                    );
+                    assert_eq!(
+                        machine.filter_fill_ratio, tcp.report.filter_fill_ratio,
+                        "{case}: filter fill"
+                    );
                 }
             }
         }

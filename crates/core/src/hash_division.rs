@@ -42,7 +42,7 @@
 
 use reldiv_exec::batch::BoxedBatchOp;
 use reldiv_exec::cancel::CancelToken;
-use reldiv_rel::{Batch, Schema, Tuple};
+use reldiv_rel::{Batch, Schema};
 use reldiv_storage::MemoryPool;
 
 use reldiv_exec::hash_table::KeyTable;
@@ -223,28 +223,11 @@ impl QuotientTable {
         self.table.len() as u64
     }
 
-    /// Absorbs one dividend tuple already matched to `divisor_no`
-    /// (`None` means the divisor is empty and the candidate is vacuously
-    /// complete). Returns a quotient tuple when the `EarlyOut` mode
-    /// completes a candidate.
-    pub fn absorb(&mut self, t: &Tuple, divisor_no: Option<u32>) -> Result<Option<Tuple>> {
-        let key = (t, &self.quotient_keys[..]);
-        let h = t.hash_on(&self.quotient_keys);
-        let mut tally = Tally::default();
-        let absorbed = match self.table.find((h, None), key, false, &mut tally) {
-            None => (self.table.insert(h, key, divisor_no)?, true),
-            Some(g) => (
-                g,
-                divisor_no.is_some_and(|d| self.table.absorb(g, d, &mut tally)),
-            ),
-        };
-        Ok(self.completed(absorbed).map(|g| self.table.keys().tuple(g)))
-    }
-
-    /// [`QuotientTable::absorb`] for the rows `rows` of a batch, matched to
-    /// `divisor_nos`: one bulk hash pass over their quotient columns, one
-    /// typed probe, each compared only with the candidates of equal hash; a
-    /// new candidate's key is copied in. Returns the candidates `EarlyOut`
+    /// Absorbs the rows `rows` of a batch, matched to `divisor_nos` (`None`
+    /// means the divisor is empty and the candidate is vacuously
+    /// complete): one bulk hash pass over their quotient columns, one typed
+    /// probe, each compared only with the candidates of equal hash; a new
+    /// candidate's key is copied in. Returns the candidates `EarlyOut`
     /// completes.
     pub fn absorb_rows(
         &mut self,
@@ -295,13 +278,6 @@ impl QuotientTable {
         }
         None
     }
-
-    /// Step 3: pulls the next complete candidate from the final table
-    /// scan, as a tuple.
-    pub fn next_complete(&mut self) -> Option<Tuple> {
-        let g = self.next_complete_row()?;
-        Some(self.table.keys().tuple(g))
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +289,7 @@ mod tests {
     use reldiv_exec::batch::BatchOperator;
     use reldiv_rel::schema::Field;
     use reldiv_rel::tuple::ints;
-    use reldiv_rel::{Relation, Value};
+    use reldiv_rel::{Relation, Tuple, Value};
 
     fn transcript(rows: &[[i64; 2]]) -> Relation {
         let schema = Schema::new(vec![Field::int("student-id"), Field::int("course-no")]);

@@ -61,7 +61,7 @@ use reldiv_rel::schema::Field;
 use reldiv_rel::{counters, Batch, Relation, Schema};
 use reldiv_storage::file::Appender;
 use reldiv_storage::memory::Reservation;
-use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
+use reldiv_storage::{splitmix64, FileId, MemoryPool, StorageManager, StorageRef};
 
 use crate::bitmap::Bitmap;
 use crate::groups::{GroupTable, Key, Probe, Tally};
@@ -83,13 +83,6 @@ const REVIVE_STRIDE: u64 = 256;
 
 /// Consecutive hot-group misses before the accumulator re-adopts.
 const HOT_MISS_LIMIT: u32 = 16;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Routes a quotient-key hash to a partition at recursion `level`. Each
 /// level remixes with a different seed so sub-partitions of one partition

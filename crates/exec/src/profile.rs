@@ -334,14 +334,14 @@ impl ProfileSink {
             }
         }
         let root = match roots.len() {
-            0 => ProfileNode::empty("empty profile"),
+            0 => ProfileNode::new("empty profile", SpanKind::Query),
             1 => build(roots[0], &b.spans, &children),
             _ => {
                 let kids: Vec<ProfileNode> = roots
                     .iter()
                     .map(|&r| build(r, &b.spans, &children))
                     .collect();
-                let mut root = ProfileNode::empty("query");
+                let mut root = ProfileNode::new("query", SpanKind::Query);
                 root.wall_micros = kids.iter().map(|k| k.wall_micros).sum();
                 root.tuples_in = kids.iter().map(|k| k.tuples_out).sum();
                 root.children = kids;
@@ -383,10 +383,11 @@ pub struct ProfileNode {
 }
 
 impl ProfileNode {
-    fn empty(label: &str) -> ProfileNode {
+    /// A span with nothing measured yet.
+    pub fn new(label: impl Into<String>, kind: SpanKind) -> ProfileNode {
         ProfileNode {
-            label: label.to_owned(),
-            kind: SpanKind::Query,
+            label: label.into(),
+            kind,
             wall_micros: 0,
             tuples_in: 0,
             tuples_out: 0,
@@ -785,9 +786,9 @@ mod tests {
 
     #[test]
     fn self_wall_subtracts_children() {
-        let mut parent = ProfileNode::empty("p");
+        let mut parent = ProfileNode::new("p", SpanKind::Query);
         parent.wall_micros = 100;
-        let mut child = ProfileNode::empty("c");
+        let mut child = ProfileNode::new("c", SpanKind::Query);
         child.wall_micros = 30;
         parent.children.push(child);
         assert_eq!(parent.self_wall_micros(), 70);

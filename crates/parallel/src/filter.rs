@@ -6,7 +6,7 @@
 //! significantly the network cost for the dividend relation, which is the
 //! larger of the division operands."
 
-use reldiv_rel::Tuple;
+use reldiv_rel::Columns;
 
 /// A bit-vector filter over divisor-attribute hash values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,34 +30,31 @@ impl BitVectorFilter {
         self.bits
     }
 
-    /// Inserts a divisor tuple (hashed on all its columns).
-    pub fn insert(&mut self, divisor_tuple: &Tuple) {
-        let all: Vec<usize> = (0..divisor_tuple.arity()).collect();
-        self.insert_on(divisor_tuple, &all);
+    /// A `bits`-bit filter over `rows`, each hashed on `keys` — how the
+    /// sending site of a placement builds one over a divisor fragment.
+    pub fn over(bits: usize, rows: &Columns, keys: &[usize]) -> Self {
+        let mut filter = BitVectorFilter::new(bits);
+        for batch in rows.batches() {
+            batch
+                .hash_rows(keys)
+                .into_iter()
+                .for_each(|h| filter.insert_hash(h));
+        }
+        filter
     }
 
-    /// Inserts a tuple hashed on an explicit key set — the node-side
-    /// `BuildFilter` handler inserts divisor fragments on the same
-    /// columns [`may_match`](Self::may_match) later tests.
-    pub fn insert_on(&mut self, tuple: &Tuple, keys: &[usize]) {
-        self.insert_hash(tuple.hash_on(keys));
-    }
-
-    /// Inserts a key by its hash — [`Tuple::hash_on`]'s value, or the
-    /// bit-identical `Batch::hash_rows` one for a row held in columns.
+    /// Inserts a key by its hash — `Batch::hash_rows`' value for a row,
+    /// or the bit-identical `Tuple::hash_on` one. A divisor is inserted
+    /// hashed on all its columns, the dividend columns the filter later
+    /// tests.
     pub fn insert_hash(&mut self, hash: u64) {
         let h = hash as usize % self.bits;
         self.words[h / 64] |= 1 << (h % 64);
     }
 
-    /// Tests a dividend tuple on its divisor-attribute columns. `false`
-    /// means *definitely* no matching divisor tuple (safe to drop);
-    /// `true` may be a false positive.
-    pub fn may_match(&self, dividend_tuple: &Tuple, divisor_keys: &[usize]) -> bool {
-        self.may_match_hash(dividend_tuple.hash_on(divisor_keys))
-    }
-
-    /// [`may_match`](Self::may_match) for a key already hashed.
+    /// Tests a dividend row by the hash of its divisor-attribute columns.
+    /// `false` means *definitely* no matching divisor tuple (safe to
+    /// drop); `true` may be a false positive.
     pub fn may_match_hash(&self, hash: u64) -> bool {
         let h = hash as usize % self.bits;
         self.words[h / 64] & (1 << (h % 64)) != 0
@@ -105,15 +102,25 @@ mod tests {
     use super::*;
     use reldiv_rel::tuple::ints;
 
+    /// Inserts a divisor tuple, hashed on all its columns.
+    fn insert(f: &mut BitVectorFilter, divisor: &[i64]) {
+        f.insert_hash(ints(divisor).hash_on(&(0..divisor.len()).collect::<Vec<_>>()));
+    }
+
+    /// Tests a dividend tuple on its divisor-attribute columns.
+    fn may_match(f: &BitVectorFilter, dividend: &[i64], keys: &[usize]) -> bool {
+        f.may_match_hash(ints(dividend).hash_on(keys))
+    }
+
     #[test]
     fn members_always_pass() {
         let mut f = BitVectorFilter::new(256);
         for d in 0..50 {
-            f.insert(&ints(&[d]));
+            insert(&mut f, &[d]);
         }
         for d in 0..50 {
             // Dividend tuple (q, d): divisor key is column 1.
-            assert!(f.may_match(&ints(&[999, d]), &[1]), "member {d} must pass");
+            assert!(may_match(&f, &[999, d], &[1]), "member {d} must pass");
         }
     }
 
@@ -121,10 +128,10 @@ mod tests {
     fn most_non_members_are_dropped_when_filter_is_sparse() {
         let mut f = BitVectorFilter::new(4096);
         for d in 0..20 {
-            f.insert(&ints(&[d]));
+            insert(&mut f, &[d]);
         }
         let dropped = (1000..2000)
-            .filter(|&d| !f.may_match(&ints(&[0, d]), &[1]))
+            .filter(|&d| !may_match(&f, &[0, d], &[1]))
             .count();
         assert!(
             dropped > 950,
@@ -140,10 +147,10 @@ mod tests {
         // the same bit as one of the database courses."
         let mut f = BitVectorFilter::new(64);
         for d in 0..60 {
-            f.insert(&ints(&[d]));
+            insert(&mut f, &[d]);
         }
         let passing = (10_000..11_000)
-            .filter(|&d| f.may_match(&ints(&[0, d]), &[1]))
+            .filter(|&d| may_match(&f, &[0, d], &[1]))
             .count();
         assert!(
             passing > 0,
@@ -161,7 +168,7 @@ mod tests {
     fn wire_parts_round_trip() {
         let mut f = BitVectorFilter::new(1024);
         for d in 0..30 {
-            f.insert(&ints(&[d]));
+            insert(&mut f, &[d]);
         }
         let rebuilt = BitVectorFilter::from_parts(f.bits(), f.words().to_vec()).unwrap();
         assert_eq!(rebuilt, f);
@@ -174,11 +181,11 @@ mod tests {
     fn union_merges_fragment_filters() {
         let mut a = BitVectorFilter::new(512);
         let mut b = BitVectorFilter::new(512);
-        a.insert(&ints(&[1]));
-        b.insert(&ints(&[2]));
+        insert(&mut a, &[1]);
+        insert(&mut b, &[2]);
         assert!(a.union(&b));
         for d in [1, 2] {
-            assert!(a.may_match(&ints(&[0, d]), &[1]), "member {d} after union");
+            assert!(may_match(&a, &[0, d], &[1]), "member {d} after union");
         }
         let other_geometry = BitVectorFilter::new(1024);
         assert!(!a.union(&other_geometry), "size mismatch refused");

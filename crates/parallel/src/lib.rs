@@ -1,28 +1,21 @@
 //! # reldiv-parallel — hash-division on a shared-nothing machine
 //!
 //! Section 6 of the paper adapts hash-division to a GAMMA-style
-//! shared-nothing multi-processor. This crate simulates that machine:
-//! every node is a thread with its own storage manager and memory pool,
-//! and the interconnection network is a set of accounted channels
+//! shared-nothing multi-processor. This crate holds that adaptation once,
+//! as a phase driver ([`strategy`]), and simulates the machine it runs
+//! on: every node is a thread with its own storage manager and memory
+//! pool, and the interconnection network is a set of accounted channels
 //! ([`network`]), so the network traffic the paper reasons about is
-//! measurable.
+//! measurable. The TCP cluster (`reldiv-cluster`) runs the same driver
+//! over real links; this machine is its zero-latency double.
 //!
-//! Both partitioning strategies are implemented:
-//!
-//! * [`Strategy::QuotientPartitioning`] — "the divisor table must be
-//!   replicated in the main memory of all participating processors. After
-//!   replication, all local hash-division operators work completely
-//!   independently of each other." The quotient is the concatenation of
-//!   the node results.
-//! * [`Strategy::DivisorPartitioning`] — both inputs are partitioned on
-//!   the divisor attributes; each node's quotient cluster is tagged with
-//!   its processor address and a **collection site** "divides the set of
-//!   all incoming tuples over the set of processor network addresses".
-//!
-//! [`filter`] adds Section 6's **bit-vector filtering**: the scan site
-//! drops dividend tuples that cannot match any divisor tuple before
-//!   shipping them, trading a heuristic filter (false positives pass and
-//! are caught later) for a large reduction in network traffic.
+//! Both partitioning strategies of the paper run on it
+//! ([`Strategy::QuotientPartitioning`], [`Strategy::DivisorPartitioning`],
+//! both stated in [`strategy`]), and [`filter`] adds Section 6's
+//! **bit-vector filtering**: the scan site drops dividend tuples that
+//! cannot match any divisor tuple before shipping them, trading a
+//! heuristic filter (false positives pass and are caught later) for a
+//! large reduction in network traffic.
 
 #![deny(missing_docs)]
 
@@ -32,18 +25,22 @@ pub mod partition;
 pub mod strategy;
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::Receiver;
 use reldiv_core::api::{divide, DivisionConfig, Source};
 use reldiv_core::hash_division::HashDivisionMode;
-use reldiv_core::{Algorithm, DivisionSpec, ExecError, ProfileNode, QueryProfile, SpanKind};
+use reldiv_core::{Algorithm, DivisionSpec, ExecError, QueryProfile};
 use reldiv_rel::counters::{OpScope, OpSnapshot};
-use reldiv_rel::{Relation, Tuple};
+use reldiv_rel::{Batch, Columns, Relation, Schema};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::StorageManager;
 
-use network::{build_links, build_result_link, Message, NetworkCounters, NetworkStats, Port};
-use strategy::{distribute, CollectionSite, Transport};
+use filter::BitVectorFilter;
+use network::{build_links, build_result_link, Message, NetworkCounters, NetworkStats, Port, Role};
+use partition::scatter;
+use strategy::{Driver, Partial, Placed, Route, Transport};
 
 pub use partition::{route, route_hash};
 pub use strategy::{Distribution, Strategy};
@@ -110,135 +107,222 @@ pub struct RunReport {
     pub total_ops: OpSnapshot,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
+    /// The run as an `EXPLAIN ANALYZE`-style span tree: a network root
+    /// carrying the traffic and wall time, one span per participating
+    /// node ([`strategy::Run::profile`], shared with the TCP cluster).
+    pub profile: QueryProfile,
 }
 
-impl RunReport {
-    /// Folds the run's measurements into an `EXPLAIN ANALYZE`-style span
-    /// tree: a root span for the whole parallel division carrying the
-    /// network totals and wall time, with one child per node carrying the
-    /// dividend tuples shipped to it and the abstract operations it
-    /// performed. Lets parallel runs share the renderer and JSON codec of
-    /// single-site [`QueryProfile`]s.
-    pub fn to_profile(&self) -> QueryProfile {
-        let children = self
-            .per_node_ops
-            .iter()
-            .enumerate()
-            .map(|(i, &ops)| ProfileNode {
-                label: format!("node {i}"),
-                kind: SpanKind::Node,
-                wall_micros: 0,
-                tuples_in: self.per_node_dividend.get(i).copied().unwrap_or(0),
-                tuples_out: 0,
-                ops,
-                pages_read: 0,
-                pages_written: 0,
-                spill_bytes: 0,
-                network_bytes: 0,
-                phases: Vec::new(),
-                children: Vec::new(),
-            })
-            .collect();
-        let mut phases = vec![format!(
-            "{} of {} nodes participating",
-            self.participating_nodes, self.nodes
-        )];
-        if let Some(fill) = self.filter_fill_ratio {
-            phases.push(format!(
-                "bit-vector filter dropped {} tuples (fill {:.2})",
-                self.filtered_tuples, fill
-            ));
-        }
-        QueryProfile {
-            root: ProfileNode {
-                label: format!("parallel division ({} nodes)", self.nodes),
-                kind: SpanKind::Network,
-                wall_micros: self.elapsed.as_micros() as u64,
-                tuples_in: self.per_node_dividend.iter().sum(),
-                tuples_out: 0,
-                ops: self.total_ops,
-                pages_read: 0,
-                pages_written: 0,
-                spill_bytes: 0,
-                network_bytes: self.network.bytes,
-                phases,
-                children,
-            },
-        }
-    }
-}
-
-/// One node's worker: receive divisor and dividend, divide locally with a
-/// private engine (including local overflow handling), ship the quotient
-/// cluster to the collection site.
+/// One node's worker: receive divisor and dividend batches, divide
+/// locally with a private engine (including local overflow handling),
+/// ship the quotient cluster to the collection site. Returns the node's
+/// operation count and division time in microseconds.
 fn node_main(
     node_id: usize,
-    rx: crossbeam::channel::Receiver<Message>,
+    rx: Receiver<Message>,
     result: network::ResultPort,
     spec: DivisionSpec,
-    dividend_schema: reldiv_rel::Schema,
-    divisor_schema: reldiv_rel::Schema,
+    [dividend_schema, divisor_schema]: [Schema; 2],
     storage_config: StorageConfig,
-) -> Result<OpSnapshot> {
+) -> Result<(OpSnapshot, u64)> {
     let scope = OpScope::begin();
-    let mut divisor_tuples: Vec<Tuple> = Vec::new();
-    let mut dividend_tuples: Vec<Tuple> = Vec::new();
-    loop {
-        match rx.recv() {
-            Ok(Message::Divisor(v)) => divisor_tuples.extend(v),
-            Ok(Message::Dividend(v)) => dividend_tuples.extend(v),
-            Ok(Message::End) | Err(_) => break,
-        }
+    let (mut dividend, mut divisor): (Vec<Batch>, Vec<Batch>) = (Vec::new(), Vec::new());
+    while let Ok(Message::Rows(role, rows)) = rx.recv() {
+        let input = if role == Role::Dividend {
+            &mut dividend
+        } else {
+            &mut divisor
+        };
+        input.extend(rows.batches().iter().cloned());
     }
-    let dividend =
-        Relation::from_tuples(dividend_schema, dividend_tuples).map_err(ExecError::from)?;
-    let divisor = Relation::from_tuples(divisor_schema, divisor_tuples).map_err(ExecError::from)?;
+    let start = Instant::now();
     let storage = StorageManager::shared(storage_config);
     let quotient = divide(
         &storage,
-        &Source::from_relation(&dividend),
-        &Source::from_relation(&divisor),
+        &Source::Columns(Columns::from_batches(dividend_schema, dividend)),
+        &Source::Columns(Columns::from_batches(divisor_schema, divisor)),
         &spec,
         Algorithm::HashDivision {
             mode: HashDivisionMode::Standard,
         },
         &DivisionConfig::default(),
     )?;
-    result.send(node_id, quotient.into_tuples());
-    Ok(scope.finish())
+    let micros = start.elapsed().as_micros() as u64;
+    result.send(node_id, Columns::from_relation(&quotient));
+    Ok((scope.finish(), micros))
 }
 
-/// The thread machine's [`Transport`]: accounted in-process channels.
-/// Sends cannot fail — a hung-up receiver means the node died, and the
-/// thread join below surfaces its error.
-struct ChannelTransport<'a> {
-    ports: &'a [Port],
+/// The thread machine's [`Transport`]: the scan site holds every input
+/// whole and ships it over accounted channels to node threads, which
+/// divide when told the input is complete. A divisor fragment travels as
+/// one message per node (empty ones too, so every node can build its
+/// table); dividend rows in messages of `batch_size` rows.
+struct Machine {
+    ports: Vec<Port>,
+    results: Receiver<(usize, Columns)>,
+    nodes: Vec<JoinHandle<Result<(OpSnapshot, u64)>>>,
+    batch_size: usize,
+    per_node_dividend: Vec<u64>,
+    per_node_ops: Vec<OpSnapshot>,
 }
 
-impl Transport for ChannelTransport<'_> {
-    type Error = std::convert::Infallible;
+/// An input as the scan site holds it: which input of the division it is,
+/// and all of its rows.
+type Held = (Role, Columns);
 
-    fn ship_divisor(
-        &mut self,
-        node: usize,
-        tuples: Vec<Tuple>,
-    ) -> std::result::Result<(), Self::Error> {
-        self.ports[node].send(Message::Divisor(tuples));
-        Ok(())
+impl Machine {
+    /// Spawns the nodes.
+    fn start(
+        config: &ClusterConfig,
+        spec: &DivisionSpec,
+        schemas: [&Schema; 3],
+        counters: &Arc<NetworkCounters>,
+    ) -> Machine {
+        let [dividend, divisor, quotient] = schemas;
+        let (ports, receivers) = build_links(config.nodes, dividend.record_width(), counters);
+        let (result, results) = build_result_link(quotient.record_width(), counters);
+        let nodes = (receivers.into_iter().enumerate())
+            .map(|(node, rx)| {
+                let (result, spec) = (result.clone(), spec.clone());
+                let schemas = [dividend.clone(), divisor.clone()];
+                let storage = config.node_storage.clone();
+                std::thread::spawn(move || node_main(node, rx, result, spec, schemas, storage))
+            })
+            .collect();
+        // The result channel closes when every node has finished.
+        drop(result);
+        Machine {
+            ports,
+            results,
+            nodes,
+            batch_size: config.batch_size.max(1),
+            per_node_dividend: vec![0; config.nodes],
+            per_node_ops: Vec::new(),
+        }
+    }
+}
+
+impl Transport for Machine {
+    type Rel = Held;
+    type Error = ExecError;
+
+    fn nodes(&self) -> usize {
+        self.ports.len()
     }
 
-    fn ship_dividend(
-        &mut self,
-        node: usize,
-        tuples: Vec<Tuple>,
-    ) -> std::result::Result<(), Self::Error> {
-        self.ports[node].send(Message::Dividend(tuples));
-        Ok(())
+    fn placed_on(&self, _: &Held) -> Option<Vec<usize>> {
+        None
     }
 
-    fn end(&mut self, node: usize) -> std::result::Result<(), Self::Error> {
-        self.ports[node].send(Message::End);
-        Ok(())
+    fn is_empty(&self, (_, rows): &Held) -> bool {
+        rows.cardinality() == 0
+    }
+
+    fn place(&mut self, held: &Held, route: Route<'_, Held>) -> Result<Placed<Held>> {
+        let ((role, rows), n) = (held.clone(), self.ports.len());
+        let Some(keys) = route.keys else {
+            for port in &self.ports {
+                port.send(Message::Rows(role, rows.clone()));
+            }
+            let per_node = vec![rows.cardinality() as u64; n];
+            return Ok(Placed {
+                rel: held.clone(),
+                per_node,
+                filtered: 0,
+            });
+        };
+        let limit = if role == Role::Dividend {
+            self.batch_size
+        } else {
+            usize::MAX
+        };
+        let ship = |port: &Port, batch: Batch| {
+            let rows = Columns::from_batches(batch.schema().clone(), vec![batch]);
+            port.send(Message::Rows(role, rows));
+        };
+        let accepts = route.participants.map(|p| {
+            let mut accepts = vec![false; n];
+            p.iter().for_each(|&node| accepts[node] = true);
+            accepts
+        });
+        let filter = route.filter.map(|(f, _)| f);
+        let fresh = || Batch::with_capacity(rows.schema().clone(), 0);
+        let (mut pending, mut per_node, mut filtered) = (vec![fresh(); n], vec![0; n], 0);
+        for batch in rows.batches() {
+            let routed = scatter(batch, keys, n, filter, accepts.as_deref());
+            filtered += routed.dropped;
+            for (node, picked) in routed.rows.iter().enumerate() {
+                per_node[node] += picked.len() as u64;
+                for &row in picked {
+                    pending[node].push_row_from(batch, row);
+                    if pending[node].len() == limit {
+                        ship(
+                            &self.ports[node],
+                            std::mem::replace(&mut pending[node], fresh()),
+                        );
+                    }
+                }
+            }
+        }
+        for (port, batch) in self.ports.iter().zip(pending) {
+            if !batch.is_empty() || role == Role::Divisor {
+                ship(port, batch);
+            }
+        }
+        if role == Role::Dividend {
+            self.per_node_dividend = per_node.clone();
+        }
+        Ok(Placed {
+            rel: held.clone(),
+            per_node,
+            filtered,
+        })
+    }
+
+    fn build_filters(
+        &mut self,
+        (_, rows): &Held,
+        keys: &[usize],
+        bits: usize,
+    ) -> Result<Vec<BitVectorFilter>> {
+        Ok(vec![BitVectorFilter::over(bits, rows, keys)])
+    }
+
+    fn divide(
+        &mut self,
+        _: &Held,
+        _: &Held,
+        _: &DivisionSpec,
+        fragments: &[usize],
+    ) -> Result<Vec<Partial>> {
+        for port in &self.ports {
+            port.send(Message::End);
+        }
+        let mut quotients: Vec<Option<Columns>> = vec![None; self.ports.len()];
+        while let Ok((node, rows)) = self.results.recv() {
+            quotients[node] = Some(rows);
+        }
+        let mut micros = Vec::with_capacity(self.nodes.len());
+        for handle in self.nodes.drain(..) {
+            let joined = handle.join();
+            let (ops, us) =
+                joined.map_err(|_| ExecError::Plan("node thread panicked".into()))??;
+            self.per_node_ops.push(ops);
+            micros.push(us);
+        }
+        let partial = |&node: &usize| Partial {
+            fragment: node,
+            node,
+            rows: quotients[node]
+                .take()
+                .expect("a finished node shipped its quotient"),
+            tuples_in: self.per_node_dividend[node],
+            ops: self.per_node_ops[node],
+            micros: micros[node],
+            network_bytes: 0,
+            profile: None,
+        };
+        Ok(fragments.iter().map(partial).collect())
     }
 }
 
@@ -255,152 +339,33 @@ pub fn parallel_divide(
     spec.validate(dividend.schema(), divisor.schema())?;
     let quotient_schema = spec.quotient_schema(dividend.schema())?;
     let start = Instant::now();
-
     let counters = Arc::new(NetworkCounters::default());
-    let tuple_bytes = dividend.schema().record_width();
-    let (ports, receivers) = build_links(config.nodes, tuple_bytes, &counters);
-    let (result_port, result_rx) = build_result_link(quotient_schema.record_width(), &counters);
-
-    // Spawn the nodes.
-    let mut handles = Vec::with_capacity(config.nodes);
-    for (node_id, rx) in receivers.into_iter().enumerate() {
-        let result = result_port.clone();
-        let spec = spec.clone();
-        let dividend_schema = dividend.schema().clone();
-        let divisor_schema = divisor.schema().clone();
-        let storage_config = config.node_storage.clone();
-        handles.push(std::thread::spawn(move || {
-            node_main(
-                node_id,
-                rx,
-                result,
-                spec,
-                dividend_schema,
-                divisor_schema,
-                storage_config,
-            )
-        }));
-    }
-    drop(result_port); // collection channel closes when all nodes finish
-
-    let n = config.nodes;
-    // The scan site: the strategy driver over the accounted channels.
-    // (The TCP cluster does not run it: its coordinator routes with the
-    // same `route` hash and collects with the same `CollectionSite`.)
-    let mut transport = ChannelTransport { ports: &ports };
-    let dist = distribute(
-        &mut transport,
-        Distribution {
-            strategy: config.strategy,
-            nodes: n,
-            bit_vector_bits: config.bit_vector_bits,
-        },
-        spec,
-        dividend.tuples(),
-        divisor.tuples(),
-        divisor.schema().arity(),
-        config.batch_size,
-    )
-    .expect("channel transport is infallible");
-    let participating = dist.participating.clone();
-
-    // Collection site.
-    let mut result = Relation::empty(quotient_schema.clone());
-    match config.strategy {
-        Strategy::QuotientPartitioning => {
-            // Clusters are disjoint in the quotient attributes: concatenate.
-            while let Ok((_, tuples)) = result_rx.recv() {
-                for t in tuples {
-                    result.push(t).map_err(ExecError::from)?;
-                }
-            }
-        }
-        Strategy::DivisorPartitioning => {
-            // "The collection site divides the set of all incoming tuples
-            // over the set of processor network addresses" — the shared
-            // [`CollectionSite`], also used verbatim by the TCP cluster's
-            // coordinator. With more than one site, the tagged tuples are
-            // themselves quotient-partitioned across sites — the paper's
-            // decentralized collection. (Nodes would hash-route their
-            // shipments directly in a real machine, so no extra network
-            // traffic is charged for the fan-out.)
-            let sites = config.collection_sites.max(1);
-            let qarity = quotient_schema.arity();
-            if sites == 1 {
-                let mut site =
-                    CollectionSite::new(&quotient_schema, &participating, dist.empty_divisor)?;
-                while let Ok((node, tuples)) = result_rx.recv() {
-                    for t in tuples {
-                        site.absorb(node, &t)?;
-                    }
-                }
-                for t in site.finish() {
-                    result.push(t).map_err(ExecError::from)?;
-                }
-            } else {
-                // Decentralized: one collector thread per site, fed a
-                // quotient-hash partition of the tagged tuples.
-                let mut txs = Vec::with_capacity(sites);
-                let mut collectors = Vec::with_capacity(sites);
-                for _ in 0..sites {
-                    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Tuple)>();
-                    txs.push(tx);
-                    let schema = quotient_schema.clone();
-                    let participating = participating.clone();
-                    let empty_divisor = dist.empty_divisor;
-                    collectors.push(std::thread::spawn(move || -> Result<Vec<Tuple>> {
-                        let mut site = CollectionSite::new(&schema, &participating, empty_divisor)?;
-                        while let Ok((node, t)) = rx.recv() {
-                            site.absorb(node, &t)?;
-                        }
-                        Ok(site.finish())
-                    }));
-                }
-                let qcols: Vec<usize> = (0..qarity).collect();
-                while let Ok((node, tuples)) = result_rx.recv() {
-                    for t in tuples {
-                        let site = (t.hash_on(&qcols) as usize) % sites;
-                        let _ = txs[site].send((node, t));
-                    }
-                }
-                drop(txs);
-                for handle in collectors {
-                    let partial = handle
-                        .join()
-                        .map_err(|_| ExecError::Plan("collection site panicked".into()))??;
-                    for t in partial {
-                        result.push(t).map_err(ExecError::from)?;
-                    }
-                }
-            }
-        }
-    }
-
-    // Surface node failures; collect each node's operation counts.
-    let mut per_node_ops = Vec::with_capacity(handles.len());
-    for handle in handles {
-        per_node_ops.push(
-            handle
-                .join()
-                .map_err(|_| ExecError::Plan("node thread panicked".into()))??,
-        );
-    }
-    let total_ops = per_node_ops
-        .iter()
-        .fold(OpSnapshot::default(), |acc, ops| acc.merge(ops));
-
-    let report = RunReport {
-        network: counters.stats(),
-        nodes: n,
-        participating_nodes: participating.len(),
-        filtered_tuples: dist.filtered_tuples,
-        filter_fill_ratio: dist.filter_fill_ratio,
-        per_node_dividend: dist.per_node_dividend,
-        per_node_ops,
-        total_ops,
-        elapsed: start.elapsed(),
+    let schemas = [dividend.schema(), divisor.schema(), &quotient_schema];
+    let mut machine = Machine::start(config, spec, schemas, &counters);
+    let driver = Driver {
+        strategy: config.strategy,
+        bit_vector_bits: config.bit_vector_bits,
+        collection_sites: config.collection_sites,
     };
-    Ok((result, report))
+    let dividend = (Role::Dividend, Columns::from_relation(dividend));
+    let divisor = (Role::Divisor, Columns::from_relation(divisor));
+    let run = driver.run(&mut machine, &dividend, &divisor, spec, &quotient_schema)?;
+    let quotient = Relation::from_tuples(quotient_schema, run.quotient.tuples().collect());
+    let elapsed = start.elapsed();
+    let network = counters.stats();
+    let report = RunReport {
+        network,
+        nodes: config.nodes,
+        participating_nodes: run.participating.len(),
+        filtered_tuples: run.filtered_tuples,
+        filter_fill_ratio: run.filter_fill_ratio,
+        per_node_dividend: machine.per_node_dividend,
+        total_ops: (machine.per_node_ops.iter()).fold(OpSnapshot::default(), |a, o| a.merge(o)),
+        per_node_ops: machine.per_node_ops,
+        elapsed,
+        profile: run.profile("parallel", network.bytes, elapsed),
+    };
+    Ok((quotient.map_err(ExecError::from)?, report))
 }
 
 #[cfg(test)]
@@ -471,7 +436,7 @@ mod tests {
             ..Default::default()
         };
         let (_, report) = run(&config);
-        let profile = report.to_profile();
+        let profile = &report.profile;
         assert_eq!(profile.root.children.len(), 4, "one span per node");
         assert_eq!(profile.root.network_bytes, report.network.bytes);
         assert_eq!(

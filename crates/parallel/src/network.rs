@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use reldiv_rel::Tuple;
+use reldiv_rel::Columns;
 
 /// Counters shared by every port of one simulated network.
 #[derive(Debug, Default)]
@@ -42,128 +42,133 @@ impl NetworkCounters {
     }
 }
 
-/// Messages exchanged between the coordinator and the nodes.
+/// Which input of the division a message's rows belong to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Dividend rows.
+    Dividend,
+    /// Divisor rows.
+    Divisor,
+}
+
+/// Messages from the scan site to a node.
 #[derive(Debug)]
 pub enum Message {
-    /// The (replicated or partitioned) divisor fragment for the node.
-    Divisor(Vec<Tuple>),
-    /// A batch of dividend tuples.
-    Dividend(Vec<Tuple>),
+    /// Rows of one input: a dividend batch, or a node's whole divisor
+    /// fragment (possibly empty).
+    Rows(Role, Columns),
     /// No more input; produce your quotient cluster.
     End,
 }
 
-/// The sending half of a node link, with accounting.
-pub struct Port {
-    sender: Sender<Message>,
+/// The sending half of an accounted link: every shipment counts one
+/// message of its rows, each priced at `tuple_bytes`.
+#[derive(Clone)]
+pub struct Link<M> {
+    sender: Sender<M>,
     counters: Arc<NetworkCounters>,
     tuple_bytes: usize,
 }
 
-impl Port {
-    /// Ships a message, recording its size.
-    pub fn send(&self, msg: Message) {
-        let n = match &msg {
-            Message::Divisor(v) | Message::Dividend(v) => v.len(),
-            Message::End => 0,
-        };
-        self.counters.messages.fetch_add(1, Ordering::Relaxed);
-        self.counters.tuples.fetch_add(n as u64, Ordering::Relaxed);
-        self.counters
-            .bytes
-            .fetch_add((n * self.tuple_bytes) as u64, Ordering::Relaxed);
-        // Receiver hang-up just means the node failed; the join below will
-        // surface its error.
+impl<M> Link<M> {
+    fn ship(&self, msg: M, tuples: usize) {
+        let c = &self.counters;
+        c.messages.fetch_add(1, Ordering::Relaxed);
+        c.tuples.fetch_add(tuples as u64, Ordering::Relaxed);
+        (c.bytes).fetch_add((tuples * self.tuple_bytes) as u64, Ordering::Relaxed);
+        // Receiver hang-up just means the node failed; joining its thread
+        // surfaces the error.
         let _ = self.sender.send(msg);
     }
 }
 
-/// Builds `n` node links plus a result channel back to the coordinator.
-/// `tuple_bytes` prices each shipped tuple (the record width of the
-/// relation being shipped dominates; we charge the dividend width).
-pub fn build_links(
-    n: usize,
-    tuple_bytes: usize,
-    counters: &Arc<NetworkCounters>,
-) -> (Vec<Port>, Vec<Receiver<Message>>) {
-    let mut ports = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        ports.push(Port {
-            sender: tx,
-            counters: counters.clone(),
-            tuple_bytes,
-        });
-        receivers.push(rx);
+/// A link from the scan site to one node.
+pub type Port = Link<Message>;
+
+impl Port {
+    /// Ships a message, recording its size.
+    pub fn send(&self, msg: Message) {
+        let tuples = match &msg {
+            Message::Rows(_, rows) => rows.cardinality(),
+            Message::End => 0,
+        };
+        self.ship(msg, tuples);
     }
-    (ports, receivers)
 }
 
-/// Result channel: nodes ship `(node_id, quotient tuples)` back; the
+/// The result link: nodes ship `(node_id, quotient cluster)` back; the
 /// shipment is also network traffic and is counted.
-pub struct ResultPort {
-    sender: Sender<(usize, Vec<Tuple>)>,
-    counters: Arc<NetworkCounters>,
-    tuple_bytes: usize,
-}
+pub type ResultPort = Link<(usize, Columns)>;
 
 impl ResultPort {
     /// Ships a node's quotient cluster to the collection site.
-    pub fn send(&self, node: usize, tuples: Vec<Tuple>) {
-        self.counters.messages.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .tuples
-            .fetch_add(tuples.len() as u64, Ordering::Relaxed);
-        self.counters
-            .bytes
-            .fetch_add((tuples.len() * self.tuple_bytes) as u64, Ordering::Relaxed);
-        let _ = self.sender.send((node, tuples));
+    pub fn send(&self, node: usize, rows: Columns) {
+        let tuples = rows.cardinality();
+        self.ship((node, rows), tuples);
     }
 }
 
-/// Builds the shared result channel.
-pub fn build_result_link(
-    tuple_bytes: usize,
-    counters: &Arc<NetworkCounters>,
-) -> (ResultPort, Receiver<(usize, Vec<Tuple>)>) {
-    let (tx, rx) = unbounded();
+fn link<M>(tuple_bytes: usize, counters: &Arc<NetworkCounters>) -> (Link<M>, Receiver<M>) {
+    let (sender, rx) = unbounded();
+    let counters = counters.clone();
     (
-        ResultPort {
-            sender: tx,
-            counters: counters.clone(),
+        Link {
+            sender,
+            counters,
             tuple_bytes,
         },
         rx,
     )
 }
 
-impl Clone for ResultPort {
-    fn clone(&self) -> Self {
-        ResultPort {
-            sender: self.sender.clone(),
-            counters: self.counters.clone(),
-            tuple_bytes: self.tuple_bytes,
-        }
-    }
+/// Builds `n` node links. `tuple_bytes` prices each shipped tuple (the
+/// record width of the relation being shipped dominates; we charge the
+/// dividend width).
+pub fn build_links(
+    n: usize,
+    tuple_bytes: usize,
+    counters: &Arc<NetworkCounters>,
+) -> (Vec<Port>, Vec<Receiver<Message>>) {
+    (0..n).map(|_| link(tuple_bytes, counters)).unzip()
+}
+
+/// Builds the shared result link.
+pub fn build_result_link(
+    tuple_bytes: usize,
+    counters: &Arc<NetworkCounters>,
+) -> (ResultPort, Receiver<(usize, Columns)>) {
+    link(tuple_bytes, counters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use reldiv_rel::tuple::ints;
+    use reldiv_rel::{Field, Schema, Tuple};
+
+    fn rows(tuples: &[Tuple]) -> Columns {
+        let arity = tuples.first().map_or(1, Tuple::arity);
+        let schema = Schema::new((0..arity).map(|i| Field::int(format!("c{i}"))).collect());
+        Columns::from_tuples(schema, tuples).unwrap()
+    }
 
     #[test]
     fn sends_are_counted_in_messages_tuples_and_bytes() {
         let counters = Arc::new(NetworkCounters::default());
         let (ports, receivers) = build_links(2, 16, &counters);
-        ports[0].send(Message::Dividend(vec![ints(&[1, 2]), ints(&[3, 4])]));
+        ports[0].send(Message::Rows(
+            Role::Dividend,
+            rows(&[ints(&[1, 2]), ints(&[3, 4])]),
+        ));
         ports[1].send(Message::End);
         let stats = counters.stats();
         assert_eq!(stats.messages, 2);
         assert_eq!(stats.tuples, 2);
         assert_eq!(stats.bytes, 32);
-        assert!(matches!(receivers[0].recv().unwrap(), Message::Dividend(v) if v.len() == 2));
+        assert!(matches!(
+            receivers[0].recv().unwrap(),
+            Message::Rows(Role::Dividend, v) if v.cardinality() == 2
+        ));
         assert!(matches!(receivers[1].recv().unwrap(), Message::End));
     }
 
@@ -171,10 +176,10 @@ mod tests {
     fn result_shipments_are_counted_too() {
         let counters = Arc::new(NetworkCounters::default());
         let (port, rx) = build_result_link(8, &counters);
-        port.clone().send(3, vec![ints(&[9])]);
-        let (node, tuples) = rx.recv().unwrap();
+        port.clone().send(3, rows(&[ints(&[9])]));
+        let (node, rows) = rx.recv().unwrap();
         assert_eq!(node, 3);
-        assert_eq!(tuples.len(), 1);
+        assert_eq!(rows.cardinality(), 1);
         assert_eq!(counters.stats().bytes, 8);
     }
 }

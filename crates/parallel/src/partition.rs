@@ -2,13 +2,14 @@
 //!
 //! Every site that routes tuples must agree on where a tuple lives: the
 //! thread-simulated machine in this crate, a cluster node repartitioning
-//! its dividend fragment for shipment, and the coordinator placing shards
-//! at registration time. They all call [`route`], which reduces the
-//! tuple's deterministic FNV-1a hash ([`Tuple::hash_on`]) modulo the node
-//! count. Because the hash is fixed across runs and platforms, shard
-//! placement survives coordinator restarts — a relation sharded yesterday
-//! is still addressed correctly by a coordinator started today, as long
-//! as the node count and shard keys are unchanged.
+//! its fragment for shipment, and the coordinator placing shards at
+//! registration time. They all reduce the row's deterministic FNV-1a hash
+//! ([`Tuple::hash_on`], or the bit-identical `Batch::hash_rows`) modulo
+//! the node count: [`route`] for one tuple, [`scatter`] for a batch.
+//! Because the hash is fixed across runs and platforms, shard placement
+//! survives coordinator restarts — a relation sharded yesterday is still
+//! addressed correctly by a coordinator started today, as long as the
+//! node count and shard keys are unchanged.
 //!
 //! Plain hash partitioning does nothing against *key skew*: if one key
 //! value dominates the input, the node it hashes to receives almost the
@@ -17,7 +18,9 @@
 //! `skewed_keys_land_on_one_node` test below pins that behavior so the
 //! limitation stays documented rather than implicit.
 
-use reldiv_rel::Tuple;
+use reldiv_rel::{Batch, Tuple};
+
+use crate::filter::BitVectorFilter;
 
 /// Routes a tuple to one of `nodes` sites by hashing it on `keys`.
 ///
@@ -36,6 +39,43 @@ pub fn route(tuple: &Tuple, keys: &[usize], nodes: usize) -> usize {
 pub fn route_hash(hash: u64, nodes: usize) -> usize {
     debug_assert!(nodes > 0, "route requires at least one node");
     (hash as usize) % nodes
+}
+
+/// Where one batch's rows go: the rows bound for each node, in row order,
+/// and how many were dropped.
+#[derive(Debug)]
+pub struct Scatter {
+    /// Row indices per destination node.
+    pub rows: Vec<Vec<usize>>,
+    /// Rows that missed the filter or were bound for a refused node.
+    pub dropped: u64,
+}
+
+/// Routes a batch's rows over `nodes` sites: one `Batch::hash_rows` pass
+/// on `keys` serves both the filter test and the routing. A row whose
+/// hash misses `filter` is dropped, and so is one bound for a node that
+/// `accepts` refuses; every other row goes to [`route_hash`]'s node. A
+/// caller then `gather`s each destination's rows.
+pub fn scatter(
+    batch: &Batch,
+    keys: &[usize],
+    nodes: usize,
+    filter: Option<&BitVectorFilter>,
+    accepts: Option<&[bool]>,
+) -> Scatter {
+    let mut out = Scatter {
+        rows: vec![Vec::new(); nodes],
+        dropped: 0,
+    };
+    for (row, hash) in batch.hash_rows(keys).into_iter().enumerate() {
+        let node = route_hash(hash, nodes);
+        if filter.is_some_and(|f| !f.may_match_hash(hash)) || accepts.is_some_and(|a| !a[node]) {
+            out.dropped += 1;
+        } else {
+            out.rows[node].push(row);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -631,6 +631,14 @@ impl Columns {
     }
 }
 
+/// Equal schemas and equal rows in order, however the rows are cut into
+/// batches.
+impl PartialEq for Columns {
+    fn eq(&self, other: &Columns) -> bool {
+        self.schema == other.schema && self.tuples().eq(other.tuples())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

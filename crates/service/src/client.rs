@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use reldiv_rel::Relation;
+use reldiv_storage::splitmix64;
 
 use crate::error::{Result, ServiceError};
 use crate::metrics::MetricsSnapshot;
@@ -193,21 +194,15 @@ impl Default for BackoffPolicy {
 
 impl BackoffPolicy {
     /// The jittered delay before retry number `attempt` (1-based):
-    /// uniformly in `[half, full]` of the capped exponential step.
-    fn delay(&self, attempt: u32, rng: &mut u64) -> Duration {
+    /// uniformly in `[half, full]` of the capped exponential step, drawn
+    /// from the deterministic stream `rng`.
+    pub fn delay(&self, attempt: u32, rng: &mut u64) -> Duration {
         let exp = self.base.saturating_mul(1u32 << (attempt - 1).min(20));
         let full = exp.min(self.cap).as_nanos() as u64;
         *rng = splitmix64(*rng);
         let jittered = full / 2 + if full == 0 { 0 } else { *rng % (full / 2 + 1) };
         Duration::from_nanos(jittered)
     }
-}
-
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A [`DivisionClient`] decorator that retries

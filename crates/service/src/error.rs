@@ -56,6 +56,21 @@ impl fmt::Display for ServiceError {
 }
 
 impl ServiceError {
+    /// The variant's own message: the text it carries, or the display
+    /// text of a variant that carries none. An error frame sends this, so
+    /// the error a client decodes equals the one the server raised.
+    pub fn message(&self) -> String {
+        match self {
+            ServiceError::UnknownRelation(m)
+            | ServiceError::BadRequest(m)
+            | ServiceError::Exec(m)
+            | ServiceError::Protocol(m)
+            | ServiceError::Internal(m)
+            | ServiceError::StaleEpoch(m) => m.clone(),
+            _ => self.to_string(),
+        }
+    }
+
     /// Whether a client may reasonably retry the request after a backoff:
     /// the failure reflects a transient service condition (a full
     /// submission queue, a worker that died mid-query), not a property of

@@ -387,7 +387,7 @@ pub enum Reply {
         /// Relation schema (buckets share it).
         schema: Schema,
         /// One bucket per part, in part order.
-        buckets: Vec<Vec<Tuple>>,
+        buckets: Vec<Columns>,
         /// Tuples dropped by the bit-vector filter before bucketing.
         filtered: u64,
     },
@@ -471,8 +471,8 @@ pub struct PartialQuotientReply {
     pub ops: OpSnapshot,
     /// Quotient schema.
     pub schema: Schema,
-    /// This node's quotient cluster, shared with the node's result cache.
-    pub tuples: Arc<Vec<Tuple>>,
+    /// This node's quotient cluster.
+    pub tuples: Columns,
     /// The node-local span tree, when the request asked for one. The
     /// coordinator grafts these under its network root to form the merged
     /// cluster profile.
@@ -573,11 +573,11 @@ pub fn decode_response(payload: &[u8]) -> PResult<Response> {
 
 /// Encodes a `Register`, `Shard` or `ReplicaWrite` frame from borrowed
 /// rows, so a client need not clone a relation into a [`Request`] first.
-pub fn encode_write<T: Borrow<Tuple>>(
+pub fn encode_write<R: Rows>(
     name: &str,
     kind: &WriteKind,
     schema: &Schema,
-    tuples: &[T],
+    tuples: R,
     epoch: Option<u64>,
 ) -> PResult<Vec<u8>> {
     let mut out = Vec::new();
@@ -610,11 +610,11 @@ fn whole<V>(payload: &[u8], get: impl FnOnce(&mut Reader<'_>) -> PResult<V>) -> 
 
 /// Puts a write frame through the write rows; `Request::Register` comes
 /// here too.
-fn put_write<T: Borrow<Tuple>>(
+fn put_write<R: Rows>(
     name: &str,
     kind: &WriteKind,
     schema: &Schema,
-    rows: &[T],
+    rows: R,
     epoch: Option<u64>,
     out: &mut Vec<u8>,
 ) -> PResult<()> {
@@ -904,7 +904,7 @@ wire! {
     @writes
     /// The three bulk write frames: their rows land in tuples
     /// ([`Request::decode`]) or in columns ([`decode_write`]).
-    Writes put[T: Borrow<Tuple>](WriteFrame<&[T]>) get[R: Land](WriteFrame<R>) "request opcode" {
+    Writes put[T: Rows](WriteFrame<T>) get[R: Land](WriteFrame<R>) "request opcode" {
         [0x02] Register (WriteFrame { name, kind: WriteKind::Register, schema, rows, epoch })
             { name: Str, schema: Heading, rows: Records[schema] } absent { epoch };
         [0x07] Shard (WriteFrame { name, kind: WriteKind::Shard(at), schema, rows, epoch })
@@ -1257,25 +1257,81 @@ impl Land for Columns {
     }
 }
 
+/// Where a record section's rows come from: borrowed tuples, or columns.
+pub trait Rows {
+    /// Number of rows.
+    fn count(&self) -> usize;
+    /// Appends every row as a record of `schema`.
+    fn records(&self, schema: &Schema, out: &mut Vec<u8>) -> PResult<()>;
+}
+
+fn unfit(e: reldiv_rel::RelError) -> ServiceError {
+    perr(format!("tuple does not fit the schema: {e}"))
+}
+
+impl<T: Borrow<Tuple>> Rows for [T] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn records(&self, schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        let codec = RecordCodec::new(schema.clone());
+        (self.iter()).try_for_each(|t| codec.encode_into(t.borrow(), out).map_err(unfit))
+    }
+}
+
+impl<T: Borrow<Tuple>> Rows for Vec<T> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn records(&self, schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        self[..].records(schema, out)
+    }
+}
+
+impl Rows for Arc<Vec<Tuple>> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn records(&self, schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        self[..].records(schema, out)
+    }
+}
+
+impl Rows for Columns {
+    fn count(&self) -> usize {
+        self.cardinality()
+    }
+    fn records(&self, schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        let types = |s: &Schema| s.fields().iter().map(|f| f.ty).collect::<Vec<_>>();
+        if types(self.schema()) != types(schema) {
+            return Err(perr("columns do not have the schema's types"));
+        }
+        (self.batches().iter()).try_for_each(|b| b.encode_records(out).map_err(unfit))
+    }
+}
+
+impl<R: Rows + ?Sized> Rows for &R {
+    fn count(&self) -> usize {
+        (**self).count()
+    }
+    fn records(&self, schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        (**self).records(schema, out)
+    }
+}
+
 /// A record section: a `u32` count, then that many records of the
 /// schema's record codec. The only reader of record sections: rows land
 /// where the caller's type says ([`Land`]).
 struct Records;
 
 impl Records {
-    fn put<T: Borrow<Tuple>>(tuples: &[T], schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
-        let codec = RecordCodec::new(schema.clone());
-        let n = u32::try_from(tuples.len()).map_err(|_| perr("too many tuples for one frame"))?;
+    fn put<R: Rows + ?Sized>(rows: &R, schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+        let n = u32::try_from(rows.count()).map_err(|_| perr("too many tuples for one frame"))?;
         // Room for the records and for what may follow them (an epoch, a
         // profile tag), so a frame is not copied to grow at its tail.
-        out.reserve(tuples.len() * codec.record_width() + 256);
+        out.reserve(rows.count() * schema.record_width() + 256);
         U32::put(&n, out)?;
-        for t in tuples {
-            codec
-                .encode_into(t.borrow(), out)
-                .map_err(|e| perr(format!("tuple does not fit the schema: {e}")))?;
-        }
-        Ok(())
+        rows.records(schema, out)
     }
 
     fn get<R: Land>(r: &mut Reader<'_>, schema: &Schema) -> PResult<R> {
@@ -1294,14 +1350,14 @@ impl Records {
 struct Buckets;
 
 impl Buckets {
-    fn put(buckets: &[Vec<Tuple>], schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
+    fn put(buckets: &[Columns], schema: &Schema, out: &mut Vec<u8>) -> PResult<()> {
         put_count::<1, MAX_CLUSTER_NODES>(buckets.len(), out)?;
         buckets
             .iter()
             .try_for_each(|b| Records::put(b, schema, out))
     }
 
-    fn get(r: &mut Reader<'_>, schema: &Schema) -> PResult<Vec<Vec<Tuple>>> {
+    fn get(r: &mut Reader<'_>, schema: &Schema) -> PResult<Vec<Columns>> {
         let n = get_count::<1, MAX_CLUSTER_NODES>(r)?;
         (0..n).map(|_| Records::get(r, schema)).collect()
     }
@@ -1434,7 +1490,7 @@ impl Form for Failure {
     type Value = ServiceError;
     fn put(e: &ServiceError, out: &mut Vec<u8>) -> PResult<()> {
         U8::put(&error_code(e), out)?;
-        Str::put(&e.to_string(), out)
+        Str::put(&e.message(), out)
     }
     fn get(r: &mut Reader<'_>) -> PResult<ServiceError> {
         let code = U8::get(r)?;
@@ -1866,7 +1922,7 @@ mod tests {
     fn sample_filter() -> BitVectorFilter {
         let mut f = BitVectorFilter::new(512);
         for d in 0..40 {
-            f.insert(&ints(&[d]));
+            f.insert_hash(ints(&[d]).hash_on(&[0]));
         }
         f
     }
@@ -1920,7 +1976,10 @@ mod tests {
             }),
             Ok(Reply::Repartitioned {
                 schema: schema2(),
-                buckets: vec![vec![ints(&[1, 10])], vec![], vec![ints(&[3, 30])]],
+                buckets: [vec![ints(&[1, 10])], vec![], vec![ints(&[3, 30])]]
+                    .iter()
+                    .map(|b| Columns::from_tuples(schema2(), b).unwrap())
+                    .collect(),
                 filtered: 12,
             }),
             Ok(Reply::Filter {
@@ -1935,7 +1994,8 @@ mod tests {
                 micros: 777,
                 ops: OpSnapshot::default(),
                 schema: Schema::new(vec![Field::int("q")]),
-                tuples: Arc::new(vec![ints(&[4])]),
+                tuples: Columns::from_tuples(Schema::new(vec![Field::int("q")]), &[ints(&[4])])
+                    .unwrap(),
                 profile: None,
             })),
             Ok(Reply::Plan(plan.clone())),
@@ -2059,7 +2119,7 @@ mod tests {
         protocol_error(read::<DistBody>(&unknown_strategy));
         let oversized_reply = Reply::Repartitioned {
             schema: schema2(),
-            buckets: vec![Vec::new(); MAX_CLUSTER_NODES + 1],
+            buckets: vec![Columns::from_batches(schema2(), vec![]); MAX_CLUSTER_NODES + 1],
             filtered: 0,
         };
         protocol_error(encode_response(&Ok(oversized_reply)));
@@ -2116,7 +2176,7 @@ mod tests {
     #[test]
     fn epoch_extension_is_optional_on_the_wire() {
         let kind = WriteKind::Shard(at(0, 2, vec![0]));
-        let bytes = encode_write("r", &kind, &schema2(), &[ints(&[1, 2])], Some(42)).unwrap();
+        let bytes = encode_write("r", &kind, &schema2(), &[ints(&[1, 2])][..], Some(42)).unwrap();
         let epoch = |frame: &[u8]| decode_write(frame).unwrap().map(|w| w.epoch);
         // The extension is 9 trailing bytes: presence tag + u64 epoch.
         assert_eq!(epoch(&bytes[..bytes.len() - 9]), Ok(None), "cut frame");
@@ -2271,7 +2331,13 @@ mod tests {
             assert_eq!(register.encode().unwrap(), frame);
             assert_eq!(Request::decode(&frame).unwrap(), register);
         }
-        let shard = encode_write("r", &write_kinds()[1].0, &schema2(), &[ints(&[1, 2])], None);
+        let shard = encode_write(
+            "r",
+            &write_kinds()[1].0,
+            &schema2(),
+            &[ints(&[1, 2])][..],
+            None,
+        );
         protocol_error(Request::decode(&shard.unwrap()));
         assert!(decode_write(&Request::Stats.encode().unwrap()).is_none());
         assert!(decode_write(&[]).is_none());
@@ -2317,7 +2383,7 @@ mod tests {
         // A string field that is not UTF-8.
         let strings = Schema::new(vec![Field::str("s", 4)]);
         let row = [Tuple::new(vec![Value::from("ab")])];
-        let mut frame = encode_write("r", &WriteKind::Register, &strings, &row, None).unwrap();
+        let mut frame = encode_write("r", &WriteKind::Register, &strings, &row[..], None).unwrap();
         let at = frame.len() - 4;
         frame[at] = 0xFF;
         alike(&frame, "invalid UTF-8");

@@ -259,8 +259,10 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
         } => service
             .check_epoch(epoch)
             .and_then(|()| service.divide(&q))
-            .map(|r| {
-                Reply::PartialQuotient(PartialQuotientReply {
+            .and_then(|r| {
+                let tuples = Columns::from_tuples(r.schema.clone(), &r.tuples)
+                    .map_err(|e| ServiceError::Exec(e.to_string()))?;
+                Ok(Reply::PartialQuotient(PartialQuotientReply {
                     tag,
                     algorithm: r.algorithm,
                     dividend_version: r.dividend_version,
@@ -268,9 +270,9 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
                     micros: r.micros,
                     ops: r.ops,
                     schema: r.schema,
-                    tuples: r.tuples,
+                    tuples,
                     profile: r.profile,
-                })
+                }))
             }),
         Request::ExecPlan(p) => service.exec_plan(&p).map(Reply::Plan),
         Request::Stats => Ok(Reply::Stats(service.stats())),

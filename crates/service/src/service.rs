@@ -34,10 +34,11 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 use reldiv_core::{QueryProfile, SpanKind};
 use reldiv_parallel::filter::BitVectorFilter;
-use reldiv_parallel::{route_hash, Distribution};
+use reldiv_parallel::partition::scatter;
+use reldiv_parallel::Distribution;
 use reldiv_plan::{AlgorithmHint, ColRef, DivideHints, Plan, Tri};
 use reldiv_rel::counters::OpSnapshot;
-use reldiv_rel::{Columns, Relation, Schema, Tuple};
+use reldiv_rel::{Batch, Columns, Relation, Schema, Tuple};
 use reldiv_storage::manager::StorageConfig;
 use reldiv_storage::FaultPlan;
 
@@ -332,7 +333,7 @@ impl Service {
     /// Hash-partitions the stored relation's local tuples on `keys` into
     /// `parts` buckets, optionally dropping tuples through a bit-vector
     /// filter first (tested on the same `keys`). This is the sending-site
-    /// half of divisor partitioning, executed where the data lives;
+    /// half of a Section 6 placement, executed where the data lives;
     /// returns the schema, one bucket per part, and the filtered count.
     pub fn repartition(
         &self,
@@ -340,7 +341,7 @@ impl Service {
         keys: &[usize],
         parts: usize,
         filter: Option<&BitVectorFilter>,
-    ) -> Result<(Schema, Vec<Vec<Tuple>>, u64)> {
+    ) -> Result<(Schema, Vec<Columns>, u64)> {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
@@ -357,20 +358,20 @@ impl Service {
                 "partition key {k} out of range for arity {arity}"
             )));
         }
-        let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); parts];
+        let mut buckets: Vec<Vec<Batch>> = vec![Vec::new(); parts];
         let mut filtered = 0u64;
         for batch in relation.rows.batches() {
-            // One hash per row (`Tuple::hash_on`'s value) serves the
-            // filter test and the routing.
-            for (row, hash) in batch.hash_rows(keys).into_iter().enumerate() {
-                if filter.is_some_and(|f| !f.may_match_hash(hash)) {
-                    filtered += 1;
-                } else {
-                    buckets[route_hash(hash, parts)].push(batch.tuple(row));
-                }
+            let routed = scatter(batch, keys, parts, filter, None);
+            filtered += routed.dropped;
+            for (bucket, rows) in buckets.iter_mut().zip(routed.rows) {
+                bucket.push(batch.gather(&rows));
             }
         }
-        Ok((relation.schema().clone(), buckets, filtered))
+        let schema = relation.schema();
+        let buckets = buckets
+            .into_iter()
+            .map(|b| Columns::from_batches(schema.clone(), b));
+        Ok((schema.clone(), buckets.collect(), filtered))
     }
 
     /// Builds a bit-vector filter over the stored relation's local tuples
@@ -401,12 +402,7 @@ impl Service {
                 "filter key {k} out of range for arity {arity}"
             )));
         }
-        let mut filter = BitVectorFilter::new(bits);
-        for batch in relation.rows.batches() {
-            for hash in batch.hash_rows(keys) {
-                filter.insert_hash(hash);
-            }
-        }
+        let filter = BitVectorFilter::over(bits, &relation.rows, keys);
         Ok((filter, relation.cardinality() as u64))
     }
 

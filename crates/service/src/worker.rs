@@ -266,7 +266,7 @@ impl WorkerState {
             // single-operator queries aggregate identically.
             metrics.ops.add(&report.total_ops);
             ops = ops.merge(&report.total_ops);
-            profile = job.profile.then(|| report.to_profile());
+            profile = job.profile.then_some(report.profile);
         }
         let schema = output.relation.schema().clone();
         Ok(PlanReply {

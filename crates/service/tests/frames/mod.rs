@@ -13,7 +13,7 @@ use reldiv_parallel::filter::BitVectorFilter;
 use reldiv_parallel::{Distribution, Strategy};
 use reldiv_rel::counters::OpSnapshot;
 use reldiv_rel::tuple::ints;
-use reldiv_rel::{Field, RecordCodec, Schema, Tuple, Value};
+use reldiv_rel::{Columns, Field, RecordCodec, Schema, Tuple, Value};
 use reldiv_service::proto::{
     self, decode_response, encode_response, encode_write, Reply, Request, WriteFrame, WriteKind,
 };
@@ -159,7 +159,7 @@ pub fn ops(base: u64) -> OpSnapshot {
 pub fn filter() -> BitVectorFilter {
     let mut f = BitVectorFilter::new(512);
     for d in 0..40 {
-        f.insert(&ints(&[d]));
+        f.insert_hash(ints(&[d]).hash_on(&[0]));
     }
     f
 }
@@ -416,12 +416,14 @@ pub fn samples() -> Vec<Sample> {
     reply("stats", Reply::Stats(stats()), &[]);
     reply("shutting-down", Reply::ShuttingDown, &[]);
     reply("sharded", Reply::Sharded { version: 99 }, &[]);
-    let buckets = vec![rows2(), vec![], vec![ints(&[3, 30])]];
+    let buckets = [rows2(), vec![], vec![ints(&[3, 30])]];
     reply(
         "repartitioned",
         Reply::Repartitioned {
             schema: schema2(),
-            buckets: buckets.clone(),
+            buckets: (buckets.iter())
+                .map(|b| Columns::from_tuples(schema2(), b).unwrap())
+                .collect(),
             filtered: 12,
         },
         &[
@@ -443,7 +445,7 @@ pub fn samples() -> Vec<Sample> {
             micros: 777,
             ops: ops(5),
             schema: quotient(),
-            tuples: Arc::new(vec![ints(&[4])]),
+            tuples: Columns::from_tuples(quotient(), &[ints(&[4])]).unwrap(),
             profile,
         })
     };

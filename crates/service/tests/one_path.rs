@@ -11,7 +11,7 @@ use reldiv_parallel::{Distribution, Strategy};
 use reldiv_plan::AlgorithmHint;
 use reldiv_rel::tuple::ints;
 use reldiv_rel::{Field, Relation, Schema, Tuple};
-use reldiv_service::proto::MAX_CLUSTER_NODES;
+use reldiv_service::proto::{self, MAX_CLUSTER_NODES};
 use reldiv_service::{
     DivideRequest, DivisionClient, ExecPlanRequest, InProcClient, ServerHandle, Service,
     ServiceConfig, ServiceError, TcpClient,
@@ -375,4 +375,75 @@ fn an_expired_deadline_is_refused_alike_in_process_and_over_tcp() {
         );
     }
     server.shutdown();
+}
+
+/// A failed request fails alike in process and over TCP: an error frame
+/// carries the error's own message, so the client rebuilds the very value
+/// the service raised. Checked on errors a real service raises for a
+/// request, then for every variant through a server that answers every
+/// request with that one error.
+#[test]
+fn errors_are_the_same_in_process_and_over_tcp() {
+    let config = ServiceConfig {
+        fail_point_relation: Some("boom".into()),
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(config).unwrap();
+    let mut server = ServerHandle::start(service.clone(), "127.0.0.1:0").unwrap();
+    let mut tcp = TcpClient::connect(server.local_addr()).unwrap();
+    let mut inproc = InProcClient::new(service.clone());
+    let (r, s) = workload();
+    for (name, relation) in [("r", &r), ("s", &s), ("boom", &s)] {
+        inproc.register(name, relation).unwrap();
+    }
+    let conflicting = DivideRequest {
+        algorithm: Some(Algorithm::Naive),
+        distribute: Some(Distribution {
+            strategy: Strategy::QuotientPartitioning,
+            nodes: 2,
+            bit_vector_bits: None,
+        }),
+        ..request("r", "s")
+    };
+    let raised = [request("missing", "s"), conflicting, request("r", "boom")];
+    let errors: Vec<ServiceError> = raised
+        .iter()
+        .map(|query| {
+            let here = inproc.divide(query).unwrap_err();
+            assert_eq!(tcp.divide(query).unwrap_err(), here, "{query:?}");
+            here
+        })
+        .collect();
+    assert_eq!(errors[0], ServiceError::UnknownRelation("missing".into()));
+    assert!(
+        matches!(errors[1], ServiceError::BadRequest(_)),
+        "{errors:?}"
+    );
+    assert!(matches!(errors[2], ServiceError::Internal(_)), "{errors:?}");
+    server.shutdown();
+
+    let every = [
+        ServiceError::Overloaded,
+        ServiceError::ShuttingDown,
+        ServiceError::UnknownRelation("r".into()),
+        ServiceError::BadRequest("spec".into()),
+        ServiceError::Exec("disk".into()),
+        ServiceError::Protocol("frame".into()),
+        ServiceError::Internal("panic".into()),
+        ServiceError::DeadlineExceeded,
+        ServiceError::StaleEpoch("1 < 4".into()),
+    ];
+    for error in every {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let frame = proto::encode_response(&Err(error.clone())).unwrap();
+        let answer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            proto::read_frame(&mut stream).unwrap();
+            proto::write_frame(&mut stream, &frame).unwrap();
+        });
+        let got = TcpClient::connect(addr).unwrap().divide(&request("r", "s"));
+        answer.join().unwrap();
+        assert_eq!(got.unwrap_err(), error);
+    }
 }

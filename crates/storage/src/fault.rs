@@ -235,8 +235,10 @@ impl FaultPlan {
 }
 
 /// One step of the splitmix64 sequence — small, fast, and good enough
-/// for fault scheduling (we need reproducibility, not cryptography).
-fn splitmix64(state: u64) -> u64 {
+/// where reproducibility matters, not cryptography: fault scheduling, the
+/// adaptive hybrid's partition routing, retry jitter.
+#[inline]
+pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -45,7 +45,7 @@ pub mod page;
 pub use buffer::{BufferStats, RetryPolicy, Reuse};
 pub use disk::{DiskId, IoCostParams, IoStats, PageId};
 pub use error::StorageError;
-pub use fault::{FaultPlan, FaultStats};
+pub use fault::{splitmix64, FaultPlan, FaultStats};
 pub use file::{FileId, Rid};
 pub use manager::{StorageManager, StorageRef};
 pub use memory::MemoryPool;
