@@ -1,12 +1,13 @@
 //! Micro-benchmarks of the storage and execution substrate: the
-//! bucket-chained hash table, bit maps, and the external sort.
+//! bucket-chained hash table, a quotient candidate's bit map in the group
+//! table, and the external sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use reldiv_core::bitmap::Bitmap;
 use reldiv_exec::batch::drain_batches;
 use reldiv_exec::batch::scan::BatchMemScan;
 use reldiv_exec::batch::sort::BatchSort;
-use reldiv_exec::hash_table::ChainedTable;
+use reldiv_exec::groups::{Aggregate, GroupTable};
+use reldiv_exec::hash_table::{ChainedTable, Tally};
 use reldiv_exec::sort::{SortConfig, SortMode};
 use reldiv_exec::CancelToken;
 use reldiv_rel::tuple::ints;
@@ -57,12 +58,19 @@ fn bench_bitmap(c: &mut Criterion) {
             BenchmarkId::new("set_then_scan", bits),
             &bits,
             |b, &bits| {
+                // One quotient candidate's map in the group table.
+                let schema = Schema::new(vec![reldiv_rel::schema::Field::int("q")]);
+                let agg = Aggregate::BitMap { bits, count: false };
+                let key = ints(&[1]);
                 b.iter(|| {
-                    let mut m = Bitmap::new(bits);
+                    let pool = MemoryPool::unbounded();
+                    let mut m = GroupTable::new(&pool, &schema, agg).unwrap();
+                    m.insert(key.hash_on(&[0]), (&key, &[0][..]), None).unwrap();
+                    let mut tally = Tally::default();
                     for i in 0..bits {
-                        m.set(i);
+                        m.absorb(0, i as u32, &mut tally);
                     }
-                    m.all_set()
+                    m.complete(0, bits as u32)
                 })
             },
         );

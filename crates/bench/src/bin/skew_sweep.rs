@@ -65,6 +65,6 @@ fn main() {
          second dividend pass, not in table size. At 8000 tail groups both \
          hash-based plans outgrow the paper's 100 KB work memory and recover \
          via their overflow paths (the adaptive hybrid for hash-division, \
-         group-hash spilling for the aggregation)."
+         the same partition engine for the aggregation's group count)."
     );
 }

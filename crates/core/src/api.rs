@@ -237,10 +237,12 @@ pub struct DivisionConfig {
     /// no dormant branches in per-tuple loops, zero cost.
     pub profile: Option<ProfileSink>,
     /// Per-query memory budget in bytes. `Some(b)` caps every sort's work
-    /// memory at `b`, and runs hash-division against a child pool capped at
-    /// `b` that still charges the storage manager's shared pool, so
-    /// concurrent queries contend for the global budget while each respects
-    /// its own. `None` uses the storage's work memory and shared pool.
+    /// memory at `b`, and runs every hash table of the division — hash-
+    /// division's, the distinct's, the group count's, the semi-join's
+    /// build side — against one child pool capped at `b` that still
+    /// charges the storage manager's shared pool, so concurrent queries
+    /// contend for the global budget while each respects its own. `None`
+    /// uses the storage's work memory and shared pool.
     pub mem_budget: Option<usize>,
     /// Selects nothing: every plan is built from batch operators. Kept
     /// for the benchmark adapter, which still names it.
@@ -299,7 +301,7 @@ pub fn divide_with_report(
             Some(storage.clone()),
         )
     });
-    let engine = Engine { storage, config };
+    let engine = Engine::new(storage, config);
     let rel = match algorithm {
         Algorithm::Naive => naive_division(&engine, dividend, divisor, spec)?,
         Algorithm::SortAggregation { join } => {
@@ -374,14 +376,7 @@ fn hash_division_with_overflow(
     mode: HashDivisionMode,
     report: &mut DegradationReport,
 ) -> Result<Relation> {
-    let (storage, config) = (engine.storage, engine.config);
-    let base_pool = storage.borrow().memory();
-    // A per-query budget is a child pool: capped at the budget, still
-    // charging the shared pool so concurrent queries contend.
-    let pool = match config.mem_budget {
-        Some(budget) => base_pool.child(budget),
-        None => base_pool,
-    };
+    let (storage, config, pool) = (engine.storage, engine.config, &engine.pool);
     let cancel = config.cancel;
     let in_memory = |report: &mut DegradationReport| -> Result<Relation> {
         report.note_phase("in-memory");
@@ -396,7 +391,7 @@ fn hash_division_with_overflow(
     let adaptive = |report: &mut DegradationReport| -> Result<Relation> {
         hybrid::adaptive_hybrid_report(
             storage,
-            &pool,
+            pool,
             engine.scan_as(dividend, SCAN_DIVIDEND),
             engine.scan_as(divisor, SCAN_DIVISOR),
             spec,
@@ -419,7 +414,7 @@ fn hash_division_with_overflow(
         report.note_phase(label);
         overflow::divisor_partitioned_report(
             storage,
-            &pool,
+            pool,
             engine.scan_as(dividend, SCAN_DIVIDEND),
             engine.scan_as(divisor, SCAN_DIVISOR),
             spec,
@@ -736,6 +731,7 @@ mod tests {
         Result<Relation>,
         reldiv_storage::disk::IoStats,
         (usize, usize),
+        usize,
     ) {
         let storage = StorageManager::shared(storage.clone());
         let source = |rel: &Relation| match kind {
@@ -753,13 +749,14 @@ mod tests {
         let outcome = divide(&storage, &r, &s, &spec, algorithm, config);
         let sm = storage.borrow();
         let left = (sm.file_count() - files, sm.pinned_frames());
-        (outcome, sm.io_stats(), left)
+        (outcome, sm.io_stats(), left, sm.buffer_stats().peak_bytes)
     }
 
     /// One division on a fresh storage manager, cold, under `Fail`
     /// (hash-division without the ladder): it must leave no file and no
     /// pin behind. Returns the quotient — `None` if the pool ran out, the
-    /// one failure these inputs may meet — and the I/O it cost.
+    /// one failure these inputs may meet — the I/O it cost and the bytes
+    /// it buffered at most.
     fn run_clean(
         storage: &StorageConfig,
         kind: Kind,
@@ -767,18 +764,18 @@ mod tests {
         algorithm: Algorithm,
         config: &DivisionConfig,
         case: &str,
-    ) -> (Option<Relation>, reldiv_storage::disk::IoStats) {
+    ) -> (Option<Relation>, reldiv_storage::disk::IoStats, usize) {
         let config = DivisionConfig {
             overflow: OverflowPolicy::Fail,
             ..config.clone()
         };
-        let (outcome, io, left) = run_cold(storage, kind, workload, algorithm, &config);
+        let (outcome, io, left, buffered) = run_cold(storage, kind, workload, algorithm, &config);
         assert_eq!(left, (0, 0), "{case}");
         match outcome {
-            Ok(quotient) => (Some(quotient), io),
+            Ok(quotient) => (Some(quotient), io, buffered),
             Err(e) => {
                 assert!(e.is_memory_exhausted(), "{case}: {e}");
-                (None, io)
+                (None, io, buffered)
             }
         }
     }
@@ -796,7 +793,7 @@ mod tests {
             ids.sort();
             ids
         };
-        let mut exhausted = 0;
+        let mut spilled = 0;
         for algorithm in Algorithm::table_columns() {
             let with_join = !matches!(
                 algorithm,
@@ -829,31 +826,45 @@ mod tests {
                         };
                         // The same rows in the same order, or the same
                         // exhaustion, whatever the inputs are stored as.
-                        let [mem, file, columns] =
+                        let [(mem, _, buffered), (file, ..), (columns, ..)] =
                             [Kind::Mem, Kind::File, Kind::Columns].map(|kind| {
                                 let case = format!("{case} {kind:?}");
-                                run_clean(&storage, kind, workload, algorithm, &config, &case).0
+                                run_clean(&storage, kind, workload, algorithm, &config, &case)
                             });
                         assert_eq!(mem, file, "{case}");
                         assert_eq!(mem, columns, "{case}");
+                        // The dirty dividend's duplicate elimination
+                        // outgrows the paper's 100 KB. From memory, the
+                        // no-join hash aggregation buffers only the pages
+                        // it spills; it answers all the same (below).
+                        let hash_agg = Algorithm::HashAggregation { join: false };
+                        if (algorithm, storage_name, mem_budget, name)
+                            == (hash_agg, "paper", None, "dirty")
+                        {
+                            assert!(buffered > 0, "{case}: the distinct spills");
+                            spilled += 1;
+                        }
                         // The no-join plans on noisy inputs answer
                         // something else; the rest answer the division.
+                        // Only hash-division's tables, run without an
+                        // overflow policy, may exhaust the pool.
                         match (mem, expected) {
                             (Some(quotient), Some(expected)) => {
                                 let got: Vec<String> = quotient.bag_counts().into_keys().collect();
                                 assert_eq!(got, expected, "{case}");
                             }
-                            (None, _) => exhausted += 1,
+                            (None, _) => {
+                                let hash_division =
+                                    matches!(algorithm, Algorithm::HashDivision { .. });
+                                assert!(hash_division, "{case}: exhausted");
+                            }
                             (Some(_), None) => {}
                         }
                     }
                 }
             }
         }
-        assert!(
-            exhausted > 0,
-            "the dirty dividend's duplicate elimination overflows 100 KB"
-        );
+        assert_eq!(spilled, 1, "the dirty dividend's distinct was checked");
 
         // Under `Auto` too.
         let spec = DivisionSpec::trailing_divisor(dirty.0.schema(), dirty.1.schema()).unwrap();
@@ -904,11 +915,17 @@ mod tests {
             ),
             (
                 Algorithm::HashAggregation { join: false },
-                [Some((74, 0, 2, 606_208)); 2],
+                [
+                    Some((74, 0, 2, 606_208)),
+                    Some((776, 796, 1468, 12_877_824)),
+                ],
             ),
             (
                 Algorithm::HashAggregation { join: true },
-                [Some((147, 73, 148, 1_802_240)); 2],
+                [
+                    Some((147, 73, 148, 1_802_240)),
+                    Some((849, 869, 1588, 14_073_856)),
+                ],
             ),
             (
                 Algorithm::HashDivision {
@@ -927,7 +944,7 @@ mod tests {
                     mem_budget,
                     ..Default::default()
                 };
-                let (quotient, io) =
+                let (quotient, io, _) =
                     run_clean(&paper, Kind::File, &workload, algorithm, &config, &case);
                 let got = (io.reads, io.writes, io.seeks, io.bytes);
                 assert_eq!(
@@ -942,13 +959,17 @@ mod tests {
         }
 
         // Where duplicates must go first, hash-based elimination of this
-        // dividend exhausts 100 KB.
+        // dividend outgrows 100 KB: it spills to overflow files, and the
+        // division still answers.
         let config = DivisionConfig::default();
         for join in [false, true] {
             let algorithm = Algorithm::HashAggregation { join };
-            let case = format!("{algorithm:?} exhausted");
-            let (quotient, _) = run_clean(&paper, Kind::File, &workload, algorithm, &config, &case);
-            assert!(quotient.is_none(), "{case}");
+            let case = format!("{algorithm:?} spilling distinct");
+            let (quotient, io, _) =
+                run_clean(&paper, Kind::File, &workload, algorithm, &config, &case);
+            assert_eq!(quotient.map(|q| q.cardinality()), Some(1500), "{case}");
+            let unique_writes = [0, 73][usize::from(join)];
+            assert!(io.writes > unique_writes, "{case}: the distinct spilled");
         }
     }
 
@@ -1142,7 +1163,7 @@ mod tests {
                     mem_budget,
                     ..Default::default()
                 };
-                let (q, io, left) = run_cold(&storage, Kind::Mem, &workload, algorithm, &config);
+                let (q, io, left, _) = run_cold(&storage, Kind::Mem, &workload, algorithm, &config);
                 assert_eq!(left, (0, 0), "{case}");
                 let got: Vec<String> = q.unwrap().bag_counts().into_keys().collect();
                 assert_eq!(got, want, "{case}");

@@ -32,13 +32,32 @@ use crate::Result;
 pub(crate) const SCAN_DIVIDEND: &str = "scan dividend";
 pub(crate) const SCAN_DIVISOR: &str = "scan divisor";
 
-/// The operator constructors of one query: its storage and its knobs.
+/// The operator constructors of one query: its storage, its knobs and
+/// the one pool its hash tables draw on.
 pub(crate) struct Engine<'a> {
     pub storage: &'a StorageRef,
     pub config: &'a DivisionConfig,
+    /// Under a `mem_budget`, a child pool capped at the budget that still
+    /// charges the storage's shared pool, so concurrent queries contend
+    /// while each respects its own; otherwise the shared pool.
+    pub pool: MemoryPool,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    /// The engine of one division over `storage` under `config`.
+    pub(crate) fn new(storage: &'a StorageRef, config: &'a DivisionConfig) -> Engine<'a> {
+        let shared = storage.borrow().memory();
+        let pool = match config.mem_budget {
+            Some(budget) => shared.child(budget),
+            None => shared,
+        };
+        Engine {
+            storage,
+            config,
+            pool,
+        }
+    }
+
     /// A fresh scan of `source`.
     pub(crate) fn scan(&self, source: &Source) -> BoxedBatchOp {
         source.scan_batches(self.storage)
@@ -95,10 +114,12 @@ impl Engine<'_> {
         Ok(Box::new(BatchProject::new(input, columns)?))
     }
 
-    /// Hash-based duplicate elimination, the whole input in the pool.
+    /// Hash-based duplicate elimination, the whole input in the pool or in
+    /// overflow files.
     pub(crate) fn hash_distinct(&self, input: BoxedBatchOp) -> BoxedBatchOp {
-        let (pool, cancel) = (self.storage.borrow().memory(), self.config.cancel);
-        Box::new(BatchDistinct::new(input, pool).with_cancel(cancel))
+        let (pool, storage) = (self.pool.clone(), self.storage.clone());
+        let distinct = BatchDistinct::distinct(input, pool, storage);
+        Box::new(distinct.with_cancel(self.config.cancel))
     }
 
     /// The semi-join keeping the `outer` rows that match an `inner` row:
@@ -113,7 +134,7 @@ impl Engine<'_> {
             let op = BatchMergeSemiJoin::new(outer, inner, ok, ik)?;
             return Ok(self.span(Box::new(op), "merge semi-join", SpanKind::MergeJoin));
         }
-        let (pool, cancel) = (self.storage.borrow().memory(), self.config.cancel);
+        let (pool, cancel) = (self.pool.clone(), self.config.cancel);
         let op = BatchHashJoin::new(outer, inner, ok, ik, JoinMode::LeftSemi, pool)?;
         let op = Box::new(op.with_cancel(cancel));
         Ok(self.span(op, "hash semi-join", SpanKind::HashJoin))
@@ -163,7 +184,7 @@ impl Engine<'_> {
 
     /// Hash-based `COUNT(*) GROUP BY keys`, spilling when out of pool.
     pub(crate) fn hash_count(&self, input: BoxedBatchOp, keys: Vec<usize>) -> Result<BoxedBatchOp> {
-        let (pool, st) = (self.storage.borrow().memory(), self.storage.clone());
+        let (pool, st) = (self.pool.clone(), self.storage.clone());
         let op = BatchHashCountAggregate::new(input, keys, pool, st)?;
         Ok(Box::new(op.with_cancel(self.config.cancel)))
     }
@@ -180,6 +201,7 @@ impl Engine<'_> {
         let sink = self.config.profile.as_ref();
         let storage = Some(self.storage.clone());
         let scope = sink.map(|s| SpanScope::enter(s, label, SpanKind::Aggregation, storage));
+        let distinct = distinct.then(|| (self.pool.clone(), self.storage.clone()));
         let count = count_rows(input, distinct, self.config.cancel)?;
         if let (Some(sink), Some(scope)) = (sink, scope) {
             let one_row = SpanMetrics {

@@ -12,9 +12,11 @@
 //! * **With join** — a hash semi-join (build on the divisor, probe with
 //!   the dividend) restricts the dividend first.
 //!
-//! The aggregation table spills to group-hash cluster files when it
-//! outgrows the memory pool (GAMMA-style partitioned aggregation), so
-//! this plan degrades gracefully like hash-division does.
+//! The group count and the distinct are one hash grouping over the one
+//! spill hash-division's adaptive hybrid uses ([`reldiv_exec::hybrid`]),
+//! and every hash table of the plan draws on the division's pool (the
+//! child pool under `mem_budget`), so this plan degrades gracefully like
+//! hash-division does.
 //!
 //! Duplicate handling is the weak point the paper highlights: hash
 //! aggregation counts duplicates and "cannot include duplicate
@@ -22,7 +24,8 @@
 //! group". When the inputs are not declared unique, the plan inserts a
 //! hash-based duplicate elimination
 //! ([`reldiv_exec::batch::distinct::BatchDistinct`]) that must hold the
-//! whole dividend in memory — exactly the cost hash-division avoids.
+//! whole dividend "in main memory hash tables or in overflow files" —
+//! exactly the cost hash-division avoids.
 
 use reldiv_exec::profile::SpanKind;
 use reldiv_rel::Relation;
@@ -70,8 +73,8 @@ pub(crate) fn hash_agg_division(
     }
 
     // Optional duplicate elimination on the dividend (expensive: holds the
-    // entire input in the memory pool — the paper's argument for
-    // hash-division's built-in duplicate insensitivity).
+    // entire input in the memory pool or in overflow files — the paper's
+    // argument for hash-division's built-in duplicate insensitivity).
     let mut agg_input = engine.scan_as(dividend, SCAN_DIVIDEND);
     if !engine.config.assume_unique {
         let distinct = engine.hash_distinct(agg_input);
@@ -136,10 +139,7 @@ mod tests {
             assume_unique,
             ..DivisionConfig::default()
         };
-        let engine = Engine {
-            storage: &storage,
-            config: &config,
-        };
+        let engine = Engine::new(&storage, &config);
         let rel = hash_agg_division(
             &engine,
             &Source::from_relation(&dividend),
@@ -219,10 +219,7 @@ mod tests {
         let storage = StorageManager::shared(StorageConfig::large());
         let divisor = courses(&[1, 1, 2]);
         let config = DivisionConfig::default();
-        let engine = Engine {
-            storage: &storage,
-            config: &config,
-        };
+        let engine = Engine::new(&storage, &config);
         let c = divisor_count_hashed(&engine, &Source::from_relation(&divisor)).unwrap();
         assert_eq!(c, 2);
     }

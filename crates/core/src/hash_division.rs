@@ -47,8 +47,9 @@ use reldiv_storage::MemoryPool;
 
 use reldiv_exec::hash_table::KeyTable;
 
-use crate::groups::{GroupTable, Probe, Tally};
 use crate::Result;
+use reldiv_exec::groups::{Aggregate, GroupTable};
+use reldiv_exec::hash_table::{Probe, Tally};
 
 /// Variant selection for hash-division.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,6 +63,21 @@ pub enum HashDivisionMode {
     /// Counters instead of bit maps; requires a duplicate-free dividend
     /// (Section 3.3, sixth observation).
     CounterOnly,
+}
+
+impl HashDivisionMode {
+    /// What a quotient candidate keeps under this mode over
+    /// `divisor_count` divisor tuples: a bit map, with a count under
+    /// `EarlyOut`, or (`CounterOnly`) a count alone.
+    pub fn aggregate(self, divisor_count: u32) -> Aggregate {
+        Aggregate::BitMap {
+            bits: match self {
+                HashDivisionMode::CounterOnly => 0,
+                _ => divisor_count as usize,
+            },
+            count: self != HashDivisionMode::Standard,
+        }
+    }
 }
 
 /// Statistics observable after a run, for tests and benchmarks.
@@ -210,7 +226,7 @@ impl QuotientTable {
         quotient: &Schema,
     ) -> Result<Self> {
         Ok(QuotientTable {
-            table: GroupTable::new(pool, quotient, mode, divisor_count)?,
+            table: GroupTable::new(pool, quotient, mode.aggregate(divisor_count))?,
             mode,
             divisor_count,
             quotient_keys,

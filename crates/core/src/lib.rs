@@ -21,8 +21,6 @@
 //!
 //! Supporting modules:
 //!
-//! * [`bitmap`] — the word-at-a-time bit maps hash-division keeps per
-//!   quotient candidate,
 //! * [`spec`] — [`DivisionSpec`], naming which dividend columns are
 //!   divisor attributes and which are quotient attributes,
 //! * [`hybrid`] — hash-table overflow handling by quotient partitioning,
@@ -57,25 +55,23 @@
 
 pub mod api;
 pub mod batch_div;
-pub mod bitmap;
 pub mod contains;
 mod engine;
-mod groups;
 pub mod hash_agg;
 pub mod hash_division;
 pub mod hybrid;
 pub mod mem;
 pub mod naive;
 pub mod overflow;
-pub mod report;
 pub mod sort_agg;
 pub mod spec;
+
+pub use reldiv_exec::report;
 
 pub use api::{
     divide, divide_profiled, divide_relations, divide_with_report, Algorithm, DivisionConfig,
 };
 pub use batch_div::BatchHashDivision;
-pub use bitmap::Bitmap;
 pub use contains::Contains;
 pub use hash_division::HashDivisionMode;
 pub use reldiv_exec::batch::ExecMode;

@@ -230,10 +230,7 @@ mod tests {
         let storage = StorageManager::shared(StorageConfig::paper());
         let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
         let config = DivisionConfig::default();
-        let engine = Engine {
-            storage: &storage,
-            config: &config,
-        };
+        let engine = Engine::new(&storage, &config);
         let (r, s) = (
             Source::from_relation(&dividend),
             Source::from_relation(&divisor),

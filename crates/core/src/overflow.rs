@@ -25,6 +25,7 @@
 use reldiv_exec::batch::scan::BatchMemScan;
 use reldiv_exec::batch::{drain_batches, BoxedBatchOp, DEFAULT_BATCH_SIZE};
 use reldiv_exec::cancel::CancelToken;
+use reldiv_exec::hybrid::scatter;
 use reldiv_rel::column::ColumnVec;
 use reldiv_rel::schema::Field;
 use reldiv_rel::{Batch, Relation, Schema, Tuple, Value};
@@ -33,7 +34,7 @@ use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
 
 use crate::api::Source;
 use crate::hash_division::HashDivisionMode;
-use crate::hybrid::{adaptive_hybrid_report, scatter, DEFAULT_FANOUT};
+use crate::hybrid::{adaptive_hybrid_report, DEFAULT_FANOUT};
 use crate::report::DegradationReport;
 use crate::spec::DivisionSpec;
 use crate::{ExecError, Result};

@@ -143,10 +143,7 @@ mod tests {
             assume_unique,
             ..DivisionConfig::default()
         };
-        let engine = Engine {
-            storage: &storage,
-            config: &config,
-        };
+        let engine = Engine::new(&storage, &config);
         let rel = sort_agg_division(
             &engine,
             &Source::from_relation(&dividend),
@@ -240,10 +237,7 @@ mod tests {
                 assume_unique,
                 ..DivisionConfig::default()
             };
-            let engine = Engine {
-                storage: &storage,
-                config: &config,
-            };
+            let engine = Engine::new(&storage, &config);
             divisor_count_sorted(&engine, &Source::from_relation(&divisor)).unwrap()
         };
         assert_eq!(count(false), 3);

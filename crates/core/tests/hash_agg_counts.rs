@@ -123,7 +123,9 @@ fn run(
     )
 }
 
-/// Recorded before the hash operators shared a key table.
+/// Recorded before the hash operators shared a key table, but for the
+/// six 1800-candidate lines without `unique`: their distinct, which once
+/// exhausted the work memory, spills and answers.
 const DIVISIONS: &str = "\
 int 150 mem join=false unique=true: 50 ops 1582 1582 io 0 0 0 0 peak 5824
 int 150 mem join=false unique=false: 100 ops 3032 1582 io 0 0 0 0 peak 77792
@@ -150,23 +152,23 @@ pair 150 file join=false unique=false: 100 ops 3032 1582 io 8 0 2 65536 peak 100
 pair 150 file join=true unique=true: 50 ops 3174 3164 io 8 0 2 65536 peak 5824
 pair 150 file join=true unique=false: 100 ops 4492 3032 io 8 0 2 65536 peak 101440
 int 1800 file join=false unique=true: 600 ops 18982 18982 io 48 0 2 393216 peak 65792
-int 1800 file join=false unique=false: exhausted ops 2045 0 io 6 0 2 49152 peak 102384
+int 1800 file join=false unique=false: 1200 ops 55366 66931 io 195 157 306 2883584 peak 102400
 int 1800 file join=true unique=true: 600 ops 37974 37964 io 95 47 96 1163264 peak 65792
-int 1800 file join=true unique=false: exhausted ops 2055 0 io 6 0 2 49152 peak 102400
+int 1800 file join=true unique=false: 1200 ops 72779 84526 io 230 194 357 3473408 peak 102400
 str8 1800 file join=false unique=true: 600 ops 18982 18982 io 48 0 2 393216 peak 65792
-str8 1800 file join=false unique=false: exhausted ops 2045 0 io 6 0 2 49152 peak 102384
+str8 1800 file join=false unique=false: 1200 ops 55368 66365 io 186 159 303 2826240 peak 102400
 str8 1800 file join=true unique=true: 600 ops 37974 37964 io 95 47 96 1163264 peak 65792
-str8 1800 file join=true unique=false: exhausted ops 2055 0 io 6 0 2 49152 peak 102400
+str8 1800 file join=true unique=false: 1200 ops 72774 83676 io 234 201 369 3563520 peak 102400
 pair 1800 file join=false unique=true: 600 ops 18982 18982 io 85 0 2 696320 peak 65792
-pair 1800 file join=false unique=false: exhausted ops 1589 0 io 8 0 2 65536 peak 102400
+pair 1800 file join=false unique=false: 1200 ops 55387 66435 io 345 261 485 4964352 peak 102400
 pair 1800 file join=true unique=true: 600 ops 37974 37964 io 169 84 170 2072576 peak 65792
-pair 1800 file join=true unique=false: exhausted ops 1599 0 io 8 0 2 65536 peak 102400
+pair 1800 file join=true unique=false: 1200 ops 72794 83662 io 402 323 535 5939200 peak 102400
 ";
 
 #[test]
 fn hash_aggregation_counts_are_the_recorded_ones() {
     // 150 candidates from memory and from files in the pool; 1800 from
-    // files larger than it, whose distinct exhausts the work memory.
+    // files larger than it, whose distinct spills past the work memory.
     let mut got = String::new();
     for (students, kinds) in [(150, &[false, true][..]), (1800, &[true])] {
         for (name, inputs) in workloads(students) {
@@ -186,13 +188,16 @@ fn hash_aggregation_counts_are_the_recorded_ones() {
     assert_eq!(got, DIVISIONS, "\n{got}");
 }
 
-/// Recorded before the hash operators shared a key table: per pool,
-/// tuple then batch operator.
+/// Recorded when the group count came to spill through the partition
+/// engine every grouping shares: per pool, the tuple bridge then the
+/// batch operator, fed batches of the same rows (a batch's delta records
+/// are written when it is done, so page transfers follow the batches).
+/// The 6 KB pool re-partitions.
 const SPILLS: &str = "\
-49152 batch=false: 3000 ops 19280 75666 io 4443 4431 6575 72695808 peak 49152
-49152 batch=true: 3000 ops 19280 73937 io 4443 4431 6575 72695808 peak 49152
-6144 batch=false: exhausted ops 9321 1915 io 4411 4430 6565 72425472 peak 6144
-6144 batch=true: exhausted ops 9321 1707 io 4411 4430 6565 72425472 peak 6144
+49152 batch=false: 3000 ops 16072 21462 io 306 306 607 5013504 peak 49152
+49152 batch=true: 3000 ops 16072 21462 io 306 306 607 5013504 peak 49152
+6144 batch=false: 3000 ops 29870 21957 io 1445 1429 2870 23543808 peak 6144
+6144 batch=true: 3000 ops 29870 21957 io 1445 1429 2870 23543808 peak 6144
 ";
 
 #[test]
@@ -230,7 +235,7 @@ fn a_spilling_group_count_counts_what_it_did() {
                 true => collect_batches(
                     Box::new(
                         BatchHashCountAggregate::new(
-                            Box::new(BatchMemScan::new(rel.clone()).with_batch_size(500)),
+                            Box::new(BatchMemScan::new(rel.clone())),
                             vec![1, 0],
                             pool.clone(),
                             storage.clone(),
@@ -260,4 +265,82 @@ fn a_spilling_group_count_counts_what_it_did() {
         }
     }
     assert_eq!(got, SPILLS, "\n{got}");
+}
+
+#[test]
+fn hash_aggregation_spills_within_a_4k_budget_and_answers() {
+    // Duplicates in the dividend, so the distinct runs, and every hash
+    // table of the division — the divisor's scalar distinct count, the
+    // dividend's distinct, the semi-join's build side and the group
+    // count — draws on the one 4 KB child pool, from memory and from
+    // files alike.
+    for (name, (dividend, divisor)) in workloads(600) {
+        let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+        let want = reldiv_workload::brute_force_divide(
+            &dividend,
+            &divisor,
+            &spec.divisor_keys,
+            &spec.quotient_keys,
+        );
+        let quotient_schema = spec.quotient_schema(dividend.schema()).unwrap();
+        let want = Relation::from_tuples(quotient_schema, want).unwrap();
+        assert_eq!(want.cardinality(), 400, "{name}");
+        for files in [false, true] {
+            for join in [false, true] {
+                let case = format!("{name} files={files} join={join}");
+                let storage = StorageManager::shared(StorageConfig::paper());
+                let source = |rel: &Relation| match files {
+                    true => load_source(&storage, rel).unwrap(),
+                    false => Source::from_relation(rel),
+                };
+                let (r, s) = (source(&dividend), source(&divisor));
+                let kept = storage.borrow().file_count();
+                let config = DivisionConfig {
+                    mem_budget: Some(4 * 1024),
+                    ..DivisionConfig::default()
+                };
+                let algorithm = Algorithm::HashAggregation { join };
+                let (quotient, _) =
+                    divide_with_report(&storage, &r, &s, &spec, algorithm, &config).unwrap();
+                assert_eq!(quotient.bag_counts(), want.bag_counts(), "{case}");
+                let sm = storage.borrow();
+                // The child pool charges the shared one, which nothing
+                // else here draws on.
+                assert!(
+                    sm.memory().peak() <= 4 * 1024,
+                    "{case}: {}",
+                    sm.memory().peak()
+                );
+                assert!(sm.buffer_stats().peak_bytes > 0, "{case}: it spilled");
+                assert_eq!((sm.file_count(), sm.pinned_frames()), (kept, 0), "{case}");
+            }
+        }
+    }
+    // A divisor whose distinct rows outgrow 4 KB on their own: the scalar
+    // distinct count spills as well. (The semi-join's build side cannot
+    // spill yet, so only the no-join plan runs here.)
+    let offered = |c: i64| Tuple::new(vec![Value::Int(c)]);
+    let divisor = Relation::from_tuples(
+        Schema::new(vec![Field::int("cno")]),
+        (0..400).chain(0..400).map(offered).collect(),
+    )
+    .unwrap();
+    let rows =
+        (0..20).flat_map(|s| (0..400 - s % 2).map(move |c| vec![Value::Int(s), Value::Int(c)]));
+    let schema = Schema::new(vec![Field::int("sid"), Field::int("cno")]);
+    let dividend = Relation::from_tuples(schema, rows.map(Tuple::new).collect()).unwrap();
+    let spec = DivisionSpec::trailing_divisor(dividend.schema(), divisor.schema()).unwrap();
+    let storage = StorageManager::shared(StorageConfig::paper());
+    let config = DivisionConfig {
+        mem_budget: Some(4 * 1024),
+        ..DivisionConfig::default()
+    };
+    let (r, s) = (
+        Source::from_relation(&dividend),
+        Source::from_relation(&divisor),
+    );
+    let algorithm = Algorithm::HashAggregation { join: false };
+    let (quotient, _) = divide_with_report(&storage, &r, &s, &spec, algorithm, &config).unwrap();
+    assert_eq!(quotient.cardinality(), 10, "the even students take all 400");
+    assert!(storage.borrow().memory().peak() <= 4 * 1024);
 }

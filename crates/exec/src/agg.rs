@@ -1,51 +1,40 @@
-//! Hash-based aggregation: the group count and the state it shares with
-//! the batch engine's [`crate::batch::agg::BatchHashCountAggregate`].
+//! Hash-based aggregation's tuple face, and the output schema of every
+//! group count.
 //!
 //! With the sort-based count ([`crate::batch::sort::BatchSort::counting`]),
 //! the scalar count ([`crate::batch::agg::count_rows`]) and `HAVING count
-//! = N` ([`crate::batch::agg::BatchHavingCount`]) it expresses division
-//! by aggregation, the paper's Section 2.2:
+//! = N` ([`crate::batch::agg::BatchHavingCount`]) the group count
+//! expresses division by aggregation, the paper's Section 2.2:
 //! "First, the courses offered by the university are counted using a scalar
 //! aggregate operator. Second, for each student, the courses taken are
 //! counted using an aggregate function operator. Third, only those students
 //! whose number of courses taken is equal to the number of courses offered
-//! are selected." Both operators count in one `GroupCounts`: a
-//! [`KeyTable`] of groups and a count per group.
+//! are selected." The group count is one hash grouping,
+//! [`crate::batch::agg::BatchHashCountAggregate`], spilling through the
+//! partition engine every grouping shares ([`crate::hybrid`]).
 
 use reldiv_rel::schema::Field;
-use reldiv_rel::{counters, Batch, ColumnType, ColumnVec, Schema, Tuple};
-use reldiv_storage::{FileId, MemoryPool, StorageManager, StorageRef};
+use reldiv_rel::{ColumnType, Schema, Tuple};
+use reldiv_storage::{MemoryPool, StorageRef};
 
-use crate::batch::scan::read_page;
-use crate::batch::DEFAULT_BATCH_SIZE;
+use crate::batch::agg::{BatchHashCountAggregate, BatchHashGroup};
+use crate::batch::BatchToTuple;
 use crate::cancel::CancelToken;
-use crate::hash_table::{Key, KeyTable, Probe, Tally};
-use crate::op::{BoxedOp, OpState, Operator};
+use crate::groups::Aggregate;
+use crate::op::{BoxedOp, Operator};
+use crate::sort::TupleBatches;
 use crate::{ExecError, Result};
 
-/// Hash-based `COUNT(*) GROUP BY`.
-///
-/// "Hash-based aggregate functions keep the tuples of the output relation
-/// in a main memory hash-table. ... since the hash table contains only the
-/// aggregation output, it is not necessary that the aggregation input fit
-/// into main memory." (Section 2.2.2.)
+/// Hash-based `COUNT(*) GROUP BY` over a tuple input: a
+/// [`BatchHashCountAggregate`] fed the input a batch at a time, its groups
+/// bridged back into tuples. Rows, counts, pages and spill files are the
+/// batch operator's.
 ///
 /// Note the limitation the paper stresses: hash aggregation counts
 /// duplicates; it *cannot* eliminate them on the fly, because only one
 /// tuple per group is kept. Callers needing distinct counts must
 /// pre-process — exactly the weakness hash-division removes.
-pub struct HashCountAggregate {
-    input: BoxedOp,
-    group_keys: Vec<usize>,
-    schema: Schema,
-    pool: MemoryPool,
-    /// Where partial aggregates spill on exhaustion instead of failing —
-    /// the GAMMA-style partitioned ("hybrid") aggregation.
-    spill: Option<StorageRef>,
-    cancel: CancelToken,
-    state: OpState,
-    drain: Option<std::vec::IntoIter<Tuple>>,
-}
+pub struct HashCountAggregate(BatchToTuple<BatchHashCountAggregate>);
 
 /// The output schema of a group count: the group columns, then `count`.
 pub(crate) fn count_schema(input: &Schema, group_keys: &[usize]) -> Result<Schema> {
@@ -62,231 +51,46 @@ impl HashCountAggregate {
     /// table draws from `pool`; exhaustion is an error (see
     /// [`HashCountAggregate::with_spill`]).
     pub fn new(input: BoxedOp, group_keys: Vec<usize>, pool: MemoryPool) -> Result<Self> {
-        Ok(HashCountAggregate {
-            schema: count_schema(input.schema(), &group_keys)?,
-            input,
-            group_keys,
-            pool,
-            spill: None,
-            cancel: CancelToken::none(),
-            state: OpState::Created,
-            drain: None,
-        })
+        let schema = count_schema(input.schema(), &group_keys)?;
+        let input = Box::new(TupleBatches::new(input, usize::MAX));
+        let agg = BatchHashGroup::grouping(input, group_keys, Aggregate::Count, schema, pool);
+        Ok(HashCountAggregate(BatchToTuple::new(Box::new(agg))))
     }
 
-    /// Polls `cancel` every checkpoint stride of tuples while `open`
-    /// aggregates (and re-aggregates spill clusters): all before the first
-    /// `next`, which a deadline could not otherwise interrupt.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
+    /// Polls `cancel` once per input batch while `open` groups, and every
+    /// checkpoint stride of rows or spilled records once spilling: all
+    /// before the first `next`, which a deadline could not otherwise
+    /// interrupt.
+    pub fn with_cancel(self, cancel: CancelToken) -> Self {
+        HashCountAggregate(BatchToTuple::new(Box::new(
+            self.0.input.with_cancel(cancel),
+        )))
     }
 
-    /// Spools partial aggregates to group-hash cluster files on `storage`'s
-    /// data disk when the table exhausts the pool, each cluster aggregated
-    /// in its own phase: hash-division's quotient partitioning, for
-    /// aggregation.
-    pub fn with_spill(mut self, storage: StorageRef) -> Self {
-        self.spill = Some(storage);
-        self
-    }
-}
-
-/// Group-hash clusters for the spill path.
-const SPILL_PARTITIONS: usize = 8;
-
-/// A group count's state: a key table of groups (charged its buckets and
-/// chain elements) and a count per group until the pool is exhausted; then
-/// [`SPILL_PARTITIONS`] cluster files of `(group..., count)` records, each
-/// re-aggregated in a phase of its own, all deleted with the state.
-pub(crate) struct GroupCounts {
-    pool: MemoryPool,
-    spill: Option<StorageRef>,
-    /// The output rows, and the group columns they start with.
-    schema: Schema,
-    keys: Schema,
-    /// `None` once spilling (its memory released for the phases).
-    table: Option<(KeyTable, Vec<i64>)>,
-    clusters: Vec<FileId>,
-    records: Vec<u8>,
-}
-
-impl GroupCounts {
-    /// An empty state producing rows of `schema` (a [`count_schema`]).
-    pub(crate) fn new(
-        pool: &MemoryPool,
-        spill: Option<StorageRef>,
-        schema: Schema,
-    ) -> Result<Self> {
-        let keys = schema.project(&(0..schema.arity() - 1).collect::<Vec<_>>())?;
-        Ok(GroupCounts {
-            table: Some((KeyTable::new(pool, &keys, 0)?, Vec::new())),
-            pool: pool.clone(),
-            spill,
-            schema,
-            keys,
-            clusters: Vec::new(),
-            records: Vec::new(),
-        })
-    }
-
-    /// Counts the rows of `batch`, grouped on its columns `on`: one hash
-    /// pass and one typed probe, each row compared with the groups of
-    /// equal hash.
-    pub(crate) fn add_batch(&mut self, batch: &Batch, on: &[usize]) -> Result<()> {
-        let (probe, mut tally) = (Probe::new(batch, on), Tally::default());
-        for (row, h) in batch.hash_rows(on).into_iter().enumerate() {
-            self.add(h, (&probe, row), 1, true, &mut tally)?;
-        }
-        Ok(())
-    }
-
-    /// Counts `n` more rows of group `key` under hash `h`, compared with
-    /// every chain element or — `hashed` — those of equal hash; once
-    /// spilling, routes one. A table that exhausts the pool is drained into
-    /// the clusters (without spilling, that is the error).
-    pub(crate) fn add(
-        &mut self,
-        h: u64,
-        key: impl Key,
-        n: i64,
-        hashed: bool,
-        tally: &mut Tally,
-    ) -> Result<()> {
-        let Some((table, counts)) = &mut self.table else {
-            return self.route(&[h], |row| key.push(row), vec![1]);
-        };
-        if let Some(g) = table.find((h, None), key, hashed, tally) {
-            counts[g] += n;
-            return Ok(());
-        }
-        match table.insert(h, key) {
-            Ok(_) => counts.push(n),
-            Err(e) if e.is_memory_exhausted() && self.spill.is_some() => {
-                let mut sm = self.spill.as_ref().expect("checked").borrow_mut();
-                let files =
-                    (0..SPILL_PARTITIONS).map(|_| sm.create_file(StorageManager::DATA_DISK));
-                self.clusters = files.collect();
-                drop(sm);
-                // Each group rehashed to find its cluster, then this row.
-                let (table, counts) = self.table.take().expect("table present");
-                let groups = table.into_keys();
-                let hashes = groups.hash_rows(&(0..groups.schema().arity()).collect::<Vec<_>>());
-                self.route(&hashes, |rows| *rows = groups, counts)?;
-                self.route(&[h], |row| key.push(row), vec![1])?;
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(())
-    }
-
-    /// Spools groups — the key rows `fill` puts in a batch, with `counts` —
-    /// to the clusters their `hashes` name, in order.
-    fn route(
-        &mut self,
-        hashes: &[u64],
-        fill: impl FnOnce(&mut Batch),
-        counts: Vec<i64>,
-    ) -> Result<()> {
-        let mut rows = Batch::with_capacity(self.keys.clone(), hashes.len());
-        fill(&mut rows);
-        let rows = rows.widen(self.schema.clone(), [ColumnVec::Int(counts)]);
-        self.records.clear();
-        rows.encode_records(&mut self.records)?;
-        let mut sm = self
-            .spill
-            .as_ref()
-            .expect("clusters imply spill")
-            .borrow_mut();
-        let records = self.records.chunks(self.schema.record_width());
-        for (&h, record) in hashes.iter().zip(records) {
-            sm.append(self.clusters[(h as usize) % SPILL_PARTITIONS], record)?;
-        }
-        Ok(())
-    }
-
-    /// The groups as batches, the key columns widened by the count column,
-    /// in insertion order (cluster by cluster, if spilled, polling
-    /// `cancel` every checkpoint stride).
-    pub(crate) fn finish(mut self, cancel: CancelToken) -> Result<Vec<Batch>> {
-        if let Some((table, counts)) = self.table.take() {
-            let rows = table
-                .into_keys()
-                .widen(self.schema.clone(), [ColumnVec::Int(counts)]);
-            return Ok(rows.into_chunks(DEFAULT_BATCH_SIZE));
-        }
-        let storage = self.spill.clone().expect("clusters imply spill");
-        let on: Vec<usize> = (0..self.keys.arity()).collect();
-        let (mut out, mut budget, mut tally) = (Vec::new(), 0u32, Tally::default());
-        for &file in &self.clusters {
-            // A cluster that still exhausts memory means the group
-            // population defeats k-way partitioning; surface that honestly.
-            let mut phase = GroupCounts::new(&self.pool, None, self.schema.clone())?;
-            for i in 0.. {
-                let Some(page) = read_page(&mut storage.borrow_mut(), file, i, &self.schema)?
-                else {
-                    break;
-                };
-                let ColumnVec::Int(partial) = page.column(on.len()) else {
-                    unreachable!("a count is an Int column");
-                };
-                // Each record compared with its whole chain.
-                let probe = Probe::new(&page, &on);
-                for (row, h) in page.hash_rows_uncounted(&on).into_iter().enumerate() {
-                    cancel.checkpoint(&mut budget)?;
-                    counters::count_hashes(1);
-                    phase.add(h, (&probe, row), partial[row], false, &mut tally)?;
-                }
-            }
-            out.extend(phase.finish(cancel)?);
-        }
-        Ok(out)
-    }
-}
-
-impl Drop for GroupCounts {
-    fn drop(&mut self) {
-        if let Some(Ok(mut sm)) = self.spill.as_ref().map(|s| s.try_borrow_mut()) {
-            for file in self.clusters.drain(..) {
-                let _ = sm.delete_file(file);
-            }
-        }
+    /// Spills to `storage`'s data disk when the table exhausts the pool,
+    /// as every hash grouping does.
+    pub fn with_spill(self, storage: StorageRef) -> Self {
+        HashCountAggregate(BatchToTuple::new(Box::new(
+            self.0.input.spilling_to(storage),
+        )))
     }
 }
 
 impl Operator for HashCountAggregate {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.0.schema()
     }
 
     fn open(&mut self) -> Result<()> {
-        self.input.open()?;
-        let mut counts = GroupCounts::new(&self.pool, self.spill.clone(), self.schema.clone())?;
-        let (keys, mut budget, mut tally) = (&self.group_keys[..], 0u32, Tally::default());
-        while let Some(t) = self.input.next()? {
-            self.cancel.checkpoint(&mut budget)?;
-            let h = t.hash_on(keys);
-            counts.add(h, (&t, keys), 1, false, &mut tally)?;
-        }
-        self.input.close()?;
-        let rows = counts
-            .finish(self.cancel)?
-            .into_iter()
-            .flat_map(Batch::into_tuples);
-        self.drain = Some(rows.collect::<Vec<Tuple>>().into_iter());
-        self.state = OpState::Open;
-        Ok(())
+        self.0.open()
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        self.state.require_open()?;
-        Ok(self.drain.as_mut().expect("open sets drain").next())
+        self.0.next()
     }
 
     fn close(&mut self) -> Result<()> {
-        self.drain = None;
-        self.state = OpState::Closed;
-        Ok(())
+        self.0.close()
     }
 }
 
@@ -299,7 +103,7 @@ mod tests {
     use crate::batch::scan::BatchMemScan;
     use crate::batch::sort::BatchSort;
     use crate::batch::BatchToTuple;
-    use crate::batch::{collect_batches, BatchOperator, BoxedBatchOp};
+    use crate::batch::{collect_batches, BoxedBatchOp};
     use crate::op::collect;
     use crate::sort::{SortConfig, SortMode};
     use reldiv_rel::tuple::ints;
@@ -420,6 +224,8 @@ mod tests {
             Relation::from_tuples(schema, vec![ints(&[10]), ints(&[20]), ints(&[10])]).unwrap();
         for (distinct, want) in [(false, 3), (true, 2)] {
             let scan = Box::new(BatchMemScan::new(rel.clone()));
+            let storage = StorageManager::shared(StorageConfig::large());
+            let distinct = distinct.then(|| (MemoryPool::unbounded(), storage));
             assert_eq!(count_rows(scan, distinct, CancelToken::none()), Ok(want));
         }
     }
@@ -428,7 +234,7 @@ mod tests {
     fn scalar_count_of_empty_input_is_zero() {
         let rel = Relation::empty(Schema::new(vec![Field::int("x")]));
         let scan = Box::new(BatchMemScan::new(rel));
-        assert_eq!(count_rows(scan, false, CancelToken::none()), Ok(0));
+        assert_eq!(count_rows(scan, None, CancelToken::none()), Ok(0));
     }
 
     #[test]
@@ -449,22 +255,37 @@ mod tests {
             vec![ints(&[1, 2]), ints(&[1, 2]), ints(&[1, 3]), ints(&[1, 2])],
         )
         .unwrap();
-        let d = BatchDistinct::new(Box::new(BatchMemScan::new(rel)), MemoryPool::unbounded());
+        let storage = StorageManager::shared(StorageConfig::large());
+        let scan = Box::new(BatchMemScan::new(rel));
+        let d = BatchDistinct::distinct(scan, MemoryPool::unbounded(), storage);
         assert_eq!(drain(Box::new(d)).cardinality(), 2);
     }
 
     #[test]
-    fn hash_distinct_holds_whole_input_and_can_exhaust_memory() {
+    fn hash_distinct_holds_whole_input_and_spills_past_the_pool() {
         let schema = Schema::new(vec![Field::int("a")]);
         let rel = Relation::from_tuples(schema, (0..10_000).map(|i| ints(&[i])).collect()).unwrap();
+        let storage = StorageManager::shared(StorageConfig::large());
         // Every distinct row is held: at least one record width each.
         let pool = MemoryPool::unbounded();
         let scan = Box::new(BatchMemScan::new(rel.clone()));
-        assert_eq!(drain(Box::new(BatchDistinct::new(scan, pool.clone()))), rel);
+        let d = BatchDistinct::distinct(scan, pool.clone(), storage.clone());
+        assert_eq!(drain(Box::new(d)), rel);
         assert!(pool.peak() >= 10_000 * 8, "peak {}", pool.peak());
-        let scan = Box::new(BatchMemScan::new(rel));
-        let mut d = BatchDistinct::new(scan, MemoryPool::new(2048));
-        assert!(d.open().unwrap_err().is_memory_exhausted());
+        assert_eq!(storage.borrow().io_stats().transfers(), 0);
+        // In 2 KB the rows go to overflow files, and come back once each.
+        let storage = StorageManager::shared(StorageConfig {
+            buffer_bytes: 16 * 1024,
+            ..StorageConfig::paper()
+        });
+        let pool = MemoryPool::new(2048);
+        let scan = Box::new(BatchMemScan::new(rel.clone()));
+        let d = BatchDistinct::distinct(scan, pool.clone(), storage.clone());
+        assert_eq!(drain(Box::new(d)).bag_counts(), rel.bag_counts());
+        assert!(pool.peak() <= 2048);
+        let sm = storage.borrow();
+        assert!(sm.io_stats().transfers() > 0);
+        assert_eq!((sm.file_count(), sm.pinned_frames()), (0, 0));
     }
 
     #[test]

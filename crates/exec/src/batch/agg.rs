@@ -1,34 +1,58 @@
-//! Vectorized aggregation: the spilling hash group count, the scalar
-//! count and `HAVING count = N` — division by aggregation on the batch
-//! path.
+//! Vectorized aggregation: the hash grouping — the spilling group count
+//! and the spilling distinct, one operator — the scalar count and
+//! `HAVING count = N`, division by aggregation on the batch path.
 
 use reldiv_rel::{counters, Batch, ColumnVec, Schema};
 use reldiv_storage::{MemoryPool, StorageRef};
 
-use super::{drain_batches, BatchOperator, BoxedBatchOp};
-use crate::agg::{count_schema, GroupCounts};
+use super::{drain_batches, BatchOperator, BoxedBatchOp, DEFAULT_BATCH_SIZE};
+use crate::agg::count_schema;
 use crate::cancel::CancelToken;
+use crate::groups::{Aggregate, GroupTable};
+use crate::hash_table::{Probe, Tally};
+use crate::hybrid::{Hybrid, DEFAULT_FANOUT};
 use crate::op::OpState;
+use crate::report::DegradationReport;
 use crate::{ExecError, Result};
 
-/// Hash-based `COUNT(*) GROUP BY`, spilling like
-/// [`crate::agg::HashCountAggregate`] with `with_spill` (one shared
-/// `GroupCounts` state), probed a batch at a time — one hash pass, the key
-/// columns typed once, each row compared with the groups of equal hash —
-/// so output order, the row at which memory is exhausted and the spilled
-/// records are those of the tuple operator.
-pub struct BatchHashCountAggregate {
+/// Hash grouping, a batch at a time, on one [`GroupTable`]: the group
+/// count (`COUNT(*) GROUP BY`, [`BatchHashCountAggregate::new`]) or the
+/// distinct over all columns ([`BatchDistinct::distinct`]).
+///
+/// "Hash-based aggregate functions keep the tuples of the output relation
+/// in a main memory hash-table. ... since the hash table contains only the
+/// aggregation output, it is not necessary that the aggregation input fit
+/// into main memory." (Section 2.2.2.) Hash-based duplicate elimination,
+/// though, must keep "the entire input ... in main memory hash tables or
+/// in overflow files": a distinct group is charged its row's record width.
+///
+/// The groups start in one resident table, probed a batch at a time — one
+/// hash pass, the key columns typed once, each row compared with the
+/// groups of equal hash. A table that exhausts the pool is handed whole to
+/// the partition engine every grouping spills through ([`Hybrid`]), and the
+/// rest of the input goes there. Without spill storage the exhaustion is
+/// the error. Resident groups come out in the order of their first row.
+pub struct BatchHashGroup {
     input: BoxedBatchOp,
-    group_keys: Vec<usize>,
+    keys: Vec<usize>,
+    agg: Aggregate,
     schema: Schema,
     pool: MemoryPool,
-    storage: StorageRef,
+    storage: Option<StorageRef>,
+    /// Whether the resident table counts its `Hash`es and `Comp`s.
+    priced: bool,
     cancel: CancelToken,
     state: OpState,
     drain: std::vec::IntoIter<Batch>,
 }
 
-impl BatchHashCountAggregate {
+/// The group count: a [`BatchHashGroup`] that counts.
+pub type BatchHashCountAggregate = BatchHashGroup;
+
+/// The hash-based distinct: a [`BatchHashGroup`] with no aggregate.
+pub type BatchDistinct = BatchHashGroup;
+
+impl BatchHashGroup {
     /// Groups `input` on `group_keys`, counting rows per group; the table
     /// draws from `pool` and spills to `storage`'s data disk.
     pub fn new(
@@ -37,41 +61,151 @@ impl BatchHashCountAggregate {
         pool: MemoryPool,
         storage: StorageRef,
     ) -> Result<Self> {
-        Ok(BatchHashCountAggregate {
-            schema: count_schema(input.schema(), &group_keys)?,
+        let schema = count_schema(input.schema(), &group_keys)?;
+        Ok(Self::grouping(input, group_keys, Aggregate::Count, schema, pool).spilling_to(storage))
+    }
+
+    /// Eliminates duplicate rows of `input`, a row kept at its first
+    /// occurrence; the table draws from `pool` and spills to `storage`'s
+    /// data disk.
+    pub fn distinct(input: BoxedBatchOp, pool: MemoryPool, storage: StorageRef) -> Self {
+        let (schema, all) = (
+            input.schema().clone(),
+            (0..input.schema().arity()).collect(),
+        );
+        Self::grouping(input, all, Aggregate::Distinct, schema, pool).spilling_to(storage)
+    }
+
+    /// A grouping of `input` on `keys` into rows of `schema`, no spill.
+    pub(crate) fn grouping(
+        input: BoxedBatchOp,
+        keys: Vec<usize>,
+        agg: Aggregate,
+        schema: Schema,
+        pool: MemoryPool,
+    ) -> Self {
+        BatchHashGroup {
             input,
-            group_keys,
+            keys,
+            agg,
+            schema,
             pool,
-            storage,
+            storage: None,
+            priced: true,
             cancel: CancelToken::none(),
             state: OpState::Created,
             drain: Vec::new().into_iter(),
-        })
+        }
     }
 
-    /// Polls `cancel` once per input batch while `open` aggregates, and
-    /// every checkpoint stride of spilled records after.
+    /// Spills to `storage`'s data disk when the pool runs out.
+    pub(crate) fn spilling_to(mut self, storage: StorageRef) -> Self {
+        self.storage = Some(storage);
+        self
+    }
+
+    /// Polls `cancel` once per input batch while `open` groups, and every
+    /// checkpoint stride of rows or spilled records once spilling.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
+
+    /// Groups the whole input: in the resident table until it runs out,
+    /// then in the partition engine. Returns the output batches.
+    fn group(&mut self) -> Result<Vec<Batch>> {
+        let keys = self.input.schema().project(&self.keys)?;
+        let mut resident = Some(GroupTable::new(&self.pool, &keys, self.agg)?);
+        let (storage, mut report) = (self.storage.clone(), DegradationReport::new());
+        let mut spill: Option<Hybrid> = None;
+        while let Some(batch) = self.input.next_batch()? {
+            self.cancel.check()?;
+            let hashes = match self.priced {
+                true => batch.hash_rows(&self.keys),
+                false => batch.hash_rows_uncounted(&self.keys),
+            };
+            let mut from = 0;
+            if let Some(table) = &mut resident {
+                let (spills, mut tally) = (storage.is_some(), Tally::default());
+                let stopped =
+                    absorb_resident(table, (&batch, &self.keys), &hashes, spills, &mut tally);
+                tally.comps *= u64::from(self.priced);
+                let Some(row) = stopped? else {
+                    continue;
+                };
+                let storage = storage.as_ref().expect("only a spilling grouping stops");
+                let (pool, agg, cancel) = (&self.pool, self.agg, self.cancel);
+                let engine = Hybrid::new(
+                    storage,
+                    pool,
+                    keys.clone(),
+                    agg,
+                    DEFAULT_FANOUT,
+                    cancel,
+                    None,
+                );
+                let engine = spill.insert(engine);
+                engine.adopt(resident.take().expect("resident"), &mut report)?;
+                from = row;
+            }
+            let rows: Vec<usize> = (from..batch.len()).collect();
+            let matched = (&rows[..], &hashes[from..], &vec![Some(0); rows.len()][..]);
+            let engine = spill.as_mut().expect("spilling");
+            engine.absorb_rows((&batch, &self.keys), matched, &mut report)?;
+        }
+        let Some(engine) = spill else {
+            let table = resident.expect("resident unless spilling");
+            return Ok(table
+                .into_rows(self.schema.clone())
+                .into_chunks(DEFAULT_BATCH_SIZE));
+        };
+        let mut out = Vec::new();
+        engine.finish(true, &mut report, |groups| {
+            let all: Vec<usize> = (0..groups.len()).collect();
+            let rows = groups.rows(&all, self.schema.clone());
+            out.extend(rows.into_chunks(DEFAULT_BATCH_SIZE));
+            Ok(())
+        })?;
+        Ok(out)
+    }
 }
 
-impl BatchOperator for BatchHashCountAggregate {
+/// Absorbs every row of `batch`, hashed `hashes` on its columns `keys`,
+/// into `table`, counting in `tally`: a group found counts the row, a
+/// group not found is added with it. Returns the row that found the pool
+/// exhausted when the grouping `spills`; without, the exhaustion is the
+/// error.
+fn absorb_resident(
+    table: &mut GroupTable,
+    (batch, keys): (&Batch, &[usize]),
+    hashes: &[u64],
+    spills: bool,
+    tally: &mut Tally,
+) -> Result<Option<usize>> {
+    let probe = Probe::new(batch, keys);
+    for (row, &h) in hashes.iter().enumerate() {
+        let key = (&probe, row);
+        match table.find((h, None), key, true, tally) {
+            Some(g) => _ = table.absorb(g, 0, tally),
+            None => match table.insert(h, key, Some(0)) {
+                Ok(_) => {}
+                Err(e) if e.is_memory_exhausted() && spills => return Ok(Some(row)),
+                Err(e) => return Err(e),
+            },
+        }
+    }
+    Ok(None)
+}
+
+impl BatchOperator for BatchHashGroup {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
     fn open(&mut self) -> Result<()> {
         self.input.open()?;
-        let storage = Some(self.storage.clone());
-        let mut counts = GroupCounts::new(&self.pool, storage, self.schema.clone())?;
-        while let Some(batch) = self.input.next_batch()? {
-            self.cancel.check()?;
-            counts.add_batch(&batch, &self.group_keys)?;
-        }
+        self.drain = self.group()?.into_iter();
         self.input.close()?;
-        self.drain = counts.finish(self.cancel)?.into_iter();
         self.state = OpState::Open;
         Ok(())
     }
@@ -88,20 +222,27 @@ impl BatchOperator for BatchHashCountAggregate {
     }
 }
 
-/// Scalar `COUNT(*)`: drains `input` and returns its number of rows (of
-/// distinct rows under `distinct`, in an in-memory set of whole rows —
-/// the scalar aggregate of a division plan counts the small divisor).
-/// `cancel` is polled once per batch.
-pub fn count_rows(input: BoxedBatchOp, distinct: bool, cancel: CancelToken) -> Result<i64> {
-    let mut seen = std::collections::HashSet::new();
+/// Scalar `COUNT(*)`: drains `input` and returns its number of rows, or,
+/// given `distinct`'s pool and spill storage, of distinct rows — a
+/// [`BatchDistinct`] that counts no operation while its rows fit (the
+/// scalar aggregate of a division plan counts the small divisor, which
+/// the paper does not price). `cancel` is polled once per batch.
+pub fn count_rows(
+    input: BoxedBatchOp,
+    distinct: Option<(MemoryPool, StorageRef)>,
+    cancel: CancelToken,
+) -> Result<i64> {
+    let input: BoxedBatchOp = match distinct {
+        Some((pool, storage)) => {
+            let mut seen = BatchDistinct::distinct(input, pool, storage).with_cancel(cancel);
+            seen.priced = false;
+            Box::new(seen)
+        }
+        None => input,
+    };
     let mut count = 0;
     drain_batches(input, cancel, |batch| {
-        count += match distinct {
-            true => (0..batch.len())
-                .filter(|&row| seen.insert(batch.tuple(row)))
-                .count(),
-            false => batch.len(),
-        };
+        count += batch.len();
         Ok(())
     })?;
     Ok(count as i64)
@@ -232,10 +373,10 @@ mod tests {
         use crate::agg::HashCountAggregate;
         use crate::batch::BatchToTuple;
         use crate::op::collect;
+        use reldiv_rel::Value;
         use reldiv_storage::manager::{StorageConfig, StorageManager};
-        // (pool bytes, outcome): fits; spills and recovers; exhausted even
-        // per cluster.
-        for (pool_bytes, exhausted) in [(1 << 20, false), (48 * 1024, false), (6 * 1024, true)] {
+        // Fits; spills and merges back; spills and re-partitions.
+        for pool_bytes in [1 << 20, 48 * 1024, 6 * 1024] {
             let rel = groups(3000, 3);
             let storages = [(); 2].map(|()| {
                 StorageManager::shared(StorageConfig {
@@ -251,11 +392,12 @@ mod tests {
                 )
                 .unwrap()
                 .with_spill(storages[0].clone()),
-            ));
+            ))
+            .unwrap();
             let batch = collect_batches(
                 Box::new(
                     BatchHashCountAggregate::new(
-                        Box::new(BatchMemScan::new(rel).with_batch_size(500)),
+                        Box::new(BatchMemScan::new(rel)),
                         vec![1, 0],
                         MemoryPool::new(pool_bytes),
                         storages[1].clone(),
@@ -263,21 +405,15 @@ mod tests {
                     .unwrap(),
                 ),
                 CancelToken::none(),
-            );
-            match (tuple, batch) {
-                (Ok(tuple), Ok(batch)) => {
-                    assert!(!exhausted);
-                    assert_eq!(tuple, batch, "same groups, same order");
-                    assert_eq!(batch.cardinality(), 3000);
-                }
-                (Err(tuple), Err(batch)) => {
-                    assert!(exhausted && tuple.is_memory_exhausted());
-                    assert!(batch.is_memory_exhausted());
-                }
-                (tuple, batch) => panic!("{tuple:?} vs {batch:?}"),
-            }
-            // The same records went to the same clusters, page for page,
-            // and no cluster file outlives the operator.
+            )
+            .unwrap();
+            assert_eq!(tuple, batch, "same groups, same order");
+            assert_eq!(batch.cardinality(), 3000);
+            assert!(batch.tuples().iter().all(|t| t.value(2) == &Value::Int(3)));
+            // Fed batches of the same rows, the same records went to the
+            // same partitions, page for page (a batch's delta records are
+            // written when it is done), and no spill file outlives the
+            // operator.
             let [t, b] = storages.map(|s| {
                 let sm = s.borrow();
                 (sm.io_stats(), sm.file_count(), sm.pinned_frames())
@@ -293,9 +429,26 @@ mod tests {
         let schema = Schema::new(vec![Field::int("x")]);
         let rel =
             Relation::from_tuples(schema, (0..3000).map(|i| ints(&[i % 7])).collect()).unwrap();
+        let storage = || {
+            use reldiv_storage::manager::{StorageConfig, StorageManager};
+            StorageManager::shared(StorageConfig::large())
+        };
         for (distinct, want) in [(false, 3000), (true, 7)] {
             let scan = Box::new(BatchMemScan::new(rel.clone()));
+            let distinct = distinct.then(|| (MemoryPool::unbounded(), storage()));
             assert_eq!(count_rows(scan, distinct, CancelToken::none()), Ok(want));
         }
+        // 3000 distinct rows past a 2 KB pool: counted from overflow files.
+        let rel = Relation::from_tuples(
+            rel.schema().clone(),
+            (0..3000).map(|i| ints(&[i])).collect(),
+        )
+        .unwrap();
+        let (pool, storage) = (MemoryPool::new(2048), storage());
+        let scan = Box::new(BatchMemScan::new(rel));
+        let distinct = Some((pool.clone(), storage.clone()));
+        assert_eq!(count_rows(scan, distinct, CancelToken::none()), Ok(3000));
+        assert!(pool.peak() <= 2048 && storage.borrow().buffer_stats().peak_bytes > 0);
+        assert_eq!(storage.borrow().file_count(), 0);
     }
 }

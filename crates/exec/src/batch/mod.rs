@@ -15,8 +15,8 @@
 //! bridges any batch operator into tuples (a source's tuple scan is one
 //! over its batch scan); [`crate::sort::Sort`], a [`BatchToTuple`] over a
 //! [`sort::BatchSort`] fed its tuple input a batch at a time; and
-//! [`crate::agg::HashCountAggregate`], which counts in the group state of
-//! [`agg::BatchHashCountAggregate`]. The sort's and the file scan's numbers
+//! [`crate::agg::HashCountAggregate`], a [`BatchToTuple`] over
+//! [`agg::BatchHashCountAggregate`] fed its tuple input a batch at a time. The sort's and the file scan's numbers
 //! are pinned as the tuple operators they replaced recorded them.
 //!
 //! **Cancellation cadence.** A streaming batch operator carries no cancel

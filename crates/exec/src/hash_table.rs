@@ -9,6 +9,7 @@
 //! `Comp` each as the paper prices it, or — a batch probe — only with the
 //! elements of equal stored hash: no other can be the key. A batch probes
 //! through a [`Probe`], its key columns typed once, counting in a [`Tally`].
+//! A [`crate::groups::GroupTable`] keeps an aggregate beside each key.
 
 use reldiv_rel::column::ColumnVec;
 use reldiv_rel::{counters, Batch, Schema, Tuple};
@@ -119,6 +120,11 @@ impl<T> ChainedTable<T> {
     /// The element after `idx` on its chain.
     pub fn next(&self, idx: u32) -> u32 {
         self.entries[idx as usize].next
+    }
+
+    /// The stored hash of the element at `idx`.
+    pub fn hash_of(&self, idx: u32) -> u64 {
+        self.entries[idx as usize].hash
     }
 
     /// The first element from `head` on along its chain satisfying `pred`,
@@ -307,6 +313,11 @@ impl KeyTable {
             }
         });
         found.map(|g| g as usize)
+    }
+
+    /// The hash entry `g` was linked under.
+    pub fn hash(&self, g: usize) -> u64 {
+        self.table.hash_of(g as u32)
     }
 
     /// The element after entry `g` on its chain: a [`KeyTable::find`]

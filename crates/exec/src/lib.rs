@@ -18,21 +18,26 @@
 //!   run files on the 1 KB-page run disk for high fan-in, and an
 //!   on-demand final merge ("opening a sort operator prepares sorted runs
 //!   and merges them until only one merge step is left; the final merge
-//!   is performed on demand by the next function"); the spilling hash
-//!   group count, the scalar count and the
-//!   `HAVING count = N` filter that express division by aggregation;
-//!   hash-based duplicate elimination; the merge semi-join,
+//!   is performed on demand by the next function"); the hash grouping —
+//!   the group count and the hash-based duplicate elimination, one
+//!   operator — the scalar count and the `HAVING count = N` filter that
+//!   express division by aggregation; the merge semi-join,
 //! * [`hash_join`] — the hash join and hash semi-join with bucket
 //!   chaining, on the same batch protocol,
 //! * [`op::Operator`] — the tuple-at-a-time protocol, kept for the three
 //!   operators the benchmark still names: [`batch::BatchToTuple`], the
-//!   [`sort::Sort`] bridge over the batch sort, and
-//!   [`agg::HashCountAggregate`] on the batch group count's state,
+//!   [`sort::Sort`] bridge over the batch sort, and the
+//!   [`agg::HashCountAggregate`] bridge over the batch group count,
 //! * [`scan`] — loading relations into record files,
 //! * [`merge_join`] — the join mode and key check every join shares,
 //! * [`hash_table`] — the bucket-chained hash table, and the typed key
 //!   table on it under every hash-based operator here and hash-division's
 //!   tables in `reldiv-core`,
+//! * [`groups`] — the one table that groups rows by key, with an
+//!   aggregate of none, a count or a bit map; [`hybrid`] — the one spill
+//!   of every grouping, the adaptive hybrid's partition engine, which
+//!   records in a [`report::DegradationReport`]; [`bitmap`] — the
+//!   word-at-a-time bit-map kernels,
 //! * [`profile`] — per-operator `EXPLAIN ANALYZE` spans (wall time,
 //!   tuples, abstract ops, physical page I/O), zero-cost when disabled.
 //!
@@ -45,14 +50,18 @@
 
 pub mod agg;
 pub mod batch;
+pub mod bitmap;
 pub mod cancel;
 pub mod error;
 pub mod filter;
+pub mod groups;
 pub mod hash_join;
 pub mod hash_table;
+pub mod hybrid;
 pub mod merge_join;
 pub mod op;
 pub mod profile;
+pub mod report;
 pub mod scan;
 pub mod sort;
 

@@ -110,11 +110,7 @@ impl Sort {
         config: SortConfig,
     ) -> Result<Self> {
         let run_rows = run_rows(&config, input.schema().record_width());
-        let input = Box::new(TupleBatches {
-            input,
-            run_rows,
-            pulled: 0,
-        });
+        let input = Box::new(TupleBatches::new(input, run_rows));
         let sort = BatchSort::new(storage, input, keys, mode, config)?;
         Ok(Sort(BatchToTuple::new(Box::new(sort))))
     }
@@ -150,10 +146,22 @@ impl Operator for Sort {
 /// ending where a run does: the sort writes a run before it pulls the row
 /// after it, so an input that reads pages reads the next one after the
 /// run's pages are written, as a tuple-at-a-time sort had it.
-struct TupleBatches {
+pub(crate) struct TupleBatches {
     input: BoxedOp,
     run_rows: usize,
     pulled: usize,
+}
+
+impl TupleBatches {
+    /// `input` in batches that end every `run_rows` rows (`usize::MAX`:
+    /// only where a batch is full).
+    pub(crate) fn new(input: BoxedOp, run_rows: usize) -> TupleBatches {
+        TupleBatches {
+            input,
+            run_rows,
+            pulled: 0,
+        }
+    }
 }
 
 impl BatchOperator for TupleBatches {

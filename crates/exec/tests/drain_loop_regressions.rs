@@ -63,9 +63,10 @@ fn always_false_filter_cancels_on_the_batch_path() {
 fn aggregate_build_phases_cancel() {
     // The distinct's own token fires inside `open`: the drain polls none.
     let distinct: BoxedBatchOp = Box::new(
-        BatchDistinct::new(
+        BatchDistinct::distinct(
             Box::new(BatchMemScan::new(big_rel())),
             MemoryPool::unbounded(),
+            StorageManager::shared(StorageConfig::large()),
         )
         .with_cancel(expired()),
     );
@@ -84,7 +85,7 @@ fn aggregate_build_phases_cancel() {
     assert!(collect(agg).unwrap_err().is_cancelled());
 
     let scan = Box::new(BatchMemScan::new(big_rel()));
-    assert!(count_rows(scan, false, expired())
+    assert!(count_rows(scan, None, expired())
         .unwrap_err()
         .is_cancelled());
 }

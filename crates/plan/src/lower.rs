@@ -263,8 +263,9 @@ impl<'a> Lowerer<'a> {
             }
             BoundNode::Distinct { input } => {
                 let child = self.lower_batch(input)?;
+                let storage = self.opts.storage.clone();
                 self.wrap_batch(
-                    Box::new(BatchDistinct::new(child, pool).with_cancel(cancel)),
+                    Box::new(BatchDistinct::distinct(child, pool, storage).with_cancel(cancel)),
                     "distinct".to_owned(),
                     SpanKind::Distinct,
                 )
